@@ -17,11 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import PremodularData, _is_transparent, classify_degeneracy, CentreKind
+from .data import PremodularData, classify_degeneracy, CentreKind
 from .errors import DegenerateEigenproblem
 from .fusion_ring import fpdim
 
-__all__ = ["ComponentAnalysis", "ring_characters", "component_count"]
+__all__ = ["ComponentAnalysis", "ring_characters"]
 
 _CLUSTER_TOL = 1e-9     # eigenvalues closer than this are one cluster
 _DISTINCT_TOL = 1e-6    # characters must be separated by this in sup metric
@@ -158,8 +158,9 @@ def ring_characters(data: PremodularData, seed: int = 0) -> ComponentAnalysis:
     are identified.
     """
     ring = data.ring
-    idx = [b for b in range(ring.rank) if _is_transparent(data, b)]
-    labels = [data.labels[b] for b in idx]
+    cls = classify_degeneracy(data)
+    labels = list(cls.transparent)
+    idx = [ring.index(lab) for lab in labels]
     n = len(idx)
     N = ring.mult
 
@@ -197,7 +198,6 @@ def ring_characters(data: PremodularData, seed: int = 0) -> ComponentAnalysis:
         raise DegenerateEigenproblem("no character matches the FPdim vector")
 
     magnetic_index = None
-    cls = classify_degeneracy(data)
     if cls.kind is CentreKind.SLIGHTLY_DEGENERATE:
         e_pos = labels.index(cls.fermion)
         for k, chi in enumerate(char_values):
@@ -215,11 +215,3 @@ def ring_characters(data: PremodularData, seed: int = 0) -> ComponentAnalysis:
         magnetic_index=magnetic_index,
         seed=seed,
     )
-
-
-def component_count(data: PremodularData, seed: int = 0) -> int:
-    """Number of transparent simples; asserted against the character count."""
-    n = sum(1 for b in range(data.ring.rank) if _is_transparent(data, b))
-    analysis = ring_characters(data, seed=seed)
-    assert analysis.count == n == len(analysis.characters)
-    return n

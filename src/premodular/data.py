@@ -30,7 +30,6 @@ __all__ = [
     "CentreClassification",
     "validate_premodular",
     "framed_s_entry",
-    "transparent_labels",
     "relative_centralizer",
     "mueger_centre",
     "classify_degeneracy",
@@ -178,11 +177,6 @@ def _is_transparent(data: PremodularData, b: int) -> bool:
     return all(s[b][x] == dims[b] * dims[x] for x in range(data.ring.rank))
 
 
-def transparent_labels(data: PremodularData) -> list[str]:
-    """Labels of the Mueger centre, in ring order."""
-    return [data.labels[b] for b in range(data.ring.rank) if _is_transparent(data, b)]
-
-
 def _check_closed(data: PremodularData, idx: set[int]) -> bool:
     N = data.ring.mult
     if data.ring.unit_index not in idx:
@@ -214,7 +208,7 @@ def relative_centralizer(data: PremodularData, sub) -> set[str]:
 
 def mueger_centre(data: PremodularData) -> PremodularData:
     """Restriction of the datum to its transparent labels; re-validated."""
-    idx = [b for b in range(data.ring.rank) if _is_transparent(data, b)]
+    idx = [data.ring.index(lab) for lab in classify_degeneracy(data).transparent]
     pos = {b: k for k, b in enumerate(idx)}
     N = data.ring.mult
     for a in idx:

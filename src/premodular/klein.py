@@ -8,12 +8,11 @@ exact rationals
 
     kappa_pm = 1/2 (#{a : a* = a} +- #{a : a* = e.a}),
 
-computed twice: once by direct counting and once as traces of the exact
-rational matrices (Id +- M_e)/2 composed with the dual permutation.  The
-two computations must agree exactly; for valid slightly degenerate data
-the twisted count vanishes and kappa_minus > 0, which certifies that a
-minimal nondegenerate extension exists (the positive, "S", case of the
-two possible ambient doubles; the other, "T", would force kappa <= 0 on
+computed by counting.  The data is tested by the exact twist identity
+theta_{e.a} = -theta_a for every label a, which forces the twisted count
+to vanish and kappa_minus > 0; that certifies that a minimal
+nondegenerate extension exists (the positive, "S", case of the two
+possible ambient doubles; the other, "T", would force kappa <= 0 on
 purely magnetic objects).  No 2-categorical structure is modelled.
 """
 
@@ -22,12 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cyclotomic import CycNum
 from .data import CentreKind, PremodularData, classify_degeneracy
 from .errors import CrossCheckMismatch, NotSlightlyDegenerate
-from .fusion_ring import dual_permutation_matrix, fusion_matrix
 
 __all__ = ["KappaReport", "ExtensionVerdict", "eta_scalar", "kappa_invariants", "extension_verdict"]
 
@@ -42,9 +38,7 @@ class KappaReport:
     n_e_twisted: int
     kappa_plus: Fraction
     kappa_minus: Fraction
-    matrix_kappa_plus: Fraction
-    matrix_kappa_minus: Fraction
-    verdict: str  # "extension_exists_S" | "inconsistent"
+    verdict: str  # always "extension_exists_S"; anything else raises
 
     def to_json(self):
         frac = lambda f: f"{f.numerator}/{f.denominator}"
@@ -53,8 +47,6 @@ class KappaReport:
             "n_e_twisted": self.n_e_twisted,
             "kappa_plus": frac(self.kappa_plus),
             "kappa_minus": frac(self.kappa_minus),
-            "matrix_kappa_plus": frac(self.matrix_kappa_plus),
-            "matrix_kappa_minus": frac(self.matrix_kappa_minus),
             "verdict": self.verdict,
         }
 
@@ -67,56 +59,55 @@ def eta_scalar(data: PremodularData, a: str) -> CycNum:
 
 def kappa_invariants(data: PremodularData) -> KappaReport:
     """Klein invariants of the two canonical summands of a slightly
-    degenerate datum, with the matrix-trace cross-check.
+    degenerate datum, with the twist-identity check.
 
     Raises NotSlightlyDegenerate unless the classification identifies a
-    fermion e, and CrossCheckMismatch if the counting and matrix paths
-    disagree (which would signal an implementation bug, never expected
-    on valid data).
+    fermion e, and CrossCheckMismatch when the twist identity fails (see
+    _kappa_report).
     """
     cls = classify_degeneracy(data)
     if cls.kind is not CentreKind.SLIGHTLY_DEGENERATE:
         raise NotSlightlyDegenerate(f"classification is {cls.kind.value}; need a fermion line")
+    return _kappa_report(data, cls.fermion)
+
+
+def _kappa_report(data: PremodularData, fermion: str) -> KappaReport:
+    """Count self-dual and e-twisted labels after checking
+    theta_{e.a} = -theta_a exactly for every label a.
+
+    Why the identity holds: e is transparent, so s_{e,a} = d_e d_a, and
+    balancing gives s_{e,a} = theta_e^-1 theta_a^-1 theta_{e.a} d_{e.a}
+    with d_{e.a} = d_e d_a; hence theta_{e.a} = theta_e theta_a =
+    -theta_a.  Validation requires theta_{a*} = theta_a, so a* = e.a
+    would force theta_a = -theta_a = 0, which validation also excludes.
+    Therefore n_e_twisted = 0, and kappa_minus = n_self_dual / 2 >= 1/2
+    because the unit is self-dual.  A failure of the identity, a nonzero
+    twisted count or kappa_minus <= 0 means the datum was never
+    validated or an invariant broke; each raises CrossCheckMismatch.
+    """
     ring = data.ring
-    r = ring.rank
-    e = ring.index(cls.fermion)
-
-    dual = list(ring.dual)
-    n_self_dual = sum(1 for a in range(r) if dual[a] == a)
-    n_e_twisted = sum(1 for a in range(r) if dual[a] == ring.product_single(e, a))
-
-    # independent path: exact rational idempotents (Id +- M_e)/2 against
-    # the dual permutation matrix
-    M_e = fusion_matrix(ring, cls.fermion)
-    D = dual_permutation_matrix(ring)
-    half = Fraction(1, 2)
-    eye = np.eye(r, dtype=np.int64)
-    p_plus = [[half * int(eye[i, j] + M_e[i, j]) for j in range(r)] for i in range(r)]
-    p_minus = [[half * int(eye[i, j] - M_e[i, j]) for j in range(r)] for i in range(r)]
-
-    def trace_against_dual(P):
-        # (P @ D) has diagonal entry P[a, a*] since D[b, a] = 1 iff b = a*
-        return sum((P[a][dual[a]] for a in range(r)), Fraction(0))
-
-    matrix_plus = trace_against_dual(p_plus)
-    matrix_minus = trace_against_dual(p_minus)
-
+    e = ring.index(fermion)
+    dual = ring.dual
+    e_times = [ring.product_single(e, a) for a in range(ring.rank)]
+    for a, ea in enumerate(e_times):
+        if data.twists[ea] != -data.twists[a]:
+            raise CrossCheckMismatch(
+                f"twist identity fails: theta({ring.labels[ea]}) != -theta({ring.labels[a]})"
+            )
+    n_self_dual = sum(1 for a in range(ring.rank) if dual[a] == a)
+    n_e_twisted = sum(1 for a, ea in enumerate(e_times) if dual[a] == ea)
     kappa_plus = Fraction(n_self_dual + n_e_twisted, 2)
     kappa_minus = Fraction(n_self_dual - n_e_twisted, 2)
-    if matrix_plus != kappa_plus or matrix_minus != kappa_minus:
+    if n_e_twisted != 0 or kappa_minus <= 0:
         raise CrossCheckMismatch(
-            f"matrix traces ({matrix_plus}, {matrix_minus}) != counts ({kappa_plus}, {kappa_minus})"
+            f"n_e_twisted = {n_e_twisted}, kappa_minus = {kappa_minus} despite the twist identity"
         )
-
-    verdict = "extension_exists_S" if n_e_twisted == 0 and kappa_minus > 0 else "inconsistent"
     return KappaReport(
         n_self_dual=n_self_dual,
         n_e_twisted=n_e_twisted,
         kappa_plus=kappa_plus,
         kappa_minus=kappa_minus,
-        matrix_kappa_plus=matrix_plus,
-        matrix_kappa_minus=matrix_minus,
-        verdict=verdict,
+        verdict="extension_exists_S",
     )
 
 
@@ -152,17 +143,13 @@ def extension_verdict(data: PremodularData) -> ExtensionVerdict:
             reference=KAPPA_REFERENCE,
         )
     if cls.kind is CentreKind.SLIGHTLY_DEGENERATE:
-        report = kappa_invariants(data)
-        if report.verdict == "extension_exists_S":
-            msg = (
+        report = _kappa_report(data, cls.fermion)
+        return ExtensionVerdict(
+            code=report.verdict,
+            message=(
                 "minimal nondegenerate extension exists (ambient double of class S, "
                 f"kappa_minus = {report.kappa_minus})"
-            )
-        else:
-            msg = "kappa invariants inconsistent; datum falsified"
-        return ExtensionVerdict(
-            code="extension_exists_S" if report.verdict == "extension_exists_S" else "inconsistent",
-            message=msg,
+            ),
             kappa=report,
             reference=KAPPA_REFERENCE,
         )

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -41,6 +40,7 @@ __all__ = [
     "direct_sum",
     "from_gram",
     "random_slightly_degenerate",
+    "format_element",
 ]
 
 SIZE_CAP = 4096
@@ -206,7 +206,8 @@ def signature_mod8(mg: MetricGroup):
     raise ArithmeticError(f"normalized Gauss sum {z} is not an eighth root of unity")
 
 
-def _label(x) -> str:
+def format_element(x) -> str:
+    """An element as its label and JSON key, e.g. "(1,0,3)"."""
     return "(" + ",".join(str(c) for c in x) + ")"
 
 
@@ -226,7 +227,7 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
         for j, y in enumerate(elems):
             add_table[i, j] = index[mg.add(x, y)]
     ring = group_ring(
-        labels=[_label(x) for x in elems],
+        labels=[format_element(x) for x in elems],
         add_table=add_table,
         unit_index=index[mg.zero()],
         inverse=[index[mg.neg(x)] for x in elems],
@@ -517,7 +518,7 @@ def _build_extension_candidate(mg, a0, v, chi_coeffs, orders, coords, e):
     )
 
 
-def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64, threads: int = 1):
+def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64):
     """All pointed index-2 nondegenerate extensions of a slightly
     degenerate metric group, up to isometry fixing the fermion image.
 
@@ -536,24 +537,14 @@ def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64, threads: 
     if 2 * mg.order > max_order:
         raise GroupsTooLarge(f"extension order {2 * mg.order} exceeds cap {max_order}")
 
-    jobs = []
+    raw = []
     for a0 in _coset_reps_mod_double(mg):
         orders, coords = _pushout_structure(mg, a0)
         q_a0 = mg.qtable[a0]
         for j in range(4):
             v = ((q_a0 + j) / 4) % 1
             for chi in _characters(mg):
-                jobs.append((a0, v, chi, orders, coords))
-
-    def run(job):
-        a0, v, chi, orders, coords = job
-        return _build_extension_candidate(mg, a0, v, chi, orders, coords, e)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(run, jobs))
-    else:
-        raw = [run(job) for job in jobs]
+                raw.append(_build_extension_candidate(mg, a0, v, chi, orders, coords, e))
 
     candidates = sorted((c for c in raw if c is not None), key=ExtensionResult.sort_key)
     kept: list[ExtensionResult] = []

@@ -16,7 +16,7 @@ import numpy as np
 from .cyclotomic import CycNum, make_root
 from .data import PremodularData, validate_premodular
 from .fusion_ring import FusionRing
-from .metric_groups import MetricGroup, validate_metric_group
+from .metric_groups import MetricGroup, format_element, validate_metric_group
 from .validation import ValidationReport
 
 __all__ = [
@@ -49,10 +49,6 @@ class ValidationError(ValueError):
 
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
-
-
-def format_element(x) -> str:
-    return "(" + ",".join(str(c) for c in x) + ")"
 
 
 def _parse_element(key: str):
@@ -96,7 +92,7 @@ def ring_from_json(obj: dict) -> FusionRing:
             mult=mult,
             dual=[int(x) for x in obj["dual"]],
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"bad fusion ring: {exc}") from None
 
 
@@ -132,7 +128,7 @@ def premodular_from_json(obj: dict) -> PremodularData:
         return PremodularData(ring=ring, conductor=conductor, dims=dims, twists=twists, s=s)
     except ParseError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"bad premodular datum: {exc}") from None
 
 
@@ -149,12 +145,14 @@ def metric_group_to_json(mg: MetricGroup) -> dict:
 
 def metric_group_from_json(obj: dict) -> MetricGroup:
     try:
+        if not isinstance(obj["orders"], list) or not isinstance(obj["q"], dict):
+            raise ParseError('bad metric group: "orders" must be a list and "q" an object')
         orders = [int(n) for n in obj["orders"]]
         table = {_parse_element(k): Fraction(v) for k, v in obj["q"].items()}
         return MetricGroup(orders, table)
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"bad metric group: {exc}") from None
 
 

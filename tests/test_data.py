@@ -11,7 +11,6 @@ from premodular.data import (
     gauss_sum,
     mueger_centre,
     relative_centralizer,
-    transparent_labels,
     validate_premodular,
 )
 from premodular.errors import NotASubcategory
@@ -184,7 +183,7 @@ def test_s_matrix_unitarity_identity(name):
                                   "z4-q:1", "ising:1", "ising:7"])
 def test_transparent_labels_match_centralizer_of_everything(name):
     data = premodular_form(name)
-    assert set(transparent_labels(data)) == relative_centralizer(data, set(data.labels))
+    assert set(classify_degeneracy(data).transparent) == relative_centralizer(data, set(data.labels))
 
 
 @pytest.mark.parametrize("name", MODULAR + ["svec", "rep-z2", "svec-x-semion"])

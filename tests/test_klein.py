@@ -5,8 +5,8 @@ import pytest
 
 from conftest import premodular_form
 from premodular.cyclotomic import ONE, from_rational, make_root
-from premodular.data import classify_degeneracy
-from premodular.errors import NotSlightlyDegenerate
+from premodular.data import classify_degeneracy, validate_premodular
+from premodular.errors import CrossCheckMismatch, NotSlightlyDegenerate
 from premodular.klein import KAPPA_REFERENCE, eta_scalar, extension_verdict, kappa_invariants
 from premodular.metric_groups import (
     from_gram,
@@ -29,7 +29,6 @@ def test_kappa_on_svec():
     rep = kappa_invariants(premodular_form("svec"))
     assert rep.n_self_dual == 2 and rep.n_e_twisted == 0
     assert rep.kappa_plus == rep.kappa_minus == Fraction(1)
-    assert rep.matrix_kappa_plus == rep.matrix_kappa_minus == Fraction(1)
     assert rep.verdict == "extension_exists_S"
 
 
@@ -47,6 +46,21 @@ def test_kappa_on_z2_x_z4():
     # oracle: #2-torsion in Z2 x Z4 is 2 * 2 = 4
     assert rep.n_self_dual == 4 and rep.n_e_twisted == 0
     assert (rep.kappa_plus, rep.kappa_minus) == (Fraction(2), Fraction(2))
+
+
+def test_tampered_twists_fail_the_twist_identity():
+    # Z2 x Z4 with fermion e = (1,0); give a = (0,1) and e.a = (1,1) the
+    # same twist while s keeps its valid entries, so the classification
+    # still finds the fermion but theta_{e.a} = -theta_a fails
+    data = to_premodular(from_gram([2, 4], [Fraction(1, 2), Fraction(1, 8)]))
+    a, ea = data.ring.index("(0,1)"), data.ring.index("(1,1)")
+    data.twists[ea] = data.twists[a]
+    assert classify_degeneracy(data).fermion == "(1,0)"
+    assert not validate_premodular(data).ok
+    with pytest.raises(CrossCheckMismatch, match="twist identity"):
+        kappa_invariants(data)
+    with pytest.raises(CrossCheckMismatch, match="twist identity"):
+        extension_verdict(data)
 
 
 def test_kappa_requires_a_fermion():
@@ -73,9 +87,7 @@ def test_random_pointed_cross_check_properties():
         data = to_premodular(mg)
         cls = classify_degeneracy(data)
         assert cls.kind.value == "slightly_degenerate"
-        rep = kappa_invariants(data)  # raises CrossCheckMismatch internally if broken
-        assert rep.matrix_kappa_plus == Fraction(rep.n_self_dual + rep.n_e_twisted, 2)
-        assert rep.matrix_kappa_minus == Fraction(rep.n_self_dual - rep.n_e_twisted, 2)
+        rep = kappa_invariants(data)  # raises CrossCheckMismatch if the twist identity fails
         assert rep.n_e_twisted == 0
         assert rep.kappa_minus >= Fraction(1, 2)
         # eta symmetry and the fermion sign
