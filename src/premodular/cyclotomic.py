@@ -136,10 +136,6 @@ class CycNum:
         object.__setattr__(obj, "coeffs", coeffs)
         return obj
 
-    @classmethod
-    def from_poly(cls, conductor: int, coeffs) -> "CycNum":
-        return cls._raw(conductor, _reduce([Fraction(c) for c in coeffs], conductor))
-
     # -- conductor handling ---------------------------------------------------
 
     def lift(self, m: int) -> "CycNum":
@@ -310,11 +306,6 @@ class CycNum:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational value")
-        return self.coeffs[0]
-
     def __eq__(self, other):
         other = CycNum._coerce(other)
         if other is NotImplemented:
@@ -323,10 +314,6 @@ class CycNum:
             return self.coeffs == other.coeffs
         a, b, _ = CycNum._common(self, other)
         return a.coeffs == b.coeffs
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     # -- embedding and display -------------------------------------------------
 

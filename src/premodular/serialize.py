@@ -16,7 +16,7 @@ import numpy as np
 from .cyclotomic import CycNum, make_root
 from .data import PremodularData, validate_premodular
 from .fusion_ring import FusionRing
-from .metric_groups import MetricGroup, format_element, validate_metric_group
+from .metric_groups import SIZE_CAP, MetricGroup, format_element, validate_metric_group
 from .validation import ValidationReport
 
 __all__ = [
@@ -33,6 +33,10 @@ __all__ = [
     "metric_group_from_json",
     "format_element",
 ]
+
+# the largest conductor to_premodular produces: q values have
+# denominators dividing 2 * exponent <= 2 * SIZE_CAP
+MAX_CONDUCTOR = 2 * SIZE_CAP
 
 
 class ParseError(ValueError):
@@ -61,6 +65,19 @@ def _parse_element(key: str):
     return tuple(int(t) for t in inner.split(","))
 
 
+def _capped_conductor(n) -> int:
+    """n as an int, rejected before anything is allocated at conductor n."""
+    n = int(n)
+    if n > MAX_CONDUCTOR:
+        raise ValueError(f"conductor {n} exceeds the cap {MAX_CONDUCTOR}")
+    return n
+
+
+def _cycnum_from_json(obj) -> CycNum:
+    _capped_conductor(obj["n"])
+    return CycNum.from_json(obj)
+
+
 # -- fusion rings -------------------------------------------------------------
 
 
@@ -79,6 +96,8 @@ def ring_to_json(ring: FusionRing) -> dict:
 
 def ring_from_json(obj: dict) -> FusionRing:
     try:
+        if not all(isinstance(obj[k], list) for k in ("labels", "dual", "fusion")):
+            raise ValueError('"labels", "dual" and "fusion" must be lists')
         labels = [str(x) for x in obj["labels"]]
         r = len(labels)
         mult = np.zeros((r, r, r), dtype=np.int64)
@@ -114,17 +133,17 @@ def premodular_from_json(obj: dict) -> PremodularData:
     ring = ring_from_json(obj)
     try:
         conductor = int(obj["conductor"])
-        dims = [CycNum.from_json(d) for d in obj["dims"]]
+        dims = [_cycnum_from_json(d) for d in obj["dims"]]
         if "twists" in obj:
-            twists = [CycNum.from_json(t) for t in obj["twists"]]
+            twists = [_cycnum_from_json(t) for t in obj["twists"]]
         elif "theta_exp" in obj:
             # rational exponents: e^(2 pi i p/q)
-            twists = [make_root(int(p), int(q)) for p, q in obj["theta_exp"]]
+            twists = [make_root(int(p), _capped_conductor(q)) for p, q in obj["theta_exp"]]
         else:
             raise KeyError("twists")
         s = None
         if obj.get("s") is not None:
-            s = [[CycNum.from_json(e) for e in row] for row in obj["s"]]
+            s = [[_cycnum_from_json(e) for e in row] for row in obj["s"]]
         return PremodularData(ring=ring, conductor=conductor, dims=dims, twists=twists, s=s)
     except ParseError:
         raise

@@ -150,13 +150,9 @@ def abelian_group_shapes(m):
     return shapes
 
 
-def all_forms_by_gram(orders):
-    """Every quadratic form on the group, via generator data.
-
-    A form is determined by q(e_i) = a_i/(2 n_i) with a_i n_i even and
-    by b(e_i, e_j) = c_ij / gcd(n_i, n_j) (polarization induction); each
-    generated table is re-checked against the raw laws.
-    """
+def _gram_choices(orders):
+    """The value choices for each q(e_i) and each b(e_i, e_j), i < j
+    (see all_forms_by_gram)."""
     from math import gcd
 
     k = len(orders)
@@ -168,18 +164,46 @@ def all_forms_by_gram(orders):
         [Fraction(c, gcd(orders[i], orders[j])) for c in range(gcd(orders[i], orders[j]))]
         for i, j in pairs
     ]
+    return diag_choices, cross_choices
+
+
+def _gram_form(orders, diag, cross):
+    """The q table of the generator data, re-checked against the raw laws."""
+    k = len(orders)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    q = {}
+    for x in _elements(orders):
+        val = sum((Fraction(x[i] * x[i]) * diag[i] for i in range(k)), Fraction(0))
+        val += sum(
+            (Fraction(x[i] * x[j]) * c for (i, j), c in zip(pairs, cross)),
+            Fraction(0),
+        )
+        q[x] = val % 1
+    assert _is_quadratic(q, orders)
+    return q
+
+
+def all_forms_by_gram(orders):
+    """Every quadratic form on the group, via generator data.
+
+    A form is determined by q(e_i) = a_i/(2 n_i) with a_i n_i even and
+    by b(e_i, e_j) = c_ij / gcd(n_i, n_j) (polarization induction); each
+    generated table is re-checked against the raw laws.
+    """
+    diag_choices, cross_choices = _gram_choices(orders)
     for diag in itertools.product(*diag_choices):
         for cross in itertools.product(*cross_choices):
-            q = {}
-            for x in _elements(orders):
-                val = sum((Fraction(x[i] * x[i]) * diag[i] for i in range(k)), Fraction(0))
-                val += sum(
-                    (Fraction(x[i] * x[j]) * c for (i, j), c in zip(pairs, cross)),
-                    Fraction(0),
-                )
-                q[x] = val % 1
-            assert _is_quadratic(q, orders)
-            yield q
+            yield _gram_form(orders, diag, cross)
+
+
+def random_form_by_gram(rng, orders):
+    """One form drawn uniformly from those all_forms_by_gram yields."""
+    diag_choices, cross_choices = _gram_choices(orders)
+    return _gram_form(
+        orders,
+        [rng.choice(c) for c in diag_choices],
+        [rng.choice(c) for c in cross_choices],
+    )
 
 
 def oracle_pointed_extensions_general(base: MetricGroup, fermion_elt):

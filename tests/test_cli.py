@@ -162,11 +162,27 @@ def _set_huge_multiplicity(obj):
     obj["fusion"][0][3] = 2**63
 
 
+def _set_labels_string(obj):
+    obj["labels"] = "".join(label[0] for label in obj["labels"])
+
+
+def _set_dual_string(obj):
+    obj["dual"] = "".join(map(str, obj["dual"]))
+
+
+def _set_huge_theta_denominator(obj):
+    del obj["twists"]
+    obj["theta_exp"] = [[0, 1], [1, 2], [1, 10**9]]
+
+
 @pytest.mark.parametrize("name, mutate", [
     ("svec-x-semion", _set_q_list),
     ("svec-x-semion", _set_orders_string),
     ("ising:1", _set_zero_denominator),
     ("ising:1", _set_huge_multiplicity),
+    ("ising:1", _set_labels_string),
+    ("ising:1", _set_dual_string),
+    ("ising:1", _set_huge_theta_denominator),
 ])
 def test_malformed_fields_exit_2(name, mutate, write_datum, tmp_path):
     obj = json.loads(Path(write_datum(name)).read_text())

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from premodular.errors import GroupsTooLarge, NotSlightlyDegenerate
 from premodular.fusion_ring import fpdim
 from premodular.metric_groups import (
     MetricGroup,
+    _extension_candidates,
     direct_sum,
     enumerate_pointed_extensions,
     fermion,
@@ -200,8 +202,13 @@ def test_svec_extension_structure():
         assert r.gauss == 2 * make_root(r.signature, 8)
 
 
-def test_extension_invariants():
-    base = mg("svec")
+@pytest.mark.parametrize("base", [
+    mg("svec"),
+    mg("svec-x-semion"),
+    from_gram([2, 3], [Fraction(1, 2), Fraction(1, 3)]),
+    from_gram([2, 4], [Fraction(1, 2), Fraction(1, 8)]),
+], ids=["svec", "svec-x-semion", "z2xz3", "z2xz4"])
+def test_extension_invariants(base):
     base_pm = to_premodular(base)
     base_total = fpdim(base_pm.ring)[0]
     for r in enumerate_pointed_extensions(base):
@@ -224,6 +231,38 @@ def test_extension_invariants():
         zero_lab = "(" + ",".join(map(str, ext.zero())) + ")"
         ferm_lab = "(" + ",".join(map(str, r.fermion_image)) + ")"
         assert cent == {zero_lab, ferm_lab}
+
+
+def _slightly_degenerate_forms(orders):
+    for q in oracles.all_forms_by_gram(orders):
+        g = MetricGroup(list(orders), dict(q))
+        if fermion(g) is not None:
+            yield g
+
+
+def test_equal_signature_candidates_are_isometric_rel_fermion():
+    # the torsor argument behind keeping one extension per signature,
+    # checked against the isometry search on every survivor
+    rng = random.Random(1602)
+    bases = [*_slightly_degenerate_forms([2, 4]), *_slightly_degenerate_forms([4, 2])]
+    assert len(bases) == 16
+    # a seeded sample of 10 of the 112 on Z2^3 (all of them take over a minute)
+    sample = {}
+    while len(sample) < 10:
+        g = MetricGroup([2, 2, 2], oracles.random_form_by_gram(rng, [2, 2, 2]))
+        if fermion(g) is not None:
+            sample.setdefault(tuple(sorted(g.qtable.items())), g)
+    bases += sample.values()
+    for base in bases:
+        e = fermion(base)
+        by_signature = {}
+        for cand in _extension_candidates(base, e):
+            by_signature.setdefault(cand.signature, []).append(cand)
+        assert sorted(by_signature) == list(range(8))
+        for first, *rest in by_signature.values():
+            for cand in rest:
+                assert isometry_rel_point(first.group, cand.group,
+                                          first.fermion_image, cand.fermion_image)
 
 
 def test_extensions_deterministic_across_runs():
@@ -342,6 +381,34 @@ def test_extension_classes_invariant_under_base_relabeling():
     assert sorted(r.signature for r in ra) == sorted(r.signature for r in rb)
     for x, y in zip(ra, rb):
         assert isometry_rel_point(x.group, y.group, x.fermion_image, y.fermion_image)
+
+
+def test_validator_agrees_with_brute_force_oracle():
+    rng = random.Random(5200)
+    # q(0) = 1/3 on the trivial group passes every law but q(0) = 0
+    tables = [MetricGroup([], {(): Fraction(1, 3)})]
+    for orders in ([2], [4], [3], [6], [8], [2, 2], [2, 4], [3, 3], [2, 8], [2, 2, 2]):
+        den = 2 * math.lcm(*orders)
+        for _ in range(6):
+            q = oracles.random_form_by_gram(rng, orders)
+            tables.append(MetricGroup(list(orders), q))
+            for n_tampered in (1, 1, 2, 2):
+                bad = dict(q)
+                for x in rng.sample(sorted(bad), n_tampered):
+                    bad[x] = Fraction(rng.randrange(den), den)
+                tables.append(MetricGroup(list(orders), bad))
+            random_table = {x: Fraction(rng.randrange(den), den) for x in q}
+            tables.append(MetricGroup(list(orders), random_table))
+    # on Z2^3 every table with q(0) = 0 and values in Z/4 satisfies
+    # q(2x) = 4q(x), so only the generator-pair law can reject these
+    elems = sorted(oracles._elements([2, 2, 2]))
+    for _ in range(150):
+        table = {x: Fraction(rng.randrange(4), 4) if any(x) else Fraction(0) for x in elems}
+        tables.append(MetricGroup([2, 2, 2], table))
+    verdicts = [oracles._is_quadratic(g.qtable, g.cyclic_orders) for g in tables]
+    assert 60 <= sum(verdicts) < len(tables) // 2  # both verdicts, in quantity
+    for g, expected in zip(tables, verdicts):
+        assert validate_metric_group(g).ok == expected, (g.cyclic_orders, g.qtable)
 
 
 def test_tampered_q_tables_are_rejected():

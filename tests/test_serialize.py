@@ -3,8 +3,9 @@ import json
 import pytest
 
 from premodular.catalog import catalog_get, catalog_list
-from premodular.cyclotomic import make_root
+from premodular.cyclotomic import euler_phi, make_root
 from premodular.serialize import (
+    MAX_CONDUCTOR,
     ParseError,
     ValidationError,
     datum_to_json,
@@ -42,6 +43,27 @@ def test_theta_exp_alternative_form():
     assert loaded.twists[0] == make_root(0, 1)
     assert loaded.twists[1] == make_root(1, 2)
     assert loads_datum(json.dumps(pm)) == data
+
+
+@pytest.mark.parametrize("field", ["theta_exp", "dims"])
+def test_conductor_above_the_cap_is_a_parse_error(field):
+    n = MAX_CONDUCTOR + 1
+    obj = datum_to_json(catalog_get("ising:1").payload)
+    if field == "theta_exp":
+        del obj["twists"]
+        obj["theta_exp"] = [[0, 1], [1, 2], [1, n]]
+    else:
+        # a well-formed element of Q(zeta_n): euler_phi(n) coefficients
+        obj["dims"][0] = {"n": n, "c": [["1", "1"]] + [["0", "1"]] * (euler_phi(n) - 1)}
+    with pytest.raises(ParseError, match="exceeds the cap"):
+        premodular_from_json(obj)
+
+
+def test_theta_exp_denominator_at_the_cap_loads():
+    obj = datum_to_json(catalog_get("ising:1").payload)
+    del obj["twists"]
+    obj["theta_exp"] = [[0, 1], [1, 2], [1, MAX_CONDUCTOR]]
+    assert premodular_from_json(obj).twists[2] == make_root(1, MAX_CONDUCTOR)
 
 
 def test_parse_errors():
