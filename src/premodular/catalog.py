@@ -45,7 +45,6 @@ def _ising(nu: int) -> PremodularData:
     d_sigma = make_root(1, 8) + make_root(-1, 8)
     return PremodularData(
         ring=ring,
-        conductor=16,
         dims=[ONE, ONE, d_sigma],
         twists=[ONE, MINUS_ONE, make_root(nu, 16)],
         s=None,

@@ -303,9 +303,6 @@ class CycNum:
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
     def __eq__(self, other):
         other = CycNum._coerce(other)
         if other is NotImplemented:

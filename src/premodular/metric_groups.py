@@ -25,7 +25,7 @@ import numpy as np
 from .cyclotomic import CycNum, ONE, make_root
 from .data import PremodularData
 from .errors import GroupsTooLarge, NotSlightlyDegenerate
-from .fusion_ring import group_ring
+from .fusion_ring import MAX_RANK, group_ring
 from .validation import ValidationReport
 
 __all__ = [
@@ -199,7 +199,12 @@ def signature_mod8(mg: MetricGroup):
     radical is nontrivial."""
     if len(radical(mg)) != 1:
         return None
-    z = gauss_sum(mg).embed() / math.sqrt(mg.order)
+    return _signature_from_gauss(gauss_sum(mg), mg.order)
+
+
+def _signature_from_gauss(sigma: CycNum, order: int) -> int:
+    """s with sigma = sqrt(order) e^(2 pi i s/8), sigma a Gauss sum."""
+    z = sigma.embed() / math.sqrt(order)
     for s in range(8):
         w = complex(math.cos(math.pi * s / 4), math.sin(math.pi * s / 4))
         if abs(z - w) < 1e-9:
@@ -219,7 +224,10 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
 
     The output satisfies the premodular axioms by construction (the
     balancing formula collapses to the definition of the polarization).
+    Groups of order above MAX_RANK raise GroupsTooLarge.
     """
+    if mg.order > MAX_RANK:
+        raise GroupsTooLarge(f"linearization capped at rank {MAX_RANK}, |A| = {mg.order}")
     elems = list(mg.elements())
     index = {x: i for i, x in enumerate(elems)}
     r = len(elems)
@@ -233,9 +241,6 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
         unit_index=index[mg.zero()],
         inverse=[index[mg.scale(-1, x)] for x in elems],
     )
-    conductor = 1
-    for v in mg.qtable.values():
-        conductor = lcm(conductor, v.denominator)
     twists = []
     for x in elems:
         v = mg.qtable[x]
@@ -249,7 +254,6 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
         s.append(row)
     return PremodularData(
         ring=ring,
-        conductor=conductor,
         dims=[ONE] * r,
         twists=twists,
         s=s,
@@ -496,6 +500,7 @@ def _build_extension_candidate(mg, v, chi_coeffs, orders, coords, e):
         return None
     if len(radical(mg2)) != 1:
         return None
+    sigma = gauss_sum(mg2)
     # No centralizer scan: b is nondegenerate on mg2, so the centralizer
     # of the index-2 subgroup A has order |mg2|/|A| = 2, and it holds the
     # image of e because q on coset 0 is q_A and e is in the radical of A.
@@ -503,8 +508,8 @@ def _build_extension_candidate(mg, v, chi_coeffs, orders, coords, e):
         group=mg2,
         embedding=[coords(g, 0) for g in mg.generators()],
         fermion_image=coords(e, 0),
-        gauss=gauss_sum(mg2),
-        signature=signature_mod8(mg2),
+        gauss=sigma,
+        signature=_signature_from_gauss(sigma, mg2.order),
     )
 
 

@@ -4,18 +4,21 @@ Input files are discriminated by a top-level "type": "premodular" or
 "metric_group".  Loading always runs the module validator and fails on
 any violation.  Serialization round trips bit-exactly: all rationals
 travel as strings, CycNums as {"n": conductor, "c": [[num, den], ...]}.
+Conductors (each, and their lcm over a datum), ring rank and fusion
+multiplicities are capped before anything is allocated at their size.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .cyclotomic import CycNum, make_root
 from .data import PremodularData, validate_premodular
-from .fusion_ring import FusionRing
+from .fusion_ring import MAX_MULT, MAX_RANK, FusionRing
 from .metric_groups import SIZE_CAP, MetricGroup, format_element, validate_metric_group
 from .validation import ValidationReport
 
@@ -100,10 +103,14 @@ def ring_from_json(obj: dict) -> FusionRing:
             raise ValueError('"labels", "dual" and "fusion" must be lists')
         labels = [str(x) for x in obj["labels"]]
         r = len(labels)
+        if r > MAX_RANK:
+            raise ValueError(f"rank {r} exceeds the cap {MAX_RANK}")
         mult = np.zeros((r, r, r), dtype=np.int64)
         for a, b, c, n in obj["fusion"]:
             if not (0 <= a < r and 0 <= b < r and 0 <= c < r):
                 raise ValueError(f"fusion index out of range: {(a, b, c)}")
+            if n > MAX_MULT:
+                raise ValueError(f"multiplicity {n} exceeds the cap {MAX_MULT}")
             mult[a, b, c] = n
         return FusionRing(
             labels=labels,
@@ -121,7 +128,6 @@ def ring_from_json(obj: dict) -> FusionRing:
 def premodular_to_json(data: PremodularData) -> dict:
     out = {"type": "premodular"}
     out.update(ring_to_json(data.ring))
-    out["conductor"] = data.conductor
     out["dims"] = [d.to_json() for d in data.dims]
     out["twists"] = [t.to_json() for t in data.twists]
     if data.s is not None:
@@ -132,7 +138,6 @@ def premodular_to_json(data: PremodularData) -> dict:
 def premodular_from_json(obj: dict) -> PremodularData:
     ring = ring_from_json(obj)
     try:
-        conductor = int(obj["conductor"])
         dims = [_cycnum_from_json(d) for d in obj["dims"]]
         if "twists" in obj:
             twists = [_cycnum_from_json(t) for t in obj["twists"]]
@@ -144,7 +149,9 @@ def premodular_from_json(obj: dict) -> PremodularData:
         s = None
         if obj.get("s") is not None:
             s = [[_cycnum_from_json(e) for e in row] for row in obj["s"]]
-        return PremodularData(ring=ring, conductor=conductor, dims=dims, twists=twists, s=s)
+        # validation computes at the lcm of all conductors
+        _capped_conductor(math.lcm(*(x.conductor for row in [dims, twists, *(s or [])] for x in row)))
+        return PremodularData(ring=ring, dims=dims, twists=twists, s=s)
     except ParseError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:

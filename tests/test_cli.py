@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from premodular.catalog import catalog_get
 from premodular.cli import cli_run
+from premodular.fusion_ring import MAX_RANK
+from premodular.metric_groups import from_gram
 from premodular.serialize import loads_datum
 
 
@@ -191,6 +194,15 @@ def test_malformed_fields_exit_2(name, mutate, write_datum, tmp_path):
     path.write_text(json.dumps(obj))
     for command in ("validate", "analyze"):
         assert cli_run([command, str(path)]) == (2, ""), command
+
+
+def test_linearization_above_the_rank_cap_exits_2(write_datum):
+    # |A| = 512: the metric group validates, its linearization is refused
+    mg = from_gram([2, MAX_RANK], [Fraction(1, 2), Fraction(1, 2 * MAX_RANK)])
+    path = write_datum(mg)
+    assert cli_run(["validate", path])[0] == 0
+    for command in ("analyze", "kappa", "components"):
+        assert cli_run([command, path]) == (2, ""), command
 
 
 def test_internal_cross_check_failure_exits_1(write_datum, monkeypatch):

@@ -109,7 +109,6 @@ def rep_s3_datum():
     ring = FusionRing(labels=["1", "sgn", "std"], unit_index=0, mult=mult, dual=[0, 1, 2])
     data = PremodularData(
         ring=ring,
-        conductor=1,
         dims=[ONE, ONE, from_rational(2)],
         twists=[ONE, ONE, ONE],
         s=None,

@@ -24,8 +24,7 @@ def svec_data():
 
 def test_svec_validates_with_synthesized_s():
     data = svec_data()
-    fresh = type(data)(ring=data.ring, conductor=data.conductor,
-                       dims=data.dims, twists=data.twists, s=None)
+    fresh = type(data)(ring=data.ring, dims=data.dims, twists=data.twists, s=None)
     rep = validate_premodular(fresh)
     assert rep.ok
     # the fermion line is invisible to everything: s = all-ones
@@ -34,8 +33,8 @@ def test_svec_validates_with_synthesized_s():
 
 def test_dimension_character_violation():
     data = svec_data()
-    bad = type(data)(ring=data.ring, conductor=data.conductor,
-                     dims=[data.dims[0], from_rational(2)], twists=data.twists, s=None)
+    bad = type(data)(ring=data.ring, dims=[data.dims[0], from_rational(2)],
+                     twists=data.twists, s=None)
     rep = validate_premodular(bad)
     assert not rep.ok
     assert "DimensionCharacterViolation" in rep.kinds()
@@ -43,13 +42,13 @@ def test_dimension_character_violation():
 
 def test_zero_scalars_are_reported_not_raised():
     data = svec_data()
-    bad = type(data)(ring=data.ring, conductor=data.conductor,
-                     dims=data.dims, twists=[data.twists[0], from_rational(0)], s=None)
+    bad = type(data)(ring=data.ring, dims=data.dims,
+                     twists=[data.twists[0], from_rational(0)], s=None)
     rep = validate_premodular(bad)
     assert "ZeroTwistViolation" in rep.kinds()
 
-    bad = type(data)(ring=data.ring, conductor=data.conductor,
-                     dims=[data.dims[0], from_rational(0)], twists=data.twists, s=None)
+    bad = type(data)(ring=data.ring, dims=[data.dims[0], from_rational(0)],
+                     twists=data.twists, s=None)
     rep = validate_premodular(bad)
     assert "ZeroDimViolation" in rep.kinds()
 
@@ -71,8 +70,7 @@ def test_supplied_s_must_match_balancing():
     data = svec_data()
     tampered = [row[:] for row in data.s]
     tampered[1][1] = from_rational(-1)
-    bad = type(data)(ring=data.ring, conductor=data.conductor,
-                     dims=data.dims, twists=data.twists, s=tampered)
+    bad = type(data)(ring=data.ring, dims=data.dims, twists=data.twists, s=tampered)
     rep = validate_premodular(bad)
     assert "BalancingViolation" in rep.kinds()
 
@@ -107,15 +105,18 @@ def test_mueger_centre():
     centre = mueger_centre(svec)
     assert centre.ring.labels == svec.ring.labels
     assert centre.twists == svec.twists
+    assert validate_premodular(centre).ok
 
     semion = premodular_form("semion")
     centre = mueger_centre(semion)
     assert centre.ring.labels == ["(0)"]
+    assert validate_premodular(centre).ok
 
     z4 = to_premodular(from_gram([4], [Fraction(1, 4)]))  # q(x) = x^2/4
     centre = mueger_centre(z4)
     assert centre.ring.labels == ["(0)", "(2)"]
     assert centre.twists[1] == ONE  # transparent boson
+    assert validate_premodular(centre).ok
 
 
 def test_classification():
@@ -193,6 +194,12 @@ def test_s_columns_are_ring_characters(name):
     data = premodular_form(name)
     r = data.ring.rank
     N = data.ring.mult
+    # symmetry and the first row, which validation derives from balancing
+    I = data.ring.unit_index
+    for a in range(r):
+        assert data.s[I][a] == data.dims[a], (name, a)
+        for b in range(r):
+            assert data.s[a][b] == data.s[b][a], (name, a, b)
     for b in range(r):
         for a in range(r):
             for a2 in range(a, r):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -51,11 +54,33 @@ def test_broken_duality_is_reported():
     assert (2, 1) in witnesses
 
 
+def s3_ring():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    mult = np.zeros((6, 6, 6), dtype=np.int64)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            mult[i, j, index[tuple(p[k] for k in q)]] = 1
+    inverse = [index[tuple(sorted(range(3), key=p.__getitem__))] for p in perms]
+    return FusionRing(labels=["".join(map(str, p)) for p in perms], unit_index=0,
+                      mult=mult, dual=inverse)
+
+
 def test_broken_commutativity_is_reported():
     ring = ising_ring()
     ring.mult[1, 2, 2] = 0  # psi.sigma loses sigma, sigma.psi keeps it
     rep = validate_fusion_ring(ring)
     assert "CommutativityViolation" in rep.kinds()
+    # associativity is checked only on commutative rings: this ring is
+    # not associative either, but that is not reported
+    assert not brute_associative(ring.mult.tolist())
+    assert "AssociativityViolation" not in rep.kinds()
+
+
+def test_noncommutative_group_ring_reports_commutativity_only():
+    ring = s3_ring()
+    assert brute_associative(ring.mult.tolist())
+    assert validate_fusion_ring(ring).kinds() == {"CommutativityViolation"}
 
 
 def test_broken_associativity_is_reported():
@@ -74,6 +99,49 @@ def test_broken_associativity_is_reported():
                    for v in rep.violations)
     # and the independent brute-force loop agrees
     assert not brute_associative(mult.tolist())
+
+
+def _random_commutative_table(rng):
+    r = rng.randint(2, 5)
+    mult = np.zeros((r, r, r), dtype=np.int64)
+    mult[0] = mult[:, 0] = np.eye(r, dtype=np.int64)
+    for a in range(1, r):
+        for b in range(a, r):
+            for c in range(r):
+                mult[a, b, c] = mult[b, a, c] = rng.choice((0, 0, 0, 1, 2))
+    return mult
+
+
+def _tampered_group_ring(rng):
+    n = rng.randint(2, 6)
+    mult = np.zeros((n, n, n), dtype=np.int64)
+    for a in range(n):
+        for b in range(n):
+            mult[a, b, (a + b) % n] = 1
+    if rng.random() < 0.8:
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        mult[a, b, c] = mult[b, a, c] = rng.randint(0, 2)
+    return mult
+
+
+def test_associativity_verdict_agrees_with_brute_force_oracle():
+    rng = random.Random(20210531)
+    verdicts = []
+    for make in (_random_commutative_table, _tampered_group_ring):
+        for _ in range(200):
+            mult = make(rng)
+            r = len(mult)
+            ring = FusionRing(labels=[str(a) for a in range(r)], unit_index=0,
+                              mult=mult, dual=list(range(r)))
+            witnesses = [v.witness for v in validate_fusion_ring(ring).violations
+                         if v.kind == "AssociativityViolation"]
+            associative = brute_associative(mult.tolist())
+            assert associative == (not witnesses), mult.tolist()
+            assert len(witnesses) <= 10
+            for a, b, c, d in witnesses:  # d occurs differently in (a.b).c and a.(b.c)
+                assert mult[a, b] @ mult[:, c, d] != mult[b, c] @ mult[a, :, d]
+            verdicts.append(associative)
+    assert 50 <= sum(verdicts) <= 350
 
 
 def test_fibonacci_ring_is_valid():

@@ -1,5 +1,8 @@
+import json
 import pathlib
 import runpy
+
+from premodular.catalog import catalog_list
 
 SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
 
@@ -16,3 +19,14 @@ def test_survey_script(capsys):
     out = capsys.readouterr().out
     assert "extension_exists_S" in out
     assert len(out.strip().splitlines()) >= 20
+
+
+def test_catalog_outputs_script(capsys):
+    runpy.run_path(str(SCRIPTS / "catalog_outputs.py"), run_name="__main__")
+    runs = json.loads(capsys.readouterr().out)
+    assert runs["catalog show svec"]["exit"] == 0
+    assert runs["validate svec.json --format table"] == {
+        "exit": 0, "stdout": "input      : svec.json\nvalidation : ok\n"}
+    assert runs["extend ising_1.json --format json"] == {"exit": 2, "stdout": ""}
+    assert {run["exit"] for run in runs.values()} == {0, 2}
+    assert sum(key.startswith("analyze ") for key in runs) == 2 * len(catalog_list())

@@ -4,6 +4,7 @@ import pytest
 
 from premodular.catalog import catalog_get, catalog_list
 from premodular.cyclotomic import euler_phi, make_root
+from premodular.fusion_ring import MAX_MULT, MAX_RANK
 from premodular.serialize import (
     MAX_CONDUCTOR,
     ParseError,
@@ -13,7 +14,13 @@ from premodular.serialize import (
     load_datum,
     metric_group_from_json,
     premodular_from_json,
+    ring_from_json,
 )
+
+
+def _one_at(n):
+    """1 as a well-formed element of Q(zeta_n): euler_phi(n) coefficients."""
+    return {"n": n, "c": [["1", "1"]] + [["0", "1"]] * (euler_phi(n) - 1)}
 
 
 @pytest.mark.parametrize("name", [n for n, _, _ in catalog_list()])
@@ -45,16 +52,18 @@ def test_theta_exp_alternative_form():
     assert loads_datum(json.dumps(pm)) == data
 
 
-@pytest.mark.parametrize("field", ["theta_exp", "dims"])
+@pytest.mark.parametrize("field", ["theta_exp", "dims", "lcm"])
 def test_conductor_above_the_cap_is_a_parse_error(field):
     n = MAX_CONDUCTOR + 1
     obj = datum_to_json(catalog_get("ising:1").payload)
     if field == "theta_exp":
         del obj["twists"]
         obj["theta_exp"] = [[0, 1], [1, 2], [1, n]]
+    elif field == "dims":
+        obj["dims"][0] = _one_at(n)
     else:
-        # a well-formed element of Q(zeta_n): euler_phi(n) coefficients
-        obj["dims"][0] = {"n": n, "c": [["1", "1"]] + [["0", "1"]] * (euler_phi(n) - 1)}
+        # each conductor is under the cap, their lcm 8400 is not
+        obj["dims"][0], obj["dims"][1] = _one_at(336), _one_at(25)
     with pytest.raises(ParseError, match="exceeds the cap"):
         premodular_from_json(obj)
 
@@ -64,6 +73,28 @@ def test_theta_exp_denominator_at_the_cap_loads():
     del obj["twists"]
     obj["theta_exp"] = [[0, 1], [1, 2], [1, MAX_CONDUCTOR]]
     assert premodular_from_json(obj).twists[2] == make_root(1, MAX_CONDUCTOR)
+
+
+def test_conductor_key_is_ignored():
+    obj = datum_to_json(catalog_get("ising:1").payload)
+    assert "conductor" not in obj
+    plain = loads_datum(json.dumps(obj))
+    obj["conductor"] = 16
+    assert loads_datum(json.dumps(obj)) == plain == catalog_get("ising:1").payload
+
+
+def test_ring_caps_are_parse_errors():
+    ring = {"labels": [str(a) for a in range(MAX_RANK + 1)], "unit": 0,
+            "dual": list(range(MAX_RANK + 1)), "fusion": []}
+    with pytest.raises(ParseError, match="exceeds the cap"):
+        ring_from_json(ring)
+
+    obj = datum_to_json(catalog_get("ising:1").payload)
+    obj["fusion"][-1][3] = MAX_MULT
+    assert ring_from_json(obj).mult[2, 2, 1] == MAX_MULT
+    obj["fusion"][-1][3] = MAX_MULT + 1
+    with pytest.raises(ParseError, match="exceeds the cap"):
+        ring_from_json(obj)
 
 
 def test_parse_errors():
