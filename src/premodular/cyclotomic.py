@@ -342,11 +342,6 @@ class CycNum:
             "c": [[str(c.numerator), str(c.denominator)] for c in self.coeffs],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "CycNum":
-        coeffs = [Fraction(int(p), int(q)) for p, q in obj["c"]]
-        return cls(int(obj["n"]), coeffs)
-
 
 @lru_cache(maxsize=None)
 def _root_cached(num: int, den: int) -> CycNum:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cyclotomic import CycNum, ONE, make_root
 from .data import PremodularData
-from .errors import GroupsTooLarge, NotSlightlyDegenerate
+from .errors import CrossCheckMismatch, GroupsTooLarge, NotSlightlyDegenerate
 from .fusion_ring import MAX_RANK, group_ring
 from .validation import ValidationReport
 
@@ -342,7 +342,6 @@ def isometry_rel_point(a: MetricGroup, b: MetricGroup, pt_a=None, pt_b=None) -> 
 
 def direct_sum(a: MetricGroup, b: MetricGroup) -> MetricGroup:
     """Orthogonal direct sum: q((x,y)) = q_a(x) + q_b(y)."""
-    ka = len(a.cyclic_orders)
     table = {}
     for x in a.elements():
         for y in b.elements():
@@ -488,62 +487,60 @@ def _coset_reps_mod_double(mg: MetricGroup):
     return reps
 
 
-def _build_extension_candidate(mg, v, chi_coeffs, orders, coords, e):
-    qt = {}
-    for a in mg.elements():
-        qt[coords(a, 0)] = mg.qtable[a]
-        chi_a = sum((Fraction(ai * ci, ni) for ai, ci, ni in zip(a, chi_coeffs, mg.cyclic_orders)), _F0)
-        qt[coords(a, 1)] = (v + mg.qtable[a] + chi_a) % 1
-    assert len(qt) == 2 * mg.order, "pushout coordinates must be a bijection"
-    mg2 = MetricGroup(list(orders), qt)
-    if not validate_metric_group(mg2).ok:
-        return None
-    if len(radical(mg2)) != 1:
-        return None
-    sigma = gauss_sum(mg2)
-    # No centralizer scan: b is nondegenerate on mg2, so the centralizer
-    # of the index-2 subgroup A has order |mg2|/|A| = 2, and it holds the
-    # image of e because q on coset 0 is q_A and e is in the radical of A.
-    return ExtensionResult(
-        group=mg2,
-        embedding=[coords(g, 0) for g in mg.generators()],
-        fermion_image=coords(e, 0),
-        gauss=sigma,
-        signature=_signature_from_gauss(sigma, mg2.order),
-    )
-
-
 def _extension_candidates(mg: MetricGroup, e):
-    """The candidates that pass the quadratic law and nondegeneracy."""
+    """The pushouts <A, t | 2t = a0> with q(t) = v = (q(a0) + j)/4 and
+    b(t, .) = chi that carry a nondegenerate form, in the order a0, j, chi.
+
+    q(a + t) = v + q(a) + chi(a) is a quadratic form iff 2 chi = b(a0, .)
+    and chi(a0) = 2 b(t, t) = 2 q(a0) - 4v = q(a0): then b(x, x) = 2 q(x)
+    holds on the new coset too.  Only 0 and e in A pair trivially with A,
+    and b(e, t) = b(e, a + t) = chi(e) is 0 or 1/2, so the form is
+    nondegenerate iff chi(e) = 1/2.  That forces chi(a0) = q(a0): e = 2y would give b(e, y)
+    = 4 q(y) = 1/2, so A = A0 + <e> with b nondegenerate on A0; writing
+    a0 = s0 + eps e and chi = b(s, .) on A0, 2 chi = b(a0, .) gives s0 = 2s
+    and chi(a0) = 4 q(s) + eps/2 = q(a0).  So a candidate is built iff
+    2 chi(g) = b(a0, g) for every generator g and chi(e) = 1/2.
+    """
+    gens = mg.generators()
+
+    def chi(c, x):  # the character sum x_i c_i / n_i of A
+        return sum((Fraction(xi * ci, ni) for xi, ci, ni in zip(x, c, mg.cyclic_orders)), _F0) % 1
+
     for a0 in _coset_reps_mod_double(mg):
+        kept = [c for c in mg.elements()
+                if all(2 * chi(c, g) % 1 == mg.b(a0, g) for g in gens) and chi(c, e) == _HALF]
         orders, coords = _pushout_structure(mg, a0)
-        q_a0 = mg.qtable[a0]
         for j in range(4):
-            v = ((q_a0 + j) / 4) % 1
-            for chi in mg.elements():  # chi(x) = sum x_i chi_i / n_i
-                cand = _build_extension_candidate(mg, v, chi, orders, coords, e)
-                if cand is not None:
-                    yield cand
+            v = ((mg.qtable[a0] + j) / 4) % 1
+            for c in kept:
+                qt = {}
+                for a in mg.elements():
+                    qt[coords(a, 0)] = mg.qtable[a]
+                    qt[coords(a, 1)] = (v + mg.qtable[a] + chi(c, a)) % 1
+                assert len(qt) == 2 * mg.order, "pushout coordinates must be a bijection"
+                mg2 = MetricGroup(list(orders), qt)
+                sigma = gauss_sum(mg2)
+                yield ExtensionResult(mg2, [coords(g, 0) for g in gens], coords(e, 0),
+                                      sigma, _signature_from_gauss(sigma, mg2.order))
 
 
 def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64):
     """All pointed index-2 nondegenerate extensions of a slightly
     degenerate metric group, up to isometry fixing the fermion image.
 
-    Every such extension is generated over A by a single new element t
-    with 2t in A, so the search runs over the pushouts <A, t | 2t = a0>
-    for a0 ranging over A/2A, with the q-values on the new coset
-    parametrized by a fourth-root shift v of q(a0) and a character twist
-    chi of A.  Candidates failing the quadratic law or nondegeneracy are
-    discarded.
+    Every such extension is generated over A by one new element t with
+    2t = a0 in A, so the search runs over a0 in A/2A, a fourth root v of
+    q(a0) for q(t) and a character chi = b(t, .) of A, and builds only the
+    candidates that two conditions on chi admit (_extension_candidates).
 
     Survivors are sorted canonically and the first of each signature is
     kept.  The minimal nondegenerate extensions of B (which exist by the
     source paper) form a torsor over Mext(sVec) = Z/16, each step
     shifting the central charge by 1/2 (Lan-Kong-Wen, arXiv:1602.05936).
     So pointed extensions of equal signature are the same element of
-    Mext(B), hence isometric rel the fermion, and Gauss sums separate
-    different signatures.
+    Mext(B), hence isometric rel the fermion, Gauss sums separate
+    different signatures, and exactly the 8 signatures 0..7 occur;
+    anything else raises CrossCheckMismatch.
     """
     e = fermion(mg)
     if e is None:
@@ -554,6 +551,8 @@ def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64):
     kept: dict[int, ExtensionResult] = {}
     for cand in sorted(_extension_candidates(mg, e), key=ExtensionResult.sort_key):
         kept.setdefault(cand.signature, cand)
+    if sorted(kept) != list(range(8)):
+        raise CrossCheckMismatch(f"pointed extension signatures {sorted(kept)}, expected 0..7")
     return list(kept.values())
 
 

@@ -68,17 +68,25 @@ def _parse_element(key: str):
     return tuple(int(t) for t in inner.split(","))
 
 
+def _integer(x) -> int:
+    """x as an int; a float or a boolean where an integer belongs is
+    refused rather than truncated."""
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def _capped_conductor(n) -> int:
     """n as an int, rejected before anything is allocated at conductor n."""
-    n = int(n)
+    n = _integer(n)
     if n > MAX_CONDUCTOR:
         raise ValueError(f"conductor {n} exceeds the cap {MAX_CONDUCTOR}")
     return n
 
 
 def _cycnum_from_json(obj) -> CycNum:
-    _capped_conductor(obj["n"])
-    return CycNum.from_json(obj)
+    n = _capped_conductor(obj["n"])
+    return CycNum(n, [Fraction(_integer(p), _integer(q)) for p, q in obj["c"]])
 
 
 # -- fusion rings -------------------------------------------------------------
@@ -106,7 +114,7 @@ def ring_from_json(obj: dict) -> FusionRing:
         if r > MAX_RANK:
             raise ValueError(f"rank {r} exceeds the cap {MAX_RANK}")
         mult = np.zeros((r, r, r), dtype=np.int64)
-        for a, b, c, n in obj["fusion"]:
+        for a, b, c, n in (map(_integer, entry) for entry in obj["fusion"]):
             if not (0 <= a < r and 0 <= b < r and 0 <= c < r):
                 raise ValueError(f"fusion index out of range: {(a, b, c)}")
             if n > MAX_MULT:
@@ -114,9 +122,9 @@ def ring_from_json(obj: dict) -> FusionRing:
             mult[a, b, c] = n
         return FusionRing(
             labels=labels,
-            unit_index=int(obj["unit"]),
+            unit_index=_integer(obj["unit"]),
             mult=mult,
-            dual=[int(x) for x in obj["dual"]],
+            dual=[_integer(x) for x in obj["dual"]],
         )
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"bad fusion ring: {exc}") from None
@@ -143,7 +151,7 @@ def premodular_from_json(obj: dict) -> PremodularData:
             twists = [_cycnum_from_json(t) for t in obj["twists"]]
         elif "theta_exp" in obj:
             # rational exponents: e^(2 pi i p/q)
-            twists = [make_root(int(p), _capped_conductor(q)) for p, q in obj["theta_exp"]]
+            twists = [make_root(_integer(p), _capped_conductor(q)) for p, q in obj["theta_exp"]]
         else:
             raise KeyError("twists")
         s = None
@@ -173,7 +181,7 @@ def metric_group_from_json(obj: dict) -> MetricGroup:
     try:
         if not isinstance(obj["orders"], list) or not isinstance(obj["q"], dict):
             raise ParseError('bad metric group: "orders" must be a list and "q" an object')
-        orders = [int(n) for n in obj["orders"]]
+        orders = [_integer(n) for n in obj["orders"]]
         table = {_parse_element(k): Fraction(v) for k, v in obj["q"].items()}
         return MetricGroup(orders, table)
     except ParseError:

@@ -11,7 +11,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from premodular.metric_groups import MetricGroup
+from premodular.metric_groups import (
+    MetricGroup,
+    _coset_reps_mod_double,
+    _pushout_structure,
+    radical,
+    validate_metric_group,
+)
 
 
 def brute_associative(mult) -> bool:
@@ -290,3 +296,30 @@ def oracle_pointed_extensions(base: MetricGroup, fermion_elt):
         if not any(brute_isometry_rel_point(mg, rep, f, rf) for rep, rf in classes):
             classes.append((mg, f))
     return classes
+
+
+def pushout_survivors(mg: MetricGroup, e):
+    """The pointed extension candidates by building every one: for each
+    pushout <A, t | 2t = a0>, fourth root v = (q(a0) + j)/4 and character
+    chi of A, the table q(a + t) = v + q(a) + chi(a) is kept when its
+    radical is trivial and it passes validate_metric_group (radical first:
+    it is the cheaper test and rejects most tables).
+
+    Returns (group, embedding, fermion_image) triples in the order
+    a0, j, chi.
+    """
+    out = []
+    for a0 in _coset_reps_mod_double(mg):
+        orders, coords = _pushout_structure(mg, a0)
+        for j in range(4):
+            v = ((mg.qtable[a0] + j) / 4) % 1
+            for chi in mg.elements():
+                qt = {}
+                for a in mg.elements():
+                    chi_a = sum(Fraction(ai * ci, ni) for ai, ci, ni in zip(a, chi, mg.cyclic_orders))
+                    qt[coords(a, 0)] = mg.qtable[a]
+                    qt[coords(a, 1)] = (v + mg.qtable[a] + chi_a) % 1
+                group = MetricGroup(list(orders), qt)
+                if len(radical(group)) == 1 and validate_metric_group(group).ok:
+                    out.append((group, [coords(g, 0) for g in mg.generators()], coords(e, 0)))
+    return out

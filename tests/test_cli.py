@@ -178,6 +178,45 @@ def _set_huge_theta_denominator(obj):
     obj["theta_exp"] = [[0, 1], [1, 2], [1, 10**9]]
 
 
+def _set_fractional_multiplicity(obj):
+    obj["fusion"][0][3] = 1.9
+
+
+def _set_boolean_multiplicity(obj):
+    obj["fusion"][0][3] = True
+
+
+def _set_fractional_unit(obj):
+    obj["unit"] = 0.7
+
+
+def _set_fractional_dual(obj):
+    obj["dual"][1] = 1.2
+
+
+def _set_fractional_order(obj):
+    obj["orders"] = [2.7]
+
+
+def _set_boolean_order(obj):
+    # svec presented on Z1 x Z2, with the order 1 given as true
+    obj["orders"] = [True, 2]
+    obj["q"] = {"(0," + key[1:]: value for key, value in obj["q"].items()}
+
+
+def _set_fractional_theta_numerator(obj):
+    del obj["twists"]
+    obj["theta_exp"] = [[0, 1], [1, 2], [1.5, 16]]
+
+
+def _set_fractional_conductor(obj):
+    obj["dims"][0]["n"] = 1.0
+
+
+def _set_fractional_coefficient(obj):
+    obj["dims"][0]["c"][0] = [1.5, 1]
+
+
 @pytest.mark.parametrize("name, mutate", [
     ("svec-x-semion", _set_q_list),
     ("svec-x-semion", _set_orders_string),
@@ -186,6 +225,15 @@ def _set_huge_theta_denominator(obj):
     ("ising:1", _set_labels_string),
     ("ising:1", _set_dual_string),
     ("ising:1", _set_huge_theta_denominator),
+    ("ising:1", _set_fractional_multiplicity),
+    ("ising:1", _set_boolean_multiplicity),
+    ("ising:1", _set_fractional_unit),
+    ("ising:1", _set_fractional_dual),
+    ("svec", _set_fractional_order),
+    ("svec", _set_boolean_order),
+    ("ising:1", _set_fractional_theta_numerator),
+    ("ising:1", _set_fractional_conductor),
+    ("ising:1", _set_fractional_coefficient),
 ])
 def test_malformed_fields_exit_2(name, mutate, write_datum, tmp_path):
     obj = json.loads(Path(write_datum(name)).read_text())
@@ -214,6 +262,19 @@ def test_internal_cross_check_failure_exits_1(write_datum, monkeypatch):
     monkeypatch.setattr("premodular.cli.extension_verdict", boom)
     code, out = cli_run(["analyze", write_datum("svec")])
     assert code == 1 and out == ""
+
+
+def test_extend_exits_1_unless_all_8_signatures_occur(write_datum, monkeypatch):
+    from premodular import metric_groups
+
+    search = metric_groups._extension_candidates
+
+    def without_signature_3(mg, e):
+        return (cand for cand in search(mg, e) if cand.signature != 3)
+
+    monkeypatch.setattr(metric_groups, "_extension_candidates", without_signature_3)
+    for fmt in ("table", "json"):
+        assert cli_run(["extend", write_datum("svec"), "--format", fmt]) == (1, "")
 
 
 def test_stdout_determinism_across_runs(write_datum):

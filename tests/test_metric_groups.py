@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -240,20 +241,26 @@ def _slightly_degenerate_forms(orders):
             yield g
 
 
-def test_equal_signature_candidates_are_isometric_rel_fermion():
-    # the torsor argument behind keeping one extension per signature,
-    # checked against the isometry search on every survivor
+@functools.lru_cache(maxsize=None)
+def _seeded_bases():
+    """Every slightly degenerate form on [2, 4] and [4, 2] (8 each) and a
+    seeded sample of 10 of the 112 on Z2^3 (all of them take over a minute
+    in the isometry test), built once for the tests that share them."""
     rng = random.Random(1602)
     bases = [*_slightly_degenerate_forms([2, 4]), *_slightly_degenerate_forms([4, 2])]
     assert len(bases) == 16
-    # a seeded sample of 10 of the 112 on Z2^3 (all of them take over a minute)
     sample = {}
     while len(sample) < 10:
         g = MetricGroup([2, 2, 2], oracles.random_form_by_gram(rng, [2, 2, 2]))
         if fermion(g) is not None:
             sample.setdefault(tuple(sorted(g.qtable.items())), g)
-    bases += sample.values()
-    for base in bases:
+    return (*bases, *sample.values())
+
+
+def test_equal_signature_candidates_are_isometric_rel_fermion():
+    # the torsor argument behind keeping one extension per signature,
+    # checked against the isometry search on every survivor
+    for base in _seeded_bases():
         e = fermion(base)
         by_signature = {}
         for cand in _extension_candidates(base, e):
@@ -265,6 +272,19 @@ def test_equal_signature_candidates_are_isometric_rel_fermion():
                                           first.fermion_image, cand.fermion_image)
 
 
+def test_pairing_conditions_match_built_and_validated_candidates():
+    # the conditions on chi against building every pushout table and running
+    # the radical and the validator on it: same candidates, same order
+    for base in [mg("svec"), mg("svec-x-semion"), *_seeded_bases()]:
+        e = fermion(base)
+        survivors = oracles.pushout_survivors(base, e)
+        cands = list(_extension_candidates(base, e))
+        assert [(c.group, c.embedding, c.fermion_image) for c in cands] == survivors
+        for c in cands:
+            assert c.gauss == gauss_sum(c.group)
+            assert c.signature == signature_mod8(c.group)
+
+
 def test_extensions_deterministic_across_runs():
     base = mg("svec")
     first = [r.sort_key() for r in enumerate_pointed_extensions(base)]
@@ -272,12 +292,20 @@ def test_extensions_deterministic_across_runs():
         assert [r.sort_key() for r in enumerate_pointed_extensions(base)] == first
 
 
-def test_extend_a_larger_base():
-    # Z2 x Z4 slightly degenerate base: extensions exist and are nondegenerate
-    base = from_gram([2, 4], [Fraction(1, 2), Fraction(1, 8)])
-    results = enumerate_pointed_extensions(base, max_order=16)
-    assert results, "a pointed extension should exist"
+@pytest.mark.parametrize("key", [
+    "pointed:2x4:1/2,1/8",
+    "pointed:2x16:1/2,1/32",
+    "pointed:2x2x4:1/2,1/4,1/8",
+    "pointed:2x3x5:1/2,1/3,2/5",
+], ids=["z2xz4", "z2xz16", "z2xz2xz4", "z2xz3xz5"])
+def test_extend_a_larger_base(key):
+    # slightly degenerate bases up to the default max_order 64: the 8
+    # classes exist and are nondegenerate of order 2|A|
+    base = mg(key)
+    results = enumerate_pointed_extensions(base)
+    assert sorted(r.signature for r in results) == list(range(8))
     for r in results:
+        assert r.group.order == 2 * base.order
         assert len(radical(r.group)) == 1
         data = to_premodular(r.group)
         assert classify_degeneracy(data).kind is CentreKind.NONDEGENERATE

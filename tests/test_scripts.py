@@ -5,6 +5,7 @@ import runpy
 from premodular.catalog import catalog_list
 
 SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
+PARAMETRIC_KEYS = runpy.run_path(str(SCRIPTS / "catalog_outputs.py"))["PARAMETRIC_KEYS"]
 
 
 def test_sixteenfold_script(capsys):
@@ -29,4 +30,6 @@ def test_catalog_outputs_script(capsys):
         "exit": 0, "stdout": "input      : svec.json\nvalidation : ok\n"}
     assert runs["extend ising_1.json --format json"] == {"exit": 2, "stdout": ""}
     assert {run["exit"] for run in runs.values()} == {0, 2}
-    assert sum(key.startswith("analyze ") for key in runs) == 2 * len(catalog_list())
+    assert sum(key.startswith("analyze ") for key in runs) == 2 * (
+        len(catalog_list()) + len(PARAMETRIC_KEYS))
+    assert runs["extend pointed_2x16_1-2,1-32.json --format table"]["exit"] == 0
