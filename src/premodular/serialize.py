@@ -5,13 +5,15 @@ Input files are discriminated by a top-level "type": "premodular" or
 any violation.  Serialization round trips bit-exactly: all rationals
 travel as strings, CycNums as {"n": conductor, "c": [[num, den], ...]}.
 Conductors (each, and their lcm over a datum), ring rank and fusion
-multiplicities are capped before anything is allocated at their size.
+multiplicities are capped before anything is allocated at their size;
+q values and element keys are bounded in digits and coordinates.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +43,12 @@ __all__ = [
 # denominators dividing 2 * exponent <= 2 * SIZE_CAP
 MAX_CONDUCTOR = 2 * SIZE_CAP
 
+# digits allowed in each part of a rational field: far more than any q value
+# needs (its reduced denominator divides 2 * SIZE_CAP), few enough that no
+# later step meets a huge integer
+MAX_DIGITS = 32
+_RATIONAL = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
+
 
 class ParseError(ValueError):
     """The file is not valid JSON or does not match either schema."""
@@ -58,12 +66,14 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _parse_element(key: str):
+def _parse_element(key: str, arity: int):
+    """A key "(x1,...,xk)" as a tuple; more than `arity` coordinates is
+    refused before any is converted."""
     inner = key.strip()
     if not (inner.startswith("(") and inner.endswith(")")):
         raise ParseError(f"bad element key {key!r}")
     inner = inner[1:-1].strip()
-    if not inner:
+    if not inner or inner.count(",") >= arity:
         raise ParseError(f"bad element key {key!r}")
     return tuple(int(t) for t in inner.split(","))
 
@@ -74,6 +84,17 @@ def _integer(x) -> int:
     if isinstance(x, (bool, float)):
         raise ValueError(f"expected an integer, got {x!r}")
     return int(x)
+
+
+def _rational(x) -> Fraction:
+    """x as a Fraction: an int, or a string "p" or "p/q", with at most
+    MAX_DIGITS digits in each part; floats, booleans, decimal points and
+    exponents are refused."""
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        return Fraction(x)
+    if isinstance(x, int) and not isinstance(x, bool) and abs(x) < 10**MAX_DIGITS:
+        return Fraction(x)
+    raise ValueError(f"expected an integer or a string p/q of at most {MAX_DIGITS} digits each, got {x!r:.40}")
 
 
 def _capped_conductor(n) -> int:
@@ -182,7 +203,7 @@ def metric_group_from_json(obj: dict) -> MetricGroup:
         if not isinstance(obj["orders"], list) or not isinstance(obj["q"], dict):
             raise ParseError('bad metric group: "orders" must be a list and "q" an object')
         orders = [_integer(n) for n in obj["orders"]]
-        table = {_parse_element(k): Fraction(v) for k, v in obj["q"].items()}
+        table = {_parse_element(k, len(orders)): _rational(v) for k, v in obj["q"].items()}
         return MetricGroup(orders, table)
     except ParseError:
         raise

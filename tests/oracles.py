@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's optimized code paths: quadratic
 forms are enumerated as raw value tables, isometries as raw bijections,
-and associativity as a four-index loop.  Expected values frozen into the
+associativity as a four-index loop or one dense contraction per b, and
+the duality axiom as a loop over pairs.  Expected values frozen into the
 tests come from here.
 """
 
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from premodular.metric_groups import (
     MetricGroup,
@@ -32,6 +35,31 @@ def brute_associative(mult) -> bool:
                     if lhs != rhs:
                         return False
     return True
+
+
+def dense_associativity_witnesses(mult, limit=10):
+    """The first `limit` (a, b, c, d), by b and then (a, c, d), where
+    T[a,b,c,d] = sum_e N^e_{a,b} N^d_{e,c} is not symmetric in a and c:
+    one dense r^3 contraction per b (r^5 multiply-adds in all)."""
+    N = np.asarray(mult, dtype=np.int64)
+    found = []
+    for b in range(len(N)):
+        T = np.einsum("ae,ecd->acd", N[:, b, :], N)
+        for a, c, d in np.argwhere(T != T.transpose(1, 0, 2))[:limit - len(found)]:
+            found.append((int(a), b, int(c), int(d)))
+    return found
+
+
+def brute_duality_violations(mult, dual, unit):
+    """(witness, detail) for each (a, b) with N^unit_{a,b} != [b = dual(a)],
+    in row-major order."""
+    found = []
+    for a in range(len(mult)):
+        for b in range(len(mult)):
+            expected = 1 if b == dual[a] else 0
+            if mult[a][b][unit] != expected:
+                found.append(((a, b), f"N^I_{{a,b}} = {mult[a][b][unit]}, expected {expected}"))
+    return found
 
 
 def _add(x, y, orders):

@@ -217,6 +217,30 @@ def _set_fractional_coefficient(obj):
     obj["dims"][0]["c"][0] = [1.5, 1]
 
 
+def _set_float_q(obj):
+    obj["q"]["(1,0)"] = 0.5  # the right value, as a float
+
+
+def _set_decimal_string_q(obj):
+    obj["q"]["(1,0)"] = "0.5"
+
+
+def _set_boolean_q(obj):
+    obj["q"]["(0,0)"] = False  # the right value, as a boolean
+
+
+def _set_exponent_q(obj):
+    obj["q"]["(1,0)"] = "1e1000000"
+
+
+def _set_overlong_q(obj):
+    obj["q"]["(1,0)"] = "1" + "0" * 40 + "/2" + "0" * 40  # 1/2 in 41 + 41 digits
+
+
+def _set_long_element_key(obj):
+    obj["q"]["(0,0,0)"] = obj["q"].pop("(0,0)")
+
+
 @pytest.mark.parametrize("name, mutate", [
     ("svec-x-semion", _set_q_list),
     ("svec-x-semion", _set_orders_string),
@@ -234,6 +258,12 @@ def _set_fractional_coefficient(obj):
     ("ising:1", _set_fractional_theta_numerator),
     ("ising:1", _set_fractional_conductor),
     ("ising:1", _set_fractional_coefficient),
+    ("svec-x-semion", _set_float_q),
+    ("svec-x-semion", _set_decimal_string_q),
+    ("svec-x-semion", _set_boolean_q),
+    ("svec-x-semion", _set_exponent_q),
+    ("svec-x-semion", _set_overlong_q),
+    ("svec-x-semion", _set_long_element_key),
 ])
 def test_malformed_fields_exit_2(name, mutate, write_datum, tmp_path):
     obj = json.loads(Path(write_datum(name)).read_text())

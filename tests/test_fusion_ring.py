@@ -1,10 +1,12 @@
+import functools
 import itertools
 import random
 
 import numpy as np
 import pytest
 
-from oracles import brute_associative
+from oracles import brute_associative, brute_duality_violations, dense_associativity_witnesses
+from premodular import fusion_ring
 from premodular.errors import UnknownLabel
 from premodular.fusion_ring import (
     FusionRing,
@@ -142,6 +144,92 @@ def test_associativity_verdict_agrees_with_brute_force_oracle():
                 assert mult[a, b] @ mult[:, c, d] != mult[b, c] @ mult[a, :, d]
             verdicts.append(associative)
     assert 50 <= sum(verdicts) <= 350
+
+
+def _group_mult(orders):
+    """Multiplicity tensor of Z_{n1} x ... x Z_{nk}, elements in mixed radix."""
+    els = np.array(list(itertools.product(*(range(n) for n in orders))))
+    radix = np.cumprod([1, *orders[:0:-1]])[::-1]
+    total = ((els[:, None, :] + els[None, :, :]) % orders) @ radix
+    r = len(els)
+    mult = np.zeros((r, r, r), dtype=np.int64)
+    mult[np.arange(r)[:, None], np.arange(r)[None, :], total] = 1
+    return mult
+
+
+def _tamper(mult, rng, times):
+    """Replace the product of `times` random pairs by a random row, keeping
+    the table commutative."""
+    mult = mult.copy()
+    r = len(mult)
+    for _ in range(times):
+        a, b = rng.randrange(1, r), rng.randrange(1, r)
+        row = np.zeros(r, dtype=np.int64)
+        for _ in range(rng.randint(1, 3)):
+            row[rng.randrange(r)] += rng.randint(1, 3)
+        mult[a, b] = mult[b, a] = row
+    return mult
+
+
+@functools.cache
+def _seeded_cases():
+    """(table, the dense oracle's witnesses) on random commutative tables
+    and on group rings of rank 16 to 64, whole and tampered."""
+    rng = random.Random(6)
+    tables = [_random_commutative_table(rng) for _ in range(100)]
+    tables += [_tampered_group_ring(rng) for _ in range(100)]
+    for orders, tampers in (([2, 8], (0, 1, 1, 2, 3)), ([4, 4], (1, 2)), ([2, 16], (0, 1, 1, 2)),
+                            ([32], (1, 3)), ([2, 4, 8], (0, 1, 2))):
+        tables += [_tamper(_group_mult(orders), rng, times) for times in tampers]
+    return [(mult, dense_associativity_witnesses(mult)) for mult in tables]
+
+
+def _witnesses(mult, kind="AssociativityViolation"):
+    r = len(mult)
+    ring = FusionRing(labels=[str(a) for a in range(r)], unit_index=0, mult=mult,
+                      dual=list(range(r)))
+    return [v.witness for v in validate_fusion_ring(ring).violations if v.kind == kind]
+
+
+@pytest.mark.parametrize("block", [fusion_ring._JOIN_BLOCK, 50])
+def test_associativity_witnesses_equal_the_dense_oracle(block, monkeypatch):
+    # a block of 50 pairs splits each b into chunks merged into the running
+    # sums, which only dense rings do at the default block size
+    monkeypatch.setattr(fusion_ring, "_JOIN_BLOCK", block)
+    for mult, expected in _seeded_cases():
+        assert _witnesses(mult) == expected, mult.tolist()
+    # none, a few, and the cap all occur, and the cap cuts across b
+    counts = [(len(expected), len({b for _, b, _, _ in expected})) for _, expected in _seeded_cases()]
+    assert (0, 0) in counts and any(0 < n < 10 for n, _ in counts)
+    assert any(n == 10 and bs > 1 for n, bs in counts)
+
+
+def test_rank_128_group_ring_validates_and_a_tampered_copy_is_caught():
+    mult = _group_mult([2, 64])
+    ring = FusionRing(labels=[str(a) for a in range(128)], unit_index=0, mult=mult,
+                      dual=[int(np.flatnonzero(mult[a, :, 0])[0]) for a in range(128)])
+    assert validate_fusion_ring(ring).ok
+    mult = _tamper(mult, random.Random(128), 2)
+    witnesses = _witnesses(mult)
+    assert len(witnesses) == 10
+    for a, b, c, d in witnesses:  # d occurs differently in (a.b).c and a.(b.c)
+        assert mult[a, b] @ mult[:, c, d] != mult[b, c] @ mult[a, :, d]
+
+
+def test_duality_witnesses_and_details_equal_the_loop():
+    rng = random.Random(66)
+    for _ in range(100):
+        mult = _random_commutative_table(rng)
+        r = len(mult)
+        for _ in range(rng.randint(0, 3)):
+            mult[rng.randrange(r), rng.randrange(r), 0] = rng.randint(0, 2)
+        dual = list(range(r))
+        if r > 2 and rng.random() < 0.5:
+            dual[1], dual[2] = 2, 1
+        ring = FusionRing(labels=[str(a) for a in range(r)], unit_index=0, mult=mult, dual=dual)
+        found = [(v.witness, v.detail) for v in validate_fusion_ring(ring).violations
+                 if v.kind == "DualityViolation"]
+        assert found == brute_duality_violations(mult.tolist(), dual, 0)
 
 
 def test_fibonacci_ring_is_valid():

@@ -33,3 +33,10 @@ def test_catalog_outputs_script(capsys):
     assert sum(key.startswith("analyze ") for key in runs) == 2 * (
         len(catalog_list()) + len(PARAMETRIC_KEYS))
     assert runs["extend pointed_2x16_1-2,1-32.json --format table"]["exit"] == 0
+
+
+def test_ring_validation_cost_script(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["ring_validation_cost.py", "16", "--repeats", "1"])
+    runpy.run_path(str(SCRIPTS / "ring_validation_cost.py"), run_name="__main__")
+    line = json.loads(capsys.readouterr().out)
+    assert line["rank"] == 16 and line["validate_s"] > 0 and line["ru_maxrss_growth_mb"] >= 0
