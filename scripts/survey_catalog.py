@@ -16,8 +16,8 @@ def main():
         payload = catalog_get(name).payload
         data = to_premodular(payload) if isinstance(payload, MetricGroup) else payload
         cls = classify_degeneracy(data)
-        comp = ring_characters(data)
-        verdict = extension_verdict(data)
+        comp = ring_characters(data, cls)
+        verdict = extension_verdict(data, cls)
         kappa = "-" if verdict.kappa is None else str(verdict.kappa.kappa_minus)
         print(f"{name:<15} {kind:<13} {cls.kind.value:<20} {comp.count:<6} "
               f"{kappa:<7} {verdict.code}")

@@ -44,7 +44,6 @@ from .serialize import (
     format_element,
     load_datum,
 )
-from .validation import ValidationReport
 
 __all__ = ["AnalysisReport", "cli_run", "main"]
 
@@ -63,18 +62,18 @@ class AnalysisReport:
     """Aggregated output of the full pipeline on one datum."""
 
     input_name: str
-    validation: ValidationReport
     classification: CentreClassification
     components: ComponentAnalysis
-    kappa: object  # KappaReport | None; present iff slightly degenerate
-    verdict: ExtensionVerdict
+    verdict: ExtensionVerdict  # verdict.kappa is present iff slightly degenerate
     timings_ms: dict = field(default_factory=dict)
 
     def to_json(self):
-        out = {"input_name": self.input_name, "validation": self.validation.to_json()}
+        # loading raises on any violation, so an analyzed datum always validated
+        out = {"input_name": self.input_name, "validation": "ok"}
         out.update(self.classification.to_json())
         out["components"] = self.components.to_json()
-        out["kappa"] = self.kappa.to_json() if self.kappa is not None else None
+        kappa = self.verdict.kappa
+        out["kappa"] = kappa.to_json() if kappa is not None else None
         out["verdict"] = self.verdict.code
         out["verdict_detail"] = self.verdict.message
         return out
@@ -82,7 +81,7 @@ class AnalysisReport:
     def to_table(self):
         rows = [
             ("input", self.input_name),
-            ("validation", str(self.validation)),
+            ("validation", "ok"),
             ("classification", self.classification.kind.value),
             ("transparent", ", ".join(self.classification.transparent)),
             ("fermion", self.classification.fermion or "-"),
@@ -91,12 +90,13 @@ class AnalysisReport:
             ("magnetic character",
              "-" if self.components.magnetic_index is None else f"#{self.components.magnetic_index}"),
         ]
-        if self.kappa is not None:
+        kappa = self.verdict.kappa
+        if kappa is not None:
             rows += [
-                ("n self-dual", str(self.kappa.n_self_dual)),
-                ("n e-twisted", str(self.kappa.n_e_twisted)),
-                ("kappa(+)", str(self.kappa.kappa_plus)),
-                ("kappa(-)", str(self.kappa.kappa_minus)),
+                ("n self-dual", str(kappa.n_self_dual)),
+                ("n e-twisted", str(kappa.n_e_twisted)),
+                ("kappa(+)", str(kappa.kappa_plus)),
+                ("kappa(-)", str(kappa.kappa_minus)),
             ]
         rows.append(("verdict", self.verdict.code))
         return _render_rows(rows)
@@ -131,19 +131,17 @@ def run_analysis(path: str, seed: int = 0) -> AnalysisReport:
     timings["classify"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()
-    comp = ring_characters(data, seed=seed)
+    comp = ring_characters(data, cls, seed=seed)
     timings["components"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()
-    verdict = extension_verdict(data)
+    verdict = extension_verdict(data, cls)
     timings["kappa_verdict"] = (time.perf_counter() - t0) * 1000
 
     return AnalysisReport(
         input_name=path,
-        validation=ValidationReport(),
         classification=cls,
         components=comp,
-        kappa=verdict.kappa,
         verdict=verdict,
         timings_ms=timings,
     )
@@ -192,7 +190,7 @@ def _cmd_kappa(args):
 
 def _cmd_components(args):
     _, data = _load_for_analysis(args.path)
-    comp = ring_characters(data, seed=args.seed)
+    comp = ring_characters(data, classify_degeneracy(data), seed=args.seed)
     if args.format == "json":
         return 0, _emit_json({"input_name": args.path, "components": comp.to_json()})
     rows = [("input", args.path), ("components", str(comp.count))]

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import PremodularData, classify_degeneracy, CentreKind
+from .data import CentreClassification, CentreKind, PremodularData
+from .data import classify_degeneracy  # noqa: F401  unused; perfbench/layers.py PATCHES rebinds it here
 from .errors import DegenerateEigenproblem
 from .fusion_ring import fpdim
 
@@ -147,8 +148,10 @@ def _numeric_characters(mats, seed):
     )
 
 
-def ring_characters(data: PremodularData, seed: int = 0) -> ComponentAnalysis:
-    """All ring homomorphisms of the transparent subring to C.
+def ring_characters(data: PremodularData, cls: CentreClassification,
+                    seed: int = 0) -> ComponentAnalysis:
+    """All ring homomorphisms of the transparent subring to C, where cls
+    is the datum's classification.
 
     Uses exact group characters when every transparent simple is
     invertible; otherwise a seeded random-combination eigensolve with
@@ -158,7 +161,6 @@ def ring_characters(data: PremodularData, seed: int = 0) -> ComponentAnalysis:
     are identified.
     """
     ring = data.ring
-    cls = classify_degeneracy(data)
     labels = list(cls.transparent)
     idx = [ring.index(lab) for lab in labels]
     n = len(idx)

@@ -22,15 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CycNum
-from .data import CentreKind, PremodularData, classify_degeneracy
+from .data import CentreClassification, CentreKind, PremodularData, classify_degeneracy
 from .errors import CrossCheckMismatch, NotSlightlyDegenerate
 
 __all__ = ["KappaReport", "ExtensionVerdict", "eta_scalar", "kappa_invariants", "extension_verdict"]
-
-#: Reference values of the Klein invariant on a magnetic simple object in
-#: the two candidate ambient doubles; positivity selects S.
-KAPPA_REFERENCE = {"class_S": 1, "class_T": -1}
-
 
 @dataclass
 class KappaReport:
@@ -116,31 +111,21 @@ class ExtensionVerdict:
     code: str                     # already_nondegenerate | extension_exists_S | outside_scope
     message: str
     kappa: KappaReport | None
-    reference: dict
-
-    def to_json(self):
-        return {
-            "code": self.code,
-            "message": self.message,
-            "kappa": self.kappa.to_json() if self.kappa else None,
-            "reference": dict(self.reference),
-        }
 
 
-def extension_verdict(data: PremodularData) -> ExtensionVerdict:
-    """Existence verdict for a minimal nondegenerate extension.
+def extension_verdict(data: PremodularData, cls: CentreClassification) -> ExtensionVerdict:
+    """Existence verdict for a minimal nondegenerate extension, where cls
+    is the datum's classification.
 
     Nondegenerate data is its own extension; slightly degenerate data is
     certified through kappa_minus > 0; data with a transparent boson is
     reported as out of scope without judgment.
     """
-    cls = classify_degeneracy(data)
     if cls.kind is CentreKind.NONDEGENERATE:
         return ExtensionVerdict(
             code="already_nondegenerate",
             message="already nondegenerate (M = B)",
             kappa=None,
-            reference=KAPPA_REFERENCE,
         )
     if cls.kind is CentreKind.SLIGHTLY_DEGENERATE:
         report = _kappa_report(data, cls.fermion)
@@ -151,11 +136,9 @@ def extension_verdict(data: PremodularData) -> ExtensionVerdict:
                 f"kappa_minus = {report.kappa_minus})"
             ),
             kappa=report,
-            reference=KAPPA_REFERENCE,
         )
     return ExtensionVerdict(
         code="outside_scope",
         message="outside scope: transparent boson present (Tannakian direction)",
         kappa=None,
-        reference=KAPPA_REFERENCE,
     )

@@ -37,9 +37,7 @@ __all__ = [
     "gauss_sum",
     "signature_mod8",
     "to_premodular",
-    "isometry_rel_point",
     "enumerate_pointed_extensions",
-    "direct_sum",
     "from_gram",
     "random_slightly_degenerate",
     "format_element",
@@ -76,9 +74,6 @@ class MetricGroup:
 
     def scale(self, k: int, x) -> tuple[int, ...]:
         return tuple((k * a) % n for a, n in zip(x, self.cyclic_orders))
-
-    def element_order(self, x) -> int:
-        return lcm(*(n // gcd(n, a) for a, n in zip(x, self.cyclic_orders))) if x else 1
 
     def q(self, x) -> Fraction:
         return self.qtable[tuple(x)]
@@ -222,131 +217,42 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
     dual is inversion, d = 1, theta_x = e^(2 pi i q(x)), s_{x,y} =
     e^(2 pi i b(x,y)).
 
-    The output satisfies the premodular axioms by construction (the
+    Elements are indexed in mixed radix (the order of mg.elements()), so
+    the addition table is index arithmetic, and with q = Q/D over the lcm
+    D of its denominators every s exponent is (Q[x+y] - Q[x] - Q[y]) mod
+    D.  The output satisfies the premodular axioms by construction (the
     balancing formula collapses to the definition of the polarization).
     Groups of order above MAX_RANK raise GroupsTooLarge.
     """
     if mg.order > MAX_RANK:
         raise GroupsTooLarge(f"linearization capped at rank {MAX_RANK}, |A| = {mg.order}")
     elems = list(mg.elements())
-    index = {x: i for i, x in enumerate(elems)}
     r = len(elems)
+    index = np.arange(r)
     add_table = np.zeros((r, r), dtype=np.int64)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            add_table[i, j] = index[mg.add(x, y)]
+    stride = 1
+    for n in reversed(mg.cyclic_orders):
+        c = index // stride % n
+        add_table += (c[:, None] + c[None, :]) % n * stride
+        stride *= n
     ring = group_ring(
         labels=[format_element(x) for x in elems],
         add_table=add_table,
-        unit_index=index[mg.zero()],
-        inverse=[index[mg.scale(-1, x)] for x in elems],
+        unit_index=0,
+        inverse=np.argmin(add_table, axis=1).tolist(),  # x + y is the unit, index 0
     )
-    twists = []
-    for x in elems:
-        v = mg.qtable[x]
-        twists.append(make_root(v.numerator, v.denominator))
-    s = []
-    for x in elems:
-        row = []
-        for y in elems:
-            v = mg.b(x, y)
-            row.append(make_root(v.numerator, v.denominator))
-        s.append(row)
+    qs = [mg.qtable[x] for x in elems]
+    D = lcm(*(v.denominator for v in qs))
+    Q = np.array([v.numerator * (D // v.denominator) for v in qs], dtype=np.int64)
+    exponents, s_index = np.unique((Q[add_table] - Q[:, None] - Q[None, :]) % D,
+                                   return_inverse=True)
+    roots = [make_root(int(k), D) for k in exponents]
     return PremodularData(
         ring=ring,
         dims=[ONE] * r,
-        twists=twists,
-        s=s,
+        twists=[make_root(int(k), D) for k in Q],
+        s=[[roots[k] for k in row] for row in s_index.reshape(r, r).tolist()],
     )
-
-
-def _primary_multiset(orders):
-    """Multiset of prime-power cyclic factors, the isomorphism invariant."""
-    out = []
-    for n in orders:
-        m, p = n, 2
-        while p * p <= m:
-            if m % p == 0:
-                pk = 1
-                while m % p == 0:
-                    pk *= p
-                    m //= p
-                out.append(pk)
-            p += 1
-        if m > 1:
-            out.append(m)
-    return sorted(out)
-
-
-def isometry_rel_point(a: MetricGroup, b: MetricGroup, pt_a=None, pt_b=None) -> bool:
-    """Is there a group isomorphism phi with q_b(phi(x)) = q_a(x) and
-    phi(pt_a) = pt_b?
-
-    Brute force over generator images with pruning on element orders and
-    q-value multisets.  Pass pt_a = pt_b = None for the coarser, point-free
-    equivalence.
-    """
-    if a.order > SIZE_CAP or b.order > SIZE_CAP:
-        raise GroupsTooLarge(f"isometry search capped at {SIZE_CAP} elements")
-    if (pt_a is None) != (pt_b is None):
-        raise ValueError("pass both points or neither")
-    if a.order != b.order:
-        return False
-    if _primary_multiset(a.cyclic_orders) != _primary_multiset(b.cyclic_orders):
-        return False
-    inv_a = sorted((a.element_order(x), a.q(x)) for x in a.elements())
-    inv_b = sorted((b.element_order(x), b.q(x)) for x in b.elements())
-    if inv_a != inv_b:
-        return False
-    if pt_a is not None:
-        pt_a, pt_b = tuple(pt_a), tuple(pt_b)
-        if (a.element_order(pt_a), a.q(pt_a)) != (b.element_order(pt_b), b.q(pt_b)):
-            return False
-
-    gens = a.generators()
-    orders = a.cyclic_orders
-    b_elems = sorted(b.elements())
-    by_order_q = {}
-    for y in b_elems:
-        by_order_q.setdefault((b.element_order(y), b.q(y)), []).append(y)
-
-    q_gens = [a.q(g) for g in gens]
-    b_gram = [[a.b(gi, gj) for gj in gens] for gi in gens]
-
-    def image_of(coords, images):
-        acc = b.zero()
-        for c, y in zip(coords, images):
-            acc = b.add(acc, b.scale(c, y))
-        return acc
-
-    def search(i, images):
-        if i == len(gens):
-            span = {
-                image_of(coords, images)
-                for coords in itertools.product(*(range(n) for n in orders))
-            }
-            if len(span) != a.order:
-                return False
-            if pt_a is not None and image_of(pt_a, images) != pt_b:
-                return False
-            return True
-        wanted = (orders[i], q_gens[i])
-        for y in by_order_q.get(wanted, ()):
-            if all(b.b(y, images[j]) == b_gram[i][j] for j in range(i)):
-                if search(i + 1, images + [y]):
-                    return True
-        return False
-
-    return search(0, [])
-
-
-def direct_sum(a: MetricGroup, b: MetricGroup) -> MetricGroup:
-    """Orthogonal direct sum: q((x,y)) = q_a(x) + q_b(y)."""
-    table = {}
-    for x in a.elements():
-        for y in b.elements():
-            table[x + y] = (a.qtable[x] + b.qtable[y]) % 1
-    return MetricGroup(a.cyclic_orders + b.cyclic_orders, table)
 
 
 # -- Smith normal form, used to put index-2 overgroups in canonical shape ----

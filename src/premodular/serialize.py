@@ -6,7 +6,8 @@ any violation.  Serialization round trips bit-exactly: all rationals
 travel as strings, CycNums as {"n": conductor, "c": [[num, den], ...]}.
 Conductors (each, and their lcm over a datum), ring rank and fusion
 multiplicities are capped before anything is allocated at their size;
-q values and element keys are bounded in digits and coordinates.
+q values and CycNum coefficients are bounded in digits, element keys in
+coordinates.
 """
 
 from __future__ import annotations
@@ -97,6 +98,15 @@ def _rational(x) -> Fraction:
     raise ValueError(f"expected an integer or a string p/q of at most {MAX_DIGITS} digits each, got {x!r:.40}")
 
 
+def _coefficient_part(x) -> int:
+    """x as an int of at most MAX_DIGITS digits, the bound on each part
+    of a q value."""
+    x = _integer(x)
+    if abs(x) >= 10**MAX_DIGITS:
+        raise ValueError(f"CycNum coefficient part has more than {MAX_DIGITS} digits")
+    return x
+
+
 def _capped_conductor(n) -> int:
     """n as an int, rejected before anything is allocated at conductor n."""
     n = _integer(n)
@@ -107,7 +117,7 @@ def _capped_conductor(n) -> int:
 
 def _cycnum_from_json(obj) -> CycNum:
     n = _capped_conductor(obj["n"])
-    return CycNum(n, [Fraction(_integer(p), _integer(q)) for p, q in obj["c"]])
+    return CycNum(n, [Fraction(_coefficient_part(p), _coefficient_part(q)) for p, q in obj["c"]])
 
 
 # -- fusion rings -------------------------------------------------------------
@@ -226,7 +236,7 @@ def loads_datum(text: str):
     """Parse and validate a datum from a JSON string."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or "type" not in obj:
         raise ParseError('missing the "type" discriminator')

@@ -3,21 +3,30 @@
 These deliberately avoid the package's optimized code paths: quadratic
 forms are enumerated as raw value tables, isometries as raw bijections,
 associativity as a four-index loop or one dense contraction per b, and
-the duality axiom as a loop over pairs.  Expected values frozen into the
-tests come from here.
+the duality axiom as a loop over pairs, the linearization as a loop
+over pairs of elements.  Expected values frozen into the tests come from
+here.  The generator-image isometry search and the orthogonal direct sum
+live here too: only the tests use them.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
+from premodular.cyclotomic import ONE, make_root
+from premodular.data import PremodularData
+from premodular.errors import GroupsTooLarge
+from premodular.fusion_ring import group_ring
 from premodular.metric_groups import (
+    SIZE_CAP,
     MetricGroup,
     _coset_reps_mod_double,
     _pushout_structure,
+    format_element,
     radical,
     validate_metric_group,
 )
@@ -120,6 +129,124 @@ def all_quadratic_forms(orders, denominator):
             yield q
 
 
+def linearize(mg: MetricGroup) -> PremodularData:
+    """The linearization entry by entry: the addition table from
+    MetricGroup.add and every s_{x,y} from MetricGroup.b."""
+    elems = list(mg.elements())
+    index = {x: i for i, x in enumerate(elems)}
+    r = len(elems)
+    add_table = np.zeros((r, r), dtype=np.int64)
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            add_table[i, j] = index[mg.add(x, y)]
+    ring = group_ring(
+        labels=[format_element(x) for x in elems],
+        add_table=add_table,
+        unit_index=index[mg.zero()],
+        inverse=[index[mg.scale(-1, x)] for x in elems],
+    )
+    root = lambda v: make_root(v.numerator, v.denominator)
+    return PremodularData(
+        ring=ring,
+        dims=[ONE] * r,
+        twists=[root(mg.qtable[x]) for x in elems],
+        s=[[root(mg.b(x, y)) for y in elems] for x in elems],
+    )
+
+
+def element_order(mg: MetricGroup, x) -> int:
+    return lcm(*(n // gcd(n, a) for a, n in zip(x, mg.cyclic_orders))) if x else 1
+
+
+def direct_sum(a: MetricGroup, b: MetricGroup) -> MetricGroup:
+    """Orthogonal direct sum: q((x,y)) = q_a(x) + q_b(y)."""
+    table = {}
+    for x in a.elements():
+        for y in b.elements():
+            table[x + y] = (a.qtable[x] + b.qtable[y]) % 1
+    return MetricGroup(a.cyclic_orders + b.cyclic_orders, table)
+
+
+def _primary_multiset(orders):
+    """Multiset of prime-power cyclic factors, the isomorphism invariant."""
+    out = []
+    for n in orders:
+        m, p = n, 2
+        while p * p <= m:
+            if m % p == 0:
+                pk = 1
+                while m % p == 0:
+                    pk *= p
+                    m //= p
+                out.append(pk)
+            p += 1
+        if m > 1:
+            out.append(m)
+    return sorted(out)
+
+
+def isometry_rel_point(a: MetricGroup, b: MetricGroup, pt_a=None, pt_b=None) -> bool:
+    """Is there a group isomorphism phi with q_b(phi(x)) = q_a(x) and
+    phi(pt_a) = pt_b?
+
+    Brute force over generator images with pruning on element orders and
+    q-value multisets.  Pass pt_a = pt_b = None for the coarser, point-free
+    equivalence.
+    """
+    if a.order > SIZE_CAP or b.order > SIZE_CAP:
+        raise GroupsTooLarge(f"isometry search capped at {SIZE_CAP} elements")
+    if (pt_a is None) != (pt_b is None):
+        raise ValueError("pass both points or neither")
+    if a.order != b.order:
+        return False
+    if _primary_multiset(a.cyclic_orders) != _primary_multiset(b.cyclic_orders):
+        return False
+    inv_a = sorted((element_order(a, x), a.q(x)) for x in a.elements())
+    inv_b = sorted((element_order(b, x), b.q(x)) for x in b.elements())
+    if inv_a != inv_b:
+        return False
+    if pt_a is not None:
+        pt_a, pt_b = tuple(pt_a), tuple(pt_b)
+        if (element_order(a, pt_a), a.q(pt_a)) != (element_order(b, pt_b), b.q(pt_b)):
+            return False
+
+    gens = a.generators()
+    orders = a.cyclic_orders
+    b_elems = sorted(b.elements())
+    by_order_q = {}
+    for y in b_elems:
+        by_order_q.setdefault((element_order(b, y), b.q(y)), []).append(y)
+
+    q_gens = [a.q(g) for g in gens]
+    b_gram = [[a.b(gi, gj) for gj in gens] for gi in gens]
+
+    def image_of(coords, images):
+        acc = b.zero()
+        for c, y in zip(coords, images):
+            acc = b.add(acc, b.scale(c, y))
+        return acc
+
+    def search(i, images):
+        if i == len(gens):
+            span = {
+                image_of(coords, images)
+                for coords in itertools.product(*(range(n) for n in orders))
+            }
+            if len(span) != a.order:
+                return False
+            if pt_a is not None and image_of(pt_a, images) != pt_b:
+                return False
+            return True
+        wanted = (orders[i], q_gens[i])
+        for y in by_order_q.get(wanted, ()):
+            if all(b.b(y, images[j]) == b_gram[i][j] for j in range(i)):
+                if search(i + 1, images + [y]):
+                    return True
+        return False
+
+    return search(0, [])
+
+
 def brute_isometry_rel_point(a: MetricGroup, b: MetricGroup, pa, pb) -> bool:
     """Exhaustive search over bijections, independent of the package's
     generator-image search.
@@ -132,9 +259,9 @@ def brute_isometry_rel_point(a: MetricGroup, b: MetricGroup, pa, pb) -> bool:
         return False
     classes_a, classes_b = {}, {}
     for x in sorted(a.elements()):
-        classes_a.setdefault((a.element_order(x), a.qtable[x]), []).append(x)
+        classes_a.setdefault((element_order(a, x), a.qtable[x]), []).append(x)
     for y in sorted(b.elements()):
-        classes_b.setdefault((b.element_order(y), b.qtable[y]), []).append(y)
+        classes_b.setdefault((element_order(b, y), b.qtable[y]), []).append(y)
     if set(classes_a) != set(classes_b):
         return False
     if any(len(classes_a[k]) != len(classes_b[k]) for k in classes_a):
@@ -187,8 +314,6 @@ def abelian_group_shapes(m):
 def _gram_choices(orders):
     """The value choices for each q(e_i) and each b(e_i, e_j), i < j
     (see all_forms_by_gram)."""
-    from math import gcd
-
     k = len(orders)
     diag_choices = [
         [Fraction(a, 2 * n) for a in range(2 * n) if (a * n) % 2 == 0] for n in orders

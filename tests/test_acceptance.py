@@ -97,7 +97,7 @@ def test_criterion_2_klein_cross_check():
 def test_criterion_3_component_character_agreement():
     for name in ALL_NAMES:
         data = premodular_form(name)
-        comp = ring_characters(data)
+        comp = ring_characters(data, classify_degeneracy(data))
         trans = relative_centralizer(data, set(data.labels))
         assert comp.count == len(trans) == len(comp.characters), name
         _, fp = fpdim(data.ring)

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -241,6 +242,22 @@ def _set_long_element_key(obj):
     obj["q"]["(0,0,0)"] = obj["q"].pop("(0,0)")
 
 
+def _set_overlong_coefficient(obj):
+    obj["dims"][2]["c"][1] = ["1" + "0" * 32] * 2  # sqrt 2 kept, its 1 in 33 + 33 digits
+
+
+def _set_overlong_coefficient_denominator(obj):
+    obj["dims"][2]["c"][0] = ["0", "1" + "0" * 32]  # 0 over 33 digits
+
+
+# past the 4,300-digit limit of int(); written unquoted by the test below
+_HUGE_INTEGER = "1" + "0" * 4999
+
+
+def _set_huge_integer_q(obj):
+    obj["q"]["(0,0)"] = _HUGE_INTEGER
+
+
 @pytest.mark.parametrize("name, mutate", [
     ("svec-x-semion", _set_q_list),
     ("svec-x-semion", _set_orders_string),
@@ -264,12 +281,15 @@ def _set_long_element_key(obj):
     ("svec-x-semion", _set_exponent_q),
     ("svec-x-semion", _set_overlong_q),
     ("svec-x-semion", _set_long_element_key),
+    ("ising:1", _set_overlong_coefficient),
+    ("ising:1", _set_overlong_coefficient_denominator),
+    ("svec-x-semion", _set_huge_integer_q),
 ])
 def test_malformed_fields_exit_2(name, mutate, write_datum, tmp_path):
     obj = json.loads(Path(write_datum(name)).read_text())
     mutate(obj)
     path = tmp_path / "hostile.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(obj).replace(f'"{_HUGE_INTEGER}"', _HUGE_INTEGER))
     for command in ("validate", "analyze"):
         assert cli_run([command, str(path)]) == (2, ""), command
 
@@ -286,7 +306,7 @@ def test_linearization_above_the_rank_cap_exits_2(write_datum):
 def test_internal_cross_check_failure_exits_1(write_datum, monkeypatch):
     from premodular.errors import CrossCheckMismatch
 
-    def boom(data):
+    def boom(data, cls):
         raise CrossCheckMismatch("forced for the exit-code contract test")
 
     monkeypatch.setattr("premodular.cli.extension_verdict", boom)
@@ -305,6 +325,26 @@ def test_extend_exits_1_unless_all_8_signatures_occur(write_datum, monkeypatch):
     monkeypatch.setattr(metric_groups, "_extension_candidates", without_signature_3)
     for fmt in ("table", "json"):
         assert cli_run(["extend", write_datum("svec"), "--format", fmt]) == (1, "")
+
+
+@pytest.mark.parametrize("command", ["analyze", "components", "kappa"])
+@pytest.mark.parametrize("name", ["svec", "semion", "ising:1", "rep-z2"])
+def test_each_subcommand_classifies_once(command, name, write_datum, monkeypatch):
+    from premodular import data
+
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return classify(d)
+
+    classify = data.classify_degeneracy
+    for module in [m for key, m in sys.modules.items() if key.startswith("premodular")]:
+        if getattr(module, "classify_degeneracy", None) is classify:
+            monkeypatch.setattr(module, "classify_degeneracy", counted)
+    code, _ = cli_run([command, write_datum(name)])
+    assert code == (2 if command == "kappa" and name != "svec" else 0)
+    assert len(calls) == 1
 
 
 def test_stdout_determinism_across_runs(write_datum):

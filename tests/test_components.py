@@ -5,13 +5,17 @@ import pytest
 
 from conftest import premodular_form
 from premodular.components import _numeric_characters, ring_characters
-from premodular.data import relative_centralizer
+from premodular.data import classify_degeneracy, relative_centralizer
 from premodular.fusion_ring import fpdim
 from premodular.metric_groups import from_gram, to_premodular
 
 
+def characters(data, seed=0):
+    return ring_characters(data, classify_degeneracy(data), seed=seed)
+
+
 def test_semion_single_component():
-    comp = ring_characters(premodular_form("semion"))
+    comp = characters(premodular_form("semion"))
     assert comp.count == 1
     assert comp.characters == [{"(0)": comp.characters[0]["(0)"]}]
     assert abs(comp.characters[0]["(0)"] - 1) < 1e-12
@@ -19,7 +23,7 @@ def test_semion_single_component():
 
 
 def test_svec_two_components_with_magnetic():
-    comp = ring_characters(premodular_form("svec"))
+    comp = characters(premodular_form("svec"))
     assert comp.count == 2
     values_at_e = sorted(round(chi["(1)"].real) for chi in comp.characters)
     assert values_at_e == [-1, 1]
@@ -30,7 +34,7 @@ def test_svec_two_components_with_magnetic():
 
 def test_tannakian_boson_has_no_magnetic_character():
     z4 = to_premodular(from_gram([4], [Fraction(1, 4)]))
-    comp = ring_characters(z4)
+    comp = characters(z4)
     assert comp.count == 2
     vals = sorted(round(chi["(2)"].real) for chi in comp.characters)
     assert vals == [-1, 1]
@@ -41,7 +45,7 @@ def test_tannakian_boson_has_no_magnetic_character():
                                   "svec-x-semion", "z4-q:1", "ising:1", "ising:15"])
 def test_count_agreement_and_dim_character(name):
     data = premodular_form(name)
-    comp = ring_characters(data)
+    comp = characters(data)
     trans = relative_centralizer(data, set(data.labels))
     assert comp.count == len(trans) == len(comp.characters)
     _, fp = fpdim(data.ring)
@@ -56,7 +60,7 @@ def test_numeric_path_agrees_with_exact_group_characters(name):
     # the group-like data goes through the exact path; drive the numeric
     # solver directly on the same matrices and match the character sets
     data = premodular_form(name)
-    comp = ring_characters(data, seed=7)
+    comp = characters(data, seed=7)
     idx = [data.ring.index(lab) for lab in comp.labels]
     mats = [data.ring.mult[a].T[np.ix_(idx, idx)].astype(float) for a in idx]
     numeric = _numeric_characters(mats, seed=7)
@@ -75,14 +79,14 @@ def test_numeric_path_agrees_with_exact_group_characters(name):
 
 def test_seed_is_recorded_and_deterministic():
     data = premodular_form("svec")
-    a = ring_characters(data, seed=123).to_json()
-    b = ring_characters(data, seed=123).to_json()
+    a = characters(data, seed=123).to_json()
+    b = characters(data, seed=123).to_json()
     assert a == b and a["seed"] == 123
 
 
 def test_cyclic_order_four_transparent_subring():
     # q = 0 on Z4: everything transparent, characters are the fourth roots
-    comp = ring_characters(to_premodular(from_gram([4], [Fraction(0)])))
+    comp = characters(to_premodular(from_gram([4], [Fraction(0)])))
     assert comp.count == 4
     vals = sorted(
         (round(chi["(1)"].real, 9), round(chi["(1)"].imag, 9)) for chi in comp.characters
@@ -121,7 +125,7 @@ def test_numeric_path_on_non_invertible_transparent_subring():
     # trivial twists make every simple transparent, and "std" is not
     # invertible, so this exercises the generic eigensolve end to end
     data = rep_s3_datum()
-    comp = ring_characters(data, seed=3)
+    comp = characters(data, seed=3)
     assert comp.count == 3
     cols = sorted(
         tuple(round(chi[lab].real) for lab in ("1", "sgn", "std"))

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from premodular.catalog import catalog_get
+from oracles import direct_sum, isometry_rel_point
+from premodular.catalog import catalog_get, catalog_list
 from premodular.cyclotomic import ONE, make_root
 from premodular.data import (
     CentreKind,
@@ -20,12 +21,10 @@ from premodular.fusion_ring import fpdim
 from premodular.metric_groups import (
     MetricGroup,
     _extension_candidates,
-    direct_sum,
     enumerate_pointed_extensions,
     fermion,
     from_gram,
     gauss_sum,
-    isometry_rel_point,
     radical,
     random_slightly_degenerate,
     signature_mod8,
@@ -109,6 +108,58 @@ def test_to_premodular_validates_on_random_groups():
         g = random_slightly_degenerate(rng, max_order=16)
         assert validate_metric_group(g).ok
         assert validate_premodular(to_premodular(g)).ok
+
+
+def assert_same_linearization(g):
+    data, expected = to_premodular(g), oracles.linearize(g)
+    assert data.ring.labels == expected.ring.labels
+    assert data.ring.unit_index == expected.ring.unit_index
+    assert data.ring.dual == expected.ring.dual
+    assert (data.ring.mult == expected.ring.mult).all()
+    assert data.dims == expected.dims
+    assert data.twists == expected.twists
+    assert data.s == expected.s
+
+
+LINEARIZED_GROUPS = (
+    [name for name, _, _ in catalog_list() if isinstance(mg(name), MetricGroup)]
+    + ["pointed:2x4:0,1/8:1/2", "pointed:2x8:1/2,1/16:1/2", "pointed:2x3x5:1/2,1/3,2/5"]
+)
+
+
+@pytest.mark.parametrize("name", LINEARIZED_GROUPS)
+def test_linearization_matches_oracle_on_catalog_groups(name):
+    assert_same_linearization(mg(name))
+
+
+def test_linearization_matches_oracle_on_random_groups():
+    for seed in range(12):
+        assert_same_linearization(random_slightly_degenerate(random.Random(seed)))
+
+
+def test_linearization_matches_oracle_with_cross_terms_and_order_one_factors():
+    forms = [
+        from_gram([2, 4], [Fraction(1, 2), Fraction(1, 8)], [Fraction(1, 2)]),
+        from_gram([4, 4], [Fraction(1, 8), Fraction(3, 8)], [Fraction(1, 4)]),
+        from_gram([3, 3], [Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 3)]),
+        from_gram([2, 2, 2], [Fraction(0)] * 3, [Fraction(1, 2), Fraction(0), Fraction(1, 2)]),
+        from_gram([1, 2], [Fraction(0), Fraction(1, 2)]),
+        from_gram([3, 1, 4], [Fraction(1, 3), Fraction(0), Fraction(1, 8)]),
+        MetricGroup([1], {(0,): Fraction(0)}),
+        MetricGroup([], {(): Fraction(0)}),
+    ]
+    for g in forms:
+        assert validate_metric_group(g).ok
+        assert_same_linearization(g)
+
+
+def test_linearization_uses_no_pairwise_group_calls(monkeypatch):
+    def refuse(self, x, y):
+        raise AssertionError("to_premodular must not call MetricGroup.add or MetricGroup.b")
+
+    monkeypatch.setattr(MetricGroup, "add", refuse)
+    monkeypatch.setattr(MetricGroup, "b", refuse)
+    assert to_premodular(mg("svec-x-semion")).ring.rank == 4
 
 
 def test_isometry_examples():

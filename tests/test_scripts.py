@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import pathlib
 import runpy
@@ -40,3 +42,16 @@ def test_ring_validation_cost_script(capsys, monkeypatch):
     runpy.run_path(str(SCRIPTS / "ring_validation_cost.py"), run_name="__main__")
     line = json.loads(capsys.readouterr().out)
     assert line["rank"] == 16 and line["validate_s"] > 0 and line["ru_maxrss_growth_mb"] >= 0
+
+
+def test_tracer_patches_resolve():
+    # perfbench/layers.py rebinds these imported names when tracing; a
+    # missing one would otherwise surface only in perfbench/selftest.py
+    tree = ast.parse((SCRIPTS.parent / "perfbench" / "layers.py").read_text())
+    patches = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PATCHES"]
+    )
+    assert patches
+    for module, name, _ in patches:
+        assert callable(getattr(importlib.import_module(module), name)), (module, name)

@@ -7,6 +7,7 @@ from premodular.cyclotomic import euler_phi, make_root
 from premodular.fusion_ring import MAX_MULT, MAX_RANK
 from premodular.serialize import (
     MAX_CONDUCTOR,
+    MAX_DIGITS,
     ParseError,
     ValidationError,
     datum_to_json,
@@ -73,6 +74,17 @@ def test_theta_exp_denominator_at_the_cap_loads():
     del obj["twists"]
     obj["theta_exp"] = [[0, 1], [1, 2], [1, MAX_CONDUCTOR]]
     assert premodular_from_json(obj).twists[2] == make_root(1, MAX_CONDUCTOR)
+
+
+def test_cycnum_coefficient_digits_are_capped():
+    obj = datum_to_json(catalog_get("ising:1").payload)
+    at_cap = "1" + "0" * (MAX_DIGITS - 1)
+    obj["dims"][2]["c"][1] = [at_cap, at_cap]  # 1, written in MAX_DIGITS digits each
+    obj["dims"][2]["c"][0] = ["0", at_cap]
+    assert loads_datum(json.dumps(obj)) == catalog_get("ising:1").payload
+    obj["dims"][2]["c"][0] = ["0", at_cap + "0"]
+    with pytest.raises(ParseError, match="digits"):
+        premodular_from_json(obj)
 
 
 def test_conductor_key_is_ignored():
