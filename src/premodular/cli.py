@@ -31,10 +31,10 @@ from .errors import (
 from .klein import ExtensionVerdict, extension_verdict, kappa_invariants
 from .metric_groups import (
     MetricGroup,
+    _signature_from_gauss,
     enumerate_pointed_extensions,
     gauss_sum,
     radical,
-    signature_mod8,
     to_premodular,
 )
 from .serialize import (
@@ -245,18 +245,19 @@ def _cmd_gauss(args):
         raise ParseError("gauss requires a metric-group input")
     sigma = gauss_sum(datum)
     z = sigma.embed()
-    sig = signature_mod8(datum)
+    radical_size = len(radical(datum))
+    sig = _signature_from_gauss(sigma, datum.order) if radical_size == 1 else None
     if args.format == "json":
         return 0, _emit_json({
             "input_name": args.path,
-            "radical_size": len(radical(datum)),
+            "radical_size": radical_size,
             "gauss_sum": sigma.to_json(),
             "gauss_sum_complex": [z.real, z.imag],
             "signature_mod8": sig,
         })
     rows = [
         ("input", args.path),
-        ("radical size", str(len(radical(datum)))),
+        ("radical size", str(radical_size)),
         ("gauss sum", f"{z.real:+.9f}{z.imag:+.9f}i"),
         ("signature mod 8", "-" if sig is None else str(sig)),
     ]

@@ -1,10 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 A value is a vector of rationals in the power basis 1, z, ..., z^(phi(N)-1)
-of Q[x]/Phi_N(x), where Phi_N is the N-th cyclotomic polynomial.  The
+of Q[x]/Phi_N(x), where Phi_N is the N-th cyclotomic polynomial, stored as
+integer numerators `num` over one positive `den` with gcd(den, *num) == 1
+(zero has den == 1).  Phi_N is monic, so arithmetic runs on integers;
+Fractions appear only in `coeffs`, for display, JSON and `embed`.  The
 conductor N is fixed per value; mixed-conductor arithmetic lifts both
 operands to the lcm via the ring map z_N -> z_M^(M/N).  Normal forms are
-unique at a fixed conductor, so equality is coefficient comparison after
+unique at a fixed conductor, so equality compares den and num after
 lifting to a common conductor.
 
 No floating point enters any exact path; `embed` is the only bridge to
@@ -19,10 +22,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 __all__ = ["CycNum", "make_root", "from_rational", "euler_phi", "ZERO", "ONE", "MINUS_ONE"]
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -92,8 +91,8 @@ def _reduction_rows(n: int, top_degree: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Reduce a polynomial (any degree) to the power basis at conductor n."""
+def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
+    """Reduce an integer polynomial (any degree) to the power basis at conductor n."""
     phi = euler_phi(n)
     if len(coeffs) > phi:
         rows = _reduction_rows(n, len(coeffs) - 1)
@@ -107,33 +106,55 @@ def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
                         out[i] += c * row[i]
         coeffs = out
     else:
-        coeffs = list(coeffs) + [_F0] * (phi - len(coeffs))
+        coeffs = list(coeffs) + [0] * (phi - len(coeffs))
     return tuple(coeffs)
 
 
-class CycNum:
-    """Element of Q(zeta_N), immutable."""
+def _normal(n: int, num, den: int) -> "CycNum":
+    """num/den at conductor n in normal form (den != 0)."""
+    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+    if g != 1:
+        num = tuple(c // g for c in num)
+        den //= g
+    return CycNum._raw(n, tuple(num), den)
 
-    __slots__ = ("conductor", "coeffs")
+
+class CycNum:
+    """Element of Q(zeta_N), immutable: the power-basis coefficients are
+    num[k] / den."""
+
+    __slots__ = ("conductor", "num", "den")
     __hash__ = None  # equality crosses conductors; do not hash
 
-    def __init__(self, conductor: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+    def __new__(cls, conductor: int, coeffs, den: int = 1):
+        """The value with coefficients coeffs[k] / den, each an int or a
+        Fraction; floats and booleans are refused."""
+        coeffs = list(coeffs)
         if len(coeffs) != euler_phi(conductor):
             raise ValueError("coefficient vector length must be euler_phi(conductor)")
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
+        if any(isinstance(c, bool) or not isinstance(c, (int, Fraction)) for c in coeffs):
+            raise TypeError("CycNum coefficients must be int or Fraction")
+        if not den:
+            raise ZeroDivisionError("CycNum denominator is zero")
+        common = lcm(*(c.denominator for c in coeffs))
+        return _normal(conductor, [c.numerator * (common // c.denominator) for c in coeffs], den * common)
 
     def __setattr__(self, *a):
         raise AttributeError("CycNum is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _raw(conductor: int, coeffs: tuple[Fraction, ...]) -> "CycNum":
+    def _raw(conductor: int, num: tuple[int, ...], den: int) -> "CycNum":
         obj = object.__new__(CycNum)
         object.__setattr__(obj, "conductor", conductor)
-        object.__setattr__(obj, "coeffs", coeffs)
+        object.__setattr__(obj, "num", num)
+        object.__setattr__(obj, "den", den)
         return obj
 
     # -- conductor handling ---------------------------------------------------
@@ -146,11 +167,13 @@ class CycNum:
         if m % n != 0:
             raise ValueError(f"cannot lift conductor {n} to non-multiple {m}")
         step = m // n
-        poly = [_F0] * ((len(self.coeffs) - 1) * step + 1)
-        for k, c in enumerate(self.coeffs):
+        poly = [0] * ((len(self.num) - 1) * step + 1)
+        for k, c in enumerate(self.num):
             if c:
                 poly[k * step] = c
-        return CycNum._raw(m, _reduce(poly, m))
+        # Z[zeta_m] meets Q(zeta_n) in Z[zeta_n], so lifting keeps the
+        # content of the numerator and the result is in normal form
+        return CycNum._raw(m, _reduce(poly, m), self.den)
 
     @staticmethod
     def _common(a: "CycNum", b: "CycNum"):
@@ -162,7 +185,7 @@ class CycNum:
         if isinstance(x, CycNum):
             return x
         if isinstance(x, (int, Fraction)):
-            return CycNum._raw(1, (Fraction(x),))
+            return from_rational(x)
         return NotImplemented
 
     # -- ring operations ------------------------------------------------------
@@ -172,12 +195,14 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         a, b, m = CycNum._common(self, other)
-        return CycNum._raw(m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return _normal(m, [x * fa + y * fb for x, y in zip(a.num, b.num)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum._raw(self.conductor, tuple(-c for c in self.coeffs))
+        return CycNum._raw(self.conductor, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         other = CycNum._coerce(other)
@@ -191,19 +216,19 @@ class CycNum:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            return CycNum._raw(self.conductor, tuple(c * f for c in self.coeffs))
+            return _normal(self.conductor, [c * f.numerator for c in self.num], self.den * f.denominator)
         if not isinstance(other, CycNum):
             return NotImplemented
         a, b, m = CycNum._common(self, other)
-        an = [(i, c) for i, c in enumerate(a.coeffs) if c]
-        bn = [(j, c) for j, c in enumerate(b.coeffs) if c]
+        an = [(i, c) for i, c in enumerate(a.num) if c]
+        bn = [(j, c) for j, c in enumerate(b.num) if c]
         if not an or not bn:
-            return CycNum._raw(m, (_F0,) * euler_phi(m))
-        prod = [_F0] * (an[-1][0] + bn[-1][0] + 1)
+            return CycNum._raw(m, (0,) * euler_phi(m), 1)
+        prod = [0] * (an[-1][0] + bn[-1][0] + 1)
         for i, ca in an:
             for j, cb in bn:
                 prod[i + j] += ca * cb
-        return CycNum._raw(m, _reduce(prod, m))
+        return _normal(m, _reduce(prod, m), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -236,81 +261,71 @@ class CycNum:
         if self.is_zero():
             raise ZeroDivisionError("division by zero CycNum")
         n = self.conductor
-        nz = [(i, c) for i, c in enumerate(self.coeffs) if c]
+        nz = [(i, c) for i, c in enumerate(self.num) if c]
         if len(nz) == 1:
-            # c * z^k inverts to (1/c) * z^(n-k), since z^n = 1
+            # (c/den) z^k inverts to (den/c) z^(n-k), since z^n = 1
             k, c = nz[0]
-            if k == 0:
-                return CycNum._raw(n, ((1 / c),) + (_F0,) * (euler_phi(n) - 1))
-            poly = [_F0] * (n - k + 1)
-            poly[n - k] = 1 / c
-            return CycNum._raw(n, _reduce(poly, n))
+            poly = [0] * (n - k + 1)
+            poly[(n - k) % n] = self.den
+            return _normal(n, _reduce(poly, n), c)
         return self._inverse_euclid()
 
     def _inverse_euclid(self) -> "CycNum":
-        # extended Euclid in Q[x] against Phi_n; Phi_n irreducible, so any
-        # nonzero remainder chain terminates at a constant
-        n = self.conductor
+        # fraction-free extended Euclid against Phi_n: each step keeps
+        # t_i * num = r_i (mod Phi_n), divides each pair by its content,
+        # and Phi_n is irreducible, so the chain ends at a constant r_1;
+        # deg t_i <= phi - deg r_(1-i), so length phi + 1 holds every t
+        n, phi = self.conductor, len(self.num)
 
         def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
+            return max((i for i, c in enumerate(p) if c), default=-1)
 
-        r0 = [Fraction(c) for c in cyclotomic_poly(n)]
-        r1 = list(self.coeffs)
-        t0, t1 = [_F0], [_F1]
-        while True:
-            d1 = deg(r1)
-            if d1 <= 0:
-                break
+        r0, r1 = list(cyclotomic_poly(n)), list(self.num) + [0]
+        t0, t1 = [0] * (phi + 1), [1] + [0] * phi
+        while (d1 := deg(r1)) > 0:
             d0 = deg(r0)
             if d0 < d1:
                 r0, r1, t0, t1 = r1, r0, t1, t0
                 continue
-            f = r0[d0] / r1[d1]
-            shift = d0 - d1
-            for i in range(d1 + 1):
-                r0[i + shift] -= f * r1[i]
-            if len(t0) < len(t1) + shift:
-                t0 += [_F0] * (len(t1) + shift - len(t0))
-            for i in range(len(t1)):
-                t0[i + shift] -= f * t1[i]
-        c = r1[0]
-        if not c:
+            g = gcd(r0[d0], r1[d1])
+            f0, f1, shift = r1[d1] // g, r0[d0] // g, [0] * (d0 - d1)
+            r0 = [f0 * x - f1 * y for x, y in zip(r0, shift + r1)]
+            t0 = [f0 * x - f1 * y for x, y in zip(t0, shift + t1)]
+            g = gcd(*r0, *t0)
+            r0, t0 = [x // g for x in r0], [x // g for x in t0]
+        if not r1[0]:
             raise ZeroDivisionError("division by zero CycNum")
-        return CycNum._raw(n, _reduce([t / c for t in t1], n))
+        # t1 * num = r1[0] (mod Phi_n), so (num / den)^-1 = den * t1 / r1[0]
+        return _normal(n, _reduce([self.den * t for t in t1], n), r1[0])
 
     def conj(self) -> "CycNum":
         """Complex conjugation, the Galois action z -> z^(-1)."""
         n = self.conductor
         if n <= 2:
             return self
-        poly = [_F0] * n
-        poly[0] = self.coeffs[0]
-        for k in range(1, len(self.coeffs)):
-            c = self.coeffs[k]
+        poly = [0] * n
+        poly[0] = self.num[0]
+        for k in range(1, len(self.num)):
+            c = self.num[k]
             if c:
                 poly[n - k] += c
-        return CycNum._raw(n, _reduce(poly, n))
+        # an automorphism of Z[zeta_n] keeps the content: still normal
+        return CycNum._raw(n, _reduce(poly, n), self.den)
 
     # -- predicates and comparison -------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def __eq__(self, other):
         other = CycNum._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.conductor == other.conductor:
-            return self.coeffs == other.coeffs
-        a, b, _ = CycNum._common(self, other)
-        return a.coeffs == b.coeffs
+        a, b = (self, other) if self.conductor == other.conductor else CycNum._common(self, other)[:2]
+        return a.den == b.den and a.num == b.num
 
     # -- embedding and display -------------------------------------------------
 
@@ -345,9 +360,9 @@ class CycNum:
 
 @lru_cache(maxsize=None)
 def _root_cached(num: int, den: int) -> CycNum:
-    poly = [_F0] * (num + 1)
-    poly[num] = _F1
-    return CycNum._raw(den, _reduce(poly, den))
+    poly = [0] * (num + 1)
+    poly[num] = 1
+    return CycNum._raw(den, _reduce(poly, den), 1)
 
 
 def make_root(numerator: int, denominator: int) -> CycNum:
@@ -362,7 +377,8 @@ def make_root(numerator: int, denominator: int) -> CycNum:
 
 def from_rational(x) -> CycNum:
     """Embed a rational number at conductor 1."""
-    return CycNum._raw(1, (Fraction(x),))
+    x = Fraction(x)
+    return CycNum._raw(1, (x.numerator,), x.denominator)
 
 
 ZERO = from_rational(0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import lcm
 
 import numpy as np
 
@@ -58,14 +59,25 @@ class PremodularData:
         return self.s[a][b]
 
 
-def _fusion_sum(N: np.ndarray, a: int, b: int, x: list[CycNum]) -> CycNum:
-    """sum_c N^c_{a,b} x_c."""
+def _fusion_sum(terms) -> CycNum:
+    """sum m x over terms = [(x, m), ...]."""
     acc = None
-    for c in np.flatnonzero(N[a, b]):
-        m = int(N[a, b, c])
-        term = x[c] if m == 1 else x[c] * m
+    for x, m in terms:
+        term = x if m == 1 else x * m
         acc = term if acc is None else acc + term
     return ZERO if acc is None else acc
+
+
+def _lifts(values: list[CycNum]):
+    """at(i, k): values[i] lifted to conductor k, computed once per (i, k)."""
+    memo = {}
+
+    def at(i: int, k: int) -> CycNum:
+        if (i, k) not in memo:
+            memo[i, k] = values[i].lift(k)
+        return memo[i, k]
+
+    return at
 
 
 def validate_premodular(data: PremodularData) -> ValidationReport:
@@ -106,25 +118,34 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
     if rep.violations:
         return rep
 
-    # dimension character: d_a d_b = sum_c N^c_{a,b} d_c
-    N = ring.mult
+    # dimension character d_a d_b = sum_c N^c_{a,b} d_c at one conductor, and
+    # balancing with s_{a,b} at the lcm k of its factors' conductors (which a
+    # synthesized s keeps), each factor lifted once per k
+    m = lcm(*(d.conductor for d in data.dims))
+    dims = [d.lift(m) for d in data.dims]
+    theta_inv, twisted_dims = _lifts([t.inverse() for t in data.twists]), _lifts(
+        [t * d for t, d in zip(data.twists, data.dims)])
+    inv_cond = [t.conductor for t in data.twists]
+    dim_cond = [lcm(t.conductor, d.conductor) for t, d in zip(data.twists, data.dims)]
+    balanced = [[None] * r for _ in range(r)]
     for a in range(r):
+        bs, cs = np.nonzero(ring.mult[a])
+        fusion = {}
+        for b, c, n in zip(bs.tolist(), cs.tolist(), ring.mult[a, bs, cs].tolist()):
+            fusion.setdefault(b, []).append((c, n))
         for b in range(a, r):
-            if data.dims[a] * data.dims[b] != _fusion_sum(N, a, b, data.dims):
+            terms = fusion.get(b, ())
+            if dims[a] * dims[b] != _fusion_sum((dims[c], n) for c, n in terms):
                 rep.add("DimensionCharacterViolation", (a, b))
+            k = lcm(inv_cond[a], inv_cond[b], *(dim_cond[c] for c, _ in terms))
+            balanced[a][b] = balanced[b][a] = theta_inv(a, k) * theta_inv(b, k) * _fusion_sum(
+                (twisted_dims(c, k), n) for c, n in terms)
     if rep.violations:
         return rep
 
     if data.s is not None and (len(data.s) != r or any(len(row) != r for row in data.s)):
         rep.add("ShapeViolation", (r,), "s-matrix must be rank x rank")
         return rep
-    theta_inv = [t.inverse() for t in data.twists]
-    twisted_dims = [t * d for t, d in zip(data.twists, data.dims)]
-    balanced = [[None] * r for _ in range(r)]
-    for a in range(r):
-        for b in range(a, r):
-            balanced[a][b] = balanced[b][a] = (
-                theta_inv[a] * theta_inv[b] * _fusion_sum(N, a, b, twisted_dims))
     if data.s is None:
         data.s = balanced
     else:

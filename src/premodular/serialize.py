@@ -48,6 +48,7 @@ MAX_CONDUCTOR = 2 * SIZE_CAP
 # needs (its reduced denominator divides 2 * SIZE_CAP), few enough that no
 # later step meets a huge integer
 MAX_DIGITS = 32
+_DIGIT_BOUND = 10**MAX_DIGITS
 _RATIONAL = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
 
 
@@ -93,7 +94,7 @@ def _rational(x) -> Fraction:
     exponents are refused."""
     if isinstance(x, str) and _RATIONAL.fullmatch(x):
         return Fraction(x)
-    if isinstance(x, int) and not isinstance(x, bool) and abs(x) < 10**MAX_DIGITS:
+    if isinstance(x, int) and not isinstance(x, bool) and abs(x) < _DIGIT_BOUND:
         return Fraction(x)
     raise ValueError(f"expected an integer or a string p/q of at most {MAX_DIGITS} digits each, got {x!r:.40}")
 
@@ -102,7 +103,7 @@ def _coefficient_part(x) -> int:
     """x as an int of at most MAX_DIGITS digits, the bound on each part
     of a q value."""
     x = _integer(x)
-    if abs(x) >= 10**MAX_DIGITS:
+    if abs(x) >= _DIGIT_BOUND:
         raise ValueError(f"CycNum coefficient part has more than {MAX_DIGITS} digits")
     return x
 
@@ -117,7 +118,11 @@ def _capped_conductor(n) -> int:
 
 def _cycnum_from_json(obj) -> CycNum:
     n = _capped_conductor(obj["n"])
-    return CycNum(n, [Fraction(_coefficient_part(p), _coefficient_part(q)) for p, q in obj["c"]])
+    parts = [(_coefficient_part(p), _coefficient_part(q)) for p, q in obj["c"]]
+    if not all(q for _, q in parts):
+        raise ZeroDivisionError("CycNum coefficient with a zero denominator")
+    den = math.lcm(*(q for _, q in parts))
+    return CycNum(n, [p * (den // q) for p, q in parts], den)
 
 
 # -- fusion rings -------------------------------------------------------------

@@ -4,7 +4,8 @@ These deliberately avoid the package's optimized code paths: quadratic
 forms are enumerated as raw value tables, isometries as raw bijections,
 associativity as a four-index loop or one dense contraction per b, and
 the duality axiom as a loop over pairs, the linearization as a loop
-over pairs of elements.  Expected values frozen into the tests come from
+over pairs of elements, cyclotomic arithmetic on Fraction coefficients
+reduced by long division by Phi_n.  Expected values frozen into the tests come from
 here.  The generator-image isometry search and the orthogonal direct sum
 live here too: only the tests use them.
 """
@@ -17,7 +18,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from premodular.cyclotomic import ONE, make_root
+from premodular.cyclotomic import ONE, cyclotomic_poly, make_root
 from premodular.data import PremodularData
 from premodular.errors import GroupsTooLarge
 from premodular.fusion_ring import group_ring
@@ -30,6 +31,91 @@ from premodular.metric_groups import (
     radical,
     validate_metric_group,
 )
+
+
+class FractionCycNum:
+    """Element of Q(zeta_n) as a tuple of Fractions in the power basis:
+    the Fraction kernel CycNum is checked against."""
+
+    def __init__(self, n: int, coeffs):
+        self.n, self.coeffs = n, self._reduce(n, [Fraction(c) for c in coeffs])
+
+    @staticmethod
+    def _reduce(n, poly):
+        # long division by the monic Phi_n, from the top degree down
+        phi_n = cyclotomic_poly(n)
+        deg = len(phi_n) - 1
+        poly = poly + [Fraction(0)] * max(0, deg - len(poly))
+        for top in range(len(poly) - 1, deg - 1, -1):
+            c = poly[top]
+            if c:
+                for i, p in enumerate(phi_n):
+                    poly[top - deg + i] -= c * p
+        return tuple(poly[:deg])
+
+    def lift(self, m: int) -> "FractionCycNum":
+        step = m // self.n
+        poly = [Fraction(0)] * (len(self.coeffs) * step)
+        for k, c in enumerate(self.coeffs):
+            poly[k * step] = c
+        return FractionCycNum(m, poly)
+
+    def _common(self, other):
+        m = lcm(self.n, other.n)
+        return self.lift(m), other.lift(m), m
+
+    def __add__(self, other):
+        a, b, m = self._common(other)
+        return FractionCycNum(m, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __neg__(self):
+        return FractionCycNum(self.n, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b, m = self._common(other)
+        prod = [Fraction(0)] * (2 * len(a.coeffs))
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                prod[i + j] += x * y
+        return FractionCycNum(m, prod)
+
+    def conj(self) -> "FractionCycNum":
+        poly = [Fraction(0)] * (self.n + 1)
+        for k, c in enumerate(self.coeffs):
+            poly[(self.n - k) % self.n] += c
+        return FractionCycNum(self.n, poly)
+
+    def inverse(self) -> "FractionCycNum":
+        """Extended Euclid in Q[x] against Phi_n."""
+
+        def deg(p):
+            return max((i for i, c in enumerate(p) if c), default=-1)
+
+        r0, r1 = [Fraction(c) for c in cyclotomic_poly(self.n)], list(self.coeffs)
+        t0, t1 = [Fraction(0)] * len(r0), [Fraction(1)] + [Fraction(0)] * (len(r0) - 1)
+        r1 += [Fraction(0)] * (len(r0) - len(r1))
+        while deg(r1) > 0:
+            d0, d1 = deg(r0), deg(r1)
+            if d0 < d1:
+                r0, r1, t0, t1 = r1, r0, t1, t0
+                continue
+            f, shift = r0[d0] / r1[d1], d0 - d1
+            for i in range(len(r0) - shift):
+                r0[i + shift] -= f * r1[i]
+                t0[i + shift] -= f * t1[i]
+        if not r1[0]:
+            raise ZeroDivisionError("division by zero")
+        return FractionCycNum(self.n, [t / r1[0] for t in t1])
+
+    def __eq__(self, other):
+        a, b, _ = self._common(other)
+        return a.coeffs == b.coeffs
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "c": [[str(c.numerator), str(c.denominator)] for c in self.coeffs]}
 
 
 def brute_associative(mult) -> bool:

@@ -347,6 +347,28 @@ def test_each_subcommand_classifies_once(command, name, write_datum, monkeypatch
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("name", ["svec", "z4-q:1", "toric"])
+def test_gauss_computes_each_quantity_once(name, fmt, write_datum, monkeypatch):
+    from premodular import metric_groups
+
+    calls = {"gauss_sum": 0, "radical": 0}
+
+    def counting(attr, fn):
+        def counted(mg):
+            calls[attr] += 1
+            return fn(mg)
+        return counted
+
+    for attr in calls:
+        fn = getattr(metric_groups, attr)
+        for module in [m for key, m in sys.modules.items() if key.startswith("premodular")]:
+            if getattr(module, attr, None) is fn:
+                monkeypatch.setattr(module, attr, counting(attr, fn))
+    assert cli_run(["gauss", write_datum(name), "--format", fmt])[0] == 0
+    assert calls == {"gauss_sum": 1, "radical": 1}
+
+
 def test_stdout_determinism_across_runs(write_datum):
     path = write_datum("svec-x-semion")
     outputs = {cli_run(["analyze", path, "--format", "json"])[1] for _ in range(5)}

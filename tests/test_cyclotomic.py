@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from premodular.cyclotomic import CycNum, ONE, ZERO, euler_phi, from_rational, make_root
 from premodular.serialize import _cycnum_from_json
 
+from oracles import FractionCycNum
+
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 24, 48]
 
 small_fractions = st.fractions(
@@ -122,3 +124,37 @@ def test_conjugation_is_an_involution_and_fixes_rationals():
     x = make_root(5, 48) * 3 + from_rational(Fraction(2, 7))
     assert x.conj().conj() == x
     assert from_rational(Fraction(2, 7)).conj() == from_rational(Fraction(2, 7))
+
+
+def _assert_matches(x: CycNum, oracle: FractionCycNum):
+    """x is in normal form and equals the oracle coefficient for coefficient."""
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    assert len(x.num) == euler_phi(x.conductor)
+    assert x.den == 1 or not x.is_zero()
+    assert (x.conductor, x.coeffs) == (oracle.n, oracle.coeffs)
+    assert x.to_json() == oracle.to_json()
+
+
+@given(cycnums(), cycnums(), st.sampled_from(CONDUCTORS))
+@settings(max_examples=150, deadline=None)
+def test_integer_kernel_matches_the_fraction_oracle(x, y, k):
+    fx, fy = FractionCycNum(x.conductor, x.coeffs), FractionCycNum(y.conductor, y.coeffs)
+    _assert_matches(x, fx)
+    m = x.conductor * k
+    _assert_matches(x.lift(m), fx.lift(m))
+    _assert_matches(x + y, fx + fy)
+    _assert_matches(x - y, fx - fy)
+    _assert_matches(x * y, fx * fy)
+    _assert_matches(-x, -fx)
+    _assert_matches(x.conj(), fx.conj())
+    if not x.is_zero():
+        _assert_matches(x.inverse(), fx.inverse())
+    assert (x == y) == (fx == fy)
+    assert x.lift(m) == x and (x - x).is_zero() and (x - x).den == 1
+
+
+def test_coefficients_must_be_exact():
+    assert CycNum(4, [1, Fraction(1, 2)]) == CycNum(4, [2, 1], 2)
+    for bad in (0.5, 1.0, True, False, "1"):
+        with pytest.raises(TypeError):
+            CycNum(4, [bad, 0])

@@ -1,0 +1,100 @@
+"""Exit-code fuzz gate: hostile edits of catalog JSON never escape the
+exit-code contract.
+
+Each case replaces one or two fields of a catalog entry's JSON with
+values from a fixed pool of hostile values, and every file subcommand
+must exit 0 or 2 without raising.  A few cases run as separate processes
+under resource limits and a timeout, where stderr must hold no traceback.
+"""
+
+import copy
+import json
+import os
+import random
+import resource
+import subprocess
+import sys
+
+import premodular
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from premodular.catalog import catalog_get
+from premodular.cli import cli_run
+from premodular.serialize import datum_to_json
+
+ENTRIES = ("svec", "svec-x-semion", "toric", "z4-q:3", "rep-z2", "ising:1", "ising:7")
+SUBCOMMANDS = ("validate", "analyze", "kappa", "components", "extend", "gauss")
+HOSTILE = (
+    None, True, False, 0, 1, -1, 2, 3, 64, 2**31, 2**63, -(2**63), 10**40, 0.5, -0.0,
+    float("nan"), float("inf"), "", "x", "0", "-1", "1/0", "0/0", "1/2", "-3/4", "(0)",
+    "(0,0)", "1e9", "9" * 40, [], [0], [[]], [0, 0, 0, 0], [["1", "0"]], ["1", "-2"], {},
+    {"n": 1, "c": []}, {"n": 0, "c": [["1", "1"]]}, {"n": 5, "c": [["1", "1"]] * 4},
+    {"(0)": "0"},
+)
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON document, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+def _replace(doc, path, value):
+    """doc with the field at path set to value; a path that an earlier
+    replacement removed leaves doc as it is."""
+    if not path:
+        return value
+    node = doc
+    for step in path[:-1]:
+        try:
+            node = node[step]
+        except (KeyError, IndexError, TypeError):
+            return doc
+    if isinstance(node, (dict, list)) and (isinstance(node, dict) or path[-1] < len(node)):
+        node[path[-1]] = value
+    return doc
+
+
+def _mutated(name, choose):
+    """name's JSON with 1-2 fields replaced; choose(seq) picks one item."""
+    doc = datum_to_json(catalog_get(name).payload)
+    for _ in range(choose((1, 2))):
+        doc = _replace(doc, choose(list(_paths(doc))), copy.deepcopy(choose(HOSTILE)))
+    return json.dumps(doc)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_hostile_json_exits_0_or_2(tmp_path_factory, data):
+    text = _mutated(data.draw(st.sampled_from(ENTRIES)), lambda seq: data.draw(st.sampled_from(seq)))
+    path = tmp_path_factory.getbasetemp() / "hostile.json"
+    path.write_text(text)
+    for command in SUBCOMMANDS:
+        code, _ = cli_run([command, str(path)])
+        assert code in (0, 2), (command, text)
+
+
+def _limit_resources():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
+
+
+def test_hostile_json_in_a_process_exits_0_or_2_without_traceback(tmp_path):
+    rng = random.Random(8)
+    src = os.path.dirname(os.path.dirname(premodular.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for k, command in enumerate(SUBCOMMANDS):
+        path = tmp_path / f"hostile{k}.json"
+        path.write_text(_mutated(rng.choice(ENTRIES), rng.choice))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from premodular.cli import main; main()", command, str(path)],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_resources,
+        )
+        assert proc.returncode in (0, 2), (command, path.read_text(), proc.stderr)
+        assert "Traceback" not in proc.stderr, proc.stderr

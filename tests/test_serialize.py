@@ -87,6 +87,17 @@ def test_cycnum_coefficient_digits_are_capped():
         premodular_from_json(obj)
 
 
+def test_negative_coefficient_denominator_is_normalized():
+    obj = datum_to_json(catalog_get("ising:1").payload)
+    obj["dims"][2]["c"][1] = ["-1", "2"]
+    expected = premodular_from_json(json.loads(json.dumps(obj))).dims[2]
+    obj["dims"][2]["c"][1] = ["1", "-2"]
+    loaded = premodular_from_json(obj).dims[2]
+    assert loaded == expected
+    assert loaded.to_json() == expected.to_json()
+    assert loaded.to_json()["c"][1] == ["-1", "2"]
+
+
 def test_conductor_key_is_ignored():
     obj = datum_to_json(catalog_get("ising:1").payload)
     assert "conductor" not in obj
