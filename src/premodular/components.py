@@ -20,7 +20,7 @@ import numpy as np
 from .data import CentreClassification, CentreKind, PremodularData
 from .data import classify_degeneracy  # noqa: F401  unused; perfbench/layers.py PATCHES rebinds it here
 from .errors import DegenerateEigenproblem
-from .fusion_ring import fpdim
+from .fusion_ring import subring_fpdim
 
 __all__ = ["ComponentAnalysis", "ring_characters"]
 
@@ -189,8 +189,7 @@ def ring_characters(data: PremodularData, cls: CentreClassification,
 
     char_values.sort(key=lambda chi: tuple((round(z.real, 9), round(z.imag, 9)) for z in chi))
 
-    _, fp = fpdim(ring)
-    fp_sub = fp[idx]
+    fp_sub = subring_fpdim(ring, idx)
     dim_index = None
     for k, chi in enumerate(char_values):
         if max(abs(z - d) for z, d in zip(chi, fp_sub)) <= _DIM_MATCH_TOL:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-__all__ = ["CycNum", "make_root", "from_rational", "euler_phi", "ZERO", "ONE", "MINUS_ONE"]
+__all__ = ["CycNum", "make_root", "root_sum", "from_rational", "euler_phi", "ZERO", "ONE", "MINUS_ONE"]
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -375,9 +375,17 @@ def make_root(numerator: int, denominator: int) -> CycNum:
     return _root_cached(e // g, denominator // g)
 
 
+def root_sum(counts, n: int) -> CycNum:
+    """sum_k counts[k] exp(2*pi*i*k/n) for integer counts, in normal form
+    at conductor n."""
+    return _normal(n, _reduce(list(counts), n), 1)
+
+
 def from_rational(x) -> CycNum:
-    """Embed a rational number at conductor 1."""
-    x = Fraction(x)
+    """Embed an int or a Fraction at conductor 1; floats, booleans and
+    strings are refused, as by CycNum."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"from_rational takes an int or a Fraction, got {type(x).__name__}")
     return CycNum._raw(1, (x.numerator,), x.denominator)
 
 

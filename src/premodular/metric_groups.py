@@ -6,27 +6,36 @@ double braiding, the radical of b is the transparent subgroup, and the
 Gauss sum sum_x e^(2 pi i q(x)) is the pointed central charge.  The
 convention q(e) = 1/2 marks a fermion line (self-braiding -1).
 
-All data is stored as a full q-table over the elements, capped at
-|A| <= 4096.  Where a theorem settles a question it is used instead of a
-search: the form laws are checked on generator pairs, and pointed
-extension classes are told apart by their signature.
+q is stored as integers over one denominator, the normal form CycNum
+uses: q(x) = Q[i]/D with Q an int64 array over the elements in
+mixed-radix order (the order of elements(), last coordinate fastest), D
+the lcm of the reduced denominators and 0 <= Q < D.  A form has
+2 ord(x) q(x) in Z (b(x, x) = 2q(x) and ord(x) b(x, .) = 0), so D divides
+2 exp(A) <= MAX_CONDUCTOR = 2 SIZE_CAP; a table with a larger D is
+refused when it is built.  With |A| <= SIZE_CAP = 2^12 and D <= 2^13,
+every array expression below stays under 2^45, so int64 is exact.
+Where a theorem settles a question it is used instead of a search: the
+form laws are checked on generator pairs, and pointed extension classes
+are told apart by their signature.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
 import numpy as np
 
-from .cyclotomic import CycNum, ONE, make_root
+from .cyclotomic import CycNum, ONE, make_root, root_sum
 from .data import PremodularData
 from .errors import CrossCheckMismatch, GroupsTooLarge, NotSlightlyDegenerate
 from .fusion_ring import MAX_RANK, group_ring
-from .validation import ValidationReport
+from .validation import ValidationReport, Violation
 
 __all__ = [
     "MetricGroup",
@@ -44,20 +53,119 @@ __all__ = [
 ]
 
 SIZE_CAP = 4096
-
-_F0 = Fraction(0)
-_HALF = Fraction(1, 2)
+MAX_CONDUCTOR = 2 * SIZE_CAP
 
 
-@dataclass
+def _strides(orders) -> list[int]:
+    out, stride = [], 1
+    for n in reversed(orders):
+        out.append(stride)
+        stride *= n
+    return out[::-1]
+
+
+def _coordinates(orders) -> np.ndarray:
+    """(k, |A|) array: column i holds the coordinates of element i."""
+    index = np.arange(math.prod(orders), dtype=np.int64)
+    return np.array([index // s % n for n, s in zip(orders, _strides(orders))],
+                    dtype=np.int64).reshape(len(orders), len(index))
+
+
+def _index(orders, coords: np.ndarray) -> np.ndarray:
+    """Mixed-radix index of the elements with coordinates coords[0], ...,
+    coords[k-1] (any shape), taken mod the orders."""
+    out = np.zeros(coords.shape[1:], dtype=np.int64)
+    for c, n, s in zip(coords, orders, _strides(orders)):
+        out += c % n * s
+    return out
+
+
+def _structural_defects(orders, pairs) -> list[Violation]:
+    """The orders, size-cap, coverage and range checks on a table
+    {element: (numerator, positive denominator)}; each failing check but
+    range ends them."""
+    if any(n < 1 for n in orders):
+        return [Violation("OrdersViolation", tuple(orders), "cyclic orders must be >= 1")]
+    order = math.prod(orders)
+    if order > SIZE_CAP:
+        return [Violation("SizeCapViolation", (order,), f"|A| exceeds the cap {SIZE_CAP}")]
+    # distinct keys, each an element, as many as the elements: exactly A
+    if len(pairs) != order or not all(
+            isinstance(x, tuple) and len(x) == len(orders) and all(0 <= c < n for c, n in zip(x, orders))
+            for x in pairs):
+        return [Violation("CoverageViolation", (), "qtable must cover exactly the group elements")]
+    return [Violation("RangeViolation", x, f"q value {Fraction(p, q)} outside [0,1)")
+            for x, (p, q) in pairs.items() if not 0 <= p < q]
+
+
+def _reduced(Q: np.ndarray, L: int):
+    """(Q/g, L/g) for g the gcd of L and every entry: the normal form of
+    the values Q/L."""
+    g = gcd(L, int(np.gcd.reduce(Q)))
+    return Q // g, L // g
+
+
 class MetricGroup:
-    """A = Z_{n_1} x ... x Z_{n_k} with q: A -> Q/Z as a full table.
+    """A = Z_{n_1} x ... x Z_{n_k} with q: A -> Q/Z stored as Q/D (see
+    the module docstring).
 
-    qtable maps every coordinate tuple to a Fraction in [0, 1).
+    Built from a dict {element tuple: Fraction}.  A table that fails a
+    structural check (orders, size cap, coverage, range) is kept as given,
+    with Q = None and the failures in `defects`, for validate_metric_group
+    to report; one whose denominators have an lcm above MAX_CONDUCTOR
+    raises ValueError.
     """
 
-    cyclic_orders: list[int]
-    qtable: dict[tuple[int, ...], Fraction]
+    __hash__ = None
+
+    def __init__(self, cyclic_orders, qtable):
+        self._build(list(cyclic_orders), {x: (v.numerator, v.denominator) for x, v in qtable.items()})
+
+    @classmethod
+    def from_pairs(cls, cyclic_orders, pairs) -> "MetricGroup":
+        """From {element: (numerator, positive denominator)}, making no
+        Fraction per value."""
+        mg = object.__new__(cls)
+        mg._build(list(cyclic_orders), pairs)
+        return mg
+
+    @classmethod
+    def _from_array(cls, cyclic_orders, Q: np.ndarray, D: int) -> "MetricGroup":
+        mg = object.__new__(cls)
+        mg.cyclic_orders, mg.Q, mg.D, mg.defects = list(cyclic_orders), Q, D, []
+        return mg
+
+    def _build(self, orders, pairs):
+        self.cyclic_orders, self.Q, self.D = orders, None, None
+        self.defects = _structural_defects(orders, pairs)
+        if self.defects:
+            self._given = pairs
+            return
+        D = 1
+        for p, q in pairs.values():
+            D = lcm(D, q // gcd(p, q))
+            if D > MAX_CONDUCTOR:
+                raise ValueError(f"q denominators have an lcm above the cap {MAX_CONDUCTOR}")
+        keys = np.array(list(pairs), dtype=np.int64).reshape(len(pairs), len(orders))
+        self.Q = np.empty(len(pairs), dtype=np.int64)
+        self.Q[keys @ np.array(_strides(orders), dtype=np.int64)] = [p * D // q for p, q in pairs.values()]
+        self.D = D
+
+    @functools.cached_property
+    def qtable(self):
+        """The table as a read-only dict {element: Fraction}, derived from
+        Q/D (as given, for a table that failed a structural check)."""
+        if self.Q is None:
+            return MappingProxyType({x: Fraction(p, q) for x, (p, q) in self._given.items()})
+        return MappingProxyType({x: Fraction(v, self.D) for x, v in zip(self.elements(), self.Q.tolist())})
+
+    def __eq__(self, other):
+        if not isinstance(other, MetricGroup):
+            return NotImplemented
+        return self.cyclic_orders == other.cyclic_orders and self.qtable == other.qtable
+
+    def __repr__(self):
+        return f"MetricGroup({self.cyclic_orders}, {dict(self.qtable)})"
 
     @property
     def order(self) -> int:
@@ -69,19 +177,6 @@ class MetricGroup:
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.cyclic_orders)
 
-    def add(self, x, y) -> tuple[int, ...]:
-        return tuple((a + b) % n for a, b, n in zip(x, y, self.cyclic_orders))
-
-    def scale(self, k: int, x) -> tuple[int, ...]:
-        return tuple((k * a) % n for a, n in zip(x, self.cyclic_orders))
-
-    def q(self, x) -> Fraction:
-        return self.qtable[tuple(x)]
-
-    def b(self, x, y) -> Fraction:
-        """Polarization b(x,y) = q(x+y) - q(x) - q(y) mod 1."""
-        return (self.qtable[self.add(x, y)] - self.qtable[tuple(x)] - self.qtable[tuple(y)]) % 1
-
     def generators(self):
         k = len(self.cyclic_orders)
         # order-1 factors degenerate to the zero element, which is harmless
@@ -91,33 +186,59 @@ class MetricGroup:
         ]
 
 
+def _element(coords: np.ndarray, i) -> tuple[int, ...]:
+    return tuple(coords[:, i].tolist())
+
+
+def _generator_pairings(mg: MetricGroup, coords: np.ndarray):
+    """(shift, B): shift[i] indexes x + g_i and B[i] = D b(g_i, x) over
+    all x, for the generators g_i."""
+    k = len(mg.cyclic_orders)
+    shift = _index(mg.cyclic_orders, coords[:, None, :] + np.eye(k, dtype=np.int64)[:, :, None])
+    Q = mg.Q
+    return shift, (Q[shift] - Q[shift[:, :1]] - Q) % mg.D
+
+
 def from_gram(orders: list[int], diag: list[Fraction], cross: list[Fraction] | None = None) -> MetricGroup:
     """Quadratic form from generator values and cross terms.
 
     q(sum x_i g_i) = sum x_i^2 diag_i + sum_{i<j} x_i x_j cross_{ij},
     with cross listed row-major over i < j.  Well-definedness is not
-    checked here; run validate_metric_group on the result.
+    checked here; run validate_metric_group on the result.  Orders that
+    fail the structural checks give a group with no table, which the
+    validator reports.  Each coefficient that multiplies no order-1
+    factor is a q value or a difference of q values, so its denominator
+    divides D and their lcm L is refused above MAX_CONDUCTOR.
     """
     k = len(orders)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     if cross is None:
-        cross = [_F0] * len(pairs)
+        cross = [0] * len(pairs)
     if len(diag) != k or len(cross) != len(pairs):
         raise ValueError("diag/cross lengths do not match the number of generators")
-    table = {}
-    for x in itertools.product(*(range(n) for n in orders)):
-        val = sum((Fraction(x[i] * x[i]) * diag[i] for i in range(k)), _F0)
-        val += sum((Fraction(x[i] * x[j]) * c for (i, j), c in zip(pairs, cross)), _F0)
-        table[x] = val % 1
-    return MetricGroup(list(orders), table)
+    if any(n < 1 for n in orders) or math.prod(orders) > SIZE_CAP:
+        return MetricGroup(orders, {})
+    terms = [(i, j, Fraction(c)) for (i, j), c in zip([(i, i) for i in range(k)] + pairs, [*diag, *cross])
+             if orders[i] > 1 and orders[j] > 1]
+    L = lcm(*(c.denominator for _, _, c in terms))
+    if L > MAX_CONDUCTOR:
+        raise ValueError(f"form coefficients have an lcm of denominators above the cap {MAX_CONDUCTOR}")
+    coords = _coordinates(orders)
+    Q = np.zeros(math.prod(orders), dtype=np.int64)
+    for i, j, c in terms:
+        Q += coords[i] * coords[j] * (c.numerator * (L // c.denominator) % L)
+    return MetricGroup._from_array(orders, *_reduced(Q % L, L))
 
 
 def validate_metric_group(mg: MetricGroup) -> ValidationReport:
     """Check the metric-group laws in O(k^2 |A|) for k generators.
 
-    Past the order, size-cap, coverage and range checks: q(0) = 0,
-    q(2x) = 4q(x) for all x, and b(g, x+h) = b(g, x) + b(g, h) for all
-    generators g, h and all x.  These give the full laws mod 1:
+    The structural checks (orders, size cap, coverage, range) run when
+    the table is built, before any array of its size; their failures are
+    reported here.  Then, on the arrays: q(0) = 0, q(2x) = 4q(x) for all
+    x, and b(g, x+h) = b(g, x) + b(g, h) for all generators g, h and all
+    x, reporting the first failing x per (g, h).  These give the full
+    laws mod 1:
     1. By induction on words in the generators, each b(g, .) is a
        homomorphism.
     2. b(x+y, z) + b(x, y) = b(x, y+z) + b(y, z) holds for any q (both
@@ -127,72 +248,58 @@ def validate_metric_group(mg: MetricGroup) -> ValidationReport:
     3. q((n+1)x) = q(nx) + q(x) + n b(x, x) with b(x, x) = q(2x) - 2q(x)
        = 2q(x), so by induction from q(0) = 0, q(nx) = n^2 q(x).
     """
-    rep = ValidationReport()
-    if any(n < 1 for n in mg.cyclic_orders):
-        rep.add("OrdersViolation", tuple(mg.cyclic_orders), "cyclic orders must be >= 1")
+    rep = ValidationReport(list(mg.defects))
+    if mg.Q is None:
         return rep
-    if mg.order > SIZE_CAP:
-        rep.add("SizeCapViolation", (mg.order,), f"|A| exceeds the cap {SIZE_CAP}")
-        return rep
-    elems = list(mg.elements())
-    if set(mg.qtable.keys()) != set(elems):
-        rep.add("CoverageViolation", (), "qtable must cover exactly the group elements")
-        return rep
-    for x, v in mg.qtable.items():
-        if not (0 <= v < 1):
-            rep.add("RangeViolation", x, f"q value {v} outside [0,1)")
-    if rep.violations:
-        return rep
-
-    zero = mg.zero()
-    if mg.qtable[zero] != 0:
-        rep.add("QuadraticLawViolation", (zero, 0), f"q(0) = {mg.qtable[zero]} != 0")
-    for x in elems:
-        q2x = mg.qtable[mg.scale(2, x)]
-        if q2x != (4 * mg.qtable[x]) % 1:
-            rep.add("QuadraticLawViolation", (x, 2), f"q(2*x) = {q2x} != 4 q(x) mod 1")
+    orders, Q, D = mg.cyclic_orders, mg.Q, mg.D
+    coords = _coordinates(orders)
+    if Q[0]:
+        rep.add("QuadraticLawViolation", (mg.zero(), 0), f"q(0) = {Fraction(int(Q[0]), D)} != 0")
+    q2x = Q[_index(orders, 2 * coords)]
+    for i in np.flatnonzero(q2x != 4 * Q % D):
+        rep.add("QuadraticLawViolation", (_element(coords, i), 2),
+                f"q(2*x) = {Fraction(int(q2x[i]), D)} != 4 q(x) mod 1")
 
     gens = mg.generators()
-    for g in gens:
-        bg = {y: mg.b(g, y) for y in elems}
-        for h in gens:
-            for x in elems:
-                if bg[mg.add(x, h)] != (bg[x] + bg[h]) % 1:
-                    rep.add("BilinearityViolation", (g, x, h))
-                    break
+    shift, B = _generator_pairings(mg, coords)
+    # bad[g, h, x]: b(g, x + h) != b(g, x) + b(g, h)
+    bad = B[:, shift] != (B[:, None, :] + B[:, shift[:, 0]][:, :, None]) % D
+    for g, h in zip(*np.nonzero(bad.any(axis=2))):
+        rep.add("BilinearityViolation", (gens[g], _element(coords, np.argmax(bad[g, h])), gens[h]))
     return rep
+
+
+def _radical_indices(mg: MetricGroup) -> np.ndarray:
+    _, B = _generator_pairings(mg, _coordinates(mg.cyclic_orders))
+    return np.flatnonzero(~B.any(axis=0))
 
 
 def radical(mg: MetricGroup) -> list[tuple[int, ...]]:
     """Elements pairing trivially with the whole group, sorted."""
-    gens = mg.generators()
-    return sorted(x for x in mg.elements() if all(mg.b(x, g) == 0 for g in gens))
+    coords = _coordinates(mg.cyclic_orders)
+    return [_element(coords, i) for i in _radical_indices(mg)]
 
 
 def fermion(mg: MetricGroup):
     """The fermion line e when the radical is {0, e} with q(e) = 1/2,
     else None."""
-    rad = radical(mg)
+    rad = _radical_indices(mg)
     if len(rad) != 2:
         return None
-    e = rad[0] if rad[1] == mg.zero() else rad[1]
-    return e if mg.q(e) == _HALF else None
+    e = rad[1] if rad[0] == 0 else rad[0]
+    return _element(_coordinates(mg.cyclic_orders), e) if 2 * mg.Q[e] == mg.D else None
 
 
 def gauss_sum(mg: MetricGroup) -> CycNum:
-    """sum_x e^(2 pi i q(x)), exact at the lcm of the q denominators."""
-    acc = None
-    for x in mg.elements():
-        v = mg.qtable[x]
-        term = make_root(v.numerator, v.denominator)
-        acc = term if acc is None else acc + term
-    return acc
+    """sum_x e^(2 pi i q(x)) at conductor D, the lcm of the q
+    denominators: the counts of each exponent Q mod D, reduced once."""
+    return root_sum(np.bincount(mg.Q, minlength=mg.D).tolist(), mg.D)
 
 
 def signature_mod8(mg: MetricGroup):
     """s in Z/8 with gauss_sum = sqrt(|A|) e^(2 pi i s/8); None when the
     radical is nontrivial."""
-    if len(radical(mg)) != 1:
+    if len(_radical_indices(mg)) != 1:
         return None
     return _signature_from_gauss(gauss_sum(mg), mg.order)
 
@@ -226,31 +333,22 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
     """
     if mg.order > MAX_RANK:
         raise GroupsTooLarge(f"linearization capped at rank {MAX_RANK}, |A| = {mg.order}")
-    elems = list(mg.elements())
-    r = len(elems)
-    index = np.arange(r)
-    add_table = np.zeros((r, r), dtype=np.int64)
-    stride = 1
-    for n in reversed(mg.cyclic_orders):
-        c = index // stride % n
-        add_table += (c[:, None] + c[None, :]) % n * stride
-        stride *= n
+    r, Q, D = mg.order, mg.Q, mg.D
+    coords = _coordinates(mg.cyclic_orders)
+    add_table = _index(mg.cyclic_orders, coords[:, :, None] + coords[:, None, :])
     ring = group_ring(
-        labels=[format_element(x) for x in elems],
+        labels=[format_element(x) for x in mg.elements()],
         add_table=add_table,
         unit_index=0,
         inverse=np.argmin(add_table, axis=1).tolist(),  # x + y is the unit, index 0
     )
-    qs = [mg.qtable[x] for x in elems]
-    D = lcm(*(v.denominator for v in qs))
-    Q = np.array([v.numerator * (D // v.denominator) for v in qs], dtype=np.int64)
     exponents, s_index = np.unique((Q[add_table] - Q[:, None] - Q[None, :]) % D,
                                    return_inverse=True)
     roots = [make_root(int(k), D) for k in exponents]
     return PremodularData(
         ring=ring,
         dims=[ONE] * r,
-        twists=[make_root(int(k), D) for k in Q],
+        twists=[make_root(k, D) for k in Q.tolist()],
         s=[[roots[k] for k in row] for row in s_index.reshape(r, r).tolist()],
     )
 
@@ -345,18 +443,22 @@ class ExtensionResult:
     signature: int
 
     def sort_key(self):
-        return (
-            tuple(self.group.cyclic_orders),
-            tuple(sorted(self.group.qtable.items())),
-            self.fermion_image,
-        )
+        """Orders, then the q values in element order (the order of the
+        sorted Fraction table), then the fermion image.  Every q
+        denominator divides 2|A'|, so the values are compared as
+        integers over it."""
+        g = self.group
+        assert 2 * g.order % g.D == 0, "a form's denominators divide 2|A|"
+        return tuple(g.cyclic_orders), tuple((g.Q * (2 * g.order // g.D)).tolist()), self.fermion_image
 
 
 def _pushout_structure(mg: MetricGroup, a0):
     """Canonical coordinates for the overgroup <A, t | 2t = a0>.
 
-    Returns (orders, coords) where coords maps a formal element (a, eps),
-    eps in {0,1}, to its tuple in the canonical cyclic decomposition.
+    Returns (orders, M): the formal element (a, eps), eps in {0,1}, has
+    coordinates M (a_1, ..., a_k, eps) mod orders in the canonical cyclic
+    decomposition.  Each row of M is reduced mod its order, so every
+    entry is below 2|A|.
     """
     k = len(mg.cyclic_orders)
     # relation columns: n_i g_i = 0 and 2t - a0 = 0, generators (g_1..g_k, t)
@@ -370,27 +472,15 @@ def _pushout_structure(mg: MetricGroup, a0):
     keep = [i for i in range(k + 1) if d[i] > 1]
     orders = [d[i] for i in keep]
     assert math.prod(orders) == 2 * mg.order
-
-    def coords(a, eps):
-        w = list(a) + [eps]
-        return tuple(
-            sum(P[i][j] * w[j] for j in range(k + 1)) % d[i] for i in keep
-        )
-
-    return orders, coords
+    return orders, np.array([[p % d[i] for p in P[i]] for i in keep], dtype=np.int64)
 
 
 def _coset_reps_mod_double(mg: MetricGroup):
-    """One representative per coset of 2A in A, in sorted element order."""
-    doubled = {mg.scale(2, x) for x in mg.elements()}
-    seen, reps = set(), []
-    for x in sorted(mg.elements()):
-        if x in seen:
-            continue
-        reps.append(x)
-        for y in doubled:
-            seen.add(mg.add(x, y))
-    return reps
+    """The least element of each coset of 2A in A, in sorted order.  2A
+    is the product of the 2Z_n, so a coset is fixed by the parities of
+    the coordinates of even order, and its least element has those
+    parities and zeros elsewhere."""
+    return list(itertools.product(*((0, 1) if n % 2 == 0 else (0,) for n in mg.cyclic_orders)))
 
 
 def _extension_candidates(mg: MetricGroup, e):
@@ -406,28 +496,45 @@ def _extension_candidates(mg: MetricGroup, e):
     a0 = s0 + eps e and chi = b(s, .) on A0, 2 chi = b(a0, .) gives s0 = 2s
     and chi(a0) = 4 q(s) + eps/2 = q(a0).  So a candidate is built iff
     2 chi(g) = b(a0, g) for every generator g and chi(e) = 1/2.
-    """
-    gens = mg.generators()
 
-    def chi(c, x):  # the character sum x_i c_i / n_i of A
-        return sum((Fraction(xi * ci, ni) for xi, ci, ni in zip(x, c, mg.cyclic_orders)), _F0) % 1
+    The character of c in A is chi_c(x) = sum_i c_i x_i / n_i, an integer
+    over E = exp(A), and the new values share the denominator
+    L = lcm(4D, E), which divides 8 exp(A) since D divides 2 exp(A).
+    """
+    n = np.array(mg.cyclic_orders, dtype=np.int64)
+    N, Q, D = mg.order, mg.Q, mg.D
+    E = lcm(*mg.cyclic_orders)
+    L = lcm(4 * D, E)
+    coords = _coordinates(mg.cyclic_orders)
+    shift, B = _generator_pairings(mg, coords)
+    weights = coords * (E // n)[:, None]  # column c: E chi_c(g_i)
+    strides = _strides(mg.cyclic_orders)
+    gens, ie = shift[:, 0], np.dot(e, strides)
+    half = 2 * (weights.T @ coords[:, ie]) % (2 * E) == E  # chi_c(e) = 1/2, per c
 
     for a0 in _coset_reps_mod_double(mg):
-        kept = [c for c in mg.elements()
-                if all(2 * chi(c, g) % 1 == mg.b(a0, g) for g in gens) and chi(c, e) == _HALF]
-        orders, coords = _pushout_structure(mg, a0)
+        ia0 = np.dot(a0, strides)
+        # 2 chi_c(g_i) = 2 c_i / n_i = b(a0, g_i) mod 1, over n_i D
+        doubles = ((2 * coords * D - B[:, ia0:ia0 + 1] * n[:, None]) % (n * D)[:, None] == 0).all(axis=0)
+        kept = np.flatnonzero(doubles & half)
+        chi = weights[:, kept].T @ coords % E  # (kept, N): E chi_c(a)
+        orders, M = _pushout_structure(mg, a0)
+        d = np.array(orders, dtype=np.int64)[:, None]
+        base = M[:, :-1] @ coords % d  # coordinates of (a, 0)
+        at = [_index(orders, base), _index(orders, (base + M[:, -1:]) % d)]
+        assert (np.bincount(np.concatenate(at)) == 1).all(), "pushout coordinates must be a bijection"
+        embedding = [_element(base, i) for i in gens]
+        image = _element(base, ie)
+        Q2 = np.empty(2 * N, dtype=np.int64)
+        Q2[at[0]] = Q * (L // D)
         for j in range(4):
-            v = ((mg.qtable[a0] + j) / 4) % 1
-            for c in kept:
-                qt = {}
-                for a in mg.elements():
-                    qt[coords(a, 0)] = mg.qtable[a]
-                    qt[coords(a, 1)] = (v + mg.qtable[a] + chi(c, a)) % 1
-                assert len(qt) == 2 * mg.order, "pushout coordinates must be a bijection"
-                mg2 = MetricGroup(list(orders), qt)
+            coset = ((Q[ia0] + j * D) * (L // (4 * D)) + Q * (L // D) + chi * (L // E)) % L
+            for row in coset:
+                Q2[at[1]] = row
+                mg2 = MetricGroup._from_array(orders, *_reduced(Q2, L))
                 sigma = gauss_sum(mg2)
-                yield ExtensionResult(mg2, [coords(g, 0) for g in gens], coords(e, 0),
-                                      sigma, _signature_from_gauss(sigma, mg2.order))
+                yield ExtensionResult(mg2, list(embedding), image,
+                                      sigma, _signature_from_gauss(sigma, 2 * N))
 
 
 def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64):

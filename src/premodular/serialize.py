@@ -4,10 +4,10 @@ Input files are discriminated by a top-level "type": "premodular" or
 "metric_group".  Loading always runs the module validator and fails on
 any violation.  Serialization round trips bit-exactly: all rationals
 travel as strings, CycNums as {"n": conductor, "c": [[num, den], ...]}.
-Conductors (each, and their lcm over a datum), ring rank and fusion
-multiplicities are capped before anything is allocated at their size;
-q values and CycNum coefficients are bounded in digits, element keys in
-coordinates.
+Conductors (each, and their lcm over a datum), the lcm of the q
+denominators, ring rank and fusion multiplicities are capped before
+anything is allocated at their size; q values and CycNum coefficients
+are bounded in digits, element keys in coordinates.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from fractions import Fraction
 
 import numpy as np
 
 from .cyclotomic import CycNum, make_root
 from .data import PremodularData, validate_premodular
 from .fusion_ring import MAX_MULT, MAX_RANK, FusionRing
-from .metric_groups import SIZE_CAP, MetricGroup, format_element, validate_metric_group
+from .metric_groups import MAX_CONDUCTOR, MetricGroup, format_element, validate_metric_group
 from .validation import ValidationReport
 
 __all__ = [
@@ -40,16 +39,13 @@ __all__ = [
     "format_element",
 ]
 
-# the largest conductor to_premodular produces: q values have
-# denominators dividing 2 * exponent <= 2 * SIZE_CAP
-MAX_CONDUCTOR = 2 * SIZE_CAP
-
 # digits allowed in each part of a rational field: far more than any q value
 # needs (its reduced denominator divides 2 * SIZE_CAP), few enough that no
 # later step meets a huge integer
 MAX_DIGITS = 32
 _DIGIT_BOUND = 10**MAX_DIGITS
 _RATIONAL = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class ParseError(ValueError):
@@ -62,10 +58,6 @@ class ValidationError(ValueError):
     def __init__(self, report: ValidationReport):
         super().__init__(str(report))
         self.report = report
-
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _parse_element(key: str, arity: int):
@@ -81,21 +73,29 @@ def _parse_element(key: str, arity: int):
 
 
 def _integer(x) -> int:
-    """x as an int; a float or a boolean where an integer belongs is
-    refused rather than truncated."""
-    if isinstance(x, (bool, float)):
-        raise ValueError(f"expected an integer, got {x!r}")
-    return int(x)
+    """x as an int: a JSON integer, or a string of ASCII digits with an
+    optional leading minus; a float or a boolean is refused rather than
+    truncated, and so is any other string int() would read (" 16",
+    "1_6", non-ASCII digits)."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and _INTEGER.fullmatch(x):
+        return int(x)
+    raise ValueError(f"expected an integer, got {x!r:.40}")
 
 
-def _rational(x) -> Fraction:
-    """x as a Fraction: an int, or a string "p" or "p/q", with at most
-    MAX_DIGITS digits in each part; floats, booleans, decimal points and
-    exponents are refused."""
+def _rational(x) -> tuple[int, int]:
+    """x as (numerator, denominator): an int, or a string "p" or "p/q",
+    with at most MAX_DIGITS digits in each part; floats, booleans,
+    decimal points and exponents are refused."""
     if isinstance(x, str) and _RATIONAL.fullmatch(x):
-        return Fraction(x)
+        p, _, q = x.partition("/")
+        q = int(q or 1)
+        if not q:
+            raise ZeroDivisionError(f"q value {x} has a zero denominator")
+        return int(p), q
     if isinstance(x, int) and not isinstance(x, bool) and abs(x) < _DIGIT_BOUND:
-        return Fraction(x)
+        return x, 1
     raise ValueError(f"expected an integer or a string p/q of at most {MAX_DIGITS} digits each, got {x!r:.40}")
 
 
@@ -209,7 +209,7 @@ def metric_group_to_json(mg: MetricGroup) -> dict:
     return {
         "type": "metric_group",
         "orders": list(mg.cyclic_orders),
-        "q": {format_element(x): _frac_str(v) for x, v in sorted(mg.qtable.items())},
+        "q": {format_element(x): f"{v.numerator}/{v.denominator}" for x, v in sorted(mg.qtable.items())},
     }
 
 
@@ -218,8 +218,9 @@ def metric_group_from_json(obj: dict) -> MetricGroup:
         if not isinstance(obj["orders"], list) or not isinstance(obj["q"], dict):
             raise ParseError('bad metric group: "orders" must be a list and "q" an object')
         orders = [_integer(n) for n in obj["orders"]]
+        # from_pairs raises ValueError for q denominators with an lcm above MAX_CONDUCTOR
         table = {_parse_element(k, len(orders)): _rational(v) for k, v in obj["q"].items()}
-        return MetricGroup(orders, table)
+        return MetricGroup.from_pairs(orders, table)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:

@@ -4,8 +4,9 @@ These deliberately avoid the package's optimized code paths: quadratic
 forms are enumerated as raw value tables, isometries as raw bijections,
 associativity as a four-index loop or one dense contraction per b, and
 the duality axiom as a loop over pairs, the linearization as a loop
-over pairs of elements, cyclotomic arithmetic on Fraction coefficients
-reduced by long division by Phi_n.  Expected values frozen into the tests come from
+over pairs of elements, the metric-group laws on a dict of Fractions,
+cyclotomic arithmetic on Fraction coefficients reduced by long division
+by Phi_n.  Expected values frozen into the tests come from
 here.  The generator-image isometry search and the orthogonal direct sum
 live here too: only the tests use them.
 """
@@ -31,6 +32,7 @@ from premodular.metric_groups import (
     radical,
     validate_metric_group,
 )
+from premodular.validation import ValidationReport
 
 
 class FractionCycNum:
@@ -169,6 +171,58 @@ def _elements(orders):
     return list(itertools.product(*(range(n) for n in orders)))
 
 
+def group_add(mg: MetricGroup, x, y):
+    return _add(x, y, mg.cyclic_orders)
+
+
+def group_scale(mg: MetricGroup, k: int, x):
+    return _scale(k, x, mg.cyclic_orders)
+
+
+def pairing(mg: MetricGroup, x, y) -> Fraction:
+    """b(x,y) = q(x+y) - q(x) - q(y) mod 1 on the Fraction table."""
+    return (mg.qtable[group_add(mg, x, y)] - mg.qtable[tuple(x)] - mg.qtable[tuple(y)]) % 1
+
+
+def validate_fractions(mg: MetricGroup) -> ValidationReport:
+    """validate_metric_group element by element on the Fraction table:
+    the same checks, witnesses, details and order, from dict lookups."""
+    rep = ValidationReport()
+    if any(n < 1 for n in mg.cyclic_orders):
+        rep.add("OrdersViolation", tuple(mg.cyclic_orders), "cyclic orders must be >= 1")
+        return rep
+    if mg.order > SIZE_CAP:
+        rep.add("SizeCapViolation", (mg.order,), f"|A| exceeds the cap {SIZE_CAP}")
+        return rep
+    elems = list(mg.elements())
+    if set(mg.qtable.keys()) != set(elems):
+        rep.add("CoverageViolation", (), "qtable must cover exactly the group elements")
+        return rep
+    for x, v in mg.qtable.items():
+        if not (0 <= v < 1):
+            rep.add("RangeViolation", x, f"q value {v} outside [0,1)")
+    if rep.violations:
+        return rep
+
+    zero = mg.zero()
+    if mg.qtable[zero] != 0:
+        rep.add("QuadraticLawViolation", (zero, 0), f"q(0) = {mg.qtable[zero]} != 0")
+    for x in elems:
+        q2x = mg.qtable[group_scale(mg, 2, x)]
+        if q2x != (4 * mg.qtable[x]) % 1:
+            rep.add("QuadraticLawViolation", (x, 2), f"q(2*x) = {q2x} != 4 q(x) mod 1")
+
+    gens = mg.generators()
+    for g in gens:
+        bg = {y: pairing(mg, g, y) for y in elems}
+        for h in gens:
+            for x in elems:
+                if bg[group_add(mg, x, h)] != (bg[x] + bg[h]) % 1:
+                    rep.add("BilinearityViolation", (g, x, h))
+                    break
+    return rep
+
+
 def _is_quadratic(q, orders):
     elems = _elements(orders)
     exp = 1
@@ -217,26 +271,26 @@ def all_quadratic_forms(orders, denominator):
 
 def linearize(mg: MetricGroup) -> PremodularData:
     """The linearization entry by entry: the addition table from
-    MetricGroup.add and every s_{x,y} from MetricGroup.b."""
+    group_add and every s_{x,y} from pairing, on the Fraction table."""
     elems = list(mg.elements())
     index = {x: i for i, x in enumerate(elems)}
     r = len(elems)
     add_table = np.zeros((r, r), dtype=np.int64)
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
-            add_table[i, j] = index[mg.add(x, y)]
+            add_table[i, j] = index[group_add(mg, x, y)]
     ring = group_ring(
         labels=[format_element(x) for x in elems],
         add_table=add_table,
         unit_index=index[mg.zero()],
-        inverse=[index[mg.scale(-1, x)] for x in elems],
+        inverse=[index[group_scale(mg, -1, x)] for x in elems],
     )
     root = lambda v: make_root(v.numerator, v.denominator)
     return PremodularData(
         ring=ring,
         dims=[ONE] * r,
         twists=[root(mg.qtable[x]) for x in elems],
-        s=[[root(mg.b(x, y)) for y in elems] for x in elems],
+        s=[[root(pairing(mg, x, y)) for y in elems] for x in elems],
     )
 
 
@@ -287,13 +341,13 @@ def isometry_rel_point(a: MetricGroup, b: MetricGroup, pt_a=None, pt_b=None) -> 
         return False
     if _primary_multiset(a.cyclic_orders) != _primary_multiset(b.cyclic_orders):
         return False
-    inv_a = sorted((element_order(a, x), a.q(x)) for x in a.elements())
-    inv_b = sorted((element_order(b, x), b.q(x)) for x in b.elements())
+    inv_a = sorted((element_order(a, x), a.qtable[x]) for x in a.elements())
+    inv_b = sorted((element_order(b, x), b.qtable[x]) for x in b.elements())
     if inv_a != inv_b:
         return False
     if pt_a is not None:
         pt_a, pt_b = tuple(pt_a), tuple(pt_b)
-        if (element_order(a, pt_a), a.q(pt_a)) != (element_order(b, pt_b), b.q(pt_b)):
+        if (element_order(a, pt_a), a.qtable[pt_a]) != (element_order(b, pt_b), b.qtable[pt_b]):
             return False
 
     gens = a.generators()
@@ -301,15 +355,15 @@ def isometry_rel_point(a: MetricGroup, b: MetricGroup, pt_a=None, pt_b=None) -> 
     b_elems = sorted(b.elements())
     by_order_q = {}
     for y in b_elems:
-        by_order_q.setdefault((element_order(b, y), b.q(y)), []).append(y)
+        by_order_q.setdefault((element_order(b, y), b.qtable[y]), []).append(y)
 
-    q_gens = [a.q(g) for g in gens]
-    b_gram = [[a.b(gi, gj) for gj in gens] for gi in gens]
+    q_gens = [a.qtable[g] for g in gens]
+    b_gram = [[pairing(a, gi, gj) for gj in gens] for gi in gens]
 
     def image_of(coords, images):
         acc = b.zero()
         for c, y in zip(coords, images):
-            acc = b.add(acc, b.scale(c, y))
+            acc = group_add(b, acc, group_scale(b, c, y))
         return acc
 
     def search(i, images):
@@ -325,7 +379,7 @@ def isometry_rel_point(a: MetricGroup, b: MetricGroup, pt_a=None, pt_b=None) -> 
             return True
         wanted = (orders[i], q_gens[i])
         for y in by_order_q.get(wanted, ()):
-            if all(b.b(y, images[j]) == b_gram[i][j] for j in range(i)):
+            if all(pairing(b, y, images[j]) == b_gram[i][j] for j in range(i)):
                 if search(i + 1, images + [y]):
                     return True
         return False
@@ -361,7 +415,7 @@ def brute_isometry_rel_point(a: MetricGroup, b: MetricGroup, pa, pb) -> bool:
             continue
         if pa is not None and phi[tuple(pa)] != tuple(pb):
             continue
-        if all(phi[a.add(x, y)] == b.add(phi[x], phi[y]) for x in phi for y in phi):
+        if all(phi[group_add(a, x, y)] == group_add(b, phi[x], phi[y]) for x in phi for y in phi):
             return True
     return False
 
@@ -473,13 +527,13 @@ def oracle_pointed_extensions_general(base: MetricGroup, fermion_elt):
             image_candidates = itertools.product(*(list(mg.elements()) for _ in gens))
             seen_images = set()
             for images in image_candidates:
-                if any(mg.scale(n, y) != mg.zero() for n, y in zip(base.cyclic_orders, images)):
+                if any(group_scale(mg, n, y) != mg.zero() for n, y in zip(base.cyclic_orders, images)):
                     continue
 
                 def emb(x):
                     acc = mg.zero()
                     for c, y in zip(x, images):
-                        acc = mg.add(acc, mg.scale(c, y))
+                        acc = group_add(mg, acc, group_scale(mg, c, y))
                     return acc
 
                 image = {emb(x) for x in base_elems}
@@ -490,7 +544,7 @@ def oracle_pointed_extensions_general(base: MetricGroup, fermion_elt):
                 f_img = emb(fermion_elt)
                 cent = [
                     y for y in mg.elements()
-                    if all(mg.b(emb(g), y) == 0 for g in gens)
+                    if all(pairing(mg, emb(g), y) == 0 for g in gens)
                 ]
                 if sorted(cent) != sorted([mg.zero(), f_img]):
                     continue
@@ -512,7 +566,7 @@ def oracle_pointed_extensions(base: MetricGroup, fermion_elt):
     Returns class representatives as (MetricGroup, fermion_image) pairs,
     deduplicated with the exhaustive bijection isometry.
     """
-    assert base.order == 2 and base.q(fermion_elt) == Fraction(1, 2)
+    assert base.order == 2 and base.qtable[fermion_elt] == Fraction(1, 2)
     found = []
     for orders, den in (([4], 8), ([2, 2], 4)):
         for q in all_quadratic_forms(orders, den):
@@ -521,12 +575,12 @@ def oracle_pointed_extensions(base: MetricGroup, fermion_elt):
             mg = MetricGroup(orders, dict(q))
             # embeddings of the fermion line: order-2 elements with q = 1/2
             for f in mg.elements():
-                if f == mg.zero() or mg.add(f, f) != mg.zero():
+                if f == mg.zero() or group_add(mg, f, f) != mg.zero():
                     continue
-                if mg.q(f) != Fraction(1, 2):
+                if mg.qtable[f] != Fraction(1, 2):
                     continue
                 # centralizer of the embedded copy must be exactly {0, f}
-                cent = [y for y in mg.elements() if mg.b(f, y) == 0]
+                cent = [y for y in mg.elements() if pairing(mg, f, y) == 0]
                 if sorted(cent) != sorted([mg.zero(), f]):
                     continue
                 found.append((mg, f))
@@ -549,7 +603,11 @@ def pushout_survivors(mg: MetricGroup, e):
     """
     out = []
     for a0 in _coset_reps_mod_double(mg):
-        orders, coords = _pushout_structure(mg, a0)
+        orders, M = _pushout_structure(mg, a0)
+
+        def coords(a, eps):
+            return tuple(int(c) % d for c, d in zip(M @ np.array([*a, eps]), orders))
+
         for j in range(4):
             v = ((mg.qtable[a0] + j) / 4) % 1
             for chi in mg.elements():

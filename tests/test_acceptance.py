@@ -87,7 +87,7 @@ def test_criterion_2_klein_cross_check():
         assert rep.n_e_twisted == 0 and rep.kappa_minus >= Fraction(1, 2)
         if mg is not None:
             # oracle: in a pointed datum a* = a exactly on the 2-torsion
-            assert rep.n_self_dual == sum(1 for x in mg.elements() if mg.scale(2, x) == mg.zero())
+            assert rep.n_self_dual == sum(1 for x in mg.elements() if oracles.group_scale(mg, 2, x) == mg.zero())
         checked += 1
     elapsed = time.perf_counter() - t0
     ok = checked == 100 + len(SLIGHTLY_DEGENERATE_NAMES) and elapsed < 30.0

@@ -62,7 +62,7 @@ def test_parametric_pointed_entries():
     z4 = catalog_get("pointed:4:1/4").payload
     cls = classify_degeneracy(premodular_form("pointed:4:1/4"))
     assert cls.kind is CentreKind.OTHER_DEGENERATE
-    assert z4.q((2,)) == 0
+    assert z4.qtable[(2,)] == 0
 
     with pytest.raises(UnknownCatalogKey):
         catalog_get("pointed:banana")

@@ -218,6 +218,26 @@ def _set_fractional_coefficient(obj):
     obj["dims"][0]["c"][0] = [1.5, 1]
 
 
+def _set_underscore_order(obj):
+    obj["orders"] = ["0_2"]  # int() reads it as 2
+
+
+def _set_padded_order(obj):
+    obj["orders"] = [" 2 "]
+
+
+def _set_non_ascii_unit(obj):
+    obj["unit"] = "\uff10"  # FULLWIDTH DIGIT ZERO, which int() reads as 0
+
+
+def _set_underscore_conductor(obj):
+    obj["twists"][2]["n"] = "1_6"
+
+
+def _set_underscore_fusion_entry(obj):
+    obj["fusion"][0][3] = "0_1"
+
+
 def _set_float_q(obj):
     obj["q"]["(1,0)"] = 0.5  # the right value, as a float
 
@@ -275,6 +295,11 @@ def _set_huge_integer_q(obj):
     ("ising:1", _set_fractional_theta_numerator),
     ("ising:1", _set_fractional_conductor),
     ("ising:1", _set_fractional_coefficient),
+    ("svec", _set_underscore_order),
+    ("svec", _set_padded_order),
+    ("ising:1", _set_non_ascii_unit),
+    ("ising:1", _set_underscore_conductor),
+    ("ising:1", _set_underscore_fusion_entry),
     ("svec-x-semion", _set_float_q),
     ("svec-x-semion", _set_decimal_string_q),
     ("svec-x-semion", _set_boolean_q),
@@ -292,6 +317,35 @@ def test_malformed_fields_exit_2(name, mutate, write_datum, tmp_path):
     path.write_text(json.dumps(obj).replace(f'"{_HUGE_INTEGER}"', _HUGE_INTEGER))
     for command in ("validate", "analyze"):
         assert cli_run([command, str(path)]) == (2, ""), command
+
+
+def test_plain_digit_strings_still_load_as_integers(write_datum, tmp_path):
+    for name, mutate in (("svec", lambda obj: obj.update(orders=["2"])),
+                         ("ising:1", lambda obj: obj["twists"][2].update(n="16"))):
+        obj = json.loads(Path(write_datum(name)).read_text())
+        mutate(obj)
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(obj))
+        assert cli_run(["validate", str(path)])[0] == 0, name
+
+
+def _cyclic_group_json(path, n, values):
+    path.write_text(json.dumps({"type": "metric_group", "orders": [n],
+                                "q": {f"({x})": v for x, v in enumerate(values)}}))
+    return str(path)
+
+
+def test_q_denominator_cap_at_the_parse_boundary(tmp_path):
+    # q(x) = x^2 / 8192 on Z4096: the largest group and the largest D
+    # a form can have both pass
+    path = _cyclic_group_json(tmp_path / "z4096.json", 4096,
+                              [f"{x * x % 8192}/8192" for x in range(4096)])
+    assert cli_run(["validate", path]) == (0, f"input      : {path}\nvalidation : ok\n")
+    # one denominator 8193, or an lcm 3 * 2731 = 8193, is refused unread
+    for values in (["0", "1/8193"], ["1/3", "1/2731"]):
+        path = _cyclic_group_json(tmp_path / "over.json", 2, values)
+        for fmt in ("table", "json"):
+            assert cli_run(["validate", path, "--format", fmt]) == (2, "")
 
 
 def test_linearization_above_the_rank_cap_exits_2(write_datum):

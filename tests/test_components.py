@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from conftest import premodular_form
 from premodular.components import _numeric_characters, ring_characters
 from premodular.data import classify_degeneracy, relative_centralizer
-from premodular.fusion_ring import fpdim
-from premodular.metric_groups import from_gram, to_premodular
+from premodular.catalog import catalog_list
+from premodular.fusion_ring import fpdim, subring_fpdim
+from premodular.metric_groups import from_gram, random_slightly_degenerate, to_premodular
 
 
 def characters(data, seed=0):
@@ -135,3 +137,11 @@ def test_numeric_path_on_non_invertible_transparent_subring():
     dim_chi = comp.characters[comp.dim_index]
     assert abs(dim_chi["std"] - 2) < 1e-8
     assert comp.magnetic_index is None
+
+
+def test_transparent_fpdim_from_the_subring_matches_the_ring():
+    datas = [premodular_form(name) for name, _, _ in catalog_list()]
+    datas += [to_premodular(random_slightly_degenerate(random.Random(seed))) for seed in range(12)]
+    for data in datas:
+        idx = [data.ring.index(lab) for lab in classify_degeneracy(data).transparent]
+        assert np.abs(subring_fpdim(data.ring, idx) - fpdim(data.ring)[1][idx]).max() <= 1e-9

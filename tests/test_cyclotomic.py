@@ -153,6 +153,15 @@ def test_integer_kernel_matches_the_fraction_oracle(x, y, k):
     assert x.lift(m) == x and (x - x).is_zero() and (x - x).den == 1
 
 
+def test_from_rational_takes_only_exact_rationals():
+    assert from_rational(3) == CycNum(1, [3])
+    assert from_rational(Fraction(-2, 6)) == CycNum(1, [-1], 3)
+    # 0.1 would be a 2^-55 binary fraction and "1e-3" a decimal string
+    for bad in (0.1, 1.0, True, "1e-3", "1/2"):
+        with pytest.raises(TypeError):
+            from_rational(bad)
+
+
 def test_coefficients_must_be_exact():
     assert CycNum(4, [1, Fraction(1, 2)]) == CycNum(4, [2, 1], 2)
     for bad in (0.5, 1.0, True, False, "1"):

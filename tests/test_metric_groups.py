@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import direct_sum, isometry_rel_point
@@ -53,6 +54,8 @@ def test_coverage_violation():
 def test_order_one_factors_are_tolerated():
     g = from_gram([1, 2], [Fraction(0), Fraction(1, 2)])
     assert validate_metric_group(g).ok
+    # a coefficient on an order-1 factor multiplies only zero coordinates
+    assert from_gram([1, 2], [Fraction(1, 10**6), Fraction(1, 2)]) == g
     assert fermion(g) == (0, 1)
     assert radical(g) == [(0, 0), (0, 1)]
     assert len(enumerate_pointed_extensions(g, max_order=8)) == 8
@@ -154,11 +157,14 @@ def test_linearization_matches_oracle_with_cross_terms_and_order_one_factors():
 
 
 def test_linearization_uses_no_pairwise_group_calls(monkeypatch):
-    def refuse(self, x, y):
-        raise AssertionError("to_premodular must not call MetricGroup.add or MetricGroup.b")
+    # the pairwise Fraction helpers live in the oracles only, and the
+    # linearization reads Q and D, never the Fraction table
+    assert not any(hasattr(MetricGroup, name) for name in ("add", "scale", "q", "b"))
 
-    monkeypatch.setattr(MetricGroup, "add", refuse)
-    monkeypatch.setattr(MetricGroup, "b", refuse)
+    def refuse(self):
+        raise AssertionError("to_premodular must not build the Fraction table")
+
+    monkeypatch.setattr(MetricGroup, "qtable", property(refuse))
     assert to_premodular(mg("svec-x-semion")).ring.rank == 4
 
 
@@ -239,7 +245,7 @@ def test_svec_extension_structure():
     z4s = [r for r in results if r.group.cyclic_orders == [4]]
     klein4 = [r for r in results if r.group.cyclic_orders == [2, 2]]
     assert len(z4s) == 4 and len(klein4) == 4
-    assert sorted(r.group.q((1,)) for r in z4s) == [Fraction(k, 8) for k in (1, 3, 5, 7)]
+    assert sorted(r.group.qtable[(1,)] for r in z4s) == [Fraction(k, 8) for k in (1, 3, 5, 7)]
     multisets = sorted(tuple(sorted(r.group.qtable.values())) for r in klein4)
     h = Fraction(1, 2)
     assert multisets == sorted([
@@ -276,7 +282,7 @@ def test_extension_invariants(base):
         for x in base.elements():
             acc = ext.zero()
             for c, g_img in zip(x, r.embedding):
-                acc = ext.add(acc, ext.scale(c, g_img))
+                acc = oracles.group_add(ext, acc, oracles.group_scale(ext, c, g_img))
             image.add(acc)
         image_labels = {"(" + ",".join(map(str, y)) + ")" for y in image}
         cent = relative_centralizer(data, image_labels)
@@ -462,11 +468,14 @@ def test_extension_classes_invariant_under_base_relabeling():
         assert isometry_rel_point(x.group, y.group, x.fermion_image, y.fermion_image)
 
 
+ORACLE_SHAPES = ([2], [4], [3], [6], [8], [2, 2], [2, 4], [3, 3], [2, 8], [2, 2, 2])
+
+
 def test_validator_agrees_with_brute_force_oracle():
     rng = random.Random(5200)
     # q(0) = 1/3 on the trivial group passes every law but q(0) = 0
     tables = [MetricGroup([], {(): Fraction(1, 3)})]
-    for orders in ([2], [4], [3], [6], [8], [2, 2], [2, 4], [3, 3], [2, 8], [2, 2, 2]):
+    for orders in ORACLE_SHAPES:
         den = 2 * math.lcm(*orders)
         for _ in range(6):
             q = oracles.random_form_by_gram(rng, orders)
@@ -490,14 +499,58 @@ def test_validator_agrees_with_brute_force_oracle():
         assert validate_metric_group(g).ok == expected, (g.cyclic_orders, g.qtable)
 
 
+def _tampered_value(rng, orders):
+    den = rng.choice([2 * math.lcm(*orders), 3, 5, 16])
+    return Fraction(rng.randrange(den), den)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(orders=st.sampled_from(ORACLE_SHAPES), seed=st.integers(0, 2**32 - 1),
+       case=st.sampled_from(["valid", "value", "cross"]))
+def test_validator_report_matches_the_fraction_oracle(orders, seed, case):
+    # the whole report, kinds, witnesses and details in order, against
+    # the element-by-element validator on the Fraction table
+    rng = random.Random(seed)
+    diag_choices, cross_choices = oracles._gram_choices(orders)
+    diag = [rng.choice(c) for c in diag_choices]
+    cross = [rng.choice(c) for c in cross_choices]
+    if case == "cross":
+        # a generator value or cross term off its lattice spoils the laws
+        # away from the generators
+        terms = diag + cross
+        terms[rng.randrange(len(terms))] = _tampered_value(rng, orders)
+        diag, cross = terms[:len(diag)], terms[len(diag):]
+    table = dict(from_gram(orders, diag, cross).qtable)
+    if case == "value":
+        table[rng.choice(sorted(table))] = _tampered_value(rng, orders)
+    g = MetricGroup(orders, table)
+    assert validate_metric_group(g).to_json() == oracles.validate_fractions(g).to_json()
+
+
+@pytest.mark.parametrize("orders, table", [
+    ([2, 0], {}),
+    ([4096, 2], {}),
+    ([2], {(0,): Fraction(0)}),
+    ([2], {(0,): Fraction(0), (1,): Fraction(1, 2), (2,): Fraction(0)}),
+    ([2], {(0,): Fraction(0), (3,): Fraction(1, 2)}),
+    ([2], {0: Fraction(0), 1: Fraction(1, 2)}),
+    ([2, 2], {(0, 0): Fraction(-1, 2), (0, 1): Fraction(1), (1, 0): Fraction(0), (1, 1): Fraction(3, 2)}),
+    ([], {(): Fraction(1, 3)}),
+], ids=["orders", "size-cap", "missing", "extra", "stray", "non-tuple", "range", "trivial"])
+def test_structural_reports_match_the_fraction_oracle(orders, table):
+    g = MetricGroup(orders, table)
+    assert validate_metric_group(g).to_json() == oracles.validate_fractions(g).to_json()
+
+
 def test_tampered_q_tables_are_rejected():
     rng = random.Random(31337)
     for _ in range(20):
         g = random_slightly_degenerate(rng, max_order=16)
         victims = [x for x in g.elements() if x != g.zero()]
         x0 = rng.choice(victims)
-        g.qtable[x0] = (g.qtable[x0] + Fraction(1, 3)) % 1
-        rep = validate_metric_group(g)
+        table = dict(g.qtable)
+        table[x0] = (table[x0] + Fraction(1, 3)) % 1
+        rep = validate_metric_group(MetricGroup(g.cyclic_orders, table))
         assert not rep.ok
         assert rep.kinds() & {"QuadraticLawViolation", "BilinearityViolation"}
 

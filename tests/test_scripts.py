@@ -7,7 +7,9 @@ import runpy
 from premodular.catalog import catalog_list
 
 SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
-PARAMETRIC_KEYS = runpy.run_path(str(SCRIPTS / "catalog_outputs.py"))["PARAMETRIC_KEYS"]
+CATALOG_OUTPUTS = runpy.run_path(str(SCRIPTS / "catalog_outputs.py"))
+PARAMETRIC_KEYS = CATALOG_OUTPUTS["PARAMETRIC_KEYS"]
+GOLDEN = pathlib.Path(__file__).parent / "data" / "catalog_outputs.json"
 
 
 def test_sixteenfold_script(capsys):
@@ -35,6 +37,21 @@ def test_catalog_outputs_script(capsys):
     assert sum(key.startswith("analyze ") for key in runs) == 2 * (
         len(catalog_list()) + len(PARAMETRIC_KEYS))
     assert runs["extend pointed_2x16_1-2,1-32.json --format table"]["exit"] == 0
+
+
+def test_catalog_outputs_match_the_golden_document(tmp_path):
+    # tests/data/catalog_outputs.json is the script's output at the commit
+    # that added it; any change to a catalog CLI run's exit code or stdout
+    # shows up here
+    text = json.dumps(CATALOG_OUTPUTS["catalog_outputs"](tmp_path), indent=1) + "\n"
+    if text != GOLDEN.read_text():
+        new, old = json.loads(text), json.loads(GOLDEN.read_text())
+        changed = sorted(key for key in new.keys() | old.keys() if new.get(key) != old.get(key))
+        raise AssertionError(
+            f"{len(changed)} catalog runs differ from {GOLDEN.name}, first {changed[:5]}.  Compare "
+            "with the parent commit: run `PYTHONPATH=src python3 scripts/catalog_outputs.py "
+            "> outputs.json` here and in a checkout of the parent and diff the two files.  If "
+            "the change is intended, write this checkout's output over tests/data/catalog_outputs.json.")
 
 
 def test_ring_validation_cost_script(capsys, monkeypatch):
