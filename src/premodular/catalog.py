@@ -19,7 +19,7 @@ from .data import PremodularData, validate_premodular
 from .errors import UnknownCatalogKey
 from .fusion_ring import FusionRing
 from .metric_groups import MetricGroup, from_gram, validate_metric_group
-from .serialize import ValidationError
+from .validation import ValidationError
 
 __all__ = ["CatalogEntry", "catalog_get", "catalog_list"]
 
@@ -84,6 +84,8 @@ def _parse_pointed_key(name: str) -> MetricGroup:
         diag = [Fraction(t) for t in parts[2].split(",")]
         cross = [Fraction(t) for t in parts[3].split(",")] if len(parts) == 4 else None
         mg = from_gram(orders, diag, cross)
+    except ValidationError:
+        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise UnknownCatalogKey(f"{name}: {exc}") from None
     rep = validate_metric_group(mg)

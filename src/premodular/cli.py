@@ -12,6 +12,7 @@ serialized report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -293,7 +294,10 @@ def _positive_int(text):
     return value
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built once per process; handlers look up the functions
+    they call as module globals at call time."""
     parser = _Parser(prog="premodular", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

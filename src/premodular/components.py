@@ -11,7 +11,6 @@ numerically via a seeded random linear combination otherwise.
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,58 +50,27 @@ class ComponentAnalysis:
         }
 
 
-def _close(prod, gens, unit):
-    """Exponent expression (one exponent per generator) for each element
-    reachable from the generators."""
-    expr = {unit: (0,) * len(gens)}
-    frontier = [unit]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for i, g in enumerate(gens):
-                e = list(expr[h])
-                e[i] += 1
-                t = prod[h][g]
-                if t not in expr:
-                    expr[t] = tuple(e)
-                    nxt.append(t)
-        frontier = nxt
-    return expr
-
-
 def _exact_group_characters(prod):
     """All homomorphisms to Q/Z of an abelian group given by a product
-    table, as tuples of Fractions in [0,1) indexed like `prod`."""
+    table, as lists of Fractions in [0,1) indexed like `prod`, built up a
+    chain of subgroups: with g^m the first power of g in the subgroup H
+    reached so far, each character chi of H extends to H<g> in exactly m
+    ways, chi(h g^k) = chi(h) + k (chi(g^m) + j)/m for j < m."""
     n = len(prod)
     unit = next(g for g in range(n) if all(prod[g][h] == h for h in range(n)))
-    gens = []
-    expr = _close(prod, gens, unit)
+    chars = [{unit: Fraction(0)}]  # the characters of H, each keyed by H
     for g in range(n):
-        if g not in expr:
-            gens.append(g)
-            expr = _close(prod, gens, unit)
-    orders = []
-    for g in gens:
-        k, cur = 1, g
-        while cur != unit:
-            cur = prod[cur][g]
-            k += 1
-        orders.append(k)
-    chars = []
-    seen = set()
-    for ks in itertools.product(*(range(o) for o in orders)):
-        val = [
-            sum((Fraction(k * e, o) for k, e, o in zip(ks, expr[t], orders)), Fraction(0)) % 1
-            for t in range(n)
-        ]
-        # multiplicativity must hold for the assignment to be well defined
-        if all((val[a] + val[b]) % 1 == val[prod[a][b]] for a in range(n) for b in range(n)):
-            key = tuple(val)
-            if key not in seen:
-                seen.add(key)
-                chars.append(val)
+        if g in chars[0]:
+            continue
+        powers = [unit]
+        while (top := prod[powers[-1]][g]) not in chars[0]:
+            powers.append(top)
+        m = len(powers)
+        chars = [{prod[h][p]: (v + k * (chi[top] + j) / m) % 1
+                  for k, p in enumerate(powers) for h, v in chi.items()}
+                 for chi in chars for j in range(m)]
     assert len(chars) == n, f"abelian group of order {n} must have exactly {n} characters"
-    return chars
+    return [[chi[t] for t in range(n)] for chi in chars]
 
 
 def _numeric_characters(mats, seed):

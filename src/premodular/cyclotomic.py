@@ -71,43 +71,29 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-_ROW_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _reduction_rows(n: int, top_degree: int) -> list[tuple[int, ...]]:
-    """Integer rows: row[j] is x^(phi(n)+j) reduced mod Phi_n."""
-    phi = euler_phi(n)
-    rows = _ROW_CACHE.setdefault(n, [])
-    if len(rows) >= top_degree - phi + 1:
-        return rows
-    base = tuple(-c for c in cyclotomic_poly(n)[:phi])  # x^phi
-    while len(rows) < top_degree - phi + 1:
-        if not rows:
-            rows.append(base)
-        else:
-            prev = rows[-1]
-            top = prev[-1]
-            rows.append(tuple((prev[i - 1] if i else 0) + top * base[i] for i in range(phi)))
-    return rows
+@lru_cache(maxsize=None)
+def _low_terms(n: int) -> tuple[tuple[int, int], ...]:
+    """(i, c) for each nonzero coefficient c of x^i in Phi_n below the
+    leading x^phi(n)."""
+    return tuple((i, c) for i, c in enumerate(cyclotomic_poly(n)[:-1]) if c)
 
 
 def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
-    """Reduce an integer polynomial (any degree) to the power basis at conductor n."""
+    """Reduce an integer polynomial (any degree) to the power basis at
+    conductor n: long division by the monic Phi_n, top coefficient first."""
     phi = euler_phi(n)
-    if len(coeffs) > phi:
-        rows = _reduction_rows(n, len(coeffs) - 1)
-        out = list(coeffs[:phi])
-        for k in range(phi, len(coeffs)):
-            c = coeffs[k]
-            if c:
-                row = rows[k - phi]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += c * row[i]
-        coeffs = out
-    else:
-        coeffs = list(coeffs) + [0] * (phi - len(coeffs))
-    return tuple(coeffs)
+    if len(coeffs) <= phi:
+        return tuple(coeffs) + (0,) * (phi - len(coeffs))
+    out = list(coeffs)
+    low = _low_terms(n)
+    for k in range(len(out) - 1, phi - 1, -1):
+        c = out[k]
+        if c:
+            # subtract c x^(k - phi) Phi_n, which clears x^k
+            shift = k - phi
+            for i, t in low:
+                out[shift + i] -= c * t
+    return tuple(out[:phi])
 
 
 def _normal(n: int, num, den: int) -> "CycNum":

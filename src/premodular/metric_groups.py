@@ -35,7 +35,7 @@ from .cyclotomic import CycNum, ONE, make_root, root_sum
 from .data import PremodularData
 from .errors import CrossCheckMismatch, GroupsTooLarge, NotSlightlyDegenerate
 from .fusion_ring import MAX_RANK, group_ring
-from .validation import ValidationReport, Violation
+from .validation import ValidationError, ValidationReport, Violation
 
 __all__ = [
     "MetricGroup",
@@ -110,9 +110,9 @@ class MetricGroup:
     the module docstring).
 
     Built from a dict {element tuple: Fraction}.  A table that fails a
-    structural check (orders, size cap, coverage, range) is kept as given,
-    with Q = None and the failures in `defects`, for validate_metric_group
-    to report; one whose denominators have an lcm above MAX_CONDUCTOR
+    structural check (orders, size cap, coverage, range) raises
+    ValidationError with the failures, before any array of its size is
+    allocated; one whose denominators have an lcm above MAX_CONDUCTOR
     raises ValueError.
     """
 
@@ -132,15 +132,13 @@ class MetricGroup:
     @classmethod
     def _from_array(cls, cyclic_orders, Q: np.ndarray, D: int) -> "MetricGroup":
         mg = object.__new__(cls)
-        mg.cyclic_orders, mg.Q, mg.D, mg.defects = list(cyclic_orders), Q, D, []
+        mg.cyclic_orders, mg.Q, mg.D = list(cyclic_orders), Q, D
         return mg
 
     def _build(self, orders, pairs):
-        self.cyclic_orders, self.Q, self.D = orders, None, None
-        self.defects = _structural_defects(orders, pairs)
-        if self.defects:
-            self._given = pairs
-            return
+        defects = _structural_defects(orders, pairs)
+        if defects:
+            raise ValidationError(ValidationReport(defects))
         D = 1
         for p, q in pairs.values():
             D = lcm(D, q // gcd(p, q))
@@ -149,20 +147,20 @@ class MetricGroup:
         keys = np.array(list(pairs), dtype=np.int64).reshape(len(pairs), len(orders))
         self.Q = np.empty(len(pairs), dtype=np.int64)
         self.Q[keys @ np.array(_strides(orders), dtype=np.int64)] = [p * D // q for p, q in pairs.values()]
-        self.D = D
+        self.cyclic_orders, self.D = orders, D
 
     @functools.cached_property
     def qtable(self):
         """The table as a read-only dict {element: Fraction}, derived from
-        Q/D (as given, for a table that failed a structural check)."""
-        if self.Q is None:
-            return MappingProxyType({x: Fraction(p, q) for x, (p, q) in self._given.items()})
+        Q/D."""
         return MappingProxyType({x: Fraction(v, self.D) for x, v in zip(self.elements(), self.Q.tolist())})
 
     def __eq__(self, other):
         if not isinstance(other, MetricGroup):
             return NotImplemented
-        return self.cyclic_orders == other.cyclic_orders and self.qtable == other.qtable
+        # the normal form is unique
+        return (self.cyclic_orders == other.cyclic_orders and self.D == other.D
+                and np.array_equal(self.Q, other.Q))
 
     def __repr__(self):
         return f"MetricGroup({self.cyclic_orders}, {dict(self.qtable)})"
@@ -205,8 +203,8 @@ def from_gram(orders: list[int], diag: list[Fraction], cross: list[Fraction] | N
     q(sum x_i g_i) = sum x_i^2 diag_i + sum_{i<j} x_i x_j cross_{ij},
     with cross listed row-major over i < j.  Well-definedness is not
     checked here; run validate_metric_group on the result.  Orders that
-    fail the structural checks give a group with no table, which the
-    validator reports.  Each coefficient that multiplies no order-1
+    fail the structural checks raise ValidationError, as from the
+    constructor.  Each coefficient that multiplies no order-1
     factor is a q value or a difference of q values, so its denominator
     divides D and their lcm L is refused above MAX_CONDUCTOR.
     """
@@ -234,11 +232,11 @@ def validate_metric_group(mg: MetricGroup) -> ValidationReport:
     """Check the metric-group laws in O(k^2 |A|) for k generators.
 
     The structural checks (orders, size cap, coverage, range) run when
-    the table is built, before any array of its size; their failures are
-    reported here.  Then, on the arrays: q(0) = 0, q(2x) = 4q(x) for all
-    x, and b(g, x+h) = b(g, x) + b(g, h) for all generators g, h and all
-    x, reporting the first failing x per (g, h).  These give the full
-    laws mod 1:
+    the table is built, before any array of its size, and a table that
+    fails one is never built.  Here, on the arrays: q(0) = 0, q(2x) =
+    4q(x) for all x, and b(g, x+h) = b(g, x) + b(g, h) for all generators
+    g, h and all x, reporting the first failing x per (g, h).  These give
+    the full laws mod 1:
     1. By induction on words in the generators, each b(g, .) is a
        homomorphism.
     2. b(x+y, z) + b(x, y) = b(x, y+z) + b(y, z) holds for any q (both
@@ -248,9 +246,7 @@ def validate_metric_group(mg: MetricGroup) -> ValidationReport:
     3. q((n+1)x) = q(nx) + q(x) + n b(x, x) with b(x, x) = q(2x) - 2q(x)
        = 2q(x), so by induction from q(0) = 0, q(nx) = n^2 q(x).
     """
-    rep = ValidationReport(list(mg.defects))
-    if mg.Q is None:
-        return rep
+    rep = ValidationReport()
     orders, Q, D = mg.cyclic_orders, mg.Q, mg.D
     coords = _coordinates(orders)
     if Q[0]:

@@ -22,7 +22,7 @@ from .cyclotomic import CycNum, make_root
 from .data import PremodularData, validate_premodular
 from .fusion_ring import MAX_MULT, MAX_RANK, FusionRing
 from .metric_groups import MAX_CONDUCTOR, MetricGroup, format_element, validate_metric_group
-from .validation import ValidationReport
+from .validation import ValidationError
 
 __all__ = [
     "ParseError",
@@ -52,24 +52,17 @@ class ParseError(ValueError):
     """The file is not valid JSON or does not match either schema."""
 
 
-class ValidationError(ValueError):
-    """The datum parsed but fails its validator."""
-
-    def __init__(self, report: ValidationReport):
-        super().__init__(str(report))
-        self.report = report
-
-
 def _parse_element(key: str, arity: int):
     """A key "(x1,...,xk)" as a tuple; more than `arity` coordinates is
-    refused before any is converted."""
+    refused before any is converted, and each, spaces stripped, is read
+    as by _integer."""
     inner = key.strip()
     if not (inner.startswith("(") and inner.endswith(")")):
         raise ParseError(f"bad element key {key!r}")
     inner = inner[1:-1].strip()
     if not inner or inner.count(",") >= arity:
         raise ParseError(f"bad element key {key!r}")
-    return tuple(int(t) for t in inner.split(","))
+    return tuple(_integer(t.strip()) for t in inner.split(","))
 
 
 def _integer(x) -> int:
@@ -218,10 +211,11 @@ def metric_group_from_json(obj: dict) -> MetricGroup:
         if not isinstance(obj["orders"], list) or not isinstance(obj["q"], dict):
             raise ParseError('bad metric group: "orders" must be a list and "q" an object')
         orders = [_integer(n) for n in obj["orders"]]
-        # from_pairs raises ValueError for q denominators with an lcm above MAX_CONDUCTOR
+        # from_pairs raises ValidationError on a structural failure and
+        # ValueError on q denominators with an lcm above MAX_CONDUCTOR
         table = {_parse_element(k, len(orders)): _rational(v) for k, v in obj["q"].items()}
         return MetricGroup.from_pairs(orders, table)
-    except ParseError:
+    except (ParseError, ValidationError):
         raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"bad metric group: {exc}") from None

@@ -44,3 +44,11 @@ class ValidationReport:
         if self.ok:
             return "ok"
         return "\n".join(str(v) for v in self.violations)
+
+
+class ValidationError(ValueError):
+    """The datum parsed but fails its validator."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__(str(report))
+        self.report = report

@@ -14,6 +14,7 @@ live here too: only the tests use them.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -184,40 +185,46 @@ def pairing(mg: MetricGroup, x, y) -> Fraction:
     return (mg.qtable[group_add(mg, x, y)] - mg.qtable[tuple(x)] - mg.qtable[tuple(y)]) % 1
 
 
-def validate_fractions(mg: MetricGroup) -> ValidationReport:
-    """validate_metric_group element by element on the Fraction table:
-    the same checks, witnesses, details and order, from dict lookups."""
+def validate_fractions(orders, table) -> ValidationReport:
+    """The checks of the MetricGroup constructor and validate_metric_group
+    element by element on a raw {element: Fraction} table: the same
+    witnesses, details and order, from dict lookups."""
     rep = ValidationReport()
-    if any(n < 1 for n in mg.cyclic_orders):
-        rep.add("OrdersViolation", tuple(mg.cyclic_orders), "cyclic orders must be >= 1")
+    if any(n < 1 for n in orders):
+        rep.add("OrdersViolation", tuple(orders), "cyclic orders must be >= 1")
         return rep
-    if mg.order > SIZE_CAP:
-        rep.add("SizeCapViolation", (mg.order,), f"|A| exceeds the cap {SIZE_CAP}")
+    order = math.prod(orders)
+    if order > SIZE_CAP:
+        rep.add("SizeCapViolation", (order,), f"|A| exceeds the cap {SIZE_CAP}")
         return rep
-    elems = list(mg.elements())
-    if set(mg.qtable.keys()) != set(elems):
+    elems = _elements(orders)
+    if set(table) != set(elems):
         rep.add("CoverageViolation", (), "qtable must cover exactly the group elements")
         return rep
-    for x, v in mg.qtable.items():
+    for x, v in table.items():
         if not (0 <= v < 1):
             rep.add("RangeViolation", x, f"q value {v} outside [0,1)")
     if rep.violations:
         return rep
 
-    zero = mg.zero()
-    if mg.qtable[zero] != 0:
-        rep.add("QuadraticLawViolation", (zero, 0), f"q(0) = {mg.qtable[zero]} != 0")
+    def pair(x, y):
+        return (table[_add(x, y, orders)] - table[x] - table[y]) % 1
+
+    zero = (0,) * len(orders)
+    if table[zero] != 0:
+        rep.add("QuadraticLawViolation", (zero, 0), f"q(0) = {table[zero]} != 0")
     for x in elems:
-        q2x = mg.qtable[group_scale(mg, 2, x)]
-        if q2x != (4 * mg.qtable[x]) % 1:
+        q2x = table[_scale(2, x, orders)]
+        if q2x != (4 * table[x]) % 1:
             rep.add("QuadraticLawViolation", (x, 2), f"q(2*x) = {q2x} != 4 q(x) mod 1")
 
-    gens = mg.generators()
+    k = len(orders)
+    gens = [tuple(1 % orders[j] if i == j else 0 for j in range(k)) for i in range(k)]
     for g in gens:
-        bg = {y: pairing(mg, g, y) for y in elems}
+        bg = {y: pair(g, y) for y in elems}
         for h in gens:
             for x in elems:
-                if bg[group_add(mg, x, h)] != (bg[x] + bg[h]) % 1:
+                if bg[_add(x, h, orders)] != (bg[x] + bg[h]) % 1:
                     rep.add("BilinearityViolation", (g, x, h))
                     break
     return rep

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import premodular
 from premodular.catalog import catalog_get
 from premodular.cli import cli_run
 from premodular.fusion_ring import MAX_RANK
@@ -144,6 +147,18 @@ def test_usage_errors():
     assert cli_run(["extend", "x.json", "--max-order", "-4"])[0] == 2
 
 
+def test_parser_is_built_once_and_reused(write_datum, capsys):
+    from premodular.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    assert cli_run(["validate", write_datum("svec")])[0] == 0
+    capsys.readouterr()
+    assert cli_run(["analyze", write_datum("svec"), "--bogus"]) == (2, "")
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --bogus" in err and err.count("usage: premodular") == 1
+    assert cli_run(["analyze", write_datum("svec")])[0] == 0
+
+
 def test_parse_error_exit_2(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{{{{")
@@ -270,6 +285,18 @@ def _set_overlong_coefficient_denominator(obj):
     obj["dims"][2]["c"][0] = ["0", "1" + "0" * 32]  # 0 over 33 digits
 
 
+def _set_underscore_key(obj):
+    obj["q"]["(0_1)"] = obj["q"].pop("(1)")  # int() reads it as 1
+
+
+def _set_non_ascii_key(obj):
+    obj["q"]["( \uff11 )"] = obj["q"].pop("(1)")  # FULLWIDTH DIGIT ONE
+
+
+def _set_plus_sign_key(obj):
+    obj["q"]["(+1)"] = obj["q"].pop("(1)")
+
+
 # past the 4,300-digit limit of int(); written unquoted by the test below
 _HUGE_INTEGER = "1" + "0" * 4999
 
@@ -309,6 +336,9 @@ def _set_huge_integer_q(obj):
     ("ising:1", _set_overlong_coefficient),
     ("ising:1", _set_overlong_coefficient_denominator),
     ("svec-x-semion", _set_huge_integer_q),
+    ("svec", _set_underscore_key),
+    ("svec", _set_non_ascii_key),
+    ("svec", _set_plus_sign_key),
 ])
 def test_malformed_fields_exit_2(name, mutate, write_datum, tmp_path):
     obj = json.loads(Path(write_datum(name)).read_text())
@@ -320,8 +350,11 @@ def test_malformed_fields_exit_2(name, mutate, write_datum, tmp_path):
 
 
 def test_plain_digit_strings_still_load_as_integers(write_datum, tmp_path):
+    spaced = {"(0,0)": "( 0, 0 )", "(0,1)": "(0, 1)", "(1,0)": " (1 ,0) ", "(1,1)": "(1,1 )"}
     for name, mutate in (("svec", lambda obj: obj.update(orders=["2"])),
-                         ("ising:1", lambda obj: obj["twists"][2].update(n="16"))):
+                         ("ising:1", lambda obj: obj["twists"][2].update(n="16")),
+                         ("svec-x-semion", lambda obj: obj.update(
+                             q={spaced[k]: v for k, v in obj["q"].items()}))):
         obj = json.loads(Path(write_datum(name)).read_text())
         mutate(obj)
         path = tmp_path / "digits.json"
@@ -346,6 +379,27 @@ def test_q_denominator_cap_at_the_parse_boundary(tmp_path):
         path = _cyclic_group_json(tmp_path / "over.json", 2, values)
         for fmt in ("table", "json"):
             assert cli_run(["validate", path, "--format", fmt]) == (2, "")
+
+
+_RSS_GROWTH = """
+import resource, sys
+from premodular.cli import cli_run
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code, out = cli_run(["gauss", sys.argv[1]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_gauss_at_the_largest_conductor_stays_small(tmp_path):
+    # one reduction at conductor 8192 needs no phi x phi table: the peak
+    # RSS of a fresh process grows by under 50 MB (ru_maxrss is in KB)
+    path = _cyclic_group_json(tmp_path / "z4096.json", 4096,
+                              [f"{x * x % 8192}/8192" for x in range(4096)])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(premodular.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _RSS_GROWTH, path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    code, grown_kb = map(int, proc.stdout.split())
+    assert code == 0 and grown_kb < 50 * 1024, (code, grown_kb)
 
 
 def test_linearization_above_the_rank_cap_exits_2(write_datum):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import premodular_form
-from premodular.components import _numeric_characters, ring_characters
+from premodular.components import _exact_group_characters, _numeric_characters, ring_characters
 from premodular.data import classify_degeneracy, relative_centralizer
 from premodular.catalog import catalog_list
 from premodular.fusion_ring import fpdim, subring_fpdim
@@ -145,3 +147,26 @@ def test_transparent_fpdim_from_the_subring_matches_the_ring():
     for data in datas:
         idx = [data.ring.index(lab) for lab in classify_degeneracy(data).transparent]
         assert np.abs(subring_fpdim(data.ring, idx) - fpdim(data.ring)[1][idx]).max() <= 1e-9
+
+
+ABELIAN_SHAPES = [[1], [2], [5], [2, 2], [2, 4], [3, 3], [8], [2, 2, 2], [4, 4], [5, 5], [3, 9],
+                  [2, 2, 2, 2, 2, 2], [6, 10], [2, 4, 8], [4, 4, 4], [64]]
+
+
+@pytest.mark.parametrize("orders", ABELIAN_SHAPES, ids=lambda o: "x".join(map(str, o)))
+def test_exact_characters_are_all_the_characters(orders):
+    # |Hom(G, Q/Z)| = |G|, so n distinct multiplicative maps are all of
+    # them; the product table is shuffled so that no element order helps
+    rng = random.Random(math.prod(orders) * 31 + len(orders))
+    elems = list(itertools.product(*(range(k) for k in orders)))
+    rng.shuffle(elems)
+    pos = {x: i for i, x in enumerate(elems)}
+    prod = [[pos[tuple((a + b) % k for a, b, k in zip(x, y, orders))] for y in elems] for x in elems]
+    n = len(elems)
+    chars = _exact_group_characters(prod)
+    assert len(chars) == n
+    # every value has order dividing n, so n chi is an integer table
+    assert all(0 <= v < 1 and (n * v).denominator == 1 for chi in chars for v in chi)
+    V = np.array([[int(n * v) for v in chi] for chi in chars], dtype=np.int64)
+    assert len(np.unique(V, axis=0)) == n
+    assert ((V[:, :, None] + V[:, None, :]) % n == V[:, np.array(prod)]).all()

@@ -1,11 +1,12 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from premodular.cyclotomic import CycNum, ONE, ZERO, euler_phi, from_rational, make_root
+from premodular.cyclotomic import CycNum, ONE, ZERO, _reduce, euler_phi, from_rational, make_root
 from premodular.serialize import _cycnum_from_json
 
 from oracles import FractionCycNum
@@ -70,6 +71,22 @@ def test_division_by_zero():
         ONE / ZERO
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 30, 48, 60, 105, 128, 8192])
+def test_reduction_keeps_the_value_at_the_root(n):
+    # oracle: the polynomial and its reduction, both evaluated at zeta_n
+    # in doubles term by term, with no use of Phi_n
+    rng = random.Random(n)
+    roots = [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
+    for length in [rng.randint(1, 2 * n + 1) for _ in range(4)] + [2 * n + 1]:
+        poly = [rng.randint(-9, 9) for _ in range(length)]
+        reduced = _reduce(poly, n)
+        assert len(reduced) == euler_phi(n) and all(type(c) is int for c in reduced)
+        direct = math.fsum(c * roots[k % n].real for k, c in enumerate(poly)) \
+            + 1j * math.fsum(c * roots[k % n].imag for k, c in enumerate(poly))
+        value = sum(c * roots[k] for k, c in enumerate(reduced))
+        assert abs(value - direct) <= 1e-9 * (1 + sum(map(abs, poly)) + sum(map(abs, reduced)))
 
 
 def test_root_power_round_trip_all_orders():

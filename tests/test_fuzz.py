@@ -2,9 +2,11 @@
 exit-code contract.
 
 Each case replaces one or two fields of a catalog entry's JSON with
-values from a fixed pool of hostile values, and every file subcommand
-must exit 0 or 2 without raising.  A few cases run as separate processes
-under resource limits and a timeout, where stderr must hold no traceback.
+values from a fixed pool of hostile values, or renames one q key of a
+metric group to a key from a fixed pool of hostile element keys, and
+every file subcommand must exit 0 or 2 without raising.  A few cases
+run as separate processes under resource limits and a timeout, where
+stderr must hold no traceback.
 """
 
 import copy
@@ -30,6 +32,14 @@ HOSTILE = (
     "(0,0)", "1e9", "9" * 40, [], [0], [[]], [0, 0, 0, 0], [["1", "0"]], ["1", "-2"], {},
     {"n": 1, "c": []}, {"n": 0, "c": [["1", "1"]]}, {"n": 5, "c": [["1", "1"]] * 4},
     {"(0)": "0"},
+)
+METRIC_ENTRIES = ("svec", "svec-x-semion", "toric", "z4-q:3", "rep-z2")
+HOSTILE_KEYS = (
+    "", "()", "(", ")", "(0", "0)", "0", "0,1", "(,)", "(0,)", "(,0)", "(0,,1)", "(0,0,0)",
+    "(" + ",".join(["0"] * 5000) + ")", "((0))", "[0]", "(0)(1)", "(-1)", "(-0)", "(+1)",
+    "(1_0)", "(0_1)", "( \uff11 )", "(\u0661)", "(1.0)", "(1e0)", "(0x1)", "(1/1)", "(nan)",
+    "(true)", "(4)", "(1,4)", "(9" + "9" * 40 + ")", "(" + "1" * 5000 + ")", " ( 1 ) ",
+    "(\t1,\n0\u3000)", "(0, 1)", "(1,1)",
 )
 
 
@@ -68,12 +78,31 @@ def _mutated(name, choose):
     return json.dumps(doc)
 
 
+def _renamed(name, choose):
+    """name's JSON with one q key renamed to a hostile element key."""
+    doc = datum_to_json(catalog_get(name).payload)
+    doc["q"][choose(HOSTILE_KEYS)] = doc["q"].pop(choose(sorted(doc["q"])))
+    return json.dumps(doc)
+
+
 @settings(max_examples=400, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_hostile_json_exits_0_or_2(tmp_path_factory, data):
     text = _mutated(data.draw(st.sampled_from(ENTRIES)), lambda seq: data.draw(st.sampled_from(seq)))
     path = tmp_path_factory.getbasetemp() / "hostile.json"
+    path.write_text(text)
+    for command in SUBCOMMANDS:
+        code, _ = cli_run([command, str(path)])
+        assert code in (0, 2), (command, text)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_hostile_element_keys_exit_0_or_2(tmp_path_factory, data):
+    text = _renamed(data.draw(st.sampled_from(METRIC_ENTRIES)), lambda seq: data.draw(st.sampled_from(seq)))
+    path = tmp_path_factory.getbasetemp() / "hostile_key.json"
     path.write_text(text)
     for command in SUBCOMMANDS:
         code, _ = cli_run([command, str(path)])

@@ -32,6 +32,7 @@ from premodular.metric_groups import (
     to_premodular,
     validate_metric_group,
 )
+from premodular.validation import ValidationError
 
 
 def mg(name):
@@ -47,8 +48,11 @@ def test_validate_examples():
 
 
 def test_coverage_violation():
-    rep = validate_metric_group(MetricGroup([2], {(0,): Fraction(0)}))
-    assert "CoverageViolation" in rep.kinds()
+    table = {(0,): Fraction(0)}
+    with pytest.raises(ValidationError) as exc:
+        MetricGroup([2], table)
+    assert "CoverageViolation" in exc.value.report.kinds()
+    assert exc.value.report.to_json() == oracles.validate_fractions([2], table).to_json()
 
 
 def test_order_one_factors_are_tolerated():
@@ -524,7 +528,10 @@ def test_validator_report_matches_the_fraction_oracle(orders, seed, case):
     if case == "value":
         table[rng.choice(sorted(table))] = _tampered_value(rng, orders)
     g = MetricGroup(orders, table)
-    assert validate_metric_group(g).to_json() == oracles.validate_fractions(g).to_json()
+    assert validate_metric_group(g).to_json() == oracles.validate_fractions(orders, table).to_json()
+
+
+STRUCTURAL_KINDS = {"OrdersViolation", "SizeCapViolation", "CoverageViolation", "RangeViolation"}
 
 
 @pytest.mark.parametrize("orders, table", [
@@ -538,8 +545,18 @@ def test_validator_report_matches_the_fraction_oracle(orders, seed, case):
     ([], {(): Fraction(1, 3)}),
 ], ids=["orders", "size-cap", "missing", "extra", "stray", "non-tuple", "range", "trivial"])
 def test_structural_reports_match_the_fraction_oracle(orders, table):
-    g = MetricGroup(orders, table)
-    assert validate_metric_group(g).to_json() == oracles.validate_fractions(g).to_json()
+    # a table failing a structural check is never built; the constructor
+    # raises the report.  "trivial" passes them (q(0) = 1/3 breaks a law),
+    # so it is built and the validator reports it.
+    expected = oracles.validate_fractions(orders, table)
+    assert not expected.ok
+    if expected.kinds() & STRUCTURAL_KINDS:
+        with pytest.raises(ValidationError) as exc:
+            MetricGroup(orders, table)
+        report = exc.value.report
+    else:
+        report = validate_metric_group(MetricGroup(orders, table))
+    assert report.to_json() == expected.to_json()
 
 
 def test_tampered_q_tables_are_rejected():
