@@ -34,8 +34,11 @@ def test_catalog_outputs_script(capsys):
         "exit": 0, "stdout": "input      : svec.json\nvalidation : ok\n"}
     assert runs["extend ising_1.json --format json"] == {"exit": 2, "stdout": ""}
     assert {run["exit"] for run in runs.values()} == {0, 2}
+    # every entry and key once as shown, every metric group once more linearized
+    pointed = sum(kind == "metric_group" for _, kind, _ in catalog_list())
     assert sum(key.startswith("analyze ") for key in runs) == 2 * (
-        len(catalog_list()) + len(PARAMETRIC_KEYS))
+        len(catalog_list()) + len(PARAMETRIC_KEYS) + pointed + len(PARAMETRIC_KEYS))
+    assert runs["analyze svec-premodular.json --format table"]["exit"] == 0
     assert runs["extend pointed_2x16_1-2,1-32.json --format table"]["exit"] == 0
 
 
