@@ -43,12 +43,8 @@ def _ising(nu: int) -> PremodularData:
     mult[2, 2, 0] = mult[2, 2, 1] = 1
     ring = FusionRing(labels=["1", "psi", "sigma"], unit_index=0, mult=mult, dual=[0, 1, 2])
     d_sigma = make_root(1, 8) + make_root(-1, 8)
-    return PremodularData(
-        ring=ring,
-        dims=[ONE, ONE, d_sigma],
-        twists=[ONE, MINUS_ONE, make_root(nu, 16)],
-        s=None,
-    )
+    return PremodularData.from_values(ring, dims=[ONE, ONE, d_sigma],
+                                      twists=[ONE, MINUS_ONE, make_root(nu, 16)])
 
 
 def _pointed_entries():

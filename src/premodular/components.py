@@ -134,19 +134,18 @@ def ring_characters(data: PremodularData, cls: CentreClassification,
     n = len(idx)
     N = ring.mult
 
-    group_like = True
-    prod = [[None] * n for _ in range(n)]
-    pos = {b: k for k, b in enumerate(idx)}
-    for i, a in enumerate(idx):
-        for j, b in enumerate(idx):
-            nz = np.flatnonzero(N[a, b])
-            if len(nz) == 1 and N[a, b, nz[0]] == 1 and int(nz[0]) in pos:
-                prod[i][j] = pos[int(nz[0])]
-            else:
-                group_like = False
+    # group-like: each product of transparent simples is one transparent
+    # simple, with multiplicity 1
+    sub = N[np.ix_(idx, idx)]
+    i, j, c = np.nonzero(sub)
+    pos = np.full(ring.rank, -1)
+    pos[idx] = np.arange(n)
+    group_like = ((np.bincount(i * n + j, minlength=n * n) == 1).all()
+                  and (sub[i, j, c] == 1).all() and (pos[c] >= 0).all())
     char_values: list[list[complex]]
     if group_like:
-        exact = _exact_group_characters(prod)
+        # the nonzeros come sorted by (i, j), one per pair
+        exact = _exact_group_characters(pos[c].reshape(n, n).tolist())
         char_values = [
             [cmath.exp(2j * cmath.pi * float(t)) if t else complex(1.0) for t in chi]
             for chi in exact

@@ -10,6 +10,11 @@ operands to the lcm via the ring map z_N -> z_M^(M/N).  Normal forms are
 unique at a fixed conductor, so equality compares den and num after
 lifting to a common conductor.
 
+CycArray holds many values at one conductor M in the same normal form,
+as one integer array; reduce_rows, map_rows and mul_rows are its
+arithmetic, vectorized over all entries (see reduce_rows for the
+exactness bound).
+
 No floating point enters any exact path; `embed` is the only bridge to
 complex doubles.
 """
@@ -21,7 +26,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-__all__ = ["CycNum", "make_root", "root_sum", "from_rational", "euler_phi", "ZERO", "ONE", "MINUS_ONE"]
+import numpy as np
+
+__all__ = ["CycNum", "CycArray", "make_root", "root_sum", "from_rational", "euler_phi",
+           "reduce_rows", "map_rows", "mul_rows", "exact_dtype", "ZERO", "ONE", "MINUS_ONE"]
+
+# array values built at once by the array kernels: a few arrays of about
+# this many entries are live at a time
+BLOCK = 2**16
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -378,3 +390,254 @@ def from_rational(x) -> CycNum:
 ZERO = from_rational(0)
 ONE = from_rational(1)
 MINUS_ONE = from_rational(-1)
+
+
+# -- arrays of values at one conductor ------------------------------------------
+
+
+def _smallest_prime(n: int) -> int:
+    return next(p for p in range(2, n + 1) if n % p == 0)
+
+
+@lru_cache(maxsize=None)
+def _radical(n: int) -> int:
+    out, m = 1, n
+    while m > 1:
+        p = _smallest_prime(m)
+        out *= p
+        while m % p == 0:
+            m //= p
+    return out
+
+
+@lru_cache(maxsize=None)
+def _low_arrays(n: int):
+    """_low_terms(n) as two int64 arrays, degrees and coefficients."""
+    return (np.array([i for i, _ in _low_terms(n)], dtype=np.int64),
+            np.array([c for _, c in _low_terms(n)], dtype=np.int64))
+
+
+@lru_cache(maxsize=None)
+def reduction_growth(n: int) -> float:
+    """G such that reduce_rows(v, n) and every value it computes on the
+    way are at most G max|v| in magnitude: its steps run on magnitudes
+    (float64, inf on overflow).  G(n) depends only on rad(n): 4 when
+    rad(n) is prime, 24 for 6, about 4e5 for 30 and 1e15 for 105."""
+    R = _radical(n)
+    phi, (deg, coef) = euler_phi(R), _low_arrays(R)
+    u = np.full(R, 2.0)  # the fold adds at most two values
+    with np.errstate(over="ignore"):
+        for k in range(R - 1, phi - 1, -1):
+            u[k - phi + deg] += np.abs(coef) * u[k]
+    return float(u.max())
+
+
+def exact_dtype(bound: int, growth: float = 1.0):
+    """int64 when bound * growth, a bound on every magnitude an array
+    expression takes, is below 2^62 (the margin absorbs the rounding of
+    a float growth), else object: the same expressions on Python ints."""
+    return np.int64 if bound < 2.0**62 / growth else object
+
+
+def magnitude(a: np.ndarray) -> int:
+    """The largest |entry| of an integer array, as a Python int."""
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def reduce_rows(v: np.ndarray, n: int) -> np.ndarray:
+    """The values sum_j v[..., j] z_n^j, for a last axis of length at most
+    2n, in the power basis at conductor n: a (..., phi(n)) array of v's
+    dtype, exact in int64 when reduction_growth(n) max|v| < 2^63.  v is
+    scratch space: when its last axis has length n or more, the result
+    is computed in it and is a view of it.
+
+    z_n^n = 1 folds the top half into place.  Then with R = rad(n) and
+    t = n / R, Phi_n(x) = Phi_R(x^t), so for each u < t the coefficients
+    of x^(t i + u) form a polynomial in x^t; all of them, over all
+    entries, are long-divided by Phi_R at once, top coefficient first.
+    """
+    lead, L = v.shape[:-1], v.shape[-1]
+    if L < n:
+        w = np.zeros(lead + (n,), dtype=v.dtype)
+        w[..., :L] = v
+    else:
+        w = v[..., :n]
+        w[..., :L - n] += v[..., n:]
+    R = _radical(n)
+    phi, (deg, coef) = euler_phi(R), _low_arrays(R)
+    w = w.reshape(lead + (R, n // R))
+    for k in range(R - 1, phi - 1, -1):
+        w[..., k - phi + deg, :] -= coef[:, None] * w[..., k:k + 1, :]
+    return w[..., :phi, :].reshape(lead + (euler_phi(n),))
+
+
+def map_rows(v: np.ndarray, cols, n: int) -> np.ndarray:
+    """The values sum_k v[..., k] z_n^cols[k] at conductor n, for distinct
+    cols below n: a lift (cols = k n/m from conductor m) or the complex
+    conjugation (cols = -k mod n), in blocks of about BLOCK values."""
+    lead = v.shape[:-1]
+    v = v.reshape(-1, v.shape[-1])
+    v = v.astype(exact_dtype(magnitude(v), reduction_growth(n)), copy=False)
+    out = np.empty((len(v), euler_phi(n)), dtype=v.dtype)
+    step = max(1, BLOCK // n)
+    for i in range(0, len(v), step):
+        w = np.zeros((len(v[i:i + step]), n), dtype=v.dtype)
+        w[:, cols] = v[i:i + step]
+        out[i:i + step] = reduce_rows(w, n)
+    return out.reshape(lead + (euler_phi(n),))
+
+
+def mul_rows(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The entrywise products of the values a and b at conductor n,
+    numerator arrays (..., phi(n)) broadcast against each other.
+
+    The factor with fewer nonzeros drives shifted adds, each nonzero
+    coefficient adding a scaled row of the other factor (a root of unity
+    at a power-of-two conductor has one nonzero, so multiplying by it
+    costs phi(n) per entry, not phi(n)^2); then one reduction.  Every
+    coefficient before the reduction is a sum of at most phi(n) products,
+    so the computation is in int64 when phi(n) max|a| max|b|
+    reduction_growth(n) < 2^62 and on Python ints otherwise.  A factor
+    whose values are all rational makes one shift, of 0, and nothing to
+    reduce: it scales the other.
+    """
+    for x, y in ((a, b), (b, a)):
+        if not x[..., 1:].any():
+            dtype = exact_dtype(magnitude(x) * magnitude(y))
+            return x[..., :1].astype(dtype, copy=False) * y.astype(dtype, copy=False)
+    a, b = np.broadcast_arrays(a, b)
+    shape, phi = a.shape, a.shape[-1]
+    a, b = a.reshape(-1, phi), b.reshape(-1, phi)
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    dtype = exact_dtype(magnitude(a) * magnitude(b) * phi, reduction_growth(n))
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    out = np.zeros((len(a), max(2 * phi - 1, n)), dtype=dtype)
+    cols, rows = np.nonzero(a.T)
+    cuts = np.searchsorted(cols, np.arange(phi + 1))
+    for i in np.flatnonzero(np.diff(cuts)):
+        at = rows[cuts[i]:cuts[i + 1]]
+        if len(at) == len(a):
+            out[:, i:i + phi] += a[:, i, None] * b
+        else:
+            out[at, i:i + phi] += a[at, i, None] * b[at]
+    return reduce_rows(out, n).reshape(shape)
+
+
+def _descend(num: list, m: int, n: int) -> list:
+    """The power-basis coefficients at conductor n, a divisor of m, of a
+    value given by its coefficients num at conductor m that lies in
+    Q(zeta_n), one prime at a time: m = p k.
+
+    If p divides k, Phi_m(x) = Phi_k(x^p), so the value's coefficients sit
+    at the multiples of p.  Otherwise z_m^j = z_k^(u j) z_p^(w j) with
+    p u = 1 mod k and k w = 1 mod p; in the basis z_k^a z_p^b (b < p-1)
+    the value is its z_p^0 part, once z_p^(p-1) = -(1 + ... + z_p^(p-2))."""
+    while m != n:
+        p = _smallest_prime(m // n)
+        k = m // p
+        if k % p == 0:
+            num = num[::p]
+        else:
+            u, w = pow(p, -1, k), pow(k, -1, p)
+            poly = [0] * k
+            for j, c in enumerate(num):
+                e = w * j % p
+                if c and e == 0:
+                    poly[u * j % k] += c
+                elif c and e == p - 1:
+                    poly[u * j % k] -= c
+            num = list(_reduce(poly, k))
+        m = k
+    return num
+
+
+class CycArray:
+    """An array of values of Q(zeta_M) at one conductor M, in CycNum's
+    normal form: num[..., k] / den is the coefficient of z_M^k, with
+    den > 0 and gcd(den, all of num) == 1; num is an int64 array, or an
+    object array of Python ints where a value needs it (exact_dtype).
+    conductor[...] gives the conductor of each entry as a CycNum, a
+    divisor of M; indexing an entry builds that CycNum.  Equality is
+    equality of every value."""
+
+    __slots__ = ("M", "num", "den", "conductor")
+    __hash__ = None
+
+    def __init__(self, M: int, num: np.ndarray, den: int, conductor):
+        g = gcd(den, int(np.gcd.reduce(num, axis=None)) if num.size else 0) if den != 1 else 1
+        self.M, self.num, self.den = M, num // g if g != 1 else num, den // g
+        self.conductor = np.asarray(conductor, dtype=np.int64)
+
+    @classmethod
+    def from_parts(cls, M: int, conductors, nums, dens, shape) -> "CycArray":
+        """Entries given in order: entry i has conductor conductors[i],
+        dividing M, and its phi(conductors[i]) coefficients are the next
+        items of nums over dens (integer sequences or arrays)."""
+        nums, dens = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (nums, dens))
+        den = 1
+        if (dens != 1).any():
+            den = lcm(*np.unique(dens).tolist())
+            nums = nums.astype(object) * (den // dens.astype(object))
+        conductors = np.array(conductors, dtype=np.int64).reshape(-1)
+        if (M % conductors).any():
+            raise ValueError(f"conductors {sorted(set(conductors.tolist()))} do not all divide {M}")
+        values = nums.astype(exact_dtype(magnitude(nums), reduction_growth(M)), copy=False)
+        starts = np.cumsum([0] + [euler_phi(c) for c in conductors.tolist()])
+        num = np.empty((len(conductors), euler_phi(M)), dtype=values.dtype)
+        for c in np.unique(conductors).tolist():
+            # one lift per conductor: coefficient k at conductor c goes to z_M^(k M/c)
+            group, k = np.flatnonzero(conductors == c), np.arange(euler_phi(c))
+            num[group] = map_rows(values[starts[group, None] + k], k * (M // c), M)
+        return cls(M, num.reshape(tuple(shape) + (euler_phi(M),)), den, conductors.reshape(shape))
+
+    @classmethod
+    def from_values(cls, values, M: int | None = None) -> "CycArray":
+        """CycNums in a list, or in a list of equal-length lists, at
+        conductor M (by default the lcm of their conductors)."""
+        rows = [list(row) for row in values] if values and not isinstance(values[0], CycNum) else None
+        flat = [v for row in rows for v in row] if rows is not None else list(values)
+        shape = (len(rows), len(rows[0]) if rows else 0) if rows is not None else (len(flat),)
+        return cls.from_parts(M or lcm(*(v.conductor for v in flat)), [v.conductor for v in flat],
+                              [c for v in flat for c in v.num], [v.den for v in flat for _ in v.num], shape)
+
+    @property
+    def shape(self) -> tuple:
+        return self.num.shape[:-1]
+
+    def __len__(self):
+        return len(self.num)
+
+    def __getitem__(self, index):
+        num = self.num[index]
+        if num.ndim > 1:
+            return CycArray(self.M, num, self.den, self.conductor[index])
+        n = int(self.conductor[index])
+        return _normal(n, _descend(num.tolist(), self.M, n), self.den)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def reshape(self, *shape) -> "CycArray":
+        return CycArray(self.M, self.num.reshape(shape + self.num.shape[-1:]), self.den,
+                        self.conductor.reshape(shape))
+
+    def lift(self, m: int) -> "CycArray":
+        """The same values at conductor m, a multiple of M."""
+        if m == self.M:
+            return self
+        cols = np.arange(euler_phi(self.M)) * (m // self.M)
+        return CycArray(m, map_rows(self.num, cols, m), self.den, self.conductor)
+
+    def __eq__(self, other):
+        if not isinstance(other, CycArray):
+            return NotImplemented
+        if self.shape != other.shape:
+            return False
+        m = lcm(self.M, other.M)
+        a, b = self.lift(m), other.lift(m)
+        # the normal form is unique at a fixed conductor
+        return a.den == b.den and np.array_equal(a.num, b.num)
+
+    def __repr__(self):
+        return f"CycArray(M={self.M}, shape={self.shape}, den={self.den})"

@@ -8,9 +8,31 @@ the balancing formula
     s_{a,b} = theta_a^-1 theta_b^-1 sum_c N^c_{a,b} theta_c d_c   (exact),
 
 which either synthesizes s (when absent from the input) or must agree
-exactly with a supplied s.  The framed pairing is S~_{a,b} = s_{a,b} /
+exactly with a supplied s; a supplied s is checked multiplied through
+by the twists, theta_a theta_b s_{a,b} = sum_c N^c_{a,b} theta_c d_c, so
+no inverse is taken.  The framed pairing is S~_{a,b} = s_{a,b} /
 (d_a d_b); a label is transparent when its S~ column is identically 1.
-Values may lie in different cyclotomic fields; none is declared.
+
+Representation: dims, twists and s are CycArrays at one conductor M, the
+lcm of the datum's conductors (at most MAX_CONDUCTOR): integer numerator
+arrays r x phi(M), r x phi(M) and r x r x phi(M), each over one
+denominator.  An entry read by index is a CycNum at the conductor it was
+given at; a synthesized s_{a,b} keeps the lcm of the conductors of
+theta_a, theta_b and every theta_c d_c with N^c_{a,b} != 0.  Validation
+and classification run on the arrays: every product of values is one
+batched product (cyclotomic.mul_rows) and every sum over fusion channels
+one contraction over the nonzeros of N, in blocks of rows a of about
+BLOCK values.
+
+Exactness: an expression runs in int64 when a bound from its operands'
+largest magnitudes proves it exact, and otherwise by the same code on
+Python ints (dtype=object).  The bounds: phi(M) max|x| max|y| G(M) <
+2^62 for a product, G(M) = cyclotomic.reduction_growth(M), which is 4
+when rad(M) is prime, 24 for rad(M) = 6 and about 4e5 for 30;
+max_{a,b} sum_c N^c_{a,b} max|x| < 2^62 for a contraction; max|x| den_y
+and max|y| den_x below 2^62 for comparing x/den_x with y/den_y.  So a
+datum with numerators and denominators below 2^20 at a conductor whose
+radical is prime runs in int64 throughout, linearized groups included.
 """
 
 from __future__ import annotations
@@ -21,7 +43,7 @@ from math import lcm
 
 import numpy as np
 
-from .cyclotomic import CycNum, ONE, MINUS_ONE, ZERO
+from .cyclotomic import BLOCK, CycArray, CycNum, exact_dtype, magnitude, map_rows, mul_rows
 from .errors import NotASubcategory
 from .fusion_ring import FusionRing, validate_fusion_ring
 from .validation import ValidationReport
@@ -41,43 +63,84 @@ __all__ = [
 
 @dataclass
 class PremodularData:
-    """ring + per-label dims d_a and twists theta_a (CycNum), and the
-    unnormalized Hopf-link matrix s (filled by validation if absent)."""
+    """ring + per-label dims d_a and twists theta_a, and the unnormalized
+    Hopf-link matrix s (filled by validation if absent), as CycArrays at
+    one conductor (see the module docstring)."""
 
     ring: FusionRing
-    dims: list[CycNum]
-    twists: list[CycNum]
-    s: list[list[CycNum]] | None = None
+    dims: CycArray
+    twists: CycArray
+    s: CycArray | None = None
+
+    @classmethod
+    def from_values(cls, ring, dims, twists, s=None) -> "PremodularData":
+        """From CycNums: lists dims and twists, and s a list of lists or
+        None, all taken to the lcm of their conductors."""
+        values = [*dims, *twists, *(x for row in s or () for x in row)]
+        M = lcm(*(x.conductor for x in values))
+        return cls(ring, CycArray.from_values(list(dims), M), CycArray.from_values(list(twists), M),
+                   None if s is None else CycArray.from_values(s, M))
 
     @property
     def labels(self):
         return self.ring.labels
 
-    def s_entry(self, a: int, b: int) -> CycNum:
-        if self.s is None:
-            raise ValueError("s-matrix not present; validate the datum first")
-        return self.s[a][b]
+
+def _is_integer(num: np.ndarray, den: int, k: int) -> np.ndarray:
+    """(..., phi) -> (...): the values num / den equal the integer k."""
+    return (num[..., 0] == k * den) & ~num[..., 1:].any(axis=-1)
 
 
-def _fusion_sum(terms) -> CycNum:
-    """sum m x over terms = [(x, m), ...]."""
-    acc = None
-    for x, m in terms:
-        term = x if m == 1 else x * m
-        acc = term if acc is None else acc + term
-    return ZERO if acc is None else acc
+def _unequal(x: np.ndarray, x_den: int, y: np.ndarray, y_den: int) -> np.ndarray:
+    """(..., phi) -> (...): x / x_den != y / y_den, entry by entry."""
+    dtype = exact_dtype(max(max(magnitude(x), 1) * y_den, max(magnitude(y), 1) * x_den))
+    if y_den != 1:
+        x = x.astype(dtype, copy=False) * y_den
+    if x_den != 1:
+        y = y.astype(dtype, copy=False) * x_den
+    return (x != y).any(axis=-1)
 
 
-def _lifts(values: list[CycNum]):
-    """at(i, k): values[i] lifted to conductor k, computed once per (i, k)."""
-    memo = {}
+def _row_blocks(rows: int, width: int):
+    """Slices of range(rows), each of about BLOCK // width rows."""
+    step = max(1, BLOCK // width)
+    return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
 
-    def at(i: int, k: int) -> CycNum:
-        if (i, k) not in memo:
-            memo[i, k] = values[i].lift(k)
-        return memo[i, k]
 
-    return at
+class _Channels:
+    """The nonzeros N^c_{a,b} of a fusion ring, sorted by (a, b, c), for
+    sums over fusion channels by rows a."""
+
+    def __init__(self, ring: FusionRing):
+        N = ring.mult
+        self.r = ring.rank
+        self.a, self.b, self.c = np.nonzero(N)
+        self.m = N[self.a, self.b, self.c]
+        self.start = np.searchsorted(self.a, np.arange(self.r + 1))
+        self.width = max(self.r, int(np.diff(self.start).max(initial=0)))  # values per row a
+        self.row_sum = int(N.sum(axis=2).max(initial=0))  # max_{a,b} sum_c N^c_{a,b}
+
+    def blocks(self, phi: int):
+        return _row_blocks(self.r, 2 * phi * self.width)
+
+    def sums(self, x: np.ndarray, rows: slice) -> np.ndarray:
+        """sum_c N^c_{a,b} x[c] for a in rows and every b: (rows, r, phi)."""
+        at = slice(self.start[rows.start], self.start[rows.stop])
+        keys = (self.a[at] - rows.start) * self.r + self.b[at]
+        dtype = exact_dtype(self.row_sum * magnitude(x))
+        out = np.zeros(((rows.stop - rows.start) * self.r, x.shape[-1]), dtype=dtype)
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        terms = self.m[at, None].astype(dtype) * x[self.c[at]].astype(dtype)
+        out[keys[first]] = terms if len(first) == len(keys) else np.add.reduceat(terms, first, axis=0)
+        return out.reshape(rows.stop - rows.start, self.r, x.shape[-1])
+
+    def conductors(self, twists: CycArray, dims: CycArray) -> np.ndarray:
+        """The conductor of each synthesized s_{a,b}: the lcm of those of
+        theta_a, theta_b and theta_c d_c over the channels c of a.b."""
+        t = twists.conductor
+        out = np.lcm.outer(t, t)
+        np.lcm.at(out, (self.a, self.b), np.lcm(t, dims.conductor)[self.c])
+        return out
 
 
 def validate_premodular(data: PremodularData) -> ValidationReport:
@@ -87,7 +150,10 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
     exactly; a mismatch is a violation, not a warning.  Balancing implies
     that s is symmetric (N^c_{a,b} = N^c_{b,a}) and that s_{I,a} = d_a
     (N^c_{I,a} = delta_{a,c} and theta_I = 1), so neither is checked;
-    conj(s_{a,b}) = s_{a*,b} is.  Mutates data.s when synthesis succeeds.
+    conj(s_{a,b}) = s_{a*,b} is, as one signed permutation of the
+    power basis at M, reduced by Phi_M, against s[dual].  Witnesses come
+    in row order, (a, b) with b >= a for the dimension character and the
+    conjugation.  Mutates data.s when synthesis succeeds.
     """
     rep = ValidationReport()
     ring = data.ring
@@ -96,84 +162,93 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
         rep.violations.extend(ring_report.violations)
         return rep
     r = ring.rank
-    if len(data.dims) != r or len(data.twists) != r:
+    if data.dims.shape != (r,) or data.twists.shape != (r,):
         rep.add("ShapeViolation", (r,), "dims/twists length must equal rank")
         return rep
 
-    I = ring.unit_index
-    dual = ring.dual
-    if data.dims[I] != ONE:
+    I, dual = ring.unit_index, ring.dual
+    M = lcm(data.dims.M, data.twists.M, data.s.M if data.s is not None else 1)
+    dims, twists = data.dims.lift(M), data.twists.lift(M)
+    D, d_den, T, t_den = dims.num, dims.den, twists.num, twists.den
+    if not _is_integer(D[I], d_den, 1):
         rep.add("UnitDimViolation", (I,), "d_I must be 1")
-    if data.twists[I] != ONE:
+    if not _is_integer(T[I], t_den, 1):
         rep.add("UnitTwistViolation", (I,), "theta_I must be 1")
-    for a in range(r):
-        if data.dims[a].is_zero():
+    zero_d, zero_t = ~D.any(axis=1), ~T.any(axis=1)
+    dual_d, dual_t = (D != D[dual]).any(axis=1), (T != T[dual]).any(axis=1)
+    for a in np.flatnonzero(zero_d | zero_t | dual_d | dual_t).tolist():
+        if zero_d[a]:
             rep.add("ZeroDimViolation", (a,))
-        if data.twists[a].is_zero():
+        if zero_t[a]:
             rep.add("ZeroTwistViolation", (a,), "twists must be invertible")
-        if data.dims[a] != data.dims[dual[a]]:
+        if dual_d[a]:
             rep.add("DualDimViolation", (a, dual[a]), "d_a != d_{a*}")
-        if data.twists[a] != data.twists[dual[a]]:
+        if dual_t[a]:
             rep.add("DualTwistViolation", (a, dual[a]), "theta_a != theta_{a*}")
     if rep.violations:
         return rep
 
-    # dimension character d_a d_b = sum_c N^c_{a,b} d_c at one conductor, and
-    # balancing with s_{a,b} at the lcm k of its factors' conductors (which a
-    # synthesized s keeps), each factor lifted once per k
-    m = lcm(*(d.conductor for d in data.dims))
-    dims = [d.lift(m) for d in data.dims]
-    theta_inv, twisted_dims = _lifts([t.inverse() for t in data.twists]), _lifts(
-        [t * d for t, d in zip(data.twists, data.dims)])
-    inv_cond = [t.conductor for t in data.twists]
-    dim_cond = [lcm(t.conductor, d.conductor) for t, d in zip(data.twists, data.dims)]
-    balanced = [[None] * r for _ in range(r)]
-    for a in range(r):
-        bs, cs = np.nonzero(ring.mult[a])
-        fusion = {}
-        for b, c, n in zip(bs.tolist(), cs.tolist(), ring.mult[a, bs, cs].tolist()):
-            fusion.setdefault(b, []).append((c, n))
-        for b in range(a, r):
-            terms = fusion.get(b, ())
-            if dims[a] * dims[b] != _fusion_sum((dims[c], n) for c, n in terms):
-                rep.add("DimensionCharacterViolation", (a, b))
-            k = lcm(inv_cond[a], inv_cond[b], *(dim_cond[c] for c, _ in terms))
-            balanced[a][b] = balanced[b][a] = theta_inv(a, k) * theta_inv(b, k) * _fusion_sum(
-                (twisted_dims(c, k), n) for c, n in terms)
+    # the dimension character d_a d_b = sum_c N^c_{a,b} d_c
+    channels = _Channels(ring)
+    blocks = channels.blocks(D.shape[1])
+    upper = np.arange(r)[None, :] >= np.arange(r)[:, None]
+    for rows in blocks:
+        bad = _unequal(mul_rows(D[rows, None], D[None, :], M), d_den * d_den,
+                       channels.sums(D, rows), d_den) & upper[rows]
+        for a, b in np.argwhere(bad).tolist():
+            rep.add("DimensionCharacterViolation", (rows.start + a, b))
     if rep.violations:
         return rep
 
-    if data.s is not None and (len(data.s) != r or any(len(row) != r for row in data.s)):
+    if data.s is not None and data.s.shape != (r, r):
         rep.add("ShapeViolation", (r,), "s-matrix must be rank x rank")
         return rep
+    twisted_dims = mul_rows(T, D, M)  # theta_c d_c, over t_den d_den
     if data.s is None:
-        data.s = balanced
+        inverse = CycArray.from_values([t.inverse() for t in data.twists], M)
+        s = np.zeros((r, r, D.shape[1]), dtype=np.int64)
+        for rows in blocks:
+            part = mul_rows(mul_rows(inverse.num[rows, None], inverse.num[None, :], M),
+                            channels.sums(twisted_dims, rows), M)
+            s = s.astype(part.dtype, copy=False)  # Python ints once any value needs them
+            s[rows] = part
+        data.s = CycArray(M, s, inverse.den**2 * t_den * d_den, channels.conductors(data.twists, data.dims))
     else:
-        for a in range(r):
-            for b in range(r):
-                if data.s[a][b] != balanced[a][b]:
-                    rep.add("BalancingViolation", (a, b), "supplied s disagrees with balancing formula")
-    if rep.violations:
-        return rep
+        s = data.s.lift(M)
+        for rows in blocks:
+            # theta_a theta_b s_{a,b} over t_den^2 s_den, the channel sum over t_den d_den
+            lhs = mul_rows(mul_rows(T[rows, None], T[None, :], M), s.num[rows], M)
+            bad = _unequal(lhs, t_den * s.den, channels.sums(twisted_dims, rows), d_den)
+            for a, b in np.argwhere(bad).tolist():
+                rep.add("BalancingViolation", (rows.start + a, b), "supplied s disagrees with balancing formula")
+        if rep.violations:
+            return rep
 
-    s = data.s
-    for a in range(r):
-        for b in range(a, r):
-            if s[a][b].conj() != s[dual[a]][b]:
-                rep.add("SConjugationViolation", (a, b), "conj(s_{a,b}) != s_{a*,b}")
+    S = data.s.lift(M).num
+    conj = (-np.arange(S.shape[-1])) % M
+    for rows in blocks:
+        bad = (map_rows(S[rows], conj, M) != S[np.asarray(dual)[rows]]).any(axis=2) & upper[rows]
+        for a, b in np.argwhere(bad).tolist():
+            rep.add("SConjugationViolation", (rows.start + a, b), "conj(s_{a,b}) != s_{a*,b}")
     return rep
 
 
 def framed_s_entry(data: PremodularData, a: str, b: str) -> CycNum:
     """S~_{a,b} = s_{a,b} / (d_a d_b) in the ribbon gauge."""
     i, j = data.ring.index(a), data.ring.index(b)
-    return data.s_entry(i, j) / (data.dims[i] * data.dims[j])
+    return data.s[i, j] / (data.dims[i] * data.dims[j])
 
 
-def _centralizes(data: PremodularData, b: int, idx) -> bool:
-    # S~_{b,x} = 1 for every x in idx, tested multiplicatively: s_{b,x} = d_b d_x
-    s, dims = data.s, data.dims
-    return all(s[b][x] == dims[b] * dims[x] for x in idx)
+def _transparency(data: PremodularData) -> np.ndarray:
+    """(r, r) booleans: S~_{b,x} = 1, tested multiplicatively as
+    s_{b,x} = d_b d_x, row b of s against d_b d."""
+    M = lcm(data.dims.M, data.s.M)
+    dims, s = data.dims.lift(M), data.s.lift(M)
+    D, r = dims.num, len(dims)
+    out = np.empty((r, r), dtype=bool)
+    for rows in _row_blocks(r, 2 * r * D.shape[1]):
+        out[rows] = ~_unequal(s.num[rows], s.den, mul_rows(D[rows, None], D[None, :], M), dims.den**2)
+    return out
 
 
 def _check_closed(data: PremodularData, idx: set[int]) -> bool:
@@ -195,7 +270,7 @@ def relative_centralizer(data: PremodularData, sub) -> set[str]:
     idx = {data.ring.index(x) for x in sub}
     if not _check_closed(data, idx):
         raise NotASubcategory(f"label set {sorted(sub)} is not closed under fusion and duals")
-    out = {b for b in range(data.ring.rank) if _centralizes(data, b, idx)}
+    out = set(np.flatnonzero(_transparency(data)[:, sorted(idx)].all(axis=1)).tolist())
     assert _check_closed(data, out), "centralizer must be fusion- and dual-closed"
     return {data.labels[b] for b in out}
 
@@ -212,12 +287,8 @@ def mueger_centre(data: PremodularData) -> PremodularData:
         mult=data.ring.mult[np.ix_(idx, idx, idx)],
         dual=[pos[data.ring.dual[b]] for b in idx],
     )
-    return PremodularData(
-        ring=sub_ring,
-        dims=[data.dims[b] for b in idx],
-        twists=[data.twists[b] for b in idx],
-        s=[[data.s[a][b] for b in idx] for a in idx],
-    )
+    return PremodularData(ring=sub_ring, dims=data.dims[idx], twists=data.twists[idx],
+                          s=data.s[np.ix_(idx, idx)])
 
 
 class CentreKind(str, Enum):
@@ -251,10 +322,11 @@ def classify_degeneracy(data: PremodularData) -> CentreClassification:
     with e . e = I and theta_e = -1.
     """
     ring = data.ring
-    idx = [b for b in range(ring.rank) if _centralizes(data, b, range(ring.rank))]
+    idx = np.flatnonzero(_transparency(data).all(axis=1)).tolist()
     trans = [data.labels[b] for b in idx]
-    bos = sum(1 for b in idx if data.twists[b] == ONE)
-    fer = sum(1 for b in idx if data.twists[b] == MINUS_ONE)
+    T, t_den = data.twists.num, data.twists.den
+    bos = int(_is_integer(T[idx], t_den, 1).sum())
+    fer = int(_is_integer(T[idx], t_den, -1).sum())
     if idx == [ring.unit_index]:
         return CentreClassification(CentreKind.NONDEGENERATE, trans, None, bos, fer)
     if len(idx) == 2:
@@ -263,7 +335,7 @@ def classify_degeneracy(data: PremodularData) -> CentreClassification:
             ring.mult[e, e, ring.unit_index] == 1
             and int(ring.mult[e, e].sum()) == 1
         )
-        if e_squared_is_unit and data.twists[e] == MINUS_ONE:
+        if e_squared_is_unit and _is_integer(T[e], t_den, -1):
             return CentreClassification(
                 CentreKind.SLIGHTLY_DEGENERATE, trans, data.labels[e], bos, fer
             )

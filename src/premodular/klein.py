@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .cyclotomic import CycNum
 from .data import CentreClassification, CentreKind, PremodularData, classify_degeneracy
 from .errors import CrossCheckMismatch, NotSlightlyDegenerate
@@ -84,11 +86,13 @@ def _kappa_report(data: PremodularData, fermion: str) -> KappaReport:
     e = ring.index(fermion)
     dual = ring.dual
     e_times = [ring.product_single(e, a) for a in range(ring.rank)]
-    for a, ea in enumerate(e_times):
-        if data.twists[ea] != -data.twists[a]:
-            raise CrossCheckMismatch(
-                f"twist identity fails: theta({ring.labels[ea]}) != -theta({ring.labels[a]})"
-            )
+    T = data.twists.num
+    failing = np.flatnonzero((T[e_times] != -T).any(axis=1))
+    if len(failing):
+        a = int(failing[0])
+        raise CrossCheckMismatch(
+            f"twist identity fails: theta({ring.labels[e_times[a]]}) != -theta({ring.labels[a]})"
+        )
     n_self_dual = sum(1 for a in range(ring.rank) if dual[a] == a)
     n_e_twisted = sum(1 for a, ea in enumerate(e_times) if dual[a] == ea)
     kappa_plus = Fraction(n_self_dual + n_e_twisted, 2)

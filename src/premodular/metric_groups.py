@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .cyclotomic import CycNum, ONE, make_root, root_sum
+from .cyclotomic import CycArray, CycNum, reduce_rows, root_sum
 from .data import PremodularData
 from .errors import CrossCheckMismatch, GroupsTooLarge, NotSlightlyDegenerate
 from .fusion_ring import MAX_RANK, group_ring
@@ -323,8 +323,10 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
     Elements are indexed in mixed radix (the order of mg.elements()), so
     the addition table is index arithmetic, and with q = Q/D over the lcm
     D of its denominators every s exponent is (Q[x+y] - Q[x] - Q[y]) mod
-    D.  The output satisfies the premodular axioms by construction (the
-    balancing formula collapses to the definition of the polarization).
+    D; every value is a row of the table of the z_D^k, so the data are
+    arrays at conductor D from the start.  The output satisfies the
+    premodular axioms by construction (the balancing formula collapses
+    to the definition of the polarization).
     Groups of order above MAX_RANK raise GroupsTooLarge.
     """
     if mg.order > MAX_RANK:
@@ -338,14 +340,15 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
         unit_index=0,
         inverse=np.argmin(add_table, axis=1).tolist(),  # x + y is the unit, index 0
     )
-    exponents, s_index = np.unique((Q[add_table] - Q[:, None] - Q[None, :]) % D,
-                                   return_inverse=True)
-    roots = [make_root(int(k), D) for k in exponents]
+    # row k: z_D^k in the power basis, at conductor D / gcd(k, D)
+    roots = reduce_rows(np.eye(D, dtype=np.int64), D)
+    conductor = D // np.gcd(np.arange(D), D)
+    pairing = (Q[add_table] - Q[:, None] - Q[None, :]) % D
     return PremodularData(
         ring=ring,
-        dims=[ONE] * r,
-        twists=[make_root(k, D) for k in Q.tolist()],
-        s=[[roots[k] for k in row] for row in s_index.reshape(r, r).tolist()],
+        dims=CycArray(D, roots[np.zeros(r, dtype=np.int64)], 1, np.ones(r, dtype=np.int64)),
+        twists=CycArray(D, roots[Q], 1, conductor[Q]),
+        s=CycArray(D, roots[pairing], 1, conductor[pairing]),
     )
 
 

@@ -12,13 +12,14 @@ are bounded in digits, element keys in coordinates.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 
 import numpy as np
 
-from .cyclotomic import CycNum, make_root
+from .cyclotomic import CycArray, CycNum, euler_phi, exact_dtype, make_root
 from .data import PremodularData, validate_premodular
 from .fusion_ring import MAX_MULT, MAX_RANK, FusionRing
 from .metric_groups import MAX_CONDUCTOR, MetricGroup, format_element, validate_metric_group
@@ -44,6 +45,11 @@ __all__ = [
 # later step meets a huge integer
 MAX_DIGITS = 32
 _DIGIT_BOUND = 10**MAX_DIGITS
+# coefficient slots r^2 phi(M) of the arrays a premodular datum needs:
+# every catalog entry and every linearized group (rank <= MAX_RANK,
+# conductor <= 2 exp(A)) fits, the largest being Z_256 with q = x^2/512,
+# 256^2 * phi(512) = 2^24
+MAX_SLOTS = 2**24
 _RATIONAL = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
 _INTEGER = re.compile(r"-?[0-9]+")
 
@@ -118,6 +124,56 @@ def _cycnum_from_json(obj) -> CycNum:
     return CycNum(n, [p * (den // q) for p, q in parts], den)
 
 
+def _integers(values: list):
+    """values as ints, read in bulk as _integer reads each one, or None
+    if _integer would refuse any of them."""
+    types = set(map(type, values))
+    if not types <= {int, str}:
+        return None
+    if str in types:
+        strings = values if types == {str} else [x for x in values if type(x) is str]
+        if not all(map(_INTEGER.fullmatch, strings)):
+            return None
+        try:
+            return list(map(int, values))
+        except ValueError:  # past int's digit limit
+            return None
+    return values
+
+
+def _cycnums_in_bulk(entries: list):
+    """(conductors, numerators, denominators) of CycNum objects, the
+    coefficient parts of all entries in one list and then one array, with
+    the checks of _cycnum_from_json run on whole lists; None if any check
+    fails."""
+    try:
+        conductors = _integers([obj["n"] for obj in entries])
+        coefficients = [obj["c"] for obj in entries]
+    except (KeyError, TypeError):
+        return None
+    if conductors is None or not all(1 <= n <= MAX_CONDUCTOR for n in conductors):
+        return None
+    if set(map(type, coefficients)) - {list} or list(map(len, coefficients)) != list(map(euler_phi, conductors)):
+        return None
+    pairs = list(itertools.chain.from_iterable(coefficients))
+    if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
+        return None
+    parts = _integers(list(itertools.chain.from_iterable(pairs)))
+    if parts is None:
+        return None
+    bound = max(-min(parts, default=0), max(parts, default=0))
+    if bound >= _DIGIT_BOUND:
+        return None
+    parts = np.array(parts, dtype=exact_dtype(bound)).reshape(-1, 2)
+    return (conductors, parts[:, 0], parts[:, 1]) if parts[:, 1].all() else None
+
+
+def _cycnum_parts(values: list[CycNum]):
+    """(conductors, numerators, denominators) of CycNums."""
+    return ([v.conductor for v in values], [c for v in values for c in v.num],
+            [v.den for v in values for _ in v.num])
+
+
 # -- fusion rings -------------------------------------------------------------
 
 
@@ -134,6 +190,35 @@ def ring_to_json(ring: FusionRing) -> dict:
     }
 
 
+def _fusion_in_bulk(fusion: list, r: int):
+    """The fusion entries [a, b, c, n] as int64 arrays a, b, c, n, read
+    in bulk; None if any entry is malformed, out of range or over the
+    cap, or any (a, b, c) repeats."""
+    if set(map(type, fusion)) - {list} or set(map(len, fusion)) - {4}:
+        return None
+    values = _integers(list(itertools.chain.from_iterable(fusion)))
+    if values is None or not all(abs(x) <= MAX_MULT for x in (min(values, default=0), max(values, default=0))):
+        return None
+    a, b, c, n = np.array(values, dtype=np.int64).reshape(-1, 4).T
+    keys = (a * r + b) * r + c
+    if ((a < 0) | (b < 0) | (c < 0) | (a >= r) | (b >= r) | (c >= r)).any() or len(np.unique(keys)) < len(keys):
+        return None
+    return a, b, c, n
+
+
+def _fusion_entries(fusion: list, r: int):
+    """The fusion entries read one by one, raising at the first bad one;
+    a repeated (a, b, c) keeps its last n."""
+    table = {}
+    for a, b, c, n in (map(_integer, entry) for entry in fusion):
+        if not (0 <= a < r and 0 <= b < r and 0 <= c < r):
+            raise ValueError(f"fusion index out of range: {(a, b, c)}")
+        if n > MAX_MULT:
+            raise ValueError(f"multiplicity {n} exceeds the cap {MAX_MULT}")
+        table[a, b, c] = n
+    return (*np.array(list(table), dtype=np.int64).reshape(-1, 3).T, list(table.values()))
+
+
 def ring_from_json(obj: dict) -> FusionRing:
     try:
         if not all(isinstance(obj[k], list) for k in ("labels", "dual", "fusion")):
@@ -143,12 +228,8 @@ def ring_from_json(obj: dict) -> FusionRing:
         if r > MAX_RANK:
             raise ValueError(f"rank {r} exceeds the cap {MAX_RANK}")
         mult = np.zeros((r, r, r), dtype=np.int64)
-        for a, b, c, n in (map(_integer, entry) for entry in obj["fusion"]):
-            if not (0 <= a < r and 0 <= b < r and 0 <= c < r):
-                raise ValueError(f"fusion index out of range: {(a, b, c)}")
-            if n > MAX_MULT:
-                raise ValueError(f"multiplicity {n} exceeds the cap {MAX_MULT}")
-            mult[a, b, c] = n
+        a, b, c, n = _fusion_in_bulk(obj["fusion"], r) or _fusion_entries(obj["fusion"], r)
+        mult[a, b, c] = n
         return FusionRing(
             labels=labels,
             unit_index=_integer(obj["unit"]),
@@ -172,23 +253,60 @@ def premodular_to_json(data: PremodularData) -> dict:
     return out
 
 
+def _parts_in_bulk(obj: dict):
+    """_premodular_parts with the parts read by _cycnums_in_bulk, or None
+    if any check fails."""
+    dims, twists, rows = obj.get("dims"), obj.get("twists"), obj.get("s")
+    if "twists" not in obj and "theta_exp" in obj:
+        try:
+            twists = [make_root(_integer(p), _capped_conductor(q)).to_json() for p, q in obj["theta_exp"]]
+        except (KeyError, IndexError, TypeError, ValueError, ArithmeticError):
+            return None
+    s = [] if rows is None else rows
+    if not all(isinstance(x, list) for x in (dims, twists, s)) or not all(isinstance(row, list) for row in s):
+        return None
+    parts = _cycnums_in_bulk(dims + twists + [e for row in s for e in row])
+    return None if parts is None else (parts, len(dims), len(twists))
+
+
+def _premodular_parts(obj: dict):
+    """(conductors, numerators, denominators) of dims, twists and the
+    entries of s, in that order, and the numbers of dims and twists.  The
+    coefficient parts are checked in bulk; if a check fails, the fields
+    are read again entry by entry, in file order, which raises at the
+    first bad entry."""
+    parts = _parts_in_bulk(obj)
+    if parts is not None:
+        return parts
+    dims = [_cycnum_from_json(d) for d in obj["dims"]]
+    if "twists" in obj:
+        twists = [_cycnum_from_json(t) for t in obj["twists"]]
+    elif "theta_exp" in obj:
+        # rational exponents: e^(2 pi i p/q)
+        twists = [make_root(_integer(p), _capped_conductor(q)) for p, q in obj["theta_exp"]]
+    else:
+        raise KeyError("twists")
+    s = [] if obj.get("s") is None else [_cycnum_from_json(e) for row in obj["s"] for e in row]
+    return _cycnum_parts(dims + twists + s), len(dims), len(twists)
+
+
 def premodular_from_json(obj: dict) -> PremodularData:
     ring = ring_from_json(obj)
     try:
-        dims = [_cycnum_from_json(d) for d in obj["dims"]]
-        if "twists" in obj:
-            twists = [_cycnum_from_json(t) for t in obj["twists"]]
-        elif "theta_exp" in obj:
-            # rational exponents: e^(2 pi i p/q)
-            twists = [make_root(_integer(p), _capped_conductor(q)) for p, q in obj["theta_exp"]]
-        else:
-            raise KeyError("twists")
-        s = None
-        if obj.get("s") is not None:
-            s = [[_cycnum_from_json(e) for e in row] for row in obj["s"]]
-        # validation computes at the lcm of all conductors
-        _capped_conductor(math.lcm(*(x.conductor for row in [dims, twists, *(s or [])] for x in row)))
-        return PremodularData(ring=ring, dims=dims, twists=twists, s=s)
+        (conductors, numerators, denominators), k, t = _premodular_parts(obj)
+        # validation computes at the lcm of all conductors, on arrays of
+        # at most r x r x phi(M) coefficient slots
+        M = _capped_conductor(math.lcm(*conductors))
+        r, rows = ring.rank, obj.get("s")
+        slots = max(r * r, k, t, len(conductors) - k - t) * euler_phi(M)
+        if slots > MAX_SLOTS:
+            raise ValueError(f"rank {r} at conductor {M} needs {slots} coefficient slots, "
+                             f"above the budget {MAX_SLOTS}")
+        values = CycArray.from_parts(M, conductors, numerators, denominators, (len(conductors),))
+        s = None if rows is None else values[k + t:]
+        if s is not None and len(rows) == r and all(len(row) == r for row in rows):
+            s = s.reshape(r, r)
+        return PremodularData(ring=ring, dims=values[:k], twists=values[k:k + t], s=s)
     except ParseError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
@@ -236,19 +354,20 @@ def loads_datum(text: str):
     """Parse and validate a datum from a JSON string."""
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer literal past
+        # int's digit limit, or arrays and objects nested past the recursion limit
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or "type" not in obj:
         raise ParseError('missing the "type" discriminator')
     kind = obj["type"]
     if kind == "premodular":
-        datum = premodular_from_json(obj)
-        report = validate_premodular(datum)
+        datum, validate = premodular_from_json(obj), validate_premodular
     elif kind == "metric_group":
-        datum = metric_group_from_json(obj)
-        report = validate_metric_group(datum)
+        datum, validate = metric_group_from_json(obj), validate_metric_group
     else:
         raise ParseError(f'unknown "type": {kind!r}')
+    del obj  # validation needs only the datum: free the decoded JSON first
+    report = validate(datum)
     if not report.ok:
         raise ValidationError(report)
     return datum

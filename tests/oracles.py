@@ -6,7 +6,8 @@ associativity as a four-index loop or one dense contraction per b, and
 the duality axiom as a loop over pairs, the linearization as a loop
 over pairs of elements, the metric-group laws on a dict of Fractions,
 cyclotomic arithmetic on Fraction coefficients reduced by long division
-by Phi_n.  Expected values frozen into the tests come from
+by Phi_n, the premodular axioms and the transparent set on CycNums one
+entry at a time.  Expected values frozen into the tests come from
 here.  The generator-image isometry search and the orthogonal direct sum
 live here too: only the tests use them.
 """
@@ -20,10 +21,10 @@ from math import gcd, lcm
 
 import numpy as np
 
-from premodular.cyclotomic import ONE, cyclotomic_poly, make_root
-from premodular.data import PremodularData
+from premodular.cyclotomic import MINUS_ONE, ONE, ZERO, CycNum, cyclotomic_poly, make_root
+from premodular.data import CentreClassification, CentreKind, PremodularData
 from premodular.errors import GroupsTooLarge
-from premodular.fusion_ring import group_ring
+from premodular.fusion_ring import group_ring, validate_fusion_ring
 from premodular.metric_groups import (
     SIZE_CAP,
     MetricGroup,
@@ -293,8 +294,8 @@ def linearize(mg: MetricGroup) -> PremodularData:
         inverse=[index[group_scale(mg, -1, x)] for x in elems],
     )
     root = lambda v: make_root(v.numerator, v.denominator)
-    return PremodularData(
-        ring=ring,
+    return PremodularData.from_values(
+        ring,
         dims=[ONE] * r,
         twists=[root(mg.qtable[x]) for x in elems],
         s=[[root(pairing(mg, x, y)) for y in elems] for x in elems],
@@ -627,3 +628,132 @@ def pushout_survivors(mg: MetricGroup, e):
                 if len(radical(group)) == 1 and validate_metric_group(group).ok:
                     out.append((group, [coords(g, 0) for g in mg.generators()], coords(e, 0)))
     return out
+
+
+# -- premodular data on CycNums -------------------------------------------------
+
+
+def _fusion_sum(terms) -> CycNum:
+    """sum m x over terms = [(x, m), ...]."""
+    acc = None
+    for x, m in terms:
+        term = x if m == 1 else x * m
+        acc = term if acc is None else acc + term
+    return ZERO if acc is None else acc
+
+
+def _lifts(values):
+    """at(i, k): values[i] lifted to conductor k, computed once per (i, k)."""
+    memo = {}
+
+    def at(i: int, k: int) -> CycNum:
+        if (i, k) not in memo:
+            memo[i, k] = values[i].lift(k)
+        return memo[i, k]
+
+    return at
+
+
+def premodular_lists(data: PremodularData):
+    """dims, twists and s (None, a list of rows, or a flat list when s
+    is not square) of a datum as lists of CycNums."""
+    s = data.s
+    if s is not None:
+        s = [list(row) for row in s] if len(s.shape) == 2 else list(s)
+    return list(data.dims), list(data.twists), s
+
+
+def validate_premodular_cycnum(ring, dims, twists, s):
+    """The premodular checks of validate_premodular entry by entry on
+    CycNums, with balancing in its divided form s_{a,b} = theta_a^-1
+    theta_b^-1 sum_c N^c_{a,b} theta_c d_c: (report, s), s synthesized
+    when given as None (the lists of the datum, see premodular_lists)."""
+    rep = ValidationReport()
+    ring_report = validate_fusion_ring(ring)
+    if not ring_report.ok:
+        rep.violations.extend(ring_report.violations)
+        return rep, s
+    r = ring.rank
+    if len(dims) != r or len(twists) != r:
+        rep.add("ShapeViolation", (r,), "dims/twists length must equal rank")
+        return rep, s
+
+    I = ring.unit_index
+    dual = ring.dual
+    if dims[I] != ONE:
+        rep.add("UnitDimViolation", (I,), "d_I must be 1")
+    if twists[I] != ONE:
+        rep.add("UnitTwistViolation", (I,), "theta_I must be 1")
+    for a in range(r):
+        if dims[a].is_zero():
+            rep.add("ZeroDimViolation", (a,))
+        if twists[a].is_zero():
+            rep.add("ZeroTwistViolation", (a,), "twists must be invertible")
+        if dims[a] != dims[dual[a]]:
+            rep.add("DualDimViolation", (a, dual[a]), "d_a != d_{a*}")
+        if twists[a] != twists[dual[a]]:
+            rep.add("DualTwistViolation", (a, dual[a]), "theta_a != theta_{a*}")
+    if rep.violations:
+        return rep, s
+
+    # balancing at the lcm k of its factors' conductors, which a
+    # synthesized s keeps
+    m = lcm(*(d.conductor for d in dims))
+    lifted = [d.lift(m) for d in dims]
+    theta_inv, twisted_dims = _lifts([t.inverse() for t in twists]), _lifts(
+        [t * d for t, d in zip(twists, dims)])
+    inv_cond = [t.conductor for t in twists]
+    dim_cond = [lcm(t.conductor, d.conductor) for t, d in zip(twists, dims)]
+    balanced = [[None] * r for _ in range(r)]
+    for a in range(r):
+        bs, cs = np.nonzero(ring.mult[a])
+        fusion = {}
+        for b, c, n in zip(bs.tolist(), cs.tolist(), ring.mult[a, bs, cs].tolist()):
+            fusion.setdefault(b, []).append((c, n))
+        for b in range(a, r):
+            terms = fusion.get(b, ())
+            if lifted[a] * lifted[b] != _fusion_sum((lifted[c], n) for c, n in terms):
+                rep.add("DimensionCharacterViolation", (a, b))
+            k = lcm(inv_cond[a], inv_cond[b], *(dim_cond[c] for c, _ in terms))
+            balanced[a][b] = balanced[b][a] = theta_inv(a, k) * theta_inv(b, k) * _fusion_sum(
+                (twisted_dims(c, k), n) for c, n in terms)
+    if rep.violations:
+        return rep, s
+
+    if s is not None and (len(s) != r or any(not isinstance(row, list) or len(row) != r for row in s)):
+        rep.add("ShapeViolation", (r,), "s-matrix must be rank x rank")
+        return rep, s
+    if s is None:
+        s = balanced
+    else:
+        for a in range(r):
+            for b in range(r):
+                if s[a][b] != balanced[a][b]:
+                    rep.add("BalancingViolation", (a, b), "supplied s disagrees with balancing formula")
+    if rep.violations:
+        return rep, s
+
+    for a in range(r):
+        for b in range(a, r):
+            if s[a][b].conj() != s[dual[a]][b]:
+                rep.add("SConjugationViolation", (a, b), "conj(s_{a,b}) != s_{a*,b}")
+    return rep, s
+
+
+def classify_degeneracy_cycnum(data: PremodularData) -> CentreClassification:
+    """classify_degeneracy with the transparency test s_{b,x} = d_b d_x
+    made for every pair b, x with CycNum products."""
+    dims, twists, s = premodular_lists(data)
+    ring = data.ring
+    idx = [b for b in range(ring.rank) if all(s[b][x] == dims[b] * dims[x] for x in range(ring.rank))]
+    trans = [data.labels[b] for b in idx]
+    bos = sum(1 for b in idx if twists[b] == ONE)
+    fer = sum(1 for b in idx if twists[b] == MINUS_ONE)
+    if idx == [ring.unit_index]:
+        return CentreClassification(CentreKind.NONDEGENERATE, trans, None, bos, fer)
+    if len(idx) == 2:
+        e = idx[0] if idx[1] == ring.unit_index else idx[1]
+        e_squared_is_unit = ring.mult[e, e, ring.unit_index] == 1 and int(ring.mult[e, e].sum()) == 1
+        if e_squared_is_unit and twists[e] == MINUS_ONE:
+            return CentreClassification(CentreKind.SLIGHTLY_DEGENERATE, trans, data.labels[e], bos, fer)
+    return CentreClassification(CentreKind.OTHER_DEGENERATE, trans, None, bos, fer)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,9 +11,10 @@ import pytest
 import premodular
 from premodular.catalog import catalog_get
 from premodular.cli import cli_run
+from premodular.cyclotomic import euler_phi
 from premodular.fusion_ring import MAX_RANK
-from premodular.metric_groups import from_gram
-from premodular.serialize import loads_datum
+from premodular.metric_groups import MAX_CONDUCTOR, from_gram
+from premodular.serialize import MAX_SLOTS, loads_datum
 
 
 def test_validate_ok(write_datum):
@@ -400,6 +402,43 @@ def test_gauss_at_the_largest_conductor_stays_small(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     code, grown_kb = map(int, proc.stdout.split())
     assert code == 0 and grown_kb < 50 * 1024, (code, grown_kb)
+
+
+_TIMED_RUN = """
+import resource, sys, time
+from premodular.cli import cli_run
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.perf_counter()
+code, out = cli_run(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, time.perf_counter() - start)
+"""
+
+
+def _limit_resources():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
+
+
+def test_coefficient_slots_above_the_budget_exit_2_at_once(tmp_path):
+    # rank 65 with one twist at conductor MAX_CONDUCTOR and no s: its s
+    # would need 65^2 phi(8192) slots, 3% over the budget, and the file
+    # is refused after the parse, before any array is allocated
+    r, n = 65, MAX_CONDUCTOR
+    assert r * r * euler_phi(n) > MAX_SLOTS >= (r - 1) ** 2 * euler_phi(n)
+    one = {"n": 1, "c": [["1", "1"]]}
+    twist = {"n": n, "c": [["1", "1"]] + [["0", "1"]] * (euler_phi(n) - 1)}
+    path = tmp_path / "over_budget.json"
+    path.write_text(json.dumps({"type": "premodular", "labels": [str(a) for a in range(r)], "unit": 0,
+                                "dual": list(range(r)), "fusion": [], "dims": [one] * r,
+                                "twists": [one] * (r - 1) + [twist]}))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(premodular.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _TIMED_RUN, "validate", str(path)], capture_output=True,
+                          text=True, env=env, timeout=120, preexec_fn=_limit_resources)
+    code, grown_kb, seconds = proc.stdout.split()
+    assert (int(code), proc.stderr) == (2, f"error: bad premodular datum: rank {r} at conductor {n} needs "
+                                           f"{r * r * euler_phi(n)} coefficient slots, above the budget "
+                                           f"{MAX_SLOTS}\n")
+    assert int(grown_kb) < 50 * 1024 and float(seconds) < 2, (grown_kb, seconds)
 
 
 def test_linearization_above_the_rank_cap_exits_2(write_datum):

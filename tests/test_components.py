@@ -115,8 +115,8 @@ def rep_s3_datum():
     mult[1, 2, 2] = mult[2, 1, 2] = 1
     mult[2, 2, 0] = mult[2, 2, 1] = mult[2, 2, 2] = 1
     ring = FusionRing(labels=["1", "sgn", "std"], unit_index=0, mult=mult, dual=[0, 1, 2])
-    data = PremodularData(
-        ring=ring,
+    data = PremodularData.from_values(
+        ring,
         dims=[ONE, ONE, from_rational(2)],
         twists=[ONE, ONE, ONE],
         s=None,

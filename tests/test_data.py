@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracles
 from conftest import premodular_form
-from premodular.cyclotomic import ONE, from_rational, make_root
+from premodular.cyclotomic import ONE, CycNum, euler_phi, from_rational, make_root
 from premodular.data import (
     CentreKind,
+    PremodularData,
     classify_degeneracy,
     framed_s_entry,
     gauss_sum,
@@ -14,8 +19,8 @@ from premodular.data import (
     validate_premodular,
 )
 from premodular.errors import NotASubcategory
-from premodular.fusion_ring import dual_permutation_matrix
-from premodular.metric_groups import from_gram, to_premodular
+from premodular.fusion_ring import FusionRing, dual_permutation_matrix
+from premodular.metric_groups import from_gram, random_slightly_degenerate, to_premodular
 
 
 def svec_data():
@@ -24,7 +29,7 @@ def svec_data():
 
 def test_svec_validates_with_synthesized_s():
     data = svec_data()
-    fresh = type(data)(ring=data.ring, dims=data.dims, twists=data.twists, s=None)
+    fresh = type(data).from_values(data.ring, dims=data.dims, twists=data.twists, s=None)
     rep = validate_premodular(fresh)
     assert rep.ok
     # the fermion line is invisible to everything: s = all-ones
@@ -33,8 +38,8 @@ def test_svec_validates_with_synthesized_s():
 
 def test_dimension_character_violation():
     data = svec_data()
-    bad = type(data)(ring=data.ring, dims=[data.dims[0], from_rational(2)],
-                     twists=data.twists, s=None)
+    bad = type(data).from_values(data.ring, dims=[data.dims[0], from_rational(2)],
+                                 twists=data.twists, s=None)
     rep = validate_premodular(bad)
     assert not rep.ok
     assert "DimensionCharacterViolation" in rep.kinds()
@@ -42,13 +47,13 @@ def test_dimension_character_violation():
 
 def test_zero_scalars_are_reported_not_raised():
     data = svec_data()
-    bad = type(data)(ring=data.ring, dims=data.dims,
-                     twists=[data.twists[0], from_rational(0)], s=None)
+    bad = type(data).from_values(data.ring, dims=data.dims,
+                                 twists=[data.twists[0], from_rational(0)], s=None)
     rep = validate_premodular(bad)
     assert "ZeroTwistViolation" in rep.kinds()
 
-    bad = type(data)(ring=data.ring, dims=[data.dims[0], from_rational(0)],
-                     twists=data.twists, s=None)
+    bad = type(data).from_values(data.ring, dims=[data.dims[0], from_rational(0)],
+                                 twists=data.twists, s=None)
     rep = validate_premodular(bad)
     assert "ZeroDimViolation" in rep.kinds()
 
@@ -68,9 +73,9 @@ def test_ising_balancing_by_hand():
 
 def test_supplied_s_must_match_balancing():
     data = svec_data()
-    tampered = [row[:] for row in data.s]
+    tampered = [list(row) for row in data.s]
     tampered[1][1] = from_rational(-1)
-    bad = type(data)(ring=data.ring, dims=data.dims, twists=data.twists, s=tampered)
+    bad = type(data).from_values(data.ring, dims=data.dims, twists=data.twists, s=tampered)
     rep = validate_premodular(bad)
     assert "BalancingViolation" in rep.kinds()
 
@@ -212,3 +217,95 @@ def test_s_columns_are_ring_characters(name):
                         rhs = term if rhs is None else rhs + term
                 rhs = data.dims[b] * rhs
                 assert lhs == rhs, (name, a, a2, b)
+
+
+def _rep_s3():
+    """The character ring of the symmetric group on three letters with
+    trivial twists: a non-pointed datum with rational dims 1, 1, 2."""
+    mult = np.zeros((3, 3, 3), dtype=np.int64)
+    mult[0], mult[:, 0] = np.eye(3), np.eye(3)
+    mult[1, 1, 0] = mult[1, 2, 2] = mult[2, 1, 2] = 1
+    mult[2, 2, 0] = mult[2, 2, 1] = mult[2, 2, 2] = 1
+    ring = FusionRing(labels=["1", "sgn", "std"], unit_index=0, mult=mult, dual=[0, 1, 2])
+    return PremodularData.from_values(ring, [ONE, ONE, from_rational(2)], [ONE] * 3)
+
+
+def _big_z2():
+    """Z2 with d = 1 and theta = 2^70 sqrt(2), coefficients above 2^63,
+    so its arrays hold Python ints; balancing gives s_{1,1} = 2^-141."""
+    ring = to_premodular(from_gram([2], [Fraction(0)])).ring
+    return PremodularData.from_values(ring, [ONE, ONE], [ONE, CycNum(8, [0, 2**70, 0, -2**70])])
+
+
+BASES = ["svec", "rep-z2", "semion", "toric", "three-fermion", "svec-x-semion", "z4-q:1",
+         "z4-q:3", "ising:1", "ising:7", "ising:13", "rep-s3", "big-z2", "random:3", "random:8"]
+
+
+def _base(name):
+    if name in ("rep-s3", "big-z2"):
+        data = _rep_s3() if name == "rep-s3" else _big_z2()
+        assert validate_premodular(data).ok
+        return data
+    if name.startswith("random:"):
+        return to_premodular(random_slightly_degenerate(random.Random(int(name[7:])), max_order=16))
+    data = premodular_form(name)
+    return PremodularData.from_values(data.ring, list(data.dims), list(data.twists),
+                                      [list(row) for row in data.s])
+
+
+def _value(draw):
+    """A CycNum at a small conductor, with small coefficients or with
+    coefficients above 2^63."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 16]))
+    big = draw(st.booleans())
+    coeffs = [draw(st.integers(-3, 3)) + (2**70 if big and k == 0 else 0) for k in range(euler_phi(n))]
+    return CycNum(n, coeffs, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_array_checks_match_the_cycnum_oracle(data):
+    # valid and tampered data, s supplied or synthesized: the same
+    # witnesses in the same order, the same synthesized s with the same
+    # conductors, and the same transparent set
+    base = _base(data.draw(st.sampled_from(BASES)))
+    dims, twists, s = oracles.premodular_lists(base)
+    r, dual = base.ring.rank, base.ring.dual
+    a = data.draw(st.integers(0, r - 1))
+    tamper = data.draw(st.sampled_from(["none", "dim", "twist", "dual pair", "s", "s pair", "unit"]))
+    if tamper == "dim":
+        dims[a] = _value(data.draw)
+    elif tamper == "twist":
+        twists[a] = _value(data.draw)
+    elif tamper == "dual pair":
+        # theta_a = theta_{a*} keeps the dual checks and breaks the rest
+        twists[a] = twists[dual[a]] = _value(data.draw)
+    elif tamper == "s":
+        s[a][data.draw(st.integers(0, r - 1))] = _value(data.draw)
+    elif tamper == "s pair":
+        b = data.draw(st.integers(0, r - 1))
+        s[a][b] = s[b][a] = _value(data.draw)
+    elif tamper == "unit":
+        dims[base.ring.unit_index] = _value(data.draw)
+    if data.draw(st.booleans()):
+        s = None
+    datum = PremodularData.from_values(base.ring, dims, twists, s)
+    report = validate_premodular(datum)
+    expected, expected_s = oracles.validate_premodular_cycnum(base.ring, dims, twists, s)
+    assert report.to_json() == expected.to_json()
+    if datum.s is not None:
+        synthesized = [list(row) for row in datum.s]
+        assert synthesized == expected_s
+        assert [[x.conductor for x in row] for row in synthesized] == [
+            [x.conductor for x in row] for row in expected_s]
+        assert classify_degeneracy(datum) == oracles.classify_degeneracy_cycnum(datum)
+
+
+def test_coefficients_above_int64_run_on_python_ints():
+    data = _big_z2()
+    assert data.twists.num.dtype == object
+    assert validate_premodular(data).ok
+    assert data.s[1, 1] == from_rational(Fraction(1, 2**141))
+    assert classify_degeneracy(data) == oracles.classify_degeneracy_cycnum(data)
+    assert classify_degeneracy(data).transparent == ["(0)"]

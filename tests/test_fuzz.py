@@ -3,10 +3,12 @@ exit-code contract.
 
 Each case replaces one or two fields of a catalog entry's JSON with
 values from a fixed pool of hostile values, or renames one q key of a
-metric group to a key from a fixed pool of hostile element keys, and
-every file subcommand must exit 0 or 2 without raising.  A few cases
-run as separate processes under resource limits and a timeout, where
-stderr must hold no traceback.
+metric group to a key from a fixed pool of hostile element keys, or
+edits the structure (nesting far past the recursion limit, a top-level
+list, a field deleted or given a value of the wrong type), and every
+file subcommand must exit 0 or 2 without raising.  A few cases run as
+separate processes under resource limits and a timeout, where stderr
+must hold no traceback.
 """
 
 import copy
@@ -127,3 +129,68 @@ def test_hostile_json_in_a_process_exits_0_or_2_without_traceback(tmp_path):
         )
         assert proc.returncode in (0, 2), (command, path.read_text(), proc.stderr)
         assert "Traceback" not in proc.stderr, proc.stderr
+
+
+# arrays nested this deep exceed any recursion limit the decoder runs
+# under; SHALLOW decodes, and the value is then refused
+DEEP, SHALLOW = 100_000, 500
+STRUCTURE_ENTRIES = ("svec-x-semion", "ising:1")
+WRONG_TYPES = (None, True, 1, 0.5, "x", [], [[]], {}, {"n": 1})
+
+
+def _with(doc, path, raw):
+    """doc as JSON text with the field at path replaced by the JSON text raw."""
+    return json.dumps(_replace(copy.deepcopy(doc), path, "\0")).replace('"\\u0000"', raw)
+
+
+def _structural_cases():
+    """(name, JSON text) for each structural edit: deep nesting in
+    orders, in a premodular s and at the top level, a top-level list, and
+    every field of a metric group and a premodular file deleted or given
+    a value of each wrong type."""
+    deep, shallow = "[" * DEEP + "]" * DEEP, "[" * SHALLOW + "]" * SHALLOW
+    mg, pm = (datum_to_json(catalog_get(name).payload) for name in STRUCTURE_ENTRIES)
+    cases = [
+        ("nested orders", _with(mg, ("orders",), shallow)),
+        ("nested s entry", _with(pm, ("s", 0, 0), shallow)),
+        ("deep orders", _with(mg, ("orders",), deep)),
+        ("deep s entry", _with(pm, ("s", 0, 0), deep)),
+        ("deep s entry part", _with(pm, ("s", 1, 1, "c", 0), deep)),
+        ("deep top-level list", deep),
+        ("deep top-level object", '{"a": ' * DEEP + "0" + "}" * DEEP),
+        ("top-level list", json.dumps([mg])),
+        ("top-level string", json.dumps("premodular")),
+    ]
+    for name, doc in zip(STRUCTURE_ENTRIES, (mg, pm)):
+        for key in doc:
+            cases.append((f"{name} without {key}", json.dumps({k: v for k, v in doc.items() if k != key})))
+            cases += [(f"{name} {key} = {value!r}", json.dumps(_replace(copy.deepcopy(doc), (key,), value)))
+                      for value in WRONG_TYPES]
+    return cases
+
+
+def test_structural_edits_exit_0_or_2(tmp_path):
+    path = tmp_path / "structure.json"
+    for name, text in _structural_cases():
+        path.write_text(text)
+        for command in SUBCOMMANDS:
+            code, _ = cli_run([command, str(path)])
+            assert code in (0, 2), (command, name)
+            if name.startswith(("nested", "deep", "top-level")):
+                assert code == 2, (command, name)
+
+
+def test_structural_edits_in_a_process_exit_2_without_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(premodular.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    cases = dict(_structural_cases())
+    for k, name in enumerate(["deep orders", "deep s entry", "deep top-level list", "top-level list",
+                              "ising:1 without dims", "ising:1 s = {'n': 1}", "svec-x-semion q = [[]]"]):
+        path = tmp_path / f"structure{k}.json"
+        path.write_text(cases[name])
+        proc = subprocess.run(
+            [sys.executable, "-c", "from premodular.cli import main; main()", "analyze", str(path)],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_resources,
+        )
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, (name, proc.stderr)

@@ -58,7 +58,9 @@ def test_tampered_twists_fail_the_twist_identity():
     # still finds the fermion but theta_{e.a} = -theta_a fails
     data = to_premodular(from_gram([2, 4], [Fraction(1, 2), Fraction(1, 8)]))
     a, ea = data.ring.index("(0,1)"), data.ring.index("(1,1)")
-    data.twists[ea] = data.twists[a]
+    twists = list(data.twists)
+    twists[ea] = twists[a]
+    data = type(data).from_values(data.ring, data.dims, twists, [list(row) for row in data.s])
     assert classify_degeneracy(data).fermion == "(1,0)"
     assert not validate_premodular(data).ok
     with pytest.raises(CrossCheckMismatch, match="twist identity"):
