@@ -29,7 +29,7 @@ from math import gcd, lcm
 import numpy as np
 
 __all__ = ["CycNum", "CycArray", "make_root", "root_sum", "from_rational", "euler_phi",
-           "reduce_rows", "map_rows", "mul_rows", "exact_dtype", "ZERO", "ONE", "MINUS_ONE"]
+           "reduce_rows", "map_rows", "mul_rows", "exact_dtype", "magnitude", "ZERO", "ONE", "MINUS_ONE"]
 
 # array values built at once by the array kernels: a few arrays of about
 # this many entries are live at a time

@@ -346,7 +346,7 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
     pairing = (Q[add_table] - Q[:, None] - Q[None, :]) % D
     return PremodularData(
         ring=ring,
-        dims=CycArray(D, roots[np.zeros(r, dtype=np.int64)], 1, np.ones(r, dtype=np.int64)),
+        dims=CycArray(D, roots[[0] * r], 1, np.ones(r, dtype=np.int64)),
         twists=CycArray(D, roots[Q], 1, conductor[Q]),
         s=CycArray(D, roots[pairing], 1, conductor[pairing]),
     )
