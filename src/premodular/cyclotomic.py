@@ -419,17 +419,23 @@ def _low_arrays(n: int):
 
 @lru_cache(maxsize=None)
 def reduction_growth(n: int) -> float:
-    """G such that reduce_rows(v, n) and every value it computes on the
-    way are at most G max|v| in magnitude: its steps run on magnitudes
-    (float64, inf on overflow).  G(n) depends only on rad(n): 4 when
-    rad(n) is prime, 24 for 6, about 4e5 for 30 and 1e15 for 105."""
+    """G such that reduce_rows(v, n) is at most G max|v| in magnitude:
+    with R = rad(n), G = 2 max_i sum_(j < R) |c_ij| for x^j = sum_i c_ij
+    x^i mod Phi_R, the factor 2 for the fold.  The rows x^j (j >= phi(R))
+    follow from x^(j-1) by one shift and one subtraction of Phi_R; inf if
+    any leaves 2^31.  G depends only on rad(n): 4 when it is prime, 8
+    for 6, 24 for 30, 136 for 210."""
     R = _radical(n)
-    phi, (deg, coef) = euler_phi(R), _low_arrays(R)
-    u = np.full(R, 2.0)  # the fold adds at most two values
-    with np.errstate(over="ignore"):
-        for k in range(R - 1, phi - 1, -1):
-            u[k - phi + deg] += np.abs(coef) * u[k]
-    return float(u.max())
+    phi, low = euler_phi(R), np.array(cyclotomic_poly(R)[:-1], dtype=np.int64)
+    row = np.zeros(phi, dtype=np.int64)
+    row[-1] = 1
+    total = np.ones(phi, dtype=np.int64)  # x^j for j < phi is a unit vector
+    for _ in range(R - phi):
+        row = np.concatenate(([0], row[:-1])) - row[-1] * low
+        if np.abs(row).max() >= 2**31:
+            return float("inf")
+        total += np.abs(row)
+    return 2.0 * float(total.max())
 
 
 def exact_dtype(bound: int, growth: float = 1.0):
@@ -447,9 +453,14 @@ def magnitude(a: np.ndarray) -> int:
 def reduce_rows(v: np.ndarray, n: int) -> np.ndarray:
     """The values sum_j v[..., j] z_n^j, for a last axis of length at most
     2n, in the power basis at conductor n: a (..., phi(n)) array of v's
-    dtype, exact in int64 when reduction_growth(n) max|v| < 2^63.  v is
-    scratch space: when its last axis has length n or more, the result
-    is computed in it and is a view of it.
+    dtype.  v is scratch space: when its last axis has length n or more,
+    the result is computed in it and is a view of it.
+
+    Only additions, subtractions and products by integers occur, which
+    int64 computes exactly modulo 2^64; so an int64 result is exact when
+    the true one is below 2^63 in magnitude, as it is when
+    reduction_growth(n) max|v| < 2^63, whatever values the long division
+    passes through.  The same holds for the shifted adds of mul_rows.
 
     z_n^n = 1 folds the top half into place.  Then with R = rad(n) and
     t = n / R, Phi_n(x) = Phi_R(x^t), so for each u < t the coefficients
@@ -496,8 +507,9 @@ def mul_rows(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     at a power-of-two conductor has one nonzero, so multiplying by it
     costs phi(n) per entry, not phi(n)^2); then one reduction.  Every
     coefficient before the reduction is a sum of at most phi(n) products,
-    so the computation is in int64 when phi(n) max|a| max|b|
-    reduction_growth(n) < 2^62 and on Python ints otherwise.  A factor
+    so the result is exact in int64 (see reduce_rows) when phi(n) max|a|
+    max|b| reduction_growth(n) < 2^62, and computed on Python ints
+    otherwise.  A factor
     whose values are all rational makes one shift, of 0, and nothing to
     reduce: it scales the other.
     """
@@ -577,7 +589,7 @@ class CycArray:
         nums, dens = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (nums, dens))
         den = 1
         if (dens != 1).any():
-            den = lcm(*np.unique(dens).tolist())
+            den = lcm(*set(dens.tolist()))
             nums = nums.astype(object) * (den // dens.astype(object))
         conductors = np.array(conductors, dtype=np.int64).reshape(-1)
         if (M % conductors).any():
@@ -585,7 +597,7 @@ class CycArray:
         values = nums.astype(exact_dtype(magnitude(nums), reduction_growth(M)), copy=False)
         starts = np.cumsum([0] + [euler_phi(c) for c in conductors.tolist()])
         num = np.empty((len(conductors), euler_phi(M)), dtype=values.dtype)
-        for c in np.unique(conductors).tolist():
+        for c in set(conductors.tolist()):
             # one lift per conductor: coefficient k at conductor c goes to z_M^(k M/c)
             group, k = np.flatnonzero(conductors == c), np.arange(euler_phi(c))
             num[group] = map_rows(values[starts[group, None] + k], k * (M // c), M)

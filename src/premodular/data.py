@@ -25,14 +25,16 @@ one contraction over the nonzeros of N, in blocks of rows a of about
 BLOCK values.
 
 Exactness: an expression runs in int64 when a bound from its operands'
-largest magnitudes proves it exact, and otherwise by the same code on
-Python ints (dtype=object).  The bounds: phi(M) max|x| max|y| G(M) <
-2^62 for a product, G(M) = cyclotomic.reduction_growth(M), which is 4
-when rad(M) is prime, 24 for rad(M) = 6 and about 4e5 for 30;
-max_{a,b} sum_c N^c_{a,b} max|x| < 2^62 for a contraction; max|x| den_y
-and max|y| den_x below 2^62 for comparing x/den_x with y/den_y.  So a
-datum with numerators and denominators below 2^20 at a conductor whose
-radical is prime runs in int64 throughout, linearized groups included.
+largest magnitudes proves its result below 2^62 (int64 sums and
+products are exact modulo 2^64, so a result in range is exact whatever
+the intermediate values), and otherwise by the same code on Python ints
+(dtype=object).  The bounds: phi(M) max|x| max|y| G(M) for a product,
+G(M) = cyclotomic.reduction_growth(M), which is 4 when rad(M) is prime,
+8 for rad(M) = 6 and 136 for 210; max_{a,b} sum_c N^c_{a,b} max|x| for a
+contraction; max|x| den_y and max|y| den_x for comparing x/den_x with
+y/den_y.  A linearized group runs in int64 throughout: its values are
+roots of unity at a conductor D <= 512, whose coefficients are at most
+G(D)/2 <= 150 in magnitude, over the denominator 1.
 """
 
 from __future__ import annotations

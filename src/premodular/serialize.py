@@ -200,8 +200,8 @@ def _fusion_in_bulk(fusion: list, r: int):
     if values is None or not all(abs(x) <= MAX_MULT for x in (min(values, default=0), max(values, default=0))):
         return None
     a, b, c, n = np.array(values, dtype=np.int64).reshape(-1, 4).T
-    keys = (a * r + b) * r + c
-    if ((a < 0) | (b < 0) | (c < 0) | (a >= r) | (b >= r) | (c >= r)).any() or len(np.unique(keys)) < len(keys):
+    keys = np.sort((a * r + b) * r + c)
+    if ((a < 0) | (b < 0) | (c < 0) | (a >= r) | (b >= r) | (c >= r)).any() or (keys[1:] == keys[:-1]).any():
         return None
     return a, b, c, n
 

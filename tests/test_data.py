@@ -256,7 +256,7 @@ def _base(name):
 def _value(draw):
     """A CycNum at a small conductor, with small coefficients or with
     coefficients above 2^63."""
-    n = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 16]))
+    n = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 15, 16, 30]))
     big = draw(st.booleans())
     coeffs = [draw(st.integers(-3, 3)) + (2**70 if big and k == 0 else 0) for k in range(euler_phi(n))]
     return CycNum(n, coeffs, draw(st.integers(1, 3)))
