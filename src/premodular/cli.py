@@ -23,6 +23,7 @@ from .components import ComponentAnalysis, ring_characters
 from .data import CentreClassification, classify_degeneracy
 from .errors import (
     CrossCheckMismatch,
+    DatumTooLarge,
     DegenerateEigenproblem,
     GroupsTooLarge,
     NonConvergent,
@@ -360,7 +361,7 @@ def cli_run(argv) -> tuple[int, str]:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2, ""
-    except (ParseError, ValidationError, UnknownCatalogKey, GroupsTooLarge,
+    except (ParseError, ValidationError, UnknownCatalogKey, GroupsTooLarge, DatumTooLarge,
             NotSlightlyDegenerate) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""

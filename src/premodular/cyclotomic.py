@@ -13,7 +13,10 @@ lifting to a common conductor.
 CycArray holds many values at one conductor M in the same normal form,
 as one integer array; reduce_rows, map_rows and mul_rows are its
 arithmetic, vectorized over all entries (see reduce_rows for the
-exactness bound).
+exactness bound).  Values given with their own denominators share one,
+their lcm, which every entry carries: check_budget bounds the array's
+size counted in 64-bit words, one a coefficient slot and one more for
+every 64 bits of the denominator.
 
 No floating point enters any exact path; `embed` is the only bridge to
 complex doubles.
@@ -28,12 +31,21 @@ from math import gcd, lcm
 
 import numpy as np
 
+from .errors import DatumTooLarge
+
 __all__ = ["CycNum", "CycArray", "make_root", "root_sum", "from_rational", "euler_phi",
-           "reduce_rows", "map_rows", "mul_rows", "exact_dtype", "magnitude", "ZERO", "ONE", "MINUS_ONE"]
+           "reduce_rows", "map_rows", "mul_rows", "exact_dtype", "magnitude", "narrow", "check_budget",
+           "MAX_SLOTS", "ZERO", "ONE", "MINUS_ONE"]
 
 # array values built at once by the array kernels: a few arrays of about
 # this many entries are live at a time
 BLOCK = 2**16
+# coefficient slots r^2 phi(M) of the arrays a premodular datum needs:
+# every catalog entry and every linearized group (rank <= MAX_RANK,
+# conductor <= 2 exp(A)) fits, the largest being Z_256 with q = x^2/512,
+# 256^2 * phi(512) = 2^24; over a denominator of b bits, a slot counts
+# as 1 + b // 64 of them (check_budget)
+MAX_SLOTS = 2**24
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -445,9 +457,33 @@ def exact_dtype(bound: int, growth: float = 1.0):
     return np.int64 if bound < 2.0**62 / growth else object
 
 
+def check_budget(slots: int, den: int) -> None:
+    """Raise DatumTooLarge if an array of this many coefficient slots
+    over the denominator den is above MAX_SLOTS words: a scaled numerator
+    is about as long as den, so a slot takes 1 + b // 64 words for a
+    denominator of b bits."""
+    words = slots * (1 + den.bit_length() // 64)
+    if words > MAX_SLOTS:
+        raise DatumTooLarge(f"{slots} coefficient slots over a denominator of {den.bit_length()} bits "
+                            f"need {words} words, above the budget {MAX_SLOTS}")
+
+
 def magnitude(a: np.ndarray) -> int:
     """The largest |entry| of an integer array, as a Python int."""
     return int(np.abs(a).max()) if a.size else 0
+
+
+def narrow(a: np.ndarray) -> np.ndarray:
+    """a in the narrowest of int8, int16, int32 and int64 that holds its
+    values; an object array stays one.  Every kernel converts its
+    operands to the dtype its own bound needs before any arithmetic, so
+    a stored array need only hold its values."""
+    if a.dtype != object:
+        bound = magnitude(a)
+        for dtype in (np.int8, np.int16, np.int32):
+            if bound <= np.iinfo(dtype).max:
+                return a.astype(dtype)
+    return a
 
 
 def reduce_rows(v: np.ndarray, n: int) -> np.ndarray:
@@ -585,15 +621,19 @@ class CycArray:
     def from_parts(cls, M: int, conductors, nums, dens, shape) -> "CycArray":
         """Entries given in order: entry i has conductor conductors[i],
         dividing M, and its phi(conductors[i]) coefficients are the next
-        items of nums over dens (integer sequences or arrays)."""
+        items of nums over dens (integer sequences or arrays).  Raises
+        DatumTooLarge, before any value is scaled, once the lcm of dens
+        takes the array over check_budget."""
         nums, dens = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (nums, dens))
-        den = 1
-        if (dens != 1).any():
-            den = lcm(*set(dens.tolist()))
-            nums = nums.astype(object) * (den // dens.astype(object))
         conductors = np.array(conductors, dtype=np.int64).reshape(-1)
         if (M % conductors).any():
             raise ValueError(f"conductors {sorted(set(conductors.tolist()))} do not all divide {M}")
+        den = 1
+        if (dens != 1).any():
+            for q in set(dens.tolist()):
+                den = lcm(den, q)
+                check_budget(len(conductors) * euler_phi(M), den)
+            nums = nums.astype(object) * (den // dens.astype(object))
         values = nums.astype(exact_dtype(magnitude(nums), reduction_growth(M)), copy=False)
         starts = np.cumsum([0] + [euler_phi(c) for c in conductors.tolist()])
         num = np.empty((len(conductors), euler_phi(M)), dtype=values.dtype)

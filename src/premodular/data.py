@@ -16,13 +16,18 @@ no inverse is taken.  The framed pairing is S~_{a,b} = s_{a,b} /
 Representation: dims, twists and s are CycArrays at one conductor M, the
 lcm of the datum's conductors (at most MAX_CONDUCTOR): integer numerator
 arrays r x phi(M), r x phi(M) and r x r x phi(M), each over one
-denominator.  An entry read by index is a CycNum at the conductor it was
-given at; a synthesized s_{a,b} keeps the lcm of the conductors of
-theta_a, theta_b and every theta_c d_c with N^c_{a,b} != 0.  Validation
-and classification run on the arrays: every product of values is one
-batched product (cyclotomic.mul_rows) and every sum over fusion channels
-one contraction over the nonzeros of N, in blocks of rows a of about
-BLOCK values.
+denominator, which is 1 on valid data (dims, twists and s are algebraic
+integers).  Values read from a file share one denominator, and so do
+the inverse twists that synthesize s, and so does s; each array is
+refused (DatumTooLarge) before it is built when its slots, counted in
+64-bit words with the denominator's length, are above the budget of
+cyclotomic.check_budget.  An entry read by index is a CycNum at the
+conductor it was given at; a synthesized s_{a,b} keeps the lcm of the
+conductors of theta_a, theta_b and every theta_c d_c with N^c_{a,b} !=
+0.  Validation and classification run on the arrays: every product of
+values is one batched product (cyclotomic.mul_rows) and every sum over
+fusion channels one contraction over the nonzeros of N, in blocks of
+rows a of about BLOCK values.
 
 Exactness: an expression runs in int64 when a bound from its operands'
 largest magnitudes proves its result below 2^62 (int64 sums and
@@ -32,9 +37,12 @@ the intermediate values), and otherwise by the same code on Python ints
 G(M) = cyclotomic.reduction_growth(M), which is 4 when rad(M) is prime,
 8 for rad(M) = 6 and 136 for 210; max_{a,b} sum_c N^c_{a,b} max|x| for a
 contraction; max|x| den_y and max|y| den_x for comparing x/den_x with
-y/den_y.  A linearized group runs in int64 throughout: its values are
-roots of unity at a conductor D <= 512, whose coefficients are at most
-G(D)/2 <= 150 in magnitude, over the denominator 1.
+y/den_y.  A linearized group computes in int64 throughout: its values
+are roots of unity at a conductor D <= 512, whose coefficients are at
+most G(D)/2 <= 150 in magnitude, over the denominator 1.  Stored arrays
+are narrower where their values allow (cyclotomic.narrow), as the
+linearized dims, twists and s, and a synthesized s of roots of unity,
+are: every kernel widens its operands to its own bound first.
 """
 
 from __future__ import annotations
@@ -45,8 +53,9 @@ from math import lcm
 
 import numpy as np
 
-from .cyclotomic import BLOCK, CycArray, CycNum, exact_dtype, magnitude, map_rows, mul_rows
-from .errors import NotASubcategory
+from .cyclotomic import (BLOCK, CycArray, CycNum, check_budget, exact_dtype, magnitude, map_rows, mul_rows,
+                         narrow)
+from .errors import DatumTooLarge, NotASubcategory
 from .fusion_ring import FusionRing, validate_fusion_ring
 from .validation import ValidationReport
 
@@ -155,7 +164,9 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
     conj(s_{a,b}) = s_{a*,b} is, as one signed permutation of the
     power basis at M, reduced by Phi_M, against s[dual].  Witnesses come
     in row order, (a, b) with b >= a for the dimension character and the
-    conjugation.  Mutates data.s when synthesis succeeds.
+    conjugation.  Mutates data.s when synthesis succeeds; raises
+    DatumTooLarge when the inverse twists, or s over their denominator,
+    are above cyclotomic.check_budget.
     """
     rep = ValidationReport()
     ring = data.ring
@@ -207,14 +218,20 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
         return rep
     twisted_dims = mul_rows(T, D, M)  # theta_c d_c, over t_den d_den
     if data.s is None:
-        inverse = CycArray.from_values([t.inverse() for t in data.twists], M)
-        s = np.zeros((r, r, D.shape[1]), dtype=np.int64)
+        try:
+            inverse = CycArray.from_values([t.inverse() for t in data.twists], M)
+            s_den = inverse.den**2 * t_den * d_den
+            check_budget(r * r * D.shape[1], s_den)
+        except DatumTooLarge as exc:
+            raise DatumTooLarge(f"s cannot be synthesized: {exc}") from None
+        s = np.zeros((r, r, D.shape[1]), dtype=np.int8)
         for rows in blocks:
-            part = mul_rows(mul_rows(inverse.num[rows, None], inverse.num[None, :], M),
-                            channels.sums(twisted_dims, rows), M)
-            s = s.astype(part.dtype, copy=False)  # Python ints once any value needs them
+            part = narrow(mul_rows(mul_rows(inverse.num[rows, None], inverse.num[None, :], M),
+                                   channels.sums(twisted_dims, rows), M))
+            # wider, or Python ints, once a value needs them
+            s = s.astype(np.promote_types(s.dtype, part.dtype), copy=False)
             s[rows] = part
-        data.s = CycArray(M, s, inverse.den**2 * t_den * d_den, channels.conductors(data.twists, data.dims))
+        data.s = CycArray(M, s, s_den, channels.conductors(data.twists, data.dims))
     else:
         s = data.s.lift(M)
         for rows in blocks:

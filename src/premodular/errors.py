@@ -29,5 +29,9 @@ class GroupsTooLarge(ValueError):
     """A brute-force group search exceeds the size cap."""
 
 
+class DatumTooLarge(ValueError):
+    """The values of a datum would not fit the cap on one array."""
+
+
 class UnknownCatalogKey(KeyError):
     """No catalog entry under this key."""

@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .cyclotomic import CycArray, CycNum, exact_dtype, reduce_rows, reduction_growth, root_sum
+from .cyclotomic import CycArray, CycNum, exact_dtype, narrow, reduce_rows, reduction_growth, root_sum
 from .data import PremodularData
 from .errors import CrossCheckMismatch, GroupsTooLarge, NotSlightlyDegenerate
 from .fusion_ring import MAX_RANK, group_ring
@@ -341,7 +341,7 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
         inverse=np.argmin(add_table, axis=1).tolist(),  # x + y is the unit, index 0
     )
     # row k: z_D^k in the power basis, at conductor D / gcd(k, D)
-    roots = reduce_rows(np.eye(D, dtype=exact_dtype(1, reduction_growth(D))), D)
+    roots = narrow(reduce_rows(np.eye(D, dtype=exact_dtype(1, reduction_growth(D))), D))
     conductor = D // np.gcd(np.arange(D), D)
     pairing = (Q[add_table] - Q[:, None] - Q[None, :]) % D
     return PremodularData(

@@ -5,9 +5,12 @@ Input files are discriminated by a top-level "type": "premodular" or
 any violation.  Serialization round trips bit-exactly: all rationals
 travel as strings, CycNums as {"n": conductor, "c": [[num, den], ...]}.
 Conductors (each, and their lcm over a datum), the lcm of the q
-denominators, ring rank and fusion multiplicities are capped before
-anything is allocated at their size; q values and CycNum coefficients
-are bounded in digits, element keys in coordinates.
+denominators, ring rank and fusion multiplicities are capped, and so is
+the size of a premodular datum's arrays, in coefficient slots and in
+words with the length of their shared denominator
+(cyclotomic.check_budget), before anything is allocated at their size;
+q values and CycNum coefficients are bounded in digits, element keys in
+coordinates.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import re
 
 import numpy as np
 
-from .cyclotomic import CycArray, CycNum, euler_phi, exact_dtype, make_root
+from .cyclotomic import MAX_SLOTS, CycArray, CycNum, euler_phi, exact_dtype, make_root
 from .data import PremodularData, validate_premodular
 from .fusion_ring import MAX_MULT, MAX_RANK, FusionRing
 from .metric_groups import MAX_CONDUCTOR, MetricGroup, format_element, validate_metric_group
@@ -45,13 +48,10 @@ __all__ = [
 # later step meets a huge integer
 MAX_DIGITS = 32
 _DIGIT_BOUND = 10**MAX_DIGITS
-# coefficient slots r^2 phi(M) of the arrays a premodular datum needs:
-# every catalog entry and every linearized group (rank <= MAX_RANK,
-# conductor <= 2 exp(A)) fits, the largest being Z_256 with q = x^2/512,
-# 256^2 * phi(512) = 2^24
-MAX_SLOTS = 2**24
 _RATIONAL = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
 _INTEGER = re.compile(r"-?[0-9]+")
+_INT64_MIN = -(2**63)
+_ITERABLE = {list, str, dict}  # the JSON values that unpack
 
 
 class ParseError(ValueError):
@@ -141,11 +141,16 @@ def _integers(values: list):
     return values
 
 
+def _largest(values: list) -> int:
+    """The largest magnitude in a list of ints, 0 if it is empty."""
+    return max(-min(values, default=0), max(values, default=0))
+
+
 def _cycnums_in_bulk(entries: list):
-    """(conductors, numerators, denominators) of CycNum objects, the
-    coefficient parts of all entries in one list and then one array, with
-    the checks of _cycnum_from_json run on whole lists; None if any check
-    fails."""
+    """The conductors of the CycNum objects in entries, all their
+    coefficient parts in one list, numerator and denominator
+    alternating, and the largest magnitude of a part, with the checks of
+    _cycnum_from_json run on whole lists; None if any check fails."""
     try:
         conductors = _integers([obj["n"] for obj in entries])
         coefficients = [obj["c"] for obj in entries]
@@ -153,25 +158,40 @@ def _cycnums_in_bulk(entries: list):
         return None
     if conductors is None or not all(1 <= n <= MAX_CONDUCTOR for n in conductors):
         return None
-    if set(map(type, coefficients)) - {list} or list(map(len, coefficients)) != list(map(euler_phi, conductors)):
+    # _cycnum_from_json unpacks the pairs, so a string or an object of
+    # the right length reads as the list of its characters or keys
+    if set(map(type, coefficients)) - _ITERABLE or list(map(len, coefficients)) != list(map(euler_phi, conductors)):
         return None
     pairs = list(itertools.chain.from_iterable(coefficients))
-    if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
+    if set(map(type, pairs)) - _ITERABLE or set(map(len, pairs)) - {2}:
         return None
     parts = _integers(list(itertools.chain.from_iterable(pairs)))
+    bound = None if parts is None else _largest(parts)
+    if bound is None or bound >= _DIGIT_BOUND or not all(parts[1::2]):
+        return None
+    return conductors, parts, bound
+
+
+def _entries(value, depth: int):
+    """What reading a JSON value of CycNums gives: its items, or with
+    depth 2 the items of each of its rows."""
+    return value if depth == 1 else itertools.chain.from_iterable(value)
+
+
+def _cycnum_parts(value, depth: int = 1) -> tuple[list, list, int]:
+    """_cycnums_in_bulk of the CycNums in a JSON value.  When it refuses
+    them, _cycnum_from_json reads them in order and raises at the first
+    bad one, with its message."""
+    try:
+        entries = list(_entries(value, depth))
+    except TypeError:  # the value, or a row, is not iterable
+        entries = None
+    parts = None if entries is None else _cycnums_in_bulk(entries)
     if parts is None:
-        return None
-    bound = max(-min(parts, default=0), max(parts, default=0))
-    if bound >= _DIGIT_BOUND:
-        return None
-    parts = np.array(parts, dtype=exact_dtype(bound)).reshape(-1, 2)
-    return (conductors, parts[:, 0], parts[:, 1]) if parts[:, 1].all() else None
-
-
-def _cycnum_parts(values: list[CycNum]):
-    """(conductors, numerators, denominators) of CycNums."""
-    return ([v.conductor for v in values], [c for v in values for c in v.num],
-            [v.den for v in values for _ in v.num])
+        for obj in _entries(value, depth):
+            _cycnum_from_json(obj)
+        raise AssertionError("CycNums refused in bulk were each read alone")
+    return parts
 
 
 # -- fusion rings -------------------------------------------------------------
@@ -190,33 +210,36 @@ def ring_to_json(ring: FusionRing) -> dict:
     }
 
 
-def _fusion_in_bulk(fusion: list, r: int):
-    """The fusion entries [a, b, c, n] as int64 arrays a, b, c, n, read
-    in bulk; None if any entry is malformed, out of range or over the
-    cap, or any (a, b, c) repeats."""
-    if set(map(type, fusion)) - {list} or set(map(len, fusion)) - {4}:
-        return None
-    values = _integers(list(itertools.chain.from_iterable(fusion)))
-    if values is None or not all(abs(x) <= MAX_MULT for x in (min(values, default=0), max(values, default=0))):
-        return None
-    a, b, c, n = np.array(values, dtype=np.int64).reshape(-1, 4).T
-    keys = np.sort((a * r + b) * r + c)
-    if ((a < 0) | (b < 0) | (c < 0) | (a >= r) | (b >= r) | (c >= r)).any() or (keys[1:] == keys[:-1]).any():
-        return None
-    return a, b, c, n
+def _fusion_entry(entry, r: int) -> None:
+    """Check one fusion entry [a, b, c, n], raising at its first bad field."""
+    a, b, c, n = map(_integer, entry)
+    if not (0 <= a < r and 0 <= b < r and 0 <= c < r):
+        raise ValueError(f"fusion index out of range: {(a, b, c)}")
+    if n > MAX_MULT:
+        raise ValueError(f"multiplicity {n} exceeds the cap {MAX_MULT}")
 
 
 def _fusion_entries(fusion: list, r: int):
-    """The fusion entries read one by one, raising at the first bad one;
-    a repeated (a, b, c) keeps its last n."""
-    table = {}
-    for a, b, c, n in (map(_integer, entry) for entry in fusion):
-        if not (0 <= a < r and 0 <= b < r and 0 <= c < r):
-            raise ValueError(f"fusion index out of range: {(a, b, c)}")
-        if n > MAX_MULT:
-            raise ValueError(f"multiplicity {n} exceeds the cap {MAX_MULT}")
-        table[a, b, c] = n
-    return (*np.array(list(table), dtype=np.int64).reshape(-1, 3).T, list(table.values()))
+    """The fusion entries [a, b, c, n] as int64 arrays a, b, c, n, read
+    in bulk with the checks of _fusion_entry on whole lists; a repeated
+    (a, b, c) keeps its last n.  When the bulk checks refuse them,
+    _fusion_entry reads them in order and raises at the first bad one;
+    if each one reads, a multiplicity is below int64."""
+    values = None
+    # _fusion_entry unpacks an entry, as it does a string or an object of four items
+    if not (set(map(type, fusion)) - _ITERABLE or set(map(len, fusion)) - {4}):
+        values = _integers(list(itertools.chain.from_iterable(fusion)))
+    # an index below MAX_RANK <= MAX_MULT, a multiplicity at most MAX_MULT and in int64
+    if values is not None and min(values, default=0) >= _INT64_MIN and max(values, default=0) <= MAX_MULT:
+        a, b, c, n = np.array(values, dtype=np.int64).reshape(-1, 4).T
+        if not ((a < 0) | (b < 0) | (c < 0) | (a >= r) | (b >= r) | (c >= r)).any():
+            keys = (a * r + b) * r + c
+            order = np.argsort(keys, kind="stable")
+            last = order[np.diff(keys[order], append=-1) != 0]
+            return a[last], b[last], c[last], n[last]
+    for entry in fusion:
+        _fusion_entry(entry, r)
+    raise OverflowError("a multiplicity is below the int64 range")
 
 
 def ring_from_json(obj: dict) -> FusionRing:
@@ -228,7 +251,7 @@ def ring_from_json(obj: dict) -> FusionRing:
         if r > MAX_RANK:
             raise ValueError(f"rank {r} exceeds the cap {MAX_RANK}")
         mult = np.zeros((r, r, r), dtype=np.int64)
-        a, b, c, n = _fusion_in_bulk(obj["fusion"], r) or _fusion_entries(obj["fusion"], r)
+        a, b, c, n = _fusion_entries(obj["fusion"], r)
         mult[a, b, c] = n
         return FusionRing(
             labels=labels,
@@ -253,56 +276,38 @@ def premodular_to_json(data: PremodularData) -> dict:
     return out
 
 
-def _parts_in_bulk(obj: dict):
-    """_premodular_parts with the parts read by _cycnums_in_bulk, or None
-    if any check fails."""
-    dims, twists, rows = obj.get("dims"), obj.get("twists"), obj.get("s")
-    if "twists" not in obj and "theta_exp" in obj:
-        try:
-            twists = [make_root(_integer(p), _capped_conductor(q)).to_json() for p, q in obj["theta_exp"]]
-        except (KeyError, IndexError, TypeError, ValueError, ArithmeticError):
-            return None
-    s = [] if rows is None else rows
-    if not all(isinstance(x, list) for x in (dims, twists, s)) or not all(isinstance(row, list) for row in s):
-        return None
-    parts = _cycnums_in_bulk(dims + twists + [e for row in s for e in row])
-    return None if parts is None else (parts, len(dims), len(twists))
-
-
-def _premodular_parts(obj: dict):
-    """(conductors, numerators, denominators) of dims, twists and the
-    entries of s, in that order, and the numbers of dims and twists.  The
-    coefficient parts are checked in bulk; if a check fails, the fields
-    are read again entry by entry, in file order, which raises at the
-    first bad entry."""
-    parts = _parts_in_bulk(obj)
-    if parts is not None:
-        return parts
-    dims = [_cycnum_from_json(d) for d in obj["dims"]]
-    if "twists" in obj:
-        twists = [_cycnum_from_json(t) for t in obj["twists"]]
-    elif "theta_exp" in obj:
-        # rational exponents: e^(2 pi i p/q)
-        twists = [make_root(_integer(p), _capped_conductor(q)) for p, q in obj["theta_exp"]]
-    else:
-        raise KeyError("twists")
-    s = [] if obj.get("s") is None else [_cycnum_from_json(e) for row in obj["s"] for e in row]
-    return _cycnum_parts(dims + twists + s), len(dims), len(twists)
+def _theta_exp_parts(theta_exp) -> tuple[list, list, int]:
+    """_cycnums_in_bulk of the twists e^(2 pi i p/q) given as rational
+    exponents [p, q]."""
+    roots = [make_root(_integer(p), _capped_conductor(q)) for p, q in theta_exp]
+    parts = [x for t in roots for c in t.num for x in (c, 1)]
+    return [t.conductor for t in roots], parts, _largest(parts)
 
 
 def premodular_from_json(obj: dict) -> PremodularData:
     ring = ring_from_json(obj)
     try:
-        (conductors, numerators, denominators), k, t = _premodular_parts(obj)
+        dims = _cycnum_parts(obj["dims"])
+        if "twists" in obj:
+            twists = _cycnum_parts(obj["twists"])
+        elif "theta_exp" in obj:
+            twists = _theta_exp_parts(obj["theta_exp"])
+        else:
+            raise KeyError("twists")
+        rows = obj.get("s")
+        s = ([], [], 0) if rows is None else _cycnum_parts(rows, depth=2)
+        conductors, parts = dims[0] + twists[0] + s[0], dims[1] + twists[1] + s[1]
+        k, t = len(dims[0]), len(twists[0])
         # validation computes at the lcm of all conductors, on arrays of
         # at most r x r x phi(M) coefficient slots
         M = _capped_conductor(math.lcm(*conductors))
-        r, rows = ring.rank, obj.get("s")
+        r = ring.rank
         slots = max(r * r, k, t, len(conductors) - k - t) * euler_phi(M)
         if slots > MAX_SLOTS:
             raise ValueError(f"rank {r} at conductor {M} needs {slots} coefficient slots, "
                              f"above the budget {MAX_SLOTS}")
-        values = CycArray.from_parts(M, conductors, numerators, denominators, (len(conductors),))
+        parts = np.array(parts, dtype=exact_dtype(max(dims[2], twists[2], s[2]))).reshape(-1, 2)
+        values = CycArray.from_parts(M, conductors, parts[:, 0], parts[:, 1], (len(conductors),))
         s = None if rows is None else values[k + t:]
         if s is not None and len(rows) == r and all(len(row) == r for row in rows):
             s = s.reshape(r, r)

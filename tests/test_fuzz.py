@@ -194,3 +194,39 @@ def test_structural_edits_in_a_process_exit_2_without_traceback(tmp_path):
         )
         assert proc.returncode == 2, (name, proc.stderr)
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, (name, proc.stderr)
+
+
+def _denominator_cases():
+    """(name, JSON text) for premodular files whose values over one
+    denominator would not fit the budget: an s row of 65,536 rationals
+    over distinct 32-digit denominators, whose lcm has about 2 10^6
+    digits, and a rank-256 group ring of (Z/2)^8 with no s and its
+    twists at distinct 32-digit integers, whose inverses share a
+    denominator of about 27,000 bits that each of the 65,536 entries of
+    a synthesized s would carry twice."""
+    one = {"n": 1, "c": [["1", "1"]]}
+    row = [{"n": 1, "c": [["1", str(10**31 + 2 * i + 1)]]} for i in range(2**16)]
+    yield "s over distinct denominators", json.dumps(
+        {"type": "premodular", "labels": ["1"], "unit": 0, "dual": [0], "fusion": [[0, 0, 0, 1]],
+         "dims": [one], "twists": [one], "s": [row]})
+    r = 256
+    twists = [one] + [{"n": 1, "c": [[str(10**31 + 2 * a + 1), "1"]]} for a in range(1, r)]
+    yield "twists at distinct large integers", json.dumps(
+        {"type": "premodular", "labels": [str(a) for a in range(r)], "unit": 0, "dual": list(range(r)),
+         "fusion": [[a, b, a ^ b, 1] for a in range(r) for b in range(r)], "dims": [one] * r,
+         "twists": twists})
+
+
+def test_denominators_over_the_budget_exit_2_in_a_process(tmp_path):
+    src = os.path.dirname(os.path.dirname(premodular.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for k, (name, text) in enumerate(_denominator_cases()):
+        path = tmp_path / f"denominators{k}.json"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-c", "from premodular.cli import main; main()", "validate", str(path)],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_resources,
+        )
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert proc.stderr.startswith("error: ") and "above the budget" in proc.stderr, (name, proc.stderr)
+        assert "Traceback" not in proc.stderr, (name, proc.stderr)

@@ -3,15 +3,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import direct_sum, isometry_rel_point
 from premodular.catalog import catalog_get, catalog_list
-from premodular.cyclotomic import ONE, make_root
+from premodular.cyclotomic import ONE, magnitude, make_root, reduce_rows
 from premodular.data import (
     CentreKind,
+    PremodularData,
     classify_degeneracy,
     framed_s_entry,
     relative_centralizer,
@@ -158,6 +160,21 @@ def test_linearization_matches_oracle_with_cross_terms_and_order_one_factors():
     for g in forms:
         assert validate_metric_group(g).ok
         assert_same_linearization(g)
+
+
+def test_linearized_values_take_one_byte_a_slot():
+    # a root of unity at a conductor up to 512, the largest a
+    # linearization meets, has power-basis coefficients of at most 127:
+    # the largest, 3, is at D = 385; these conductors have the most
+    # prime factors, where the reduction by Phi_D grows values most
+    conductors = (210, 330, 385, 390, 420, 462, 510, 512)
+    assert max(magnitude(reduce_rows(np.eye(D, dtype=np.int64), D)) for D in conductors) <= 127
+    data = to_premodular(mg("svec-x-semion"))
+    assert {data.dims.num.dtype, data.twists.num.dtype, data.s.num.dtype} == {np.dtype(np.int8)}
+    # and so does an s synthesized from them
+    fresh = PremodularData(data.ring, data.dims, data.twists)
+    assert validate_premodular(fresh).ok
+    assert fresh.s.num.dtype == np.int8 and fresh.s == data.s
 
 
 def test_linearization_uses_no_pairwise_group_calls(monkeypatch):

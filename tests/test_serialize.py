@@ -120,6 +120,15 @@ def test_ring_caps_are_parse_errors():
         ring_from_json(obj)
 
 
+def test_repeated_fusion_entry_keeps_its_last_multiplicity():
+    obj = datum_to_json(catalog_get("ising:1").payload)
+    a, b, c, n = obj["fusion"][-1]
+    obj["fusion"].insert(0, [a, b, c, n + 4])
+    assert ring_from_json(obj).mult[a, b, c] == n
+    obj["fusion"].append([a, b, c, n + 2])
+    assert ring_from_json(obj).mult[a, b, c] == n + 2
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         loads_datum("not json")
