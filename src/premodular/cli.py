@@ -45,6 +45,7 @@ from .serialize import (
     datum_to_json,
     format_element,
     load_datum,
+    metric_group_to_json,
 )
 
 __all__ = ["AnalysisReport", "cli_run", "main"]
@@ -218,8 +219,7 @@ def _cmd_extend(args):
             "extensions": [
                 {
                     "orders": list(r.group.cyclic_orders),
-                    "q": {format_element(x): f"{v.numerator}/{v.denominator}"
-                          for x, v in sorted(r.group.qtable.items())},
+                    "q": metric_group_to_json(r.group)["q"],
                     "embedding": [list(x) for x in r.embedding],
                     "fermion_image": list(r.fermion_image),
                     "gauss_sum": r.gauss.to_json(),

@@ -84,14 +84,6 @@ class FusionRing:
         except KeyError:
             raise UnknownLabel(label) from None
 
-    def product_single(self, a: int, b: int) -> int:
-        """Index of a.b when the product is a single simple (e.g. invertible a)."""
-        row = self.mult[a, b]
-        nz = np.flatnonzero(row)
-        if len(nz) != 1 or row[nz[0]] != 1:
-            raise ValueError(f"product of {self.labels[a]} and {self.labels[b]} is not simple")
-        return int(nz[0])
-
 
 def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
     """Check unit, commutativity, associativity and duality axioms.

@@ -78,14 +78,19 @@ def _kappa_report(data: PremodularData, fermion: str) -> KappaReport:
     -theta_a.  Validation requires theta_{a*} = theta_a, so a* = e.a
     would force theta_a = -theta_a = 0, which validation also excludes.
     Therefore n_e_twisted = 0, and kappa_minus = n_self_dual / 2 >= 1/2
-    because the unit is self-dual.  A failure of the identity, a nonzero
-    twisted count or kappa_minus <= 0 means the datum was never
-    validated or an invariant broke; each raises CrossCheckMismatch.
+    because the unit is self-dual.  A product e.a that is not a single
+    simple, a failure of the identity, a nonzero twisted count or
+    kappa_minus <= 0 means the datum was never validated or an invariant
+    broke; each raises CrossCheckMismatch.
     """
     ring = data.ring
     e = ring.index(fermion)
-    dual = ring.dual
-    e_times = [ring.product_single(e, a) for a in range(ring.rank)]
+    # row a of N[e] is the product e.a, a single simple with multiplicity 1
+    Ne = ring.mult[e]
+    e_times = Ne.argmax(axis=1)
+    not_simple = np.flatnonzero((Ne != np.eye(ring.rank, dtype=Ne.dtype)[e_times]).any(axis=1))
+    if len(not_simple):
+        raise CrossCheckMismatch(f"product of {fermion} and {ring.labels[not_simple[0]]} is not simple")
     T = data.twists.num
     failing = np.flatnonzero((T[e_times] != -T).any(axis=1))
     if len(failing):
@@ -93,8 +98,9 @@ def _kappa_report(data: PremodularData, fermion: str) -> KappaReport:
         raise CrossCheckMismatch(
             f"twist identity fails: theta({ring.labels[e_times[a]]}) != -theta({ring.labels[a]})"
         )
-    n_self_dual = sum(1 for a in range(ring.rank) if dual[a] == a)
-    n_e_twisted = sum(1 for a, ea in enumerate(e_times) if dual[a] == ea)
+    dual = np.asarray(ring.dual)
+    n_self_dual = int((dual == np.arange(ring.rank)).sum())
+    n_e_twisted = int((dual == e_times).sum())
     kappa_plus = Fraction(n_self_dual + n_e_twisted, 2)
     kappa_minus = Fraction(n_self_dual - n_e_twisted, 2)
     if n_e_twisted != 0 or kappa_minus <= 0:

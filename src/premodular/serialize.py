@@ -10,7 +10,8 @@ the size of a premodular datum's arrays, in coefficient slots and in
 words with the length of their shared denominator
 (cyclotomic.check_budget), before anything is allocated at their size;
 q values and CycNum coefficients are bounded in digits, element keys in
-coordinates.
+coordinates.  Wherever the schema has a list, a JSON list is required: a
+string or an object there is refused, never unpacked.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 
 import numpy as np
 
-from .cyclotomic import MAX_SLOTS, CycArray, CycNum, euler_phi, exact_dtype, make_root
+from .cyclotomic import MAX_SLOTS, CycArray, euler_phi, exact_dtype, make_root
 from .data import PremodularData, validate_premodular
 from .fusion_ring import MAX_MULT, MAX_RANK, FusionRing
 from .metric_groups import MAX_CONDUCTOR, MetricGroup, format_element, validate_metric_group
@@ -51,7 +52,6 @@ _DIGIT_BOUND = 10**MAX_DIGITS
 _RATIONAL = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
 _INTEGER = re.compile(r"-?[0-9]+")
 _INT64_MIN = -(2**63)
-_ITERABLE = {list, str, dict}  # the JSON values that unpack
 
 
 class ParseError(ValueError):
@@ -71,14 +71,16 @@ def _parse_element(key: str, arity: int):
     return tuple(_integer(t.strip()) for t in inner.split(","))
 
 
+def _is_integer(x) -> bool:
+    """Whether x reads as an int: a JSON integer, or a string of ASCII
+    digits with an optional leading minus; a float or a boolean is
+    refused rather than truncated, and so is any other string int()
+    would read (" 16", "1_6", non-ASCII digits)."""
+    return type(x) is int or type(x) is str and _INTEGER.fullmatch(x) is not None
+
+
 def _integer(x) -> int:
-    """x as an int: a JSON integer, or a string of ASCII digits with an
-    optional leading minus; a float or a boolean is refused rather than
-    truncated, and so is any other string int() would read (" 16",
-    "1_6", non-ASCII digits)."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    if isinstance(x, str) and _INTEGER.fullmatch(x):
+    if _is_integer(x):
         return int(x)
     raise ValueError(f"expected an integer, got {x!r:.40}")
 
@@ -98,47 +100,50 @@ def _rational(x) -> tuple[int, int]:
     raise ValueError(f"expected an integer or a string p/q of at most {MAX_DIGITS} digits each, got {x!r:.40}")
 
 
-def _coefficient_part(x) -> int:
-    """x as an int of at most MAX_DIGITS digits, the bound on each part
-    of a q value."""
-    x = _integer(x)
-    if abs(x) >= _DIGIT_BOUND:
-        raise ValueError(f"CycNum coefficient part has more than {MAX_DIGITS} digits")
-    return x
-
-
-def _capped_conductor(n) -> int:
-    """n as an int, rejected before anything is allocated at conductor n."""
-    n = _integer(n)
+def _capped_conductor(n: int) -> int:
+    """n, rejected before anything is allocated at conductor n."""
     if n > MAX_CONDUCTOR:
         raise ValueError(f"conductor {n} exceeds the cap {MAX_CONDUCTOR}")
     return n
 
 
-def _cycnum_from_json(obj) -> CycNum:
-    n = _capped_conductor(obj["n"])
-    parts = [(_coefficient_part(p), _coefficient_part(q)) for p, q in obj["c"]]
-    if not all(q for _, q in parts):
-        raise ZeroDivisionError("CycNum coefficient with a zero denominator")
-    den = math.lcm(*(q for _, q in parts))
-    return CycNum(n, [p * (den // q) for p, q in parts], den)
+def _refuse(values, ok, what: str):
+    """Raise the error of a whole-list check that failed, naming the
+    first of values that ok refuses."""
+    bad = next(x for x in values if not ok(x))
+    raise ValueError(f"{what}, got {bad!r:.40}")
 
 
-def _integers(values: list):
-    """values as ints, read in bulk as _integer reads each one, or None
-    if _integer would refuse any of them."""
+def _integers(values: list) -> list:
+    """values as ints, each read as by _integer, in one type pass and
+    one regex map over the list."""
     types = set(map(type, values))
-    if not types <= {int, str}:
-        return None
-    if str in types:
+    if types <= {int}:
+        return values
+    if types <= {int, str}:
         strings = values if types == {str} else [x for x in values if type(x) is str]
-        if not all(map(_INTEGER.fullmatch, strings)):
-            return None
-        try:
+        if all(map(_INTEGER.fullmatch, strings)):
             return list(map(int, values))
-        except ValueError:  # past int's digit limit
-            return None
+    _refuse(values, _is_integer, "expected an integer")
+
+
+def _lists(values: list, what: str, size: int | None = None) -> list:
+    """values, refused unless each is a JSON list, of `size` items if
+    size is given: a string or an object is refused, never unpacked."""
+    if set(map(type, values)) - {list}:
+        _refuse(values, lambda x: type(x) is list, f"{what} must be a list")
+    if size is not None and set(map(len, values)) - {size}:
+        _refuse(values, lambda x: len(x) == size, f"{what} must have {size} items")
     return values
+
+
+def _field(obj: dict, key: str) -> list:
+    """obj[key], refused unless it is a JSON list."""
+    return _lists([obj[key]], f'"{key}"')[0]
+
+
+def _flat(lists) -> list:
+    return list(itertools.chain.from_iterable(lists))
 
 
 def _largest(values: list) -> int:
@@ -146,52 +151,17 @@ def _largest(values: list) -> int:
     return max(-min(values, default=0), max(values, default=0))
 
 
-def _cycnums_in_bulk(entries: list):
-    """The conductors of the CycNum objects in entries, all their
+def _cycnum_parts(entries: list) -> tuple[list, list]:
+    """The conductors of the CycNum objects in entries and all their
     coefficient parts in one list, numerator and denominator
-    alternating, and the largest magnitude of a part, with the checks of
-    _cycnum_from_json run on whole lists; None if any check fails."""
-    try:
-        conductors = _integers([obj["n"] for obj in entries])
-        coefficients = [obj["c"] for obj in entries]
-    except (KeyError, TypeError):
-        return None
-    if conductors is None or not all(1 <= n <= MAX_CONDUCTOR for n in conductors):
-        return None
-    # _cycnum_from_json unpacks the pairs, so a string or an object of
-    # the right length reads as the list of its characters or keys
-    if set(map(type, coefficients)) - _ITERABLE or list(map(len, coefficients)) != list(map(euler_phi, conductors)):
-        return None
-    pairs = list(itertools.chain.from_iterable(coefficients))
-    if set(map(type, pairs)) - _ITERABLE or set(map(len, pairs)) - {2}:
-        return None
-    parts = _integers(list(itertools.chain.from_iterable(pairs)))
-    bound = None if parts is None else _largest(parts)
-    if bound is None or bound >= _DIGIT_BOUND or not all(parts[1::2]):
-        return None
-    return conductors, parts, bound
-
-
-def _entries(value, depth: int):
-    """What reading a JSON value of CycNums gives: its items, or with
-    depth 2 the items of each of its rows."""
-    return value if depth == 1 else itertools.chain.from_iterable(value)
-
-
-def _cycnum_parts(value, depth: int = 1) -> tuple[list, list, int]:
-    """_cycnums_in_bulk of the CycNums in a JSON value.  When it refuses
-    them, _cycnum_from_json reads them in order and raises at the first
-    bad one, with its message."""
-    try:
-        entries = list(_entries(value, depth))
-    except TypeError:  # the value, or a row, is not iterable
-        entries = None
-    parts = None if entries is None else _cycnums_in_bulk(entries)
-    if parts is None:
-        for obj in _entries(value, depth):
-            _cycnum_from_json(obj)
-        raise AssertionError("CycNums refused in bulk were each read alone")
-    return parts
+    alternating.  Each check runs on a whole list and raises its own
+    error; premodular_from_json checks the parts of all fields at once."""
+    conductors = _integers([obj["n"] for obj in entries])
+    _capped_conductor(max(conductors, default=1))
+    coefficients = _lists([obj["c"] for obj in entries], 'a CycNum "c"')
+    if list(map(len, coefficients)) != list(map(euler_phi, conductors)):
+        raise ValueError("coefficient vector length must be euler_phi(conductor)")
+    return conductors, _integers(_flat(_lists(_flat(coefficients), "a coefficient pair", 2)))
 
 
 # -- fusion rings -------------------------------------------------------------
@@ -210,54 +180,41 @@ def ring_to_json(ring: FusionRing) -> dict:
     }
 
 
-def _fusion_entry(entry, r: int) -> None:
-    """Check one fusion entry [a, b, c, n], raising at its first bad field."""
-    a, b, c, n = map(_integer, entry)
-    if not (0 <= a < r and 0 <= b < r and 0 <= c < r):
-        raise ValueError(f"fusion index out of range: {(a, b, c)}")
-    if n > MAX_MULT:
-        raise ValueError(f"multiplicity {n} exceeds the cap {MAX_MULT}")
-
-
 def _fusion_entries(fusion: list, r: int):
-    """The fusion entries [a, b, c, n] as int64 arrays a, b, c, n, read
-    in bulk with the checks of _fusion_entry on whole lists; a repeated
-    (a, b, c) keeps its last n.  When the bulk checks refuse them,
-    _fusion_entry reads them in order and raises at the first bad one;
-    if each one reads, a multiplicity is below int64."""
-    values = None
-    # _fusion_entry unpacks an entry, as it does a string or an object of four items
-    if not (set(map(type, fusion)) - _ITERABLE or set(map(len, fusion)) - {4}):
-        values = _integers(list(itertools.chain.from_iterable(fusion)))
-    # an index below MAX_RANK <= MAX_MULT, a multiplicity at most MAX_MULT and in int64
-    if values is not None and min(values, default=0) >= _INT64_MIN and max(values, default=0) <= MAX_MULT:
-        a, b, c, n = np.array(values, dtype=np.int64).reshape(-1, 4).T
-        if not ((a < 0) | (b < 0) | (c < 0) | (a >= r) | (b >= r) | (c >= r)).any():
-            keys = (a * r + b) * r + c
-            order = np.argsort(keys, kind="stable")
-            last = order[np.diff(keys[order], append=-1) != 0]
-            return a[last], b[last], c[last], n[last]
-    for entry in fusion:
-        _fusion_entry(entry, r)
-    raise OverflowError("a multiplicity is below the int64 range")
+    """The fusion entries [a, b, c, n] as int64 arrays a, b, c, n, each
+    check on whole lists; a repeated (a, b, c) keeps its last n."""
+    values = _integers(_flat(_lists(fusion, "a fusion entry", 4)))
+    indices = values[:]
+    del indices[3::4]
+    if min(indices, default=0) < 0 or max(indices, default=0) >= r:
+        k = next(k for k, x in enumerate(indices) if not 0 <= x < r) // 3 * 3
+        raise ValueError(f"fusion index out of range: {tuple(indices[k:k + 3])}")
+    mults = values[3::4]
+    if max(mults, default=0) > MAX_MULT:
+        raise ValueError(f"multiplicity {max(mults)} exceeds the cap {MAX_MULT}")
+    if min(mults, default=0) < _INT64_MIN:
+        raise ValueError(f"multiplicity {min(mults)} is below the int64 range")
+    a, b, c, n = np.array(values, dtype=np.int64).reshape(-1, 4).T
+    keys = (a * r + b) * r + c
+    order = np.argsort(keys, kind="stable")
+    last = order[np.diff(keys[order], append=-1) != 0]
+    return a[last], b[last], c[last], n[last]
 
 
 def ring_from_json(obj: dict) -> FusionRing:
     try:
-        if not all(isinstance(obj[k], list) for k in ("labels", "dual", "fusion")):
-            raise ValueError('"labels", "dual" and "fusion" must be lists')
-        labels = [str(x) for x in obj["labels"]]
+        labels = [str(x) for x in _field(obj, "labels")]
         r = len(labels)
         if r > MAX_RANK:
             raise ValueError(f"rank {r} exceeds the cap {MAX_RANK}")
         mult = np.zeros((r, r, r), dtype=np.int64)
-        a, b, c, n = _fusion_entries(obj["fusion"], r)
+        a, b, c, n = _fusion_entries(_field(obj, "fusion"), r)
         mult[a, b, c] = n
         return FusionRing(
             labels=labels,
             unit_index=_integer(obj["unit"]),
             mult=mult,
-            dual=[_integer(x) for x in obj["dual"]],
+            dual=_integers(_field(obj, "dual")),
         )
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"bad fusion ring: {exc}") from None
@@ -276,27 +233,31 @@ def premodular_to_json(data: PremodularData) -> dict:
     return out
 
 
-def _theta_exp_parts(theta_exp) -> tuple[list, list, int]:
-    """_cycnums_in_bulk of the twists e^(2 pi i p/q) given as rational
+def _theta_exp_parts(theta_exp: list) -> tuple[list, list]:
+    """_cycnum_parts of the twists e^(2 pi i p/q) given as rational
     exponents [p, q]."""
-    roots = [make_root(_integer(p), _capped_conductor(q)) for p, q in theta_exp]
-    parts = [x for t in roots for c in t.num for x in (c, 1)]
-    return [t.conductor for t in roots], parts, _largest(parts)
+    values = _integers(_flat(_lists(theta_exp, "a theta_exp entry", 2)))
+    _capped_conductor(max(values[1::2], default=1))
+    roots = list(map(make_root, values[0::2], values[1::2]))
+    return [t.conductor for t in roots], [x for t in roots for c in t.num for x in (c, 1)]
 
 
 def premodular_from_json(obj: dict) -> PremodularData:
     ring = ring_from_json(obj)
     try:
-        dims = _cycnum_parts(obj["dims"])
-        if "twists" in obj:
-            twists = _cycnum_parts(obj["twists"])
-        elif "theta_exp" in obj:
-            twists = _theta_exp_parts(obj["theta_exp"])
+        dims = _cycnum_parts(_field(obj, "dims"))
+        if "theta_exp" in obj and "twists" not in obj:
+            twists = _theta_exp_parts(_field(obj, "theta_exp"))
         else:
-            raise KeyError("twists")
-        rows = obj.get("s")
-        s = ([], [], 0) if rows is None else _cycnum_parts(rows, depth=2)
+            twists = _cycnum_parts(_field(obj, "twists"))
+        rows = _lists(_field(obj, "s"), 'a row of "s"') if "s" in obj else None
+        s = ([], []) if rows is None else _cycnum_parts(_flat(rows))
         conductors, parts = dims[0] + twists[0] + s[0], dims[1] + twists[1] + s[1]
+        bound = _largest(parts)
+        if bound >= _DIGIT_BOUND:
+            raise ValueError(f"CycNum coefficient part has more than {MAX_DIGITS} digits")
+        if not all(parts[1::2]):
+            raise ZeroDivisionError("CycNum coefficient with a zero denominator")
         k, t = len(dims[0]), len(twists[0])
         # validation computes at the lcm of all conductors, on arrays of
         # at most r x r x phi(M) coefficient slots
@@ -306,14 +267,12 @@ def premodular_from_json(obj: dict) -> PremodularData:
         if slots > MAX_SLOTS:
             raise ValueError(f"rank {r} at conductor {M} needs {slots} coefficient slots, "
                              f"above the budget {MAX_SLOTS}")
-        parts = np.array(parts, dtype=exact_dtype(max(dims[2], twists[2], s[2]))).reshape(-1, 2)
+        parts = np.array(parts, dtype=exact_dtype(bound)).reshape(-1, 2)
         values = CycArray.from_parts(M, conductors, parts[:, 0], parts[:, 1], (len(conductors),))
         s = None if rows is None else values[k + t:]
         if s is not None and len(rows) == r and all(len(row) == r for row in rows):
             s = s.reshape(r, r)
         return PremodularData(ring=ring, dims=values[:k], twists=values[k:k + t], s=s)
-    except ParseError:
-        raise
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"bad premodular datum: {exc}") from None
 

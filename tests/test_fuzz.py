@@ -5,10 +5,10 @@ Each case replaces one or two fields of a catalog entry's JSON with
 values from a fixed pool of hostile values, or renames one q key of a
 metric group to a key from a fixed pool of hostile element keys, or
 edits the structure (nesting far past the recursion limit, a top-level
-list, a field deleted or given a value of the wrong type), and every
-file subcommand must exit 0 or 2 without raising.  A few cases run as
-separate processes under resource limits and a timeout, where stderr
-must hold no traceback.
+list, a field deleted, given a value of the wrong type or written twice
+with a hostile first value), and every file subcommand must exit 0 or 2
+without raising.  A few cases run as separate processes under resource
+limits and a timeout, where stderr must hold no traceback.
 """
 
 import copy
@@ -33,7 +33,7 @@ HOSTILE = (
     float("nan"), float("inf"), "", "x", "0", "-1", "1/0", "0/0", "1/2", "-3/4", "(0)",
     "(0,0)", "1e9", "9" * 40, [], [0], [[]], [0, 0, 0, 0], [["1", "0"]], ["1", "-2"], {},
     {"n": 1, "c": []}, {"n": 0, "c": [["1", "1"]]}, {"n": 5, "c": [["1", "1"]] * 4},
-    {"(0)": "0"},
+    {"(0)": "0"}, "11", "0001", {"0": 0, "1": 0},
 )
 METRIC_ENTRIES = ("svec", "svec-x-semion", "toric", "z4-q:3", "rep-z2")
 HOSTILE_KEYS = (
@@ -146,8 +146,9 @@ def _with(doc, path, raw):
 def _structural_cases():
     """(name, JSON text) for each structural edit: deep nesting in
     orders, in a premodular s and at the top level, a top-level list, and
-    every field of a metric group and a premodular file deleted or given
-    a value of each wrong type."""
+    every field of a metric group and a premodular file deleted, given a
+    value of each wrong type, or written twice with a value of each wrong
+    type first."""
     deep, shallow = "[" * DEEP + "]" * DEEP, "[" * SHALLOW + "]" * SHALLOW
     mg, pm = (datum_to_json(catalog_get(name).payload) for name in STRUCTURE_ENTRIES)
     cases = [
@@ -166,6 +167,9 @@ def _structural_cases():
             cases.append((f"{name} without {key}", json.dumps({k: v for k, v in doc.items() if k != key})))
             cases += [(f"{name} {key} = {value!r}", json.dumps(_replace(copy.deepcopy(doc), (key,), value)))
                       for value in WRONG_TYPES]
+            # the key written twice, a hostile value first: the decoder keeps the last
+            cases += [(f"{name} {key} twice, first {value!r}", f"{{{json.dumps(key)}: {json.dumps(value)}, "
+                       + json.dumps(doc)[1:]) for value in WRONG_TYPES]
     return cases
 
 

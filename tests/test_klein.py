@@ -69,6 +69,18 @@ def test_tampered_twists_fail_the_twist_identity():
         verdict(data)
 
 
+def test_fermion_product_that_is_not_simple_fails_the_cross_check():
+    # Z2 x Z4 with fermion e = (1,0); give e.(0,1) multiplicity 2 in the
+    # fusion tensor while s and the dims, which the classification reads,
+    # keep their valid entries
+    data = to_premodular(from_gram([2, 4], [Fraction(1, 2), Fraction(1, 8)]))
+    e, a, ea = (data.ring.index(x) for x in ("(1,0)", "(0,1)", "(1,1)"))
+    data.ring.mult[e, a, ea] = 2
+    assert classify_degeneracy(data).fermion == "(1,0)"
+    with pytest.raises(CrossCheckMismatch, match=r"product of \(1,0\) and \(0,1\) is not simple"):
+        kappa_invariants(data)
+
+
 def test_kappa_requires_a_fermion():
     with pytest.raises(NotSlightlyDegenerate):
         kappa_invariants(premodular_form("semion"))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from premodular.catalog import catalog_get, catalog_list
+from premodular.cli import cli_run
 from premodular.cyclotomic import euler_phi, make_root
 from premodular.fusion_ring import MAX_MULT, MAX_RANK
 from premodular.serialize import (
@@ -127,6 +128,76 @@ def test_repeated_fusion_entry_keeps_its_last_multiplicity():
     assert ring_from_json(obj).mult[a, b, c] == n
     obj["fusion"].append([a, b, c, n + 2])
     assert ring_from_json(obj).mult[a, b, c] == n + 2
+
+
+def _ising_with(path, value):
+    """ising:1 as JSON with the field at path set to value."""
+    obj = datum_to_json(catalog_get("ising:1").payload)
+    node = obj
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return obj
+
+
+def _theta_exp(second):
+    """ising:1 as JSON with its twists as theta_exp, the second written as given."""
+    obj = datum_to_json(catalog_get("ising:1").payload)
+    del obj["twists"]
+    obj["theta_exp"] = [[0, 1], second, [1, 16]]
+    return obj
+
+
+# lists of the schema written as another value; the strings, the zero
+# pair and the theta_exp object read as the right value when unpacked
+# into their characters or keys, and a null s would read as no s
+NON_LISTS = {
+    "coefficient pair as a string": _ising_with(("dims", 0, "c"), ["11"]),
+    "coefficient pair as an object": _ising_with(("dims", 0, "c"), [{"1": "1", "2": "1"}]),
+    "zero coefficient pair as an object": _ising_with(("dims", 2, "c", 0), {"0": "1", "1": "1"}),
+    "fusion entry as a string": _ising_with(("fusion", 0), "0001"),
+    "theta_exp entry as a string": _theta_exp("12"),
+    "theta_exp entry as an object": _theta_exp({"1": 0, "2": 0}),
+    "dims as an object": _ising_with(("dims",), {str(a): {"n": 1, "c": [["1", "1"]]} for a in range(3)}),
+    "s as null": _ising_with(("s",), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_LISTS))
+def test_a_non_list_where_the_schema_has_a_list_exits_2(name, tmp_path, capsys):
+    with pytest.raises(ParseError, match="must be a list"):
+        premodular_from_json(NON_LISTS[name])
+    path = tmp_path / "non_list.json"
+    path.write_text(json.dumps(NON_LISTS[name]))
+    capsys.readouterr()
+    for command in ("validate", "analyze"):
+        assert cli_run([command, str(path)]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ") and "must be a list" in err, err
+
+
+# one file per parse message, each with exactly one bad entry
+MESSAGES = [
+    (("dims", 0, "n"), 1.5, "bad premodular datum: expected an integer, got 1.5"),
+    (("s", 1, 1, "n"), "1_6", "bad premodular datum: expected an integer, got '1_6'"),
+    (("fusion", 0, 3), True, "bad fusion ring: expected an integer, got True"),
+    (("twists", 2, "n"), 2 * MAX_CONDUCTOR, f"bad premodular datum: conductor {2 * MAX_CONDUCTOR} "
+                                            f"exceeds the cap {MAX_CONDUCTOR}"),
+    (("dims", 0, "c"), [["1", "1"], ["0", "1"]],
+     "bad premodular datum: coefficient vector length must be euler_phi(conductor)"),
+    (("dims", 2, "c", 0), ["0", "1" + "0" * MAX_DIGITS],
+     f"bad premodular datum: CycNum coefficient part has more than {MAX_DIGITS} digits"),
+    (("dims", 2, "c", 0), ["0", "0"], "bad premodular datum: CycNum coefficient with a zero denominator"),
+    (("fusion", 0, 2), 3, "bad fusion ring: fusion index out of range: (0, 0, 3)"),
+    (("fusion", 0, 3), MAX_MULT + 1, f"bad fusion ring: multiplicity {MAX_MULT + 1} exceeds the cap {MAX_MULT}"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", MESSAGES)
+def test_parse_messages_name_the_bad_entry(path, value, message):
+    with pytest.raises(ParseError) as err:
+        premodular_from_json(_ising_with(path, value))
+    assert str(err.value) == message
 
 
 def test_parse_errors():
