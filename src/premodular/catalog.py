@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cyclotomic import ONE, MINUS_ONE, make_root
 from .data import PremodularData, validate_premodular
 from .errors import UnknownCatalogKey
@@ -35,13 +33,9 @@ class CatalogEntry:
 def _ising(nu: int) -> PremodularData:
     """labels 1, psi, sigma with sigma^2 = 1 + psi, psi^2 = 1, and
     theta = (1, -1, z16^nu)."""
-    mult = np.zeros((3, 3, 3), dtype=np.int64)
-    mult[0, :, :] = np.eye(3)
-    mult[:, 0, :] = np.eye(3)
-    mult[1, 1, 0] = 1
-    mult[1, 2, 2] = mult[2, 1, 2] = 1
-    mult[2, 2, 0] = mult[2, 2, 1] = 1
-    ring = FusionRing(labels=["1", "psi", "sigma"], unit_index=0, mult=mult, dual=[0, 1, 2])
+    unit = [[0, a, a, 1] for a in range(3)] + [[a, 0, a, 1] for a in range(1, 3)]
+    fusion = unit + [[1, 1, 0, 1], [1, 2, 2, 1], [2, 1, 2, 1], [2, 2, 0, 1], [2, 2, 1, 1]]
+    ring = FusionRing(labels=["1", "psi", "sigma"], unit_index=0, fusion=fusion, dual=[0, 1, 2])
     d_sigma = make_root(1, 8) + make_root(-1, 8)
     return PremodularData.from_values(ring, dims=[ONE, ONE, d_sigma],
                                       twists=[ONE, MINUS_ONE, make_root(nu, 16)])

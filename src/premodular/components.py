@@ -132,26 +132,21 @@ def ring_characters(data: PremodularData, cls: CentreClassification,
     labels = list(cls.transparent)
     idx = [ring.index(lab) for lab in labels]
     n = len(idx)
-    N = ring.mult
 
     # group-like: each product of transparent simples is one transparent
     # simple, with multiplicity 1
-    sub = N[np.ix_(idx, idx)]
-    i, j, c = np.nonzero(sub)
-    pos = np.full(ring.rank, -1)
-    pos[idx] = np.arange(n)
-    group_like = ((np.bincount(i * n + j, minlength=n * n) == 1).all()
-                  and (sub[i, j, c] == 1).all() and (pos[c] >= 0).all())
+    i, j, c, m = ring.restrict(idx)
+    group_like = (np.bincount(i * n + j, minlength=n * n) == 1).all() and (m == 1).all() and (c >= 0).all()
     char_values: list[list[complex]]
     if group_like:
-        # the nonzeros come sorted by (i, j), one per pair
-        exact = _exact_group_characters(pos[c].reshape(n, n).tolist())
+        # the entries come sorted by (i, j), one per pair
+        exact = _exact_group_characters(c.reshape(n, n).tolist())
         char_values = [
             [cmath.exp(2j * cmath.pi * float(t)) if t else complex(1.0) for t in chi]
             for chi in exact
         ]
     else:
-        mats = [N[a].T[np.ix_(idx, idx)].astype(float) for a in idx]
+        mats = [ring.row(a, idx).T.astype(float) for a in idx]
         char_values = _numeric_characters(mats, seed)
 
     char_values.sort(key=lambda chi: tuple((round(z.real, 9), round(z.imag, 9)) for z in chi))

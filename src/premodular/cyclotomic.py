@@ -38,8 +38,12 @@ __all__ = ["CycNum", "CycArray", "make_root", "root_sum", "from_rational", "eule
            "MAX_SLOTS", "ZERO", "ONE", "MINUS_ONE"]
 
 # array values built at once by the array kernels: a few arrays of about
-# this many entries are live at a time
-BLOCK = 2**16
+# this many entries are live at a time, and a product over a block of
+# rows holds at most BLOCK / 2 int64 values, 128 KiB, glibc's default
+# mmap threshold.  Above it each such temporary is mapped and faulted in
+# afresh on every call (at 2^16, about 220 page faults per analyze of a
+# group of order 64)
+BLOCK = 2**15
 # coefficient slots r^2 phi(M) of the arrays a premodular datum needs:
 # every catalog entry and every linearized group (rank <= MAX_RANK,
 # conductor <= 2 exp(A)) fits, the largest being Z_256 with q = x^2/512,

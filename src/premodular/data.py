@@ -119,17 +119,15 @@ def _row_blocks(rows: int, width: int):
 
 
 class _Channels:
-    """The nonzeros N^c_{a,b} of a fusion ring, sorted by (a, b, c), for
+    """The entries N^c_{a,b} of a fusion ring, sorted by (a, b, c), for
     sums over fusion channels by rows a."""
 
     def __init__(self, ring: FusionRing):
-        N = ring.mult
         self.r = ring.rank
-        self.a, self.b, self.c = np.nonzero(N)
-        self.m = N[self.a, self.b, self.c]
-        self.start = np.searchsorted(self.a, np.arange(self.r + 1))
+        self.a, self.b, self.c, self.m, self.start = ring.a, ring.b, ring.c, ring.m, ring.start
         self.width = max(self.r, int(np.diff(self.start).max(initial=0)))  # values per row a
-        self.row_sum = int(N.sum(axis=2).max(initial=0))  # max_{a,b} sum_c N^c_{a,b}
+        first = np.flatnonzero(np.diff(self.a * self.r + self.b, prepend=-1))
+        self.row_sum = int(np.add.reduceat(self.m, first).max(initial=0))  # max_{a,b} sum_c N^c_{a,b}
 
     def blocks(self, phi: int):
         return _row_blocks(self.r, 2 * phi * self.width)
@@ -271,16 +269,10 @@ def _transparency(data: PremodularData) -> np.ndarray:
 
 
 def _check_closed(data: PremodularData, idx: set[int]) -> bool:
-    N = data.ring.mult
-    if data.ring.unit_index not in idx:
+    ring = data.ring
+    if ring.unit_index not in idx or any(ring.dual[a] not in idx for a in idx):
         return False
-    for a in idx:
-        if data.ring.dual[a] not in idx:
-            return False
-        for b in idx:
-            if any(int(c) not in idx for c in np.flatnonzero(N[a, b])):
-                return False
-    return True
+    return bool((ring.restrict(sorted(idx))[2] >= 0).all())
 
 
 def relative_centralizer(data: PremodularData, sub) -> set[str]:
@@ -303,7 +295,7 @@ def mueger_centre(data: PremodularData) -> PremodularData:
     sub_ring = FusionRing(
         labels=[data.labels[b] for b in idx],
         unit_index=pos[data.ring.unit_index],
-        mult=data.ring.mult[np.ix_(idx, idx, idx)],
+        fusion=np.stack(data.ring.restrict(idx), axis=1),
         dual=[pos[data.ring.dual[b]] for b in idx],
     )
     return PremodularData(ring=sub_ring, dims=data.dims[idx], twists=data.twists[idx],
@@ -350,10 +342,8 @@ def classify_degeneracy(data: PremodularData) -> CentreClassification:
         return CentreClassification(CentreKind.NONDEGENERATE, trans, None, bos, fer)
     if len(idx) == 2:
         e = idx[0] if idx[1] == ring.unit_index else idx[1]
-        e_squared_is_unit = (
-            ring.mult[e, e, ring.unit_index] == 1
-            and int(ring.mult[e, e].sum()) == 1
-        )
+        e_squared = ring.row(e)[e]
+        e_squared_is_unit = e_squared[ring.unit_index] == 1 and int(e_squared.sum()) == 1
         if e_squared_is_unit and _is_integer(T[e], t_den, -1):
             return CentreClassification(
                 CentreKind.SLIGHTLY_DEGENERATE, trans, data.labels[e], bos, fer

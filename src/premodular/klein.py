@@ -86,7 +86,7 @@ def _kappa_report(data: PremodularData, fermion: str) -> KappaReport:
     ring = data.ring
     e = ring.index(fermion)
     # row a of N[e] is the product e.a, a single simple with multiplicity 1
-    Ne = ring.mult[e]
+    Ne = ring.row(e)
     e_times = Ne.argmax(axis=1)
     not_simple = np.flatnonzero((Ne != np.eye(ring.rank, dtype=Ne.dtype)[e_times]).any(axis=1))
     if len(not_simple):

@@ -168,21 +168,18 @@ def _cycnum_parts(entries: list) -> tuple[list, list]:
 
 
 def ring_to_json(ring: FusionRing) -> dict:
-    fusion = [
-        [int(a), int(b), int(c), int(ring.mult[a, b, c])]
-        for a, b, c in np.argwhere(ring.mult != 0)
-    ]
     return {
         "labels": list(ring.labels),
         "unit": ring.unit_index,
         "dual": list(map(int, ring.dual)),
-        "fusion": fusion,
+        "fusion": ring.fusion.tolist(),
     }
 
 
-def _fusion_entries(fusion: list, r: int):
-    """The fusion entries [a, b, c, n] as int64 arrays a, b, c, n, each
-    check on whole lists; a repeated (a, b, c) keeps its last n."""
+def _fusion_entries(fusion: list, r: int) -> np.ndarray:
+    """The fusion entries [a, b, c, n] as an (n, 4) int64 array, each
+    check on whole lists; FusionRing sorts them and keeps the last n of
+    a repeated (a, b, c)."""
     values = _integers(_flat(_lists(fusion, "a fusion entry", 4)))
     indices = values[:]
     del indices[3::4]
@@ -194,11 +191,7 @@ def _fusion_entries(fusion: list, r: int):
         raise ValueError(f"multiplicity {max(mults)} exceeds the cap {MAX_MULT}")
     if min(mults, default=0) < _INT64_MIN:
         raise ValueError(f"multiplicity {min(mults)} is below the int64 range")
-    a, b, c, n = np.array(values, dtype=np.int64).reshape(-1, 4).T
-    keys = (a * r + b) * r + c
-    order = np.argsort(keys, kind="stable")
-    last = order[np.diff(keys[order], append=-1) != 0]
-    return a[last], b[last], c[last], n[last]
+    return np.array(values, dtype=np.int64).reshape(-1, 4)
 
 
 def ring_from_json(obj: dict) -> FusionRing:
@@ -207,13 +200,10 @@ def ring_from_json(obj: dict) -> FusionRing:
         r = len(labels)
         if r > MAX_RANK:
             raise ValueError(f"rank {r} exceeds the cap {MAX_RANK}")
-        mult = np.zeros((r, r, r), dtype=np.int64)
-        a, b, c, n = _fusion_entries(_field(obj, "fusion"), r)
-        mult[a, b, c] = n
         return FusionRing(
             labels=labels,
+            fusion=_fusion_entries(_field(obj, "fusion"), r),
             unit_index=_integer(obj["unit"]),
-            mult=mult,
             dual=_integers(_field(obj, "dual")),
         )
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:

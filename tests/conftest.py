@@ -3,6 +3,7 @@ import json
 import pytest
 
 from premodular.catalog import catalog_get, catalog_list
+from premodular.fusion_ring import FusionRing
 from premodular.metric_groups import MetricGroup, to_premodular
 from premodular.serialize import datum_to_json
 
@@ -11,6 +12,13 @@ def premodular_form(name):
     """Catalog entry as PremodularData (metric groups are linearized)."""
     payload = catalog_get(name).payload
     return to_premodular(payload) if isinstance(payload, MetricGroup) else payload
+
+
+def with_entries(ring, *entries):
+    """ring with the entries [a, b, c, m] set, each replacing the one at
+    (a, b, c); m = 0 removes it."""
+    return FusionRing(labels=ring.labels, unit_index=ring.unit_index,
+                      fusion=[*ring.fusion.tolist(), *entries], dual=ring.dual)
 
 
 @pytest.fixture(scope="session")

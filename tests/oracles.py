@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's optimized code paths: quadratic
 forms are enumerated as raw value tables, isometries as raw bijections,
-associativity as a four-index loop or one dense contraction per b, and
-the duality axiom as a loop over pairs, the linearization as a loop
+associativity as a four-index loop or one dense contraction per b, the
+whole fusion-ring validation on the dense r x r x r tensor, and the
+duality axiom as a loop over pairs, the linearization as a loop
 over pairs of elements, the metric-group laws on a dict of Fractions,
 cyclotomic arithmetic on Fraction coefficients reduced by long division
 by Phi_n, the premodular axioms and the transparent set on CycNums one
@@ -24,7 +25,7 @@ import numpy as np
 from premodular.cyclotomic import MINUS_ONE, ONE, ZERO, CycNum, cyclotomic_poly, make_root
 from premodular.data import CentreClassification, CentreKind, PremodularData
 from premodular.errors import GroupsTooLarge
-from premodular.fusion_ring import group_ring, validate_fusion_ring
+from premodular.fusion_ring import FusionRing, dual_permutation_matrix, group_ring, validate_fusion_ring
 from premodular.metric_groups import (
     SIZE_CAP,
     MetricGroup,
@@ -120,6 +121,69 @@ class FractionCycNum:
 
     def to_json(self) -> dict:
         return {"n": self.n, "c": [[str(c.numerator), str(c.denominator)] for c in self.coeffs]}
+
+
+def dense(ring: FusionRing) -> np.ndarray:
+    """The r x r x r multiplicity tensor of a ring: N[a, b, c] = N^c_{a,b}."""
+    r = ring.rank
+    N = np.zeros((r, r, r), dtype=np.int64)
+    N[ring.a, ring.b, ring.c] = ring.m
+    return N
+
+
+def ring_from_dense(mult, labels=None, unit_index=0, dual=None) -> FusionRing:
+    """The ring of a dense multiplicity tensor, labels "0", "1", ... and
+    every label self-dual unless given."""
+    mult = np.asarray(mult, dtype=np.int64)
+    r = len(mult)
+    at = np.argwhere(mult != 0)
+    fusion = np.column_stack((at, mult[tuple(at.T)]))
+    return FusionRing(labels=labels or [str(a) for a in range(r)], unit_index=unit_index, fusion=fusion,
+                      dual=list(range(r)) if dual is None else dual)
+
+
+def validate_fusion_ring_dense(ring: FusionRing) -> ValidationReport:
+    """validate_fusion_ring on the dense tensor: every check a comparison
+    of whole arrays, associativity by dense_associativity_witnesses."""
+    rep = ValidationReport()
+    r = ring.rank
+    N = dense(ring)
+    I = ring.unit_index
+
+    if (N < 0).any():
+        for a, b, c in np.argwhere(N < 0)[:10]:
+            rep.add("NegativeMultiplicity", (int(a), int(b), int(c)))
+        return rep
+
+    eye = np.eye(r, dtype=np.int64)
+    if not np.array_equal(N[I], eye):
+        for b, c in np.argwhere(N[I] != eye)[:10]:
+            rep.add("UnitViolation", (I, int(b), int(c)), "N^c_{I,b} != delta")
+    if not np.array_equal(N[:, I, :], eye):
+        for a, c in np.argwhere(N[:, I, :] != eye)[:10]:
+            rep.add("UnitViolation", (int(a), I, int(c)), "N^c_{a,I} != delta")
+
+    if not np.array_equal(N, N.transpose(1, 0, 2)):
+        for a, b, c in np.argwhere(N != N.transpose(1, 0, 2))[:10]:
+            rep.add("CommutativityViolation", (int(a), int(b), int(c)))
+    else:
+        for witness in dense_associativity_witnesses(N, 10):
+            rep.add("AssociativityViolation", witness)
+
+    dual = list(ring.dual)
+    if sorted(dual) != list(range(r)):
+        rep.add("DualityViolation", tuple(dual), "dual is not a permutation")
+        return rep
+    for a in range(r):
+        if dual[dual[a]] != a:
+            rep.add("DualityViolation", (a,), "dual is not an involution")
+    if dual[I] != I:
+        rep.add("DualityViolation", (I,), "unit must be self-dual")
+    expected = dual_permutation_matrix(ring)
+    for a, b in np.argwhere(N[:, :, I] != expected):
+        rep.add("DualityViolation", (int(a), int(b)),
+                f"N^I_{{a,b}} = {int(N[a, b, I])}, expected {int(expected[a, b])}")
+    return rep
 
 
 def brute_associative(mult) -> bool:
@@ -705,10 +769,11 @@ def validate_premodular_cycnum(ring, dims, twists, s):
     inv_cond = [t.conductor for t in twists]
     dim_cond = [lcm(t.conductor, d.conductor) for t, d in zip(twists, dims)]
     balanced = [[None] * r for _ in range(r)]
+    N = dense(ring)
     for a in range(r):
-        bs, cs = np.nonzero(ring.mult[a])
+        bs, cs = np.nonzero(N[a])
         fusion = {}
-        for b, c, n in zip(bs.tolist(), cs.tolist(), ring.mult[a, bs, cs].tolist()):
+        for b, c, n in zip(bs.tolist(), cs.tolist(), N[a, bs, cs].tolist()):
             fusion.setdefault(b, []).append((c, n))
         for b in range(a, r):
             terms = fusion.get(b, ())
@@ -753,7 +818,8 @@ def classify_degeneracy_cycnum(data: PremodularData) -> CentreClassification:
         return CentreClassification(CentreKind.NONDEGENERATE, trans, None, bos, fer)
     if len(idx) == 2:
         e = idx[0] if idx[1] == ring.unit_index else idx[1]
-        e_squared_is_unit = ring.mult[e, e, ring.unit_index] == 1 and int(ring.mult[e, e].sum()) == 1
+        N = dense(ring)
+        e_squared_is_unit = N[e, e, ring.unit_index] == 1 and int(N[e, e].sum()) == 1
         if e_squared_is_unit and twists[e] == MINUS_ONE:
             return CentreClassification(CentreKind.SLIGHTLY_DEGENERATE, trans, data.labels[e], bos, fer)
     return CentreClassification(CentreKind.OTHER_DEGENERATE, trans, None, bos, fer)

@@ -13,7 +13,7 @@ from premodular.catalog import catalog_get
 from premodular.cli import cli_run
 from premodular.cyclotomic import euler_phi
 from premodular.fusion_ring import MAX_RANK
-from premodular.metric_groups import MAX_CONDUCTOR, from_gram
+from premodular.metric_groups import MAX_CONDUCTOR, from_gram, to_premodular
 from premodular.serialize import MAX_SLOTS, loads_datum
 
 
@@ -439,6 +439,21 @@ def test_coefficient_slots_above_the_budget_exit_2_at_once(tmp_path):
                                            f"{r * r * euler_phi(n)} coefficient slots, above the budget "
                                            f"{MAX_SLOTS}\n")
     assert int(grown_kb) < 50 * 1024 and float(seconds) < 2, (grown_kb, seconds)
+
+
+def test_rank_256_ring_is_held_as_its_nonzeros(write_datum):
+    # the linearized (Z/2)^8: a fusion ring of 65,536 nonzeros, whose
+    # r x r x r tensor would take 128 MiB and put the growth above 150 MB;
+    # held as its nonzeros, validating the file grows the peak by about
+    # 46 MB, 35 MB of them the decoded JSON, and validation adds nothing
+    # to the peak the parse leaves
+    path = write_datum(to_premodular(from_gram([2] * 8, [Fraction(1, 4)] * 8)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(premodular.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _TIMED_RUN, "validate", path], capture_output=True,
+                          text=True, env=env, timeout=120, preexec_fn=_limit_resources)
+    code, grown_kb, seconds = proc.stdout.split()
+    assert (int(code), proc.stderr) == (0, "")
+    assert int(grown_kb) < 80 * 1024, grown_kb
 
 
 def test_linearization_above_the_rank_cap_exits_2(write_datum):

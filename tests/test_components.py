@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from conftest import premodular_form
 from premodular.components import _exact_group_characters, _numeric_characters, ring_characters
 from premodular.data import classify_degeneracy, relative_centralizer
@@ -66,7 +67,7 @@ def test_numeric_path_agrees_with_exact_group_characters(name):
     data = premodular_form(name)
     comp = characters(data, seed=7)
     idx = [data.ring.index(lab) for lab in comp.labels]
-    mats = [data.ring.mult[a].T[np.ix_(idx, idx)].astype(float) for a in idx]
+    mats = [oracles.dense(data.ring)[a].T[np.ix_(idx, idx)].astype(float) for a in idx]
     numeric = _numeric_characters(mats, seed=7)
     numeric_sorted = sorted(
         tuple((round(z.real, 6), round(z.imag, 6)) for z in chi) for chi in numeric
@@ -106,7 +107,6 @@ def rep_s3_datum():
 
     from premodular.cyclotomic import ONE, from_rational
     from premodular.data import PremodularData, validate_premodular
-    from premodular.fusion_ring import FusionRing
 
     mult = np.zeros((3, 3, 3), dtype=np.int64)
     mult[0] = np.eye(3)
@@ -114,7 +114,7 @@ def rep_s3_datum():
     mult[1, 1, 0] = 1
     mult[1, 2, 2] = mult[2, 1, 2] = 1
     mult[2, 2, 0] = mult[2, 2, 1] = mult[2, 2, 2] = 1
-    ring = FusionRing(labels=["1", "sgn", "std"], unit_index=0, mult=mult, dual=[0, 1, 2])
+    ring = oracles.ring_from_dense(mult, labels=["1", "sgn", "std"])
     data = PremodularData.from_values(
         ring,
         dims=[ONE, ONE, from_rational(2)],

@@ -1,11 +1,14 @@
+import collections
 import functools
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
-from oracles import brute_associative, brute_duality_violations, dense_associativity_witnesses
+from oracles import (brute_associative, brute_duality_violations, dense, dense_associativity_witnesses,
+                     ring_from_dense, validate_fusion_ring_dense)
 from premodular import fusion_ring
 from premodular.errors import UnknownLabel
 from premodular.fusion_ring import (
@@ -16,23 +19,18 @@ from premodular.fusion_ring import (
     validate_fusion_ring,
 )
 
-from conftest import premodular_form
+from conftest import premodular_form, with_entries
 
 
 def z2_ring():
-    mult = np.zeros((2, 2, 2), dtype=np.int64)
-    mult[0, 0, 0] = mult[0, 1, 1] = mult[1, 0, 1] = mult[1, 1, 0] = 1
-    return FusionRing(labels=["1", "e"], unit_index=0, mult=mult, dual=[0, 1])
+    fusion = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]]
+    return FusionRing(labels=["1", "e"], unit_index=0, fusion=fusion, dual=[0, 1])
 
 
 def ising_ring():
-    mult = np.zeros((3, 3, 3), dtype=np.int64)
-    mult[0] = np.eye(3)
-    mult[:, 0] = np.eye(3)
-    mult[1, 1, 0] = 1
-    mult[1, 2, 2] = mult[2, 1, 2] = 1
-    mult[2, 2, 0] = mult[2, 2, 1] = 1
-    return FusionRing(labels=["1", "psi", "sigma"], unit_index=0, mult=mult, dual=[0, 1, 2])
+    fusion = [[0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 2, 2, 1],
+              [2, 0, 2, 1], [2, 1, 2, 1], [2, 2, 0, 1], [2, 2, 1, 1]]
+    return FusionRing(labels=["1", "psi", "sigma"], unit_index=0, fusion=fusion, dual=[0, 1, 2])
 
 
 def test_z2_group_ring_is_valid():
@@ -43,12 +41,11 @@ def test_ising_ring_is_valid_and_brute_force_associative():
     ring = ising_ring()
     assert validate_fusion_ring(ring).ok
     # independent oracle: the raw 81-quadruple associativity loop
-    assert brute_associative(ring.mult.tolist())
+    assert brute_associative(dense(ring).tolist())
 
 
 def test_broken_duality_is_reported():
-    ring = ising_ring()
-    ring.mult[2, 1, 0] = 1  # N^1_{sigma,psi} = 1: sigma would have two duals
+    ring = with_entries(ising_ring(), [2, 1, 0, 1])  # N^1_{sigma,psi} = 1: sigma would have two duals
     rep = validate_fusion_ring(ring)
     assert not rep.ok
     assert "DualityViolation" in rep.kinds()
@@ -64,24 +61,22 @@ def s3_ring():
         for j, q in enumerate(perms):
             mult[i, j, index[tuple(p[k] for k in q)]] = 1
     inverse = [index[tuple(sorted(range(3), key=p.__getitem__))] for p in perms]
-    return FusionRing(labels=["".join(map(str, p)) for p in perms], unit_index=0,
-                      mult=mult, dual=inverse)
+    return ring_from_dense(mult, labels=["".join(map(str, p)) for p in perms], dual=inverse)
 
 
 def test_broken_commutativity_is_reported():
-    ring = ising_ring()
-    ring.mult[1, 2, 2] = 0  # psi.sigma loses sigma, sigma.psi keeps it
+    ring = with_entries(ising_ring(), [1, 2, 2, 0])  # psi.sigma loses sigma, sigma.psi keeps it
     rep = validate_fusion_ring(ring)
     assert "CommutativityViolation" in rep.kinds()
     # associativity is checked only on commutative rings: this ring is
     # not associative either, but that is not reported
-    assert not brute_associative(ring.mult.tolist())
+    assert not brute_associative(dense(ring).tolist())
     assert "AssociativityViolation" not in rep.kinds()
 
 
 def test_noncommutative_group_ring_reports_commutativity_only():
     ring = s3_ring()
-    assert brute_associative(ring.mult.tolist())
+    assert brute_associative(dense(ring).tolist())
     assert validate_fusion_ring(ring).kinds() == {"CommutativityViolation"}
 
 
@@ -94,7 +89,7 @@ def test_broken_associativity_is_reported():
             mult[a, b, (a + b) % 3] = 1
     mult[1, 1, 2] = 0
     mult[1, 1, 1] = 1
-    ring = FusionRing(labels=["0", "1", "2"], unit_index=0, mult=mult, dual=[0, 2, 1])
+    ring = ring_from_dense(mult, dual=[0, 2, 1])
     rep = validate_fusion_ring(ring)
     assert "AssociativityViolation" in rep.kinds()
     assert not any(v.kind in ("UnitViolation", "CommutativityViolation", "DualityViolation")
@@ -132,10 +127,7 @@ def test_associativity_verdict_agrees_with_brute_force_oracle():
     for make in (_random_commutative_table, _tampered_group_ring):
         for _ in range(200):
             mult = make(rng)
-            r = len(mult)
-            ring = FusionRing(labels=[str(a) for a in range(r)], unit_index=0,
-                              mult=mult, dual=list(range(r)))
-            witnesses = [v.witness for v in validate_fusion_ring(ring).violations
+            witnesses = [v.witness for v in validate_fusion_ring(ring_from_dense(mult)).violations
                          if v.kind == "AssociativityViolation"]
             associative = brute_associative(mult.tolist())
             assert associative == (not witnesses), mult.tolist()
@@ -185,29 +177,78 @@ def _seeded_cases():
 
 
 def _witnesses(mult, kind="AssociativityViolation"):
-    r = len(mult)
-    ring = FusionRing(labels=[str(a) for a in range(r)], unit_index=0, mult=mult,
-                      dual=list(range(r)))
-    return [v.witness for v in validate_fusion_ring(ring).violations if v.kind == kind]
+    return [v.witness for v in validate_fusion_ring(ring_from_dense(mult)).violations if v.kind == kind]
 
 
-@pytest.mark.parametrize("block", [fusion_ring._JOIN_BLOCK, 50])
+@pytest.mark.parametrize("block", [fusion_ring._JOIN_BLOCK, 2**18, 50, 1])
 def test_associativity_witnesses_equal_the_dense_oracle(block, monkeypatch):
-    # a block of 50 pairs splits each b into chunks merged into the running
-    # sums, which only dense rings do at the default block size
+    # a block holds max(_JOIN_BLOCK, r^2) pairs: the default and 2^18 span
+    # many rows b; 50 and 1 leave blocks of max(50, r^2) and r^2 pairs,
+    # which split every row b of more (dense tables, tampered products)
+    # into blocks merged into the sums of the rows still open
     monkeypatch.setattr(fusion_ring, "_JOIN_BLOCK", block)
     for mult, expected in _seeded_cases():
         assert _witnesses(mult) == expected, mult.tolist()
+        # a smaller limit stops the join early, at the oracle's first
+        # `limit` witnesses; limits past their number give them all
+        ring = ring_from_dense(mult)
+        for limit in range(1, min(len(expected), 9) + 2):
+            assert fusion_ring._associativity_witnesses(ring, limit) == expected[:limit], (limit, mult.tolist())
     # none, a few, and the cap all occur, and the cap cuts across b
     counts = [(len(expected), len({b for _, b, _, _ in expected})) for _, expected in _seeded_cases()]
     assert (0, 0) in counts and any(0 < n < 10 for n, _ in counts)
     assert any(n == 10 and bs > 1 for n, bs in counts)
 
 
+def _edited_rings(rng, count):
+    """Seeded rings with every kind of defect: random commutative tables
+    and group rings, whole and tampered, with some entries made negative,
+    the unit's row or column edited, products edited on one side only, a
+    unit other than 0, or a dual that is no involution or no permutation."""
+    for k in range(count):
+        if k % 3 == 2:
+            mult = _tamper(_group_mult(rng.choice(([2, 4], [8], [2, 2, 4]))), rng, rng.randint(0, 2))
+        else:
+            mult = (_random_commutative_table, _tampered_group_ring)[k % 3](rng)
+        r = len(mult)
+        cell = lambda: tuple(rng.randrange(r) for _ in range(3))
+        if rng.random() < 0.15:
+            for _ in range(rng.choice((1, 3, 12))):
+                mult[cell()] = -rng.randint(1, 3)
+        if rng.random() < 0.3:
+            for _ in range(rng.choice((1, 2, 12))):
+                a, b, c = cell()
+                mult[(0, b, c) if rng.random() < 0.5 else (a, 0, c)] = rng.randint(0, 2)
+        if rng.random() < 0.25:
+            for _ in range(rng.randint(1, 3)):
+                mult[cell()] = rng.randint(0, 2)
+        unit = rng.randrange(r) if rng.random() < 0.15 else 0
+        dual = [int(np.flatnonzero(mult[a, :, 0])[0]) if mult[a, :, 0].any() else a for a in range(r)]
+        roll = rng.random()
+        if roll < 0.15:
+            dual = rng.sample(range(r), r)
+        elif roll < 0.25:
+            dual = [rng.randrange(r) for _ in range(r)]
+        yield ring_from_dense(mult, unit_index=unit, dual=dual)
+
+
+def test_reports_equal_the_dense_oracle():
+    kinds = []
+    for ring in _edited_rings(random.Random(13), 600):
+        report, expected = validate_fusion_ring(ring), validate_fusion_ring_dense(ring)
+        assert report.violations == expected.violations, ring.fusion.tolist()
+        # byte for byte: every witness holds Python ints
+        assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
+        kinds += [v.kind for v in report.violations]
+    counts = collections.Counter(kinds)
+    assert counts.keys() == {"NegativeMultiplicity", "UnitViolation", "CommutativityViolation",
+                             "AssociativityViolation", "DualityViolation"}, counts
+    assert min(counts.values()) >= 20, counts
+
+
 def test_rank_128_group_ring_validates_and_a_tampered_copy_is_caught():
     mult = _group_mult([2, 64])
-    ring = FusionRing(labels=[str(a) for a in range(128)], unit_index=0, mult=mult,
-                      dual=[int(np.flatnonzero(mult[a, :, 0])[0]) for a in range(128)])
+    ring = ring_from_dense(mult, dual=[int(np.flatnonzero(mult[a, :, 0])[0]) for a in range(128)])
     assert validate_fusion_ring(ring).ok
     mult = _tamper(mult, random.Random(128), 2)
     witnesses = _witnesses(mult)
@@ -226,18 +267,15 @@ def test_duality_witnesses_and_details_equal_the_loop():
         dual = list(range(r))
         if r > 2 and rng.random() < 0.5:
             dual[1], dual[2] = 2, 1
-        ring = FusionRing(labels=[str(a) for a in range(r)], unit_index=0, mult=mult, dual=dual)
-        found = [(v.witness, v.detail) for v in validate_fusion_ring(ring).violations
+        found = [(v.witness, v.detail) for v in validate_fusion_ring(ring_from_dense(mult, dual=dual)).violations
                  if v.kind == "DualityViolation"]
         assert found == brute_duality_violations(mult.tolist(), dual, 0)
 
 
 def test_fibonacci_ring_is_valid():
     # e.e = 1 + e: noninvertible but perfectly associative
-    mult = np.zeros((2, 2, 2), dtype=np.int64)
-    mult[0, 0, 0] = mult[0, 1, 1] = mult[1, 0, 1] = 1
-    mult[1, 1, 0] = mult[1, 1, 1] = 1
-    ring = FusionRing(labels=["1", "t"], unit_index=0, mult=mult, dual=[0, 1])
+    fusion = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 1]]
+    ring = FusionRing(labels=["1", "t"], unit_index=0, fusion=fusion, dual=[0, 1])
     assert validate_fusion_ring(ring).ok
     total, vec = fpdim(ring)
     golden = (1 + np.sqrt(5)) / 2

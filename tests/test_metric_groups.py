@@ -124,7 +124,7 @@ def assert_same_linearization(g):
     assert data.ring.labels == expected.ring.labels
     assert data.ring.unit_index == expected.ring.unit_index
     assert data.ring.dual == expected.ring.dual
-    assert (data.ring.mult == expected.ring.mult).all()
+    assert np.array_equal(data.ring.fusion, expected.ring.fusion)
     assert data.dims == expected.dims
     assert data.twists == expected.twists
     assert data.s == expected.s

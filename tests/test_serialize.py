@@ -5,6 +5,7 @@ import pytest
 from premodular.catalog import catalog_get, catalog_list
 from premodular.cli import cli_run
 from premodular.cyclotomic import euler_phi, make_root
+from premodular.data import validate_premodular
 from premodular.fusion_ring import MAX_MULT, MAX_RANK
 from premodular.serialize import (
     MAX_CONDUCTOR,
@@ -17,6 +18,7 @@ from premodular.serialize import (
     metric_group_from_json,
     premodular_from_json,
     ring_from_json,
+    ring_to_json,
 )
 
 
@@ -115,7 +117,7 @@ def test_ring_caps_are_parse_errors():
 
     obj = datum_to_json(catalog_get("ising:1").payload)
     obj["fusion"][-1][3] = MAX_MULT
-    assert ring_from_json(obj).mult[2, 2, 1] == MAX_MULT
+    assert ring_from_json(obj).row(2)[2, 1] == MAX_MULT
     obj["fusion"][-1][3] = MAX_MULT + 1
     with pytest.raises(ParseError, match="exceeds the cap"):
         ring_from_json(obj)
@@ -125,9 +127,33 @@ def test_repeated_fusion_entry_keeps_its_last_multiplicity():
     obj = datum_to_json(catalog_get("ising:1").payload)
     a, b, c, n = obj["fusion"][-1]
     obj["fusion"].insert(0, [a, b, c, n + 4])
-    assert ring_from_json(obj).mult[a, b, c] == n
+    assert ring_from_json(obj).row(a)[b, c] == n
     obj["fusion"].append([a, b, c, n + 2])
-    assert ring_from_json(obj).mult[a, b, c] == n + 2
+    assert ring_from_json(obj).row(a)[b, c] == n + 2
+
+
+ISING_FUSION = [[0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 2, 2, 1],
+                [2, 0, 2, 1], [2, 1, 2, 1], [2, 2, 0, 1], [2, 2, 1, 1]]
+
+
+@pytest.mark.parametrize("edit, fusion, kinds", [
+    # a repeated (a, b, c) whose last multiplicity is 0 leaves no entry
+    ([[2, 2, 1, 3], [2, 2, 1, 0]], ISING_FUSION[:-1], {"AssociativityViolation"}),
+    # an explicit zero is no entry
+    ([[1, 1, 1, 0]], ISING_FUSION, set()),
+    # a negative multiplicity is kept, and reported
+    ([[1, 1, 1, -2]], ISING_FUSION[:5] + [[1, 1, 1, -2]] + ISING_FUSION[5:], {"NegativeMultiplicity"}),
+])
+def test_fusion_entries_written_as_the_nonzeros_in_order(edit, fusion, kinds):
+    obj = datum_to_json(catalog_get("ising:1").payload)
+    assert obj["fusion"] == ISING_FUSION
+    obj["fusion"] += edit
+    ring = ring_from_json(obj)
+    assert ring_to_json(ring)["fusion"] == fusion
+    report = validate_premodular(premodular_from_json(obj))
+    assert report.kinds() == kinds, str(report)
+    if kinds == {"NegativeMultiplicity"}:
+        assert [v.witness for v in report.violations] == [(1, 1, 1)]
 
 
 def _ising_with(path, value):
