@@ -11,6 +11,7 @@ from premodular.cyclotomic import make_root
 from premodular.data import classify_degeneracy, gauss_sum as pm_gauss, validate_premodular
 from premodular.fusion_ring import fpdim
 from premodular.metric_groups import enumerate_pointed_extensions
+from premodular.serialize import metric_group_to_json
 
 
 def main():
@@ -20,9 +21,7 @@ def main():
 
     for r in enumerate_pointed_extensions(svec):
         orders = "x".join(map(str, r.group.cyclic_orders))
-        qvals = ", ".join(
-            f"{v.numerator}/{v.denominator}" for _, v in sorted(r.group.qtable.items())
-        )
+        qvals = ", ".join(metric_group_to_json(r.group)["q"].values())
         rows.append((2 * r.signature, "pointed", f"Z{orders}: q = ({qvals})",
                      f"z8^{r.signature}"))
 

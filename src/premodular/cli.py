@@ -43,7 +43,6 @@ from .serialize import (
     ParseError,
     ValidationError,
     datum_to_json,
-    format_element,
     load_datum,
     metric_group_to_json,
 )
@@ -232,10 +231,7 @@ def _cmd_extend(args):
     lines = [f"{'#':<3} {'orders':<12} {'signature':<9} q-values"]
     for i, r in enumerate(results):
         orders = "x".join(map(str, r.group.cyclic_orders))
-        qvals = ", ".join(
-            f"{format_element(x)}={v.numerator}/{v.denominator}"
-            for x, v in sorted(r.group.qtable.items())
-        )
+        qvals = ", ".join(f"{x}={v}" for x, v in metric_group_to_json(r.group)["q"].items())
         lines.append(f"{i:<3} {orders:<12} {r.signature:<9} {qvals}")
     lines.append(note)
     return 0, "\n".join(lines) + "\n"

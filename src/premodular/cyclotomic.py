@@ -18,16 +18,20 @@ their lcm, which every entry carries: check_budget bounds the array's
 size counted in 64-bit words, one a coefficient slot and one more for
 every 64 bits of the denominator.
 
-No floating point enters any exact path; `embed` is the only bridge to
-complex doubles.
+Phi_n is Phi_R(x^(n/R)) for the radical R of n, Phi_R a product of
+binomials x^d - 1 and their inverses (cyclotomic_poly); it, euler_phi,
+the radical and the descent to a smaller conductor all come from one
+cached factorization (_primes).  No floating point enters any exact
+path; `embed` is the only bridge to complex doubles.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -52,51 +56,56 @@ BLOCK = 2**15
 MAX_SLOTS = 2**24
 
 @lru_cache(maxsize=None)
+def _primes(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending: the one factorization
+    behind euler_phi, cyclotomic_poly, _descend and every radical rad(n)
+    = prod(_primes(n))."""
+    out, m, p = [], n, 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError(f"conductor must be positive, got {n}")
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (little-endian), den monic-led."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // lead
-        out[k] = q
-        if q:
-            for i, d in enumerate(den):
-                num[k + i] -= q * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+    for p in _primes(n):
+        n -= n // p
+    return n
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, little-endian, length euler_phi(n)+1, monic."""
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_poly(d)))
-    assert len(poly) == euler_phi(n) + 1
-    return tuple(poly)
+    """Coefficients of Phi_n, little-endian, length euler_phi(n)+1, monic.
+
+    Phi_n(x) = Phi_R(x^(n/R)) for R = rad(n), and Phi_R is the product of
+    (x^d - 1)^mu(R/d) over the divisors d of R: the factors with mu = 1
+    are multiplied out, then those with mu = -1 divided out exactly, each
+    product and quotient by a binomial costing one pass."""
+    primes = _primes(n)
+    R, poly, factors = prod(primes), [1], ([], [])  # the d with mu(R/d) = 1, and = -1
+    for k in range(len(primes) + 1):
+        for c in itertools.combinations(primes, k):
+            factors[(len(primes) - k) % 2].append(prod(c))
+    for d in factors[0]:
+        poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d in factors[1]:
+        # poly = (x^d - 1) q, so q[k] = q[k - d] - poly[k]
+        q = [-c for c in poly[:len(poly) - d]]
+        for k in range(d, len(q)):
+            q[k] += q[k - d]
+        poly = q
+    out = [0] * ((len(poly) - 1) * (n // R) + 1)
+    out[::n // R] = poly
+    assert len(out) == euler_phi(n) + 1
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -411,21 +420,6 @@ MINUS_ONE = from_rational(-1)
 # -- arrays of values at one conductor ------------------------------------------
 
 
-def _smallest_prime(n: int) -> int:
-    return next(p for p in range(2, n + 1) if n % p == 0)
-
-
-@lru_cache(maxsize=None)
-def _radical(n: int) -> int:
-    out, m = 1, n
-    while m > 1:
-        p = _smallest_prime(m)
-        out *= p
-        while m % p == 0:
-            m //= p
-    return out
-
-
 @lru_cache(maxsize=None)
 def _low_arrays(n: int):
     """_low_terms(n) as two int64 arrays, degrees and coefficients."""
@@ -441,7 +435,7 @@ def reduction_growth(n: int) -> float:
     follow from x^(j-1) by one shift and one subtraction of Phi_R; inf if
     any leaves 2^31.  G depends only on rad(n): 4 when it is prime, 8
     for 6, 24 for 30, 136 for 210."""
-    R = _radical(n)
+    R = prod(_primes(n))
     phi, low = euler_phi(R), np.array(cyclotomic_poly(R)[:-1], dtype=np.int64)
     row = np.zeros(phi, dtype=np.int64)
     row[-1] = 1
@@ -514,7 +508,7 @@ def reduce_rows(v: np.ndarray, n: int) -> np.ndarray:
     else:
         w = v[..., :n]
         w[..., :L - n] += v[..., n:]
-    R = _radical(n)
+    R = prod(_primes(n))
     phi, (deg, coef) = euler_phi(R), _low_arrays(R)
     w = w.reshape(lead + (R, n // R))
     for k in range(R - 1, phi - 1, -1):
@@ -586,7 +580,7 @@ def _descend(num: list, m: int, n: int) -> list:
     p u = 1 mod k and k w = 1 mod p; in the basis z_k^a z_p^b (b < p-1)
     the value is its z_p^0 part, once z_p^(p-1) = -(1 + ... + z_p^(p-2))."""
     while m != n:
-        p = _smallest_prime(m // n)
+        p = _primes(m // n)[0]
         k = m // p
         if k % p == 0:
             num = num[::p]

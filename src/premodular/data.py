@@ -76,12 +76,18 @@ __all__ = [
 class PremodularData:
     """ring + per-label dims d_a and twists theta_a, and the unnormalized
     Hopf-link matrix s (filled by validation if absent), as CycArrays at
-    one conductor (see the module docstring)."""
+    one conductor M (see the module docstring): every constructor builds
+    them at one M, and that is checked here, so no computation on a
+    datum lifts its arrays."""
 
     ring: FusionRing
     dims: CycArray
     twists: CycArray
     s: CycArray | None = None
+
+    def __post_init__(self):
+        if self.twists.M != self.dims.M or self.s is not None and self.s.M != self.dims.M:
+            raise ValueError("dims, twists and s must be CycArrays at one conductor")
 
     @classmethod
     def from_values(cls, ring, dims, twists, s=None) -> "PremodularData":
@@ -177,10 +183,8 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
         rep.add("ShapeViolation", (r,), "dims/twists length must equal rank")
         return rep
 
-    I, dual = ring.unit_index, ring.dual
-    M = lcm(data.dims.M, data.twists.M, data.s.M if data.s is not None else 1)
-    dims, twists = data.dims.lift(M), data.twists.lift(M)
-    D, d_den, T, t_den = dims.num, dims.den, twists.num, twists.den
+    I, dual, M = ring.unit_index, ring.dual, data.dims.M
+    D, d_den, T, t_den = data.dims.num, data.dims.den, data.twists.num, data.twists.den
     if not _is_integer(D[I], d_den, 1):
         rep.add("UnitDimViolation", (I,), "d_I must be 1")
     if not _is_integer(T[I], t_den, 1):
@@ -231,7 +235,7 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
             s[rows] = part
         data.s = CycArray(M, s, s_den, channels.conductors(data.twists, data.dims))
     else:
-        s = data.s.lift(M)
+        s = data.s
         for rows in blocks:
             # theta_a theta_b s_{a,b} over t_den^2 s_den, the channel sum over t_den d_den
             lhs = mul_rows(mul_rows(T[rows, None], T[None, :], M), s.num[rows], M)
@@ -241,7 +245,7 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
         if rep.violations:
             return rep
 
-    S = data.s.lift(M).num
+    S = data.s.num
     conj = (-np.arange(S.shape[-1])) % M
     for rows in blocks:
         bad = (map_rows(S[rows], conj, M) != S[np.asarray(dual)[rows]]).any(axis=2) & upper[rows]
@@ -259,12 +263,11 @@ def framed_s_entry(data: PremodularData, a: str, b: str) -> CycNum:
 def _transparency(data: PremodularData) -> np.ndarray:
     """(r, r) booleans: S~_{b,x} = 1, tested multiplicatively as
     s_{b,x} = d_b d_x, row b of s against d_b d."""
-    M = lcm(data.dims.M, data.s.M)
-    dims, s = data.dims.lift(M), data.s.lift(M)
+    dims, s = data.dims, data.s
     D, r = dims.num, len(dims)
     out = np.empty((r, r), dtype=bool)
     for rows in _row_blocks(r, 2 * r * D.shape[1]):
-        out[rows] = ~_unequal(s.num[rows], s.den, mul_rows(D[rows, None], D[None, :], M), dims.den**2)
+        out[rows] = ~_unequal(s.num[rows], s.den, mul_rows(D[rows, None], D[None, :], dims.M), dims.den**2)
     return out
 
 

@@ -442,8 +442,8 @@ class ExtensionResult:
     signature: int
 
     def sort_key(self):
-        """Orders, then the q values in element order (the order of the
-        sorted Fraction table), then the fermion image.  Every q
+        """Orders, then the q values in element order (the sorted order
+        of the q keys), then the fermion image.  Every q
         denominator divides 2|A'|, so the values are compared as
         integers over it."""
         g = self.group

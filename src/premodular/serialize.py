@@ -11,7 +11,11 @@ words with the length of their shared denominator
 (cyclotomic.check_budget), before anything is allocated at their size;
 q values and CycNum coefficients are bounded in digits, element keys in
 coordinates.  Wherever the schema has a list, a JSON list is required: a
-string or an object there is refused, never unpacked.
+string or an object there is refused, never unpacked.  Every field, a
+metric group's q keys and q values included, is read by checks that each
+run over its whole list and name the first entry they refuse; integers
+are read by _integers alone.  q is written from Q/D (metric_group_to_json),
+the one formatter of q values.
 """
 
 from __future__ import annotations
@@ -58,46 +62,12 @@ class ParseError(ValueError):
     """The file is not valid JSON or does not match either schema."""
 
 
-def _parse_element(key: str, arity: int):
-    """A key "(x1,...,xk)" as a tuple; more than `arity` coordinates is
-    refused before any is converted, and each, spaces stripped, is read
-    as by _integer."""
-    inner = key.strip()
-    if not (inner.startswith("(") and inner.endswith(")")):
-        raise ParseError(f"bad element key {key!r}")
-    inner = inner[1:-1].strip()
-    if not inner or inner.count(",") >= arity:
-        raise ParseError(f"bad element key {key!r}")
-    return tuple(_integer(t.strip()) for t in inner.split(","))
-
-
 def _is_integer(x) -> bool:
     """Whether x reads as an int: a JSON integer, or a string of ASCII
     digits with an optional leading minus; a float or a boolean is
     refused rather than truncated, and so is any other string int()
     would read (" 16", "1_6", non-ASCII digits)."""
     return type(x) is int or type(x) is str and _INTEGER.fullmatch(x) is not None
-
-
-def _integer(x) -> int:
-    if _is_integer(x):
-        return int(x)
-    raise ValueError(f"expected an integer, got {x!r:.40}")
-
-
-def _rational(x) -> tuple[int, int]:
-    """x as (numerator, denominator): an int, or a string "p" or "p/q",
-    with at most MAX_DIGITS digits in each part; floats, booleans,
-    decimal points and exponents are refused."""
-    if isinstance(x, str) and _RATIONAL.fullmatch(x):
-        p, _, q = x.partition("/")
-        q = int(q or 1)
-        if not q:
-            raise ZeroDivisionError(f"q value {x} has a zero denominator")
-        return int(p), q
-    if isinstance(x, int) and not isinstance(x, bool) and abs(x) < _DIGIT_BOUND:
-        return x, 1
-    raise ValueError(f"expected an integer or a string p/q of at most {MAX_DIGITS} digits each, got {x!r:.40}")
 
 
 def _capped_conductor(n: int) -> int:
@@ -115,7 +85,7 @@ def _refuse(values, ok, what: str):
 
 
 def _integers(values: list) -> list:
-    """values as ints, each read as by _integer, in one type pass and
+    """values as ints, each as _is_integer reads it, in one type pass and
     one regex map over the list."""
     types = set(map(type, values))
     if types <= {int}:
@@ -203,7 +173,7 @@ def ring_from_json(obj: dict) -> FusionRing:
         return FusionRing(
             labels=labels,
             fusion=_fusion_entries(_field(obj, "fusion"), r),
-            unit_index=_integer(obj["unit"]),
+            unit_index=_integers([obj["unit"]])[0],
             dual=_integers(_field(obj, "dual")),
         )
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
@@ -271,22 +241,57 @@ def premodular_from_json(obj: dict) -> PremodularData:
 
 
 def metric_group_to_json(mg: MetricGroup) -> dict:
+    """q in element order, which is the sorted order of its keys, each
+    value Q/D reduced by gcd(Q, D): no Fraction is built."""
+    g = np.gcd(mg.Q, mg.D).tolist()
     return {
         "type": "metric_group",
         "orders": list(mg.cyclic_orders),
-        "q": {format_element(x): f"{v.numerator}/{v.denominator}" for x, v in sorted(mg.qtable.items())},
+        "q": {format_element(x): f"{v // h}/{mg.D // h}" for x, v, h in zip(mg.elements(), mg.Q.tolist(), g)},
     }
+
+
+def _element_keys(keys: list, arity: int) -> list:
+    """The q keys "(x1,...,xk)" as tuples, each check on the whole list:
+    a key of another shape or of more than `arity` coordinates is refused
+    before any coordinate is converted, then the coordinates, spaces
+    stripped, are read by _integers."""
+    inner = [s[1:-1].strip() if s[:1] == "(" and s[-1:] == ")" else "" for s in (k.strip() for k in keys)]
+    ok = [bool(s) and s.count(",") < arity for s in inner]
+    if not all(ok):
+        raise ParseError(f"bad element key {keys[ok.index(False)]!r}")
+    coords = [s.split(",") for s in inner]
+    values = iter(_integers([t.strip() for t in _flat(coords)]))
+    return [tuple(itertools.islice(values, len(c))) for c in coords]
+
+
+def _rationals(values: list) -> tuple[list, list]:
+    """The q values as numerators and denominators, in one type pass and
+    one regex map over the list: each an int, or a string "p" or "p/q",
+    with at most MAX_DIGITS digits in each part.  Floats, booleans,
+    decimal points and exponents are refused, and then a zero
+    denominator."""
+    text = list(map(str, values)) if set(map(type, values)) <= {int, str} else None
+    if text is None or not all(map(_RATIONAL.fullmatch, text)):
+        _refuse(values, lambda x: type(x) in (int, str) and _RATIONAL.fullmatch(str(x)),
+                f"expected an integer or a string p/q of at most {MAX_DIGITS} digits each")
+    parts = [x.partition("/") for x in text]
+    dens = [int(q or 1) for _, _, q in parts]
+    if not all(dens):
+        raise ZeroDivisionError(f"q value {text[dens.index(0)]} has a zero denominator")
+    return [int(p) for p, _, _ in parts], dens
 
 
 def metric_group_from_json(obj: dict) -> MetricGroup:
     try:
         if not isinstance(obj["orders"], list) or not isinstance(obj["q"], dict):
             raise ParseError('bad metric group: "orders" must be a list and "q" an object')
-        orders = [_integer(n) for n in obj["orders"]]
-        # from_pairs raises ValidationError on a structural failure and
-        # ValueError on q denominators with an lcm above MAX_CONDUCTOR
-        table = {_parse_element(k, len(orders)): _rational(v) for k, v in obj["q"].items()}
-        return MetricGroup.from_pairs(orders, table)
+        orders = _integers(obj["orders"])
+        keys = _element_keys(list(obj["q"]), len(orders))
+        # a key repeated after normalisation keeps its last value; from_pairs
+        # raises ValidationError on a structural failure and ValueError on q
+        # denominators with an lcm above MAX_CONDUCTOR
+        return MetricGroup.from_pairs(orders, dict(zip(keys, zip(*_rationals(list(obj["q"].values()))))))
     except (ParseError, ValidationError):
         raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:

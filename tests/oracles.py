@@ -7,7 +7,8 @@ whole fusion-ring validation on the dense r x r x r tensor, and the
 duality axiom as a loop over pairs, the linearization as a loop
 over pairs of elements, the metric-group laws on a dict of Fractions,
 cyclotomic arithmetic on Fraction coefficients reduced by long division
-by Phi_n, the premodular axioms and the transparent set on CycNums one
+by Phi_n, Phi_n as x^n - 1 divided by Phi_d for every proper divisor d,
+the premodular axioms and the transparent set on CycNums one
 entry at a time.  Expected values frozen into the tests come from
 here.  The generator-image isometry search and the orthogonal direct sum
 live here too: only the tests use them.
@@ -15,6 +16,7 @@ live here too: only the tests use them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -22,7 +24,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from premodular.cyclotomic import MINUS_ONE, ONE, ZERO, CycNum, cyclotomic_poly, make_root
+from premodular.cyclotomic import MINUS_ONE, ONE, ZERO, CycNum, make_root
 from premodular.data import CentreClassification, CentreKind, PremodularData
 from premodular.errors import GroupsTooLarge
 from premodular.fusion_ring import FusionRing, dual_permutation_matrix, group_ring, validate_fusion_ring
@@ -36,6 +38,30 @@ from premodular.metric_groups import (
     validate_metric_group,
 )
 from premodular.validation import ValidationReport
+
+
+def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
+    """Exact division of integer polynomials (little-endian), den monic."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        out[k] = q = num[k + len(den) - 1]
+        if q:
+            for i, d in enumerate(den):
+                num[k + i] -= q * d
+    assert not any(num[: len(den) - 1]), "non-exact polynomial division"
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Phi_n, little-endian: x^n - 1 divided by Phi_d for every proper
+    divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_div_exact(poly, list(cyclotomic_poly(d)))
+    return tuple(poly)
 
 
 class FractionCycNum:

@@ -441,6 +441,22 @@ def test_coefficient_slots_above_the_budget_exit_2_at_once(tmp_path):
     assert int(grown_kb) < 50 * 1024 and float(seconds) < 2, (grown_kb, seconds)
 
 
+def test_twist_at_conductor_8190_exits_2_within_a_second(tmp_path):
+    # Phi_8190 = Phi_2730(x^3), built from the binomials x^d - 1 for d | 2730
+    # rather than by dividing x^2730 - 1 by every Phi_d
+    one = {"n": 1, "c": [["1", "1"]]}
+    path = tmp_path / "theta_8190.json"
+    path.write_text(json.dumps({"type": "premodular", "labels": ["1"], "unit": 0, "dual": [0],
+                                "fusion": [[0, 0, 0, 1]], "dims": [one], "theta_exp": [[8189, 8190]]}))
+    assert len(path.read_text()) == 157
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(premodular.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _TIMED_RUN, "validate", str(path)], capture_output=True,
+                          text=True, env=env, timeout=120, preexec_fn=_limit_resources)
+    code, _, seconds = proc.stdout.split()
+    assert (int(code), proc.stderr) == (2, "")
+    assert float(seconds) < 1, seconds
+
+
 def test_rank_256_ring_is_held_as_its_nonzeros(write_datum):
     # the linearized (Z/2)^8: a fusion ring of 65,536 nonzeros, whose
     # r x r x r tensor would take 128 MiB and put the growth above 150 MB;

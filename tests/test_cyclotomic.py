@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from premodular.cyclotomic import CycNum, ONE, ZERO, _reduce, euler_phi, from_rational, make_root
+from premodular.cyclotomic import CycNum, ONE, ZERO, _reduce, cyclotomic_poly, euler_phi, from_rational, make_root
 from premodular.serialize import premodular_from_json
 
+import oracles
 from oracles import FractionCycNum
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 24, 48]
@@ -87,6 +88,23 @@ def test_reduction_keeps_the_value_at_the_root(n):
             + 1j * math.fsum(c * roots[k % n].imag for k, c in enumerate(poly))
         value = sum(c * roots[k] for k, c in enumerate(reduced))
         assert abs(value - direct) <= 1e-9 * (1 + sum(map(abs, poly)) + sum(map(abs, reduced)))
+
+
+def test_cyclotomic_poly_matches_the_division_oracle():
+    for n in range(1, 513):
+        assert cyclotomic_poly(n) == oracles.cyclotomic_poly(n), n
+
+
+@pytest.mark.parametrize("n", [2730, 4095, 6006, 7560, 8186, 8190, 8191, 8192])
+def test_cyclotomic_poly_at_large_conductors(n):
+    # oracle: x^n - 1 is the product of Phi_d over the divisors d of n, at
+    # x = 2 and x = 3 in exact integers
+    phi = cyclotomic_poly(n)
+    assert len(phi) == euler_phi(n) + 1 and phi[-1] == 1
+    for x in (2, 3):
+        product = math.prod(sum(c * x**k for k, c in enumerate(cyclotomic_poly(d)))
+                            for d in range(1, n + 1) if n % d == 0)
+        assert product == x**n - 1
 
 
 def test_root_power_round_trip_all_orders():

@@ -4,6 +4,7 @@ exit-code contract.
 Each case replaces one or two fields of a catalog entry's JSON with
 values from a fixed pool of hostile values, or renames one q key of a
 metric group to a key from a fixed pool of hostile element keys, or
+edits a metric group's q or orders as a whole object, or
 edits the structure (nesting far past the recursion limit, a top-level
 list, a field deleted, given a value of the wrong type or written twice
 with a hostile first value), and every file subcommand must exit 0 or 2
@@ -12,6 +13,7 @@ limits and a timeout, where stderr must hold no traceback.
 """
 
 import copy
+import itertools
 import json
 import os
 import random
@@ -182,6 +184,49 @@ def test_structural_edits_exit_0_or_2(tmp_path):
             assert code in (0, 2), (command, name)
             if name.startswith(("nested", "deep", "top-level")):
                 assert code == 2, (command, name)
+
+
+MIXED_VALUES = (0, "1/2", 0.5, True, None, ["0"], "3/4", 1)
+
+
+def _whole_q_cases():
+    """(name, JSON object) for metric groups edited as whole objects: q
+    empty, keys spaced so that they normalise onto elements already given,
+    one q mixing values of every JSON type, and the orders as strings."""
+    for name in METRIC_ENTRIES:
+        doc = datum_to_json(catalog_get(name).payload)
+        q = doc["q"]
+        spaced = {" " + key.replace("(", "( ").replace(",", " ,"): value for key, value in q.items()}
+        yield f"{name} empty q", {**doc, "q": {}}
+        yield f"{name} spaced keys", {**doc, "q": {**q, **spaced}}
+        yield f"{name} '( 1)' and ' (0) '", {**doc, "q": {**q, "( 1)": "1/2", " (0) ": "0"}}
+        yield f"{name} mixed values", {**doc, "q": dict(zip([*q, *spaced], itertools.cycle(MIXED_VALUES)))}
+        yield f"{name} string orders", {**doc, "orders": list(map(str, doc["orders"]))}
+
+
+def test_whole_q_objects_exit_0_or_2(tmp_path):
+    path = tmp_path / "whole_q.json"
+    for name, doc in _whole_q_cases():
+        path.write_text(json.dumps(doc))
+        for command in SUBCOMMANDS:
+            code, _ = cli_run([command, str(path)])
+            assert code in (0, 2), (command, name)
+
+
+def test_whole_q_objects_in_a_process_exit_0_or_2_without_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(premodular.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for k, (name, doc) in enumerate(_whole_q_cases()):
+        if not name.startswith("svec-x-semion"):
+            continue
+        path = tmp_path / f"whole_q{k}.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from premodular.cli import main; main()", "analyze", str(path)],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_resources,
+        )
+        assert proc.returncode in (0, 2), (name, proc.stderr)
+        assert "Traceback" not in proc.stderr, (name, proc.stderr)
 
 
 def test_structural_edits_in_a_process_exit_2_without_traceback(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -224,6 +225,52 @@ def test_parse_messages_name_the_bad_entry(path, value, message):
     with pytest.raises(ParseError) as err:
         premodular_from_json(_ising_with(path, value))
     assert str(err.value) == message
+
+
+_Z2 = {"(0)": "0", "(1)": "1/2"}
+_VALUE_MESSAGE = f"bad metric group: expected an integer or a string p/q of at most {MAX_DIGITS} digits each, got "
+_FAILED = "input      : {path}\nvalidation : failed\n"
+# one metric-group file per case: (orders, q, exit code, stdout, stderr)
+METRIC_GROUP_OUTPUTS = {
+    "bad orders entry": (["2", 2.5], _Z2, 2, "", "bad metric group: expected an integer, got 2.5"),
+    "q not an object": ([2], [["(0)", "0"], ["(1)", "1/2"]], 2, "",
+                        'bad metric group: "orders" must be a list and "q" an object'),
+    "malformed key": ([2], {"(0)": "0", "(1": "1/2"}, 2, "", "bad element key '(1'"),
+    "underscore coordinate": ([2], {"(0)": "0", "(1_0)": "1/2"}, 2, "",
+                              "bad metric group: expected an integer, got '1_0'"),
+    "too many coordinates": ([2], {"(0)": "0", "(1,0)": "1/2"}, 2, "", "bad element key '(1,0)'"),
+    "float value": ([2], {"(0)": "0", "(1)": 0.5}, 2, "", _VALUE_MESSAGE + "0.5"),
+    "exponent value": ([2], {"(0)": "0", "(1)": "1e5"}, 2, "", _VALUE_MESSAGE + "'1e5'"),
+    "33-digit value": ([2], {"(0)": "0", "(1)": "1" + "0" * 32}, 2, "", _VALUE_MESSAGE + repr("1" + "0" * 32)),
+    "zero denominator": ([2], {"(0)": "0", "(1)": "1/0"}, 2, "", "bad metric group: q value 1/0 has a zero denominator"),
+    "32-digit denominator": ([2], {"(0)": "0", "(1)": "1/" + "9" * 32}, 2, "",
+                             f"bad metric group: q denominators have an lcm above the cap {MAX_CONDUCTOR}"),
+    # "( 1)" is the element (1): the last value given for it is kept
+    "normalised duplicate": ([2], {"(0)": "0", "(1)": "1/4", "( 1)": "1/2"}, 0,
+                             "input      : {path}\nvalidation : ok\n", None),
+    "short key": ([2, 2], {"(0,0)": "0", "(0,1)": "0", "(1)": "0", "(1,1)": "1/2"}, 2,
+                  _FAILED + "CoverageViolation at (): qtable must cover exactly the group elements\n", None),
+    "two out of range": ([2, 2], {"(0,0)": "0", "(0,1)": "1", "(1,0)": "0", "(1,1)": "3/2"}, 2,
+                         _FAILED + "RangeViolation at (0, 1): q value 1 outside [0,1)\n"
+                         "RangeViolation at (1, 1): q value 3/2 outside [0,1)\n", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_GROUP_OUTPUTS))
+def test_metric_group_validate_outputs_are_pinned(name, tmp_path, capsys):
+    orders, q, code, out, message = METRIC_GROUP_OUTPUTS[name]
+    obj = {"type": "metric_group", "orders": orders, "q": q}
+    path = tmp_path / "mg.json"
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli_run(["validate", str(path)]) == (code, out.format(path=path))
+    assert capsys.readouterr().err == ("" if message is None else f"error: {message}\n")
+    if message is not None:
+        with pytest.raises(ParseError) as err:
+            metric_group_from_json(obj)
+        assert str(err.value) == message
+    elif code == 0:
+        assert metric_group_from_json(obj).qtable[(1,)] == Fraction(1, 2)
 
 
 def test_parse_errors():
