@@ -353,6 +353,8 @@ def cli_run(argv) -> tuple[int, str]:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) == "catalog" and args.action == "show" and not args.name:
             raise _UsageError("catalog show requires an entry name")
+        if getattr(args, "command", None) == "catalog" and args.action == "list" and args.name is not None:
+            raise _UsageError("catalog list takes no entry name")
         return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

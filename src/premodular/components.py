@@ -19,13 +19,11 @@ import numpy as np
 from .data import CentreClassification, CentreKind, PremodularData
 from .data import classify_degeneracy  # noqa: F401  unused; perfbench/layers.py PATCHES rebinds it here
 from .errors import DegenerateEigenproblem
-from .fusion_ring import subring_fpdim
 
 __all__ = ["ComponentAnalysis", "ring_characters"]
 
 _CLUSTER_TOL = 1e-9     # eigenvalues closer than this are one cluster
 _DISTINCT_TOL = 1e-6    # characters must be separated by this in sup metric
-_DIM_MATCH_TOL = 1e-8   # tolerance for recognizing the FPdim character
 _MAX_RETRIES = 8
 
 
@@ -125,8 +123,8 @@ def ring_characters(data: PremodularData, cls: CentreClassification,
     invertible; otherwise a seeded random-combination eigensolve with
     cluster merging at 1e-9 and distinctness threshold 1e-6.  Characters
     are reported in lexicographic order of their value vectors; the
-    FPdim character and (when slightly degenerate) the e -> -1 character
-    are identified.
+    FPdim character (the one real and >= 1 on every transparent simple)
+    and, when slightly degenerate, the e -> -1 character are identified.
     """
     ring = data.ring
     labels = list(cls.transparent)
@@ -151,14 +149,12 @@ def ring_characters(data: PremodularData, cls: CentreClassification,
 
     char_values.sort(key=lambda chi: tuple((round(z.real, 9), round(z.imag, 9)) for z in chi))
 
-    fp_sub = subring_fpdim(ring, idx)
-    dim_index = None
-    for k, chi in enumerate(char_values):
-        if max(abs(z - d) for z, d in zip(chi, fp_sub)) <= _DIM_MATCH_TOL:
-            dim_index = k
-            break
-    if dim_index is None:
-        raise DegenerateEigenproblem("no character matches the FPdim vector")
+    # FPdim: the one character positive on the basis, where it is >= 1 (EGNO 3.3)
+    dims = [k for k, chi in enumerate(char_values)
+            if all(abs(z.imag) <= _DISTINCT_TOL and z.real >= 1 - _DISTINCT_TOL for z in chi)]
+    if len(dims) != 1:
+        raise DegenerateEigenproblem(f"{len(dims)} characters are real and >= 1 on the basis, expected one")
+    dim_index = dims[0]
 
     magnetic_index = None
     if cls.kind is CentreKind.SLIGHTLY_DEGENERATE:

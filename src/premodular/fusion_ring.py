@@ -40,7 +40,6 @@ __all__ = [
     "validate_fusion_ring",
     "fusion_matrix",
     "fpdim",
-    "subring_fpdim",
     "dual_permutation_matrix",
     "group_ring",
 ]
@@ -323,16 +322,6 @@ def fpdim(ring: FusionRing, tol: float = 1e-12):
     if err > 1e-9:
         raise ArithmeticError(f"FPdim vector fails the character property by {err:.2e}")
     return float(np.dot(vec, vec)), vec
-
-
-def subring_fpdim(ring: FusionRing, idx) -> np.ndarray:
-    """FPdim of the labels idx, which must span a based subring, from the
-    subring's own fusion matrices: the FPdim character of the ring
-    restricted to a based subring is a character of the subring that is
-    positive on its basis, so it is the subring's FPdim (the only such
-    character), and fpdim(ring)[1][idx] gives the same vector."""
-    idx = list(idx)
-    return np.array([_largest_eigenvalue(ring.row(a, idx).T) for a in idx])
 
 
 def group_ring(labels: list[str], add_table: np.ndarray, unit_index: int, inverse: list[int]) -> FusionRing:

@@ -11,8 +11,10 @@ uses: q(x) = Q[i]/D with Q an int64 array over the elements in
 mixed-radix order (the order of elements(), last coordinate fastest), D
 the lcm of the reduced denominators and 0 <= Q < D.  A form has
 2 ord(x) q(x) in Z (b(x, x) = 2q(x) and ord(x) b(x, .) = 0), so D divides
-2 exp(A) <= MAX_CONDUCTOR = 2 SIZE_CAP; a table with a larger D is
-refused when it is built.  With |A| <= SIZE_CAP = 2^12 and D <= 2^13,
+2 exp(A) <= MAX_CONDUCTOR = 2 SIZE_CAP.  A table read from a file or a
+dict is built by one checked builder, _checked_q, which refuses a larger
+D; from_gram and the extension search build Q/D by construction
+(MetricGroup._from_array).  With |A| <= SIZE_CAP = 2^12 and D <= 2^13,
 every array expression below stays under 2^45, so int64 is exact.
 Where a theorem settles a question it is used instead of a search: the
 form laws are checked on generator pairs, and pointed extension classes
@@ -24,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -80,22 +83,54 @@ def _index(orders, coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _structural_defects(orders, pairs) -> list[Violation]:
-    """The orders, size-cap, coverage and range checks on a table
-    {element: (numerator, positive denominator)}; each failing check but
-    range ends them."""
-    if any(n < 1 for n in orders):
-        return [Violation("OrdersViolation", tuple(orders), "cyclic orders must be >= 1")]
+def _failure(kind: str, witness, detail: str) -> ValidationError:
+    return ValidationError(ValidationReport([Violation(kind, witness, detail)]))
+
+
+def _checked_order(orders) -> int:
+    """|A|, after the orders and size-cap checks (ValidationError)."""
+    if min(orders, default=1) < 1:
+        raise _failure("OrdersViolation", tuple(orders), "cyclic orders must be >= 1")
     order = math.prod(orders)
     if order > SIZE_CAP:
-        return [Violation("SizeCapViolation", (order,), f"|A| exceeds the cap {SIZE_CAP}")]
-    # distinct keys, each an element, as many as the elements: exactly A
-    if len(pairs) != order or not all(
-            isinstance(x, tuple) and len(x) == len(orders) and all(0 <= c < n for c, n in zip(x, orders))
-            for x in pairs):
-        return [Violation("CoverageViolation", (), "qtable must cover exactly the group elements")]
-    return [Violation("RangeViolation", x, f"q value {Fraction(p, q)} outside [0,1)")
-            for x, (p, q) in pairs.items() if not 0 <= p < q]
+        raise _failure("SizeCapViolation", (order,), f"|A| exceeds the cap {SIZE_CAP}")
+    return order
+
+
+def _key_array(lengths: list, flat: list, k: int) -> np.ndarray | None:
+    """The coordinates of n keys, given as their lengths and one flat list
+    of ints, as an (n, k) int64 array; None, which fails coverage, if a
+    key has not k coordinates or has one outside [0, SIZE_CAP)."""
+    if set(lengths) - {k} or min(flat, default=0) < 0 or max(flat, default=0) >= SIZE_CAP:
+        return None
+    return np.array(flat, dtype=np.int64).reshape(len(lengths), k)
+
+
+def _checked_q(orders, coords: np.ndarray | None, num: list, den: list):
+    """(Q, D) of the table q(coords[i]) = num[i]/den[i], den[i] > 0, coords
+    from _key_array, after the orders, size-cap, coverage and range checks
+    (ValidationError) and the lcm cap (ValueError).  An element given twice
+    keeps its last value, in the place where it first appears."""
+    order = _checked_order(orders)
+    # element index -> position of its last value, in first-appearance order
+    last = {} if coords is None or (coords >= orders).any() else dict(
+        zip((coords @ np.array(_strides(orders), dtype=np.int64)).tolist(), range(len(num))))
+    if len(last) != order:  # distinct elements, as many as A has: exactly A
+        raise _failure("CoverageViolation", (), "qtable must cover exactly the group elements")
+    pos, dtype = list(last.values()), exact_dtype(max(-min(num), max(num), max(den)))
+    p, q = np.array(num, dtype=dtype)[pos], np.array(den, dtype=dtype)[pos]
+    bad = np.flatnonzero((p < 0) | (p >= q))
+    if len(bad):
+        raise ValidationError(ValidationReport([
+            Violation("RangeViolation", tuple(coords[pos[i]].tolist()),
+                      f"q value {Fraction(int(p[i]), int(q[i]))} outside [0,1)") for i in bad]))
+    g = np.gcd(p, q)
+    p, q = p // g, q // g
+    if q.max() > MAX_CONDUCTOR or (D := lcm(*set(q.tolist()))) > MAX_CONDUCTOR:
+        raise ValueError(f"q denominators have an lcm above the cap {MAX_CONDUCTOR}")
+    Q = np.empty(order, dtype=np.int64)
+    Q[list(last)] = (p * (D // q)).astype(np.int64)
+    return Q, D
 
 
 def _reduced(Q: np.ndarray, L: int):
@@ -109,45 +144,26 @@ class MetricGroup:
     """A = Z_{n_1} x ... x Z_{n_k} with q: A -> Q/Z stored as Q/D (see
     the module docstring).
 
-    Built from a dict {element tuple: Fraction}.  A table that fails a
-    structural check (orders, size cap, coverage, range) raises
-    ValidationError with the failures, before any array of its size is
-    allocated; one whose denominators have an lcm above MAX_CONDUCTOR
-    raises ValueError.
+    Built from a dict {element tuple: Fraction} by _checked_q, as a file
+    is: a table failing a structural check raises ValidationError before
+    any array of its size is allocated, and one whose denominators have
+    an lcm above MAX_CONDUCTOR raises ValueError.
     """
 
     __hash__ = None
 
     def __init__(self, cyclic_orders, qtable):
-        self._build(list(cyclic_orders), {x: (v.numerator, v.denominator) for x, v in qtable.items()})
-
-    @classmethod
-    def from_pairs(cls, cyclic_orders, pairs) -> "MetricGroup":
-        """From {element: (numerator, positive denominator)}, making no
-        Fraction per value."""
-        mg = object.__new__(cls)
-        mg._build(list(cyclic_orders), pairs)
-        return mg
+        coords = None if set(map(type, qtable)) - {tuple} else _key_array(
+            list(map(len, qtable)), list(itertools.chain.from_iterable(qtable)), len(cyclic_orders))
+        Q, D = _checked_q(cyclic_orders, coords, list(map(operator.attrgetter("numerator"), qtable.values())),
+                          list(map(operator.attrgetter("denominator"), qtable.values())))
+        self.cyclic_orders, self.Q, self.D = list(cyclic_orders), Q, D
 
     @classmethod
     def _from_array(cls, cyclic_orders, Q: np.ndarray, D: int) -> "MetricGroup":
         mg = object.__new__(cls)
         mg.cyclic_orders, mg.Q, mg.D = list(cyclic_orders), Q, D
         return mg
-
-    def _build(self, orders, pairs):
-        defects = _structural_defects(orders, pairs)
-        if defects:
-            raise ValidationError(ValidationReport(defects))
-        D = 1
-        for p, q in pairs.values():
-            D = lcm(D, q // gcd(p, q))
-            if D > MAX_CONDUCTOR:
-                raise ValueError(f"q denominators have an lcm above the cap {MAX_CONDUCTOR}")
-        keys = np.array(list(pairs), dtype=np.int64).reshape(len(pairs), len(orders))
-        self.Q = np.empty(len(pairs), dtype=np.int64)
-        self.Q[keys @ np.array(_strides(orders), dtype=np.int64)] = [p * D // q for p, q in pairs.values()]
-        self.cyclic_orders, self.D = orders, D
 
     @functools.cached_property
     def qtable(self):
@@ -203,7 +219,7 @@ def from_gram(orders: list[int], diag: list[Fraction], cross: list[Fraction] | N
     q(sum x_i g_i) = sum x_i^2 diag_i + sum_{i<j} x_i x_j cross_{ij},
     with cross listed row-major over i < j.  Well-definedness is not
     checked here; run validate_metric_group on the result.  Orders that
-    fail the structural checks raise ValidationError, as from the
+    fail the orders or size-cap check raise ValidationError, as from the
     constructor.  Each coefficient that multiplies no order-1
     factor is a q value or a difference of q values, so its denominator
     divides D and their lcm L is refused above MAX_CONDUCTOR.
@@ -214,15 +230,14 @@ def from_gram(orders: list[int], diag: list[Fraction], cross: list[Fraction] | N
         cross = [0] * len(pairs)
     if len(diag) != k or len(cross) != len(pairs):
         raise ValueError("diag/cross lengths do not match the number of generators")
-    if any(n < 1 for n in orders) or math.prod(orders) > SIZE_CAP:
-        return MetricGroup(orders, {})
+    order = _checked_order(orders)
     terms = [(i, j, Fraction(c)) for (i, j), c in zip([(i, i) for i in range(k)] + pairs, [*diag, *cross])
              if orders[i] > 1 and orders[j] > 1]
     L = lcm(*(c.denominator for _, _, c in terms))
     if L > MAX_CONDUCTOR:
         raise ValueError(f"form coefficients have an lcm of denominators above the cap {MAX_CONDUCTOR}")
     coords = _coordinates(orders)
-    Q = np.zeros(math.prod(orders), dtype=np.int64)
+    Q = np.zeros(order, dtype=np.int64)
     for i, j, c in terms:
         Q += coords[i] * coords[j] * (c.numerator * (L // c.denominator) % L)
     return MetricGroup._from_array(orders, *_reduced(Q % L, L))

@@ -14,8 +14,9 @@ coordinates.  Wherever the schema has a list, a JSON list is required: a
 string or an object there is refused, never unpacked.  Every field, a
 metric group's q keys and q values included, is read by checks that each
 run over its whole list and name the first entry they refuse; integers
-are read by _integers alone.  q is written from Q/D (metric_group_to_json),
-the one formatter of q values.
+are read by _integers alone.  q is read as arrays into metric_groups'
+checked builder ("()" is the key of no coordinates) and written from Q/D
+by metric_group_to_json, the one formatter of q values.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .cyclotomic import MAX_SLOTS, CycArray, euler_phi, exact_dtype, make_root
 from .data import PremodularData, validate_premodular
 from .fusion_ring import MAX_MULT, MAX_RANK, FusionRing
-from .metric_groups import MAX_CONDUCTOR, MetricGroup, format_element, validate_metric_group
+from .metric_groups import MAX_CONDUCTOR, MetricGroup, _checked_q, _key_array, format_element, validate_metric_group
 from .validation import ValidationError
 
 __all__ = [
@@ -251,18 +252,17 @@ def metric_group_to_json(mg: MetricGroup) -> dict:
     }
 
 
-def _element_keys(keys: list, arity: int) -> list:
-    """The q keys "(x1,...,xk)" as tuples, each check on the whole list:
-    a key of another shape or of more than `arity` coordinates is refused
-    before any coordinate is converted, then the coordinates, spaces
-    stripped, are read by _integers."""
-    inner = [s[1:-1].strip() if s[:1] == "(" and s[-1:] == ")" else "" for s in (k.strip() for k in keys)]
-    ok = [bool(s) and s.count(",") < arity for s in inner]
+def _element_keys(keys: list, arity: int) -> np.ndarray | None:
+    """The q keys "(x1,...,xk)" as _key_array gives them, each check on the
+    whole list: a key of another shape or of more than `arity` coordinates
+    is refused before any coordinate is converted, then the coordinates,
+    spaces stripped, are read by _integers ("()" has none)."""
+    inner = [s[1:-1].strip() if s[:1] == "(" and s[-1:] == ")" else None for s in (k.strip() for k in keys)]
+    ok = [s is not None and (not s or s.count(",") < arity) for s in inner]
     if not all(ok):
         raise ParseError(f"bad element key {keys[ok.index(False)]!r}")
-    coords = [s.split(",") for s in inner]
-    values = iter(_integers([t.strip() for t in _flat(coords)]))
-    return [tuple(itertools.islice(values, len(c))) for c in coords]
+    coords = [s.split(",") if s else [] for s in inner]
+    return _key_array(list(map(len, coords)), _integers([t.strip() for t in _flat(coords)]), arity)
 
 
 def _rationals(values: list) -> tuple[list, list]:
@@ -287,11 +287,8 @@ def metric_group_from_json(obj: dict) -> MetricGroup:
         if not isinstance(obj["orders"], list) or not isinstance(obj["q"], dict):
             raise ParseError('bad metric group: "orders" must be a list and "q" an object')
         orders = _integers(obj["orders"])
-        keys = _element_keys(list(obj["q"]), len(orders))
-        # a key repeated after normalisation keeps its last value; from_pairs
-        # raises ValidationError on a structural failure and ValueError on q
-        # denominators with an lcm above MAX_CONDUCTOR
-        return MetricGroup.from_pairs(orders, dict(zip(keys, zip(*_rationals(list(obj["q"].values()))))))
+        coords = _element_keys(list(obj["q"]), len(orders))
+        return MetricGroup._from_array(orders, *_checked_q(orders, coords, *_rationals(list(obj["q"].values()))))
     except (ParseError, ValidationError):
         raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:

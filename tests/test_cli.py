@@ -137,12 +137,36 @@ def test_catalog_list_lines():
     assert len(out.strip().splitlines()) >= 18
 
 
+_LOADED_MODULES = """
+import sys
+from premodular.cli import cli_run
+for path in sys.argv[1:]:
+    for command in ("validate", "analyze", "kappa", "components", "extend", "gauss"):
+        for fmt in ("table", "json"):
+            cli_run([command, path, "--format", fmt])
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_subcommand_imports_numpy_ma(write_datum):
+    # numpy.ma (imported by np.unique, among others) adds to every
+    # process's start-up time
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(premodular.__file__)))
+    paths = [write_datum("svec", "svec.json"), write_datum("ising:1", "ising.json")]
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *paths],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout == "False\n", proc.stderr
+
+
 def test_usage_errors():
     assert cli_run(["analyze"])[0] == 2                     # missing path
     assert cli_run(["analyze", "x.json", "--bogus"])[0] == 2
     assert cli_run(["frobnicate"])[0] == 2
     assert cli_run(["catalog", "show"])[0] == 2
     assert cli_run(["catalog", "show", "nonsense"])[0] == 2
+    assert cli_run(["catalog", "list", "svec"]) == (2, "")  # a name on list does nothing
+    assert cli_run(["catalog", "list", "svec", "--format", "json"]) == (2, "")
+    assert cli_run(["catalog", "list", "--format", "json", "svec"]) == (2, "")
     assert cli_run(["analyze", "does-not-exist.json"])[0] == 2
     assert cli_run(["analyze", "x.json", "--seed", "-1"])[0] == 2
     assert cli_run(["extend", "x.json", "--threads", "2"])[0] == 2  # no such option

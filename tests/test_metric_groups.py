@@ -22,6 +22,7 @@ from premodular.data import (
 from premodular.errors import GroupsTooLarge, NotSlightlyDegenerate
 from premodular.fusion_ring import fpdim
 from premodular.metric_groups import (
+    MAX_CONDUCTOR,
     MetricGroup,
     _extension_candidates,
     enumerate_pointed_extensions,
@@ -34,6 +35,7 @@ from premodular.metric_groups import (
     to_premodular,
     validate_metric_group,
 )
+from premodular.serialize import metric_group_from_json
 from premodular.validation import ValidationError
 
 
@@ -574,6 +576,85 @@ def test_structural_reports_match_the_fraction_oracle(orders, table):
     else:
         report = validate_metric_group(MetricGroup(orders, table))
     assert report.to_json() == expected.to_json()
+
+
+def _key_text(x, spaced=False) -> str:
+    """The JSON key of a coordinate tuple; spaced, the same element with
+    spaces around its coordinates."""
+    return "( " + " , ".join(map(str, x)) + " )" if spaced else "(" + ",".join(map(str, x)) + ")"
+
+
+BUILDER_CASES = ["valid", "duplicate", "short", "negative", "out-of-range", "40-digit", "ranges",
+                 "lcm", "lcm-and-range"]
+
+
+def _builder_entries(orders, seed, case):
+    """A seeded table as (key tuple, JSON key, value) entries in file
+    order: a form from generator data, shuffled, then spoiled by case."""
+    rng = random.Random(seed)
+    diag_choices, cross_choices = oracles._gram_choices(orders)
+    q = from_gram(orders, [rng.choice(c) for c in diag_choices], [rng.choice(c) for c in cross_choices]).qtable
+    entries = [(x, _key_text(x), v) for x, v in q.items()]
+    rng.shuffle(entries)
+    i, j = rng.randrange(len(entries)), rng.randrange(len(orders))
+    x, v = entries[i][0], entries[i][2]
+    if case == "duplicate":
+        # a spaced key of the same element with a bad value, mostly given
+        # first, so that the value after it wins
+        bad = rng.choice([Fraction(1), Fraction(-1, 2), Fraction(1, 3), Fraction(1, 8209)])
+        entries.insert(i if rng.random() < 0.7 else len(entries), (x, _key_text(x, spaced=True), bad))
+    elif case == "short":
+        y = x[:rng.randrange(len(x))]
+        entries.insert(rng.randrange(len(entries) + 1), (y, _key_text(y), v))
+    elif case in ("negative", "out-of-range", "40-digit"):
+        c = {"negative": -rng.randint(1, 5), "out-of-range": orders[j] + rng.randrange(3),
+             "40-digit": 10**39 + rng.randrange(10**39)}[case]
+        y = x[:j] + (c,) + x[j + 1:]
+        if rng.random() < 0.5:
+            entries[i] = (y, _key_text(y), v)
+        else:
+            entries.append((y, _key_text(y), v))
+    spoiled = []
+    if case in ("lcm", "lcm-and-range"):
+        # one reduced denominator above the cap, or two whose lcm is
+        over = [Fraction(1, 8209)] if len(entries) < 3 or rng.random() < 0.5 else [Fraction(1, 8191), Fraction(1, 8190)]
+        spoiled = rng.sample(range(len(entries)), len(over))
+        for k, w in zip(spoiled, over):
+            entries[k] = (*entries[k][:2], w)
+    if case in ("ranges", "lcm-and-range"):
+        rest = [k for k in range(len(entries)) if k not in spoiled]
+        for k in rng.sample(rest, min(len(rest), rng.randint(2, 3) if case == "ranges" else 1)):
+            entries[k] = (*entries[k][:2], rng.choice([Fraction(1), Fraction(3, 2), Fraction(-1, 2), Fraction(5, 4)]))
+    return entries
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(orders=st.sampled_from(ORACLE_SHAPES), seed=st.integers(0, 2**32 - 1), case=st.sampled_from(BUILDER_CASES))
+def test_the_checked_builder_matches_the_fraction_oracle(orders, seed, case):
+    # the JSON reader and the Fraction-dict constructor build through one
+    # checked builder: each gives the oracle's report on the table the
+    # file means, the last value of each element in the place it first
+    # appears, or refuses denominators whose lcm is above the cap
+    entries = _builder_entries(orders, seed, case)
+    table = {x: v for x, _, v in entries}
+    obj = {"type": "metric_group", "orders": orders,
+           "q": {text: f"{v.numerator}/{v.denominator}" for _, text, v in entries}}
+    expected = oracles.validate_fractions(orders, table)
+    structural = bool(expected.kinds() & STRUCTURAL_KINDS)
+    over_cap = not structural and math.lcm(*(v.denominator for v in table.values())) > MAX_CONDUCTOR
+    for build in (lambda: MetricGroup(orders, table), lambda: metric_group_from_json(obj)):
+        if structural:
+            with pytest.raises(ValidationError) as exc:
+                build()
+            assert exc.value.report.to_json() == expected.to_json()
+        elif over_cap:
+            with pytest.raises(ValueError, match=f"lcm above the cap {MAX_CONDUCTOR}"):
+                build()
+        else:
+            assert validate_metric_group(build()).to_json() == expected.to_json()
+    # each case reaches the outcome it was made for
+    if case != "duplicate":
+        assert (structural, over_cap) == (case not in ("valid", "lcm"), case == "lcm"), case
 
 
 def test_tampered_q_tables_are_rejected():

@@ -8,6 +8,7 @@ from premodular.cli import cli_run
 from premodular.cyclotomic import euler_phi, make_root
 from premodular.data import validate_premodular
 from premodular.fusion_ring import MAX_MULT, MAX_RANK
+from premodular.metric_groups import MetricGroup
 from premodular.serialize import (
     MAX_CONDUCTOR,
     MAX_DIGITS,
@@ -17,6 +18,7 @@ from premodular.serialize import (
     loads_datum,
     load_datum,
     metric_group_from_json,
+    metric_group_to_json,
     premodular_from_json,
     ring_from_json,
     ring_to_json,
@@ -250,6 +252,9 @@ METRIC_GROUP_OUTPUTS = {
                              "input      : {path}\nvalidation : ok\n", None),
     "short key": ([2, 2], {"(0,0)": "0", "(0,1)": "0", "(1)": "0", "(1,1)": "1/2"}, 2,
                   _FAILED + "CoverageViolation at (): qtable must cover exactly the group elements\n", None),
+    # "()" has no coordinates: a short key on any group but the trivial one
+    "empty key": ([2], {"(0)": "0", "()": "1/2"}, 2,
+                  _FAILED + "CoverageViolation at (): qtable must cover exactly the group elements\n", None),
     "two out of range": ([2, 2], {"(0,0)": "0", "(0,1)": "1", "(1,0)": "0", "(1,1)": "3/2"}, 2,
                          _FAILED + "RangeViolation at (0, 1): q value 1 outside [0,1)\n"
                          "RangeViolation at (1, 1): q value 3/2 outside [0,1)\n", None),
@@ -271,6 +276,18 @@ def test_metric_group_validate_outputs_are_pinned(name, tmp_path, capsys):
         assert str(err.value) == message
     elif code == 0:
         assert metric_group_from_json(obj).qtable[(1,)] == Fraction(1, 2)
+
+
+def test_trivial_group_round_trips_through_json(tmp_path):
+    # "()" is the key with no coordinates, the trivial group's one element
+    trivial = MetricGroup([], {(): 0})
+    obj = metric_group_to_json(trivial)
+    assert obj["q"] == {"()": "0/1"}
+    assert metric_group_from_json(obj) == trivial
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(obj))
+    for command in ("validate", "analyze"):
+        assert cli_run([command, str(path)])[0] == 0
 
 
 def test_parse_errors():
