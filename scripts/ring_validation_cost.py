@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Print, as one JSON line, the wall time and peak-memory growth of
-validate_fusion_ring on the group ring of Z2 x Z(r/2).
+validate_fusion_ring on the group ring of Z2 x Z(r/2), and the time of
+the associativity join on the same ring.
 
-The ru_maxrss growth is the peak the validation adds above building the
-ring, so run one rank per process; the time is the best of --repeats
-calls, and the ring must validate.
+A group ring is pointed, so validation decides its associativity by
+Light's test; join_s is the join that every other ring, and a pointed
+one that fails the test, goes to.  The ru_maxrss growth is the peak the
+validation adds above building the ring, so run one rank per process;
+each time is the best of --repeats calls, and the ring must validate.
 
     for r in 64 128 256; do PYTHONPATH=src python3 scripts/ring_validation_cost.py $r; done
 """
@@ -16,7 +19,7 @@ import time
 
 import numpy as np
 
-from premodular.fusion_ring import group_ring, validate_fusion_ring
+from premodular.fusion_ring import _associativity_witnesses, group_ring, validate_fusion_ring
 
 
 def measure(rank: int, repeats: int) -> dict:
@@ -36,7 +39,13 @@ def measure(rank: int, repeats: int) -> dict:
         if not report.ok:
             raise SystemExit(f"rank {rank}: {report}")
     after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {"rank": rank, "validate_s": round(best, 4), "ru_maxrss_growth_mb": round((after - before) / 1024, 1)}
+    join = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        _associativity_witnesses(ring, 10)
+        join = min(join, time.perf_counter() - t0)
+    return {"rank": rank, "validate_s": round(best, 4), "ru_maxrss_growth_mb": round((after - before) / 1024, 1),
+            "join_s": round(join, 4)}
 
 
 def main():

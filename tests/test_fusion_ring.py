@@ -16,6 +16,7 @@ from premodular.fusion_ring import (
     dual_permutation_matrix,
     fpdim,
     fusion_matrix,
+    group_ring,
     validate_fusion_ring,
 )
 
@@ -138,12 +139,17 @@ def test_associativity_verdict_agrees_with_brute_force_oracle():
     assert 50 <= sum(verdicts) <= 350
 
 
-def _group_mult(orders):
-    """Multiplicity tensor of Z_{n1} x ... x Z_{nk}, elements in mixed radix."""
+def _group_table(orders):
+    """Addition table of Z_{n1} x ... x Z_{nk}, elements in mixed radix."""
     els = np.array(list(itertools.product(*(range(n) for n in orders))))
     radix = np.cumprod([1, *orders[:0:-1]])[::-1]
-    total = ((els[:, None, :] + els[None, :, :]) % orders) @ radix
-    r = len(els)
+    return ((els[:, None, :] + els[None, :, :]) % orders) @ radix
+
+
+def _group_mult(orders):
+    """Multiplicity tensor of Z_{n1} x ... x Z_{nk}, elements in mixed radix."""
+    total = _group_table(orders)
+    r = len(total)
     mult = np.zeros((r, r, r), dtype=np.int64)
     mult[np.arange(r)[:, None], np.arange(r)[None, :], total] = 1
     return mult
@@ -255,6 +261,117 @@ def test_rank_128_group_ring_validates_and_a_tampered_copy_is_caught():
     assert len(witnesses) == 10
     for a, b, c, d in witnesses:  # d occurs differently in (a.b).c and a.(b.c)
         assert mult[a, b] @ mult[:, c, d] != mult[b, c] @ mult[a, :, d]
+
+
+def _table_ring(T):
+    """The pointed ring of an r x r product table, a.b = T[a, b] once;
+    the dual of a is the first b with a.b = 0, or a if there is none."""
+    T = np.asarray(T)
+    r = len(T)
+    dual = [int(np.argmax(row == 0)) if (row == 0).any() else a for a, row in enumerate(T)]
+    return group_ring([str(a) for a in range(r)], T, 0, dual)
+
+
+def _commutative_loop(rng, r):
+    """A random commutative loop on 0..r-1 with identity 0: a symmetric
+    Latin square whose row 0 is 0, 1, ..., r - 1, filled cell by cell
+    with the symbols in random order, backtracking on a dead end."""
+    T = np.full((r, r), -1)
+    T[0] = T[:, 0] = np.arange(r)
+    cells = [(a, b) for a in range(1, r) for b in range(a, r)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        a, b = cells[k]
+        used = set(T[a].tolist()) | set(T[b].tolist())
+        for x in rng.sample(range(r), r):
+            if x not in used:
+                T[a, b] = T[b, a] = x
+                if fill(k + 1):
+                    return True
+        T[a, b] = T[b, a] = -1
+        return False
+
+    assert fill(0)
+    return T
+
+
+def _tamper_table(T, rng, pairs):
+    """T with the products a.b = b.a of the given pairs moved to another
+    label, so the table stays pointed and commutative."""
+    T = T.copy()
+    for a, b in pairs:
+        T[a, b] = T[b, a] = rng.choice([x for x in range(len(T)) if x != T[a, b]])
+    return T
+
+
+def _pointed_tables(rng):
+    """Commutative loops of order 5 (groups), 6 and 8 (mostly not
+    associative; order 7 is slow to fill); group tables whole and
+    with one or two products moved, among them a product of two labels
+    that Light's greedy generating set leaves out (3 and 5: Z2 x Z8 is
+    generated by 0, 1, 8 and (Z/2)^4 by 0, 1, 2, 4, 8); and tables that
+    break the unit axiom: constant (every label a generator), min, a
+    group with its identity at r - 1, x.y = -x - y, which is not
+    associative, and a rank-3 table that fails only with 0 as the middle
+    factor, which a generating set taking the unit for granted passes."""
+    tables = [_commutative_loop(rng, rng.choice((5, 6, 8))) for _ in range(60)]
+    for orders in ([2, 8], [4, 4], [2, 2, 4], [2, 2, 2, 2], [3, 5], [7]):
+        T = _group_table(orders)
+        r = len(T)
+        tables.append(T)
+        for times in (1, 1, 2, 2):
+            tables.append(_tamper_table(T, rng, [(rng.randrange(1, r), rng.randrange(1, r)) for _ in range(times)]))
+        if r == 16:
+            tables.append(_tamper_table(T, rng, [(3, 5)]))
+    x, y = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
+    tables += [np.zeros((6, 6), dtype=np.int64), np.minimum(x, y), (x + y + 1) % 6, (-x - y) % 6,
+               np.array([[0, 2, 1], [2, 1, 2], [1, 2, 1]])]
+    return tables
+
+
+def test_light_path_reports_equal_the_dense_oracle_and_the_join(monkeypatch):
+    associative = []
+    for T in _pointed_tables(random.Random(16)):
+        ring = _table_ring(T)
+        report = validate_fusion_ring(ring)
+        expected = validate_fusion_ring_dense(ring)
+        assert report.violations == expected.violations, T.tolist()
+        assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
+        # the join alone gives the same report, witnesses and their order
+        with monkeypatch.context() as patch:
+            patch.setattr(fusion_ring, "_light_associative", lambda ring: False)
+            assert validate_fusion_ring(ring).violations == report.violations
+        # every triple: (a.b).c against a.(b.c)
+        associative.append(np.array_equal(T[T], T[:, T]))
+        assert fusion_ring._light_associative(ring) == associative[-1]
+    loops = associative[:60]
+    assert 0 < sum(loops) < 30 and sum(associative) >= 15, (sum(loops), sum(associative))
+
+
+def _witness_holds(T, a, b, c, d):
+    """Whether d occurs differently in (a.b).c and (c.b).a = a.(b.c)."""
+    return (T[T[a, b], c] == d) != (T[T[c, b], a] == d)
+
+
+def test_rank_256_group_rings_never_enter_the_join(monkeypatch):
+    # (Z/2)^8 needs eight generators besides 0 and Z16 x Z16 two
+    def join(ring, limit):
+        raise AssertionError("the join ran on a valid group ring")
+
+    tables = [_group_table([2] * 8), _group_table([16, 16])]
+    with monkeypatch.context() as patch:
+        patch.setattr(fusion_ring, "_associativity_witnesses", join)
+        for T in tables:
+            assert validate_fusion_ring(_table_ring(T)).ok
+    rng = random.Random(256)
+    for T in tables:
+        T = _tamper_table(T, rng, [(3, 5)])
+        ring = _table_ring(T)
+        witnesses = [v.witness for v in validate_fusion_ring(ring).violations if v.kind == "AssociativityViolation"]
+        assert len(witnesses) == 10 and witnesses == fusion_ring._associativity_witnesses(ring, 10)
+        assert all(_witness_holds(T, *w) for w in witnesses)
 
 
 def test_duality_witnesses_and_details_equal_the_loop():
