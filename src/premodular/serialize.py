@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import re
 
 import numpy as np
@@ -91,28 +90,25 @@ def _refuse(values, ok, what: str):
 
 
 def _integers(values: list) -> list:
-    """values as ints, each as _is_integer reads it, in one type pass and,
-    for a list of strings, one charset match over the strings joined by
-    newlines (a newline inside a string shows as one newline too many)
-    and one int() per distinct string; a string the charset passes but
-    int() refuses ("-", "1-2", "") is named by _refuse.  A list of ints
-    and strings takes one regex map over its strings."""
+    """values as ints, each as _is_integer reads it, in one type pass, one
+    charset match over its strings joined by newlines (a newline inside a
+    string shows as one newline too many) and one int() per distinct
+    value; a string the charset passes but int() refuses ("-", "1-2", "")
+    is named by _refuse."""
     types = set(map(type, values))
     if types <= {int}:
         return values
-    if types == {str}:
-        text = "\n".join(values)
-        if text.count("\n") == len(values) - 1 and _DIGIT_LINES.fullmatch(text):
+    if types <= {int, str}:
+        strings = values if types == {str} else [x for x in values if type(x) is str]
+        text = "\n".join(strings)
+        if text.count("\n") == len(strings) - 1 and _DIGIT_LINES.fullmatch(text):
             try:
                 ints = {x: int(x) for x in dict.fromkeys(values)}
             except ValueError:
-                if all(map(_INTEGER.fullmatch, values)):
+                if all(map(_INTEGER.fullmatch, strings)):
                     raise  # a string past int's digit limit, as int() reports it
             else:
                 return list(map(ints.__getitem__, values))
-    elif types <= {int, str}:
-        if all(map(_INTEGER.fullmatch, [x for x in values if type(x) is str])):
-            return list(map(int, values))
     _refuse(values, _is_integer, "expected an integer")
 
 
@@ -270,28 +266,17 @@ def metric_group_to_json(mg: MetricGroup) -> dict:
     }
 
 
-def _key_inner(key: str) -> str | None:
-    """The text between a q key's parentheses, stripped, or None if the
-    key, stripped, does not open and close with them."""
-    key = key.strip()
-    return key[1:-1].strip() if key[:1] == "(" and key[-1:] == ")" else None
-
-
 def _element_keys(keys: list, arity: int) -> np.ndarray | None:
     """The q keys "(x1,...,xk)" as _key_array gives them, each check on the
     whole list: a key of another shape or of more than `arity` coordinates
-    is refused before any coordinate is converted, then the coordinates of
-    all keys, split at the commas of one joined string and stripped, are
-    read by _integers ("()" has none)."""
-    inner = list(map(_key_inner, keys))
-    # coordinates per key: one more than its commas, none for "()"
-    sizes = None if None in inner else list(map(operator.add, map(str.count, inner, itertools.repeat(",")),
-                                                map(bool, inner)))
-    if sizes is None or max(sizes, default=0) > arity:
-        bad = next(k for k, s in zip(keys, inner) if s is None or s and s.count(",") >= arity)
-        raise ParseError(f"bad element key {bad!r}")
-    coords = ",".join(filter(None, inner))
-    return _key_array(sizes, _integers(list(map(str.strip, coords.split(",")))) if coords else [], arity)
+    is refused before any coordinate is converted, then the coordinates,
+    spaces stripped, are read by _integers ("()" has none)."""
+    inner = [s[1:-1].strip() if s[:1] == "(" and s[-1:] == ")" else None for s in (k.strip() for k in keys)]
+    ok = [s is not None and (not s or s.count(",") < arity) for s in inner]
+    if not all(ok):
+        raise ParseError(f"bad element key {keys[ok.index(False)]!r}")
+    coords = [s.split(",") if s else [] for s in inner]
+    return _key_array(list(map(len, coords)), _integers([t.strip() for t in _flat(coords)]), arity)
 
 
 def _rationals(values: list) -> tuple[list, list]:

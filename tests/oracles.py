@@ -9,10 +9,10 @@ over pairs of elements, the metric-group laws on a dict of Fractions,
 cyclotomic arithmetic on Fraction coefficients reduced by long division
 by Phi_n, Phi_n as x^n - 1 divided by Phi_d for every proper divisor d,
 the premodular axioms and the transparent set on CycNums one
-entry at a time, integer strings by one regex match each and q keys one
-key at a time.  Expected values frozen into the tests come from
-here.  The generator-image isometry search and the orthogonal direct sum
-live here too: only the tests use them.
+entry at a time, integer strings by one regex match each.  Expected
+values frozen into the tests come from here.  The generator-image
+isometry search and the orthogonal direct sum live here too: only the
+tests use them.
 """
 
 from __future__ import annotations
@@ -34,13 +34,11 @@ from premodular.metric_groups import (
     SIZE_CAP,
     MetricGroup,
     _coset_reps_mod_double,
-    _key_array,
     _pushout_structure,
     format_element,
     radical,
     validate_metric_group,
 )
-from premodular.serialize import ParseError
 from premodular.validation import ValidationReport
 
 
@@ -271,19 +269,6 @@ def integers_by_regex_map(values: list) -> list:
             return list(map(int, values))
     bad = next(x for x in values if not (type(x) is int or type(x) is str and _INTEGER.fullmatch(x)))
     raise ValueError(f"expected an integer, got {bad!r:.40}")
-
-
-def element_keys_per_key(keys: list, arity: int):
-    """serialize._element_keys one key at a time: each key stripped, its
-    parentheses checked and the text between them stripped and split at
-    commas, each coordinate stripped and read by integers_by_regex_map."""
-    inner = [s[1:-1].strip() if s[:1] == "(" and s[-1:] == ")" else None for s in (k.strip() for k in keys)]
-    ok = [s is not None and (not s or s.count(",") < arity) for s in inner]
-    if not all(ok):
-        raise ParseError(f"bad element key {keys[ok.index(False)]!r}")
-    coords = [s.split(",") if s else [] for s in inner]
-    flat = integers_by_regex_map([t.strip() for c in coords for t in c])
-    return _key_array(list(map(len, coords)), flat, arity)
 
 
 def _add(x, y, orders):

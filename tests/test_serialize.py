@@ -1,11 +1,10 @@
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import element_keys_per_key, integers_by_regex_map
+from oracles import integers_by_regex_map
 from premodular import serialize
 from premodular.catalog import catalog_get, catalog_list
 from premodular.cli import cli_run
@@ -347,21 +346,21 @@ def test_metric_group_element_key_format():
 # strings an integer reader meets: newlines, signs, spaces, underscores and
 # non-ASCII digits (some of which int() reads), the empty string, and
 # strings at and past int's 4300-digit limit; lists of integer strings
-# alone and lists with these among them
+# alone, lists with these among them, and lists of ints and strings
 _INTEGER_PARTS = st.sampled_from(["\n", "-", "+", " ", "_", "\u0661", "\uff11", "", "0", "1", "7", "12", "x"])
 _INTEGER_STRINGS = st.one_of(st.integers(-10**20, 10**20).map(str), st.lists(_INTEGER_PARTS, max_size=4).map("".join),
                              st.sampled_from(["9" * 4300, "-" + "9" * 4300, "1" * 4301, "2" * 5000]))
-_INTEGER_LISTS = st.one_of(st.lists(st.integers(-3, 3).map(str), max_size=20), st.lists(_INTEGER_STRINGS, max_size=8))
+_INTEGER_LISTS = st.one_of(st.lists(st.integers(-3, 3).map(str), max_size=20), st.lists(_INTEGER_STRINGS, max_size=8),
+                           st.lists(st.one_of(st.integers(-3, 3), _INTEGER_STRINGS), max_size=8))
 
 
-def _outcome(read, *args):
-    """What read(*args) returns, as a list, or the type and message of
-    what it raises."""
+def _outcome(read, values):
+    """What read(values) returns, or the type and message of what it
+    raises."""
     try:
-        result = read(*args)
+        return read(values)
     except Exception as exc:
         return type(exc), str(exc)
-    return result.tolist() if isinstance(result, np.ndarray) else result
 
 
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)
@@ -371,10 +370,10 @@ def test_integers_equal_the_regex_map(values):
 
 
 @pytest.mark.parametrize("values, bad", [(["1\n2"], "'1\\n2'"), (["-", "1"], "'-'"), (["1", "", "2"], "''"),
-                                         (["1" * 4301, "-"], "'-'")])
+                                         (["1" * 4301, "-"], "'-'"), ([1, "-"], "'-'"), ([2, "1\n2"], "'1\\n2'")])
 def test_integers_name_the_string_refused(values, bad):
     # a newline inside a string, and strings the charset passes but int()
-    # refuses, before and after one past the digit limit
+    # refuses, before and after one past the digit limit and among ints
     with pytest.raises(ValueError) as err:
         serialize._integers(values)
     assert str(err.value) == f"expected an integer, got {bad}"
@@ -383,31 +382,3 @@ def test_integers_name_the_string_refused(values, bad):
 def test_integers_past_the_digit_limit_fail_as_int_does():
     with pytest.raises(ValueError, match="4301 digits"):
         serialize._integers(["1", "1" * 4301, "2" * 5000])
-
-
-_KEY_PARTS = st.sampled_from(["(", ")", ",", " ", "\t", "\n", "\u3000", "\x1c", "\0", "-", "0", "1", "12", "+",
-                              "_", "\u0661", "x"])
-_SPACE = st.sampled_from(["", "", " ", "\n", "\u3000"])
-
-
-def _keys_of(sizes, coordinates=st.integers(-1, 4).map(str)):
-    """Keys "(x1,...,xk)" of `sizes` coordinates, with whitespace around
-    every part."""
-    return st.builds(lambda xs, s: f"{s}({s}{f'{s},{s}'.join(xs)}{s}){s}",
-                     sizes.flatmap(lambda k: st.lists(coordinates, min_size=k, max_size=k)), _SPACE)
-
-
-@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
-@given(st.data())
-def test_element_keys_equal_the_per_key_reader(data):
-    # keys of `arity` coordinates, of 0 to 4, with a coordinate that is no
-    # integer, of many, of one past int's digit limit, and arbitrary
-    # strings over the characters that matter
-    arity = data.draw(st.integers(0, 3))
-    odd = st.one_of(st.integers(-1, 4).map(str), st.lists(_KEY_PARTS, max_size=3).map("".join))
-    keys = data.draw(st.lists(st.one_of(
-        _keys_of(st.just(arity)), _keys_of(st.just(arity)), _keys_of(st.integers(0, 4)), _keys_of(st.just(1), odd),
-        st.lists(_KEY_PARTS, max_size=8).map("".join),
-        st.sampled_from(["(" + "1" * 4301 + ")", "(" + ",".join(["0"] * 50) + ")"])), max_size=5))
-    assert _outcome(serialize._element_keys, keys, arity) == _outcome(element_keys_per_key, keys, arity)
-
