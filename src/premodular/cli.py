@@ -16,11 +16,10 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .catalog import catalog_get, catalog_list
-from .components import ComponentAnalysis, ring_characters
-from .data import CentreClassification, classify_degeneracy
+from .components import ring_characters
+from .data import classify_degeneracy
 from .errors import (
     CrossCheckMismatch,
     DatumTooLarge,
@@ -30,7 +29,7 @@ from .errors import (
     NotSlightlyDegenerate,
     UnknownCatalogKey,
 )
-from .klein import ExtensionVerdict, extension_verdict, kappa_invariants
+from .klein import extension_verdict, kappa_invariants
 from .metric_groups import (
     MetricGroup,
     _signature_from_gauss,
@@ -47,7 +46,7 @@ from .serialize import (
     metric_group_to_json,
 )
 
-__all__ = ["AnalysisReport", "cli_run", "main"]
+__all__ = ["cli_run", "main"]
 
 
 class _UsageError(Exception):
@@ -59,51 +58,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
 
-@dataclass
-class AnalysisReport:
-    """Aggregated output of the full pipeline on one datum."""
-
-    input_name: str
-    classification: CentreClassification
-    components: ComponentAnalysis
-    verdict: ExtensionVerdict  # verdict.kappa is present iff slightly degenerate
-    timings_ms: dict = field(default_factory=dict)
-
-    def to_json(self):
-        # loading raises on any violation, so an analyzed datum always validated
-        out = {"input_name": self.input_name, "validation": "ok"}
-        out.update(self.classification.to_json())
-        out["components"] = self.components.to_json()
-        kappa = self.verdict.kappa
-        out["kappa"] = kappa.to_json() if kappa is not None else None
-        out["verdict"] = self.verdict.code
-        out["verdict_detail"] = self.verdict.message
-        return out
-
-    def to_table(self):
-        rows = [
-            ("input", self.input_name),
-            ("validation", "ok"),
-            ("classification", self.classification.kind.value),
-            ("transparent", ", ".join(self.classification.transparent)),
-            ("fermion", self.classification.fermion or "-"),
-            ("components", str(self.components.count)),
-            ("dim character", f"#{self.components.dim_index}"),
-            ("magnetic character",
-             "-" if self.components.magnetic_index is None else f"#{self.components.magnetic_index}"),
-        ]
-        kappa = self.verdict.kappa
-        if kappa is not None:
-            rows += [
-                ("n self-dual", str(kappa.n_self_dual)),
-                ("n e-twisted", str(kappa.n_e_twisted)),
-                ("kappa(+)", str(kappa.kappa_plus)),
-                ("kappa(-)", str(kappa.kappa_minus)),
-            ]
-        rows.append(("verdict", self.verdict.code))
-        return _render_rows(rows)
-
-
 def _render_rows(rows):
     width = max(len(k) for k, _ in rows)
     return "".join(f"{k:<{width}} : {v}\n" for k, v in rows)
@@ -113,168 +67,180 @@ def _emit_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _kappa_rows(kappa):
+    return [
+        ("n self-dual", str(kappa.n_self_dual)),
+        ("n e-twisted", str(kappa.n_e_twisted)),
+        ("kappa(+)", str(kappa.kappa_plus)),
+        ("kappa(-)", str(kappa.kappa_minus)),
+    ]
+
+
 def _load_for_analysis(path):
-    """(original datum, premodular form); metric groups are linearized."""
+    """The datum at path in premodular form; metric groups are linearized."""
     datum = load_datum(path)
-    if isinstance(datum, MetricGroup):
-        return datum, to_premodular(datum)
-    return datum, datum
+    return to_premodular(datum) if isinstance(datum, MetricGroup) else datum
 
 
-def run_analysis(path: str, seed: int = 0) -> AnalysisReport:
-    """validate -> classify -> components -> kappa (when applicable) -> verdict."""
+def _load_metric_group(args):
+    datum = load_datum(args.path)
+    if not isinstance(datum, MetricGroup):
+        raise ParseError(f"{args.command} requires a metric-group input")
+    return datum
+
+
+def run_analysis(path: str, seed: int = 0):
+    """validate -> classify -> components -> kappa (when applicable) -> verdict;
+    returns the JSON payload, the table rows and the stage times in ms."""
     timings = {}
-    t0 = time.perf_counter()
-    datum, data = _load_for_analysis(path)
-    timings["load_validate"] = (time.perf_counter() - t0) * 1000
 
-    t0 = time.perf_counter()
-    cls = classify_degeneracy(data)
-    timings["classify"] = (time.perf_counter() - t0) * 1000
+    def stage(name, fn, *fn_args):
+        t0 = time.perf_counter()
+        out = fn(*fn_args)
+        timings[name] = (time.perf_counter() - t0) * 1000
+        return out
 
-    t0 = time.perf_counter()
-    comp = ring_characters(data, cls, seed=seed)
-    timings["components"] = (time.perf_counter() - t0) * 1000
-
-    t0 = time.perf_counter()
-    verdict = extension_verdict(data, cls)
-    timings["kappa_verdict"] = (time.perf_counter() - t0) * 1000
-
-    return AnalysisReport(
-        input_name=path,
-        classification=cls,
-        components=comp,
-        verdict=verdict,
-        timings_ms=timings,
-    )
+    data = stage("load_validate", _load_for_analysis, path)
+    cls = stage("classify", classify_degeneracy, data)
+    comp = stage("components", ring_characters, data, cls, seed)
+    verdict = stage("kappa_verdict", extension_verdict, data, cls)
+    kappa = verdict.kappa  # present iff slightly degenerate
+    # loading raises on any violation, so an analyzed datum always validated
+    payload = {
+        "input_name": path,
+        "validation": "ok",
+        **cls.to_json(),
+        "components": comp.to_json(),
+        "kappa": None if kappa is None else kappa.to_json(),
+        "verdict": verdict.code,
+        "verdict_detail": verdict.message,
+    }
+    rows = [
+        ("input", path),
+        ("validation", "ok"),
+        ("classification", cls.kind.value),
+        ("transparent", ", ".join(cls.transparent)),
+        ("fermion", cls.fermion or "-"),
+        ("components", str(comp.count)),
+        ("dim character", f"#{comp.dim_index}"),
+        ("magnetic character", "-" if comp.magnetic_index is None else f"#{comp.magnetic_index}"),
+        *([] if kappa is None else _kappa_rows(kappa)),
+        ("verdict", verdict.code),
+    ]
+    return payload, rows, timings
 
 
 # -- subcommand implementations ----------------------------------------------
+# Each returns (exit code, JSON payload, table): the table is a list of rows
+# for _render_rows, or a function that returns the text, so that JSON output
+# formats no table it will not print.
 
 
 def _cmd_validate(args):
     try:
         load_datum(args.path)
     except ValidationError as exc:
-        if args.format == "json":
-            return 2, _emit_json({"input_name": args.path, "validation": exc.report.to_json()})
-        return 2, f"input      : {args.path}\nvalidation : failed\n" + str(exc.report) + "\n"
-    if args.format == "json":
-        return 0, _emit_json({"input_name": args.path, "validation": "ok"})
-    return 0, f"input      : {args.path}\nvalidation : ok\n"
+        report = exc.report  # exc is unbound once this clause ends
+        rows = [("input", args.path), ("validation", "failed")]
+        payload = {"input_name": args.path, "validation": report.to_json()}
+        return 2, payload, lambda: _render_rows(rows) + f"{report}\n"
+    return 0, {"input_name": args.path, "validation": "ok"}, [("input", args.path), ("validation", "ok")]
 
 
 def _cmd_analyze(args):
-    report = run_analysis(args.path, seed=args.seed)
+    payload, rows, timings = run_analysis(args.path, seed=args.seed)
     if args.timings:
-        for stage, ms in report.timings_ms.items():
+        for stage, ms in timings.items():
             print(f"[timing] {stage}: {ms:.1f} ms", file=sys.stderr)
-    if args.format == "json":
-        return 0, _emit_json(report.to_json())
-    return 0, report.to_table()
+    return 0, payload, rows
 
 
 def _cmd_kappa(args):
-    _, data = _load_for_analysis(args.path)
-    report = kappa_invariants(data)
-    if args.format == "json":
-        return 0, _emit_json({"input_name": args.path, "kappa": report.to_json()})
-    rows = [
-        ("input", args.path),
-        ("n self-dual", str(report.n_self_dual)),
-        ("n e-twisted", str(report.n_e_twisted)),
-        ("kappa(+)", str(report.kappa_plus)),
-        ("kappa(-)", str(report.kappa_minus)),
-        ("verdict", report.verdict),
-    ]
-    return 0, _render_rows(rows)
+    report = kappa_invariants(_load_for_analysis(args.path))
+    rows = [("input", args.path), *_kappa_rows(report), ("verdict", report.verdict)]
+    return 0, {"input_name": args.path, "kappa": report.to_json()}, rows
 
 
 def _cmd_components(args):
-    _, data = _load_for_analysis(args.path)
+    data = _load_for_analysis(args.path)
     comp = ring_characters(data, classify_degeneracy(data), seed=args.seed)
-    if args.format == "json":
-        return 0, _emit_json({"input_name": args.path, "components": comp.to_json()})
     rows = [("input", args.path), ("components", str(comp.count))]
     for k, chi in enumerate(comp.characters):
         vals = ", ".join(f"{lab} -> {z.real:+.6f}{z.imag:+.6f}i" for lab, z in chi.items())
         tag = " (dim)" if k == comp.dim_index else (
             " (magnetic)" if k == comp.magnetic_index else "")
         rows.append((f"character #{k}{tag}", vals))
-    return 0, _render_rows(rows)
+    return 0, {"input_name": args.path, "components": comp.to_json()}, rows
 
 
 def _cmd_extend(args):
-    datum = load_datum(args.path)
-    if not isinstance(datum, MetricGroup):
-        raise ParseError("extend requires a metric-group input")
-    results = enumerate_pointed_extensions(datum, max_order=args.max_order)
+    results = enumerate_pointed_extensions(_load_metric_group(args), max_order=args.max_order)
     note = f"pointed classes found: {len(results)} (non-pointed extensions, if any, not enumerated)"
-    if args.format == "json":
-        payload = {
-            "input_name": args.path,
-            "count": len(results),
-            "note": note,
-            "extensions": [
-                {
-                    "orders": list(r.group.cyclic_orders),
-                    "q": metric_group_to_json(r.group)["q"],
-                    "embedding": [list(x) for x in r.embedding],
-                    "fermion_image": list(r.fermion_image),
-                    "gauss_sum": r.gauss.to_json(),
-                    "signature": r.signature,
-                }
-                for r in results
-            ],
+    extensions = [
+        {
+            "orders": list(r.group.cyclic_orders),
+            "q": metric_group_to_json(r.group)["q"],
+            "embedding": [list(x) for x in r.embedding],
+            "fermion_image": list(r.fermion_image),
+            "gauss_sum": r.gauss.to_json(),
+            "signature": r.signature,
         }
-        return 0, _emit_json(payload)
-    lines = [f"{'#':<3} {'orders':<12} {'signature':<9} q-values"]
-    for i, r in enumerate(results):
-        orders = "x".join(map(str, r.group.cyclic_orders))
-        qvals = ", ".join(f"{x}={v}" for x, v in metric_group_to_json(r.group)["q"].items())
-        lines.append(f"{i:<3} {orders:<12} {r.signature:<9} {qvals}")
-    lines.append(note)
-    return 0, "\n".join(lines) + "\n"
+        for r in results
+    ]
+
+    def table():
+        lines = [f"{'#':<3} {'orders':<12} {'signature':<9} q-values"]
+        for i, ext in enumerate(extensions):
+            orders = "x".join(map(str, ext["orders"]))
+            qvals = ", ".join(f"{x}={v}" for x, v in ext["q"].items())
+            lines.append(f"{i:<3} {orders:<12} {ext['signature']:<9} {qvals}")
+        lines.append(note)
+        return "\n".join(lines) + "\n"
+
+    payload = {
+        "input_name": args.path,
+        "count": len(results),
+        "note": note,
+        "extensions": extensions,
+    }
+    return 0, payload, table
 
 
 def _cmd_gauss(args):
-    datum = load_datum(args.path)
-    if not isinstance(datum, MetricGroup):
-        raise ParseError("gauss requires a metric-group input")
+    datum = _load_metric_group(args)
     sigma = gauss_sum(datum)
     z = sigma.embed()
     radical_size = len(radical(datum))
     sig = _signature_from_gauss(sigma, datum.order) if radical_size == 1 else None
-    if args.format == "json":
-        return 0, _emit_json({
-            "input_name": args.path,
-            "radical_size": radical_size,
-            "gauss_sum": sigma.to_json(),
-            "gauss_sum_complex": [z.real, z.imag],
-            "signature_mod8": sig,
-        })
+    payload = {
+        "input_name": args.path,
+        "radical_size": radical_size,
+        "gauss_sum": sigma.to_json(),
+        "gauss_sum_complex": [z.real, z.imag],
+        "signature_mod8": sig,
+    }
     rows = [
         ("input", args.path),
         ("radical size", str(radical_size)),
         ("gauss sum", f"{z.real:+.9f}{z.imag:+.9f}i"),
         ("signature mod 8", "-" if sig is None else str(sig)),
     ]
-    return 0, _render_rows(rows)
+    return 0, payload, rows
 
 
 def _cmd_catalog(args):
-    if args.action == "list":
-        entries = catalog_list()
-        if args.format == "json":
-            return 0, _emit_json([
-                {"name": n, "kind": k, "doc": d} for n, k, d in entries
-            ])
-        width = max(len(n) for n, _, _ in entries)
-        kw = max(len(k) for _, k, _ in entries)
-        lines = [f"{n:<{width}}  {k:<{kw}}  {d}" for n, k, d in entries]
-        return 0, "\n".join(lines) + "\n"
-    entry = catalog_get(args.name)
-    return 0, _emit_json(datum_to_json(entry.payload))
+    if args.action == "show":  # JSON in both formats
+        if not args.name:
+            raise _UsageError("catalog show requires an entry name")
+        payload = datum_to_json(catalog_get(args.name).payload)
+        return 0, payload, lambda: _emit_json(payload)
+    if args.name is not None:
+        raise _UsageError("catalog list takes no entry name")
+    entries = catalog_list()
+    width = max(len(n) for n, _, _ in entries)
+    kw = max(len(k) for _, k, _ in entries)
+    payload = [{"name": n, "kind": k, "doc": d} for n, k, d in entries]
+    return 0, payload, lambda: "".join(f"{n:<{width}}  {k:<{kw}}  {d}\n" for n, k, d in entries)
 
 
 def _u64(text):
@@ -307,35 +273,19 @@ def _build_parser():
         if timings:
             p.add_argument("--timings", action="store_true")
 
-    p = sub.add_parser("validate", help="run the validator on a datum file")
-    p.add_argument("path")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("analyze", help="full pipeline: classify, components, kappa, verdict")
-    p.add_argument("path")
-    common(p, seed=True, timings=True)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("kappa", help="Klein invariants of a slightly degenerate datum")
-    p.add_argument("path")
-    common(p)
-    p.set_defaults(func=_cmd_kappa)
-
-    p = sub.add_parser("components", help="transparent-subring characters")
-    p.add_argument("path")
-    common(p, seed=True)
-    p.set_defaults(func=_cmd_components)
-
-    p = sub.add_parser("extend", help="enumerate pointed minimal nondegenerate extensions")
-    p.add_argument("path")
-    common(p, max_order=True)
-    p.set_defaults(func=_cmd_extend)
-
-    p = sub.add_parser("gauss", help="Gauss sum and signature of a metric group")
-    p.add_argument("path")
-    common(p)
-    p.set_defaults(func=_cmd_gauss)
+    for name, func, help_text, options in (
+        ("validate", _cmd_validate, "run the validator on a datum file", {}),
+        ("analyze", _cmd_analyze, "full pipeline: classify, components, kappa, verdict",
+         {"seed": True, "timings": True}),
+        ("kappa", _cmd_kappa, "Klein invariants of a slightly degenerate datum", {}),
+        ("components", _cmd_components, "transparent-subring characters", {"seed": True}),
+        ("extend", _cmd_extend, "enumerate pointed minimal nondegenerate extensions", {"max_order": True}),
+        ("gauss", _cmd_gauss, "Gauss sum and signature of a metric group", {}),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("path")
+        common(p, **options)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("catalog", help="list built-in data or show one entry as JSON")
     p.add_argument("action", choices=["list", "show"])
@@ -351,11 +301,10 @@ def cli_run(argv) -> tuple[int, str]:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "command", None) == "catalog" and args.action == "show" and not args.name:
-            raise _UsageError("catalog show requires an entry name")
-        if getattr(args, "command", None) == "catalog" and args.action == "list" and args.name is not None:
-            raise _UsageError("catalog list takes no entry name")
-        return args.func(args)
+        code, payload, table = args.func(args)
+        if args.format == "json":
+            return code, _emit_json(payload)
+        return code, _render_rows(table) if isinstance(table, list) else table()
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2, ""
@@ -373,3 +322,7 @@ def main():
     code, out = cli_run(sys.argv[1:])
     sys.stdout.write(out)
     raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -13,10 +13,11 @@ q values and CycNum coefficients are bounded in digits, element keys in
 coordinates.  Wherever the schema has a list, a JSON list is required: a
 string or an object there is refused, never unpacked.  Every field, a
 metric group's q keys and q values included, is read by checks that each
-run over its whole list and name the first entry they refuse; integers
-are read by _integers alone.  q is read as arrays into metric_groups'
-checked builder ("()" is the key of no coordinates) and written from Q/D
-by metric_group_to_json, the one formatter of q values.
+run over its whole list and name the first entry they refuse; integer
+fields and key coordinates are read by _integers, the numerators and
+denominators of q values by _rationals.  q is read as arrays into
+metric_groups' checked builder ("()" is the key of no coordinates) and
+written from Q/D by metric_group_to_json, the one formatter of q values.
 """
 
 from __future__ import annotations
@@ -352,6 +353,6 @@ def load_datum(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return loads_datum(text)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -189,6 +190,39 @@ def test_parse_error_exit_2(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{{{{")
     assert cli_run(["analyze", str(path)])[0] == 2
+
+
+FILE_SUBCOMMANDS = ("validate", "analyze", "kappa", "components", "extend", "gauss")
+
+
+@pytest.mark.parametrize("command", FILE_SUBCOMMANDS)
+def test_non_utf8_file_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"\xff\xfe\x00junk")
+    assert cli_run([command, str(path)]) == (2, "")
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # python -m premodular.cli must run the command, not import and exit 0
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(premodular.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "premodular.cli", "validate", str(tmp_path / "missing.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "cannot read" in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_analyze_timings_go_to_stderr_only(fmt, write_datum, capsys):
+    path = write_datum("svec")
+    plain = cli_run(["analyze", path, "--format", fmt])
+    assert capsys.readouterr().err == ""
+    assert cli_run(["analyze", path, "--format", fmt, "--timings"]) == plain
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "[timing] load_validate", "[timing] classify", "[timing] components", "[timing] kappa_verdict"]
+    for line in lines:
+        assert re.fullmatch(r"\[timing\] [a-z_]+: [0-9]+\.[0-9] ms", line), line
 
 
 def _set_q_list(obj):

@@ -64,14 +64,38 @@ def test_ring_validation_cost_script(capsys, monkeypatch):
     assert line["rank"] == 16 and line["validate_s"] > 0 and line["ru_maxrss_growth_mb"] >= 0 and line["join_s"] > 0
 
 
-def test_tracer_patches_resolve():
-    # perfbench/layers.py rebinds these imported names when tracing; a
-    # missing one would otherwise surface only in perfbench/selftest.py
+def _tracer_patches():
     tree = ast.parse((SCRIPTS.parent / "perfbench" / "layers.py").read_text())
-    patches = next(
+    return next(
         ast.literal_eval(node.value) for node in tree.body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PATCHES"]
     )
+
+
+def test_tracer_patches_resolve():
+    # perfbench/layers.py rebinds these imported names when tracing; a
+    # missing one would otherwise surface only in perfbench/selftest.py
+    patches = _tracer_patches()
     assert patches
     for module, name, _ in patches:
         assert callable(getattr(importlib.import_module(module), name)), (module, name)
+
+
+def test_cli_handlers_call_the_names_the_tracer_rebinds(write_datum, monkeypatch):
+    # a handler that called its callee by another route would drop out of
+    # the traced spans without any error
+    cli = importlib.import_module("premodular.cli")
+    names = [name for module, name, _ in _tracer_patches() if module == "premodular.cli"]
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    assert cli.cli_run(["analyze", write_datum("z4-q:1", "z4.json"), "--format", "json"])[0] == 0
+    assert cli.cli_run(["extend", write_datum("svec", "svec.json"), "--format", "json"])[0] == 0
+    assert all(calls.values()), calls
