@@ -6,16 +6,19 @@ the kappa twist identity theta_{e.a} = -theta_a in analyze and kappa
 (never expected on validated data), 2 input or usage errors.  Stdout is
 deterministic for fixed argv, input files and seed; per-stage timings
 therefore go to stderr (on --timings) and are never part of the
-serialized report.
+serialized report.  Each subcommand returns its JSON payload and its
+table, and cli_run prints the one --format names; JSON is the text of
+json.dumps(payload, indent=2), written by _emit_json.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from .catalog import catalog_get, catalog_list
 from .components import ring_characters
@@ -43,7 +46,7 @@ from .serialize import (
     ValidationError,
     datum_to_json,
     load_datum,
-    metric_group_to_json,
+    q_to_json,
 )
 
 __all__ = ["cli_run", "main"]
@@ -63,8 +66,67 @@ def _render_rows(rows):
     return "".join(f"{k:<{width}} : {v}\n" for k, v in rows)
 
 
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: a str, or a float, bool, None
+    or int converted to its JSON text, quoted."""
+    if isinstance(key, float):
+        key = _json_float(key)
+    elif key is None:
+        key = "null"
+    elif key is True or key is False:
+        key = "true" if key else "false"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    elif not isinstance(key, str):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return _quote(key)
+
+
+def _json_text(obj, newline: str) -> str:
+    """obj as json.dumps(obj, indent=2) writes it, its first line at the
+    indent that newline ends with.  Containers are tested first and the
+    strings in them, most of a payload, quoted in place."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        items = [_quote(x) if type(x) is str else _json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [(_quote(k) if type(k) is str else _json_key(k)) + ": "
+                 + (_quote(v) if type(v) is str else _json_text(v, inner)) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """json.dumps(obj, indent=2) plus a newline, byte for byte: json
+    encodes with its C encoder only without indent, so the indented text
+    is built here from the C string quoting and int and float repr."""
+    return _json_text(obj, "\n") + "\n"
 
 
 def _kappa_rows(kappa):
@@ -175,11 +237,16 @@ def _cmd_components(args):
 
 def _cmd_extend(args):
     results = enumerate_pointed_extensions(_load_metric_group(args), max_order=args.max_order)
+    return 0, *_extension_report(args.path, results)
+
+
+def _extension_report(path, results):
+    """The JSON payload and the table of extend, from the search's results."""
     note = f"pointed classes found: {len(results)} (non-pointed extensions, if any, not enumerated)"
     extensions = [
         {
-            "orders": list(r.group.cyclic_orders),
-            "q": metric_group_to_json(r.group)["q"],
+            "orders": list(r.orders),
+            "q": q_to_json(r.group),
             "embedding": [list(x) for x in r.embedding],
             "fermion_image": list(r.fermion_image),
             "gauss_sum": r.gauss.to_json(),
@@ -198,12 +265,12 @@ def _cmd_extend(args):
         return "\n".join(lines) + "\n"
 
     payload = {
-        "input_name": args.path,
+        "input_name": path,
         "count": len(results),
         "note": note,
         "extensions": extensions,
     }
-    return 0, payload, table
+    return payload, table
 
 
 def _cmd_gauss(args):

@@ -4,11 +4,11 @@ A value is a vector of rationals in the power basis 1, z, ..., z^(phi(N)-1)
 of Q[x]/Phi_N(x), where Phi_N is the N-th cyclotomic polynomial, stored as
 integer numerators `num` over one positive `den` with gcd(den, *num) == 1
 (zero has den == 1).  Phi_N is monic, so arithmetic runs on integers;
-Fractions appear only in `coeffs`, for display, JSON and `embed`.  The
-conductor N is fixed per value; mixed-conductor arithmetic lifts both
-operands to the lcm via the ring map z_N -> z_M^(M/N).  Normal forms are
-unique at a fixed conductor, so equality compares den and num after
-lifting to a common conductor.
+Fractions appear only in `coeffs`, for display; JSON and `embed` work
+from `num` and `den`.  The conductor N is fixed per value;
+mixed-conductor arithmetic lifts both operands to the lcm via the ring
+map z_N -> z_M^(M/N).  Normal forms are unique at a fixed conductor, so
+equality compares den and num after lifting to a common conductor.
 
 CycArray holds many values at one conductor M in the same normal form,
 as one integer array; reduce_rows, map_rows and mul_rows are its
@@ -354,9 +354,10 @@ class CycNum:
 
     def embed(self) -> complex:
         """Evaluate at zeta_N = exp(2*pi*i/N) in double precision."""
-        n = self.conductor
+        n, den = self.conductor, self.den
+        # int / int is correctly rounded, so c / den is float(Fraction(c, den))
         return sum(
-            (float(c) * cmath.exp(2j * cmath.pi * k / n) for k, c in enumerate(self.coeffs) if c),
+            ((c / den) * cmath.exp(2j * cmath.pi * k / n) for k, c in enumerate(self.num) if c),
             complex(0),
         )
 
@@ -375,9 +376,12 @@ class CycNum:
     # -- JSON -------------------------------------------------------------------
 
     def to_json(self) -> dict:
+        """{"n": conductor, "c": [[num, den], ...]}, each coefficient in
+        lowest terms (0 as 0/1), as strings."""
+        den = self.den
         return {
             "n": self.conductor,
-            "c": [[str(c.numerator), str(c.denominator)] for c in self.coeffs],
+            "c": [[str(c // g), str(den // g)] for c in self.num for g in [gcd(c, den)]],
         }
 
 

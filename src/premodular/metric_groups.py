@@ -52,7 +52,7 @@ __all__ = [
     "enumerate_pointed_extensions",
     "from_gram",
     "random_slightly_degenerate",
-    "format_element",
+    "element_labels",
 ]
 
 SIZE_CAP = 4096
@@ -315,19 +315,37 @@ def signature_mod8(mg: MetricGroup):
     return _signature_from_gauss(gauss_sum(mg), mg.order)
 
 
+_EIGHTH_ROOTS = np.array([complex(math.cos(math.pi * s / 4), math.sin(math.pi * s / 4)) for s in range(8)])
+
+
+def _eighth_roots(z: np.ndarray) -> np.ndarray:
+    """s with z = e^(2 pi i s/8) for each entry of z, each within 1e-9
+    of that root, else ArithmeticError."""
+    close = np.abs(z[:, None] - _EIGHTH_ROOTS) < 1e-9
+    found = close.any(axis=1)
+    if not found.all():
+        raise ArithmeticError(f"normalized Gauss sum {z[~found][0]} is not an eighth root of unity")
+    return close.argmax(axis=1)
+
+
 def _signature_from_gauss(sigma: CycNum, order: int) -> int:
     """s with sigma = sqrt(order) e^(2 pi i s/8), sigma a Gauss sum."""
-    z = sigma.embed() / math.sqrt(order)
-    for s in range(8):
-        w = complex(math.cos(math.pi * s / 4), math.sin(math.pi * s / 4))
-        if abs(z - w) < 1e-9:
-            return s
-    raise ArithmeticError(f"normalized Gauss sum {z} is not an eighth root of unity")
+    return int(_eighth_roots(np.array([sigma.embed() / math.sqrt(order)]))[0])
 
 
-def format_element(x) -> str:
-    """An element as its label and JSON key, e.g. "(1,0,3)"."""
-    return "(" + ",".join(str(c) for c in x) + ")"
+def _root_table(L: int) -> np.ndarray:
+    """e^(2 pi i k/L) for k = 0, ..., L-1, in floating point."""
+    return np.exp(2j * np.pi * np.arange(L) / L)
+
+
+@functools.lru_cache(maxsize=32)
+def element_labels(orders: tuple[int, ...]) -> tuple[str, ...]:
+    """The labels of the elements of Z_{n_1} x ... x Z_{n_k} in
+    mixed-radix order, e.g. "(1,0,3)": the linearization's labels and the
+    q keys of the JSON form.  Cached per orders tuple; the cache is
+    bounded, the largest entry SIZE_CAP labels."""
+    digits = [[str(c) for c in range(n)] for n in orders]
+    return tuple("(" + ",".join(x) + ")" for x in itertools.product(*digits))
 
 
 def to_premodular(mg: MetricGroup) -> PremodularData:
@@ -350,7 +368,7 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
     coords = _coordinates(mg.cyclic_orders)
     add_table = _index(mg.cyclic_orders, coords[:, :, None] + coords[:, None, :])
     ring = group_ring(
-        labels=[format_element(x) for x in mg.elements()],
+        labels=list(element_labels(tuple(mg.cyclic_orders))),
         add_table=add_table,
         unit_index=0,
         inverse=np.argmin(add_table, axis=1).tolist(),  # x + y is the unit, index 0
@@ -446,24 +464,37 @@ def _smith_normal_form(M):
     return d, P
 
 
-@dataclass
+@dataclass(eq=False)
 class ExtensionResult:
-    """One isometry-rel-fermion class of pointed index-2 extensions."""
+    """One isometry-rel-fermion class of pointed index-2 extensions: the
+    overgroup's orders and its q values Q/L in element order, over the
+    search's common denominator L (not reduced).  The signature is the
+    search's floating-point one; the group and its exact Gauss sum are
+    built on first use."""
 
-    group: MetricGroup
+    orders: list[int]
+    values: np.ndarray
+    L: int
     embedding: list[tuple[int, ...]]     # images of the base generators
     fermion_image: tuple[int, ...]
-    gauss: CycNum
     signature: int
+
+    @functools.cached_property
+    def group(self) -> MetricGroup:
+        return MetricGroup._from_array(self.orders, *_reduced(self.values, self.L))
+
+    @functools.cached_property
+    def gauss(self) -> CycNum:
+        return gauss_sum(self.group)
 
     def sort_key(self):
         """Orders, then the q values in element order (the sorted order
         of the q keys), then the fermion image.  Every q
         denominator divides 2|A'|, so the values are compared as
         integers over it."""
-        g = self.group
-        assert 2 * g.order % g.D == 0, "a form's denominators divide 2|A|"
-        return tuple(g.cyclic_orders), tuple((g.Q * (2 * g.order // g.D)).tolist()), self.fermion_image
+        scaled, rest = np.divmod(self.values * (2 * len(self.values)), self.L)
+        assert not rest.any(), "a form's denominators divide 2|A|"
+        return tuple(self.orders), tuple(scaled.tolist()), self.fermion_image
 
 
 def _pushout_structure(mg: MetricGroup, a0):
@@ -514,6 +545,10 @@ def _extension_candidates(mg: MetricGroup, e):
     The character of c in A is chi_c(x) = sum_i c_i x_i / n_i, an integer
     over E = exp(A), and the new values share the denominator
     L = lcm(4D, E), which divides 8 exp(A) since D divides 2 exp(A).
+    A coset a0 that admits no chi builds no pushout.  Each candidate's
+    signature comes from its Gauss sum taken in floating point, from a
+    table of the L-th roots of unity, for all (j, chi) of one a0 in one
+    pass; enumerate_pointed_extensions checks the kept ones exactly.
     """
     n = np.array(mg.cyclic_orders, dtype=np.int64)
     N, Q, D = mg.order, mg.Q, mg.D
@@ -526,11 +561,14 @@ def _extension_candidates(mg: MetricGroup, e):
     gens, ie = shift[:, 0], np.dot(e, strides)
     half = 2 * (weights.T @ coords[:, ie]) % (2 * E) == E  # chi_c(e) = 1/2, per c
 
+    roots = _root_table(L)
     for a0 in _coset_reps_mod_double(mg):
         ia0 = np.dot(a0, strides)
         # 2 chi_c(g_i) = 2 c_i / n_i = b(a0, g_i) mod 1, over n_i D
         doubles = ((2 * coords * D - B[:, ia0:ia0 + 1] * n[:, None]) % (n * D)[:, None] == 0).all(axis=0)
         kept = np.flatnonzero(doubles & half)
+        if not len(kept):
+            continue
         chi = weights[:, kept].T @ coords % E  # (kept, N): E chi_c(a)
         orders, M = _pushout_structure(mg, a0)
         d = np.array(orders, dtype=np.int64)[:, None]
@@ -539,16 +577,14 @@ def _extension_candidates(mg: MetricGroup, e):
         assert (np.bincount(np.concatenate(at)) == 1).all(), "pushout coordinates must be a bijection"
         embedding = [_element(base, i) for i in gens]
         image = _element(base, ie)
-        Q2 = np.empty(2 * N, dtype=np.int64)
-        Q2[at[0]] = Q * (L // D)
-        for j in range(4):
-            coset = ((Q[ia0] + j * D) * (L // (4 * D)) + Q * (L // D) + chi * (L // E)) % L
-            for row in coset:
-                Q2[at[1]] = row
-                mg2 = MetricGroup._from_array(orders, *_reduced(Q2, L))
-                sigma = gauss_sum(mg2)
-                yield ExtensionResult(mg2, list(embedding), image,
-                                      sigma, _signature_from_gauss(sigma, 2 * N))
+        # row j * len(kept) + c: the table for v = (q(a0) + j)/4 and chi_c
+        rows = np.empty((4 * len(kept), 2 * N), dtype=np.int64)
+        rows[:, at[0]] = Q * (L // D)
+        rows[:, at[1]] = ((Q[ia0] + np.arange(4)[:, None, None] * D) * (L // (4 * D))
+                          + Q * (L // D) + chi * (L // E)).reshape(-1, N) % L
+        signatures = _eighth_roots(roots[rows].sum(axis=1) / math.sqrt(2 * N)).tolist()
+        for row, signature in zip(rows, signatures):
+            yield ExtensionResult(orders, row, L, list(embedding), image, signature)
 
 
 def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64):
@@ -567,7 +603,9 @@ def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64):
     So pointed extensions of equal signature are the same element of
     Mext(B), hence isometric rel the fermion, Gauss sums separate
     different signatures, and exactly the 8 signatures 0..7 occur;
-    anything else raises CrossCheckMismatch.
+    anything else raises CrossCheckMismatch.  So does a kept class whose
+    exact Gauss sum gives another signature than its floating-point sum
+    in the search; only these 8 exact sums are computed.
     """
     e = fermion(mg)
     if e is None:
@@ -580,6 +618,11 @@ def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64):
         kept.setdefault(cand.signature, cand)
     if sorted(kept) != list(range(8)):
         raise CrossCheckMismatch(f"pointed extension signatures {sorted(kept)}, expected 0..7")
+    for s, r in kept.items():
+        exact = _signature_from_gauss(r.gauss, 2 * mg.order)
+        if exact != s:
+            raise CrossCheckMismatch(f"extension of signature {s} has the exact Gauss sum {r.gauss}, "
+                                     f"of signature {exact}")
     return list(kept.values())
 
 

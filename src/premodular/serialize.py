@@ -17,7 +17,8 @@ run over its whole list and name the first entry they refuse; integer
 fields and key coordinates are read by _integers, the numerators and
 denominators of q values by _rationals.  q is read as arrays into
 metric_groups' checked builder ("()" is the key of no coordinates) and
-written from Q/D by metric_group_to_json, the one formatter of q values.
+written from Q/D by q_to_json, the one formatter of q values, under the
+keys metric_groups.element_labels gives.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .cyclotomic import MAX_SLOTS, CycArray, euler_phi, exact_dtype, make_root
 from .data import PremodularData, validate_premodular
 from .fusion_ring import MAX_MULT, MAX_RANK, FusionRing
-from .metric_groups import MAX_CONDUCTOR, MetricGroup, _checked_q, _key_array, format_element, validate_metric_group
+from .metric_groups import MAX_CONDUCTOR, MetricGroup, _checked_q, _key_array, element_labels, validate_metric_group
 from .validation import ValidationError
 
 __all__ = [
@@ -47,7 +48,7 @@ __all__ = [
     "premodular_from_json",
     "metric_group_to_json",
     "metric_group_from_json",
-    "format_element",
+    "q_to_json",
 ]
 
 # digits allowed in each part of a rational field: far more than any q value
@@ -256,15 +257,16 @@ def premodular_from_json(obj: dict) -> PremodularData:
 # -- metric groups ------------------------------------------------------------
 
 
-def metric_group_to_json(mg: MetricGroup) -> dict:
+def q_to_json(mg: MetricGroup) -> dict:
     """q in element order, which is the sorted order of its keys, each
     value Q/D reduced by gcd(Q, D): no Fraction is built."""
-    g = np.gcd(mg.Q, mg.D).tolist()
-    return {
-        "type": "metric_group",
-        "orders": list(mg.cyclic_orders),
-        "q": {format_element(x): f"{v // h}/{mg.D // h}" for x, v, h in zip(mg.elements(), mg.Q.tolist(), g)},
-    }
+    g = np.gcd(mg.Q, mg.D)
+    values = map("{}/{}".format, (mg.Q // g).tolist(), (mg.D // g).tolist())
+    return dict(zip(element_labels(tuple(mg.cyclic_orders)), values))
+
+
+def metric_group_to_json(mg: MetricGroup) -> dict:
+    return {"type": "metric_group", "orders": list(mg.cyclic_orders), "q": q_to_json(mg)}
 
 
 def _element_keys(keys: list, arity: int) -> np.ndarray | None:

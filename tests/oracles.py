@@ -9,7 +9,9 @@ over pairs of elements, the metric-group laws on a dict of Fractions,
 cyclotomic arithmetic on Fraction coefficients reduced by long division
 by Phi_n, Phi_n as x^n - 1 divided by Phi_d for every proper divisor d,
 the premodular axioms and the transparent set on CycNums one
-entry at a time, integer strings by one regex match each.  Expected
+entry at a time, integer strings by one regex match each, a CycNum's
+JSON and embedding from its Fraction coefficients, JSON text by
+json.dumps.  Expected
 values frozen into the tests come from here.  The generator-image
 isometry search and the orthogonal direct sum live here too: only the
 tests use them.
@@ -17,8 +19,10 @@ tests use them.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -35,7 +39,6 @@ from premodular.metric_groups import (
     MetricGroup,
     _coset_reps_mod_double,
     _pushout_structure,
-    format_element,
     radical,
     validate_metric_group,
 )
@@ -149,6 +152,27 @@ class FractionCycNum:
 
     def to_json(self) -> dict:
         return {"n": self.n, "c": [[str(c.numerator), str(c.denominator)] for c in self.coeffs]}
+
+
+def json_text(obj) -> str:
+    """cli._emit_json by the json module: json.dumps(obj, indent=2) and a
+    newline."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def cycnum_to_json_by_fractions(z: CycNum) -> dict:
+    """CycNum.to_json from the Fraction coefficients."""
+    return {"n": z.conductor, "c": [[str(c.numerator), str(c.denominator)] for c in z.coeffs]}
+
+
+def cycnum_embed_by_fractions(z: CycNum) -> complex:
+    """CycNum.embed from the Fraction coefficients, each converted by
+    float()."""
+    n = z.conductor
+    return sum(
+        (float(c) * cmath.exp(2j * cmath.pi * k / n) for k, c in enumerate(z.coeffs) if c),
+        complex(0),
+    )
 
 
 def dense(ring: FusionRing) -> np.ndarray:
@@ -387,6 +411,11 @@ def all_quadratic_forms(orders, denominator):
             yield q
 
 
+def element_label(x) -> str:
+    """An element as its label and JSON key, e.g. "(1,0,3)"."""
+    return "(" + ",".join(str(c) for c in x) + ")"
+
+
 def linearize(mg: MetricGroup) -> PremodularData:
     """The linearization entry by entry: the addition table from
     group_add and every s_{x,y} from pairing, on the Fraction table."""
@@ -398,7 +427,7 @@ def linearize(mg: MetricGroup) -> PremodularData:
         for j, y in enumerate(elems):
             add_table[i, j] = index[group_add(mg, x, y)]
     ring = group_ring(
-        labels=[format_element(x) for x in elems],
+        labels=[element_label(x) for x in elems],
         add_table=add_table,
         unit_index=index[mg.zero()],
         inverse=[index[group_scale(mg, -1, x)] for x in elems],

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import resource
@@ -8,10 +9,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 import premodular
 from premodular.catalog import catalog_get
-from premodular.cli import cli_run
+from premodular.cli import _emit_json, cli_run
 from premodular.cyclotomic import euler_phi
 from premodular.fusion_ring import MAX_RANK
 from premodular.metric_groups import MAX_CONDUCTOR, from_gram, to_premodular
@@ -550,6 +553,27 @@ def test_internal_cross_check_failure_exits_1(write_datum, monkeypatch):
     assert code == 1 and out == ""
 
 
+def test_extend_exits_1_when_an_exact_signature_disagrees(write_datum, monkeypatch, capsys):
+    # the kept classes' exact Gauss sums against the search's float signatures
+    from premodular import metric_groups
+
+    exact = metric_groups._signature_from_gauss
+    monkeypatch.setattr(metric_groups, "_signature_from_gauss", lambda sigma, order: (exact(sigma, order) + 1) % 8)
+    for fmt in ("table", "json"):
+        assert cli_run(["extend", write_datum("svec-x-semion"), "--format", fmt]) == (1, "")
+        assert "exact Gauss sum" in capsys.readouterr().err
+
+
+def test_extend_exits_1_when_a_float_gauss_sum_is_no_eighth_root(write_datum, monkeypatch, capsys):
+    from premodular import metric_groups
+
+    table = metric_groups._root_table
+    monkeypatch.setattr(metric_groups, "_root_table", lambda L: table(L) * (1 + 1e-6))
+    for fmt in ("table", "json"):
+        assert cli_run(["extend", write_datum("svec-x-semion"), "--format", fmt]) == (1, "")
+        assert "is not an eighth root of unity" in capsys.readouterr().err
+
+
 def test_extend_exits_1_unless_all_8_signatures_occur(write_datum, monkeypatch):
     from premodular import metric_groups
 
@@ -617,3 +641,38 @@ def test_table_output_is_fixed_width(write_datum):
     lines = [l for l in out.splitlines() if l]
     colons = {l.index(":") for l in lines}
     assert len(colons) == 1  # aligned
+
+
+_JSON_STRINGS = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=8),  # lone surrogates included
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f\n\t", "é", "\u2028", "\ud800", "\udfff", "\U0001f600", ""]),
+)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), _JSON_STRINGS,
+    st.integers(), st.integers(min_value=2**64, max_value=2**200), st.integers(min_value=-2**200, max_value=-2**64),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308]),
+)
+_JSON_KEYS = st.one_of(_JSON_STRINGS, st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(_JSON_VALUES)
+def test_emit_json_writes_the_bytes_of_json_dumps(obj):
+    assert _emit_json(obj) == oracles.json_text(obj)
+
+
+@pytest.mark.parametrize("obj", [{(1,): 0}, [{1j: 0}], [object()], {"x": {1, 2}}, b"bytes"])
+def test_emit_json_refuses_what_json_dumps_refuses(obj):
+    with pytest.raises(TypeError):
+        oracles.json_text(obj)
+    with pytest.raises(TypeError):
+        _emit_json(obj)

@@ -156,6 +156,33 @@ def test_json_round_trip_bit_exact(x):
     assert y.conductor == x.conductor and y.coeffs == x.coeffs
 
 
+# parts past 2^53, where converting each to a float before dividing would round twice
+_COEFFICIENTS = st.one_of(st.just(0), st.integers(-3, 3), st.integers(2**60, 2**80), st.integers(-2**80, -2**60))
+
+
+@st.composite
+def cycnums_over_a_denominator(draw):
+    n = draw(st.sampled_from(CONDUCTORS))
+    coeffs = draw(st.lists(_COEFFICIENTS, min_size=euler_phi(n), max_size=euler_phi(n)))
+    den = draw(st.one_of(st.integers(1, 12), st.integers(2**54, 2**70)))
+    return CycNum(n, coeffs, den)
+
+
+@given(cycnums_over_a_denominator())
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+def test_json_and_embed_match_the_fraction_route(x):
+    assert x.to_json() == oracles.cycnum_to_json_by_fractions(x)
+    z, w = x.embed(), oracles.cycnum_embed_by_fractions(x)
+    assert (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex())
+
+
+def test_json_and_embed_of_pinned_values():
+    for x in (ZERO, ONE, from_rational(Fraction(-3, 6)), CycNum(8, [0, -2, 4, 0], 6), CycNum(3, [1, 1], 3)):
+        assert x.to_json() == oracles.cycnum_to_json_by_fractions(x)
+        assert x.embed() == oracles.cycnum_embed_by_fractions(x)
+    assert CycNum(8, [0, -2, 4, 0], 6).to_json() == {"n": 8, "c": [["0", "1"], ["-1", "3"], ["2", "3"], ["0", "1"]]}
+
+
 def test_conjugation_is_an_involution_and_fixes_rationals():
     x = make_root(5, 48) * 3 + from_rational(Fraction(2, 7))
     assert x.conj().conj() == x

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import direct_sum, isometry_rel_point
+from premodular import metric_groups
 from premodular.catalog import catalog_get, catalog_list
 from premodular.cyclotomic import ONE, magnitude, make_root, reduce_rows
 from premodular.data import (
@@ -24,6 +25,7 @@ from premodular.fusion_ring import fpdim
 from premodular.metric_groups import (
     MAX_CONDUCTOR,
     MetricGroup,
+    _eighth_roots,
     _extension_candidates,
     enumerate_pointed_extensions,
     fermion,
@@ -363,6 +365,35 @@ def test_pairing_conditions_match_built_and_validated_candidates():
         for c in cands:
             assert c.gauss == gauss_sum(c.group)
             assert c.signature == signature_mod8(c.group)
+
+
+@pytest.mark.parametrize("base", [
+    mg("svec-x-semion"),
+    from_gram([2, 16], [Fraction(1, 2), Fraction(1, 32)]),
+], ids=["svec-x-semion", "z2xz16"])
+def test_only_the_kept_classes_get_an_exact_gauss_sum(base, monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return exact(g)
+
+    exact = metric_groups.gauss_sum
+    monkeypatch.setattr(metric_groups, "gauss_sum", counted)
+    results = enumerate_pointed_extensions(base)
+    assert len(calls) == 8 and all(g.order == 2 * base.order for g in calls)
+    # the payload reads the sums the cross-check computed
+    assert [r.gauss for r in results] == [exact(r.group) for r in results]
+    assert len(calls) == 8
+
+
+def test_eighth_root_check_is_within_1e_9():
+    z = np.exp(2j * np.pi * np.arange(8) / 8)
+    assert _eighth_roots(z).tolist() == list(range(8))
+    assert _eighth_roots(z * (1 + 5e-10)).tolist() == list(range(8))
+    for bad in (z * (1 + 2e-9), np.array([1j * np.exp(1e-9j * 2)]), np.array([0.5 + 0j]), np.array([complex("nan")])):
+        with pytest.raises(ArithmeticError, match="not an eighth root of unity"):
+            _eighth_roots(bad)
 
 
 def test_extensions_deterministic_across_runs():

@@ -64,6 +64,15 @@ def test_ring_validation_cost_script(capsys, monkeypatch):
     assert line["rank"] == 16 and line["validate_s"] > 0 and line["ru_maxrss_growth_mb"] >= 0 and line["join_s"] > 0
 
 
+def test_extend_cost_script(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["extend_cost.py", "5", "--repeats", "1"])
+    runpy.run_path(str(SCRIPTS / "extend_cost.py"), run_name="__main__")
+    line = json.loads(capsys.readouterr().out)
+    stages = ["parse_validate_s", "search_s", "payload_s", "render_s"]
+    assert list(line) == ["base", *stages, "total_s"] and line["base"] == "2x5"
+    assert all(line[key] > 0 for key in [*stages, "total_s"])
+
+
 def _tracer_patches():
     tree = ast.parse((SCRIPTS.parent / "perfbench" / "layers.py").read_text())
     return next(
