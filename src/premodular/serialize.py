@@ -18,11 +18,21 @@ fields and key coordinates are read by _integers, the numerators and
 denominators of q values by _rationals.  q is read as arrays into
 metric_groups' checked builder ("()" is the key of no coordinates) and
 written from Q/D by q_to_json, the one formatter of q values, under the
-keys metric_groups.element_labels gives.
+keys metric_groups.element_labels gives.  The caps on fusion entries and
+on coefficient parts are checked on the int64 array the values are read
+into, an array of Python ints where one is past int64.
+
+loads_datum pauses the cyclic garbage collector from json.loads until
+the datum is read, and restores it however the read ends.  A rank-32
+file decodes into about 9,000 lists and dicts, enough to start a dozen
+collections that free nothing: the decoded JSON is a tree and the
+readers' lists hold ints and strings, so none of them is in a cycle and
+reference counting frees them all.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -133,9 +143,19 @@ def _flat(lists) -> list:
     return list(itertools.chain.from_iterable(lists))
 
 
-def _largest(values: list) -> int:
-    """The largest magnitude in a list of ints, 0 if it is empty."""
-    return max(-min(values, default=0), max(values, default=0))
+def _array(values: list) -> np.ndarray:
+    """A list of ints as an int64 array, or as an object array of them
+    when one is past the int64 range: the caps are checked on it."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _largest(values: np.ndarray) -> int:
+    """The largest magnitude in an array of _array, as an int, 0 if it is
+    empty."""
+    return max(-int(values.min()), int(values.max())) if len(values) else 0
 
 
 def _cycnum_parts(entries: list) -> tuple[list, list]:
@@ -165,20 +185,19 @@ def ring_to_json(ring: FusionRing) -> dict:
 
 def _fusion_entries(fusion: list, r: int) -> np.ndarray:
     """The fusion entries [a, b, c, n] as an (n, 4) int64 array, each
-    check on whole lists; FusionRing sorts them and keeps the last n of
-    a repeated (a, b, c)."""
-    values = _integers(_flat(_lists(fusion, "a fusion entry", 4)))
-    indices = values[:]
-    del indices[3::4]
-    if min(indices, default=0) < 0 or max(indices, default=0) >= r:
-        k = next(k for k, x in enumerate(indices) if not 0 <= x < r) // 3 * 3
-        raise ValueError(f"fusion index out of range: {tuple(indices[k:k + 3])}")
-    mults = values[3::4]
-    if max(mults, default=0) > MAX_MULT:
-        raise ValueError(f"multiplicity {max(mults)} exceeds the cap {MAX_MULT}")
-    if min(mults, default=0) < _INT64_MIN:
-        raise ValueError(f"multiplicity {min(mults)} is below the int64 range")
-    return np.array(values, dtype=np.int64).reshape(-1, 4)
+    check on the whole array (of Python ints where a value is past int64,
+    which a check then refuses); FusionRing sorts them and keeps the last
+    n of a repeated (a, b, c)."""
+    entries = _array(_integers(_flat(_lists(fusion, "a fusion entry", 4)))).reshape(-1, 4)
+    bad = ((entries[:, :3] < 0) | (entries[:, :3] >= r)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"fusion index out of range: {tuple(entries[bad.argmax(), :3].tolist())}")
+    mults = entries[:, 3]
+    if len(mults) and mults.max() > MAX_MULT:
+        raise ValueError(f"multiplicity {int(mults.max())} exceeds the cap {MAX_MULT}")
+    if len(mults) and mults.min() < _INT64_MIN:
+        raise ValueError(f"multiplicity {int(mults.min())} is below the int64 range")
+    return entries
 
 
 def ring_from_json(obj: dict) -> FusionRing:
@@ -229,11 +248,11 @@ def premodular_from_json(obj: dict) -> PremodularData:
             twists = _cycnum_parts(_field(obj, "twists"))
         rows = _lists(_field(obj, "s"), 'a row of "s"') if "s" in obj else None
         s = ([], []) if rows is None else _cycnum_parts(_flat(rows))
-        conductors, parts = dims[0] + twists[0] + s[0], dims[1] + twists[1] + s[1]
+        conductors, parts = dims[0] + twists[0] + s[0], _array(dims[1] + twists[1] + s[1])
         bound = _largest(parts)
         if bound >= _DIGIT_BOUND:
             raise ValueError(f"CycNum coefficient part has more than {MAX_DIGITS} digits")
-        if not all(parts[1::2]):
+        if (parts[1::2] == 0).any():
             raise ZeroDivisionError("CycNum coefficient with a zero denominator")
         k, t = len(dims[0]), len(twists[0])
         # validation computes at the lcm of all conductors, on arrays of
@@ -244,7 +263,7 @@ def premodular_from_json(obj: dict) -> PremodularData:
         if slots > MAX_SLOTS:
             raise ValueError(f"rank {r} at conductor {M} needs {slots} coefficient slots, "
                              f"above the budget {MAX_SLOTS}")
-        parts = np.array(parts, dtype=exact_dtype(bound)).reshape(-1, 2)
+        parts = parts.astype(exact_dtype(bound), copy=False).reshape(-1, 2)
         values = CycArray.from_parts(M, conductors, parts[:, 0], parts[:, 1], (len(conductors),))
         s = None if rows is None else values[k + t:]
         if s is not None and len(rows) == r and all(len(row) == r for row in rows):
@@ -323,8 +342,8 @@ def datum_to_json(datum) -> dict:
     raise TypeError(f"cannot serialize {type(datum).__name__}")
 
 
-def loads_datum(text: str):
-    """Parse and validate a datum from a JSON string."""
+def _parse(text: str):
+    """The datum in a JSON string and its validator."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer literal past
@@ -334,12 +353,26 @@ def loads_datum(text: str):
         raise ParseError('missing the "type" discriminator')
     kind = obj["type"]
     if kind == "premodular":
-        datum, validate = premodular_from_json(obj), validate_premodular
-    elif kind == "metric_group":
-        datum, validate = metric_group_from_json(obj), validate_metric_group
-    else:
-        raise ParseError(f'unknown "type": {kind!r}')
-    del obj  # validation needs only the datum: free the decoded JSON first
+        return premodular_from_json(obj), validate_premodular
+    if kind == "metric_group":
+        return metric_group_from_json(obj), validate_metric_group
+    raise ParseError(f'unknown "type": {kind!r}')
+
+
+def loads_datum(text: str):
+    """Parse and validate a datum from a JSON string.  The cyclic garbage
+    collector is paused while the JSON is decoded and read (see the module
+    docstring), and left as it was found; validation needs only the
+    datum, so the decoded JSON is freed before it runs.  The pause is
+    process-wide, not per thread: it assumes one thread loads at a time,
+    as in the CLI, which runs one command per process."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        datum, validate = _parse(text)
+    finally:
+        if enabled:
+            gc.enable()
     report = validate(datum)
     if not report.ok:
         raise ValidationError(report)

@@ -8,6 +8,7 @@ duality axiom as a loop over pairs, the linearization as a loop
 over pairs of elements, the metric-group laws on a dict of Fractions,
 cyclotomic arithmetic on Fraction coefficients reduced by long division
 by Phi_n, Phi_n as x^n - 1 divided by Phi_d for every proper divisor d,
+a CycArray from its parts by one lift per conductor,
 the premodular axioms and the transparent set on CycNums one
 entry at a time, integer strings by one regex match each, a CycNum's
 JSON and embedding from its Fraction coefficients, JSON text by
@@ -30,7 +31,20 @@ from math import gcd, lcm
 
 import numpy as np
 
-from premodular.cyclotomic import MINUS_ONE, ONE, ZERO, CycNum, make_root
+from premodular.cyclotomic import (
+    MINUS_ONE,
+    ONE,
+    ZERO,
+    CycArray,
+    CycNum,
+    check_budget,
+    euler_phi,
+    exact_dtype,
+    magnitude,
+    make_root,
+    map_rows,
+    reduction_growth,
+)
 from premodular.data import CentreClassification, CentreKind, PremodularData
 from premodular.errors import GroupsTooLarge
 from premodular.fusion_ring import FusionRing, dual_permutation_matrix, group_ring, validate_fusion_ring
@@ -67,6 +81,27 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly = _poly_div_exact(poly, list(cyclotomic_poly(d)))
     return tuple(poly)
+
+
+def cycarray_from_parts_by_conductor(M: int, conductors, nums, dens, shape) -> CycArray:
+    """CycArray.from_parts with one lift per distinct conductor c: the
+    entries at c are gathered, their coefficient k placed at z_M^(k M/c)
+    and reduced by map_rows."""
+    nums, dens = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (nums, dens))
+    conductors = np.array(conductors, dtype=np.int64).reshape(-1)
+    den = 1
+    if (dens != 1).any():
+        for q in set(dens.tolist()):
+            den = lcm(den, q)
+            check_budget(len(conductors) * euler_phi(M), den)
+        nums = nums.astype(object) * (den // dens.astype(object))
+    values = nums.astype(exact_dtype(magnitude(nums), reduction_growth(M)), copy=False)
+    starts = np.cumsum([0] + [euler_phi(c) for c in conductors.tolist()])
+    num = np.empty((len(conductors), euler_phi(M)), dtype=values.dtype)
+    for c in set(conductors.tolist()):
+        group, k = np.flatnonzero(conductors == c), np.arange(euler_phi(c))
+        num[group] = map_rows(values[starts[group, None] + k], k * (M // c), M)
+    return CycArray(M, num.reshape(tuple(shape) + (euler_phi(M),)), den, conductors.reshape(shape))
 
 
 class FractionCycNum:

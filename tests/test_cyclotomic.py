@@ -3,10 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from premodular.cyclotomic import CycNum, ONE, ZERO, _reduce, cyclotomic_poly, euler_phi, from_rational, make_root
+from premodular import cyclotomic
+from premodular.cyclotomic import CycArray, CycNum, ONE, ZERO, _reduce, cyclotomic_poly, euler_phi, from_rational, make_root
 from premodular.serialize import premodular_from_json
 
 import oracles
@@ -230,3 +232,34 @@ def test_coefficients_must_be_exact():
     for bad in (0.5, 1.0, True, False, "1"):
         with pytest.raises(TypeError):
             CycNum(4, [bad, 0])
+
+
+@st.composite
+def array_parts(draw):
+    """(M, conductors, nums, dens): entries at divisors of M, their
+    coefficients over denominators up to 12, some past int64."""
+    M = draw(st.sampled_from([1, 12, 16, 60, 210, 2730]))
+    divisors = [d for d in range(1, M + 1) if M % d == 0]
+    conductors = draw(st.lists(st.sampled_from(divisors), max_size=3 if M == 2730 else 12))
+    width = sum(map(euler_phi, conductors))
+    bound = draw(st.sampled_from([3, 10**9, 10**30]))
+    nums = draw(st.lists(st.integers(-bound, bound), min_size=width, max_size=width))
+    dens = draw(st.lists(st.integers(1, 12), min_size=width, max_size=width))
+    return M, conductors, nums, dens
+
+
+@given(array_parts(), st.sampled_from([1, 40, 400, cyclotomic.BLOCK]), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_from_parts_matches_the_lift_per_conductor(parts, block, as_arrays):
+    # a small BLOCK splits the rows into many blocks, down to one row each
+    M, conductors, nums, dens = parts
+    if as_arrays:
+        nums, dens = np.array(nums, dtype=object), np.array(dens, dtype=object)
+    saved, cyclotomic.BLOCK = cyclotomic.BLOCK, block
+    try:
+        got = CycArray.from_parts(M, conductors, nums, dens, (len(conductors),))
+        want = oracles.cycarray_from_parts_by_conductor(M, conductors, nums, dens, (len(conductors),))
+    finally:
+        cyclotomic.BLOCK = saved
+    assert (got.M, got.den, got.num.dtype) == (want.M, want.den, want.num.dtype)
+    assert np.array_equal(got.num, want.num) and np.array_equal(got.conductor, want.conductor)

@@ -1,7 +1,9 @@
+import cmath
 import functools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -394,6 +396,19 @@ def test_eighth_root_check_is_within_1e_9():
     for bad in (z * (1 + 2e-9), np.array([1j * np.exp(1e-9j * 2)]), np.array([0.5 + 0j]), np.array([complex("nan")])):
         with pytest.raises(ArithmeticError, match="not an eighth root of unity"):
             _eighth_roots(bad)
+
+
+def test_signature_of_one_gauss_sum_is_within_the_same_1e_9():
+    # _signature_from_gauss takes its one value through _eighth_roots
+    def signature(z):
+        return metric_groups._signature_from_gauss(SimpleNamespace(embed=lambda: z), 1)
+
+    roots = [cmath.exp(2j * cmath.pi * s / 8) for s in range(8)]
+    assert [signature(z) for z in roots] == list(range(8))
+    assert [signature(z * (1 + 5e-10)) for z in roots] == list(range(8))
+    for bad in (roots[3] * (1 + 2e-9), 1j * cmath.exp(2e-9j), 0.5 + 0j, complex("nan")):
+        with pytest.raises(ArithmeticError, match="not an eighth root of unity"):
+            signature(bad)
 
 
 def test_extensions_deterministic_across_runs():

@@ -73,6 +73,17 @@ def test_extend_cost_script(capsys, monkeypatch):
     assert all(line[key] > 0 for key in [*stages, "total_s"])
 
 
+def test_load_cost_script(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["load_cost.py", "4", "--repeats", "1"])
+    runpy.run_path(str(SCRIPTS / "load_cost.py"), run_name="__main__")
+    line = json.loads(capsys.readouterr().out)
+    stages = ["json_loads_s", "ring_s", "coefficients_s", "ring_validation_s", "premodular_validation_s",
+              "analysis_s", "render_s"]
+    assert list(line) == ["rank", "bytes", *stages, "total_s", "gc_collections"] and line["rank"] == 8
+    assert line["bytes"] > 0 and all(line[key] > 0 for key in ["json_loads_s", "ring_s", "total_s"])
+    assert len(line["gc_collections"]) == 3 and all(c >= 0 for c in line["gc_collections"])
+
+
 def _tracer_patches():
     tree = ast.parse((SCRIPTS.parent / "perfbench" / "layers.py").read_text())
     return next(

@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from premodular.cli import cli_run
 from premodular.cyclotomic import euler_phi, make_root
 from premodular.data import validate_premodular
 from premodular.fusion_ring import MAX_MULT, MAX_RANK
-from premodular.metric_groups import MetricGroup
+from premodular.metric_groups import MetricGroup, from_gram, to_premodular
 from premodular.serialize import (
     MAX_CONDUCTOR,
     MAX_DIGITS,
@@ -230,6 +231,120 @@ def test_parse_messages_name_the_bad_entry(path, value, message):
     with pytest.raises(ParseError) as err:
         premodular_from_json(_ising_with(path, value))
     assert str(err.value) == message
+
+
+def _ising_with_all(edits):
+    """ising:1 as JSON with the field at each path of edits set to its value."""
+    obj = datum_to_json(catalog_get("ising:1").payload)
+    for path, value in edits.items():
+        node = obj
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    return obj
+
+
+# the refusals of the caps on fusion entries and coefficient parts, with
+# the message and the order of the checks they had while the checks ran
+# over lists of ints: the first bad index in file order (entry 1 here,
+# though entry 4 has a bad index in an earlier column), values past int64
+# either way, the largest multiplicity over the cap, and the digit cap
+# before zero denominators wherever each is in the file
+CAP_MESSAGES = {
+    "first bad index in file order": (
+        {("fusion", 1, 2): 3, ("fusion", 4, 0): -1}, "bad fusion ring: fusion index out of range: (0, 1, 3)"),
+    "index past int64": (
+        {("fusion", 0, 1): 2**63}, "bad fusion ring: fusion index out of range: (0, 9223372036854775808, 0)"),
+    "index below int64": (
+        {("fusion", 2, 0): str(-(2**63) - 1)},
+        "bad fusion ring: fusion index out of range: (-9223372036854775809, 2, 2)"),
+    "multiplicity past int64": (
+        {("fusion", 0, 3): 2**64}, f"bad fusion ring: multiplicity {2**64} exceeds the cap {MAX_MULT}"),
+    "largest multiplicity over the cap": (
+        {("fusion", 0, 3): MAX_MULT + 1, ("fusion", 3, 3): MAX_MULT + 5},
+        f"bad fusion ring: multiplicity {MAX_MULT + 5} exceeds the cap {MAX_MULT}"),
+    "multiplicity below int64": (
+        {("fusion", 5, 3): -(2**63) - 1}, f"bad fusion ring: multiplicity {-(2**63) - 1} is below the int64 range"),
+    "over the cap and below int64": (
+        {("fusion", 0, 3): -(2**63) - 1, ("fusion", 9, 3): MAX_MULT + 1},
+        f"bad fusion ring: multiplicity {MAX_MULT + 1} exceeds the cap {MAX_MULT}"),
+    "33 digits after a zero denominator": (
+        {("dims", 2, "c", 0): ["0", "0"], ("twists", 2, "c", 5): ["-" + "9" * 33, "1"]},
+        f"bad premodular datum: CycNum coefficient part has more than {MAX_DIGITS} digits"),
+    "33 digits before a zero denominator": (
+        {("dims", 0, "c", 0): ["1", "1" + "0" * 32], ("s", 2, 2, "c", 1): ["1", "0"]},
+        f"bad premodular datum: CycNum coefficient part has more than {MAX_DIGITS} digits"),
+    "zero denominator beside a part past int64": (
+        {("dims", 2, "c", 1): [str(2**70), "3"], ("twists", 1, "c", 0): ["-1", "0"]},
+        "bad premodular datum: CycNum coefficient with a zero denominator"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAP_MESSAGES))
+def test_cap_refusals_keep_their_messages(name):
+    edits, message = CAP_MESSAGES[name]
+    with pytest.raises(ParseError) as err:
+        premodular_from_json(_ising_with_all(edits))
+    assert str(err.value) == message
+
+
+def test_a_part_of_magnitude_2_63_loads_exactly():
+    # -2^63 fits int64, but its magnitude does not: the parts go to Python ints
+    data = premodular_from_json(_ising_with(("dims", 2, "c", 1), [str(-(2**63)), "1"]))
+    assert data.dims.num.dtype == object and data.dims[2].num[1] == -(2**63)
+
+
+# loads_datum pauses the cyclic collector while it reads a file: each case
+# ends in its own way, and each leaves the collector as it was found
+_BAD_FIELD = json.dumps(_ising_with(("dims", 0, "n"), 1.5))
+_FAILS_VALIDATION = json.dumps(_ising_with(("dims", 2), {"n": 1, "c": [["1", "1"]]}))
+COLLECTOR_CASES = {
+    "valid": (json.dumps(datum_to_json(catalog_get("ising:1").payload)), None),
+    "bad JSON": ("{", ParseError),
+    "nested past the recursion limit": ("[" * 100_000 + "]" * 100_000, ParseError),
+    "bad field": (_BAD_FIELD, ParseError),
+    "failing validation": (_FAILS_VALIDATION, ValidationError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("name", sorted(COLLECTOR_CASES))
+def test_loads_datum_leaves_the_collector_as_it_found_it(name, enabled):
+    text, error = COLLECTOR_CASES[name]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            loads_datum(text)
+        else:
+            with pytest.raises(error):
+                loads_datum(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_no_collection_starts_while_a_rank_32_file_is_loaded():
+    # decoding the file builds thousands of containers, enough for several
+    # collections, and all of them are freed again by reference counting
+    text = json.dumps(datum_to_json(to_premodular(from_gram([2, 16], [Fraction(1, 2), Fraction(1, 32)]))))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        loads_datum(text)
+    finally:
+        gc.callbacks.remove(count)
+        if not was:
+            gc.disable()
+    assert starts == []
 
 
 _Z2 = {"(0)": "0", "(1)": "1/2"}
