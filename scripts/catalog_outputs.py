@@ -4,15 +4,16 @@ one JSON document.
 
 Each fixed catalog entry, and each parametric key in PARAMETRIC_KEYS
 (extension bases up to the default --max-order 64, two with cross
-terms), is written to a file with `catalog show` and then run through
-every file subcommand in both formats; `catalog list` is run in both
-formats too.  Every metric group among them is also linearized and
-written as a premodular file with s supplied (`<name>-premodular.json`),
-which is run through every file subcommand in both formats, and the
-SHA-256 of that file is recorded, so the premodular parse path and the
-linearization's JSON are pinned as well.  File paths are printed
-relative to the scratch directory, so two checkouts compare with one
-diff:
+terms, and a fermion line beside a nondegenerate block on each base
+shape of the extend benchmark), is written to a file with `catalog
+show` and then run through every file subcommand in both formats;
+`catalog list` is run in both formats too.  Every metric group among
+them is also linearized and written as a premodular file with s
+supplied (`<name>-premodular.json`), which is run through every file
+subcommand in both formats, and the SHA-256 of that file is recorded,
+so the premodular parse path and the linearization's JSON are pinned as
+well.  File paths are printed relative to the scratch directory, so two
+checkouts compare with one diff:
 
     PYTHONPATH=src python3 scripts/catalog_outputs.py > outputs.json
 """
@@ -35,6 +36,11 @@ PARAMETRIC_KEYS = (
     "pointed:2x3x5:1/2,1/3,2/5",
     "pointed:2x4:0,1/8:1/2",
     "pointed:2x8:1/2,1/16:1/2",
+    "pointed:2x2x2:1/2,1/4,3/4",
+    "pointed:2x3:1/2,1/3",
+    "pointed:2x5:1/2,2/5",
+    "pointed:2x7:1/2,1/7",
+    "pointed:2x9:1/2,2/9",
 )
 
 

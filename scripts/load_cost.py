@@ -12,8 +12,10 @@ the whole `cli_run`; each time is the best of --repeats calls.  Two
 stages contain another, and report the difference of the two best
 times: coefficients_s is premodular_from_json less ring_s, and
 premodular_validation_s is validate_premodular less ring_validation_s.
-gc_collections counts the cyclic collections of each generation during
-one more `cli_run`.
+The three parse stages (json_loads_s, ring_s, coefficients_s) run with
+the cyclic garbage collector paused, as `serialize.loads_datum` runs
+them, so they time what the CLI pays.  gc_collections counts the
+cyclic collections of each generation during one more `cli_run`.
 
     for n in 4 8 16 32; do PYTHONPATH=src python3 scripts/load_cost.py $n; done
 """
@@ -44,6 +46,20 @@ def _best(repeats: int, fn, *args) -> float:
     return best
 
 
+def _paused(fn):
+    """fn, called with the cyclic collector paused and then left as it
+    was found, however the call ends."""
+    def call(*args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args)
+        finally:
+            if enabled:
+                gc.enable()
+    return call
+
+
 def _analysis(data):
     cls = classify_degeneracy(data)
     return ring_characters(data, cls, 0), extension_verdict(data, cls)
@@ -60,12 +76,12 @@ def measure(n: int, repeats: int) -> dict:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         payload, _, _ = cli.run_analysis(path)
-        ring = _best(repeats, ring_from_json, obj)
+        ring = _best(repeats, _paused(ring_from_json), obj)
         ring_validation = _best(repeats, validate_fusion_ring, data.ring)
         times = {
-            "json_loads_s": _best(repeats, json.loads, text),
+            "json_loads_s": _best(repeats, _paused(json.loads), text),
             "ring_s": ring,
-            "coefficients_s": _best(repeats, premodular_from_json, obj) - ring,
+            "coefficients_s": _best(repeats, _paused(premodular_from_json), obj) - ring,
             "ring_validation_s": ring_validation,
             "premodular_validation_s": _best(repeats, validate_premodular, data) - ring_validation,
             "analysis_s": _best(repeats, _analysis, data),

@@ -10,15 +10,24 @@ mixed-conductor arithmetic lifts both operands to the lcm via the ring
 map z_N -> z_M^(M/N).  Normal forms are unique at a fixed conductor, so
 equality compares den and num after lifting to a common conductor.
 
-CycArray holds many values at one conductor M in the same normal form,
-as one integer array; reduce_rows, map_rows and mul_rows are its
-arithmetic, vectorized over all entries (see reduce_rows for the
-exactness bound).  CycArray.from_parts builds one from entries at any
-divisors of M with one scatter of all their coefficients and one
-reduction per block of rows.  Values given with their own denominators
-share one, their lcm, which every entry carries: check_budget bounds the
-array's size counted in 64-bit words, one a coefficient slot and one
-more for every 64 bits of the denominator.
+There is one arithmetic, the array kernels reduce_rows, map_rows and
+mul_rows, vectorized over the rows of an integer array (see reduce_rows
+for the exactness bound).  CycArray holds many values at one conductor
+M in the same normal form, as one such array.  A CycNum runs the same
+kernels on its one row: lift, conj and the inverse of a monomial are a
+map_rows, a product is a mul_rows, and _reduce, which reduces a
+polynomial of any degree (root_sum, _descend and the end of
+_inverse_euclid), folds it into one row for reduce_rows.  Only the
+extended Euclid of CycNum.inverse stays a scalar algorithm: an inverse
+by the norm, the product of the other Galois conjugates over N(x), was
+measured slower at conductors 16, 30, 48 and 210.
+
+CycArray.from_parts builds one from entries at any divisors of M with
+one scatter of all their coefficients and one reduction per block of
+rows.  Values given with their own denominators share one, their lcm,
+which every entry carries: check_budget bounds the array's size counted
+in 64-bit words, one a coefficient slot and one more for every 64 bits
+of the denominator.
 
 Phi_n is Phi_R(x^(n/R)) for the radical R of n, Phi_R a product of
 binomials x^d - 1 and their inverses (cyclotomic_poly); it, euler_phi,
@@ -110,29 +119,21 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _low_terms(n: int) -> tuple[tuple[int, int], ...]:
-    """(i, c) for each nonzero coefficient c of x^i in Phi_n below the
-    leading x^phi(n)."""
-    return tuple((i, c) for i, c in enumerate(cyclotomic_poly(n)[:-1]) if c)
-
-
-def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
+def _reduce(coeffs, n: int) -> tuple[int, ...]:
     """Reduce an integer polynomial (any degree) to the power basis at
-    conductor n: long division by the monic Phi_n, top coefficient first."""
-    phi = euler_phi(n)
-    if len(coeffs) <= phi:
-        return tuple(coeffs) + (0,) * (phi - len(coeffs))
-    out = list(coeffs)
-    low = _low_terms(n)
-    for k in range(len(out) - 1, phi - 1, -1):
-        c = out[k]
-        if c:
-            # subtract c x^(k - phi) Phi_n, which clears x^k
-            shift = k - phi
-            for i, t in low:
-                out[shift + i] -= c * t
-    return tuple(out[:phi])
+    conductor n: its exponents folded mod n into one row (z_n^n = 1),
+    then reduce_rows."""
+    v = np.array(coeffs, dtype=object)
+    fold = max(1, -(-len(v) // n))
+    w = np.zeros(fold * n, dtype=exact_dtype(magnitude(v) * fold, reduction_growth(n)))
+    w[:len(v)] = v
+    return tuple(reduce_rows(w.reshape(fold, n).sum(axis=0), n).tolist())
+
+
+def _map(values, cols, n: int) -> tuple[int, ...]:
+    """sum_k values[k] z_n^cols[k] in the power basis at conductor n, for
+    integer values and distinct cols below n: map_rows on one row."""
+    return tuple(map_rows(np.array(values, dtype=object), cols, n).tolist())
 
 
 def _normal(n: int, num, den: int) -> "CycNum":
@@ -191,14 +192,9 @@ class CycNum:
             return self
         if m % n != 0:
             raise ValueError(f"cannot lift conductor {n} to non-multiple {m}")
-        step = m // n
-        poly = [0] * ((len(self.num) - 1) * step + 1)
-        for k, c in enumerate(self.num):
-            if c:
-                poly[k * step] = c
         # Z[zeta_m] meets Q(zeta_n) in Z[zeta_n], so lifting keeps the
         # content of the numerator and the result is in normal form
-        return CycNum._raw(m, _reduce(poly, m), self.den)
+        return CycNum._raw(m, _map(self.num, np.arange(len(self.num)) * (m // n), m), self.den)
 
     @staticmethod
     def _common(a: "CycNum", b: "CycNum"):
@@ -245,15 +241,8 @@ class CycNum:
         if not isinstance(other, CycNum):
             return NotImplemented
         a, b, m = CycNum._common(self, other)
-        an = [(i, c) for i, c in enumerate(a.num) if c]
-        bn = [(j, c) for j, c in enumerate(b.num) if c]
-        if not an or not bn:
-            return CycNum._raw(m, (0,) * euler_phi(m), 1)
-        prod = [0] * (an[-1][0] + bn[-1][0] + 1)
-        for i, ca in an:
-            for j, cb in bn:
-                prod[i + j] += ca * cb
-        return _normal(m, _reduce(prod, m), a.den * b.den)
+        num = mul_rows(np.array(a.num, dtype=object), np.array(b.num, dtype=object), m)
+        return _normal(m, num.tolist(), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -290,9 +279,7 @@ class CycNum:
         if len(nz) == 1:
             # (c/den) z^k inverts to (den/c) z^(n-k), since z^n = 1
             k, c = nz[0]
-            poly = [0] * (n - k + 1)
-            poly[(n - k) % n] = self.den
-            return _normal(n, _reduce(poly, n), c)
+            return _normal(n, _map([self.den], [-k % n], n), c)
         return self._inverse_euclid()
 
     def _inverse_euclid(self) -> "CycNum":
@@ -328,14 +315,8 @@ class CycNum:
         n = self.conductor
         if n <= 2:
             return self
-        poly = [0] * n
-        poly[0] = self.num[0]
-        for k in range(1, len(self.num)):
-            c = self.num[k]
-            if c:
-                poly[n - k] += c
         # an automorphism of Z[zeta_n] keeps the content: still normal
-        return CycNum._raw(n, _reduce(poly, n), self.den)
+        return CycNum._raw(n, _map(self.num, -np.arange(len(self.num)) % n, n), self.den)
 
     # -- predicates and comparison -------------------------------------------
 
@@ -389,9 +370,7 @@ class CycNum:
 
 @lru_cache(maxsize=None)
 def _root_cached(num: int, den: int) -> CycNum:
-    poly = [0] * (num + 1)
-    poly[num] = 1
-    return CycNum._raw(den, _reduce(poly, den), 1)
+    return CycNum._raw(den, _map([1], [num], den), 1)
 
 
 def make_root(numerator: int, denominator: int) -> CycNum:
@@ -407,7 +386,7 @@ def make_root(numerator: int, denominator: int) -> CycNum:
 def root_sum(counts, n: int) -> CycNum:
     """sum_k counts[k] exp(2*pi*i*k/n) for integer counts, in normal form
     at conductor n."""
-    return _normal(n, _reduce(list(counts), n), 1)
+    return _normal(n, _reduce(counts, n), 1)
 
 
 def from_rational(x) -> CycNum:
@@ -428,9 +407,11 @@ MINUS_ONE = from_rational(-1)
 
 @lru_cache(maxsize=None)
 def _low_arrays(n: int):
-    """_low_terms(n) as two int64 arrays, degrees and coefficients."""
-    return (np.array([i for i, _ in _low_terms(n)], dtype=np.int64),
-            np.array([c for _, c in _low_terms(n)], dtype=np.int64))
+    """The degrees i and the coefficients c, two int64 arrays, of the
+    nonzero terms c x^i of Phi_n below the leading x^phi(n)."""
+    low = np.array(cyclotomic_poly(n)[:-1], dtype=np.int64)
+    deg = np.flatnonzero(low)
+    return deg, low[deg]
 
 
 @lru_cache(maxsize=None)
@@ -473,8 +454,9 @@ def check_budget(slots: int, den: int) -> None:
 
 
 def magnitude(a: np.ndarray) -> int:
-    """The largest |entry| of an integer array, as a Python int."""
-    return int(np.abs(a).max()) if a.size else 0
+    """The largest |entry| of an integer array, as a Python int: from the
+    largest and the least entry, since np.abs wraps -2^63 to itself."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 def narrow(a: np.ndarray) -> np.ndarray:
@@ -551,11 +533,11 @@ def mul_rows(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     max|b| reduction_growth(n) < 2^62, and computed on Python ints
     otherwise.  A factor
     whose values are all rational makes one shift, of 0, and nothing to
-    reduce: it scales the other.
+    reduce: it scales the other, in a dtype that holds both factors.
     """
     for x, y in ((a, b), (b, a)):
         if not x[..., 1:].any():
-            dtype = exact_dtype(magnitude(x) * magnitude(y))
+            dtype = exact_dtype(max(magnitude(x), 1) * max(magnitude(y), 1))
             return x[..., :1].astype(dtype, copy=False) * y.astype(dtype, copy=False)
     a, b = np.broadcast_arrays(a, b)
     shape, phi = a.shape, a.shape[-1]

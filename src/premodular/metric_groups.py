@@ -304,7 +304,7 @@ def fermion(mg: MetricGroup):
 def gauss_sum(mg: MetricGroup) -> CycNum:
     """sum_x e^(2 pi i q(x)) at conductor D, the lcm of the q
     denominators: the counts of each exponent Q mod D, reduced once."""
-    return root_sum(np.bincount(mg.Q, minlength=mg.D).tolist(), mg.D)
+    return root_sum(np.bincount(mg.Q, minlength=mg.D), mg.D)
 
 
 def signature_mod8(mg: MetricGroup):
@@ -469,8 +469,10 @@ class ExtensionResult:
     """One isometry-rel-fermion class of pointed index-2 extensions: the
     overgroup's orders and its q values Q/L in element order, over the
     search's common denominator L (not reduced).  The signature is the
-    search's floating-point one; the group and its exact Gauss sum are
-    built on first use."""
+    search's floating-point one; the group is built on first use.  The
+    exact Gauss sum, at the group's conductor D, is filled in by
+    enumerate_pointed_extensions for the classes it keeps, and is None
+    on every other candidate."""
 
     orders: list[int]
     values: np.ndarray
@@ -478,14 +480,11 @@ class ExtensionResult:
     embedding: list[tuple[int, ...]]     # images of the base generators
     fermion_image: tuple[int, ...]
     signature: int
+    gauss: CycNum | None = None
 
     @functools.cached_property
     def group(self) -> MetricGroup:
         return MetricGroup._from_array(self.orders, *_reduced(self.values, self.L))
-
-    @functools.cached_property
-    def gauss(self) -> CycNum:
-        return gauss_sum(self.group)
 
     def sort_key(self):
         """Orders, then the q values in element order (the sorted order
@@ -605,7 +604,10 @@ def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64):
     different signatures, and exactly the 8 signatures 0..7 occur;
     anything else raises CrossCheckMismatch.  So does a kept class whose
     exact Gauss sum gives another signature than its floating-point sum
-    in the search; only these 8 exact sums are computed.
+    in the search.  Only these 8 exact sums are computed, in one
+    reduce_rows over the (8, L) table of the counts of each class's
+    values Q mod L, L the search's common denominator; each is then read
+    at its group's conductor D, a divisor of L.
     """
     e = fermion(mg)
     if e is None:
@@ -618,10 +620,15 @@ def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64):
         kept.setdefault(cand.signature, cand)
     if sorted(kept) != list(range(8)):
         raise CrossCheckMismatch(f"pointed extension signatures {sorted(kept)}, expected 0..7")
-    for s, r in kept.items():
-        exact = _signature_from_gauss(r.gauss, 2 * mg.order)
+    L = next(iter(kept.values())).L
+    counts = np.stack([np.bincount(r.values, minlength=L) for r in kept.values()])
+    counts = counts.astype(exact_dtype(2 * mg.order, reduction_growth(L)), copy=False)
+    sums = CycArray(L, reduce_rows(counts, L), 1, [r.group.D for r in kept.values()])
+    for (s, r), gauss in zip(kept.items(), sums):
+        r.gauss = gauss
+        exact = _signature_from_gauss(gauss, 2 * mg.order)
         if exact != s:
-            raise CrossCheckMismatch(f"extension of signature {s} has the exact Gauss sum {r.gauss}, "
+            raise CrossCheckMismatch(f"extension of signature {s} has the exact Gauss sum {gauss}, "
                                      f"of signature {exact}")
     return list(kept.values())
 

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from premodular import cyclotomic
-from premodular.cyclotomic import CycArray, CycNum, ONE, ZERO, _reduce, cyclotomic_poly, euler_phi, from_rational, make_root
+from premodular.cyclotomic import (CycArray, CycNum, ONE, ZERO, _reduce, cyclotomic_poly, euler_phi, from_rational,
+                                   magnitude, make_root, map_rows, mul_rows, narrow)
+from premodular.data import _unequal
 from premodular.serialize import premodular_from_json
 
 import oracles
@@ -22,10 +24,10 @@ small_fractions = st.fractions(
 
 
 @st.composite
-def cycnums(draw, conductors=CONDUCTORS):
+def cycnums(draw, conductors=CONDUCTORS, coefficients=small_fractions):
     n = draw(st.sampled_from(conductors))
     coeffs = draw(
-        st.lists(small_fractions, min_size=euler_phi(n), max_size=euler_phi(n))
+        st.lists(coefficients, min_size=euler_phi(n), max_size=euler_phi(n))
     )
     return CycNum(n, coeffs)
 
@@ -216,6 +218,55 @@ def test_integer_kernel_matches_the_fraction_oracle(x, y, k):
         _assert_matches(x.inverse(), fx.inverse())
     assert (x == y) == (fx == fy)
     assert x.lift(m) == x and (x - x).is_zero() and (x - x).den == 1
+
+
+# radicals of three primes, and coefficients past 2^62, where mul_rows and
+# map_rows compute on Python ints; the examples pin one coefficient of
+# 2^63, which no int64 kernel holds, and a monomial inverse over 2^70
+_WIDE_CONDUCTORS = [30, 60, 105]
+_WIDE_COEFFICIENTS = st.one_of(small_fractions, st.integers(2**62, 2**70), st.integers(-2**70, -2**62))
+_BIG = CycNum(105, [2**63] + [1] * (euler_phi(105) - 1))
+
+
+@given(cycnums(_WIDE_CONDUCTORS, _WIDE_COEFFICIENTS), cycnums(_WIDE_CONDUCTORS, _WIDE_COEFFICIENTS),
+       st.sampled_from([1, 2, 7]))
+@example(_BIG, _BIG, 2)
+@example(CycNum(60, [0, 0, 0, 2**70] + [0] * (euler_phi(60) - 4), 3), make_root(1, 105), 1)
+@example(CycNum(30, [Fraction(1, 2)] + [2**62] * 7), ZERO, 1)
+@example(from_rational(-2**69), ZERO, 1)
+@settings(max_examples=30, deadline=None)
+def test_kernel_route_matches_the_fraction_oracle_at_wide_conductors(x, y, k):
+    fx, fy = FractionCycNum(x.conductor, x.coeffs), FractionCycNum(y.conductor, y.coeffs)
+    m = x.conductor * k
+    _assert_matches(x.lift(m), fx.lift(m))
+    _assert_matches(x + y, fx + fy)
+    _assert_matches(x * y, fx * fy)
+    _assert_matches(x.conj(), fx.conj())
+    if not x.is_zero():
+        # the Fraction Euclid takes about a minute on such values at 105
+        assert x * x.inverse() == ONE
+        if x.conductor < 105:
+            _assert_matches(x.inverse(), fx.inverse())
+
+
+def test_every_dtype_choice_bounds_minus_2_63():
+    # np.abs(-2^63) is -2^63 in int64; each kernel must still see 2^63
+    low = np.array([-2**63, 5])
+    assert magnitude(low) == 2**63 and magnitude(np.array([-2**63])) == 2**63
+    assert narrow(low).dtype == np.int64 and narrow(low).tolist() == [-2**63, 5]
+    # z_4^2 = -1, and z_6^2 = z_6 - 1: the result leaves int64
+    assert _reduce(np.array([0, 0, -2**63]), 4) == (2**63, 0)
+    assert _reduce([2**59, 0, 0, 0] * 17, 4) == (17 * 2**59, 0)  # z_4^4 = 1 folds 17 terms past 2^63
+    assert map_rows(np.array([[-2**63]]), [2], 4).tolist() == [[2**63, 0]]
+    assert mul_rows(np.array([[-2**63]]), np.array([[2]]), 1).tolist() == [[-2**64]]
+    # a zero factor against an object-dtype factor that no int64 holds
+    for a, b in ((np.array([[0, 0]]), np.array([[2**63, 1]], dtype=object)),
+                 (np.array([[0, 0]]), np.array([[2**63, 0]], dtype=object))):
+        assert mul_rows(a, b, 4).tolist() == mul_rows(b, a, 4).tolist() == [[0, 0]]
+    got = CycArray.from_parts(6, [3], np.array([0, -2**63]), np.array([1, 1]), (1,))
+    assert got.num.tolist() == [[2**63, -2**63]]
+    # -2^63 / 1 against 0 / 2: scaling by 2 wraps to 0 in int64
+    assert _unequal(np.array([[-2**63]]), 1, np.array([[0]]), 2).tolist() == [True]
 
 
 def test_from_rational_takes_only_exact_rationals():

@@ -365,7 +365,6 @@ def test_pairing_conditions_match_built_and_validated_candidates():
         cands = list(_extension_candidates(base, e))
         assert [(c.group, c.embedding, c.fermion_image) for c in cands] == survivors
         for c in cands:
-            assert c.gauss == gauss_sum(c.group)
             assert c.signature == signature_mod8(c.group)
 
 
@@ -374,19 +373,25 @@ def test_pairing_conditions_match_built_and_validated_candidates():
     from_gram([2, 16], [Fraction(1, 2), Fraction(1, 32)]),
 ], ids=["svec-x-semion", "z2xz16"])
 def test_only_the_kept_classes_get_an_exact_gauss_sum(base, monkeypatch):
-    calls = []
+    # the 8 kept classes' sums are the rows of one reduction, of their
+    # counts of Q mod L, and no class takes a Gauss sum of its own
+    tables = []
 
-    def counted(g):
-        calls.append(g)
-        return exact(g)
+    def recorded(v, n):
+        tables.append(v.copy())
+        return reduce_rows(v, n)
 
-    exact = metric_groups.gauss_sum
-    monkeypatch.setattr(metric_groups, "gauss_sum", counted)
+    monkeypatch.setattr(metric_groups, "reduce_rows", recorded)
+    monkeypatch.setattr(metric_groups, "gauss_sum", lambda g: pytest.fail("a class took its own Gauss sum"))
     results = enumerate_pointed_extensions(base)
-    assert len(calls) == 8 and all(g.order == 2 * base.order for g in calls)
-    # the payload reads the sums the cross-check computed
-    assert [r.gauss for r in results] == [exact(r.group) for r in results]
-    assert len(calls) == 8
+    (counts,) = tables
+    L = results[0].L
+    assert counts.shape == (8, L) and (counts.sum(axis=1) == 2 * base.order).all()
+    for r, row in zip(results, counts):
+        assert np.array_equal(row, np.bincount(r.values, minlength=L))
+        assert r.gauss == gauss_sum(r.group) and r.gauss.conductor == r.group.D
+    # the search's other candidates carry no exact sum
+    assert all(c.gauss is None for c in _extension_candidates(base, fermion(base)))
 
 
 def test_eighth_root_check_is_within_1e_9():
