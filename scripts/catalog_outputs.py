@@ -4,9 +4,10 @@ one JSON document.
 
 Each fixed catalog entry, and each parametric key in PARAMETRIC_KEYS
 (extension bases up to the default --max-order 64, two with cross
-terms, and a fermion line beside a nondegenerate block on each base
-shape of the extend benchmark), is written to a file with `catalog
-show` and then run through every file subcommand in both formats;
+terms, a fermion line beside a nondegenerate block on each base shape
+of the extend benchmark, and two order-32 bases with 8 cosets of 2A),
+is written to a file with `catalog show` and then run through every
+file subcommand in both formats;
 `catalog list` is run in both formats too.  Every metric group among
 them is also linearized and written as a premodular file with s
 supplied (`<name>-premodular.json`), which is run through every file
@@ -41,6 +42,8 @@ PARAMETRIC_KEYS = (
     "pointed:2x5:1/2,2/5",
     "pointed:2x7:1/2,1/7",
     "pointed:2x9:1/2,2/9",
+    "pointed:2x2x8:1/2,1/4,1/16",
+    "pointed:2x4x4:1/2,1/8,3/8",
 )
 
 

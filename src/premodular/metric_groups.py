@@ -315,27 +315,17 @@ def signature_mod8(mg: MetricGroup):
     return _signature_from_gauss(gauss_sum(mg), mg.order)
 
 
-_EIGHTH_ROOTS = np.array([complex(math.cos(math.pi * s / 4), math.sin(math.pi * s / 4)) for s in range(8)])
-
-
-def _eighth_roots(z: np.ndarray) -> np.ndarray:
-    """s with z = e^(2 pi i s/8) for each entry of z, each within 1e-9
-    of that root, else ArithmeticError."""
-    close = np.abs(z[:, None] - _EIGHTH_ROOTS) < 1e-9
-    found = close.any(axis=1)
-    if not found.all():
-        raise ArithmeticError(f"normalized Gauss sum {z[~found][0]} is not an eighth root of unity")
-    return close.argmax(axis=1)
+_EIGHTH_ROOTS = [complex(math.cos(math.pi * s / 4), math.sin(math.pi * s / 4)) for s in range(8)]
 
 
 def _signature_from_gauss(sigma: CycNum, order: int) -> int:
-    """s with sigma = sqrt(order) e^(2 pi i s/8), sigma a Gauss sum."""
-    return int(_eighth_roots(np.array([sigma.embed() / math.sqrt(order)]))[0])
-
-
-def _root_table(L: int) -> np.ndarray:
-    """e^(2 pi i k/L) for k = 0, ..., L-1, in floating point."""
-    return np.exp(2j * np.pi * np.arange(L) / L)
+    """s with sigma = sqrt(order) e^(2 pi i s/8), sigma a Gauss sum,
+    within 1e-9, else ArithmeticError."""
+    z = sigma.embed() / math.sqrt(order)
+    for s, root in enumerate(_EIGHTH_ROOTS):
+        if abs(z - root) < 1e-9:
+            return s
+    raise ArithmeticError(f"normalized Gauss sum {z} is not an eighth root of unity")
 
 
 @functools.lru_cache(maxsize=32)
@@ -394,92 +384,64 @@ def _smith_normal_form(M):
     row transforms P suffice to convert generator exponents into
     coordinates of the quotient group).  d satisfies d1 | d2 | ...
     """
-    M = [list(row) for row in M]
     m, n = len(M), len(M[0])
-    P = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        P[i], P[j] = P[j], P[i]
-
-    def swap_cols(i, j):
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, k):  # row_i += k * row_j
-        M[i] = [x + k * y for x, y in zip(M[i], M[j])]
-        P[i] = [x + k * y for x, y in zip(P[i], P[j])]
-
-    def add_col(i, j, k):  # col_i += k * col_j
-        for row in M:
-            row[i] += k * row[j]
-
-    def negate_row(i):
-        M[i] = [-x for x in M[i]]
-        P[i] = [-x for x in P[i]]
-
+    # the rows of [M | P]: a row operation acts on both, a column one on M
+    R = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(M)]
     t = 0
     while t < min(m, n):
         # pivot: smallest nonzero magnitude in the trailing block
         pivot = None
         for i in range(t, m):
             for j in range(t, n):
-                if M[i][j] and (pivot is None or abs(M[i][j]) < abs(M[pivot[0]][pivot[1]])):
+                if R[i][j] and (pivot is None or abs(R[i][j]) < abs(R[pivot[0]][pivot[1]])):
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        R[t], R[pivot[0]] = R[pivot[0]], R[t]
+        for row in R:
+            row[t], row[pivot[1]] = row[pivot[1]], row[t]
         dirty = False
         for i in range(t + 1, m):
-            if M[i][t]:
-                k = M[i][t] // M[t][t]
-                add_row(i, t, -k)
-                if M[i][t]:
-                    dirty = True
+            if R[i][t]:
+                k = R[i][t] // R[t][t]
+                R[i] = [x - k * y for x, y in zip(R[i], R[t])]
+                dirty = dirty or R[i][t] != 0
         for j in range(t + 1, n):
-            if M[t][j]:
-                k = M[t][j] // M[t][t]
-                add_col(j, t, -k)
-                if M[t][j]:
-                    dirty = True
+            if R[t][j]:
+                k = R[t][j] // R[t][t]
+                for row in R:
+                    row[j] -= k * row[t]
+                dirty = dirty or R[t][j] != 0
         if dirty:
             continue
         # divisibility: pivot must divide the rest of the block
-        fix = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if M[i][j] % M[t][t]:
-                    fix = i
-                    break
-            if fix is not None:
-                break
+        fix = next((i for i in range(t + 1, m) if any(R[i][j] % R[t][t] for j in range(t + 1, n))), None)
         if fix is not None:
-            add_row(t, fix, 1)
+            R[t] = [x + y for x, y in zip(R[t], R[fix])]
             continue
-        if M[t][t] < 0:
-            negate_row(t)
+        if R[t][t] < 0:
+            R[t] = [-x for x in R[t]]
         t += 1
-    d = [M[i][i] if i < n else 0 for i in range(m)]
-    return d, P
+    return [R[i][i] if i < n else 0 for i in range(m)], [row[n:] for row in R]
 
 
 @dataclass(eq=False)
 class ExtensionResult:
     """One isometry-rel-fermion class of pointed index-2 extensions: the
     overgroup's orders and its q values Q/L in element order, over the
-    search's common denominator L (not reduced).  The signature is the
-    search's floating-point one; the group is built on first use.  The
-    exact Gauss sum, at the group's conductor D, is filled in by
-    enumerate_pointed_extensions for the classes it keeps, and is None
-    on every other candidate."""
+    search's common denominator L (not reduced).  Its Gauss sum is
+    e^(2 pi i phase/8) times the search's first candidate's; the group
+    is built on first use.  The signature and the exact Gauss sum, at the
+    group's conductor D, are set by enumerate_pointed_extensions on the
+    classes it keeps, and are None on every other candidate."""
 
     orders: list[int]
     values: np.ndarray
     L: int
     embedding: list[tuple[int, ...]]     # images of the base generators
     fermion_image: tuple[int, ...]
-    signature: int
+    phase: int
+    signature: int | None = None
     gauss: CycNum | None = None
 
     @functools.cached_property
@@ -527,6 +489,14 @@ def _coset_reps_mod_double(mg: MetricGroup):
     return list(itertools.product(*((0, 1) if n % 2 == 0 else (0,) for n in mg.cyclic_orders)))
 
 
+def _pairing_preimages(mg: MetricGroup, B: np.ndarray) -> np.ndarray:
+    """The table c -> u with b(u, .) = chi_c (B[i] = D b(g_i, .), so
+    c(u)_i = n_i B[i, u]/D mod n_i); u and u + e give one c."""
+    table = np.zeros(mg.order, dtype=np.int64)
+    table[_index(mg.cyclic_orders, B * np.array(mg.cyclic_orders)[:, None] // mg.D)] = np.arange(mg.order)
+    return table
+
+
 def _extension_candidates(mg: MetricGroup, e):
     """The pushouts <A, t | 2t = a0> with q(t) = v = (q(a0) + j)/4 and
     b(t, .) = chi that carry a nondegenerate form, in the order a0, j, chi.
@@ -544,10 +514,13 @@ def _extension_candidates(mg: MetricGroup, e):
     The character of c in A is chi_c(x) = sum_i c_i x_i / n_i, an integer
     over E = exp(A), and the new values share the denominator
     L = lcm(4D, E), which divides 8 exp(A) since D divides 2 exp(A).
-    A coset a0 that admits no chi builds no pushout.  Each candidate's
-    signature comes from its Gauss sum taken in floating point, from a
-    table of the L-th roots of unity, for all (j, chi) of one a0 in one
-    pass; enumerate_pointed_extensions checks the kept ones exactly.
+    A coset a0 that admits no chi builds no pushout.  As q(a + e) = q(a)
+    + 1/2, the Gauss sum over A is 0 and a candidate's is e(v) S(chi),
+    S(chi) = sum_a e(q(a) + chi(a)).  The chi with chi(e) = 1/2 are chi_0
+    + b(u, .), and S(chi_0 + b(u, .)) = e(-q(u) - chi_0(u)) S(chi_0), so
+    the sum is e(P/L) S(chi_0) with P = L(v - q(u) - chi_0(u)), and the
+    phase 8(P - P_1)/L against the first candidate's P_1 is whole (else
+    CrossCheckMismatch): both sums are sqrt(2|A|) times eighth roots.
     """
     n = np.array(mg.cyclic_orders, dtype=np.int64)
     N, Q, D = mg.order, mg.Q, mg.D
@@ -559,8 +532,12 @@ def _extension_candidates(mg: MetricGroup, e):
     strides = _strides(mg.cyclic_orders)
     gens, ie = shift[:, 0], np.dot(e, strides)
     half = 2 * (weights.T @ coords[:, ie]) % (2 * E) == E  # chi_c(e) = 1/2, per c
+    # per c with chi_c(e) = 1/2: u with chi_c = chi_0 + b(u, .), and L(-q(u) - chi_0(u))
+    c0 = int(np.argmax(half))
+    u = _pairing_preimages(mg, B)[_index(mg.cyclic_orders, coords - coords[:, c0:c0 + 1])]
+    twist = -(Q[u] * (L // D) + weights[:, c0] @ coords[:, u] * (L // E)) % L
 
-    roots = _root_table(L)
+    first = None
     for a0 in _coset_reps_mod_double(mg):
         ia0 = np.dot(a0, strides)
         # 2 chi_c(g_i) = 2 c_i / n_i = b(a0, g_i) mod 1, over n_i D
@@ -576,14 +553,18 @@ def _extension_candidates(mg: MetricGroup, e):
         assert (np.bincount(np.concatenate(at)) == 1).all(), "pushout coordinates must be a bijection"
         embedding = [_element(base, i) for i in gens]
         image = _element(base, ie)
-        # row j * len(kept) + c: the table for v = (q(a0) + j)/4 and chi_c
+        v = (Q[ia0] + np.arange(4) * D) * (L // (4 * D))  # L v for v = (q(a0) + j)/4, per j
+        # row j * len(kept) + c: the table for v_j and chi_c, and its P
         rows = np.empty((4 * len(kept), 2 * N), dtype=np.int64)
         rows[:, at[0]] = Q * (L // D)
-        rows[:, at[1]] = ((Q[ia0] + np.arange(4)[:, None, None] * D) * (L // (4 * D))
-                          + Q * (L // D) + chi * (L // E)).reshape(-1, N) % L
-        signatures = _eighth_roots(roots[rows].sum(axis=1) / math.sqrt(2 * N)).tolist()
-        for row, signature in zip(rows, signatures):
-            yield ExtensionResult(orders, row, L, list(embedding), image, signature)
+        rows[:, at[1]] = (v[:, None, None] + Q * (L // D) + chi * (L // E)).reshape(-1, N) % L
+        P = (v[:, None] + twist[kept]).ravel()
+        first = P[0] if first is None else first
+        phases, off = np.divmod((P - first) % L * 8, L)
+        if off.any():
+            raise CrossCheckMismatch(f"an extension over a0 = {a0} has a Gauss sum off the first one's eighths")
+        for row, phase in zip(rows, phases.tolist()):
+            yield ExtensionResult(orders, row, L, list(embedding), image, phase)
 
 
 def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64):
@@ -595,19 +576,18 @@ def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64):
     q(a0) for q(t) and a character chi = b(t, .) of A, and builds only the
     candidates that two conditions on chi admit (_extension_candidates).
 
-    Survivors are sorted canonically and the first of each signature is
+    Survivors are sorted canonically and the first of each phase is
     kept.  The minimal nondegenerate extensions of B (which exist by the
     source paper) form a torsor over Mext(sVec) = Z/16, each step
     shifting the central charge by 1/2 (Lan-Kong-Wen, arXiv:1602.05936).
-    So pointed extensions of equal signature are the same element of
-    Mext(B), hence isometric rel the fermion, Gauss sums separate
-    different signatures, and exactly the 8 signatures 0..7 occur;
-    anything else raises CrossCheckMismatch.  So does a kept class whose
-    exact Gauss sum gives another signature than its floating-point sum
-    in the search.  Only these 8 exact sums are computed, in one
-    reduce_rows over the (8, L) table of the counts of each class's
-    values Q mod L, L the search's common denominator; each is then read
-    at its group's conductor D, a divisor of L.
+    So pointed extensions of equal signature (equal phase) are the same
+    element of Mext(B), hence isometric rel the fermion, and exactly the
+    8 phases 0..7 occur; anything else raises CrossCheckMismatch.  One
+    reduce_rows gives the kept classes' exact Gauss sums sigma_k from
+    their counts of Q mod L, each read at its group's conductor, and
+    checks sigma_k = e^(2 pi i (p_k - p_0)/8) sigma_0 on class 0's counts
+    rolled by (p_k - p_0) L/8 (else CrossCheckMismatch); the embedding of
+    sigma_0 gives its signature s_0, and class k has s_0 + p_k - p_0.
     """
     e = fermion(mg)
     if e is None:
@@ -617,20 +597,25 @@ def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64):
 
     kept: dict[int, ExtensionResult] = {}
     for cand in sorted(_extension_candidates(mg, e), key=ExtensionResult.sort_key):
-        kept.setdefault(cand.signature, cand)
+        kept.setdefault(cand.phase, cand)
     if sorted(kept) != list(range(8)):
-        raise CrossCheckMismatch(f"pointed extension signatures {sorted(kept)}, expected 0..7")
-    L = next(iter(kept.values())).L
-    counts = np.stack([np.bincount(r.values, minlength=L) for r in kept.values()])
-    counts = counts.astype(exact_dtype(2 * mg.order, reduction_growth(L)), copy=False)
-    sums = CycArray(L, reduce_rows(counts, L), 1, [r.group.D for r in kept.values()])
-    for (s, r), gauss in zip(kept.items(), sums):
-        r.gauss = gauss
-        exact = _signature_from_gauss(gauss, 2 * mg.order)
-        if exact != s:
-            raise CrossCheckMismatch(f"extension of signature {s} has the exact Gauss sum {gauss}, "
-                                     f"of signature {exact}")
-    return list(kept.values())
+        raise CrossCheckMismatch(f"pointed extension phases {sorted(kept)}, expected 0..7")
+    classes = list(kept.values())
+    p0, L = classes[0].phase, classes[0].L
+    counts = np.stack([np.bincount(r.values, minlength=L) for r in classes])
+    steps = np.array([(r.phase - p0) % 8 * (L // 8) for r in classes[1:]])
+    table = np.concatenate([counts, counts[0][(np.arange(L) - steps[:, None]) % L]])
+    sums = reduce_rows(table.astype(exact_dtype(2 * mg.order, reduction_growth(L)), copy=False), L)
+    bad = np.flatnonzero((sums[1:8] != sums[8:]).any(axis=1))
+    if len(bad):
+        k = bad[0] + 1
+        raise CrossCheckMismatch(f"the extension of phase {classes[k].phase} has an exact Gauss sum other "
+                                 f"than e^(2 pi i {(classes[k].phase - p0) % 8}/8) times that of phase {p0}")
+    gauss = CycArray(L, sums[:8], 1, [r.group.D for r in classes])
+    s0 = _signature_from_gauss(gauss[0], 2 * mg.order) - p0
+    for r, sigma in zip(classes, gauss):
+        r.gauss, r.signature = sigma, (s0 + r.phase) % 8
+    return classes
 
 
 def random_slightly_degenerate(rng, max_order: int = 64) -> MetricGroup:

@@ -171,6 +171,9 @@ class FractionCycNum:
         while deg(r1) > 0:
             d0, d1 = deg(r0), deg(r1)
             if d0 < d1:
+                # the new remainder and its t over the remainder's leading
+                # coefficient: monic remainders keep the Fractions small
+                r0, t0 = [c / r0[d0] for c in r0], [c / r0[d0] for c in t0]
                 r0, r1, t0, t1 = r1, r0, t1, t0
                 continue
             f, shift = r0[d0] / r1[d1], d0 - d1
@@ -784,20 +787,23 @@ def pushout_survivors(mg: MetricGroup, e):
     a0, j, chi.
     """
     out = []
+    # chi(a) for every character chi and every a, shared by all pushouts
+    chis = {chi: [sum(Fraction(ai * ci, ni) for ai, ci, ni in zip(a, chi, mg.cyclic_orders)) for a in mg.elements()]
+            for chi in mg.elements()}
     for a0 in _coset_reps_mod_double(mg):
         orders, M = _pushout_structure(mg, a0)
 
         def coords(a, eps):
             return tuple(int(c) % d for c, d in zip(M @ np.array([*a, eps]), orders))
 
+        cosets = [(coords(a, 0), coords(a, 1), mg.qtable[a]) for a in mg.elements()]
         for j in range(4):
             v = ((mg.qtable[a0] + j) / 4) % 1
             for chi in mg.elements():
                 qt = {}
-                for a in mg.elements():
-                    chi_a = sum(Fraction(ai * ci, ni) for ai, ci, ni in zip(a, chi, mg.cyclic_orders))
-                    qt[coords(a, 0)] = mg.qtable[a]
-                    qt[coords(a, 1)] = (v + mg.qtable[a] + chi_a) % 1
+                for (x0, x1, q_a), chi_a in zip(cosets, chis[chi]):
+                    qt[x0] = q_a
+                    qt[x1] = (v + q_a + chi_a) % 1
                 group = MetricGroup(list(orders), qt)
                 if len(radical(group)) == 1 and validate_metric_group(group).ok:
                     out.append((group, [coords(g, 0) for g in mg.generators()], coords(e, 0)))

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -553,25 +554,33 @@ def test_internal_cross_check_failure_exits_1(write_datum, monkeypatch):
     assert code == 1 and out == ""
 
 
-def test_extend_exits_1_when_an_exact_signature_disagrees(write_datum, monkeypatch, capsys):
-    # the kept classes' exact Gauss sums against the search's float signatures
+def test_extend_exits_1_when_a_kept_class_sum_is_off_its_phase(write_datum, monkeypatch, capsys):
+    # each kept class's exact Gauss sum against class 0's times its phase step
     from premodular import metric_groups
 
-    exact = metric_groups._signature_from_gauss
-    monkeypatch.setattr(metric_groups, "_signature_from_gauss", lambda sigma, order: (exact(sigma, order) + 1) % 8)
+    reduce_rows = metric_groups.reduce_rows
+
+    def perturbed(v, n):
+        rows = reduce_rows(v, n)
+        rows[3, 0] += 1
+        return rows
+
+    monkeypatch.setattr(metric_groups, "reduce_rows", perturbed)
     for fmt in ("table", "json"):
         assert cli_run(["extend", write_datum("svec-x-semion"), "--format", fmt]) == (1, "")
-        assert "exact Gauss sum" in capsys.readouterr().err
+        assert "has an exact Gauss sum other than" in capsys.readouterr().err
 
 
-def test_extend_exits_1_when_a_float_gauss_sum_is_no_eighth_root(write_datum, monkeypatch, capsys):
+def test_extend_exits_1_when_a_phase_is_off_the_eighths(write_datum, monkeypatch, capsys):
+    # a wrong c(u) -> u table takes u off the 2-torsion of Z2 x Z16, where
+    # q(u) = u^2/32 is not a whole number of eighths
     from premodular import metric_groups
 
-    table = metric_groups._root_table
-    monkeypatch.setattr(metric_groups, "_root_table", lambda L: table(L) * (1 + 1e-6))
+    table = metric_groups._pairing_preimages
+    monkeypatch.setattr(metric_groups, "_pairing_preimages", lambda *args: np.roll(table(*args), 1))
     for fmt in ("table", "json"):
-        assert cli_run(["extend", write_datum("svec-x-semion"), "--format", fmt]) == (1, "")
-        assert "is not an eighth root of unity" in capsys.readouterr().err
+        assert cli_run(["extend", write_datum("pointed:2x16:1/2,1/32"), "--format", fmt]) == (1, "")
+        assert "off the first one's eighths" in capsys.readouterr().err
 
 
 def test_extend_exits_1_unless_all_8_signatures_occur(write_datum, monkeypatch):
@@ -579,10 +588,10 @@ def test_extend_exits_1_unless_all_8_signatures_occur(write_datum, monkeypatch):
 
     search = metric_groups._extension_candidates
 
-    def without_signature_3(mg, e):
-        return (cand for cand in search(mg, e) if cand.signature != 3)
+    def without_phase_3(mg, e):
+        return (cand for cand in search(mg, e) if cand.phase != 3)
 
-    monkeypatch.setattr(metric_groups, "_extension_candidates", without_signature_3)
+    monkeypatch.setattr(metric_groups, "_extension_candidates", without_phase_3)
     for fmt in ("table", "json"):
         assert cli_run(["extend", write_datum("svec"), "--format", fmt]) == (1, "")
 

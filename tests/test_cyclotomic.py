@@ -243,9 +243,10 @@ def test_kernel_route_matches_the_fraction_oracle_at_wide_conductors(x, y, k):
     _assert_matches(x * y, fx * fy)
     _assert_matches(x.conj(), fx.conj())
     if not x.is_zero():
-        # the Fraction Euclid takes about a minute on such values at 105
         assert x * x.inverse() == ONE
-        if x.conductor < 105:
+        # the Fraction Euclid takes about 0.5 s on a dense value at 105, so
+        # there it runs on the pinned one
+        if x.conductor < 105 or x == _BIG:
             _assert_matches(x.inverse(), fx.inverse())
 
 

@@ -27,7 +27,6 @@ from premodular.fusion_ring import fpdim
 from premodular.metric_groups import (
     MAX_CONDUCTOR,
     MetricGroup,
-    _eighth_roots,
     _extension_candidates,
     enumerate_pointed_extensions,
     fermion,
@@ -342,30 +341,39 @@ def _seeded_bases():
 
 
 def test_equal_signature_candidates_are_isometric_rel_fermion():
-    # the torsor argument behind keeping one extension per signature,
-    # checked against the isometry search on every survivor
+    # the torsor argument behind keeping one extension per signature (per
+    # phase, the signature less the first candidate's), checked against
+    # the isometry search on every survivor
     for base in _seeded_bases():
         e = fermion(base)
-        by_signature = {}
+        by_phase = {}
         for cand in _extension_candidates(base, e):
-            by_signature.setdefault(cand.signature, []).append(cand)
-        assert sorted(by_signature) == list(range(8))
-        for first, *rest in by_signature.values():
+            by_phase.setdefault(cand.phase, []).append(cand)
+        assert sorted(by_phase) == list(range(8))
+        for first, *rest in by_phase.values():
             for cand in rest:
                 assert isometry_rel_point(first.group, cand.group,
                                           first.fermion_image, cand.fermion_image)
 
 
+EXTEND_BENCHMARK_BASES = ("pointed:2x2:1/2,1/4", "pointed:2x3:1/2,1/3", "pointed:2x4:1/2,1/8", "pointed:2x5:1/2,2/5",
+                          "pointed:2x7:1/2,1/7", "pointed:2x9:1/2,2/9", "pointed:2x2x2:1/2,1/4,3/4")
+
+
 def test_pairing_conditions_match_built_and_validated_candidates():
     # the conditions on chi against building every pushout table and running
-    # the radical and the validator on it: same candidates, same order
-    for base in [mg("svec"), mg("svec-x-semion"), *_seeded_bases()]:
+    # the radical and the validator on it: same candidates, same order; and
+    # each candidate's exact phase against the signature of its built group,
+    # off by the one offset that enumerate_pointed_extensions applies
+    bases = [mg("svec"), mg("svec-x-semion"), *_seeded_bases(), *map(mg, EXTEND_BENCHMARK_BASES),
+             *(random_slightly_degenerate(random.Random(s), 32) for s in range(20))]
+    for base in bases:
         e = fermion(base)
         survivors = oracles.pushout_survivors(base, e)
         cands = list(_extension_candidates(base, e))
         assert [(c.group, c.embedding, c.fermion_image) for c in cands] == survivors
-        for c in cands:
-            assert c.signature == signature_mod8(c.group)
+        (offset,) = {(signature_mod8(c.group) - c.phase) % 8 for c in cands}
+        assert {(r.signature - r.phase) % 8 for r in enumerate_pointed_extensions(base)} == {offset}
 
 
 @pytest.mark.parametrize("base", [
@@ -374,37 +382,39 @@ def test_pairing_conditions_match_built_and_validated_candidates():
 ], ids=["svec-x-semion", "z2xz16"])
 def test_only_the_kept_classes_get_an_exact_gauss_sum(base, monkeypatch):
     # the 8 kept classes' sums are the rows of one reduction, of their
-    # counts of Q mod L, and no class takes a Gauss sum of its own
-    tables = []
+    # counts of Q mod L, beside class 0's counts rolled by each other
+    # class's phase step; no class takes a Gauss sum of its own, and one
+    # float embedding, of class 0's sum, anchors every signature
+    tables, anchors = [], []
 
     def recorded(v, n):
         tables.append(v.copy())
         return reduce_rows(v, n)
 
+    def anchor(sigma, order):
+        anchors.append(sigma)
+        return signature(sigma, order)
+
+    signature = metric_groups._signature_from_gauss
     monkeypatch.setattr(metric_groups, "reduce_rows", recorded)
+    monkeypatch.setattr(metric_groups, "_signature_from_gauss", anchor)
     monkeypatch.setattr(metric_groups, "gauss_sum", lambda g: pytest.fail("a class took its own Gauss sum"))
     results = enumerate_pointed_extensions(base)
     (counts,) = tables
     L = results[0].L
-    assert counts.shape == (8, L) and (counts.sum(axis=1) == 2 * base.order).all()
+    assert counts.shape == (15, L) and (counts.sum(axis=1) == 2 * base.order).all()
     for r, row in zip(results, counts):
         assert np.array_equal(row, np.bincount(r.values, minlength=L))
         assert r.gauss == gauss_sum(r.group) and r.gauss.conductor == r.group.D
-    # the search's other candidates carry no exact sum
-    assert all(c.gauss is None for c in _extension_candidates(base, fermion(base)))
-
-
-def test_eighth_root_check_is_within_1e_9():
-    z = np.exp(2j * np.pi * np.arange(8) / 8)
-    assert _eighth_roots(z).tolist() == list(range(8))
-    assert _eighth_roots(z * (1 + 5e-10)).tolist() == list(range(8))
-    for bad in (z * (1 + 2e-9), np.array([1j * np.exp(1e-9j * 2)]), np.array([0.5 + 0j]), np.array([complex("nan")])):
-        with pytest.raises(ArithmeticError, match="not an eighth root of unity"):
-            _eighth_roots(bad)
+    for r, row in zip(results[1:], counts[8:]):
+        assert np.array_equal(row, np.roll(counts[0], (r.phase - results[0].phase) % 8 * L // 8))
+    assert anchors == [results[0].gauss]
+    # the search's other candidates carry no exact sum and no signature
+    assert all(c.gauss is None and c.signature is None for c in _extension_candidates(base, fermion(base)))
 
 
 def test_signature_of_one_gauss_sum_is_within_the_same_1e_9():
-    # _signature_from_gauss takes its one value through _eighth_roots
+    # the kept classes' anchor and the gauss command read a sum this way
     def signature(z):
         return metric_groups._signature_from_gauss(SimpleNamespace(embed=lambda: z), 1)
 
