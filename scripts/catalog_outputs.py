@@ -44,6 +44,8 @@ PARAMETRIC_KEYS = (
     "pointed:2x9:1/2,2/9",
     "pointed:2x2x8:1/2,1/4,1/16",
     "pointed:2x4x4:1/2,1/8,3/8",
+    "pointed:2x1x4:1/2,0,1/8",
+    "pointed:2x3x3:1/2,1/3,2/3",
 )
 
 

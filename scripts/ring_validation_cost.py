@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Print, as one JSON line, the wall time and peak-memory growth of
-validate_fusion_ring on the group ring of Z2 x Z(r/2), and the time of
-the associativity join on the same ring.
+validate_fusion_ring on the group ring of Z2 x Z(r/2), and the times of
+the associativity join and of fpdim on the same ring.
 
 A group ring is pointed, so validation decides its associativity by
 Light's test; join_s is the join that every other ring, and a pointed
-one that fails the test, goes to.  The ru_maxrss growth is the peak the
+one that fails the test, goes to.  fpdim_s is one symmetric
+eigensolve, which BLAS may thread: set OPENBLAS_NUM_THREADS=1 to time it
+on one core.  The ru_maxrss growth is the peak the
 validation adds above building the ring, so run one rank per process;
 each time is the best of --repeats calls, and the ring must validate.
 
@@ -19,7 +21,16 @@ import time
 
 import numpy as np
 
-from premodular.fusion_ring import _associativity_witnesses, group_ring, validate_fusion_ring
+from premodular.fusion_ring import _associativity_witnesses, fpdim, group_ring, validate_fusion_ring
+
+
+def _best(repeats: int, call) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def measure(rank: int, repeats: int) -> dict:
@@ -39,13 +50,10 @@ def measure(rank: int, repeats: int) -> dict:
         if not report.ok:
             raise SystemExit(f"rank {rank}: {report}")
     after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    join = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        _associativity_witnesses(ring, 10)
-        join = min(join, time.perf_counter() - t0)
+    join = _best(repeats, lambda: _associativity_witnesses(ring, 10))
+    fp = _best(repeats, lambda: fpdim(ring))
     return {"rank": rank, "validate_s": round(best, 4), "ru_maxrss_growth_mb": round((after - before) / 1024, 1),
-            "join_s": round(join, 4)}
+            "join_s": round(join, 4), "fpdim_s": round(fp, 4)}
 
 
 def main():

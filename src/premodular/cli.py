@@ -28,7 +28,6 @@ from .errors import (
     DatumTooLarge,
     DegenerateEigenproblem,
     GroupsTooLarge,
-    NonConvergent,
     NotSlightlyDegenerate,
     UnknownCatalogKey,
 )
@@ -379,8 +378,7 @@ def cli_run(argv) -> tuple[int, str]:
             NotSlightlyDegenerate) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""
-    except (CrossCheckMismatch, DegenerateEigenproblem, NonConvergent,
-            ArithmeticError, AssertionError) as exc:
+    except (CrossCheckMismatch, DegenerateEigenproblem, ArithmeticError, AssertionError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 1, ""
 

@@ -5,10 +5,6 @@ class UnknownLabel(KeyError):
     """A label is not among the simple labels of the ring."""
 
 
-class NonConvergent(RuntimeError):
-    """Power iteration failed to converge within the step budget."""
-
-
 class NotASubcategory(ValueError):
     """A label set is not closed under fusion and duals."""
 

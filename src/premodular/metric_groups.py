@@ -59,28 +59,23 @@ SIZE_CAP = 4096
 MAX_CONDUCTOR = 2 * SIZE_CAP
 
 
-def _strides(orders) -> list[int]:
-    out, stride = [], 1
-    for n in reversed(orders):
-        out.append(stride)
-        stride *= n
-    return out[::-1]
-
-
 def _coordinates(orders) -> np.ndarray:
-    """(k, |A|) array: column i holds the coordinates of element i."""
-    index = np.arange(math.prod(orders), dtype=np.int64)
-    return np.array([index // s % n for n, s in zip(orders, _strides(orders))],
-                    dtype=np.int64).reshape(len(orders), len(index))
+    """(k, |A|) int64 array: column i holds the coordinates of element i,
+    by np.unravel_index.  The trivial group, which numpy refuses as a 0-d
+    shape, gives a (0, 1) array: one element with no coordinates."""
+    if not orders:
+        return np.zeros((0, 1), dtype=np.int64)
+    return np.array(np.unravel_index(np.arange(math.prod(orders)), orders), dtype=np.int64)
 
 
 def _index(orders, coords: np.ndarray) -> np.ndarray:
     """Mixed-radix index of the elements with coordinates coords[0], ...,
-    coords[k-1] (any shape), taken mod the orders."""
-    out = np.zeros(coords.shape[1:], dtype=np.int64)
-    for c, n, s in zip(coords, orders, _strides(orders)):
-        out += c % n * s
-    return out
+    coords[k-1] (any shape), taken mod the orders, as int64: numpy's
+    ravel_multi_index in mode "wrap".  In the trivial group, which numpy
+    refuses as a 0-d shape, every index is 0."""
+    if not orders:
+        return np.zeros(coords.shape[1:], dtype=np.int64)
+    return np.ravel_multi_index(tuple(coords), orders, mode="wrap")
 
 
 def _failure(kind: str, witness, detail: str) -> ValidationError:
@@ -114,7 +109,7 @@ def _checked_q(orders, coords: np.ndarray | None, num: list, den: list):
     order = _checked_order(orders)
     # element index -> position of its last value, in first-appearance order
     last = {} if coords is None or (coords >= orders).any() else dict(
-        zip((coords @ np.array(_strides(orders), dtype=np.int64)).tolist(), range(len(num))))
+        zip(_index(orders, coords.T).tolist(), range(len(num))))
     if len(last) != order:  # distinct elements, as many as A has: exactly A
         raise _failure("CoverageViolation", (), "qtable must cover exactly the group elements")
     pos, dtype = list(last.values()), exact_dtype(max(-min(num), max(num), max(den)))
@@ -529,8 +524,7 @@ def _extension_candidates(mg: MetricGroup, e):
     coords = _coordinates(mg.cyclic_orders)
     shift, B = _generator_pairings(mg, coords)
     weights = coords * (E // n)[:, None]  # column c: E chi_c(g_i)
-    strides = _strides(mg.cyclic_orders)
-    gens, ie = shift[:, 0], np.dot(e, strides)
+    gens, ie = shift[:, 0], _index(mg.cyclic_orders, np.array(e))
     half = 2 * (weights.T @ coords[:, ie]) % (2 * E) == E  # chi_c(e) = 1/2, per c
     # per c with chi_c(e) = 1/2: u with chi_c = chi_0 + b(u, .), and L(-q(u) - chi_0(u))
     c0 = int(np.argmax(half))
@@ -539,7 +533,7 @@ def _extension_candidates(mg: MetricGroup, e):
 
     first = None
     for a0 in _coset_reps_mod_double(mg):
-        ia0 = np.dot(a0, strides)
+        ia0 = _index(mg.cyclic_orders, np.array(a0))
         # 2 chi_c(g_i) = 2 c_i / n_i = b(a0, g_i) mod 1, over n_i D
         doubles = ((2 * coords * D - B[:, ia0:ia0 + 1] * n[:, None]) % (n * D)[:, None] == 0).all(axis=0)
         kept = np.flatnonzero(doubles & half)

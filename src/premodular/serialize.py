@@ -40,7 +40,7 @@ import re
 
 import numpy as np
 
-from .cyclotomic import MAX_SLOTS, CycArray, euler_phi, exact_dtype, make_root
+from .cyclotomic import MAX_SLOTS, CycArray, euler_phi, exact_dtype, magnitude, make_root
 from .data import PremodularData, validate_premodular
 from .fusion_ring import MAX_MULT, MAX_RANK, FusionRing
 from .metric_groups import MAX_CONDUCTOR, MetricGroup, _checked_q, _key_array, element_labels, validate_metric_group
@@ -152,12 +152,6 @@ def _array(values: list) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _largest(values: np.ndarray) -> int:
-    """The largest magnitude in an array of _array, as an int, 0 if it is
-    empty."""
-    return max(-int(values.min()), int(values.max())) if len(values) else 0
-
-
 def _cycnum_parts(entries: list) -> tuple[list, list]:
     """The conductors of the CycNum objects in entries and all their
     coefficient parts in one list, numerator and denominator
@@ -249,7 +243,7 @@ def premodular_from_json(obj: dict) -> PremodularData:
         rows = _lists(_field(obj, "s"), 'a row of "s"') if "s" in obj else None
         s = ([], []) if rows is None else _cycnum_parts(_flat(rows))
         conductors, parts = dims[0] + twists[0] + s[0], _array(dims[1] + twists[1] + s[1])
-        bound = _largest(parts)
+        bound = magnitude(parts)
         if bound >= _DIGIT_BOUND:
             raise ValueError(f"CycNum coefficient part has more than {MAX_DIGITS} digits")
         if (parts[1::2] == 0).any():

@@ -126,6 +126,20 @@ def test_gauss_subcommand(write_datum):
     assert json.loads(out)["signature_mod8"] is None
 
 
+def test_trivial_group_runs_every_subcommand(tmp_path):
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({"type": "metric_group", "orders": [], "q": {"()": "0/1"}}))
+    code, out = cli_run(["analyze", str(path), "--format", "json"])
+    rep = json.loads(out)
+    assert code == 0 and rep["classification"] == "nondegenerate"
+    assert rep["components"]["component_count"] == 1
+    code, out = cli_run(["gauss", str(path), "--format", "json"])
+    rep = json.loads(out)
+    assert code == 0 and rep["radical_size"] == 1 and rep["signature_mod8"] == 0
+    for command in ("kappa", "extend"):
+        assert cli_run([command, str(path)]) == (2, "")
+
+
 def test_catalog_show_round_trips():
     code, out = cli_run(["catalog", "show", "svec"])
     assert code == 0

@@ -427,6 +427,22 @@ def test_fpdim_values():
     assert abs(fpdim(z4)[0] - 4) < 1e-9
 
 
+@pytest.mark.parametrize("orders", [[2] * 8, [2, 128]])
+def test_fpdim_of_rank_256_group_rings(orders):
+    elements = list(itertools.product(*map(range, orders)))
+    at = {x: i for i, x in enumerate(elements)}
+    add = [[at[tuple((a + b) % n for a, b, n in zip(x, y, orders))] for y in elements] for x in elements]
+    inverse = [at[tuple(-a % n for a, n in zip(x, orders))] for x in elements]
+    total, vec = fpdim(group_ring([str(x) for x in elements], np.array(add), 0, inverse))
+    assert abs(total - 256) < 1e-9 and np.allclose(vec, 1, rtol=0, atol=1e-9)
+
+
+def test_fpdim_raises_when_no_vector_is_a_character():
+    # no entries: N = 0, so no vector with FPdim(1) = 1 is a character
+    with pytest.raises(ArithmeticError):
+        fpdim(FusionRing(["1", "x"], 0, [], [0, 1]))
+
+
 def test_dual_permutation_matrix_examples():
     assert np.array_equal(dual_permutation_matrix(z2_ring()), np.eye(2, dtype=np.int64))
     assert np.array_equal(dual_permutation_matrix(ising_ring()), np.eye(3, dtype=np.int64))

@@ -1,5 +1,6 @@
 import cmath
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -60,6 +61,25 @@ def test_coverage_violation():
         MetricGroup([2], table)
     assert "CoverageViolation" in exc.value.report.kinds()
     assert exc.value.report.to_json() == oracles.validate_fractions([2], table).to_json()
+
+
+@pytest.mark.parametrize("orders", [[], [1], [2, 1, 4], [3, 9], [2, 2, 2, 2]])
+def test_index_helpers_match_the_mixed_radix_oracle(orders):
+    # oracle: itertools.product lists the elements in mixed-radix order
+    elements = list(itertools.product(*map(range, orders)))
+    coords = metric_groups._coordinates(orders)
+    assert coords.dtype == np.int64 and coords.shape == (len(orders), len(elements))
+    assert [tuple(col) for col in coords.T.tolist()] == elements
+    at = {x: i for i, x in enumerate(elements)}
+    rng = np.random.default_rng(len(elements))
+    # coordinates in [-3n, 2n + 9], mostly negative or not below n; a leading shape (k, a, b)
+    raw = rng.integers(-3, 3, size=(len(orders), 5, 7)) * np.array(orders, dtype=np.int64).reshape(-1, 1, 1)
+    raw += rng.integers(0, 10, size=raw.shape)
+    index = metric_groups._index(orders, raw)
+    assert index.dtype == np.int64 and index.shape == (5, 7)
+    expected = [[at[tuple(c % n for c, n in zip(raw[:, i, j].tolist(), orders))] for j in range(7)] for i in range(5)]
+    assert index.tolist() == expected
+    assert metric_groups._index(orders, coords).tolist() == list(range(len(elements)))
 
 
 def test_order_one_factors_are_tolerated():

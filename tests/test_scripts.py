@@ -62,6 +62,7 @@ def test_ring_validation_cost_script(capsys, monkeypatch):
     runpy.run_path(str(SCRIPTS / "ring_validation_cost.py"), run_name="__main__")
     line = json.loads(capsys.readouterr().out)
     assert line["rank"] == 16 and line["validate_s"] > 0 and line["ru_maxrss_growth_mb"] >= 0 and line["join_s"] > 0
+    assert line["fpdim_s"] > 0
 
 
 def test_extend_cost_script(capsys, monkeypatch):
