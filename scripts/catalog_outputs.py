@@ -17,11 +17,19 @@ well.  File paths are printed relative to the scratch directory, so two
 checkouts compare with one diff:
 
     PYTHONPATH=src python3 scripts/catalog_outputs.py > outputs.json
+
+Given files, it runs every file subcommand in both formats on those
+files instead, with their paths printed relative to the working
+directory:
+
+    PYTHONPATH=src python3 scripts/catalog_outputs.py data/*.json > outputs.json
 """
 
 import hashlib
 import json
+import os
 import pathlib
+import sys
 import tempfile
 
 from premodular.catalog import catalog_get, catalog_list
@@ -50,10 +58,15 @@ PARAMETRIC_KEYS = (
 
 
 def _run_file(runs, workdir, path):
+    name = os.path.relpath(path, workdir)
     for command in SUBCOMMANDS:
         for fmt in FORMATS:
             code, out = cli_run([command, str(path), "--format", fmt])
-            runs[f"{command} {path.name} --format {fmt}"] = (code, out.replace(f"{workdir}/", ""))
+            runs[f"{command} {name} --format {fmt}"] = (code, out.replace(f"{workdir}/", ""))
+
+
+def _document(runs) -> dict:
+    return {key: {"exit": code, "stdout": out} for key, (code, out) in runs.items()}
 
 
 def catalog_outputs(workdir: pathlib.Path) -> dict:
@@ -73,10 +86,21 @@ def catalog_outputs(workdir: pathlib.Path) -> dict:
             path = workdir / f"{stem}-premodular.json"
             path.write_text(text)
             _run_file(runs, workdir, path)
-    return {key: {"exit": code, "stdout": out} for key, (code, out) in runs.items()}
+    return _document(runs)
+
+
+def file_outputs(files) -> dict:
+    runs = {}
+    workdir = pathlib.Path.cwd()
+    for file in files:
+        _run_file(runs, workdir, workdir / file)
+    return _document(runs)
 
 
 def main():
+    if sys.argv[1:]:
+        print(json.dumps(file_outputs(sys.argv[1:]), indent=1))
+        return
     with tempfile.TemporaryDirectory() as tmp:
         print(json.dumps(catalog_outputs(pathlib.Path(tmp)), indent=1))
 

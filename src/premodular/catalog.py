@@ -17,6 +17,7 @@ from .data import PremodularData, validate_premodular
 from .errors import UnknownCatalogKey
 from .fusion_ring import FusionRing
 from .metric_groups import MetricGroup, from_gram, validate_metric_group
+from .serialize import _integers, _rationals
 from .validation import ValidationError
 
 __all__ = ["CatalogEntry", "catalog_get", "catalog_list"]
@@ -65,15 +66,15 @@ def _pointed_entries():
 
 
 def _parse_pointed_key(name: str) -> MetricGroup:
-    # pointed:<n1>x<n2>x...:<q1>,<q2>,...[:<b12>,<b13>,...]
+    # pointed:<n1>x<n2>x...:<q1>,<q2>,...[:<b12>,<b13>,...], each field
+    # read as the same field of a metric-group file is
     parts = name.split(":")
     if len(parts) not in (3, 4):
         raise UnknownCatalogKey(name)
     try:
-        orders = [int(t) for t in parts[1].split("x")]
-        diag = [Fraction(t) for t in parts[2].split(",")]
-        cross = [Fraction(t) for t in parts[3].split(",")] if len(parts) == 4 else None
-        mg = from_gram(orders, diag, cross)
+        orders = _integers(parts[1].split("x"))
+        forms = [[Fraction(p, q) for p, q in zip(*_rationals(t.split(",")))] for t in parts[2:]]
+        mg = from_gram(orders, *forms)
     except ValidationError:
         raise
     except (ValueError, ZeroDivisionError) as exc:

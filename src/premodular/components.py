@@ -4,7 +4,8 @@ The number of components of the double of the suspended datum equals the
 number of simple transparent objects, and components biject with the
 ring homomorphisms K0(transparent subring) -> C.  Characters are found
 by simultaneous diagonalization of the transparent fusion matrices:
-exactly (group characters) when every transparent simple is invertible,
+exactly when every transparent simple is invertible (group characters,
+as integers k over the group order n for the values exp(2 pi i k/n)),
 numerically via a seeded random linear combination otherwise.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import DegenerateEigenproblem
 
 __all__ = ["ComponentAnalysis", "ring_characters"]
 
-_CLUSTER_TOL = 1e-9     # eigenvalues closer than this are one cluster
+_CLUSTER_TOL = 1e-9     # eigenvalues closer than this are taken as equal
 _DISTINCT_TOL = 1e-6    # characters must be separated by this in sup metric
 _MAX_RETRIES = 8
 
@@ -48,15 +48,15 @@ class ComponentAnalysis:
         }
 
 
-def _exact_group_characters(prod):
-    """All homomorphisms to Q/Z of an abelian group given by a product
-    table, as lists of Fractions in [0,1) indexed like `prod`, built up a
-    chain of subgroups: with g^m the first power of g in the subgroup H
-    reached so far, each character chi of H extends to H<g> in exactly m
-    ways, chi(h g^k) = chi(h) + k (chi(g^m) + j)/m for j < m."""
+def _exact_group_characters(prod, unit):
+    """All homomorphisms to Q/Z of an abelian group of order n given by a
+    product table and its unit, each as integers k in [0, n) standing for
+    k/n, indexed like `prod`; built up a chain of subgroups: with g^m the
+    first power of g in the subgroup H reached so far, each character chi
+    of H extends to H<g> in exactly m ways, chi(h g^k) = chi(h) + k
+    (chi(g^m) + j n)/m for j < m, where m divides n and chi(g^m)."""
     n = len(prod)
-    unit = next(g for g in range(n) if all(prod[g][h] == h for h in range(n)))
-    chars = [{unit: Fraction(0)}]  # the characters of H, each keyed by H
+    chars = [{unit: 0}]  # the characters of H, each keyed by H
     for g in range(n):
         if g in chars[0]:
             continue
@@ -64,7 +64,7 @@ def _exact_group_characters(prod):
         while (top := prod[powers[-1]][g]) not in chars[0]:
             powers.append(top)
         m = len(powers)
-        chars = [{prod[h][p]: (v + k * (chi[top] + j) / m) % 1
+        chars = [{prod[h][p]: (v + k * ((chi[top] + j * n) // m)) % n
                   for k, p in enumerate(powers) for h, v in chi.items()}
                  for chi in chars for j in range(m)]
     assert len(chars) == n, f"abelian group of order {n} must have exactly {n} characters"
@@ -79,28 +79,13 @@ def _numeric_characters(mats, seed):
         weights = rng.uniform(0.5, 1.5, size=len(mats))
         M = sum(w * m for w, m in zip(weights, mats))
         eigvals, eigvecs = np.linalg.eig(M)
-        clusters: list[list[int]] = []
-        for i, lam in enumerate(eigvals):
-            for cl in clusters:
-                if abs(lam - eigvals[cl[0]]) < _CLUSTER_TOL:
-                    cl.append(i)
-                    break
-            else:
-                clusters.append([i])
-        if len(clusters) != n:
+        # retry unless the n eigenvalues are pairwise _CLUSTER_TOL apart
+        if (np.abs(eigvals[:, None] - eigvals) < _CLUSTER_TOL)[np.triu_indices(n, 1)].any():
             continue
-        chars = []
-        good = True
-        for cl in clusters:
-            v = eigvecs[:, cl[0]]
-            denom = np.vdot(v, v)
-            chi = [complex(np.vdot(v, m @ v) / denom) for m in mats]
-            # residual of the common-eigenvector property
-            if any(np.linalg.norm(m @ v - c * v) > 1e-6 * (1 + abs(c)) for m, c in zip(mats, chi)):
-                good = False
-                break
-            chars.append(chi)
-        if not good:
+        chars = [[complex(np.vdot(v, m @ v) / np.vdot(v, v)) for m in mats] for v in eigvecs.T]
+        # residual of the common-eigenvector property
+        if any(np.linalg.norm(m @ v - c * v) > 1e-6 * (1 + abs(c))
+               for v, chi in zip(eigvecs.T, chars) for m, c in zip(mats, chi)):
             continue
         distinct = all(
             max(abs(x - y) for x, y in zip(c1, c2)) >= _DISTINCT_TOL
@@ -120,9 +105,10 @@ def ring_characters(data: PremodularData, cls: CentreClassification,
     is the datum's classification.
 
     Uses exact group characters when every transparent simple is
-    invertible; otherwise a seeded random-combination eigensolve with
-    cluster merging at 1e-9 and distinctness threshold 1e-6.  Characters
-    are reported in lexicographic order of their value vectors; the
+    invertible; otherwise a seeded random-combination eigensolve,
+    retried until its eigenvalues are 1e-9 apart, with distinctness
+    threshold 1e-6.  Characters are reported in lexicographic order of
+    their value vectors; the
     FPdim character (the one real and >= 1 on every transparent simple)
     and, when slightly degenerate, the e -> -1 character are identified.
     """
@@ -138,14 +124,16 @@ def ring_characters(data: PremodularData, cls: CentreClassification,
     char_values: list[list[complex]]
     if group_like:
         # the entries come sorted by (i, j), one per pair
-        exact = _exact_group_characters(c.reshape(n, n).tolist())
-        char_values = [
-            [cmath.exp(2j * cmath.pi * float(t)) if t else complex(1.0) for t in chi]
-            for chi in exact
-        ]
+        exact = _exact_group_characters(c.reshape(n, n).tolist(), idx.index(ring.unit_index))
+        char_values = [[cmath.exp(2j * cmath.pi * (k / n)) for k in chi] for chi in exact]
     else:
-        mats = [ring.row(a, idx).T.astype(float) for a in idx]
-        char_values = _numeric_characters(mats, seed)
+        # the matrix of a is the view N[a].T, entry (c, b) = N^c_{a,b}; its
+        # Fortran layout fixes the summation order of the products in
+        # _numeric_characters, and so the printed floats
+        N = np.zeros((n, n, n))
+        keep = c >= 0
+        N[i[keep], j[keep], c[keep]] = m[keep]
+        char_values = _numeric_characters([Na.T for Na in N], seed)
 
     char_values.sort(key=lambda chi: tuple((round(z.real, 9), round(z.imag, 9)) for z in chi))
 

@@ -10,8 +10,8 @@ Representation: the nonzero structure constants alone, as entries
 "fusion" list, with the offset at which each row a starts.  A group ring
 of rank r has r^2 entries and no r x r x r array is ever built:
 validation runs on the entries, and the dense consumers take one row
-N[a] as an r x r array, or its restriction to a label set
-(FusionRing.row, FusionRing.restrict).  Associativity of a pointed ring,
+N[a] as an r x r array (FusionRing.row) or the entries among a label
+set (FusionRing.restrict).  Associativity of a pointed ring,
 where each product of two simples is one simple (a group ring), is
 decided by Light's test on its r x r product table; every other ring,
 and a pointed one that fails the test, goes to the associativity join,
@@ -116,31 +116,18 @@ class FusionRing:
         except KeyError:
             raise UnknownLabel(label) from None
 
-    def _positions(self, idx) -> np.ndarray:
-        """Each label's position in the index list idx, -1 if absent."""
-        pos = np.full(self.rank, -1)
-        pos[idx] = np.arange(len(idx))
-        return pos
-
-    def row(self, a: int, idx=None) -> np.ndarray:
-        """N[a] as an r x r array, entry (b, c) = N^c_{a,b}; with idx, a
-        list of label indices, only the entries with b and c in idx, as a
-        len(idx) x len(idx) array in the order of idx."""
+    def row(self, a: int) -> np.ndarray:
+        """N[a] as an r x r array, entry (b, c) = N^c_{a,b}."""
         at = slice(self.start[a], self.start[a + 1])
-        b, c, m = self.b[at], self.c[at], self.m[at]
-        if idx is not None:
-            pos = self._positions(idx)
-            b, c = pos[b], pos[c]
-            keep = (b >= 0) & (c >= 0)
-            b, c, m = b[keep], c[keep], m[keep]
-        return _matrix(b, c, m, self.rank if idx is None else len(idx))
+        return _matrix(self.b[at], self.c[at], self.m[at], self.rank)
 
     def restrict(self, idx):
         """The entries with a and b in idx, a list of label indices, as
         columns a, b, c, m with each label replaced by its position in
         idx, and c by -1 where it is not in idx; sorted by (a, b, c) when
         idx is increasing."""
-        pos = self._positions(idx)
+        pos = np.full(self.rank, -1)
+        pos[idx] = np.arange(len(idx))
         keep = (pos[self.a] >= 0) & (pos[self.b] >= 0)
         return pos[self.a[keep]], pos[self.b[keep]], pos[self.c[keep]], self.m[keep]
 

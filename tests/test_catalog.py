@@ -2,6 +2,7 @@ import pytest
 
 from conftest import premodular_form
 from premodular.catalog import catalog_get, catalog_list
+from premodular.cli import cli_run
 from premodular.cyclotomic import make_root
 from premodular.data import (
     CentreKind,
@@ -73,3 +74,10 @@ def test_parametric_pointed_entries():
 def test_cross_terms_in_parametric_key():
     toric_like = catalog_get("pointed:2x2:0,0:1/2").payload
     assert toric_like.qtable == catalog_get("toric").payload.qtable
+
+
+@pytest.mark.parametrize("key", ["pointed:2:1e5", "pointed:2:0.5", "pointed:2: 1/2", "pointed:２:1/2"])
+def test_parametric_keys_are_read_as_metric_group_files_are(key):
+    # an exponent, a decimal point, a space and a fullwidth digit are all
+    # refused in a metric-group file, and so in a key
+    assert cli_run(["catalog", "show", key]) == (2, "")

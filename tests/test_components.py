@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import pytest
 import oracles
 from conftest import premodular_form
 from premodular.components import _exact_group_characters, _numeric_characters, ring_characters
+from premodular.errors import DegenerateEigenproblem
 from premodular.data import classify_degeneracy, relative_centralizer
 from premodular.fusion_ring import fpdim
 from premodular.metric_groups import from_gram, to_premodular
@@ -154,10 +157,53 @@ def test_exact_characters_are_all_the_characters(orders):
     pos = {x: i for i, x in enumerate(elems)}
     prod = [[pos[tuple((a + b) % k for a, b, k in zip(x, y, orders))] for y in elems] for x in elems]
     n = len(elems)
-    chars = _exact_group_characters(prod)
+    chars = _exact_group_characters(prod, pos[(0,) * len(orders)])
     assert len(chars) == n
-    # every value has order dividing n, so n chi is an integer table
-    assert all(0 <= v < 1 and (n * v).denominator == 1 for chi in chars for v in chi)
-    V = np.array([[int(n * v) for v in chi] for chi in chars], dtype=np.int64)
+    # every value has order dividing n: chi is the integer table n chi
+    assert all(type(v) is int and 0 <= v < n for chi in chars for v in chi)
+    V = np.array(chars, dtype=np.int64)
     assert len(np.unique(V, axis=0)) == n
     assert ((V[:, :, None] + V[:, None, :]) % n == V[:, np.array(prod)]).all()
+
+
+def ising_symmetric_datum():
+    """The Ising fusion ring with d_sigma = z8 + z8^-1 and trivial twists:
+    every simple is transparent and sigma is not invertible."""
+    from premodular.cyclotomic import ONE, make_root
+    from premodular.data import PremodularData, validate_premodular
+    from premodular.fusion_ring import FusionRing
+
+    unit = [[0, a, a, 1] for a in range(3)] + [[a, 0, a, 1] for a in range(1, 3)]
+    fusion = unit + [[1, 1, 0, 1], [1, 2, 2, 1], [2, 1, 2, 1], [2, 2, 0, 1], [2, 2, 1, 1]]
+    ring = FusionRing(labels=["1", "psi", "sigma"], unit_index=0, fusion=fusion, dual=[0, 1, 2])
+    data = PremodularData.from_values(ring, dims=[ONE, ONE, make_root(1, 8) + make_root(-1, 8)],
+                                      twists=[ONE, ONE, ONE])
+    assert validate_premodular(data).ok
+    return data
+
+
+EIGENSOLVE_CHARACTERS = pathlib.Path(__file__).parent / "data" / "eigensolve_characters.json"
+
+
+def eigensolve_characters_document() -> str:
+    """ring_characters(...).to_json() for seeds 0-4 on the two data whose
+    transparent subring is not pointed, as tests/data/eigensolve_characters.json
+    holds them."""
+    data = {"rep-s3": rep_s3_datum(), "ising-symmetric": ising_symmetric_datum()}
+    doc = {name: [characters(d, seed=seed).to_json() for seed in range(5)] for name, d in data.items()}
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def test_eigensolve_characters_match_the_pinned_document():
+    # no catalog entry has a non-pointed transparent centre, so the
+    # eigensolve's printed floats are pinned here, byte for byte
+    assert eigensolve_characters_document() == EIGENSOLVE_CHARACTERS.read_text()
+
+
+@pytest.mark.parametrize("mats", [
+    [np.eye(2), np.eye(2)],                                    # a double eigenvalue in every combination
+    [np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],  # no common eigenvectors
+], ids=["repeated-eigenvalue", "not-commuting"])
+def test_numeric_characters_give_up_after_max_retries(mats):
+    with pytest.raises(DegenerateEigenproblem, match="could not separate 2 characters"):
+        _numeric_characters(mats, seed=0)

@@ -5,6 +5,7 @@ import pathlib
 import runpy
 
 from premodular.catalog import catalog_list
+from premodular.cli import cli_run
 
 SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
 CATALOG_OUTPUTS = runpy.run_path(str(SCRIPTS / "catalog_outputs.py"))
@@ -26,7 +27,8 @@ def test_survey_script(capsys):
     assert len(out.strip().splitlines()) >= 20
 
 
-def test_catalog_outputs_script(capsys):
+def test_catalog_outputs_script(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["catalog_outputs.py"])
     runpy.run_path(str(SCRIPTS / "catalog_outputs.py"), run_name="__main__")
     runs = json.loads(capsys.readouterr().out)
     assert runs["catalog show svec"]["exit"] == 0
@@ -55,6 +57,21 @@ def test_catalog_outputs_match_the_golden_document(tmp_path):
             "with the parent commit: run `PYTHONPATH=src python3 scripts/catalog_outputs.py "
             "> outputs.json` here and in a checkout of the parent and diff the two files.  If "
             "the change is intended, write this checkout's output over tests/data/catalog_outputs.json.")
+
+
+def test_catalog_outputs_script_on_files(tmp_path, monkeypatch, capsys):
+    # given files, the script runs every file subcommand on them, with the
+    # keys and stdout of the catalog run on the same files
+    for name in ("svec", "ising:1"):
+        (tmp_path / f"{name.replace(':', '_')}.json").write_text(cli_run(["catalog", "show", name])[1])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.argv", ["catalog_outputs.py", "svec.json", "ising_1.json"])
+    runpy.run_path(str(SCRIPTS / "catalog_outputs.py"), run_name="__main__")
+    runs = json.loads(capsys.readouterr().out)
+    golden = json.loads(GOLDEN.read_text())
+    assert len(runs) == 2 * 2 * len(CATALOG_OUTPUTS["SUBCOMMANDS"])
+    assert runs == {key: golden[key] for key in runs}
+    assert runs["validate svec.json --format table"]["stdout"] == "input      : svec.json\nvalidation : ok\n"
 
 
 def test_ring_validation_cost_script(capsys, monkeypatch):
