@@ -49,7 +49,7 @@ import numpy as np
 from .errors import DatumTooLarge
 
 __all__ = ["CycNum", "CycArray", "make_root", "root_sum", "from_rational", "euler_phi",
-           "reduce_rows", "map_rows", "mul_rows", "exact_dtype", "magnitude", "narrow", "check_budget",
+           "power_rows", "reduce_rows", "map_rows", "mul_rows", "exact_dtype", "magnitude", "narrow", "check_budget",
            "MAX_SLOTS", "ZERO", "ONE", "MINUS_ONE"]
 
 # array values built at once by the array kernels: a few arrays of about
@@ -414,24 +414,35 @@ def _low_arrays(n: int):
     return deg, low[deg]
 
 
+def power_rows(n: int):
+    """The rows x^j mod Phi_R, R = rad(n), for j = 0, 1, ..., R - 1, as
+    int64 arrays of length phi(R), lazily and read-only: x^j for j <
+    phi(R) is a unit vector, and each later row follows from the one
+    before by one shift and one subtraction of Phi_R.  The entries are
+    exact while they stay far inside int64; reduction_growth stops at
+    2^31."""
+    R = prod(_primes(n))
+    phi, low = euler_phi(R), np.array(cyclotomic_poly(R)[:-1], dtype=np.int64)
+    yield from np.eye(phi, dtype=np.int64)
+    row = np.zeros(phi, dtype=np.int64)
+    row[-1] = 1
+    for _ in range(R - phi):
+        row = np.concatenate(([0], row[:-1])) - row[-1] * low
+        yield row
+
+
 @lru_cache(maxsize=None)
 def reduction_growth(n: int) -> float:
     """G such that reduce_rows(v, n) is at most G max|v| in magnitude:
     with R = rad(n), G = 2 max_i sum_(j < R) |c_ij| for x^j = sum_i c_ij
-    x^i mod Phi_R, the factor 2 for the fold.  The rows x^j (j >= phi(R))
-    follow from x^(j-1) by one shift and one subtraction of Phi_R; inf if
-    any leaves 2^31.  G depends only on rad(n): 4 when it is prime, 8
+    x^i mod Phi_R, the rows of power_rows, the factor 2 for the fold; inf
+    if any leaves 2^31.  G depends only on rad(n): 4 when it is prime, 8
     for 6, 24 for 30, 136 for 210."""
-    R = prod(_primes(n))
-    phi, low = euler_phi(R), np.array(cyclotomic_poly(R)[:-1], dtype=np.int64)
-    row = np.zeros(phi, dtype=np.int64)
-    row[-1] = 1
-    total = np.ones(phi, dtype=np.int64)  # x^j for j < phi is a unit vector
-    for _ in range(R - phi):
-        row = np.concatenate(([0], row[:-1])) - row[-1] * low
-        if np.abs(row).max() >= 2**31:
+    total = 0
+    for row in power_rows(n):
+        if magnitude(row) >= 2**31:
             return float("inf")
-        total += np.abs(row)
+        total = total + np.abs(row)
     return 2.0 * float(total.max())
 
 
@@ -487,7 +498,9 @@ def reduce_rows(v: np.ndarray, n: int) -> np.ndarray:
     z_n^n = 1 folds the top half into place.  Then with R = rad(n) and
     t = n / R, Phi_n(x) = Phi_R(x^t), so for each u < t the coefficients
     of x^(t i + u) form a polynomial in x^t; all of them, over all
-    entries, are long-divided by Phi_R at once, top coefficient first.
+    entries, are long-divided by Phi_R at once, top coefficient first,
+    from the highest i at which any entry is nonzero (when R is not
+    prime; the statements above it would subtract zeros).
     """
     lead, L = v.shape[:-1], v.shape[-1]
     if L < n:
@@ -499,7 +512,11 @@ def reduce_rows(v: np.ndarray, n: int) -> np.ndarray:
     R = prod(_primes(n))
     phi, (deg, coef) = euler_phi(R), _low_arrays(R)
     w = w.reshape(lead + (R, n // R))
-    for k in range(R - 1, phi - 1, -1):
+    top = R - 1
+    if R - phi > 1:  # a prime R has one statement, not worth a scan
+        rows = np.flatnonzero(w[..., phi:, :].any(axis=(*range(len(lead)), -1)))
+        top = phi + rows[-1] if len(rows) else phi - 1
+    for k in range(top, phi - 1, -1):
         w[..., k - phi + deg, :] -= coef[:, None] * w[..., k:k + 1, :]
     return w[..., :phi, :].reshape(lead + (euler_phi(n),))
 

@@ -109,12 +109,15 @@ def _is_integer(num: np.ndarray, den: int, k: int) -> np.ndarray:
 
 
 def _unequal(x: np.ndarray, x_den: int, y: np.ndarray, y_den: int) -> np.ndarray:
-    """(..., phi) -> (...): x / x_den != y / y_den, entry by entry."""
-    dtype = exact_dtype(max(max(magnitude(x), 1) * y_den, max(magnitude(y), 1) * x_den))
-    if y_den != 1:
-        x = x.astype(dtype, copy=False) * y_den
-    if x_den != 1:
-        y = y.astype(dtype, copy=False) * x_den
+    """(..., phi) -> (...): x / x_den != y / y_den, entry by entry; the
+    operands are scaled, in a dtype from their bounds, only when a
+    denominator is not 1."""
+    if x_den != 1 or y_den != 1:
+        dtype = exact_dtype(max(max(magnitude(x), 1) * y_den, max(magnitude(y), 1) * x_den))
+        if y_den != 1:
+            x = x.astype(dtype, copy=False) * y_den
+        if x_den != 1:
+            y = y.astype(dtype, copy=False) * x_den
     return (x != y).any(axis=-1)
 
 
@@ -262,12 +265,28 @@ def framed_s_entry(data: PremodularData, a: str, b: str) -> CycNum:
 
 def _transparency(data: PremodularData) -> np.ndarray:
     """(r, r) booleans: S~_{b,x} = 1, tested multiplicatively as
-    s_{b,x} = d_b d_x, row b of s against d_b d."""
+    s_{b,x} = d_b d_x.  With an irrational dimension, row b of s against
+    d_b d, in blocks of rows.  With every dimension rational, d_b d_x is
+    the product of the constant terms over dims.den^2 and no product of
+    values is formed: s_{b,x} must be that rational, so its constant term
+    is compared for all (b, x) at once, and its other coefficients, which
+    must be 0, are read only where the constants agree, in blocks of at
+    most BLOCK / 2 values."""
     dims, s = data.dims, data.s
-    D, r = dims.num, len(dims)
-    out = np.empty((r, r), dtype=bool)
-    for rows in _row_blocks(r, 2 * r * D.shape[1]):
-        out[rows] = ~_unequal(s.num[rows], s.den, mul_rows(D[rows, None], D[None, :], dims.M), dims.den**2)
+    D, r, phi = dims.num, len(dims), dims.num.shape[1]
+    if D[:, 1:].any():
+        out = np.empty((r, r), dtype=bool)
+        for rows in _row_blocks(r, 2 * r * phi):
+            out[rows] = ~_unequal(s.num[rows], s.den, mul_rows(D[rows, None], D[None, :], dims.M), dims.den**2)
+        return out
+    d = D[:, 0].astype(exact_dtype(magnitude(D) ** 2), copy=False)
+    out = ~_unequal(s.num[..., :1], s.den, np.multiply.outer(d, d)[..., None], dims.den**2)
+    agree, values = np.flatnonzero(out), s.num.reshape(r * r, phi)
+    for at in _row_blocks(len(agree), 2 * phi):
+        # the other coefficients as rows: numpy reduces across rows many
+        # times faster than along a short last axis
+        rest = np.ascontiguousarray(values.take(agree[at], axis=0)[:, 1:].T)
+        out.flat[agree[at]] = ~rest.any(axis=0)
     return out
 
 
@@ -291,16 +310,15 @@ def relative_centralizer(data: PremodularData, sub) -> set[str]:
 
 def mueger_centre(data: PremodularData) -> PremodularData:
     """Restriction of a validated datum to its transparent labels; they
-    are fusion- and dual-closed, so the restriction satisfies every axiom."""
+    are fusion- and dual-closed, so the restriction satisfies every axiom
+    and its ring takes the restricted entries as they are."""
     idx = [data.ring.index(lab) for lab in classify_degeneracy(data).transparent]
     assert _check_closed(data, set(idx)), "transparent labels must be fusion- and dual-closed"
     pos = {b: k for k, b in enumerate(idx)}
-    sub_ring = FusionRing(
-        labels=[data.labels[b] for b in idx],
-        unit_index=pos[data.ring.unit_index],
-        fusion=np.stack(data.ring.restrict(idx), axis=1),
-        dual=[pos[data.ring.dual[b]] for b in idx],
-    )
+    # idx is increasing and closed, so the restricted entries are sorted,
+    # unique, nonzero and in range
+    sub_ring = FusionRing._from_columns([data.labels[b] for b in idx], pos[data.ring.unit_index],
+                                        *data.ring.restrict(idx), [pos[data.ring.dual[b]] for b in idx])
     return PremodularData(ring=sub_ring, dims=data.dims[idx], twists=data.twists[idx],
                           s=data.s[np.ix_(idx, idx)])
 

@@ -21,6 +21,8 @@ cross row boundaries.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import UnknownLabel
@@ -53,16 +55,18 @@ class FusionRing:
     """labels, unit index, the nonzero structure constants, dual involution.
 
     fusion lists entries [a, b, c, m]: simple c occurs m times in the
-    product a . b.  Construction sorts them by (a, b, c), keeps the last
-    m of a repeated (a, b, c) and drops the entries whose m is 0, so
-    ring.fusion is an (n, 4) int64 array with one entry per nonzero; a,
-    b, c and m are its columns, and the entries of row a are those from
-    start[a] to start[a + 1].  Label order in all derived matrices is
-    the input order.
+    product a . b.  Construction checks the shape and ranges, sorts the
+    entries by (a, b, c), keeps the last m of a repeated (a, b, c) and
+    drops the entries whose m is 0, then stores them (_store): ring.fusion
+    is an (n, 4) int64 array with one entry per nonzero; a, b, c and m are
+    its columns, and the entries of row a are those from start[a] to
+    start[a + 1].  Producers whose entries are sorted, unique, nonzero
+    and in range by construction (group_ring, data.mueger_centre) hand
+    their columns to _store directly through _from_columns.  Label order
+    in all derived matrices is the input order.
     """
 
     def __init__(self, labels: list[str], unit_index: int, fusion, dual: list[int]):
-        self.labels, self.unit_index, self.dual = labels, unit_index, dual
         r = len(labels)
         fusion = np.asarray(fusion, dtype=np.int64)
         if fusion.size == 0:
@@ -76,8 +80,7 @@ class FusionRing:
             raise ValueError("dual permutation length does not match rank")
         if not 0 <= unit_index < r:
             raise ValueError("unit_index out of range")
-        self._index = {lab: i for i, lab in enumerate(labels)}
-        if len(self._index) != r:
+        if len(set(labels)) != r:
             raise ValueError("labels must be distinct")
         keys = np.array([r * r, r, 1]) @ columns[:3]
         if (keys[1:] <= keys[:-1]).any():
@@ -85,8 +88,21 @@ class FusionRing:
             columns = columns[:, order[np.diff(keys[order], append=-1) != 0]]
         if not columns[3].all():
             columns = columns[:, columns[3] != 0]
-        self.a, self.b, self.c, self.m = columns
-        self.start = np.searchsorted(self.a, np.arange(r + 1))
+        self._store(labels, unit_index, *columns, dual)
+
+    @classmethod
+    def _from_columns(cls, labels, unit_index: int, a, b, c, m, dual) -> "FusionRing":
+        """The ring of int64 columns a, b, c, m that are sorted by (a, b,
+        c), unique, nonzero and in range, with distinct labels and a dual
+        of length r: no check, no copy."""
+        ring = object.__new__(cls)
+        ring._store(labels, unit_index, a, b, c, m, dual)
+        return ring
+
+    def _store(self, labels, unit_index, a, b, c, m, dual):
+        self.labels, self.unit_index, self.dual = labels, unit_index, dual
+        self.a, self.b, self.c, self.m = a, b, c, m
+        self.start = np.searchsorted(a, np.arange(len(labels) + 1))
 
     @property
     def fusion(self) -> np.ndarray:
@@ -109,6 +125,10 @@ class FusionRing:
     @property
     def rank(self) -> int:
         return len(self.labels)
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     def index(self, label: str) -> int:
         try:
@@ -334,10 +354,10 @@ def fpdim(ring: FusionRing):
 
 
 def group_ring(labels: list[str], add_table: np.ndarray, unit_index: int, inverse: list[int]) -> FusionRing:
-    """Fusion ring of a finite abelian group given its addition table:
-    the entries [a, b, a + b, 1], already in order."""
+    """Fusion ring of a finite abelian group given its addition table
+    (in range): the entries [a, b, a + b, 1], already in order, handed
+    over without the construction checks."""
     r = len(labels)
-    fusion = np.ones((r * r, 4), dtype=np.int64)
-    fusion[:, 0], fusion[:, 1] = np.divmod(np.arange(r * r), r)
-    fusion[:, 2] = np.ravel(add_table)
-    return FusionRing(labels=labels, unit_index=unit_index, fusion=fusion, dual=list(inverse))
+    a, b = np.indices((r, r), dtype=np.int64).reshape(2, r * r)
+    c = np.asarray(add_table, dtype=np.int64).reshape(r * r)
+    return FusionRing._from_columns(labels, unit_index, a, b, c, np.ones(r * r, dtype=np.int64), list(inverse))

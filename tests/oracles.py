@@ -5,7 +5,9 @@ forms are enumerated as raw value tables, isometries as raw bijections,
 associativity as a four-index loop or one dense contraction per b, the
 whole fusion-ring validation on the dense r x r x r tensor, and the
 duality axiom as a loop over pairs, the linearization as a loop
-over pairs of elements, the metric-group laws on a dict of Fractions,
+over pairs of elements with its ring through the checking FusionRing
+constructor, the table of the roots z_D^k as the identity reduced by
+long division, the metric-group laws on a dict of Fractions,
 cyclotomic arithmetic on Fraction coefficients reduced by long division
 by Phi_n, Phi_n as x^n - 1 divided by Phi_d for every proper divisor d,
 a CycArray from its parts by one lift per conductor,
@@ -43,11 +45,12 @@ from premodular.cyclotomic import (
     magnitude,
     make_root,
     map_rows,
+    reduce_rows,
     reduction_growth,
 )
 from premodular.data import CentreClassification, CentreKind, PremodularData
 from premodular.errors import GroupsTooLarge
-from premodular.fusion_ring import FusionRing, dual_permutation_matrix, group_ring, validate_fusion_ring
+from premodular.fusion_ring import FusionRing, dual_permutation_matrix, validate_fusion_ring
 from premodular.metric_groups import (
     SIZE_CAP,
     MetricGroup,
@@ -81,6 +84,19 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly = _poly_div_exact(poly, list(cyclotomic_poly(d)))
     return tuple(poly)
+
+
+def root_table(D: int) -> np.ndarray:
+    """The D x phi(D) table whose row k is z_D^k in the power basis: the
+    D x D identity reduced by Phi_D, by long division."""
+    return reduce_rows(np.eye(D, dtype=np.int64), D)
+
+
+def checked_ring(ring: FusionRing) -> FusionRing:
+    """The same ring built again from its entries by the checking
+    FusionRing constructor."""
+    return FusionRing(labels=list(ring.labels), unit_index=ring.unit_index, fusion=ring.fusion.tolist(),
+                      dual=list(ring.dual))
 
 
 def cycarray_from_parts_by_conductor(M: int, conductors, nums, dens, shape) -> CycArray:
@@ -455,20 +471,17 @@ def element_label(x) -> str:
 
 
 def linearize(mg: MetricGroup) -> PremodularData:
-    """The linearization entry by entry: the addition table from
-    group_add and every s_{x,y} from pairing, on the Fraction table."""
+    """The linearization entry by entry: the entries [x, y, x + y, 1] from
+    group_add through the checking FusionRing constructor, and every
+    s_{x,y} from pairing, on the Fraction table."""
     elems = list(mg.elements())
     index = {x: i for i, x in enumerate(elems)}
     r = len(elems)
-    add_table = np.zeros((r, r), dtype=np.int64)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            add_table[i, j] = index[group_add(mg, x, y)]
-    ring = group_ring(
+    ring = FusionRing(
         labels=[element_label(x) for x in elems],
-        add_table=add_table,
         unit_index=index[mg.zero()],
-        inverse=[index[group_scale(mg, -1, x)] for x in elems],
+        fusion=[[i, j, index[group_add(mg, x, y)], 1] for i, x in enumerate(elems) for j, y in enumerate(elems)],
+        dual=[index[group_scale(mg, -1, x)] for x in elems],
     )
     root = lambda v: make_root(v.numerator, v.denominator)
     return PremodularData.from_values(

@@ -1,15 +1,21 @@
 import cmath
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import premodular
 from premodular import cyclotomic
 from premodular.cyclotomic import (CycArray, CycNum, ONE, ZERO, _reduce, cyclotomic_poly, euler_phi, from_rational,
-                                   magnitude, make_root, map_rows, mul_rows, narrow)
+                                   magnitude, make_root, map_rows, mul_rows, narrow, power_rows, reduce_rows,
+                                   reduction_growth)
 from premodular.data import _unequal
 from premodular.serialize import premodular_from_json
 
@@ -248,6 +254,58 @@ def test_kernel_route_matches_the_fraction_oracle_at_wide_conductors(x, y, k):
         # there it runs on the pinned one
         if x.conductor < 105 or x == _BIG:
             _assert_matches(x.inverse(), fx.inverse())
+
+
+@pytest.mark.parametrize("n", [6, 30, 210, 2730])
+def test_reduction_from_the_highest_nonzero_row_matches_the_fraction_oracle(n):
+    # the long division starts at the highest row holding a nonzero: rows
+    # zero at and above phi(n), rows nonzero only below a middle column,
+    # and dense rows, in one batch (which starts at the batch's highest
+    # row) and one by one
+    rng = random.Random(n)
+    rows = [[rng.randint(-9, 9) if j < width else 0 for j in range(n)]
+            for width in (euler_phi(n), n // 2, n) for _ in range(3)]
+    expected = [[int(c) for c in FractionCycNum._reduce(n, row)] for row in rows]
+    assert reduce_rows(np.array(rows, dtype=np.int64), n).tolist() == expected
+    for row, value in zip(rows, expected):
+        assert reduce_rows(np.array(row, dtype=np.int64), n).tolist() == value
+
+
+@pytest.mark.parametrize("n, R, growth", [(2, 2, 4), (16, 2, 4), (6, 6, 8), (90, 30, 24), (30, 30, 24),
+                                          (210, 210, 136), (420, 210, 136)])
+def test_power_rows_are_the_reduced_identity_and_give_the_growth(n, R, growth):
+    # x^j mod Phi_R for j < R = rad(n) are the rows of the table of the
+    # z_R^j; the growth is twice their largest column sum of magnitudes
+    table = oracles.root_table(R)
+    assert np.array_equal(np.array(list(power_rows(n))), table)
+    assert reduction_growth(n) == 2 * np.abs(table).sum(axis=0).max() == growth
+
+
+_ROOTS_AT_8190 = """
+import math, time
+from premodular.cyclotomic import make_root
+ks = [k for k in range(1, 1728) if math.gcd(k, 8190) == 1][:20]
+start = time.process_time()
+roots = [make_root(k, 8190) for k in ks]
+seconds = time.process_time() - start
+assert all(z.num[k] == 1 and sum(map(abs, z.num)) == 1 for k, z in zip(ks, roots))
+print(seconds)
+"""
+
+
+def _one_cpu_second():
+    resource.setrlimit(resource.RLIMIT_CPU, (1, 1))
+
+
+def test_roots_at_conductor_8190_stay_within_a_cpu_second():
+    # z^k for k below phi(8190) = 1728 is already in the power basis, so
+    # the division by Phi_2730 has no row to start from; when it ran all
+    # 2,154 of its statements, these 20 roots took about a CPU second
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(premodular.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _ROOTS_AT_8190], capture_output=True, text=True, env=env,
+                          timeout=120, preexec_fn=_one_cpu_second)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.3, proc.stdout
 
 
 def test_every_dtype_choice_bounds_minus_2_63():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
-from conftest import premodular_form
+from conftest import assert_same_ring, premodular_form
 from premodular.cyclotomic import ONE, CycNum, euler_phi, from_rational, make_root
 from premodular.data import (
     CentreKind,
@@ -122,6 +122,17 @@ def test_mueger_centre():
     assert centre.ring.labels == ["(0)", "(2)"]
     assert centre.twists[1] == ONE  # transparent boson
     assert validate_premodular(centre).ok
+
+
+def test_mueger_centre_ring_equals_the_checked_construction(catalog_names):
+    # the centre's ring takes the restricted entries unchecked; built again
+    # by the checking constructor it must be the same ring
+    for name in catalog_names:
+        data = premodular_form(name)
+        assert validate_premodular(data).ok  # synthesizes s where it is absent
+        ring = mueger_centre(data).ring
+        assert_same_ring(ring, oracles.checked_ring(ring))
+        assert ring.labels == classify_degeneracy(data).transparent
 
 
 def test_classification():

@@ -14,7 +14,7 @@ import oracles
 from oracles import direct_sum, isometry_rel_point
 from premodular import metric_groups
 from premodular.catalog import catalog_get, catalog_list
-from premodular.cyclotomic import ONE, magnitude, make_root, reduce_rows
+from premodular.cyclotomic import ONE, magnitude, make_root, narrow, reduce_rows
 from premodular.data import (
     CentreKind,
     PremodularData,
@@ -24,7 +24,7 @@ from premodular.data import (
     validate_premodular,
 )
 from premodular.errors import GroupsTooLarge, NotSlightlyDegenerate
-from premodular.fusion_ring import fpdim
+from premodular.fusion_ring import MAX_RANK, fpdim
 from premodular.metric_groups import (
     MAX_CONDUCTOR,
     MetricGroup,
@@ -193,13 +193,21 @@ def test_linearized_values_take_one_byte_a_slot():
     # the largest, 3, is at D = 385; these conductors have the most
     # prime factors, where the reduction by Phi_D grows values most
     conductors = (210, 330, 385, 390, 420, 462, 510, 512)
-    assert max(magnitude(reduce_rows(np.eye(D, dtype=np.int64), D)) for D in conductors) <= 127
+    assert max(magnitude(oracles.root_table(D)) for D in conductors) <= 127
     data = to_premodular(mg("svec-x-semion"))
     assert {data.dims.num.dtype, data.twists.num.dtype, data.s.num.dtype} == {np.dtype(np.int8)}
     # and so does an s synthesized from them
     fresh = PremodularData(data.ring, data.dims, data.twists)
     assert validate_premodular(fresh).ok
     assert fresh.s.num.dtype == np.int8 and fresh.s == data.s
+
+
+def test_root_table_equals_the_reduced_identity():
+    # every conductor a linearization meets: rank <= MAX_RANK, so D <= 2 MAX_RANK
+    for D in range(1, 2 * MAX_RANK + 1):
+        expected = oracles.root_table(D)
+        table = metric_groups._root_table(D)
+        assert table.dtype == narrow(expected).dtype and np.array_equal(table, expected), D
 
 
 def test_linearization_uses_no_pairwise_group_calls(monkeypatch):

@@ -91,6 +91,15 @@ def test_extend_cost_script(capsys, monkeypatch):
     assert all(line[key] > 0 for key in [*stages, "total_s"])
 
 
+def test_analyze_cost_script(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["analyze_cost.py", "4", "3", "--repeats", "1"])
+    runpy.run_path(str(SCRIPTS / "analyze_cost.py"), run_name="__main__")
+    line = json.loads(capsys.readouterr().out)
+    stages = ["parse_validate_s", "linearize_s", "classify_s", "characters_s", "verdict_s", "render_s"]
+    assert list(line) == ["group", *stages, "total_s"] and line["group"] == "2x4x3"
+    assert all(line[key] > 0 for key in [*stages, "total_s"])
+
+
 def test_load_cost_script(capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["load_cost.py", "4", "--repeats", "1"])
     runpy.run_path(str(SCRIPTS / "load_cost.py"), run_name="__main__")
