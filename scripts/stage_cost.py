@@ -1,0 +1,179 @@
+#!/usr/bin/env python3
+"""Print, as one JSON line, where one CLI run or one ring validation
+spends its time, in process, stage by stage.
+
+    analyze ORDER...  `analyze --format json` on the group
+    extend ORDER...   `extend --format json --max-order M` on the group,
+                      M = max(64, 4 * the product of the orders)
+    load ORDER...     `analyze --format json` on the group's linearization
+                      with s, and the cyclic collections of each generation
+                      during one more run
+    ring RANK         validate_fusion_ring on the group ring of Z2 x Z(RANK/2)
+                      and the peak memory it adds above building the ring;
+                      the associativity join and fpdim on the same ring
+
+The group is the fermion line q = x^2/2 beside one nondegenerate block per
+ORDER n, q = y^2/(2n) (n even) or y^2/n (n odd): a survey benchmark item and,
+with one ORDER, an extend or premodular-load one.  Each stage is timed on its
+own, the later ones on the output of one earlier run, and total_s is the
+whole `cli_run`; each time is the best of --repeats calls (20, 3 for ring).
+
+load's coefficients_s is premodular_from_json less ring_s, and its
+premodular_validation_s validate_premodular less ring_validation_s; its parse
+stages run with the cyclic collector paused, as loads_datum runs them.  ring's
+join_s is the associativity join that rings failing Light's test go to;
+fpdim_s may use several BLAS threads (OPENBLAS_NUM_THREADS=1 keeps one), and
+the memory growth is a process peak, so run one rank per process.
+
+    PYTHONPATH=src python3 scripts/stage_cost.py analyze 4 8
+    for n in 2 5 9 16; do PYTHONPATH=src python3 scripts/stage_cost.py extend $n; done
+    for n in 4 8 16 32; do PYTHONPATH=src python3 scripts/stage_cost.py load $n; done
+    for r in 64 128 256; do PYTHONPATH=src python3 scripts/stage_cost.py ring $r; done
+"""
+
+import argparse
+import contextlib
+import gc
+import json
+import math
+import pathlib
+import resource
+import tempfile
+import time
+from fractions import Fraction
+
+import numpy as np
+
+from premodular import cli
+from premodular.components import ring_characters
+from premodular.data import classify_degeneracy, validate_premodular
+from premodular.fusion_ring import _associativity_witnesses, fpdim, group_ring, validate_fusion_ring
+from premodular.klein import extension_verdict
+from premodular.metric_groups import enumerate_pointed_extensions, from_gram, to_premodular
+from premodular.serialize import (
+    collector_paused, datum_to_json, load_datum, metric_group_to_json, premodular_from_json, ring_from_json)
+
+
+def _best(repeats: int, fn, *args) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _group(orders: tuple[int, ...]):
+    return from_gram([2, *orders], [Fraction(1, 2)] + [Fraction(1 if n % 2 == 0 else 2, 2 * n) for n in orders])
+
+
+def _label(orders: tuple[int, ...]) -> str:
+    return "x".join(map(str, [2, *orders]))
+
+
+@contextlib.contextmanager
+def _written(text: str):
+    """The path of a temporary file that holds text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (path := pathlib.Path(tmp, "datum.json")).write_text(text, encoding="utf-8")
+        yield str(path)
+
+
+def analyze(repeats: int, *orders: int) -> dict:
+    with _written(json.dumps(metric_group_to_json(_group(orders)))) as path:
+        mg = load_datum(path)
+        data = to_premodular(mg)
+        cls = classify_degeneracy(data)
+        payload, _, _ = cli.run_analysis(path)
+        return {
+            "group": _label(orders),
+            "parse_validate_s": _best(repeats, load_datum, path),
+            "linearize_s": _best(repeats, to_premodular, mg),
+            "classify_s": _best(repeats, classify_degeneracy, data),
+            "characters_s": _best(repeats, ring_characters, data, cls, 0),
+            "verdict_s": _best(repeats, extension_verdict, data, cls),
+            "render_s": _best(repeats, cli._emit_json, payload),
+            "total_s": _best(repeats, cli.cli_run, ["analyze", path, "--format", "json"]),
+        }
+
+
+def extend(repeats: int, *orders: int) -> dict:
+    max_order = max(64, 4 * math.prod(orders))
+    with _written(json.dumps(metric_group_to_json(_group(orders)))) as path:
+        mg = load_datum(path)
+        results = enumerate_pointed_extensions(mg, max_order=max_order)
+        payload, _ = cli._extension_report(path, results)
+        return {
+            "base": _label(orders),
+            "parse_validate_s": _best(repeats, load_datum, path),
+            "search_s": _best(repeats, enumerate_pointed_extensions, mg, max_order),
+            "payload_s": _best(repeats, cli._extension_report, path, results),
+            "render_s": _best(repeats, cli._emit_json, payload),
+            "total_s": _best(repeats, cli.cli_run, ["extend", path, "--format", "json", "--max-order", str(max_order)]),
+        }
+
+
+def _analysis(data):
+    cls = classify_degeneracy(data)
+    return ring_characters(data, cls, 0), extension_verdict(data, cls)
+
+
+def load(repeats: int, *orders: int) -> dict:
+    text = json.dumps(datum_to_json(to_premodular(_group(orders))))
+    obj = json.loads(text)
+    data = premodular_from_json(obj)
+    with _written(text) as path:
+        argv = ["analyze", path, "--format", "json"]
+        payload, _, _ = cli.run_analysis(path)
+        ring = _best(repeats, collector_paused, ring_from_json, obj)
+        ring_validation = _best(repeats, validate_fusion_ring, data.ring)
+        line = {
+            "rank": 2 * math.prod(orders),
+            "bytes": len(text),
+            "json_loads_s": _best(repeats, collector_paused, json.loads, text),
+            "ring_s": ring,
+            "coefficients_s": _best(repeats, collector_paused, premodular_from_json, obj) - ring,
+            "ring_validation_s": ring_validation,
+            "premodular_validation_s": _best(repeats, validate_premodular, data) - ring_validation,
+            "analysis_s": _best(repeats, _analysis, data),
+            "render_s": _best(repeats, cli._emit_json, payload),
+            "total_s": _best(repeats, cli.cli_run, argv),
+        }
+        before = [g["collections"] for g in gc.get_stats()]
+        cli.cli_run(argv)
+    return {**line, "gc_collections": [g["collections"] - b for g, b in zip(gc.get_stats(), before)]}
+
+
+def ring(repeats: int, rank: int) -> dict:
+    x, y = np.unravel_index(np.arange(rank), shape := (2, rank // 2))
+    add = np.ravel_multi_index((x[:, None] + x, y[:, None] + y), shape, mode="wrap")
+    r = group_ring([str(k) for k in range(rank)], add, 0, np.ravel_multi_index((-x, -y), shape, mode="wrap").tolist())
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    validate = _best(repeats, validate_fusion_ring, r)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if not (report := validate_fusion_ring(r)).ok:
+        raise SystemExit(f"rank {rank}: {report}")
+    return {"rank": rank, "validate_s": validate, "ru_maxrss_growth_mb": round((after - before) / 1024, 1),
+            "join_s": _best(repeats, _associativity_witnesses, r, 10), "fpdim_s": _best(repeats, fpdim, r)}
+
+
+MODES = {"analyze": (analyze, 20), "extend": (extend, 20), "load": (load, 20), "ring": (ring, 3)}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("n", type=int, nargs="+", metavar="N", help="ORDER..., each at least 2, or one even RANK")
+    parser.add_argument("--repeats", type=int, help="calls per stage, at least 1 (default 20, 3 for ring)")
+    args = parser.parse_args()
+    measure, repeats = MODES[args.mode]
+    if min(args.n) < 2 or args.mode == "ring" and (len(args.n) != 1 or args.n[0] % 2):
+        parser.error("each ORDER must be at least 2, and ring takes one even RANK of at least 2")
+    if args.repeats is not None and args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    line = measure(args.repeats or repeats, *args.n)
+    print(json.dumps({key: round(v, 6) if key.endswith("_s") else v for key, v in line.items()}))
+
+
+if __name__ == "__main__":
+    main()

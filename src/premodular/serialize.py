@@ -51,6 +51,7 @@ __all__ = [
     "ValidationError",
     "load_datum",
     "loads_datum",
+    "collector_paused",
     "datum_to_json",
     "ring_to_json",
     "ring_from_json",
@@ -353,6 +354,18 @@ def _parse(text: str):
     raise ParseError(f'unknown "type": {kind!r}')
 
 
+def collector_paused(fn, *args):
+    """fn(*args), called with the cyclic garbage collector paused and then
+    left as it was found, enabled or disabled, however the call ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return fn(*args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def loads_datum(text: str):
     """Parse and validate a datum from a JSON string.  The cyclic garbage
     collector is paused while the JSON is decoded and read (see the module
@@ -360,13 +373,7 @@ def loads_datum(text: str):
     datum, so the decoded JSON is freed before it runs.  The pause is
     process-wide, not per thread: it assumes one thread loads at a time,
     as in the CLI, which runs one command per process."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        datum, validate = _parse(text)
-    finally:
-        if enabled:
-            gc.enable()
+    datum, validate = collector_paused(_parse, text)
     report = validate(datum)
     if not report.ok:
         raise ValidationError(report)

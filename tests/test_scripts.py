@@ -4,6 +4,8 @@ import json
 import pathlib
 import runpy
 
+import pytest
+
 from premodular.catalog import catalog_list
 from premodular.cli import cli_run
 
@@ -74,41 +76,49 @@ def test_catalog_outputs_script_on_files(tmp_path, monkeypatch, capsys):
     assert runs["validate svec.json --format table"]["stdout"] == "input      : svec.json\nvalidation : ok\n"
 
 
-def test_ring_validation_cost_script(capsys, monkeypatch):
-    monkeypatch.setattr("sys.argv", ["ring_validation_cost.py", "16", "--repeats", "1"])
-    runpy.run_path(str(SCRIPTS / "ring_validation_cost.py"), run_name="__main__")
+# argv: (keys in order, fixed fields)
+STAGE_COST = {
+    "analyze 4 3": ("group parse_validate_s linearize_s classify_s characters_s verdict_s render_s total_s",
+                    {"group": "2x4x3"}),
+    "extend 5": ("base parse_validate_s search_s payload_s render_s total_s", {"base": "2x5"}),
+    "load 4": ("rank bytes json_loads_s ring_s coefficients_s ring_validation_s premodular_validation_s analysis_s "
+               "render_s total_s gc_collections", {"rank": 8, "bytes": 3788}),
+    "ring 16": ("rank validate_s ru_maxrss_growth_mb join_s fpdim_s", {"rank": 16}),
+}
+
+
+def _stage_cost(argv, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["stage_cost.py", *argv.split()])
+    runpy.run_path(str(SCRIPTS / "stage_cost.py"), run_name="__main__")
+
+
+@pytest.mark.parametrize("argv", STAGE_COST, ids=lambda argv: argv.split()[0])
+def test_stage_cost_script(argv, capsys, monkeypatch):
+    _stage_cost(f"{argv} --repeats 1", monkeypatch)
     line = json.loads(capsys.readouterr().out)
-    assert line["rank"] == 16 and line["validate_s"] > 0 and line["ru_maxrss_growth_mb"] >= 0 and line["join_s"] > 0
-    assert line["fpdim_s"] > 0
+    keys, fixed = STAGE_COST[argv]
+    assert list(line) == keys.split() and {key: line[key] for key in fixed} == fixed
+    # every stage time is positive but load's two differences
+    assert all(line[key] > 0 for key in line if key.endswith("_s") and key not in (
+        "coefficients_s", "premodular_validation_s"))
+    assert line.get("ru_maxrss_growth_mb", 0) >= 0
+    assert [c >= 0 for c in line.get("gc_collections", [0, 0, 0])] == [True] * 3
 
 
-def test_extend_cost_script(capsys, monkeypatch):
-    monkeypatch.setattr("sys.argv", ["extend_cost.py", "5", "--repeats", "1"])
-    runpy.run_path(str(SCRIPTS / "extend_cost.py"), run_name="__main__")
-    line = json.loads(capsys.readouterr().out)
-    stages = ["parse_validate_s", "search_s", "payload_s", "render_s"]
-    assert list(line) == ["base", *stages, "total_s"] and line["base"] == "2x5"
-    assert all(line[key] > 0 for key in [*stages, "total_s"])
+@pytest.mark.parametrize("argv", ["ring 7", "ring 1", "ring 0", "ring 16 32", "load 1", "analyze 4 --repeats 0",
+                                  "extend", "survey 4"], ids=lambda argv: argv.replace(" ", "_"))
+def test_stage_cost_script_refuses_bad_arguments(argv, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exit_:
+        _stage_cost(argv, monkeypatch)
+    assert exit_.value.code == 2 and capsys.readouterr().out == ""
 
 
-def test_analyze_cost_script(capsys, monkeypatch):
-    monkeypatch.setattr("sys.argv", ["analyze_cost.py", "4", "3", "--repeats", "1"])
-    runpy.run_path(str(SCRIPTS / "analyze_cost.py"), run_name="__main__")
-    line = json.loads(capsys.readouterr().out)
-    stages = ["parse_validate_s", "linearize_s", "classify_s", "characters_s", "verdict_s", "render_s"]
-    assert list(line) == ["group", *stages, "total_s"] and line["group"] == "2x4x3"
-    assert all(line[key] > 0 for key in [*stages, "total_s"])
-
-
-def test_load_cost_script(capsys, monkeypatch):
-    monkeypatch.setattr("sys.argv", ["load_cost.py", "4", "--repeats", "1"])
-    runpy.run_path(str(SCRIPTS / "load_cost.py"), run_name="__main__")
-    line = json.loads(capsys.readouterr().out)
-    stages = ["json_loads_s", "ring_s", "coefficients_s", "ring_validation_s", "premodular_validation_s",
-              "analysis_s", "render_s"]
-    assert list(line) == ["rank", "bytes", *stages, "total_s", "gc_collections"] and line["rank"] == 8
-    assert line["bytes"] > 0 and all(line[key] > 0 for key in ["json_loads_s", "ring_s", "total_s"])
-    assert len(line["gc_collections"]) == 3 and all(c >= 0 for c in line["gc_collections"])
+def test_every_script_is_run_by_a_test():
+    # a script no test runs can break unseen
+    tree = ast.parse(pathlib.Path(__file__).read_text())
+    run = {node.right.value for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+           and isinstance(node.left, ast.Name) and node.left.id == "SCRIPTS" and isinstance(node.right, ast.Constant)}
+    assert {path.name for path in SCRIPTS.glob("*.py")} <= run
 
 
 def _tracer_patches():
