@@ -9,12 +9,15 @@ spends its time, in process, stage by stage.
                       with s, and the cyclic collections of each generation
                       during one more run
     ring RANK         validate_fusion_ring on the group ring of Z2 x Z(RANK/2)
-                      and the peak memory it adds above building the ring;
-                      the associativity join and fpdim on the same ring
+                      and the tracemalloc peak of one such call; the
+                      associativity join and fpdim on the same ring
 
 The group is the fermion line q = x^2/2 beside one nondegenerate block per
 ORDER n, q = y^2/(2n) (n even) or y^2/n (n odd): a survey benchmark item and,
-with one ORDER, an extend or premodular-load one.  Each stage is timed on its
+with one ORDER, an extend or premodular-load one.  Its order, twice the
+product of the ORDERs, may be at most MAX_RANK for analyze and load (which
+linearize it) and SIZE_CAP for extend, and RANK at most MAX_RANK; a larger
+one is a usage error, before anything is built.  Each stage is timed on its
 own, the later ones on the output of one earlier run, and total_s is the
 whole `cli_run`; each time is the best of --repeats calls (20, 3 for ring).
 
@@ -22,8 +25,8 @@ load's coefficients_s is premodular_from_json less ring_s, and its
 premodular_validation_s validate_premodular less ring_validation_s; its parse
 stages run with the cyclic collector paused, as loads_datum runs them.  ring's
 join_s is the associativity join that rings failing Light's test go to;
-fpdim_s may use several BLAS threads (OPENBLAS_NUM_THREADS=1 keeps one), and
-the memory growth is a process peak, so run one rank per process.
+fpdim_s may use several BLAS threads (OPENBLAS_NUM_THREADS=1 keeps one).
+numpy reports its buffers to tracemalloc, so validate_peak_mb counts them.
 
     PYTHONPATH=src python3 scripts/stage_cost.py analyze 4 8
     for n in 2 5 9 16; do PYTHONPATH=src python3 scripts/stage_cost.py extend $n; done
@@ -37,9 +40,9 @@ import gc
 import json
 import math
 import pathlib
-import resource
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -47,9 +50,9 @@ import numpy as np
 from premodular import cli
 from premodular.components import ring_characters
 from premodular.data import classify_degeneracy, validate_premodular
-from premodular.fusion_ring import _associativity_witnesses, fpdim, group_ring, validate_fusion_ring
+from premodular.fusion_ring import MAX_RANK, _associativity_witnesses, fpdim, group_ring, validate_fusion_ring
 from premodular.klein import extension_verdict
-from premodular.metric_groups import enumerate_pointed_extensions, from_gram, to_premodular
+from premodular.metric_groups import SIZE_CAP, enumerate_pointed_extensions, from_gram, to_premodular
 from premodular.serialize import (
     collector_paused, datum_to_json, load_datum, metric_group_to_json, premodular_from_json, ring_from_json)
 
@@ -148,16 +151,20 @@ def ring(repeats: int, rank: int) -> dict:
     x, y = np.unravel_index(np.arange(rank), shape := (2, rank // 2))
     add = np.ravel_multi_index((x[:, None] + x, y[:, None] + y), shape, mode="wrap")
     r = group_ring([str(k) for k in range(rank)], add, 0, np.ravel_multi_index((-x, -y), shape, mode="wrap").tolist())
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     validate = _best(repeats, validate_fusion_ring, r)
-    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if not (report := validate_fusion_ring(r)).ok:
+    tracemalloc.start()
+    report = validate_fusion_ring(r)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    if not report.ok:
         raise SystemExit(f"rank {rank}: {report}")
-    return {"rank": rank, "validate_s": validate, "ru_maxrss_growth_mb": round((after - before) / 1024, 1),
+    return {"rank": rank, "validate_s": validate, "validate_peak_mb": round(peak / 2**20, 2),
             "join_s": _best(repeats, _associativity_witnesses, r, 10), "fpdim_s": _best(repeats, fpdim, r)}
 
 
-MODES = {"analyze": (analyze, 20), "extend": (extend, 20), "load": (load, 20), "ring": (ring, 3)}
+# mode: (measure, default repeats, cap on the group's order)
+MODES = {"analyze": (analyze, 20, MAX_RANK), "extend": (extend, 20, SIZE_CAP), "load": (load, 20, MAX_RANK),
+         "ring": (ring, 3, MAX_RANK)}
 
 
 def main():
@@ -166,9 +173,11 @@ def main():
     parser.add_argument("n", type=int, nargs="+", metavar="N", help="ORDER..., each at least 2, or one even RANK")
     parser.add_argument("--repeats", type=int, help="calls per stage, at least 1 (default 20, 3 for ring)")
     args = parser.parse_args()
-    measure, repeats = MODES[args.mode]
+    measure, repeats, cap = MODES[args.mode]
     if min(args.n) < 2 or args.mode == "ring" and (len(args.n) != 1 or args.n[0] % 2):
         parser.error("each ORDER must be at least 2, and ring takes one even RANK of at least 2")
+    if (order := math.prod(args.n) * (1 if args.mode == "ring" else 2)) > cap:
+        parser.error(f"the group would have order {order}, above {args.mode}'s cap {cap}")
     if args.repeats is not None and args.repeats < 1:
         parser.error("--repeats must be at least 1")
     line = measure(args.repeats or repeats, *args.n)

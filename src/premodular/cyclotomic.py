@@ -14,13 +14,13 @@ There is one arithmetic, the array kernels reduce_rows, map_rows and
 mul_rows, vectorized over the rows of an integer array (see reduce_rows
 for the exactness bound).  CycArray holds many values at one conductor
 M in the same normal form, as one such array.  A CycNum runs the same
-kernels on its one row: lift, conj and the inverse of a monomial are a
-map_rows, a product is a mul_rows, and _reduce, which reduces a
-polynomial of any degree (root_sum, _descend and the end of
-_inverse_euclid), folds it into one row for reduce_rows.  Only the
-extended Euclid of CycNum.inverse stays a scalar algorithm: an inverse
-by the norm, the product of the other Galois conjugates over N(x), was
-measured slower at conductors 16, 30, 48 and 210.
+kernels on its one row: a product is a mul_rows, and every other
+scalar reduction (lift, conj, the inverse of a monomial, root_sum,
+_descend and the end of _inverse_euclid) is a _map, a map_rows of at
+most n coefficients at conductor n.  Only the extended Euclid of
+CycNum.inverse stays a scalar algorithm: an inverse by the norm, the
+product of the other Galois conjugates over N(x), was measured slower
+at conductors 16, 30, 48 and 210.
 
 CycArray.from_parts builds one from entries at any divisors of M with
 one scatter of all their coefficients and one reduction per block of
@@ -48,8 +48,8 @@ import numpy as np
 
 from .errors import DatumTooLarge
 
-__all__ = ["CycNum", "CycArray", "make_root", "root_sum", "from_rational", "euler_phi",
-           "power_rows", "reduce_rows", "map_rows", "mul_rows", "exact_dtype", "magnitude", "narrow", "check_budget",
+__all__ = ["CycNum", "CycArray", "make_root", "root_sum", "from_rational", "euler_phi", "power_rows", "root_table",
+           "reduce_rows", "map_rows", "mul_rows", "exact_dtype", "magnitude", "narrow", "check_budget",
            "MAX_SLOTS", "ZERO", "ONE", "MINUS_ONE"]
 
 # array values built at once by the array kernels: a few arrays of about
@@ -117,17 +117,6 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     out[::n // R] = poly
     assert len(out) == euler_phi(n) + 1
     return tuple(out)
-
-
-def _reduce(coeffs, n: int) -> tuple[int, ...]:
-    """Reduce an integer polynomial (any degree) to the power basis at
-    conductor n: its exponents folded mod n into one row (z_n^n = 1),
-    then reduce_rows."""
-    v = np.array(coeffs, dtype=object)
-    fold = max(1, -(-len(v) // n))
-    w = np.zeros(fold * n, dtype=exact_dtype(magnitude(v) * fold, reduction_growth(n)))
-    w[:len(v)] = v
-    return tuple(reduce_rows(w.reshape(fold, n).sum(axis=0), n).tolist())
 
 
 def _map(values, cols, n: int) -> tuple[int, ...]:
@@ -308,7 +297,7 @@ class CycNum:
         if not r1[0]:
             raise ZeroDivisionError("division by zero CycNum")
         # t1 * num = r1[0] (mod Phi_n), so (num / den)^-1 = den * t1 / r1[0]
-        return _normal(n, _reduce([self.den * t for t in t1], n), r1[0])
+        return _normal(n, _map([self.den * t for t in t1], range(phi + 1), n), r1[0])
 
     def conj(self) -> "CycNum":
         """Complex conjugation, the Galois action z -> z^(-1)."""
@@ -384,9 +373,9 @@ def make_root(numerator: int, denominator: int) -> CycNum:
 
 
 def root_sum(counts, n: int) -> CycNum:
-    """sum_k counts[k] exp(2*pi*i*k/n) for integer counts, in normal form
-    at conductor n."""
-    return _normal(n, _reduce(counts, n), 1)
+    """sum_k counts[k] exp(2*pi*i*k/n) for at most n integer counts, in
+    normal form at conductor n."""
+    return _normal(n, _map(counts, range(len(counts)), n), 1)
 
 
 def from_rational(x) -> CycNum:
@@ -415,34 +404,52 @@ def _low_arrays(n: int):
 
 
 def power_rows(n: int):
-    """The rows x^j mod Phi_R, R = rad(n), for j = 0, 1, ..., R - 1, as
-    int64 arrays of length phi(R), lazily and read-only: x^j for j <
-    phi(R) is a unit vector, and each later row follows from the one
+    """The rows x^j mod Phi_R, R = rad(n), for j = phi(R), ..., R - 1, as
+    int64 arrays of length phi(R), lazily and read-only; the rows below
+    are the unit vectors x^j themselves.  Each row follows from the one
     before by one shift and one subtraction of Phi_R.  The entries are
     exact while they stay far inside int64; reduction_growth stops at
     2^31."""
     R = prod(_primes(n))
-    phi, low = euler_phi(R), np.array(cyclotomic_poly(R)[:-1], dtype=np.int64)
-    yield from np.eye(phi, dtype=np.int64)
+    phi, (deg, coef) = euler_phi(R), _low_arrays(R)
     row = np.zeros(phi, dtype=np.int64)
     row[-1] = 1
     for _ in range(R - phi):
-        row = np.concatenate(([0], row[:-1])) - row[-1] * low
+        top, row = row[-1], np.concatenate(([0], row[:-1]))
+        if top:
+            row[deg] -= top * coef
         yield row
+
+
+def root_table(n: int) -> np.ndarray:
+    """The n x phi(n) table whose row k is z_n^k in the power basis, in
+    the narrowest integer dtype.  With R = rad(n) and t = n/R, Phi_n(x) =
+    Phi_R(x^t) and x^(t i + u) = x^u (x^t)^i, so row t i + u is the row
+    x^i mod Phi_R (a unit vector for i < phi(R), else a row of
+    power_rows) placed at the columns t l + u.  Built only for n up to
+    2 MAX_RANK, the largest conductor a linearization meets, where no
+    coefficient is above 3 in magnitude."""
+    R = prod(_primes(n))
+    P = narrow(np.array([*np.eye(euler_phi(R), dtype=np.int64), *power_rows(n)]))
+    phi, u = P.shape[1], np.arange(n // R)
+    table = np.zeros((R, len(u), phi, len(u)), dtype=P.dtype)
+    table[:, u, :, u] = P
+    return table.reshape(n, phi * len(u))
 
 
 @lru_cache(maxsize=None)
 def reduction_growth(n: int) -> float:
     """G such that reduce_rows(v, n) is at most G max|v| in magnitude:
     with R = rad(n), G = 2 max_i sum_(j < R) |c_ij| for x^j = sum_i c_ij
-    x^i mod Phi_R, the rows of power_rows, the factor 2 for the fold; inf
-    if any leaves 2^31.  G depends only on rad(n): 4 when it is prime, 8
-    for 6, 24 for 30, 136 for 210."""
-    total = 0
+    x^i mod Phi_R, a unit vector for j < phi(R) and then the rows of
+    power_rows, the factor 2 for the fold; inf if any leaves 2^31.  G
+    depends only on rad(n): 4 when it is prime, 8 for 6, 24 for 30, 136
+    for 210."""
+    total = np.ones(euler_phi(prod(_primes(n))), dtype=np.int64)
     for row in power_rows(n):
         if magnitude(row) >= 2**31:
             return float("inf")
-        total = total + np.abs(row)
+        total += np.abs(row)
     return 2.0 * float(total.max())
 
 
@@ -484,10 +491,10 @@ def narrow(a: np.ndarray) -> np.ndarray:
 
 
 def reduce_rows(v: np.ndarray, n: int) -> np.ndarray:
-    """The values sum_j v[..., j] z_n^j, for a last axis of length at most
-    2n, in the power basis at conductor n: a (..., phi(n)) array of v's
-    dtype.  v is scratch space: when its last axis has length n or more,
-    the result is computed in it and is a view of it.
+    """The values sum_j v[..., j] z_n^j, for a last axis of length L with
+    n <= L <= 2n, in the power basis at conductor n: a (..., phi(n)) array
+    of v's dtype.  v is scratch space: the result is computed in it and
+    is a view of it.
 
     Only additions, subtractions and products by integers occur, which
     int64 computes exactly modulo 2^64; so an int64 result is exact when
@@ -503,12 +510,8 @@ def reduce_rows(v: np.ndarray, n: int) -> np.ndarray:
     prime; the statements above it would subtract zeros).
     """
     lead, L = v.shape[:-1], v.shape[-1]
-    if L < n:
-        w = np.zeros(lead + (n,), dtype=v.dtype)
-        w[..., :L] = v
-    else:
-        w = v[..., :n]
-        w[..., :L - n] += v[..., n:]
+    w = v[..., :n]
+    w[..., :L - n] += v[..., n:]
     R = prod(_primes(n))
     phi, (deg, coef) = euler_phi(R), _low_arrays(R)
     w = w.reshape(lead + (R, n // R))
@@ -598,7 +601,7 @@ def _descend(num: list, m: int, n: int) -> list:
                     poly[u * j % k] += c
                 elif c and e == p - 1:
                     poly[u * j % k] -= c
-            num = list(_reduce(poly, k))
+            num = list(_map(poly, range(k), k))
         m = k
     return num
 

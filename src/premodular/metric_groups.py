@@ -34,7 +34,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .cyclotomic import CycArray, CycNum, exact_dtype, narrow, power_rows, reduce_rows, reduction_growth, root_sum
+from .cyclotomic import CycArray, CycNum, exact_dtype, reduce_rows, reduction_growth, root_sum, root_table
 from .data import PremodularData
 from .errors import CrossCheckMismatch, GroupsTooLarge, NotSlightlyDegenerate
 from .fusion_ring import MAX_RANK, group_ring
@@ -333,20 +333,6 @@ def element_labels(orders: tuple[int, ...]) -> tuple[str, ...]:
     return tuple("(" + ",".join(x) + ")" for x in itertools.product(*digits))
 
 
-def _root_table(D: int) -> np.ndarray:
-    """The D x phi(D) table whose row k is z_D^k in the power basis, in
-    the narrowest integer dtype.  With R = rad(D) and t = D/R, Phi_D(x) =
-    Phi_R(x^t) and x^(t i + u) = x^u (x^t)^i, so row t i + u is the row
-    x^i mod Phi_R of power_rows placed at the columns t l + u.  For D up
-    to 2 MAX_RANK, the largest a linearization meets, no coefficient is
-    above 3 in magnitude."""
-    P = narrow(np.array(list(power_rows(D))))
-    (R, phi), u = P.shape, np.arange(D // len(P))
-    table = np.zeros((R, len(u), phi, len(u)), dtype=P.dtype)
-    table[:, u, :, u] = P
-    return table.reshape(D, phi * len(u))
-
-
 def to_premodular(mg: MetricGroup) -> PremodularData:
     """Linearization: labels are the elements, fusion is the group law,
     dual is inversion, d = 1, theta_x = e^(2 pi i q(x)), s_{x,y} =
@@ -355,10 +341,10 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
     Elements are indexed in mixed radix (the order of mg.elements()), so
     the addition table is index arithmetic, and with q = Q/D over the lcm
     D of its denominators every s exponent is (Q[x+y] - Q[x] - Q[y]) mod
-    D; every value is a row of the table of the z_D^k (_root_table, from
-    the rows x^i mod Phi_rad(D) of cyclotomic.power_rows), so the data
-    are arrays at conductor D from the start.  The ring is group_ring's,
-    handed over without the construction checks.  The output satisfies the
+    D; every value is a row of the table of the z_D^k
+    (cyclotomic.root_table), so the data are arrays at conductor D from
+    the start.  The ring is group_ring's, handed over without the
+    construction checks.  The output satisfies the
     premodular axioms by construction (the balancing formula collapses
     to the definition of the polarization).
     Groups of order above MAX_RANK raise GroupsTooLarge.
@@ -374,7 +360,7 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
         unit_index=0,
         inverse=np.argmin(add_table, axis=1).tolist(),  # x + y is the unit, index 0
     )
-    roots = _root_table(D)  # row k: z_D^k, at conductor D / gcd(k, D)
+    roots = root_table(D)  # row k: z_D^k, at conductor D / gcd(k, D)
     conductor = D // np.gcd(np.arange(D), D)
     pairing = (Q[add_table] - Q[:, None] - Q[None, :]) % D
     return PremodularData(

@@ -463,21 +463,46 @@ _RSS_GROWTH = """
 import resource, sys
 from premodular.cli import cli_run
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-code, out = cli_run(["gauss", sys.argv[1]])
+code, out = cli_run(sys.argv[1:])
 print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
 
 
+def _rss_growth(*argv):
+    """The exit code of one CLI run in a fresh process and the growth of
+    its peak RSS in KB (ru_maxrss is in KB)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(premodular.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _RSS_GROWTH, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return tuple(map(int, proc.stdout.split()))
+
+
 def test_gauss_at_the_largest_conductor_stays_small(tmp_path):
     # one reduction at conductor 8192 needs no phi x phi table: the peak
-    # RSS of a fresh process grows by under 50 MB (ru_maxrss is in KB)
+    # RSS of a fresh process grows by under 50 MB
     path = _cyclic_group_json(tmp_path / "z4096.json", 4096,
                               [f"{x * x % 8192}/8192" for x in range(4096)])
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(premodular.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _RSS_GROWTH, path],
-                          capture_output=True, text=True, env=env, timeout=120)
-    code, grown_kb = map(int, proc.stdout.split())
+    code, grown_kb = _rss_growth("gauss", path)
     assert code == 0 and grown_kb < 50 * 1024, (code, grown_kb)
+
+
+def test_gauss_at_a_large_prime_conductor_stays_small(tmp_path):
+    # rad(4093) = 4093: the reduction's growth bound sums the rows x^j mod
+    # Phi_4093, and a 4092 x 4092 identity among them grew the peak by about 100 MB
+    path = _cyclic_group_json(tmp_path / "z4093.json", 4093, [f"{2 * x * x % 4093}/4093" for x in range(4093)])
+    code, grown_kb = _rss_growth("gauss", path)
+    assert code == 0 and grown_kb < 50 * 1024, (code, grown_kb)
+
+
+def test_twist_at_a_large_prime_conductor_exits_2_and_stays_small(tmp_path):
+    # one twist at conductor 8191, prime: an 8190 x 8190 identity among the
+    # rows of its growth bound grew the peak by about 500 MB
+    path = tmp_path / "theta_8191.json"
+    path.write_text(json.dumps({"type": "premodular", "labels": ["1"], "unit": 0, "dual": [0],
+                                "fusion": [[0, 0, 0, 1]], "dims": [{"n": 1, "c": [["1", "1"]]}],
+                                "theta_exp": [[1, 8191]]}))
+    code, grown_kb = _rss_growth("validate", str(path))
+    assert code == 2 and grown_kb < 50 * 1024, (code, grown_kb)
 
 
 _TIMED_RUN = """

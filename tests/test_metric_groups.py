@@ -14,7 +14,7 @@ import oracles
 from oracles import direct_sum, isometry_rel_point
 from premodular import metric_groups
 from premodular.catalog import catalog_get, catalog_list
-from premodular.cyclotomic import ONE, magnitude, make_root, narrow, reduce_rows
+from premodular.cyclotomic import ONE, magnitude, make_root, narrow, reduce_rows, root_table
 from premodular.data import (
     CentreKind,
     PremodularData,
@@ -206,7 +206,7 @@ def test_root_table_equals_the_reduced_identity():
     # every conductor a linearization meets: rank <= MAX_RANK, so D <= 2 MAX_RANK
     for D in range(1, 2 * MAX_RANK + 1):
         expected = oracles.root_table(D)
-        table = metric_groups._root_table(D)
+        table = root_table(D)
         assert table.dtype == narrow(expected).dtype and np.array_equal(table, expected), D
 
 

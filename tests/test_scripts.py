@@ -83,7 +83,7 @@ STAGE_COST = {
     "extend 5": ("base parse_validate_s search_s payload_s render_s total_s", {"base": "2x5"}),
     "load 4": ("rank bytes json_loads_s ring_s coefficients_s ring_validation_s premodular_validation_s analysis_s "
                "render_s total_s gc_collections", {"rank": 8, "bytes": 3788}),
-    "ring 16": ("rank validate_s ru_maxrss_growth_mb join_s fpdim_s", {"rank": 16}),
+    "ring 16": ("rank validate_s validate_peak_mb join_s fpdim_s", {"rank": 16}),
 }
 
 
@@ -101,12 +101,13 @@ def test_stage_cost_script(argv, capsys, monkeypatch):
     # every stage time is positive but load's two differences
     assert all(line[key] > 0 for key in line if key.endswith("_s") and key not in (
         "coefficients_s", "premodular_validation_s"))
-    assert line.get("ru_maxrss_growth_mb", 0) >= 0
+    assert line.get("validate_peak_mb", 0) >= 0
     assert [c >= 0 for c in line.get("gc_collections", [0, 0, 0])] == [True] * 3
 
 
 @pytest.mark.parametrize("argv", ["ring 7", "ring 1", "ring 0", "ring 16 32", "load 1", "analyze 4 --repeats 0",
-                                  "extend", "survey 4"], ids=lambda argv: argv.replace(" ", "_"))
+                                  "extend", "survey 4", "analyze 16 16", "load 256", "load 8 16 32", "extend 64 64",
+                                  "ring 258"], ids=lambda argv: argv.replace(" ", "_"))
 def test_stage_cost_script_refuses_bad_arguments(argv, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exit_:
         _stage_cost(argv, monkeypatch)
