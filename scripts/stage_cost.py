@@ -2,7 +2,8 @@
 """Print, as one JSON line, where one CLI run or one ring validation
 spends its time, in process, stage by stage.
 
-    analyze ORDER...  `analyze --format json` on the group
+    analyze ORDER...  `analyze --format json` on the group, which reads its
+                      form: classify_form, form_characters, form_verdict
     extend ORDER...   `extend --format json --max-order M` on the group,
                       M = max(64, 4 * the product of the orders)
     load ORDER...     `analyze --format json` on the group's linearization
@@ -15,11 +16,14 @@ spends its time, in process, stage by stage.
 The group is the fermion line q = x^2/2 beside one nondegenerate block per
 ORDER n, q = y^2/(2n) (n even) or y^2/n (n odd): a survey benchmark item and,
 with one ORDER, an extend or premodular-load one.  Its order, twice the
-product of the ORDERs, may be at most MAX_RANK for analyze and load (which
-linearize it) and SIZE_CAP for extend, and RANK at most MAX_RANK; a larger
-one is a usage error, before anything is built.  Each stage is timed on its
-own, the later ones on the output of one earlier run, and total_s is the
-whole `cli_run`; each time is the best of --repeats calls (20, 3 for ring).
+product of the ORDERs, may be at most MAX_RANK for analyze (whose cap is the
+linearization's) and load (which linearizes it) and SIZE_CAP for extend, and
+RANK at most MAX_RANK; a larger one is a usage error, before anything is
+built.  Each stage is timed on its own, the later ones on the output of one
+earlier run, and total_s is the whole `cli_run`; each time is the best of
+--repeats calls (20, 3 for ring).  analyze's classify_s runs on a new copy of
+the group each call, since the group keeps its radical once computed and the
+CLI computes it in that stage.
 
 load's coefficients_s is premodular_from_json less ring_s, and its
 premodular_validation_s validate_premodular less ring_validation_s; its parse
@@ -48,11 +52,12 @@ from fractions import Fraction
 import numpy as np
 
 from premodular import cli
-from premodular.components import ring_characters
+from premodular.components import form_characters, ring_characters
 from premodular.data import classify_degeneracy, validate_premodular
 from premodular.fusion_ring import MAX_RANK, _associativity_witnesses, fpdim, group_ring, validate_fusion_ring
-from premodular.klein import extension_verdict
-from premodular.metric_groups import SIZE_CAP, enumerate_pointed_extensions, from_gram, to_premodular
+from premodular.klein import extension_verdict, form_verdict
+from premodular.metric_groups import (
+    SIZE_CAP, MetricGroup, classify_form, enumerate_pointed_extensions, from_gram, to_premodular)
 from premodular.serialize import (
     collector_paused, datum_to_json, load_datum, metric_group_to_json, premodular_from_json, ring_from_json)
 
@@ -82,19 +87,21 @@ def _written(text: str):
         yield str(path)
 
 
+def _classify_copy(mg):
+    return classify_form(MetricGroup._from_array(mg.cyclic_orders, mg.Q, mg.D))
+
+
 def analyze(repeats: int, *orders: int) -> dict:
     with _written(json.dumps(metric_group_to_json(_group(orders)))) as path:
         mg = load_datum(path)
-        data = to_premodular(mg)
-        cls = classify_degeneracy(data)
+        cls = classify_form(mg)
         payload, _, _ = cli.run_analysis(path)
         return {
             "group": _label(orders),
             "parse_validate_s": _best(repeats, load_datum, path),
-            "linearize_s": _best(repeats, to_premodular, mg),
-            "classify_s": _best(repeats, classify_degeneracy, data),
-            "characters_s": _best(repeats, ring_characters, data, cls, 0),
-            "verdict_s": _best(repeats, extension_verdict, data, cls),
+            "classify_s": _best(repeats, _classify_copy, mg),
+            "characters_s": _best(repeats, form_characters, mg, cls, 0),
+            "verdict_s": _best(repeats, form_verdict, mg, cls),
             "render_s": _best(repeats, cli._emit_json, payload),
             "total_s": _best(repeats, cli.cli_run, ["analyze", path, "--format", "json"]),
         }

@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Subcommands: validate, analyze, kappa, components, extend, gauss,
-catalog.  Exit codes: 0 success, 1 internal cross-check failure, such as
-the kappa twist identity theta_{e.a} = -theta_a in analyze and kappa
-(never expected on validated data), 2 input or usage errors.  Stdout is
+catalog.  analyze, kappa and components read premodular data off its
+arrays and a metric group off its form (classify_form, form_characters,
+form_verdict, form_kappa), with the reports of its linearization but
+without building it; a metric group of order above the linearization's
+rank cap is still refused, so that these exit codes stay as they were.
+Exit codes: 0 success, 1 internal cross-check failure, such as the kappa
+twist identity theta_{e.a} = -theta_a in analyze and kappa (never
+expected on validated data), 2 input or usage errors.  Stdout is
 deterministic for fixed argv, input files and seed; per-stage timings
 therefore go to stderr (on --timings) and are never part of the
 serialized report.  Each subcommand returns its JSON payload and its
@@ -21,7 +26,7 @@ import time
 from json.encoder import encode_basestring_ascii as _quote
 
 from .catalog import catalog_get, catalog_list
-from .components import ring_characters
+from .components import form_characters, ring_characters
 from .data import classify_degeneracy
 from .errors import (
     CrossCheckMismatch,
@@ -31,15 +36,17 @@ from .errors import (
     NotSlightlyDegenerate,
     UnknownCatalogKey,
 )
-from .klein import extension_verdict, kappa_invariants
+from .klein import extension_verdict, form_kappa, form_verdict, kappa_invariants
 from .metric_groups import (
     MetricGroup,
+    _check_linearizable,
     _signature_from_gauss,
+    classify_form,
     enumerate_pointed_extensions,
     gauss_sum,
     radical,
-    to_premodular,
 )
+from .metric_groups import to_premodular  # noqa: F401  unused; perfbench/layers.py PATCHES rebinds it here
 from .serialize import (
     ParseError,
     ValidationError,
@@ -138,9 +145,21 @@ def _kappa_rows(kappa):
 
 
 def _load_for_analysis(path):
-    """The datum at path in premodular form; metric groups are linearized."""
+    """The datum at path; a metric group above the linearization's rank
+    cap raises GroupsTooLarge, as its linearization did."""
     datum = load_datum(path)
-    return to_premodular(datum) if isinstance(datum, MetricGroup) else datum
+    if isinstance(datum, MetricGroup):
+        _check_linearizable(datum)
+    return datum
+
+
+def _analyzers(datum):
+    """(classify, characters, verdict, kappa) for datum, as this module
+    names them at call time: a metric group's read off its form,
+    premodular data's off its arrays."""
+    if isinstance(datum, MetricGroup):
+        return classify_form, form_characters, form_verdict, form_kappa
+    return classify_degeneracy, ring_characters, extension_verdict, kappa_invariants
 
 
 def _load_metric_group(args):
@@ -162,9 +181,10 @@ def run_analysis(path: str, seed: int = 0):
         return out
 
     data = stage("load_validate", _load_for_analysis, path)
-    cls = stage("classify", classify_degeneracy, data)
-    comp = stage("components", ring_characters, data, cls, seed)
-    verdict = stage("kappa_verdict", extension_verdict, data, cls)
+    classify, characters, verdict_of, _ = _analyzers(data)
+    cls = stage("classify", classify, data)
+    comp = stage("components", characters, data, cls, seed)
+    verdict = stage("kappa_verdict", verdict_of, data, cls)
     kappa = verdict.kappa  # present iff slightly degenerate
     # loading raises on any violation, so an analyzed datum always validated
     payload = {
@@ -217,14 +237,17 @@ def _cmd_analyze(args):
 
 
 def _cmd_kappa(args):
-    report = kappa_invariants(_load_for_analysis(args.path))
+    data = _load_for_analysis(args.path)
+    *_, kappa = _analyzers(data)
+    report = kappa(data)
     rows = [("input", args.path), *_kappa_rows(report), ("verdict", report.verdict)]
     return 0, {"input_name": args.path, "kappa": report.to_json()}, rows
 
 
 def _cmd_components(args):
     data = _load_for_analysis(args.path)
-    comp = ring_characters(data, classify_degeneracy(data), seed=args.seed)
+    classify, characters, _, _ = _analyzers(data)
+    comp = characters(data, classify(data), seed=args.seed)
     rows = [("input", args.path), ("components", str(comp.count))]
     for k, chi in enumerate(comp.characters):
         vals = ", ".join(f"{lab} -> {z.real:+.6f}{z.imag:+.6f}i" for lab, z in chi.items())

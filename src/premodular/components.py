@@ -6,7 +6,10 @@ ring homomorphisms K0(transparent subring) -> C.  Characters are found
 by simultaneous diagonalization of the transparent fusion matrices:
 exactly when every transparent simple is invertible (group characters,
 as integers k over the group order n for the values exp(2 pi i k/n)),
-numerically via a seeded random linear combination otherwise.
+numerically via a seeded random linear combination otherwise.  For a
+metric group the transparent subring is the group ring of the radical of
+b, so form_characters takes the radical's addition table straight from
+the form.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import numpy as np
 from .data import CentreClassification, CentreKind, PremodularData
 from .data import classify_degeneracy  # noqa: F401  unused; perfbench/layers.py PATCHES rebinds it here
 from .errors import DegenerateEigenproblem
+from .metric_groups import MetricGroup, _coordinates, _index
 
-__all__ = ["ComponentAnalysis", "ring_characters"]
+__all__ = ["ComponentAnalysis", "ring_characters", "form_characters"]
 
 _CLUSTER_TOL = 1e-9     # eigenvalues closer than this are taken as equal
 _DISTINCT_TOL = 1e-6    # characters must be separated by this in sup metric
@@ -71,6 +75,12 @@ def _exact_group_characters(prod, unit):
     return [[chi[t] for t in range(n)] for chi in chars]
 
 
+def _group_values(prod, unit) -> list[list[complex]]:
+    """The characters of _exact_group_characters as complex values."""
+    n = len(prod)
+    return [[cmath.exp(2j * cmath.pi * (k / n)) for k in chi] for chi in _exact_group_characters(prod, unit)]
+
+
 def _numeric_characters(mats, seed):
     """Simultaneous eigen-characters of commuting nonnegative matrices."""
     n = mats[0].shape[0]
@@ -113,19 +123,16 @@ def ring_characters(data: PremodularData, cls: CentreClassification,
     and, when slightly degenerate, the e -> -1 character are identified.
     """
     ring = data.ring
-    labels = list(cls.transparent)
-    idx = [ring.index(lab) for lab in labels]
+    idx = [ring.index(lab) for lab in cls.transparent]
     n = len(idx)
 
     # group-like: each product of transparent simples is one transparent
     # simple, with multiplicity 1
     i, j, c, m = ring.restrict(idx)
     group_like = (np.bincount(i * n + j, minlength=n * n) == 1).all() and (m == 1).all() and (c >= 0).all()
-    char_values: list[list[complex]]
     if group_like:
         # the entries come sorted by (i, j), one per pair
-        exact = _exact_group_characters(c.reshape(n, n).tolist(), idx.index(ring.unit_index))
-        char_values = [[cmath.exp(2j * cmath.pi * (k / n)) for k in chi] for chi in exact]
+        char_values = _group_values(c.reshape(n, n).tolist(), idx.index(ring.unit_index))
     else:
         # the matrix of a is the view N[a].T, entry (c, b) = N^c_{a,b}; its
         # Fortran layout fixes the summation order of the products in
@@ -134,7 +141,26 @@ def ring_characters(data: PremodularData, cls: CentreClassification,
         keep = c >= 0
         N[i[keep], j[keep], c[keep]] = m[keep]
         char_values = _numeric_characters([Na.T for Na in N], seed)
+    return _analysis(cls, char_values, seed)
 
+
+def form_characters(mg: MetricGroup, cls: CentreClassification, seed: int = 0) -> ComponentAnalysis:
+    """ring_characters of the linearization of mg, from the form, where
+    cls is classify_form(mg): the transparent subring is the group ring
+    of the radical, so its characters are the radical's group
+    characters, on its addition table in radical positions (the unit,
+    element 0, first)."""
+    rad = mg._radical
+    coords = _coordinates(mg.cyclic_orders)[:, rad]
+    table = np.searchsorted(rad, _index(mg.cyclic_orders, coords[:, :, None] + coords[:, None, :]))
+    return _analysis(cls, _group_values(table.tolist(), 0), seed)
+
+
+def _analysis(cls: CentreClassification, char_values: list[list[complex]], seed: int) -> ComponentAnalysis:
+    """The characters, each a list of values on cls.transparent, sorted
+    and named: the FPdim character and, when slightly degenerate, the
+    magnetic one."""
+    labels = list(cls.transparent)
     char_values.sort(key=lambda chi: tuple((round(z.real, 9), round(z.imag, 9)) for z in chi))
 
     # FPdim: the one character positive on the basis, where it is >= 1 (EGNO 3.3)
@@ -155,7 +181,7 @@ def ring_characters(data: PremodularData, cls: CentreClassification,
 
     characters = [dict(zip(labels, chi)) for chi in char_values]
     return ComponentAnalysis(
-        count=n,
+        count=len(labels),
         labels=labels,
         characters=characters,
         dim_index=dim_index,

@@ -14,6 +14,8 @@ to vanish and kappa_minus > 0; that certifies that a minimal
 nondegenerate extension exists (the positive, "S", case of the two
 possible ambient doubles; the other, "T", would force kappa <= 0 on
 purely magnetic objects).  No 2-categorical structure is modelled.
+A metric group is counted on its form (form_kappa, form_verdict): a* is
+-a, e.a is e + a, and the twist identity reads q(e + a) = q(a) + 1/2.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ import numpy as np
 from .cyclotomic import CycNum
 from .data import CentreClassification, CentreKind, PremodularData, classify_degeneracy
 from .errors import CrossCheckMismatch, NotSlightlyDegenerate
+from .metric_groups import MetricGroup, _coordinates, _index, classify_form, element_labels
 
-__all__ = ["KappaReport", "ExtensionVerdict", "eta_scalar", "kappa_invariants", "extension_verdict"]
+__all__ = ["KappaReport", "ExtensionVerdict", "eta_scalar", "kappa_invariants", "extension_verdict",
+           "form_kappa", "form_verdict"]
 
 @dataclass
 class KappaReport:
@@ -62,10 +66,18 @@ def kappa_invariants(data: PremodularData) -> KappaReport:
     fermion e, and CrossCheckMismatch when the twist identity fails (see
     _kappa_report).
     """
-    cls = classify_degeneracy(data)
+    return _kappa_report(data, _fermion(classify_degeneracy(data)))
+
+
+def form_kappa(mg: MetricGroup) -> KappaReport:
+    """kappa_invariants of the linearization of mg, from the form."""
+    return _form_kappa_report(mg, _fermion(classify_form(mg)))
+
+
+def _fermion(cls: CentreClassification) -> str:
     if cls.kind is not CentreKind.SLIGHTLY_DEGENERATE:
         raise NotSlightlyDegenerate(f"classification is {cls.kind.value}; need a fermion line")
-    return _kappa_report(data, cls.fermion)
+    return cls.fermion
 
 
 def _kappa_report(data: PremodularData, fermion: str) -> KappaReport:
@@ -92,14 +104,28 @@ def _kappa_report(data: PremodularData, fermion: str) -> KappaReport:
     if len(not_simple):
         raise CrossCheckMismatch(f"product of {fermion} and {ring.labels[not_simple[0]]} is not simple")
     T = data.twists.num
-    failing = np.flatnonzero((T[e_times] != -T).any(axis=1))
-    if len(failing):
-        a = int(failing[0])
-        raise CrossCheckMismatch(
-            f"twist identity fails: theta({ring.labels[e_times[a]]}) != -theta({ring.labels[a]})"
-        )
-    dual = np.asarray(ring.dual)
-    n_self_dual = int((dual == np.arange(ring.rank)).sum())
+    return _counted(ring.labels, np.asarray(ring.dual), e_times, (T[e_times] != -T).any(axis=1))
+
+
+def _form_kappa_report(mg: MetricGroup, fermion: str) -> KappaReport:
+    """_kappa_report of the linearization, from the form: a* = -a, e.a =
+    e + a, and the twist identity is Q[e + a] = Q[a] + D/2 mod D."""
+    orders, Q, D = mg.cyclic_orders, mg.Q, mg.D
+    labels = element_labels(tuple(orders))
+    coords = _coordinates(orders)
+    e = labels.index(fermion)
+    e_times = _index(orders, coords + coords[:, e:e + 1])
+    return _counted(labels, _index(orders, -coords), e_times, (Q[e_times] - Q - D // 2) % D != 0)
+
+
+def _counted(labels, dual: np.ndarray, e_times: np.ndarray, failing: np.ndarray) -> KappaReport:
+    """The report from a* (dual) and e.a (e_times) for every label a,
+    with the checks of _kappa_report; failing is True where theta_{e.a}
+    != -theta_a."""
+    if failing.any():
+        a = int(np.argmax(failing))
+        raise CrossCheckMismatch(f"twist identity fails: theta({labels[e_times[a]]}) != -theta({labels[a]})")
+    n_self_dual = int((dual == np.arange(len(dual))).sum())
     n_e_twisted = int((dual == e_times).sum())
     kappa_plus = Fraction(n_self_dual + n_e_twisted, 2)
     kappa_minus = Fraction(n_self_dual - n_e_twisted, 2)
@@ -131,6 +157,16 @@ def extension_verdict(data: PremodularData, cls: CentreClassification) -> Extens
     certified through kappa_minus > 0; data with a transparent boson is
     reported as out of scope without judgment.
     """
+    return _verdict(cls, _kappa_report, data)
+
+
+def form_verdict(mg: MetricGroup, cls: CentreClassification) -> ExtensionVerdict:
+    """extension_verdict of the linearization of mg, from the form, where
+    cls is classify_form(mg)."""
+    return _verdict(cls, _form_kappa_report, mg)
+
+
+def _verdict(cls: CentreClassification, kappa_report, datum) -> ExtensionVerdict:
     if cls.kind is CentreKind.NONDEGENERATE:
         return ExtensionVerdict(
             code="already_nondegenerate",
@@ -138,7 +174,7 @@ def extension_verdict(data: PremodularData, cls: CentreClassification) -> Extens
             kappa=None,
         )
     if cls.kind is CentreKind.SLIGHTLY_DEGENERATE:
-        report = _kappa_report(data, cls.fermion)
+        report = kappa_report(datum, cls.fermion)
         return ExtensionVerdict(
             code=report.verdict,
             message=(

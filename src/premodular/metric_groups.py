@@ -17,8 +17,10 @@ D; from_gram and the extension search build Q/D by construction
 (MetricGroup._from_array).  With |A| <= SIZE_CAP = 2^12 and D <= 2^13,
 every array expression below stays under 2^45, so int64 is exact.
 Where a theorem settles a question it is used instead of a search: the
-form laws are checked on generator pairs, and pointed extension classes
-are told apart by their signature.
+form laws are checked on generator pairs, pointed extension classes are
+told apart by their signature, and a form is classified on itself, not
+on its linearization: the Mueger centre of the pointed category C(A, q)
+is the radical of b (classify_form).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .cyclotomic import CycArray, CycNum, exact_dtype, reduce_rows, reduction_growth, root_sum, root_table
-from .data import PremodularData
+from .data import CentreClassification, CentreKind, PremodularData
 from .errors import CrossCheckMismatch, GroupsTooLarge, NotSlightlyDegenerate
 from .fusion_ring import MAX_RANK, group_ring
 from .validation import ValidationError, ValidationReport, Violation
@@ -46,6 +48,7 @@ __all__ = [
     "validate_metric_group",
     "radical",
     "fermion",
+    "classify_form",
     "gauss_sum",
     "signature_mod8",
     "to_premodular",
@@ -176,6 +179,14 @@ class MetricGroup:
     def __repr__(self):
         return f"MetricGroup({self.cyclic_orders}, {dict(self.qtable)})"
 
+    @functools.cached_property
+    def _radical(self) -> np.ndarray:
+        """The indices of the elements pairing trivially with A, in
+        element order; computed once, since classifying, the characters
+        and kappa each read it."""
+        _, B = _generator_pairings(self, _coordinates(self.cyclic_orders))
+        return np.flatnonzero(~B.any(axis=0))
+
     @property
     def order(self) -> int:
         return math.prod(self.cyclic_orders)
@@ -275,25 +286,40 @@ def validate_metric_group(mg: MetricGroup) -> ValidationReport:
     return rep
 
 
-def _radical_indices(mg: MetricGroup) -> np.ndarray:
-    _, B = _generator_pairings(mg, _coordinates(mg.cyclic_orders))
-    return np.flatnonzero(~B.any(axis=0))
-
-
 def radical(mg: MetricGroup) -> list[tuple[int, ...]]:
     """Elements pairing trivially with the whole group, sorted."""
     coords = _coordinates(mg.cyclic_orders)
-    return [_element(coords, i) for i in _radical_indices(mg)]
+    return [_element(coords, i) for i in mg._radical]
 
 
 def fermion(mg: MetricGroup):
     """The fermion line e when the radical is {0, e} with q(e) = 1/2,
     else None."""
-    rad = _radical_indices(mg)
+    rad = mg._radical
     if len(rad) != 2:
         return None
     e = rad[1] if rad[0] == 0 else rad[0]
     return _element(_coordinates(mg.cyclic_orders), e) if 2 * mg.Q[e] == mg.D else None
+
+
+def classify_form(mg: MetricGroup) -> CentreClassification:
+    """classify_degeneracy of the linearization, read off the form.  The
+    Mueger centre of C(A, q) is the radical of b (Drinfeld-Gelaki-
+    Nikshych-Ostrik, On braided fusion categories I, 2010), so the
+    transparent labels are the radical's, in element order; its bosons
+    have q = 0 and its fermions q = 1/2.  Slightly degenerate iff the
+    radical is {0, e} with q(e) = 1/2 (fermion()), nondegenerate iff it
+    is {0}."""
+    rad = mg._radical
+    labels = element_labels(tuple(mg.cyclic_orders))
+    transparent = [labels[i] for i in rad.tolist()]
+    q = mg.Q[rad]
+    bos, fer = int((q == 0).sum()), int((2 * q == mg.D).sum())
+    if len(rad) == 1:
+        return CentreClassification(CentreKind.NONDEGENERATE, transparent, None, bos, fer)
+    if len(rad) == 2 and 2 * q[1] == mg.D:
+        return CentreClassification(CentreKind.SLIGHTLY_DEGENERATE, transparent, transparent[1], bos, fer)
+    return CentreClassification(CentreKind.OTHER_DEGENERATE, transparent, None, bos, fer)
 
 
 def gauss_sum(mg: MetricGroup) -> CycNum:
@@ -305,7 +331,7 @@ def gauss_sum(mg: MetricGroup) -> CycNum:
 def signature_mod8(mg: MetricGroup):
     """s in Z/8 with gauss_sum = sqrt(|A|) e^(2 pi i s/8); None when the
     radical is nontrivial."""
-    if len(_radical_indices(mg)) != 1:
+    if len(mg._radical) != 1:
         return None
     return _signature_from_gauss(gauss_sum(mg), mg.order)
 
@@ -333,6 +359,13 @@ def element_labels(orders: tuple[int, ...]) -> tuple[str, ...]:
     return tuple("(" + ",".join(x) + ")" for x in itertools.product(*digits))
 
 
+def _check_linearizable(mg: MetricGroup):
+    """GroupsTooLarge when mg is above MAX_RANK, the largest rank a
+    linearization may have."""
+    if mg.order > MAX_RANK:
+        raise GroupsTooLarge(f"linearization capped at rank {MAX_RANK}, |A| = {mg.order}")
+
+
 def to_premodular(mg: MetricGroup) -> PremodularData:
     """Linearization: labels are the elements, fusion is the group law,
     dual is inversion, d = 1, theta_x = e^(2 pi i q(x)), s_{x,y} =
@@ -349,8 +382,7 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
     to the definition of the polarization).
     Groups of order above MAX_RANK raise GroupsTooLarge.
     """
-    if mg.order > MAX_RANK:
-        raise GroupsTooLarge(f"linearization capped at rank {MAX_RANK}, |A| = {mg.order}")
+    _check_linearizable(mg)
     r, Q, D = mg.order, mg.Q, mg.D
     coords = _coordinates(mg.cyclic_orders)
     add_table = _index(mg.cyclic_orders, coords[:, :, None] + coords[:, None, :])

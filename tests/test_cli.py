@@ -573,13 +573,17 @@ def test_rank_256_ring_is_held_as_its_nonzeros(write_datum):
     assert int(grown_kb) < 80 * 1024, grown_kb
 
 
-def test_linearization_above_the_rank_cap_exits_2(write_datum):
-    # |A| = 512: the metric group validates, its linearization is refused
+def test_linearization_above_the_rank_cap_exits_2(write_datum, capsys):
+    # |A| = 512: the metric group validates; analysis reads the form, not
+    # a linearization, but keeps the linearization's cap and message
     mg = from_gram([2, MAX_RANK], [Fraction(1, 2), Fraction(1, 2 * MAX_RANK)])
     path = write_datum(mg)
     assert cli_run(["validate", path])[0] == 0
+    capsys.readouterr()
     for command in ("analyze", "kappa", "components"):
-        assert cli_run([command, path]) == (2, ""), command
+        for fmt in ("table", "json"):
+            assert cli_run([command, path, "--format", fmt]) == (2, ""), command
+            assert capsys.readouterr().err == "error: linearization capped at rank 256, |A| = 512\n", command
 
 
 def test_internal_cross_check_failure_exits_1(write_datum, monkeypatch):
@@ -588,9 +592,12 @@ def test_internal_cross_check_failure_exits_1(write_datum, monkeypatch):
     def boom(data, cls):
         raise CrossCheckMismatch("forced for the exit-code contract test")
 
-    monkeypatch.setattr("premodular.cli.extension_verdict", boom)
-    code, out = cli_run(["analyze", write_datum("svec")])
-    assert code == 1 and out == ""
+    # both verdicts: a metric group's, read off its form, and premodular data's
+    for name in ("form_verdict", "extension_verdict"):
+        monkeypatch.setattr(f"premodular.cli.{name}", boom)
+    for entry in ("svec", "ising:1"):
+        code, out = cli_run(["analyze", write_datum(entry)])
+        assert code == 1 and out == "", entry
 
 
 def test_extend_exits_1_when_a_kept_class_sum_is_off_its_phase(write_datum, monkeypatch, capsys):
@@ -638,18 +645,21 @@ def test_extend_exits_1_unless_all_8_signatures_occur(write_datum, monkeypatch):
 @pytest.mark.parametrize("command", ["analyze", "components", "kappa"])
 @pytest.mark.parametrize("name", ["svec", "semion", "ising:1", "rep-z2"])
 def test_each_subcommand_classifies_once(command, name, write_datum, monkeypatch):
-    from premodular import data
+    # premodular data is classified on its arrays, a metric group on its form
+    from premodular import data, metric_groups
 
     calls = []
 
-    def counted(d):
-        calls.append(d)
-        return classify(d)
+    def counting(classify):
+        def counted(d):
+            calls.append(d)
+            return classify(d)
+        return counted
 
-    classify = data.classify_degeneracy
-    for module in [m for key, m in sys.modules.items() if key.startswith("premodular")]:
-        if getattr(module, "classify_degeneracy", None) is classify:
-            monkeypatch.setattr(module, "classify_degeneracy", counted)
+    for classify in (data.classify_degeneracy, metric_groups.classify_form):
+        for module in [m for key, m in sys.modules.items() if key.startswith("premodular")]:
+            if getattr(module, classify.__name__, None) is classify:
+                monkeypatch.setattr(module, classify.__name__, counting(classify))
     code, _ = cli_run([command, write_datum(name)])
     assert code == (2 if command == "kappa" and name != "svec" else 0)
     assert len(calls) == 1

@@ -14,6 +14,7 @@ import oracles
 from oracles import direct_sum, isometry_rel_point
 from premodular import metric_groups
 from premodular.catalog import catalog_get, catalog_list
+from premodular.components import form_characters, ring_characters
 from premodular.cyclotomic import ONE, magnitude, make_root, narrow, reduce_rows, root_table
 from premodular.data import (
     CentreKind,
@@ -23,12 +24,14 @@ from premodular.data import (
     relative_centralizer,
     validate_premodular,
 )
-from premodular.errors import GroupsTooLarge, NotSlightlyDegenerate
+from premodular.errors import CrossCheckMismatch, GroupsTooLarge, NotSlightlyDegenerate
 from premodular.fusion_ring import MAX_RANK, fpdim
+from premodular.klein import extension_verdict, form_kappa, form_verdict, kappa_invariants
 from premodular.metric_groups import (
     MAX_CONDUCTOR,
     MetricGroup,
     _extension_candidates,
+    classify_form,
     enumerate_pointed_extensions,
     fermion,
     from_gram,
@@ -185,6 +188,77 @@ def test_linearization_matches_oracle_with_cross_terms_and_order_one_factors():
     for g in forms:
         assert validate_metric_group(g).ok
         assert_same_linearization(g)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except NotSlightlyDegenerate as exc:
+        return type(exc), str(exc)
+
+
+def assert_form_route_matches_linearization(g, seed=0):
+    """The reports read off the form equal those of the linearization:
+    classification, characters, verdict and kappa; returns the kind."""
+    data, cls = to_premodular(g), classify_form(g)
+    assert cls == classify_degeneracy(data)
+    assert form_characters(g, cls, seed) == ring_characters(data, cls, seed)
+    assert form_verdict(g, cls) == extension_verdict(data, cls)
+    assert _outcome(form_kappa, g) == _outcome(kappa_invariants, data)
+    return cls.kind
+
+
+def _random_form(rng):
+    """A form on 1-3 cyclic factors of order 1-12, |A| <= 64: q(x) =
+    sum a_i x_i^2/(2 n_i) with a_i n_i even, plus sum c_ij x_i x_j /
+    gcd(n_i, n_j), which is well defined for every a and c."""
+    orders = []
+    for _ in range(rng.randint(1, 3)):
+        n = rng.choice([1, 2, 2, 3, 4, 4, 5, 6, 8, 9, 12])
+        if math.prod(orders) * n <= 64:
+            orders.append(n)
+    diag = [Fraction(rng.randrange(0, 2 * n, 1 if n % 2 == 0 else 2), 2 * n) for n in orders]
+    cross = [Fraction(rng.randrange(math.gcd(n, m)), math.gcd(n, m))
+             for i, n in enumerate(orders) for m in orders[i + 1:]]
+    return from_gram(orders, diag, cross)
+
+
+@pytest.mark.parametrize("name", LINEARIZED_GROUPS)
+def test_form_route_matches_linearization_on_catalog_groups(name):
+    assert_form_route_matches_linearization(mg(name))
+
+
+def test_form_route_matches_linearization_on_random_slightly_degenerate_groups():
+    for seed in range(300):
+        g = random_slightly_degenerate(random.Random(seed))
+        assert assert_form_route_matches_linearization(g, seed) is CentreKind.SLIGHTLY_DEGENERATE
+
+
+def test_form_route_matches_linearization_on_seeded_forms():
+    rng, kinds, shapes = random.Random(31), [], set()
+    for g in [MetricGroup([], {(): Fraction(0)}), *(_random_form(rng) for _ in range(1200))]:
+        assert validate_metric_group(g).ok
+        kinds.append(assert_form_route_matches_linearization(g, rng.randrange(2**64)))
+        shapes.add(tuple(g.cyclic_orders))
+    # every classification, and order-1 factors, occur
+    assert min(map(kinds.count, CentreKind)) >= 50, {kind: kinds.count(kind) for kind in CentreKind}
+    assert sum(1 in orders for orders in shapes) >= 20
+
+
+def test_form_kappa_checks_the_twist_identity():
+    # Z2 x Z4 with q(x) = x_1^2/2 + x_2^2/8, one value off: the generators
+    # still pair trivially with e = (1,0) alone, so the table classifies as
+    # slightly degenerate, but q(e + (0,2)) != q((0,2)) + 1/2
+    g = from_gram([2, 4], [Fraction(1, 2), Fraction(1, 8)])
+    Q = g.Q.copy()
+    Q[2] = (Q[2] + 1) % g.D
+    tampered = MetricGroup._from_array([2, 4], Q, g.D)
+    cls = classify_form(tampered)
+    assert (cls.kind, cls.transparent) == (CentreKind.SLIGHTLY_DEGENERATE, ["(0,0)", "(1,0)"])
+    for report in (lambda: form_verdict(tampered, cls), lambda: form_kappa(tampered)):
+        with pytest.raises(CrossCheckMismatch, match=r"^twist identity fails: theta\(\(1,2\)\) != -theta\(\(0,2\)\)$"):
+            report()
 
 
 def test_linearized_values_take_one_byte_a_slot():

@@ -78,7 +78,7 @@ def test_catalog_outputs_script_on_files(tmp_path, monkeypatch, capsys):
 
 # argv: (keys in order, fixed fields)
 STAGE_COST = {
-    "analyze 4 3": ("group parse_validate_s linearize_s classify_s characters_s verdict_s render_s total_s",
+    "analyze 4 3": ("group parse_validate_s classify_s characters_s verdict_s render_s total_s",
                     {"group": "2x4x3"}),
     "extend 5": ("base parse_validate_s search_s payload_s render_s total_s", {"base": "2x5"}),
     "load 4": ("rank bytes json_loads_s ring_s coefficients_s ring_validation_s premodular_validation_s analysis_s "
@@ -141,9 +141,10 @@ def test_tracer_patches_resolve():
 
 def test_cli_handlers_call_the_names_the_tracer_rebinds(write_datum, monkeypatch):
     # a handler that called its callee by another route would drop out of
-    # the traced spans without any error
+    # the traced spans without any error; no handler linearizes a metric
+    # group any more, so to_premodular alone is not required
     cli = importlib.import_module("premodular.cli")
-    names = [name for module, name, _ in _tracer_patches() if module == "premodular.cli"]
+    names = [name for module, name, _ in _tracer_patches() if module == "premodular.cli" and name != "to_premodular"]
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -155,5 +156,6 @@ def test_cli_handlers_call_the_names_the_tracer_rebinds(write_datum, monkeypatch
     for name in names:
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     assert cli.cli_run(["analyze", write_datum("z4-q:1", "z4.json"), "--format", "json"])[0] == 0
+    assert cli.cli_run(["analyze", write_datum("ising:1", "ising.json"), "--format", "json"])[0] == 0
     assert cli.cli_run(["extend", write_datum("svec", "svec.json"), "--format", "json"])[0] == 0
     assert all(calls.values()), calls
