@@ -25,7 +25,9 @@ directory:
     PYTHONPATH=src python3 scripts/catalog_outputs.py data/*.json > outputs.json
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -58,15 +60,19 @@ PARAMETRIC_KEYS = (
 
 
 def _run_file(runs, workdir, path):
+    """Run every file subcommand in both formats on path; each run's exit
+    code, stdout and stderr, with workdir's prefix dropped from paths."""
     name = os.path.relpath(path, workdir)
     for command in SUBCOMMANDS:
         for fmt in FORMATS:
-            code, out = cli_run([command, str(path), "--format", fmt])
-            runs[f"{command} {name} --format {fmt}"] = (code, out.replace(f"{workdir}/", ""))
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code, out = cli_run([command, str(path), "--format", fmt])
+            runs[f"{command} {name} --format {fmt}"] = (
+                code, *(text.replace(f"{workdir}/", "") for text in (out, err.getvalue())))
 
 
 def _document(runs) -> dict:
-    return {key: {"exit": code, "stdout": out} for key, (code, out) in runs.items()}
+    return {key: {"exit": code, "stdout": out} for key, (code, out, *_) in runs.items()}
 
 
 def catalog_outputs(workdir: pathlib.Path) -> dict:
