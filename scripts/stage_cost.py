@@ -22,8 +22,9 @@ RANK at most MAX_RANK; a larger one is a usage error, before anything is
 built.  Each stage is timed on its own, the later ones on the output of one
 earlier run, and total_s is the whole `cli_run`; each time is the best of
 --repeats calls (20, 3 for ring).  analyze's classify_s runs on a new copy of
-the group each call, since the group keeps its radical once computed and the
-CLI computes it in that stage.
+the loaded group each call, one that carries the coordinate and pairing
+tables that parse+validate built but not the radical, which the group keeps
+once computed and the CLI reads off the pairings in that stage.
 
 load's coefficients_s is premodular_from_json less ring_s, and its
 premodular_validation_s validate_premodular less ring_validation_s; its parse
@@ -40,6 +41,7 @@ numpy reports its buffers to tracemalloc, so validate_peak_mb counts them.
 
 import argparse
 import contextlib
+import copy
 import gc
 import json
 import math
@@ -57,7 +59,7 @@ from premodular.data import classify_degeneracy, validate_premodular
 from premodular.fusion_ring import MAX_RANK, _associativity_witnesses, fpdim, group_ring, validate_fusion_ring
 from premodular.klein import extension_verdict, form_verdict
 from premodular.metric_groups import (
-    SIZE_CAP, MetricGroup, classify_form, enumerate_pointed_extensions, from_gram, to_premodular)
+    SIZE_CAP, classify_form, enumerate_pointed_extensions, from_gram, to_premodular)
 from premodular.serialize import (
     collector_paused, datum_to_json, load_datum, metric_group_to_json, premodular_from_json, ring_from_json)
 
@@ -88,7 +90,9 @@ def _written(text: str):
 
 
 def _classify_copy(mg):
-    return classify_form(MetricGroup._from_array(mg.cyclic_orders, mg.Q, mg.D))
+    fresh = copy.copy(mg)
+    del fresh._radical
+    return classify_form(fresh)
 
 
 def analyze(repeats: int, *orders: int) -> dict:

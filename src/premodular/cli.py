@@ -44,7 +44,6 @@ from .metric_groups import (
     classify_form,
     enumerate_pointed_extensions,
     gauss_sum,
-    radical,
 )
 from .metric_groups import to_premodular  # noqa: F401  unused; perfbench/layers.py PATCHES rebinds it here
 from .serialize import (
@@ -299,7 +298,7 @@ def _cmd_gauss(args):
     datum = _load_metric_group(args)
     sigma = gauss_sum(datum)
     z = sigma.embed()
-    radical_size = len(radical(datum))
+    radical_size = len(datum._radical)
     sig = _signature_from_gauss(sigma, datum.order) if radical_size == 1 else None
     payload = {
         "input_name": args.path,

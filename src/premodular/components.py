@@ -22,7 +22,7 @@ import numpy as np
 from .data import CentreClassification, CentreKind, PremodularData
 from .data import classify_degeneracy  # noqa: F401  unused; perfbench/layers.py PATCHES rebinds it here
 from .errors import DegenerateEigenproblem
-from .metric_groups import MetricGroup, _coordinates, _index
+from .metric_groups import MetricGroup, _index
 
 __all__ = ["ComponentAnalysis", "ring_characters", "form_characters"]
 
@@ -151,7 +151,7 @@ def form_characters(mg: MetricGroup, cls: CentreClassification, seed: int = 0) -
     characters, on its addition table in radical positions (the unit,
     element 0, first)."""
     rad = mg._radical
-    coords = _coordinates(mg.cyclic_orders)[:, rad]
+    coords = mg.coordinates[:, rad]
     table = np.searchsorted(rad, _index(mg.cyclic_orders, coords[:, :, None] + coords[:, None, :]))
     return _analysis(cls, _group_values(table.tolist(), 0), seed)
 

@@ -28,7 +28,7 @@ import numpy as np
 from .cyclotomic import CycNum
 from .data import CentreClassification, CentreKind, PremodularData, classify_degeneracy
 from .errors import CrossCheckMismatch, NotSlightlyDegenerate
-from .metric_groups import MetricGroup, _coordinates, _index, classify_form, element_labels
+from .metric_groups import MetricGroup, _index, classify_form, element_labels
 
 __all__ = ["KappaReport", "ExtensionVerdict", "eta_scalar", "kappa_invariants", "extension_verdict",
            "form_kappa", "form_verdict"]
@@ -71,7 +71,8 @@ def kappa_invariants(data: PremodularData) -> KappaReport:
 
 def form_kappa(mg: MetricGroup) -> KappaReport:
     """kappa_invariants of the linearization of mg, from the form."""
-    return _form_kappa_report(mg, _fermion(classify_form(mg)))
+    _fermion(classify_form(mg))  # NotSlightlyDegenerate without a fermion line
+    return _form_kappa_report(mg)
 
 
 def _fermion(cls: CentreClassification) -> str:
@@ -107,15 +108,13 @@ def _kappa_report(data: PremodularData, fermion: str) -> KappaReport:
     return _counted(ring.labels, np.asarray(ring.dual), e_times, (T[e_times] != -T).any(axis=1))
 
 
-def _form_kappa_report(mg: MetricGroup, fermion: str) -> KappaReport:
-    """_kappa_report of the linearization, from the form: a* = -a, e.a =
-    e + a, and the twist identity is Q[e + a] = Q[a] + D/2 mod D."""
-    orders, Q, D = mg.cyclic_orders, mg.Q, mg.D
-    labels = element_labels(tuple(orders))
-    coords = _coordinates(orders)
-    e = labels.index(fermion)
+def _form_kappa_report(mg: MetricGroup) -> KappaReport:
+    """_kappa_report of the linearization, from the form and its fermion
+    e: a* = -a, e.a = e + a, and the twist identity Q[e + a] = Q[a] + D/2 mod D."""
+    orders, Q, D, coords, e = mg.cyclic_orders, mg.Q, mg.D, mg.coordinates, mg._fermion_index
     e_times = _index(orders, coords + coords[:, e:e + 1])
-    return _counted(labels, _index(orders, -coords), e_times, (Q[e_times] - Q - D // 2) % D != 0)
+    return _counted(element_labels(tuple(orders)), _index(orders, -coords), e_times,
+                    (Q[e_times] - Q - D // 2) % D != 0)
 
 
 def _counted(labels, dual: np.ndarray, e_times: np.ndarray, failing: np.ndarray) -> KappaReport:
@@ -157,7 +156,7 @@ def extension_verdict(data: PremodularData, cls: CentreClassification) -> Extens
     certified through kappa_minus > 0; data with a transparent boson is
     reported as out of scope without judgment.
     """
-    return _verdict(cls, _kappa_report, data)
+    return _verdict(cls, _kappa_report, data, cls.fermion)
 
 
 def form_verdict(mg: MetricGroup, cls: CentreClassification) -> ExtensionVerdict:
@@ -166,7 +165,7 @@ def form_verdict(mg: MetricGroup, cls: CentreClassification) -> ExtensionVerdict
     return _verdict(cls, _form_kappa_report, mg)
 
 
-def _verdict(cls: CentreClassification, kappa_report, datum) -> ExtensionVerdict:
+def _verdict(cls: CentreClassification, kappa_report, *args) -> ExtensionVerdict:
     if cls.kind is CentreKind.NONDEGENERATE:
         return ExtensionVerdict(
             code="already_nondegenerate",
@@ -174,7 +173,7 @@ def _verdict(cls: CentreClassification, kappa_report, datum) -> ExtensionVerdict
             kappa=None,
         )
     if cls.kind is CentreKind.SLIGHTLY_DEGENERATE:
-        report = kappa_report(datum, cls.fermion)
+        report = kappa_report(*args)
         return ExtensionVerdict(
             code=report.verdict,
             message=(

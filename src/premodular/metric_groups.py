@@ -145,7 +145,10 @@ class MetricGroup:
     Built from a dict {element tuple: Fraction} by _checked_q, as a file
     is: a table failing a structural check raises ValidationError before
     any array of its size is allocated, and one whose denominators have
-    an lcm above MAX_CONDUCTOR raises ValueError.
+    an lcm above MAX_CONDUCTOR raises ValueError.  Its derived tables are
+    computed once, on first use: on a loaded group validation builds the
+    coordinates and the pairings that the radical, the form route and the
+    extension search read.
     """
 
     __hash__ = None
@@ -180,12 +183,30 @@ class MetricGroup:
         return f"MetricGroup({self.cyclic_orders}, {dict(self.qtable)})"
 
     @functools.cached_property
+    def coordinates(self) -> np.ndarray:
+        """The (k, |A|) table of _coordinates, column i element i's."""
+        return _coordinates(self.cyclic_orders)
+
+    @functools.cached_property
+    def pairings(self):
+        """(shift, B): shift[i] indexes x + g_i and B[i] = D b(g_i, x) over
+        all x, for the generators g_i."""
+        k, Q = len(self.cyclic_orders), self.Q
+        shift = _index(self.cyclic_orders, self.coordinates[:, None, :] + np.eye(k, dtype=np.int64)[:, :, None])
+        return shift, (Q[shift] - Q[shift[:, :1]] - Q) % self.D
+
+    @functools.cached_property
     def _radical(self) -> np.ndarray:
         """The indices of the elements pairing trivially with A, in
-        element order; computed once, since classifying, the characters
-        and kappa each read it."""
-        _, B = _generator_pairings(self, _coordinates(self.cyclic_orders))
-        return np.flatnonzero(~B.any(axis=0))
+        element order: the columns of B that vanish."""
+        return np.flatnonzero(~self.pairings[1].any(axis=0))
+
+    @property
+    def _fermion_index(self) -> int | None:
+        """The index of e when the radical is {0, e} with 2 Q[e] = D, else
+        None; fermion(), classify_form, kappa and extend all use this rule."""
+        rad = self._radical
+        return int(rad[1]) if len(rad) == 2 and 2 * self.Q[rad[1]] == self.D else None
 
     @property
     def order(self) -> int:
@@ -208,15 +229,6 @@ class MetricGroup:
 
 def _element(coords: np.ndarray, i) -> tuple[int, ...]:
     return tuple(coords[:, i].tolist())
-
-
-def _generator_pairings(mg: MetricGroup, coords: np.ndarray):
-    """(shift, B): shift[i] indexes x + g_i and B[i] = D b(g_i, x) over
-    all x, for the generators g_i."""
-    k = len(mg.cyclic_orders)
-    shift = _index(mg.cyclic_orders, coords[:, None, :] + np.eye(k, dtype=np.int64)[:, :, None])
-    Q = mg.Q
-    return shift, (Q[shift] - Q[shift[:, :1]] - Q) % mg.D
 
 
 def from_gram(orders: list[int], diag: list[Fraction], cross: list[Fraction] | None = None) -> MetricGroup:
@@ -268,8 +280,7 @@ def validate_metric_group(mg: MetricGroup) -> ValidationReport:
        = 2q(x), so by induction from q(0) = 0, q(nx) = n^2 q(x).
     """
     rep = ValidationReport()
-    orders, Q, D = mg.cyclic_orders, mg.Q, mg.D
-    coords = _coordinates(orders)
+    orders, Q, D, coords = mg.cyclic_orders, mg.Q, mg.D, mg.coordinates
     if Q[0]:
         rep.add("QuadraticLawViolation", (mg.zero(), 0), f"q(0) = {Fraction(int(Q[0]), D)} != 0")
     q2x = Q[_index(orders, 2 * coords)]
@@ -278,7 +289,7 @@ def validate_metric_group(mg: MetricGroup) -> ValidationReport:
                 f"q(2*x) = {Fraction(int(q2x[i]), D)} != 4 q(x) mod 1")
 
     gens = mg.generators()
-    shift, B = _generator_pairings(mg, coords)
+    shift, B = mg.pairings
     # bad[g, h, x]: b(g, x + h) != b(g, x) + b(g, h)
     bad = B[:, shift] != (B[:, None, :] + B[:, shift[:, 0]][:, :, None]) % D
     for g, h in zip(*np.nonzero(bad.any(axis=2))):
@@ -288,18 +299,14 @@ def validate_metric_group(mg: MetricGroup) -> ValidationReport:
 
 def radical(mg: MetricGroup) -> list[tuple[int, ...]]:
     """Elements pairing trivially with the whole group, sorted."""
-    coords = _coordinates(mg.cyclic_orders)
-    return [_element(coords, i) for i in mg._radical]
+    return [_element(mg.coordinates, i) for i in mg._radical]
 
 
 def fermion(mg: MetricGroup):
     """The fermion line e when the radical is {0, e} with q(e) = 1/2,
     else None."""
-    rad = mg._radical
-    if len(rad) != 2:
-        return None
-    e = rad[1] if rad[0] == 0 else rad[0]
-    return _element(_coordinates(mg.cyclic_orders), e) if 2 * mg.Q[e] == mg.D else None
+    e = mg._fermion_index
+    return None if e is None else _element(mg.coordinates, e)
 
 
 def classify_form(mg: MetricGroup) -> CentreClassification:
@@ -308,8 +315,8 @@ def classify_form(mg: MetricGroup) -> CentreClassification:
     Nikshych-Ostrik, On braided fusion categories I, 2010), so the
     transparent labels are the radical's, in element order; its bosons
     have q = 0 and its fermions q = 1/2.  Slightly degenerate iff the
-    radical is {0, e} with q(e) = 1/2 (fermion()), nondegenerate iff it
-    is {0}."""
+    radical is {0, e} with q(e) = 1/2 (MetricGroup._fermion_index),
+    nondegenerate iff it is {0}."""
     rad = mg._radical
     labels = element_labels(tuple(mg.cyclic_orders))
     transparent = [labels[i] for i in rad.tolist()]
@@ -317,7 +324,7 @@ def classify_form(mg: MetricGroup) -> CentreClassification:
     bos, fer = int((q == 0).sum()), int((2 * q == mg.D).sum())
     if len(rad) == 1:
         return CentreClassification(CentreKind.NONDEGENERATE, transparent, None, bos, fer)
-    if len(rad) == 2 and 2 * q[1] == mg.D:
+    if mg._fermion_index is not None:
         return CentreClassification(CentreKind.SLIGHTLY_DEGENERATE, transparent, transparent[1], bos, fer)
     return CentreClassification(CentreKind.OTHER_DEGENERATE, transparent, None, bos, fer)
 
@@ -331,9 +338,7 @@ def gauss_sum(mg: MetricGroup) -> CycNum:
 def signature_mod8(mg: MetricGroup):
     """s in Z/8 with gauss_sum = sqrt(|A|) e^(2 pi i s/8); None when the
     radical is nontrivial."""
-    if len(mg._radical) != 1:
-        return None
-    return _signature_from_gauss(gauss_sum(mg), mg.order)
+    return _signature_from_gauss(gauss_sum(mg), mg.order) if len(mg._radical) == 1 else None
 
 
 _EIGHTH_ROOTS = [complex(math.cos(math.pi * s / 4), math.sin(math.pi * s / 4)) for s in range(8)]
@@ -383,8 +388,7 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
     Groups of order above MAX_RANK raise GroupsTooLarge.
     """
     _check_linearizable(mg)
-    r, Q, D = mg.order, mg.Q, mg.D
-    coords = _coordinates(mg.cyclic_orders)
+    r, Q, D, coords = mg.order, mg.Q, mg.D, mg.coordinates
     add_table = _index(mg.cyclic_orders, coords[:, :, None] + coords[:, None, :])
     ring = group_ring(
         labels=list(element_labels(tuple(mg.cyclic_orders))),
@@ -526,7 +530,7 @@ def _pairing_preimages(mg: MetricGroup, B: np.ndarray) -> np.ndarray:
     return table
 
 
-def _extension_candidates(mg: MetricGroup, e):
+def _extension_candidates(mg: MetricGroup, e: int):
     """The pushouts <A, t | 2t = a0> with q(t) = v = (q(a0) + j)/4 and
     b(t, .) = chi that carry a nondegenerate form, in the order a0, j, chi.
 
@@ -552,14 +556,11 @@ def _extension_candidates(mg: MetricGroup, e):
     CrossCheckMismatch): both sums are sqrt(2|A|) times eighth roots.
     """
     n = np.array(mg.cyclic_orders, dtype=np.int64)
-    N, Q, D = mg.order, mg.Q, mg.D
+    N, Q, D, coords, (shift, B) = mg.order, mg.Q, mg.D, mg.coordinates, mg.pairings
     E = lcm(*mg.cyclic_orders)
     L = lcm(4 * D, E)
-    coords = _coordinates(mg.cyclic_orders)
-    shift, B = _generator_pairings(mg, coords)
     weights = coords * (E // n)[:, None]  # column c: E chi_c(g_i)
-    gens, ie = shift[:, 0], _index(mg.cyclic_orders, np.array(e))
-    half = 2 * (weights.T @ coords[:, ie]) % (2 * E) == E  # chi_c(e) = 1/2, per c
+    half = 2 * (weights.T @ coords[:, e]) % (2 * E) == E  # chi_c(e) = 1/2, per c
     # per c with chi_c(e) = 1/2: u with chi_c = chi_0 + b(u, .), and L(-q(u) - chi_0(u))
     c0 = int(np.argmax(half))
     u = _pairing_preimages(mg, B)[_index(mg.cyclic_orders, coords - coords[:, c0:c0 + 1])]
@@ -579,8 +580,8 @@ def _extension_candidates(mg: MetricGroup, e):
         base = M[:, :-1] @ coords % d  # coordinates of (a, 0)
         at = [_index(orders, base), _index(orders, (base + M[:, -1:]) % d)]
         assert (np.bincount(np.concatenate(at)) == 1).all(), "pushout coordinates must be a bijection"
-        embedding = [_element(base, i) for i in gens]
-        image = _element(base, ie)
+        embedding = [_element(base, i) for i in shift[:, 0]]
+        image = _element(base, e)
         v = (Q[ia0] + np.arange(4) * D) * (L // (4 * D))  # L v for v = (q(a0) + j)/4, per j
         # row j * len(kept) + c: the table for v_j and chi_c, and its P
         rows = np.empty((4 * len(kept), 2 * N), dtype=np.int64)
@@ -617,7 +618,7 @@ def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64):
     rolled by (p_k - p_0) L/8 (else CrossCheckMismatch); the embedding of
     sigma_0 gives its signature s_0, and class k has s_0 + p_k - p_0.
     """
-    e = fermion(mg)
+    e = mg._fermion_index
     if e is None:
         raise NotSlightlyDegenerate("input must have radical {0, e} with q(e) = 1/2")
     if 2 * mg.order > max_order:

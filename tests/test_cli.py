@@ -1,3 +1,5 @@
+import collections
+import functools
 import json
 import math
 import os
@@ -18,7 +20,7 @@ from premodular.catalog import catalog_get
 from premodular.cli import _emit_json, cli_run
 from premodular.cyclotomic import euler_phi
 from premodular.fusion_ring import MAX_RANK
-from premodular.metric_groups import MAX_CONDUCTOR, from_gram, to_premodular
+from premodular.metric_groups import MAX_CONDUCTOR, MetricGroup, from_gram, to_premodular
 from premodular.serialize import MAX_SLOTS, loads_datum
 
 
@@ -665,26 +667,60 @@ def test_each_subcommand_classifies_once(command, name, write_datum, monkeypatch
     assert len(calls) == 1
 
 
+def _count_calls(monkeypatch, calls, fn):
+    """Count in calls[fn.__name__] the calls of fn, under its name in every
+    premodular module that binds it."""
+    def counted(*args):
+        calls[fn.__name__] += 1
+        return fn(*args)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("premodular")]:
+        if getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+
+
+def _count_property(monkeypatch, calls, name):
+    """Count in calls[name] the computations of MetricGroup's cached
+    property name."""
+    func = vars(MetricGroup)[name].func
+
+    def counted(mg):
+        calls[name] += 1
+        return func(mg)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(MetricGroup, name)
+    monkeypatch.setattr(MetricGroup, name, prop)
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "kappa", "components", "extend", "gauss"])
+@pytest.mark.parametrize("name", ["svec-x-semion", "pointed:2x3x5:1/2,1/3,2/5"])
+def test_each_subcommand_derives_the_group_tables_once(command, name, write_datum, monkeypatch):
+    # validation builds the loaded group's coordinate table and generator
+    # pairings; the radical, the form route, gauss and the extension
+    # search read them and build no table of their own
+    from premodular import metric_groups
+
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, metric_groups._coordinates)
+    _count_property(monkeypatch, calls, "pairings")
+    path = write_datum(name)
+    for fmt in ("table", "json"):
+        calls.clear()
+        assert cli_run([command, path, "--format", fmt])[0] == 0
+        assert calls == {"_coordinates": 1, "pairings": 1}
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 @pytest.mark.parametrize("name", ["svec", "z4-q:1", "toric"])
 def test_gauss_computes_each_quantity_once(name, fmt, write_datum, monkeypatch):
     from premodular import metric_groups
 
-    calls = {"gauss_sum": 0, "radical": 0}
-
-    def counting(attr, fn):
-        def counted(mg):
-            calls[attr] += 1
-            return fn(mg)
-        return counted
-
-    for attr in calls:
-        fn = getattr(metric_groups, attr)
-        for module in [m for key, m in sys.modules.items() if key.startswith("premodular")]:
-            if getattr(module, attr, None) is fn:
-                monkeypatch.setattr(module, attr, counting(attr, fn))
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, metric_groups.gauss_sum)
+    _count_property(monkeypatch, calls, "_radical")
     assert cli_run(["gauss", write_datum(name), "--format", fmt])[0] == 0
-    assert calls == {"gauss_sum": 1, "radical": 1}
+    assert calls == {"gauss_sum": 1, "_radical": 1}
 
 
 def test_stdout_determinism_across_runs(write_datum):

@@ -447,9 +447,8 @@ def test_equal_signature_candidates_are_isometric_rel_fermion():
     # phase, the signature less the first candidate's), checked against
     # the isometry search on every survivor
     for base in _seeded_bases():
-        e = fermion(base)
         by_phase = {}
-        for cand in _extension_candidates(base, e):
+        for cand in _extension_candidates(base, base._fermion_index):
             by_phase.setdefault(cand.phase, []).append(cand)
         assert sorted(by_phase) == list(range(8))
         for first, *rest in by_phase.values():
@@ -470,9 +469,8 @@ def test_pairing_conditions_match_built_and_validated_candidates():
     bases = [mg("svec"), mg("svec-x-semion"), *_seeded_bases(), *map(mg, EXTEND_BENCHMARK_BASES),
              *(random_slightly_degenerate(random.Random(s), 32) for s in range(20))]
     for base in bases:
-        e = fermion(base)
-        survivors = oracles.pushout_survivors(base, e)
-        cands = list(_extension_candidates(base, e))
+        survivors = oracles.pushout_survivors(base, fermion(base))
+        cands = list(_extension_candidates(base, base._fermion_index))
         assert [(c.group, c.embedding, c.fermion_image) for c in cands] == survivors
         (offset,) = {(signature_mod8(c.group) - c.phase) % 8 for c in cands}
         assert {(r.signature - r.phase) % 8 for r in enumerate_pointed_extensions(base)} == {offset}
@@ -512,7 +510,7 @@ def test_only_the_kept_classes_get_an_exact_gauss_sum(base, monkeypatch):
         assert np.array_equal(row, np.roll(counts[0], (r.phase - results[0].phase) % 8 * L // 8))
     assert anchors == [results[0].gauss]
     # the search's other candidates carry no exact sum and no signature
-    assert all(c.gauss is None and c.signature is None for c in _extension_candidates(base, fermion(base)))
+    assert all(c.gauss is None and c.signature is None for c in _extension_candidates(base, base._fermion_index))
 
 
 def test_signature_of_one_gauss_sum_is_within_the_same_1e_9():
