@@ -1,10 +1,13 @@
-"""Output identity on metric-group inputs, pinned by digest.
+"""Output identity on metric-group and premodular inputs, pinned by digest.
 
-tests/data/metric_group_digests.json maps every file subcommand, in both
-formats, on each input below to the sha256 of json.dumps([exit code,
-stdout, stderr]) of its run, keyed as scripts/catalog_outputs.py keys
-its runs ("analyze survey-3.json --format json").  The inputs are built
-here from seeds, each named for the seed that rebuilds it:
+tests/data/metric_group_digests.json and tests/data/premodular_digests.json
+map every file subcommand, in both formats, on each input of their
+corpus to the sha256 of json.dumps([exit code, stdout, stderr]) of its
+run, keyed as scripts/catalog_outputs.py keys its runs ("analyze
+survey-3.json --format json").  The inputs are built here from seeds,
+each named for the seed that rebuilds it.
+
+The metric-group corpus:
 - survey-S: random_slightly_degenerate(random.Random(S), 64);
 - form-S: test_metric_groups._random_form(random.Random(S)), a form on
   1-3 factors, order-1 factors among them, of every classification, and
@@ -15,10 +18,23 @@ here from seeds, each named for the seed that rebuilds it:
   from the HOSTILE and HOSTILE_KEYS pools, so that exit-2 paths are
   pinned too.
 
+The premodular corpus:
+- linear-S: to_premodular(random_slightly_degenerate(random.Random(S), 32))
+  with s, and linear-S-nos the same file without s, which validation
+  synthesizes through the twist inverses;
+- z2-S: the group ring of Z2 with dims 1, no s and a twist theta that is
+  not a root of unity (_z2_theta), some over a coefficient denominator
+  other than 1, so that s is synthesized by the extended Euclid inverse
+  and over a denominator, and z2-two and z2-sqrt2, with theta = 2 and
+  theta = sqrt 2;
+- ising-1-S and ising-7-S: test_fuzz's _mutated of the entries ising:1
+  and ising:7, random.Random(S) choosing the edit.
+
 A change that alters output on purpose regenerates the file in the same
 change and names the changed entries:
 
-    PYTHONPATH=src python3 tests/test_output_digests.py > tests/data/metric_group_digests.json
+    PYTHONPATH=src python3 tests/test_output_digests.py metric > tests/data/metric_group_digests.json
+    PYTHONPATH=src python3 tests/test_output_digests.py premodular > tests/data/premodular_digests.json
 """
 
 import hashlib
@@ -26,24 +42,27 @@ import json
 import pathlib
 import random
 import runpy
+import sys
 import tempfile
+from fractions import Fraction
 
 from premodular.catalog import catalog_get, catalog_list
-from premodular.metric_groups import from_gram, random_slightly_degenerate
-from premodular.serialize import metric_group_to_json
+from premodular.cyclotomic import ONE, CycNum, euler_phi, from_rational, make_root
+from premodular.metric_groups import from_gram, random_slightly_degenerate, to_premodular
+from premodular.serialize import datum_to_json, metric_group_to_json
 from test_fuzz import METRIC_ENTRIES, _mutated, _renamed
 from test_metric_groups import _random_form
 
-DIGESTS = pathlib.Path(__file__).parent / "data" / "metric_group_digests.json"
+DATA = pathlib.Path(__file__).parent / "data"
 RUN_FILE = runpy.run_path(str(pathlib.Path(__file__).parent.parent / "scripts" / "catalog_outputs.py"))["_run_file"]
-SEEDS = {"survey": 40, "form": 60, "mutated": 80, "renamed": 40}
+SEEDS = {"survey": 40, "form": 60, "mutated": 80, "renamed": 40, "linear": 10, "z2": 24, "ising": 80}
 
 
 def _text(mg) -> str:
     return json.dumps(metric_group_to_json(mg))
 
 
-def inputs() -> dict:
+def metric_inputs() -> dict:
     """{name: (the expression that rebuilds the input, its JSON text)}."""
     out = {"form-trivial": ("from_gram([], [])", _text(from_gram([], [])))}
     for s in range(SEEDS["survey"]):
@@ -63,6 +82,51 @@ def inputs() -> dict:
     return out
 
 
+def _z2_theta(rng):
+    """A nonzero twist at a conductor from a fixed set, with coefficients
+    of at most 3 over a denominator from 1..4, made real (theta +
+    conj(theta)) for every other draw so that s passes its conjugation
+    check as often as it fails it."""
+    n = rng.choice((1, 3, 4, 5, 8, 12, 16))
+    while True:
+        den = rng.choice((1, 1, 2, 3, 4))
+        theta = CycNum(n, [Fraction(rng.randint(-3, 3), den) for _ in range(euler_phi(n))])
+        if rng.random() < 0.5:
+            theta = theta + theta.conj()
+        if not theta.is_zero() and not theta.is_one():
+            return theta
+
+
+def premodular_inputs() -> dict:
+    """{name: (the expression that rebuilds the input, its JSON text)}."""
+    out = {}
+    for s in range(SEEDS["linear"]):
+        doc = datum_to_json(to_premodular(random_slightly_degenerate(random.Random(s), 32)))
+        rebuild = f"datum_to_json(to_premodular(random_slightly_degenerate(random.Random({s}), 32)))"
+        out[f"linear-{s}"] = (rebuild, json.dumps(doc))
+        del doc["s"]
+        out[f"linear-{s}-nos"] = (rebuild + ' without "s"', json.dumps(doc))
+    ring = {"labels": ["1", "g"], "unit": 0, "dual": [0, 1],
+            "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]]}
+    twists = {"z2-two": ("from_rational(2)", from_rational(2)),
+              "z2-sqrt2": ("make_root(1, 8) + make_root(-1, 8)", make_root(1, 8) + make_root(-1, 8))}
+    for s in range(SEEDS["z2"]):
+        twists[f"z2-{s}"] = (f"_z2_theta(random.Random({s}))", _z2_theta(random.Random(s)))
+    for name, (rebuild, theta) in twists.items():
+        doc = {"type": "premodular", **ring, "dims": [ONE.to_json()] * 2, "twists": [ONE.to_json(), theta.to_json()]}
+        out[name] = (f"the Z2 group ring with twist {rebuild}", json.dumps(doc))
+    for name in ("ising:1", "ising:7"):
+        for s in range(SEEDS["ising"]):
+            rng = random.Random(s)
+            out[f"{name.replace(':', '-')}-{s}"] = (f"test_fuzz._mutated({name!r}, rng.choice) with "
+                                                     f"rng = random.Random({s})", _mutated(name, rng.choice))
+    return out
+
+
+CORPORA = {"metric": (DATA / "metric_group_digests.json", metric_inputs),
+           "premodular": (DATA / "premodular_digests.json", premodular_inputs)}
+
+
 def digests(workdir: pathlib.Path, built: dict) -> dict:
     """The digest of every run on the inputs in built, written to workdir."""
     runs = {}
@@ -73,17 +137,26 @@ def digests(workdir: pathlib.Path, built: dict) -> dict:
     return {key: hashlib.sha256(json.dumps(run).encode()).hexdigest() for key, run in runs.items()}
 
 
-def test_metric_group_outputs_match_their_digests(tmp_path):
+def _check(tmp_path, corpus):
+    path, inputs = CORPORA[corpus]
     built = inputs()
-    new, old = digests(tmp_path, built), json.loads(DIGESTS.read_text())
+    new, old = digests(tmp_path, built), json.loads(path.read_text())
     changed = [key for key in [*old, *new.keys() - old.keys()] if new.get(key) != old.get(key)]
     if changed:
         name = changed[0].split()[1].removesuffix(".json")
         raise AssertionError(
-            f"{len(changed)} runs differ from {DIGESTS.name}, first `{changed[0]}`, whose input is "
+            f"{len(changed)} runs differ from {path.name}, first `{changed[0]}`, whose input is "
             f"{built[name][0] if name in built else 'no longer built'}")
+
+
+def test_metric_group_outputs_match_their_digests(tmp_path):
+    _check(tmp_path, "metric")
+
+
+def test_premodular_outputs_match_their_digests(tmp_path):
+    _check(tmp_path, "premodular")
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        print(json.dumps(digests(pathlib.Path(tmp), inputs()), indent=1))
+        print(json.dumps(digests(pathlib.Path(tmp), CORPORA[sys.argv[1]][1]()), indent=1))
