@@ -10,17 +10,18 @@ mixed-conductor arithmetic lifts both operands to the lcm via the ring
 map z_N -> z_M^(M/N).  Normal forms are unique at a fixed conductor, so
 equality compares den and num after lifting to a common conductor.
 
-There is one arithmetic, the array kernels reduce_rows, map_rows and
-mul_rows, vectorized over the rows of an integer array (see reduce_rows
-for the exactness bound).  CycArray holds many values at one conductor
-M in the same normal form, as one such array.  A CycNum runs the same
-kernels on its one row: a product is a mul_rows, and every other
-scalar reduction (lift, conj, the inverse of a monomial, root_sum,
-_descend and the end of _inverse_euclid) is a _map, a map_rows of at
-most n coefficients at conductor n.  Only the extended Euclid of
-CycNum.inverse stays a scalar algorithm: an inverse by the norm, the
-product of the other Galois conjugates over N(x), was measured slower
-at conductors 16, 30, 48 and 210.
+There is one value type, CycArray: an array of values at one conductor
+M in this normal form, one integer array over one denominator, and a
+single value is a shape-() CycArray (CycNum builds one from its
+coefficients).  Its arithmetic is entrywise and runs on the array
+kernels reduce_rows, map_rows and mul_rows, vectorized over the rows of
+an integer array (see reduce_rows for the exactness bound): a product is
+a mul_rows, and lift, conj, the inverse of a monomial, root_sum,
+_descend and the end of _inverse_euclid are each a map_rows.  Only the
+extended Euclid of inverse stays a scalar algorithm, run on each entry
+at its own conductor: an inverse by the norm, the product of the other
+Galois conjugates over N(x), was measured slower at conductors 16, 30,
+48 and 210.
 
 CycArray.from_parts builds one from entries at any divisors of M with
 one scatter of all their coefficients and one reduction per block of
@@ -119,250 +120,30 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _map(values, cols, n: int) -> tuple[int, ...]:
-    """sum_k values[k] z_n^cols[k] in the power basis at conductor n, for
-    integer values and distinct cols below n: map_rows on one row."""
-    return tuple(map_rows(np.array(values, dtype=object), cols, n).tolist())
-
-
-def _normal(n: int, num, den: int) -> "CycNum":
-    """num/den at conductor n in normal form (den != 0)."""
-    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
-    if g != 1:
-        num = tuple(c // g for c in num)
-        den //= g
-    return CycNum._raw(n, tuple(num), den)
-
-
-class CycNum:
-    """Element of Q(zeta_N), immutable: the power-basis coefficients are
-    num[k] / den."""
-
-    __slots__ = ("conductor", "num", "den")
-    __hash__ = None  # equality crosses conductors; do not hash
-
-    def __new__(cls, conductor: int, coeffs, den: int = 1):
-        """The value with coefficients coeffs[k] / den, each an int or a
-        Fraction; floats and booleans are refused."""
-        coeffs = list(coeffs)
-        if len(coeffs) != euler_phi(conductor):
-            raise ValueError("coefficient vector length must be euler_phi(conductor)")
-        if any(isinstance(c, bool) or not isinstance(c, (int, Fraction)) for c in coeffs):
-            raise TypeError("CycNum coefficients must be int or Fraction")
-        if not den:
-            raise ZeroDivisionError("CycNum denominator is zero")
-        common = lcm(*(c.denominator for c in coeffs))
-        return _normal(conductor, [c.numerator * (common // c.denominator) for c in coeffs], den * common)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CycNum is immutable")
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The power-basis coefficients as Fractions."""
-        return tuple(Fraction(c, self.den) for c in self.num)
-
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def _raw(conductor: int, num: tuple[int, ...], den: int) -> "CycNum":
-        obj = object.__new__(CycNum)
-        object.__setattr__(obj, "conductor", conductor)
-        object.__setattr__(obj, "num", num)
-        object.__setattr__(obj, "den", den)
-        return obj
-
-    # -- conductor handling ---------------------------------------------------
-
-    def lift(self, m: int) -> "CycNum":
-        """Lift to conductor m (self.conductor must divide m)."""
-        n = self.conductor
-        if m == n:
-            return self
-        if m % n != 0:
-            raise ValueError(f"cannot lift conductor {n} to non-multiple {m}")
-        # Z[zeta_m] meets Q(zeta_n) in Z[zeta_n], so lifting keeps the
-        # content of the numerator and the result is in normal form
-        return CycNum._raw(m, _map(self.num, np.arange(len(self.num)) * (m // n), m), self.den)
-
-    @staticmethod
-    def _common(a: "CycNum", b: "CycNum"):
-        m = lcm(a.conductor, b.conductor)
-        return a.lift(m), b.lift(m), m
-
-    @staticmethod
-    def _coerce(x) -> "CycNum":
-        if isinstance(x, CycNum):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return from_rational(x)
-        return NotImplemented
-
-    # -- ring operations ------------------------------------------------------
-
-    def __add__(self, other):
-        other = CycNum._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, m = CycNum._common(self, other)
-        den = lcm(a.den, b.den)
-        fa, fb = den // a.den, den // b.den
-        return _normal(m, [x * fa + y * fb for x, y in zip(a.num, b.num)], den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycNum._raw(self.conductor, tuple(-c for c in self.num), self.den)
-
-    def __sub__(self, other):
-        other = CycNum._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return CycNum._coerce(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return _normal(self.conductor, [c * f.numerator for c in self.num], self.den * f.denominator)
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        a, b, m = CycNum._common(self, other)
-        num = mul_rows(np.array(a.num, dtype=object), np.array(b.num, dtype=object), m)
-        return _normal(m, num.tolist(), a.den * b.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = CycNum._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_one():
-            return self
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return CycNum._coerce(other) / self
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-    def inverse(self) -> "CycNum":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero CycNum")
-        n = self.conductor
-        nz = [(i, c) for i, c in enumerate(self.num) if c]
-        if len(nz) == 1:
-            # (c/den) z^k inverts to (den/c) z^(n-k), since z^n = 1
-            k, c = nz[0]
-            return _normal(n, _map([self.den], [-k % n], n), c)
-        return self._inverse_euclid()
-
-    def _inverse_euclid(self) -> "CycNum":
-        # fraction-free extended Euclid against Phi_n: each step keeps
-        # t_i * num = r_i (mod Phi_n), divides each pair by its content,
-        # and Phi_n is irreducible, so the chain ends at a constant r_1;
-        # deg t_i <= phi - deg r_(1-i), so length phi + 1 holds every t
-        n, phi = self.conductor, len(self.num)
-
-        def deg(p):
-            return max((i for i, c in enumerate(p) if c), default=-1)
-
-        r0, r1 = list(cyclotomic_poly(n)), list(self.num) + [0]
-        t0, t1 = [0] * (phi + 1), [1] + [0] * phi
-        while (d1 := deg(r1)) > 0:
-            d0 = deg(r0)
-            if d0 < d1:
-                r0, r1, t0, t1 = r1, r0, t1, t0
-                continue
-            g = gcd(r0[d0], r1[d1])
-            f0, f1, shift = r1[d1] // g, r0[d0] // g, [0] * (d0 - d1)
-            r0 = [f0 * x - f1 * y for x, y in zip(r0, shift + r1)]
-            t0 = [f0 * x - f1 * y for x, y in zip(t0, shift + t1)]
-            g = gcd(*r0, *t0)
-            r0, t0 = [x // g for x in r0], [x // g for x in t0]
-        if not r1[0]:
-            raise ZeroDivisionError("division by zero CycNum")
-        # t1 * num = r1[0] (mod Phi_n), so (num / den)^-1 = den * t1 / r1[0]
-        return _normal(n, _map([self.den * t for t in t1], range(phi + 1), n), r1[0])
-
-    def conj(self) -> "CycNum":
-        """Complex conjugation, the Galois action z -> z^(-1)."""
-        n = self.conductor
-        if n <= 2:
-            return self
-        # an automorphism of Z[zeta_n] keeps the content: still normal
-        return CycNum._raw(n, _map(self.num, -np.arange(len(self.num)) % n, n), self.den)
-
-    # -- predicates and comparison -------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
-    def is_one(self) -> bool:
-        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
-
-    def __eq__(self, other):
-        other = CycNum._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = (self, other) if self.conductor == other.conductor else CycNum._common(self, other)[:2]
-        return a.den == b.den and a.num == b.num
-
-    # -- embedding and display -------------------------------------------------
-
-    def embed(self) -> complex:
-        """Evaluate at zeta_N = exp(2*pi*i/N) in double precision."""
-        n, den = self.conductor, self.den
-        # int / int is correctly rounded, so c / den is float(Fraction(c, den))
-        return sum(
-            ((c / den) * cmath.exp(2j * cmath.pi * k / n) for k, c in enumerate(self.num) if c),
-            complex(0),
-        )
-
-    def __repr__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                mono = f"z{self.conductor}" if k == 1 else f"z{self.conductor}^{k}"
-                terms.append(mono if c == 1 else f"{c}*{mono}")
-        return "CycNum(0)" if not terms else "CycNum(" + " + ".join(terms) + ")"
-
-    # -- JSON -------------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        """{"n": conductor, "c": [[num, den], ...]}, each coefficient in
-        lowest terms (0 as 0/1), as strings."""
-        den = self.den
-        return {
-            "n": self.conductor,
-            "c": [[str(c // g), str(den // g)] for c in self.num for g in [gcd(c, den)]],
-        }
+def CycNum(conductor: int, coeffs, den: int = 1) -> "CycArray":
+    """The value with power-basis coefficients coeffs[k] / den at the
+    given conductor, each an int or a Fraction, as a shape-() CycArray;
+    floats and booleans are refused."""
+    coeffs = list(coeffs)
+    if len(coeffs) != euler_phi(conductor):
+        raise ValueError("coefficient vector length must be euler_phi(conductor)")
+    if any(isinstance(c, bool) or not isinstance(c, (int, Fraction)) for c in coeffs):
+        raise TypeError("CycNum coefficients must be int or Fraction")
+    if not den:
+        raise ZeroDivisionError("CycNum denominator is zero")
+    common = lcm(*(c.denominator for c in coeffs))
+    num = np.array([c.numerator * (common // c.denominator) for c in coeffs], dtype=object)
+    return CycArray(conductor, num.astype(exact_dtype(magnitude(num)), copy=False), den * common, conductor)
 
 
 @lru_cache(maxsize=None)
-def _root_cached(num: int, den: int) -> CycNum:
-    return CycNum._raw(den, _map([1], [num], den), 1)
+def _root_cached(num: int, den: int) -> "CycArray":
+    root = CycArray(den, map_rows(np.array([1]), [num], den), 1, den)
+    root.num.setflags(write=False)  # shared by every caller
+    return root
 
 
-def make_root(numerator: int, denominator: int) -> CycNum:
+def make_root(numerator: int, denominator: int) -> "CycArray":
     """The root of unity exp(2*pi*i*numerator/denominator), in normal form
     at conductor denominator/gcd."""
     if denominator < 1:
@@ -372,23 +153,29 @@ def make_root(numerator: int, denominator: int) -> CycNum:
     return _root_cached(e // g, denominator // g)
 
 
-def root_sum(counts, n: int) -> CycNum:
+def root_sum(counts, n: int) -> "CycArray":
     """sum_k counts[k] exp(2*pi*i*k/n) for at most n integer counts, in
     normal form at conductor n."""
-    return _normal(n, _map(counts, range(len(counts)), n), 1)
+    return CycArray(n, map_rows(np.asarray(counts), np.arange(len(counts)), n), 1, n)
 
 
-def from_rational(x) -> CycNum:
+def from_rational(x) -> "CycArray":
     """Embed an int or a Fraction at conductor 1; floats, booleans and
     strings are refused, as by CycNum."""
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"from_rational takes an int or a Fraction, got {type(x).__name__}")
-    return CycNum._raw(1, (x.numerator,), x.denominator)
+    return CycArray(1, np.array([x.numerator], dtype=exact_dtype(abs(x.numerator))), x.denominator, 1)
 
 
-ZERO = from_rational(0)
-ONE = from_rational(1)
-MINUS_ONE = from_rational(-1)
+def _value(x):
+    """x as a CycArray: itself, or an int or a Fraction at conductor 1;
+    NotImplemented for anything else, booleans and floats included, so
+    that an operator raises TypeError and == is False."""
+    if isinstance(x, CycArray):
+        return x
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return from_rational(x)
+    return NotImplemented
 
 
 # -- arrays of values at one conductor ------------------------------------------
@@ -578,7 +365,7 @@ def mul_rows(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return reduce_rows(out, n).reshape(shape)
 
 
-def _descend(num: list, m: int, n: int) -> list:
+def _descend(num: np.ndarray, m: int, n: int) -> np.ndarray:
     """The power-basis coefficients at conductor n, a divisor of m, of a
     value given by its coefficients num at conductor m that lies in
     Q(zeta_n), one prime at a time: m = p k.
@@ -586,42 +373,55 @@ def _descend(num: list, m: int, n: int) -> list:
     If p divides k, Phi_m(x) = Phi_k(x^p), so the value's coefficients sit
     at the multiples of p.  Otherwise z_m^j = z_k^(u j) z_p^(w j) with
     p u = 1 mod k and k w = 1 mod p; in the basis z_k^a z_p^b (b < p-1)
-    the value is its z_p^0 part, once z_p^(p-1) = -(1 + ... + z_p^(p-2))."""
+    the value is its z_p^0 part, once z_p^(p-1) = -(1 + ... + z_p^(p-2)).
+    j -> (u j mod k, w j mod p) is one-to-one below m, so each of the two
+    parts is one scatter."""
     while m != n:
         p = _primes(m // n)[0]
         k = m // p
         if k % p == 0:
             num = num[::p]
         else:
-            u, w = pow(p, -1, k), pow(k, -1, p)
-            poly = [0] * k
-            for j, c in enumerate(num):
-                e = w * j % p
-                if c and e == 0:
-                    poly[u * j % k] += c
-                elif c and e == p - 1:
-                    poly[u * j % k] -= c
-            num = list(_map(poly, range(k), k))
+            j = np.arange(len(num))
+            e, at = pow(k, -1, p) * j % p, pow(p, -1, k) * j % k
+            num = num.astype(exact_dtype(2 * magnitude(num)), copy=False)
+            poly = np.zeros(k, dtype=num.dtype)
+            poly[at[e == 0]] = num[e == 0]
+            poly[at[e == p - 1]] -= num[e == p - 1]
+            num = map_rows(poly, np.arange(k), k)
         m = k
     return num
 
 
 class CycArray:
-    """An array of values of Q(zeta_M) at one conductor M, in CycNum's
-    normal form: num[..., k] / den is the coefficient of z_M^k, with
-    den > 0 and gcd(den, all of num) == 1; num is an int64 array, or an
-    object array of Python ints where a value needs it (exact_dtype).
-    conductor[...] gives the conductor of each entry as a CycNum, a
-    divisor of M; indexing an entry builds that CycNum.  Equality is
-    equality of every value."""
+    """An array of values of Q(zeta_M) at one conductor M: num[..., k] /
+    den is the coefficient of z_M^k, with den > 0 and gcd(den, all of
+    num) == 1; num is an integer array, or an object array of Python ints
+    where a value needs it (exact_dtype).  conductor[...] gives the
+    conductor of each entry, a divisor of M.
+
+    A value is a shape-() array, held at its own conductor (M ==
+    conductor): integer indexing descends an entry to it (_descend), so
+    JSON and repr print every value at the conductor it was given or
+    computed at.  Arithmetic is entrywise with numpy broadcasting, the
+    operands lifted to the lcm of their M and an int or a Fraction taken
+    as a value at conductor 1; a result entry's conductor is the lcm of
+    its operands' entry conductors.  inverse runs on each entry at its
+    own conductor.  == is the equality of every value."""
 
     __slots__ = ("M", "num", "den", "conductor")
-    __hash__ = None
+    __hash__ = None  # equality crosses conductors; do not hash
 
     def __init__(self, M: int, num: np.ndarray, den: int, conductor):
+        conductor = np.asarray(conductor, dtype=np.int64)
+        if num.ndim == 1 and conductor != M:
+            num, M = _descend(num, M, int(conductor)), int(conductor)
+        if den < 0:
+            num, den = -num.astype(exact_dtype(magnitude(num)), copy=False), -den
         g = gcd(den, int(np.gcd.reduce(num, axis=None)) if num.size else 0) if den != 1 else 1
-        self.M, self.num, self.den = M, num // g if g != 1 else num, den // g
-        self.conductor = np.asarray(conductor, dtype=np.int64)
+        if g != 1:  # g past int64 takes Python ints
+            num, den = (num if g < 2**63 else num.astype(object)) // g, den // g
+        self.M, self.num, self.den, self.conductor = M, num, den, conductor
 
     @classmethod
     def from_parts(cls, M: int, conductors, nums, dens, shape) -> "CycArray":
@@ -661,27 +461,28 @@ class CycArray:
 
     @classmethod
     def from_values(cls, values, M: int | None = None) -> "CycArray":
-        """CycNums in a list, or in a list of equal-length lists, at
-        conductor M (by default the lcm of their conductors)."""
-        rows = [list(row) for row in values] if values and not isinstance(values[0], CycNum) else None
-        flat = [v for row in rows for v in row] if rows is not None else list(values)
-        shape = (len(rows), len(rows[0]) if rows else 0) if rows is not None else (len(flat),)
-        return cls.from_parts(M or lcm(*(v.conductor for v in flat)), [v.conductor for v in flat],
-                              [c for v in flat for c in v.num], [v.den for v in flat for _ in v.num], shape)
+        """Values in a list, or in a list of equal-length lists, stacked at
+        conductor M (by default the lcm of their conductors), each entry
+        keeping its conductor: the one route from values to an array."""
+        values = list(values)
+        nested = bool(values) and not (isinstance(values[0], CycArray) and values[0].shape == ())
+        rows = [list(row) for row in values] if nested else [values]
+        flat = [v for row in rows for v in row]
+        shape = (len(rows), len(rows[0])) if nested else (len(flat),)
+        return cls.from_parts(M or lcm(*(v.M for v in flat)), [v.M for v in flat],
+                              [c for v in flat for c in v.num.tolist()],
+                              [v.den for v in flat for _ in range(v.num.size)], shape)
 
     @property
     def shape(self) -> tuple:
         return self.num.shape[:-1]
 
     def __len__(self):
-        return len(self.num)
+        return len(self.conductor)  # TypeError for a value, as for numpy's 0-d arrays
 
     def __getitem__(self, index):
-        num = self.num[index]
-        if num.ndim > 1:
-            return CycArray(self.M, num, self.den, self.conductor[index])
-        n = int(self.conductor[index])
-        return _normal(n, _descend(num.tolist(), self.M, n), self.den)
+        conductor = self.conductor[index]  # IndexError for an index past the entry axes
+        return CycArray(self.M, self.num[index], self.den, conductor)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -690,22 +491,209 @@ class CycArray:
         return CycArray(self.M, self.num.reshape(shape + self.num.shape[-1:]), self.den,
                         self.conductor.reshape(shape))
 
-    def lift(self, m: int) -> "CycArray":
-        """The same values at conductor m, a multiple of M."""
+    @property
+    def coeffs(self):
+        """The power-basis coefficients at M as Fractions: a tuple for a
+        value, nested tuples for an array."""
+        def fractions(x):
+            return tuple(map(fractions, x)) if isinstance(x, list) else Fraction(x, self.den)
+        return fractions(self.num.tolist())
+
+    # -- arithmetic, entrywise ------------------------------------------------
+
+    def _num_at(self, m: int) -> np.ndarray:
+        """The numerators at conductor m, a multiple of M.  Z[zeta_m] meets
+        Q(zeta_M) in Z[zeta_M], so they keep their content: still normal."""
         if m == self.M:
+            return self.num
+        return map_rows(self.num, np.arange(euler_phi(self.M)) * (m // self.M), m)
+
+    def lift(self, m: int) -> "CycArray":
+        """Every value at conductor m, a multiple of M."""
+        if m % self.M:
+            raise ValueError(f"cannot lift conductor {self.M} to non-multiple {m}")
+        return CycArray(m, self._num_at(m), self.den, np.full(self.shape, m))
+
+    def _common(self, other):
+        """other as a value, the numerators of self and other at the lcm m
+        of their M, m, and the conductors of a result, broadcast; None
+        when other is no value."""
+        other = _value(other)
+        if other is NotImplemented:
+            return None
+        m = lcm(self.M, other.M)
+        return other, self._num_at(m), other._num_at(m), m, np.lcm(self.conductor, other.conductor)
+
+    def __add__(self, other):
+        if (common := self._common(other)) is None:
+            return NotImplemented
+        other, a, b, m, conductor = common
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        dtype = exact_dtype(2 * max(magnitude(a) * fa, magnitude(b) * fb))
+        return CycArray(m, a.astype(dtype, copy=False) * fa + b.astype(dtype, copy=False) * fb, den, conductor)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return CycArray(self.M, -self.num.astype(exact_dtype(magnitude(self.num)), copy=False), self.den,
+                        self.conductor)
+
+    def __sub__(self, other):
+        other = _value(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
+
+    def __rsub__(self, other):
+        other = _value(other)
+        return NotImplemented if other is NotImplemented else other + (-self)
+
+    def __mul__(self, other):
+        if (common := self._common(other)) is None:
+            return NotImplemented
+        other, a, b, m, conductor = common
+        return CycArray(m, mul_rows(a, b, m), self.den * other.den, conductor)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _value(other)
+        if other is NotImplemented:
+            return NotImplemented
+        # a division by a value 1 keeps the dividend's conductors
+        return self if not other.shape and other.is_one() else self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = _value(other)
+        return NotImplemented if other is NotImplemented else other / self
+
+    def __pow__(self, k: int):
+        if type(k) is not int:
+            return NotImplemented
+        if k < 0:
+            return self.inverse() ** -k
+        result = CycArray(1, np.ones(self.shape + (1,), dtype=np.int64), 1, np.ones(self.shape, dtype=np.int64))
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
+    def inverse(self) -> "CycArray":
+        """The entrywise inverse, each entry inverted at its own conductor
+        and the results stacked at M (so over one denominator, which
+        from_parts bounds by check_budget): a monomial (c/den) z^k
+        inverts to (den/c) z^(n-k), anything else by _inverse_euclid."""
+        if self.shape:
+            flat = [x.inverse() for x in self.reshape(-1)]
+            return CycArray.from_values(flat, self.M).reshape(*self.shape)
+        nz = np.flatnonzero(self.num)
+        if not len(nz):
+            raise ZeroDivisionError("division by zero CycNum")
+        n = self.M
+        if len(nz) == 1:
+            k = int(nz[0])
+            return CycArray(n, map_rows(np.array([self.den], dtype=object), [-k % n], n), int(self.num[k]), n)
+        return self._inverse_euclid()
+
+    def _inverse_euclid(self) -> "CycArray":
+        # fraction-free extended Euclid against Phi_n: each step keeps
+        # t_i * num = r_i (mod Phi_n), divides each pair by its content,
+        # and Phi_n is irreducible, so the chain ends at a constant r_1;
+        # deg t_i <= phi - deg r_(1-i), so length phi + 1 holds every t
+        n, phi = self.M, len(self.num)
+
+        def deg(p):
+            return max((i for i, c in enumerate(p) if c), default=-1)
+
+        r0, r1 = list(cyclotomic_poly(n)), self.num.tolist() + [0]
+        t0, t1 = [0] * (phi + 1), [1] + [0] * phi
+        while (d1 := deg(r1)) > 0:
+            d0 = deg(r0)
+            if d0 < d1:
+                r0, r1, t0, t1 = r1, r0, t1, t0
+                continue
+            g = gcd(r0[d0], r1[d1])
+            f0, f1, shift = r1[d1] // g, r0[d0] // g, [0] * (d0 - d1)
+            r0 = [f0 * x - f1 * y for x, y in zip(r0, shift + r1)]
+            t0 = [f0 * x - f1 * y for x, y in zip(t0, shift + t1)]
+            g = gcd(*r0, *t0)
+            r0, t0 = [x // g for x in r0], [x // g for x in t0]
+        if not r1[0]:
+            raise ZeroDivisionError("division by zero CycNum")
+        # t1 * num = r1[0] (mod Phi_n), so (num / den)^-1 = den * t1 / r1[0]
+        t1 = np.array([self.den * t for t in t1], dtype=object)
+        return CycArray(n, map_rows(t1, np.arange(phi + 1), n), r1[0], n)
+
+    def conj(self) -> "CycArray":
+        """Complex conjugation, the Galois action z -> z^(-1); an
+        automorphism of Z[zeta_M] keeps the content, so the result is in
+        normal form."""
+        if self.M <= 2:
             return self
-        cols = np.arange(euler_phi(self.M)) * (m // self.M)
-        return CycArray(m, map_rows(self.num, cols, m), self.den, self.conductor)
+        cols = -np.arange(self.num.shape[-1]) % self.M
+        return CycArray(self.M, map_rows(self.num, cols, self.M), self.den, self.conductor)
+
+    def sum(self) -> "CycArray":
+        """The sum of the entries, a value at the lcm of their conductors."""
+        num = self.num.reshape(-1, self.num.shape[-1])
+        num = num.astype(exact_dtype(magnitude(num) * len(num)), copy=False).sum(axis=0)
+        return CycArray(self.M, num, self.den, np.lcm.reduce(self.conductor, axis=None))
+
+    # -- predicates and comparison --------------------------------------------
+
+    def is_zero(self) -> bool:
+        """Whether every value is 0."""
+        return not self.num.any()
+
+    def is_one(self) -> bool:
+        """Whether every value is 1."""
+        return self.den == 1 and bool((self.num[..., 0] == 1).all()) and not self.num[..., 1:].any()
 
     def __eq__(self, other):
-        if not isinstance(other, CycArray):
+        other = _value(other)
+        if other is NotImplemented:
             return NotImplemented
         if self.shape != other.shape:
             return False
         m = lcm(self.M, other.M)
-        a, b = self.lift(m), other.lift(m)
         # the normal form is unique at a fixed conductor
-        return a.den == b.den and np.array_equal(a.num, b.num)
+        return self.den == other.den and bool((self._num_at(m) == other._num_at(m)).all())
+
+    # -- embedding and display ------------------------------------------------
+
+    def embed(self):
+        """Each value at zeta_n = exp(2*pi*i/n), n its conductor, in double
+        precision: a complex for a value, an array of them for an array."""
+        if self.shape:
+            return np.array([x.embed() for x in self.reshape(-1)], dtype=complex).reshape(self.shape)
+        n, den = self.M, self.den
+        # int / int is correctly rounded, so c / den is float(Fraction(c, den))
+        return sum(((c / den) * cmath.exp(2j * cmath.pi * k / n) for k, c in enumerate(self.num.tolist()) if c),
+                   complex(0))
 
     def __repr__(self):
-        return f"CycArray(M={self.M}, shape={self.shape}, den={self.den})"
+        if self.shape:
+            return f"CycArray(M={self.M}, shape={self.shape}, den={self.den})"
+        terms = []
+        for k, c in enumerate(self.coeffs):
+            if c:
+                mono = f"z{self.M}" if k == 1 else f"z{self.M}^{k}"
+                terms.append(str(c) if k == 0 else mono if c == 1 else f"{c}*{mono}")
+        return "CycNum(" + (" + ".join(terms) or "0") + ")"
+
+    def to_json(self):
+        """{"n": conductor, "c": [[num, den], ...]} for a value, each
+        coefficient in lowest terms (0 as 0/1), as strings; a list of the
+        entries' JSON, nested as the array is, for an array."""
+        if self.shape:
+            return [x.to_json() for x in self]
+        den = self.den
+        return {"n": self.M, "c": [[str(c // g), str(den // g)] for c in self.num.tolist() for g in [gcd(c, den)]]}
+
+
+ZERO = from_rational(0)
+ONE = from_rational(1)
+MINUS_ONE = from_rational(-1)

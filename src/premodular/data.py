@@ -21,13 +21,14 @@ integers).  Values read from a file share one denominator, and so do
 the inverse twists that synthesize s, and so does s; each array is
 refused (DatumTooLarge) before it is built when its slots, counted in
 64-bit words with the denominator's length, are above the budget of
-cyclotomic.check_budget.  An entry read by index is a CycNum at the
-conductor it was given at; a synthesized s_{a,b} keeps the lcm of the
-conductors of theta_a, theta_b and every theta_c d_c with N^c_{a,b} !=
-0.  Validation and classification run on the arrays: every product of
-values is one batched product (cyclotomic.mul_rows) and every sum over
-fusion channels one contraction over the nonzeros of N, in blocks of
-rows a of about BLOCK values.
+cyclotomic.check_budget.  An entry read by index is a value, a
+shape-() CycArray, at the conductor it was given at; a synthesized
+s_{a,b} keeps the lcm of the conductors of theta_a, theta_b and every
+theta_c d_c with N^c_{a,b} != 0.  Validation and classification run on
+the arrays: every product of values is one batched product
+(cyclotomic.mul_rows) and every sum over fusion channels one
+contraction over the nonzeros of N, in blocks of rows a of about BLOCK
+values.
 
 Exactness: an expression runs in int64 when a bound from its operands'
 largest magnitudes proves its result below 2^62 (int64 sums and
@@ -53,9 +54,8 @@ from math import lcm
 
 import numpy as np
 
-from .cyclotomic import (BLOCK, CycArray, CycNum, check_budget, exact_dtype, magnitude, map_rows, mul_rows,
-                         narrow)
-from .errors import DatumTooLarge, NotASubcategory
+from .cyclotomic import BLOCK, CycArray, check_budget, exact_dtype, magnitude, map_rows, mul_rows, narrow
+from .errors import DatumTooLarge
 from .fusion_ring import FusionRing, validate_fusion_ring
 from .validation import ValidationReport
 
@@ -64,9 +64,6 @@ __all__ = [
     "CentreKind",
     "CentreClassification",
     "validate_premodular",
-    "framed_s_entry",
-    "relative_centralizer",
-    "mueger_centre",
     "classify_degeneracy",
     "gauss_sum",
 ]
@@ -91,10 +88,10 @@ class PremodularData:
 
     @classmethod
     def from_values(cls, ring, dims, twists, s=None) -> "PremodularData":
-        """From CycNums: lists dims and twists, and s a list of lists or
-        None, all taken to the lcm of their conductors."""
+        """From values: lists dims and twists, and s a list of lists or
+        None, all stacked at the lcm of their conductors."""
         values = [*dims, *twists, *(x for row in s or () for x in row)]
-        M = lcm(*(x.conductor for x in values))
+        M = lcm(*(x.M for x in values))
         return cls(ring, CycArray.from_values(list(dims), M), CycArray.from_values(list(twists), M),
                    None if s is None else CycArray.from_values(s, M))
 
@@ -224,7 +221,7 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
     twisted_dims = mul_rows(T, D, M)  # theta_c d_c, over t_den d_den
     if data.s is None:
         try:
-            inverse = CycArray.from_values([t.inverse() for t in data.twists], M)
+            inverse = data.twists.inverse()
             s_den = inverse.den**2 * t_den * d_den
             check_budget(r * r * D.shape[1], s_den)
         except DatumTooLarge as exc:
@@ -257,12 +254,6 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
     return rep
 
 
-def framed_s_entry(data: PremodularData, a: str, b: str) -> CycNum:
-    """S~_{a,b} = s_{a,b} / (d_a d_b) in the ribbon gauge."""
-    i, j = data.ring.index(a), data.ring.index(b)
-    return data.s[i, j] / (data.dims[i] * data.dims[j])
-
-
 def _transparency(data: PremodularData) -> np.ndarray:
     """(r, r) booleans: S~_{b,x} = 1, tested multiplicatively as
     s_{b,x} = d_b d_x.  With an irrational dimension, row b of s against
@@ -288,39 +279,6 @@ def _transparency(data: PremodularData) -> np.ndarray:
         rest = np.ascontiguousarray(values.take(agree[at], axis=0)[:, 1:].T)
         out.flat[agree[at]] = ~rest.any(axis=0)
     return out
-
-
-def _check_closed(data: PremodularData, idx: set[int]) -> bool:
-    ring = data.ring
-    if ring.unit_index not in idx or any(ring.dual[a] not in idx for a in idx):
-        return False
-    return bool((ring.restrict(sorted(idx))[2] >= 0).all())
-
-
-def relative_centralizer(data: PremodularData, sub) -> set[str]:
-    """Labels transparent to every member of `sub` (a fusion- and
-    dual-closed label set)."""
-    idx = {data.ring.index(x) for x in sub}
-    if not _check_closed(data, idx):
-        raise NotASubcategory(f"label set {sorted(sub)} is not closed under fusion and duals")
-    out = set(np.flatnonzero(_transparency(data)[:, sorted(idx)].all(axis=1)).tolist())
-    assert _check_closed(data, out), "centralizer must be fusion- and dual-closed"
-    return {data.labels[b] for b in out}
-
-
-def mueger_centre(data: PremodularData) -> PremodularData:
-    """Restriction of a validated datum to its transparent labels; they
-    are fusion- and dual-closed, so the restriction satisfies every axiom
-    and its ring takes the restricted entries as they are."""
-    idx = [data.ring.index(lab) for lab in classify_degeneracy(data).transparent]
-    assert _check_closed(data, set(idx)), "transparent labels must be fusion- and dual-closed"
-    pos = {b: k for k, b in enumerate(idx)}
-    # idx is increasing and closed, so the restricted entries are sorted,
-    # unique, nonzero and in range
-    sub_ring = FusionRing._from_columns([data.labels[b] for b in idx], pos[data.ring.unit_index],
-                                        *data.ring.restrict(idx), [pos[data.ring.dual[b]] for b in idx])
-    return PremodularData(ring=sub_ring, dims=data.dims[idx], twists=data.twists[idx],
-                          s=data.s[np.ix_(idx, idx)])
 
 
 class CentreKind(str, Enum):
@@ -372,10 +330,6 @@ def classify_degeneracy(data: PremodularData) -> CentreClassification:
     return CentreClassification(CentreKind.OTHER_DEGENERATE, trans, None, bos, fer)
 
 
-def gauss_sum(data: PremodularData) -> CycNum:
+def gauss_sum(data: PremodularData) -> CycArray:
     """sum_a d_a^2 theta_a, the multiplicative central charge numerator."""
-    acc = None
-    for d, t in zip(data.dims, data.twists):
-        term = d * d * t
-        acc = term if acc is None else acc + term
-    return acc
+    return (data.dims * data.dims * data.twists).sum()

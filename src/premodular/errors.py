@@ -5,10 +5,6 @@ class UnknownLabel(KeyError):
     """A label is not among the simple labels of the ring."""
 
 
-class NotASubcategory(ValueError):
-    """A label set is not closed under fusion and duals."""
-
-
 class DegenerateEigenproblem(RuntimeError):
     """Eigenvalue clusters could not be separated after the retry budget."""
 

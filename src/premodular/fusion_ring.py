@@ -44,7 +44,6 @@ _JOIN_BLOCK = 2**13
 __all__ = [
     "FusionRing",
     "validate_fusion_ring",
-    "fusion_matrix",
     "fpdim",
     "dual_permutation_matrix",
     "group_ring",
@@ -60,10 +59,10 @@ class FusionRing:
     drops the entries whose m is 0, then stores them (_store): ring.fusion
     is an (n, 4) int64 array with one entry per nonzero; a, b, c and m are
     its columns, and the entries of row a are those from start[a] to
-    start[a + 1].  Producers whose entries are sorted, unique, nonzero
-    and in range by construction (group_ring, data.mueger_centre) hand
-    their columns to _store directly through _from_columns.  Label order
-    in all derived matrices is the input order.
+    start[a + 1].  A producer whose entries are sorted, unique, nonzero
+    and in range by construction (group_ring) hands its columns to
+    _store directly through _from_columns.  Label order in all derived
+    matrices is the input order.
     """
 
     def __init__(self, labels: list[str], unit_index: int, fusion, dual: list[int]):
@@ -317,11 +316,6 @@ def _associativity_witnesses(ring: FusionRing, limit: int) -> list[tuple[int, in
                 break
             keys, sums = keys[done:], sums[done:]
     return out
-
-
-def fusion_matrix(ring: FusionRing, a: str) -> np.ndarray:
-    """Left-multiplication matrix of label a: entry (c, b) is N^c_{a,b}."""
-    return ring.row(ring.index(a)).T
 
 
 def dual_permutation_matrix(ring: FusionRing) -> np.ndarray:

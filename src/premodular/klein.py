@@ -1,10 +1,9 @@
 """Klein-bottle invariants on the Grothendieck ring, and the extension
 verdict for slightly degenerate data.
 
-Everything here is decategorified: the eta scalar of a label is theta*d
-(the framed loop value in the ribbon gauge), and the Klein invariants of
-the two canonical summands singled out by the fermion line e are the
-exact rationals
+Everything here is decategorified: the Klein invariants of the two
+canonical summands singled out by the fermion line e are the exact
+rationals
 
     kappa_pm = 1/2 (#{a : a* = a} +- #{a : a* = e.a}),
 
@@ -25,13 +24,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycNum
 from .data import CentreClassification, CentreKind, PremodularData, classify_degeneracy
 from .errors import CrossCheckMismatch, NotSlightlyDegenerate
 from .metric_groups import MetricGroup, _index, classify_form, element_labels
 
-__all__ = ["KappaReport", "ExtensionVerdict", "eta_scalar", "kappa_invariants", "extension_verdict",
-           "form_kappa", "form_verdict"]
+__all__ = ["KappaReport", "ExtensionVerdict", "kappa_invariants", "extension_verdict", "form_kappa", "form_verdict"]
 
 @dataclass
 class KappaReport:
@@ -50,12 +47,6 @@ class KappaReport:
             "kappa_minus": frac(self.kappa_minus),
             "verdict": self.verdict,
         }
-
-
-def eta_scalar(data: PremodularData, a: str) -> CycNum:
-    """theta_a * d_a, the framed loop value of a dualizable simple."""
-    i = data.ring.index(a)
-    return data.twists[i] * data.dims[i]
 
 
 def kappa_invariants(data: PremodularData) -> KappaReport:

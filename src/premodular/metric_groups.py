@@ -6,10 +6,10 @@ double braiding, the radical of b is the transparent subgroup, and the
 Gauss sum sum_x e^(2 pi i q(x)) is the pointed central charge.  The
 convention q(e) = 1/2 marks a fermion line (self-braiding -1).
 
-q is stored as integers over one denominator, the normal form CycNum
-uses: q(x) = Q[i]/D with Q an int64 array over the elements in
-mixed-radix order (the order of elements(), last coordinate fastest), D
-the lcm of the reduced denominators and 0 <= Q < D.  A form has
+q is stored as integers over one denominator, the normal form of
+cyclotomic values: q(x) = Q[i]/D with Q an int64 array over the
+elements in mixed-radix order (the order of elements(), last coordinate
+fastest), D the lcm of the reduced denominators and 0 <= Q < D.  A form has
 2 ord(x) q(x) in Z (b(x, x) = 2q(x) and ord(x) b(x, .) = 0), so D divides
 2 exp(A) <= MAX_CONDUCTOR = 2 SIZE_CAP.  A table read from a file or a
 dict is built by one checked builder, _checked_q, which refuses a larger
@@ -36,7 +36,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .cyclotomic import CycArray, CycNum, exact_dtype, reduce_rows, reduction_growth, root_sum, root_table
+from .cyclotomic import CycArray, exact_dtype, reduce_rows, reduction_growth, root_sum, root_table
 from .data import CentreClassification, CentreKind, PremodularData
 from .errors import CrossCheckMismatch, GroupsTooLarge, NotSlightlyDegenerate
 from .fusion_ring import MAX_RANK, group_ring
@@ -329,7 +329,7 @@ def classify_form(mg: MetricGroup) -> CentreClassification:
     return CentreClassification(CentreKind.OTHER_DEGENERATE, transparent, None, bos, fer)
 
 
-def gauss_sum(mg: MetricGroup) -> CycNum:
+def gauss_sum(mg: MetricGroup) -> CycArray:
     """sum_x e^(2 pi i q(x)) at conductor D, the lcm of the q
     denominators: the counts of each exponent Q mod D, reduced once."""
     return root_sum(np.bincount(mg.Q, minlength=mg.D), mg.D)
@@ -344,7 +344,7 @@ def signature_mod8(mg: MetricGroup):
 _EIGHTH_ROOTS = [complex(math.cos(math.pi * s / 4), math.sin(math.pi * s / 4)) for s in range(8)]
 
 
-def _signature_from_gauss(sigma: CycNum, order: int) -> int:
+def _signature_from_gauss(sigma: CycArray, order: int) -> int:
     """s with sigma = sqrt(order) e^(2 pi i s/8), sigma a Gauss sum,
     within 1e-9, else ArithmeticError."""
     z = sigma.embed() / math.sqrt(order)
@@ -475,7 +475,7 @@ class ExtensionResult:
     fermion_image: tuple[int, ...]
     phase: int
     signature: int | None = None
-    gauss: CycNum | None = None
+    gauss: CycArray | None = None
 
     @functools.cached_property
     def group(self) -> MetricGroup:

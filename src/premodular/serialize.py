@@ -3,7 +3,7 @@
 Input files are discriminated by a top-level "type": "premodular" or
 "metric_group".  Loading always runs the module validator and fails on
 any violation.  Serialization round trips bit-exactly: all rationals
-travel as strings, CycNums as {"n": conductor, "c": [[num, den], ...]}.
+travel as strings, cyclotomic values as {"n": conductor, "c": [[num, den], ...]}.
 Conductors (each, and their lcm over a datum), the lcm of the q
 denominators, ring rank and fusion multiplicities are capped, and so is
 the size of a premodular datum's arrays, in coefficient slots and in
@@ -217,10 +217,10 @@ def ring_from_json(obj: dict) -> FusionRing:
 def premodular_to_json(data: PremodularData) -> dict:
     out = {"type": "premodular"}
     out.update(ring_to_json(data.ring))
-    out["dims"] = [d.to_json() for d in data.dims]
-    out["twists"] = [t.to_json() for t in data.twists]
+    out["dims"] = data.dims.to_json()
+    out["twists"] = data.twists.to_json()
     if data.s is not None:
-        out["s"] = [[e.to_json() for e in row] for row in data.s]
+        out["s"] = data.s.to_json()
     return out
 
 
@@ -230,7 +230,7 @@ def _theta_exp_parts(theta_exp: list) -> tuple[list, list]:
     values = _integers(_flat(_lists(theta_exp, "a theta_exp entry", 2)))
     _capped_conductor(max(values[1::2], default=1))
     roots = list(map(make_root, values[0::2], values[1::2]))
-    return [t.conductor for t in roots], [x for t in roots for c in t.num for x in (c, 1)]
+    return [t.M for t in roots], [x for t in roots for c in t.num.tolist() for x in (c, 1)]
 
 
 def premodular_from_json(obj: dict) -> PremodularData:

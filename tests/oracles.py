@@ -11,8 +11,8 @@ long division, the metric-group laws on a dict of Fractions,
 cyclotomic arithmetic on Fraction coefficients reduced by long division
 by Phi_n, Phi_n as x^n - 1 divided by Phi_d for every proper divisor d,
 a CycArray from its parts by one lift per conductor,
-the premodular axioms and the transparent set on CycNums one
-entry at a time, integer strings by one regex match each, a CycNum's
+the premodular axioms and the transparent set on values one
+entry at a time, integer strings by one regex match each, a value's
 JSON and embedding from its Fraction coefficients, JSON text by
 json.dumps.  Expected
 values frozen into the tests come from here.  The generator-image
@@ -38,7 +38,6 @@ from premodular.cyclotomic import (
     ONE,
     ZERO,
     CycArray,
-    CycNum,
     check_budget,
     euler_phi,
     exact_dtype,
@@ -48,7 +47,7 @@ from premodular.cyclotomic import (
     reduce_rows,
     reduction_growth,
 )
-from premodular.data import CentreClassification, CentreKind, PremodularData
+from premodular.data import CentreClassification, CentreKind, PremodularData, _transparency, classify_degeneracy
 from premodular.errors import GroupsTooLarge
 from premodular.fusion_ring import FusionRing, dual_permutation_matrix, validate_fusion_ring
 from premodular.metric_groups import (
@@ -122,7 +121,7 @@ def cycarray_from_parts_by_conductor(M: int, conductors, nums, dens, shape) -> C
 
 class FractionCycNum:
     """Element of Q(zeta_n) as a tuple of Fractions in the power basis:
-    the Fraction kernel CycNum is checked against."""
+    the Fraction kernel CycArray is checked against."""
 
     def __init__(self, n: int, coeffs):
         self.n, self.coeffs = n, self._reduce(n, [Fraction(c) for c in coeffs])
@@ -214,15 +213,15 @@ def json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def cycnum_to_json_by_fractions(z: CycNum) -> dict:
-    """CycNum.to_json from the Fraction coefficients."""
-    return {"n": z.conductor, "c": [[str(c.numerator), str(c.denominator)] for c in z.coeffs]}
+def cycnum_to_json_by_fractions(z: CycArray) -> dict:
+    """The to_json of a value from its Fraction coefficients."""
+    return {"n": z.M, "c": [[str(c.numerator), str(c.denominator)] for c in z.coeffs]}
 
 
-def cycnum_embed_by_fractions(z: CycNum) -> complex:
-    """CycNum.embed from the Fraction coefficients, each converted by
-    float()."""
-    n = z.conductor
+def cycnum_embed_by_fractions(z: CycArray) -> complex:
+    """The embed of a value from its Fraction coefficients, each converted
+    by float()."""
+    n = z.M
     return sum(
         (float(c) * cmath.exp(2j * cmath.pi * k / n) for k, c in enumerate(z.coeffs) if c),
         complex(0),
@@ -823,10 +822,10 @@ def pushout_survivors(mg: MetricGroup, e):
     return out
 
 
-# -- premodular data on CycNums -------------------------------------------------
+# -- premodular data on values, one entry at a time ------------------------------
 
 
-def _fusion_sum(terms) -> CycNum:
+def _fusion_sum(terms) -> CycArray:
     """sum m x over terms = [(x, m), ...]."""
     acc = None
     for x, m in terms:
@@ -839,7 +838,7 @@ def _lifts(values):
     """at(i, k): values[i] lifted to conductor k, computed once per (i, k)."""
     memo = {}
 
-    def at(i: int, k: int) -> CycNum:
+    def at(i: int, k: int) -> CycArray:
         if (i, k) not in memo:
             memo[i, k] = values[i].lift(k)
         return memo[i, k]
@@ -849,7 +848,7 @@ def _lifts(values):
 
 def premodular_lists(data: PremodularData):
     """dims, twists and s (None, a list of rows, or a flat list when s
-    is not square) of a datum as lists of CycNums."""
+    is not square) of a datum as lists of values."""
     s = data.s
     if s is not None:
         s = [list(row) for row in s] if len(s.shape) == 2 else list(s)
@@ -858,7 +857,7 @@ def premodular_lists(data: PremodularData):
 
 def validate_premodular_cycnum(ring, dims, twists, s):
     """The premodular checks of validate_premodular entry by entry on
-    CycNums, with balancing in its divided form s_{a,b} = theta_a^-1
+    values, with balancing in its divided form s_{a,b} = theta_a^-1
     theta_b^-1 sum_c N^c_{a,b} theta_c d_c: (report, s), s synthesized
     when given as None (the lists of the datum, see premodular_lists)."""
     rep = ValidationReport()
@@ -936,7 +935,7 @@ def validate_premodular_cycnum(ring, dims, twists, s):
 
 def classify_degeneracy_cycnum(data: PremodularData) -> CentreClassification:
     """classify_degeneracy with the transparency test s_{b,x} = d_b d_x
-    made for every pair b, x with CycNum products."""
+    made for every pair b, x with products of values."""
     dims, twists, s = premodular_lists(data)
     ring = data.ring
     idx = [b for b in range(ring.rank) if all(s[b][x] == dims[b] * dims[x] for x in range(ring.rank))]
@@ -952,3 +951,60 @@ def classify_degeneracy_cycnum(data: PremodularData) -> CentreClassification:
         if e_squared_is_unit and twists[e] == MINUS_ONE:
             return CentreClassification(CentreKind.SLIGHTLY_DEGENERATE, trans, data.labels[e], bos, fer)
     return CentreClassification(CentreKind.OTHER_DEGENERATE, trans, None, bos, fer)
+
+
+# -- helpers only the tests reach ------------------------------------------------
+
+
+def fusion_matrix(ring: FusionRing, a: str) -> np.ndarray:
+    """Left-multiplication matrix of label a: entry (c, b) is N^c_{a,b}."""
+    return ring.row(ring.index(a)).T
+
+
+def framed_s_entry(data: PremodularData, a: str, b: str) -> CycArray:
+    """S~_{a,b} = s_{a,b} / (d_a d_b) in the ribbon gauge."""
+    i, j = data.ring.index(a), data.ring.index(b)
+    return data.s[i, j] / (data.dims[i] * data.dims[j])
+
+
+def eta_scalar(data: PremodularData, a: str) -> CycArray:
+    """theta_a * d_a, the framed loop value of a dualizable simple."""
+    i = data.ring.index(a)
+    return data.twists[i] * data.dims[i]
+
+
+class NotASubcategory(ValueError):
+    """A label set is not closed under fusion and duals."""
+
+
+def _check_closed(data: PremodularData, idx: set[int]) -> bool:
+    ring = data.ring
+    if ring.unit_index not in idx or any(ring.dual[a] not in idx for a in idx):
+        return False
+    return bool((ring.restrict(sorted(idx))[2] >= 0).all())
+
+
+def relative_centralizer(data: PremodularData, sub) -> set[str]:
+    """Labels transparent to every member of `sub` (a fusion- and
+    dual-closed label set)."""
+    idx = {data.ring.index(x) for x in sub}
+    if not _check_closed(data, idx):
+        raise NotASubcategory(f"label set {sorted(sub)} is not closed under fusion and duals")
+    out = set(np.flatnonzero(_transparency(data)[:, sorted(idx)].all(axis=1)).tolist())
+    assert _check_closed(data, out), "centralizer must be fusion- and dual-closed"
+    return {data.labels[b] for b in out}
+
+
+def mueger_centre(data: PremodularData) -> PremodularData:
+    """Restriction of a validated datum to its transparent labels; they
+    are fusion- and dual-closed, so the restriction satisfies every axiom
+    and its ring takes the restricted entries as they are."""
+    idx = [data.ring.index(lab) for lab in classify_degeneracy(data).transparent]
+    assert _check_closed(data, set(idx)), "transparent labels must be fusion- and dual-closed"
+    pos = {b: k for k, b in enumerate(idx)}
+    # idx is increasing and closed, so the restricted entries are sorted,
+    # unique, nonzero and in range
+    sub_ring = FusionRing._from_columns([data.labels[b] for b in idx], pos[data.ring.unit_index],
+                                        *data.ring.restrict(idx), [pos[data.ring.dual[b]] for b in idx])
+    return PremodularData(ring=sub_ring, dims=data.dims[idx], twists=data.twists[idx],
+                          s=data.s[np.ix_(idx, idx)])

@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import eta_scalar, relative_centralizer
 from conftest import premodular_form
 from premodular.catalog import catalog_get, catalog_list
 from premodular.cli import cli_run
@@ -26,11 +27,10 @@ from premodular.data import (
     CentreKind,
     classify_degeneracy,
     gauss_sum as premodular_gauss,
-    relative_centralizer,
     validate_premodular,
 )
 from premodular.fusion_ring import dual_permutation_matrix, fpdim
-from premodular.klein import eta_scalar, kappa_invariants
+from premodular.klein import kappa_invariants
 from premodular.metric_groups import (
     enumerate_pointed_extensions,
     random_slightly_degenerate,

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import premodular_form
+from oracles import relative_centralizer
 from premodular.catalog import catalog_get, catalog_list
 from premodular.cli import cli_run
 from premodular.cyclotomic import make_root
@@ -8,7 +9,6 @@ from premodular.data import (
     CentreKind,
     classify_degeneracy,
     gauss_sum as premodular_gauss,
-    relative_centralizer,
     validate_premodular,
 )
 from premodular.errors import UnknownCatalogKey

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import relative_centralizer
 from conftest import premodular_form
 from premodular.components import _exact_group_characters, _numeric_characters, ring_characters
 from premodular.errors import DegenerateEigenproblem
-from premodular.data import classify_degeneracy, relative_centralizer
+from premodular.data import classify_degeneracy
 from premodular.fusion_ring import fpdim
 from premodular.metric_groups import from_gram, to_premodular
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 import os
 import random
 import resource
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import premodular
 from premodular import cyclotomic
-from premodular.cyclotomic import (CycArray, CycNum, ONE, ZERO, _map, cyclotomic_poly, euler_phi, from_rational,
+from premodular.cyclotomic import (CycArray, CycNum, MINUS_ONE, ONE, ZERO, cyclotomic_poly, euler_phi, from_rational,
                                    magnitude, make_root, map_rows, mul_rows, narrow, power_rows, reduce_rows,
                                    reduction_growth)
 from premodular.data import _unequal
@@ -42,6 +43,10 @@ def test_make_root_identity_cases():
     assert make_root(1, 1) == ONE
     assert make_root(0, 1) == ONE
     assert make_root(1, 2) == from_rational(-1)
+    # every scalar constructor gives a value: a shape-() CycArray at its conductor
+    for x in (make_root(3, 8), cyclotomic.root_sum([1, 2, 3], 4), from_rational(3), ZERO, ONE, MINUS_ONE,
+              CycNum(12, [1, 0, 2, 0]), CycArray.from_values([make_root(1, 3), ONE])[1]):
+        assert type(x) is CycArray and x.shape == () and x.M == x.conductor
 
 
 def test_sqrt2_from_eighth_roots():
@@ -57,6 +62,13 @@ def test_exponent_addition():
 
 def test_conjugation_inverts_the_root():
     assert make_root(3, 16).conj() == make_root(13, 16)
+
+
+def test_division_by_one_keeps_the_conductor():
+    # x / 1 is x itself, at x's conductor, wherever the 1 is given
+    x = make_root(1, 9)
+    for one in (ONE, ONE.lift(2), 1):
+        assert (x / one).to_json() == x.to_json()
 
 
 def test_cross_conductor_equality():
@@ -92,7 +104,7 @@ def test_reduction_keeps_the_value_at_the_root(n):
     roots = [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
     for length in [rng.randint(1, n) for _ in range(4)] + [n]:
         poly = [rng.randint(-9, 9) for _ in range(length)]
-        reduced = _map(poly, range(length), n)
+        reduced = tuple(map_rows(np.array(poly, dtype=object), np.arange(length), n).tolist())
         assert len(reduced) == euler_phi(n) and all(type(c) is int for c in reduced)
         direct = math.fsum(c * roots[k % n].real for k, c in enumerate(poly)) \
             + 1j * math.fsum(c * roots[k % n].imag for k, c in enumerate(poly))
@@ -199,21 +211,39 @@ def test_conjugation_is_an_involution_and_fixes_rationals():
     assert from_rational(Fraction(2, 7)).conj() == from_rational(Fraction(2, 7))
 
 
-def _assert_matches(x: CycNum, oracle: FractionCycNum):
-    """x is in normal form and equals the oracle coefficient for coefficient."""
-    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
-    assert len(x.num) == euler_phi(x.conductor)
+def _assert_matches(x: CycArray, oracle):
+    """x is in normal form and equals the oracle coefficient for
+    coefficient: a value, held at its own conductor, against a
+    FractionCycNum, or an array against a list of them, entry by entry
+    (each read by index, at its own conductor)."""
+    if isinstance(oracle, list):
+        assert x.shape == (len(oracle),) and x.den > 0 and math.gcd(x.den, *x.num.ravel().tolist()) == 1
+        for entry, want in zip(x, oracle):
+            _assert_matches(entry, want)
+        return
+    assert x.shape == () and x.M == x.conductor
+    assert x.den > 0 and math.gcd(x.den, *x.num.tolist()) == 1
+    assert len(x.num) == euler_phi(x.M)
     assert x.den == 1 or not x.is_zero()
-    assert (x.conductor, x.coeffs) == (oracle.n, oracle.coeffs)
+    assert (x.M, x.coeffs) == (oracle.n, oracle.coeffs)
     assert x.to_json() == oracle.to_json()
 
 
-@given(cycnums(), cycnums(), st.sampled_from(CONDUCTORS))
+def _oracle(x: CycArray):
+    """The FractionCycNum of a value, or the list of those of an array's
+    entries."""
+    return [_oracle(e) for e in x] if x.shape else FractionCycNum(x.M, x.coeffs)
+
+
+@given(cycnums(), cycnums(), st.sampled_from(CONDUCTORS), st.lists(cycnums(), min_size=1, max_size=4))
 @settings(max_examples=150, deadline=None)
-def test_integer_kernel_matches_the_fraction_oracle(x, y, k):
-    fx, fy = FractionCycNum(x.conductor, x.coeffs), FractionCycNum(y.conductor, y.coeffs)
+def test_integer_kernel_matches_the_fraction_oracle(x, y, k, values):
+    # values also as one array of mixed entry conductors, against x by
+    # broadcasting and against itself reversed, entry by entry: each
+    # result entry at the lcm of its operands' conductors
+    fx, fy = _oracle(x), _oracle(y)
     _assert_matches(x, fx)
-    m = x.conductor * k
+    m = x.M * k
     _assert_matches(x.lift(m), fx.lift(m))
     _assert_matches(x + y, fx + fy)
     _assert_matches(x - y, fx - fy)
@@ -224,6 +254,21 @@ def test_integer_kernel_matches_the_fraction_oracle(x, y, k):
         _assert_matches(x.inverse(), fx.inverse())
     assert (x == y) == (fx == fy)
     assert x.lift(m) == x and (x - x).is_zero() and (x - x).den == 1
+    a, b = CycArray.from_values(values), CycArray.from_values(values[::-1])
+    fa, fb = _oracle(a), _oracle(b)
+    _assert_matches(a, [FractionCycNum(v.M, v.coeffs) for v in values])
+    assert a.to_json() == [f.to_json() for f in fa]
+    _assert_matches(a + x, [f + fx for f in fa])
+    _assert_matches(x - a, [fx - f for f in fa])
+    _assert_matches(a * x, [f * fx for f in fa])
+    _assert_matches(a - b, [f - g for f, g in zip(fa, fb)])
+    _assert_matches(a * b, [f * g for f, g in zip(fa, fb)])
+    _assert_matches(-a, [-f for f in fa])
+    _assert_matches(a.conj(), [f.conj() for f in fa])
+    _assert_matches(a.lift(a.M * k), [f.lift(a.M * k) for f in fa])
+    if all(not v.is_zero() for v in values):
+        _assert_matches(a.inverse(), [f.inverse() for f in fa])
+    assert (a == b) == all(f == g for f, g in zip(fa, fb))
 
 
 # radicals of three primes, and coefficients past 2^62, where mul_rows and
@@ -235,15 +280,18 @@ _BIG = CycNum(105, [2**63] + [1] * (euler_phi(105) - 1))
 
 
 @given(cycnums(_WIDE_CONDUCTORS, _WIDE_COEFFICIENTS), cycnums(_WIDE_CONDUCTORS, _WIDE_COEFFICIENTS),
-       st.sampled_from([1, 2, 7]))
-@example(_BIG, _BIG, 2)
-@example(CycNum(60, [0, 0, 0, 2**70] + [0] * (euler_phi(60) - 4), 3), make_root(1, 105), 1)
-@example(CycNum(30, [Fraction(1, 2)] + [2**62] * 7), ZERO, 1)
-@example(from_rational(-2**69), ZERO, 1)
+       st.sampled_from([1, 2, 7]), st.lists(cycnums(_WIDE_CONDUCTORS + [1, 8], _WIDE_COEFFICIENTS), min_size=1,
+                                            max_size=3))
+@example(_BIG, _BIG, 2, [_BIG, make_root(1, 3), MINUS_ONE])
+@example(CycNum(60, [0, 0, 0, 2**70] + [0] * (euler_phi(60) - 4), 3), make_root(1, 105), 1, [_BIG, ZERO])
+@example(CycNum(30, [Fraction(1, 2)] + [2**62] * 7), ZERO, 1, [from_rational(-2**69), make_root(1, 8)])
+@example(from_rational(-2**69), ZERO, 1, [from_rational(2**64)])
 @settings(max_examples=30, deadline=None)
-def test_kernel_route_matches_the_fraction_oracle_at_wide_conductors(x, y, k):
-    fx, fy = FractionCycNum(x.conductor, x.coeffs), FractionCycNum(y.conductor, y.coeffs)
-    m = x.conductor * k
+def test_kernel_route_matches_the_fraction_oracle_at_wide_conductors(x, y, k, values):
+    # values also as one array, on Python ints where a coefficient is
+    # past int64, against x by broadcasting
+    fx, fy = _oracle(x), _oracle(y)
+    m = x.M * k
     _assert_matches(x.lift(m), fx.lift(m))
     _assert_matches(x + y, fx + fy)
     _assert_matches(x * y, fx * fy)
@@ -252,8 +300,17 @@ def test_kernel_route_matches_the_fraction_oracle_at_wide_conductors(x, y, k):
         assert x * x.inverse() == ONE
         # the Fraction Euclid takes about 0.5 s on a dense value at 105, so
         # there it runs on the pinned one
-        if x.conductor < 105 or x == _BIG:
+        if x.M < 105 or x == _BIG:
             _assert_matches(x.inverse(), fx.inverse())
+    a = CycArray.from_values(values)
+    fa = _oracle(a)
+    _assert_matches(a, [FractionCycNum(v.M, v.coeffs) for v in values])
+    _assert_matches(a + x, [f + fx for f in fa])
+    _assert_matches(x * a, [fx * f for f in fa])
+    _assert_matches(a * a, [f * f for f in fa])
+    _assert_matches(a.conj(), [f.conj() for f in fa])
+    if all(not v.is_zero() for v in values):
+        assert a * a.inverse() == CycArray.from_values([ONE] * len(values))
 
 
 @pytest.mark.parametrize("n", [6, 30, 210, 2730])
@@ -315,7 +372,7 @@ def test_every_dtype_choice_bounds_minus_2_63():
     assert magnitude(low) == 2**63 and magnitude(np.array([-2**63])) == 2**63
     assert narrow(low).dtype == np.int64 and narrow(low).tolist() == [-2**63, 5]
     # z_4^2 = -1, and z_6^2 = z_6 - 1: the result leaves int64
-    assert _map(np.array([0, 0, -2**63]), range(3), 4) == (2**63, 0)
+    assert map_rows(np.array([0, 0, -2**63]), np.arange(3), 4).tolist() == [2**63, 0]
     assert map_rows(np.array([[-2**63]]), [2], 4).tolist() == [[2**63, 0]]
     assert mul_rows(np.array([[-2**63]]), np.array([[2]]), 1).tolist() == [[-2**64]]
     # a zero factor against an object-dtype factor that no int64 holds
@@ -335,6 +392,21 @@ def test_from_rational_takes_only_exact_rationals():
     for bad in (0.1, 1.0, True, "1e-3", "1/2"):
         with pytest.raises(TypeError):
             from_rational(bad)
+
+
+def test_booleans_and_floats_are_refused_by_every_operator():
+    # one coercion rule: an int or a Fraction is a value at conductor 1,
+    # anything else makes an operator raise TypeError and == False
+    z = make_root(1, 8)
+    for x in (z, CycArray.from_values([z, ONE])):
+        for bad in (True, False, 0.5, 1.0, "1"):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.pow):
+                with pytest.raises(TypeError):
+                    op(x, bad)
+                with pytest.raises(TypeError):
+                    op(bad, x)
+            assert (x == bad) is False and (x != bad) is True
+        assert x * 1 == x and x + Fraction(0) == x and (x == 1) is False
 
 
 def test_coefficients_must_be_exact():

@@ -6,19 +6,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
+from oracles import NotASubcategory, framed_s_entry, mueger_centre, relative_centralizer
 from conftest import assert_same_ring, premodular_form
 from premodular.cyclotomic import ONE, CycNum, euler_phi, from_rational, make_root
 from premodular.data import (
     CentreKind,
     PremodularData,
     classify_degeneracy,
-    framed_s_entry,
     gauss_sum,
-    mueger_centre,
-    relative_centralizer,
     validate_premodular,
 )
-from premodular.errors import NotASubcategory
 from premodular.fusion_ring import dual_permutation_matrix
 from premodular.metric_groups import from_gram, random_slightly_degenerate, to_premodular
 
@@ -163,11 +160,15 @@ def test_gauss_sum_modulus_on_modular_entries(name):
     data = premodular_form(name)
     assert classify_degeneracy(data).kind is CentreKind.NONDEGENERATE
     sigma = gauss_sum(data)
-    total = None
-    for d in data.dims:
+    total = terms = None
+    for d, t in zip(data.dims, data.twists):
         sq = d * d
         total = sq if total is None else total + sq
+        terms = sq * t if terms is None else terms + sq * t
     assert sigma * sigma.conj() == total
+    # the one array expression against the sum term by term, at the same
+    # conductor
+    assert sigma.to_json() == terms.to_json()
 
 
 @pytest.mark.parametrize("name", MODULAR)

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from oracles import (brute_associative, brute_duality_violations, checked_ring, dense, dense_associativity_witnesses,
-                     ring_from_dense, validate_fusion_ring_dense)
+                     fusion_matrix, ring_from_dense, validate_fusion_ring_dense)
 from premodular import fusion_ring
 from premodular.errors import UnknownLabel
 from premodular.fusion_ring import (
     FusionRing,
     dual_permutation_matrix,
     fpdim,
-    fusion_matrix,
     group_ring,
     validate_fusion_ring,
 )

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import premodular_form, with_entries
+from oracles import eta_scalar
 from premodular.cyclotomic import ONE, from_rational, make_root
 from premodular.data import classify_degeneracy, validate_premodular
 from premodular.errors import CrossCheckMismatch, NotSlightlyDegenerate
-from premodular.klein import eta_scalar, extension_verdict, kappa_invariants
+from premodular.klein import extension_verdict, kappa_invariants
 from premodular.metric_groups import (
     from_gram,
     random_slightly_degenerate,

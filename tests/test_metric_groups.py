@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import direct_sum, isometry_rel_point
+from oracles import direct_sum, framed_s_entry, isometry_rel_point, relative_centralizer
 from premodular import metric_groups
 from premodular.catalog import catalog_get, catalog_list
 from premodular.components import form_characters, ring_characters
@@ -20,8 +20,6 @@ from premodular.data import (
     CentreKind,
     PremodularData,
     classify_degeneracy,
-    framed_s_entry,
-    relative_centralizer,
     validate_premodular,
 )
 from premodular.errors import CrossCheckMismatch, GroupsTooLarge, NotSlightlyDegenerate
