@@ -12,7 +12,7 @@ def main():
           f"{'kappa-':<7} verdict")
     for name, kind, _ in catalog_list():
         data = catalog_get(name).payload
-        classify, characters, verdict_of, _ = _analyzers(data)
+        classify, characters, verdict_of = _analyzers(data)
         cls = classify(data)
         comp = characters(data, cls)
         verdict = verdict_of(data, cls)

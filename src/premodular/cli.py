@@ -3,9 +3,10 @@
 Subcommands: validate, analyze, kappa, components, extend, gauss,
 catalog.  analyze, kappa and components read premodular data off its
 arrays and a metric group off its form (classify_form, form_characters,
-form_verdict, form_kappa), with the reports of its linearization but
-without building it; a metric group of order above the linearization's
-rank cap is still refused, so that these exit codes stay as they were.
+form_verdict), with the reports of its linearization but without
+building it; kappa prints the verdict's Klein invariants.  A metric
+group of order above the linearization's rank cap is still refused, so
+that these exit codes stay as they were.
 Exit codes: 0 success, 1 internal cross-check failure, such as the kappa
 twist identity theta_{e.a} = -theta_a in analyze and kappa (never
 expected on validated data), 2 input or usage errors.  Stdout is
@@ -36,7 +37,7 @@ from .errors import (
     NotSlightlyDegenerate,
     UnknownCatalogKey,
 )
-from .klein import extension_verdict, form_kappa, form_verdict, kappa_invariants
+from .klein import extension_verdict, form_verdict
 from .metric_groups import (
     MetricGroup,
     _check_linearizable,
@@ -153,12 +154,12 @@ def _load_for_analysis(path):
 
 
 def _analyzers(datum):
-    """(classify, characters, verdict, kappa) for datum, as this module
-    names them at call time: a metric group's read off its form,
-    premodular data's off its arrays."""
+    """(classify, characters, verdict) for datum, as this module names
+    them at call time: a metric group's read off its form, premodular
+    data's off its arrays."""
     if isinstance(datum, MetricGroup):
-        return classify_form, form_characters, form_verdict, form_kappa
-    return classify_degeneracy, ring_characters, extension_verdict, kappa_invariants
+        return classify_form, form_characters, form_verdict
+    return classify_degeneracy, ring_characters, extension_verdict
 
 
 def _load_metric_group(args):
@@ -180,7 +181,7 @@ def run_analysis(path: str, seed: int = 0):
         return out
 
     data = stage("load_validate", _load_for_analysis, path)
-    classify, characters, verdict_of, _ = _analyzers(data)
+    classify, characters, verdict_of = _analyzers(data)
     cls = stage("classify", classify, data)
     comp = stage("components", characters, data, cls, seed)
     verdict = stage("kappa_verdict", verdict_of, data, cls)
@@ -237,15 +238,18 @@ def _cmd_analyze(args):
 
 def _cmd_kappa(args):
     data = _load_for_analysis(args.path)
-    *_, kappa = _analyzers(data)
-    report = kappa(data)
+    classify, _, verdict_of = _analyzers(data)
+    cls = classify(data)
+    report = verdict_of(data, cls).kappa  # present iff slightly degenerate
+    if report is None:
+        raise NotSlightlyDegenerate(f"classification is {cls.kind.value}; need a fermion line")
     rows = [("input", args.path), *_kappa_rows(report), ("verdict", report.verdict)]
     return 0, {"input_name": args.path, "kappa": report.to_json()}, rows
 
 
 def _cmd_components(args):
     data = _load_for_analysis(args.path)
-    classify, characters, _, _ = _analyzers(data)
+    classify, characters, _ = _analyzers(data)
     comp = characters(data, classify(data), seed=args.seed)
     rows = [("input", args.path), ("components", str(comp.count))]
     for k, chi in enumerate(comp.characters):

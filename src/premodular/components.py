@@ -34,7 +34,6 @@ _MAX_RETRIES = 8
 @dataclass
 class ComponentAnalysis:
     count: int
-    labels: list[str]                       # transparent labels, ring order
     characters: list[dict[str, complex]]    # each maps transparent label -> value
     dim_index: int
     magnetic_index: int | None
@@ -182,7 +181,6 @@ def _analysis(cls: CentreClassification, char_values: list[list[complex]], seed:
     characters = [dict(zip(labels, chi)) for chi in char_values]
     return ComponentAnalysis(
         count=len(labels),
-        labels=labels,
         characters=characters,
         dim_index=dim_index,
         magnetic_index=magnetic_index,

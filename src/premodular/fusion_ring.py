@@ -56,13 +56,10 @@ class FusionRing:
     fusion lists entries [a, b, c, m]: simple c occurs m times in the
     product a . b.  Construction checks the shape and ranges, sorts the
     entries by (a, b, c), keeps the last m of a repeated (a, b, c) and
-    drops the entries whose m is 0, then stores them (_store): ring.fusion
-    is an (n, 4) int64 array with one entry per nonzero; a, b, c and m are
-    its columns, and the entries of row a are those from start[a] to
-    start[a + 1].  A producer whose entries are sorted, unique, nonzero
-    and in range by construction (group_ring) hands its columns to
-    _store directly through _from_columns.  Label order in all derived
-    matrices is the input order.
+    drops the entries whose m is 0: ring.fusion is an (n, 4) int64 array
+    with one entry per nonzero; a, b, c and m are its columns, and the
+    entries of row a are those from start[a] to start[a + 1].  Label
+    order in all derived matrices is the input order.
     """
 
     def __init__(self, labels: list[str], unit_index: int, fusion, dual: list[int]):
@@ -87,21 +84,9 @@ class FusionRing:
             columns = columns[:, order[np.diff(keys[order], append=-1) != 0]]
         if not columns[3].all():
             columns = columns[:, columns[3] != 0]
-        self._store(labels, unit_index, *columns, dual)
-
-    @classmethod
-    def _from_columns(cls, labels, unit_index: int, a, b, c, m, dual) -> "FusionRing":
-        """The ring of int64 columns a, b, c, m that are sorted by (a, b,
-        c), unique, nonzero and in range, with distinct labels and a dual
-        of length r: no check, no copy."""
-        ring = object.__new__(cls)
-        ring._store(labels, unit_index, a, b, c, m, dual)
-        return ring
-
-    def _store(self, labels, unit_index, a, b, c, m, dual):
         self.labels, self.unit_index, self.dual = labels, unit_index, dual
-        self.a, self.b, self.c, self.m = a, b, c, m
-        self.start = np.searchsorted(a, np.arange(len(labels) + 1))
+        self.a, self.b, self.c, self.m = columns
+        self.start = np.searchsorted(self.a, np.arange(r + 1))
 
     @property
     def fusion(self) -> np.ndarray:
@@ -348,10 +333,9 @@ def fpdim(ring: FusionRing):
 
 
 def group_ring(labels: list[str], add_table: np.ndarray, unit_index: int, inverse: list[int]) -> FusionRing:
-    """Fusion ring of a finite abelian group given its addition table
-    (in range): the entries [a, b, a + b, 1], already in order, handed
-    over without the construction checks."""
+    """Fusion ring of a finite abelian group given its addition table:
+    the entries [a, b, a + b, 1]."""
     r = len(labels)
     a, b = np.indices((r, r), dtype=np.int64).reshape(2, r * r)
     c = np.asarray(add_table, dtype=np.int64).reshape(r * r)
-    return FusionRing._from_columns(labels, unit_index, a, b, c, np.ones(r * r, dtype=np.int64), list(inverse))
+    return FusionRing(labels, unit_index, np.column_stack((a, b, c, np.ones(r * r, dtype=np.int64))), list(inverse))

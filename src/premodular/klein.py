@@ -13,8 +13,8 @@ to vanish and kappa_minus > 0; that certifies that a minimal
 nondegenerate extension exists (the positive, "S", case of the two
 possible ambient doubles; the other, "T", would force kappa <= 0 on
 purely magnetic objects).  No 2-categorical structure is modelled.
-A metric group is counted on its form (form_kappa, form_verdict): a* is
--a, e.a is e + a, and the twist identity reads q(e + a) = q(a) + 1/2.
+A metric group is counted on its form (form_verdict): a* is -a, e.a is
+e + a, and the twist identity reads q(e + a) = q(a) + 1/2.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import CentreClassification, CentreKind, PremodularData, classify_degeneracy
-from .errors import CrossCheckMismatch, NotSlightlyDegenerate
-from .metric_groups import MetricGroup, _index, classify_form, element_labels
+from .data import CentreClassification, CentreKind, PremodularData
+from .data import classify_degeneracy  # noqa: F401  unused; perfbench/layers.py PATCHES rebinds it here
+from .errors import CrossCheckMismatch
+from .metric_groups import MetricGroup, _index, element_labels
 
-__all__ = ["KappaReport", "ExtensionVerdict", "kappa_invariants", "extension_verdict", "form_kappa", "form_verdict"]
+__all__ = ["KappaReport", "ExtensionVerdict", "extension_verdict", "form_verdict"]
 
 @dataclass
 class KappaReport:
@@ -47,29 +48,6 @@ class KappaReport:
             "kappa_minus": frac(self.kappa_minus),
             "verdict": self.verdict,
         }
-
-
-def kappa_invariants(data: PremodularData) -> KappaReport:
-    """Klein invariants of the two canonical summands of a slightly
-    degenerate datum, with the twist-identity check.
-
-    Raises NotSlightlyDegenerate unless the classification identifies a
-    fermion e, and CrossCheckMismatch when the twist identity fails (see
-    _kappa_report).
-    """
-    return _kappa_report(data, _fermion(classify_degeneracy(data)))
-
-
-def form_kappa(mg: MetricGroup) -> KappaReport:
-    """kappa_invariants of the linearization of mg, from the form."""
-    _fermion(classify_form(mg))  # NotSlightlyDegenerate without a fermion line
-    return _form_kappa_report(mg)
-
-
-def _fermion(cls: CentreClassification) -> str:
-    if cls.kind is not CentreKind.SLIGHTLY_DEGENERATE:
-        raise NotSlightlyDegenerate(f"classification is {cls.kind.value}; need a fermion line")
-    return cls.fermion
 
 
 def _kappa_report(data: PremodularData, fermion: str) -> KappaReport:

@@ -46,15 +46,11 @@ __all__ = [
     "MetricGroup",
     "ExtensionResult",
     "validate_metric_group",
-    "radical",
-    "fermion",
     "classify_form",
     "gauss_sum",
-    "signature_mod8",
     "to_premodular",
     "enumerate_pointed_extensions",
     "from_gram",
-    "random_slightly_degenerate",
     "element_labels",
 ]
 
@@ -204,7 +200,7 @@ class MetricGroup:
     @property
     def _fermion_index(self) -> int | None:
         """The index of e when the radical is {0, e} with 2 Q[e] = D, else
-        None; fermion(), classify_form, kappa and extend all use this rule."""
+        None; classify_form, kappa and extend all use this rule."""
         rad = self._radical
         return int(rad[1]) if len(rad) == 2 and 2 * self.Q[rad[1]] == self.D else None
 
@@ -297,18 +293,6 @@ def validate_metric_group(mg: MetricGroup) -> ValidationReport:
     return rep
 
 
-def radical(mg: MetricGroup) -> list[tuple[int, ...]]:
-    """Elements pairing trivially with the whole group, sorted."""
-    return [_element(mg.coordinates, i) for i in mg._radical]
-
-
-def fermion(mg: MetricGroup):
-    """The fermion line e when the radical is {0, e} with q(e) = 1/2,
-    else None."""
-    e = mg._fermion_index
-    return None if e is None else _element(mg.coordinates, e)
-
-
 def classify_form(mg: MetricGroup) -> CentreClassification:
     """classify_degeneracy of the linearization, read off the form.  The
     Mueger centre of C(A, q) is the radical of b (Drinfeld-Gelaki-
@@ -333,12 +317,6 @@ def gauss_sum(mg: MetricGroup) -> CycArray:
     """sum_x e^(2 pi i q(x)) at conductor D, the lcm of the q
     denominators: the counts of each exponent Q mod D, reduced once."""
     return root_sum(np.bincount(mg.Q, minlength=mg.D), mg.D)
-
-
-def signature_mod8(mg: MetricGroup):
-    """s in Z/8 with gauss_sum = sqrt(|A|) e^(2 pi i s/8); None when the
-    radical is nontrivial."""
-    return _signature_from_gauss(gauss_sum(mg), mg.order) if len(mg._radical) == 1 else None
 
 
 _EIGHTH_ROOTS = [complex(math.cos(math.pi * s / 4), math.sin(math.pi * s / 4)) for s in range(8)]
@@ -381,8 +359,8 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
     D of its denominators every s exponent is (Q[x+y] - Q[x] - Q[y]) mod
     D; every value is a row of the table of the z_D^k
     (cyclotomic.root_table), so the data are arrays at conductor D from
-    the start.  The ring is group_ring's, handed over without the
-    construction checks.  The output satisfies the
+    the start.  The ring is group_ring's, built by the checking
+    FusionRing constructor.  The output satisfies the
     premodular axioms by construction (the balancing formula collapses
     to the definition of the polarization).
     Groups of order above MAX_RANK raise GroupsTooLarge.
@@ -645,30 +623,3 @@ def enumerate_pointed_extensions(mg: MetricGroup, max_order: int = 64):
     for r, sigma in zip(classes, gauss):
         r.gauss, r.signature = sigma, (s0 + r.phase) % 8
     return classes
-
-
-def random_slightly_degenerate(rng, max_order: int = 64) -> MetricGroup:
-    """Random pointed slightly degenerate metric group with |A| <= max_order.
-
-    Builds an orthogonal sum of nondegenerate cyclic blocks (gcd
-    condition on the coefficient) plus one fermion line, then shuffles
-    the factor order.  Slight degeneracy holds by construction.
-    """
-    budget = max_order // 2
-    blocks = []
-    for _ in range(rng.randint(1, 3)):
-        choices = [n for n in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32) if n <= budget]
-        if not choices:
-            break
-        n = rng.choice(choices)
-        budget //= n
-        if n % 2 == 0:
-            coeffs = [a for a in range(1, 2 * n, 2) if gcd(a, n) == 1]
-        else:
-            coeffs = [a for a in range(2, 2 * n, 2) if gcd(a, n) == 1]
-        blocks.append((n, rng.choice(coeffs)))
-    blocks.append((2, 2))  # fermion line, q = x^2/2
-    rng.shuffle(blocks)
-    orders = [n for n, _ in blocks]
-    diag = [Fraction(a, 2 * n) for n, a in blocks]
-    return from_gram(orders, diag)

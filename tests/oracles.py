@@ -16,8 +16,10 @@ entry at a time, integer strings by one regex match each, a value's
 JSON and embedding from its Fraction coefficients, JSON text by
 json.dumps.  Expected
 values frozen into the tests come from here.  The generator-image
-isometry search and the orthogonal direct sum live here too: only the
-tests use them.
+isometry search, the orthogonal direct sum, a metric group's radical,
+fermion line and signature mod 8 as element tuples and the seeded
+generator random_slightly_degenerate live here too: only the tests use
+them.
 """
 
 from __future__ import annotations
@@ -54,8 +56,11 @@ from premodular.metric_groups import (
     SIZE_CAP,
     MetricGroup,
     _coset_reps_mod_double,
+    _element,
     _pushout_structure,
-    radical,
+    _signature_from_gauss,
+    from_gram,
+    gauss_sum,
     validate_metric_group,
 )
 from premodular.validation import ValidationReport
@@ -371,6 +376,51 @@ def group_scale(mg: MetricGroup, k: int, x):
 def pairing(mg: MetricGroup, x, y) -> Fraction:
     """b(x,y) = q(x+y) - q(x) - q(y) mod 1 on the Fraction table."""
     return (mg.qtable[group_add(mg, x, y)] - mg.qtable[tuple(x)] - mg.qtable[tuple(y)]) % 1
+
+
+def radical(mg: MetricGroup) -> list[tuple[int, ...]]:
+    """Elements pairing trivially with the whole group, sorted."""
+    return [_element(mg.coordinates, i) for i in mg._radical]
+
+
+def fermion(mg: MetricGroup):
+    """The fermion line e when the radical is {0, e} with q(e) = 1/2,
+    else None."""
+    e = mg._fermion_index
+    return None if e is None else _element(mg.coordinates, e)
+
+
+def signature_mod8(mg: MetricGroup):
+    """s in Z/8 with gauss_sum = sqrt(|A|) e^(2 pi i s/8); None when the
+    radical is nontrivial."""
+    return _signature_from_gauss(gauss_sum(mg), mg.order) if len(mg._radical) == 1 else None
+
+
+def random_slightly_degenerate(rng, max_order: int = 64) -> MetricGroup:
+    """Random pointed slightly degenerate metric group with |A| <= max_order.
+
+    Builds an orthogonal sum of nondegenerate cyclic blocks (gcd
+    condition on the coefficient) plus one fermion line, then shuffles
+    the factor order.  Slight degeneracy holds by construction.
+    """
+    budget = max_order // 2
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        choices = [n for n in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32) if n <= budget]
+        if not choices:
+            break
+        n = rng.choice(choices)
+        budget //= n
+        if n % 2 == 0:
+            coeffs = [a for a in range(1, 2 * n, 2) if gcd(a, n) == 1]
+        else:
+            coeffs = [a for a in range(2, 2 * n, 2) if gcd(a, n) == 1]
+        blocks.append((n, rng.choice(coeffs)))
+    blocks.append((2, 2))  # fermion line, q = x^2/2
+    rng.shuffle(blocks)
+    orders = [n for n, _ in blocks]
+    diag = [Fraction(a, 2 * n) for n, a in blocks]
+    return from_gram(orders, diag)
 
 
 def validate_fractions(orders, table) -> ValidationReport:
@@ -1002,9 +1052,7 @@ def mueger_centre(data: PremodularData) -> PremodularData:
     idx = [data.ring.index(lab) for lab in classify_degeneracy(data).transparent]
     assert _check_closed(data, set(idx)), "transparent labels must be fusion- and dual-closed"
     pos = {b: k for k, b in enumerate(idx)}
-    # idx is increasing and closed, so the restricted entries are sorted,
-    # unique, nonzero and in range
-    sub_ring = FusionRing._from_columns([data.labels[b] for b in idx], pos[data.ring.unit_index],
-                                        *data.ring.restrict(idx), [pos[data.ring.dual[b]] for b in idx])
+    sub_ring = FusionRing([data.labels[b] for b in idx], pos[data.ring.unit_index],
+                          np.column_stack(data.ring.restrict(idx)), [pos[data.ring.dual[b]] for b in idx])
     return PremodularData(ring=sub_ring, dims=data.dims[idx], twists=data.twists[idx],
                           s=data.s[np.ix_(idx, idx)])

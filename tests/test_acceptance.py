@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oracles import eta_scalar, relative_centralizer
+from oracles import eta_scalar, random_slightly_degenerate, relative_centralizer
 from conftest import premodular_form
 from premodular.catalog import catalog_get, catalog_list
 from premodular.cli import cli_run
@@ -30,10 +30,9 @@ from premodular.data import (
     validate_premodular,
 )
 from premodular.fusion_ring import dual_permutation_matrix, fpdim
-from premodular.klein import kappa_invariants
+from premodular.klein import extension_verdict
 from premodular.metric_groups import (
     enumerate_pointed_extensions,
-    random_slightly_degenerate,
     to_premodular,
     validate_metric_group,
 )
@@ -83,7 +82,7 @@ def test_criterion_2_klein_cross_check():
         data_sets.append((to_premodular(mg), mg))
     checked = 0
     for data, mg in data_sets:
-        rep = kappa_invariants(data)  # raises CrossCheckMismatch if the twist identity fails
+        rep = extension_verdict(data, classify_degeneracy(data)).kappa  # raises CrossCheckMismatch if the twist identity fails
         assert rep.n_e_twisted == 0 and rep.kappa_minus >= Fraction(1, 2)
         if mg is not None:
             # oracle: in a pointed datum a* = a exactly on the 2-torsion

@@ -594,12 +594,14 @@ def test_internal_cross_check_failure_exits_1(write_datum, monkeypatch):
     def boom(data, cls):
         raise CrossCheckMismatch("forced for the exit-code contract test")
 
-    # both verdicts: a metric group's, read off its form, and premodular data's
+    # both verdicts: a metric group's, read off its form, and premodular
+    # data's; kappa reads its report from the verdict, as analyze does
     for name in ("form_verdict", "extension_verdict"):
         monkeypatch.setattr(f"premodular.cli.{name}", boom)
-    for entry in ("svec", "ising:1"):
-        code, out = cli_run(["analyze", write_datum(entry)])
-        assert code == 1 and out == "", entry
+    for command in ("analyze", "kappa"):
+        for entry in ("svec", "ising:1"):
+            code, out = cli_run([command, write_datum(entry)])
+            assert code == 1 and out == "", (command, entry)
 
 
 def test_extend_exits_1_when_a_kept_class_sum_is_off_its_phase(write_datum, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
-from oracles import NotASubcategory, framed_s_entry, mueger_centre, relative_centralizer
+from oracles import NotASubcategory, framed_s_entry, mueger_centre, random_slightly_degenerate, relative_centralizer
 from conftest import assert_same_ring, premodular_form
 from premodular.cyclotomic import ONE, CycNum, euler_phi, from_rational, make_root
 from premodular.data import (
@@ -17,7 +17,7 @@ from premodular.data import (
     validate_premodular,
 )
 from premodular.fusion_ring import dual_permutation_matrix
-from premodular.metric_groups import from_gram, random_slightly_degenerate, to_premodular
+from premodular.metric_groups import from_gram, to_premodular
 
 
 def svec_data():
@@ -122,8 +122,8 @@ def test_mueger_centre():
 
 
 def test_mueger_centre_ring_equals_the_checked_construction(catalog_names):
-    # the centre's ring takes the restricted entries unchecked; built again
-    # by the checking constructor it must be the same ring
+    # the centre's ring, built again from its own entries, is the same
+    # ring, and its labels are the transparent ones
     for name in catalog_names:
         data = premodular_form(name)
         assert validate_premodular(data).ok  # synthesizes s where it is absent

@@ -4,20 +4,20 @@ from fractions import Fraction
 import pytest
 
 from conftest import premodular_form, with_entries
-from oracles import eta_scalar
+from oracles import eta_scalar, random_slightly_degenerate
 from premodular.cyclotomic import ONE, from_rational, make_root
 from premodular.data import classify_degeneracy, validate_premodular
-from premodular.errors import CrossCheckMismatch, NotSlightlyDegenerate
-from premodular.klein import extension_verdict, kappa_invariants
-from premodular.metric_groups import (
-    from_gram,
-    random_slightly_degenerate,
-    to_premodular,
-)
+from premodular.errors import CrossCheckMismatch
+from premodular.klein import extension_verdict
+from premodular.metric_groups import from_gram, to_premodular
 
 
 def verdict(data):
     return extension_verdict(data, classify_degeneracy(data))
+
+
+def kappa(data):
+    return verdict(data).kappa
 
 
 def test_eta_examples():
@@ -31,14 +31,14 @@ def test_eta_examples():
 
 
 def test_kappa_on_svec():
-    rep = kappa_invariants(premodular_form("svec"))
+    rep = kappa(premodular_form("svec"))
     assert rep.n_self_dual == 2 and rep.n_e_twisted == 0
     assert rep.kappa_plus == rep.kappa_minus == Fraction(1)
     assert rep.verdict == "extension_exists_S"
 
 
 def test_kappa_on_svec_x_semion():
-    rep = kappa_invariants(premodular_form("svec-x-semion"))
+    rep = kappa(premodular_form("svec-x-semion"))
     # oracle: pointed self-duality means 2-torsion; all 4 elements of
     # Z2 x Z2 are 2-torsion
     assert rep.n_self_dual == 4
@@ -47,7 +47,7 @@ def test_kappa_on_svec_x_semion():
 
 def test_kappa_on_z2_x_z4():
     mg = from_gram([2, 4], [Fraction(1, 2), Fraction(1, 8)])
-    rep = kappa_invariants(to_premodular(mg))
+    rep = kappa(to_premodular(mg))
     # oracle: #2-torsion in Z2 x Z4 is 2 * 2 = 4
     assert rep.n_self_dual == 4 and rep.n_e_twisted == 0
     assert (rep.kappa_plus, rep.kappa_minus) == (Fraction(2), Fraction(2))
@@ -65,8 +65,6 @@ def test_tampered_twists_fail_the_twist_identity():
     assert classify_degeneracy(data).fermion == "(1,0)"
     assert not validate_premodular(data).ok
     with pytest.raises(CrossCheckMismatch, match="twist identity"):
-        kappa_invariants(data)
-    with pytest.raises(CrossCheckMismatch, match="twist identity"):
         verdict(data)
 
 
@@ -79,12 +77,12 @@ def test_fermion_product_that_is_not_simple_fails_the_cross_check():
     data.ring = with_entries(data.ring, [e, a, ea, 2])
     assert classify_degeneracy(data).fermion == "(1,0)"
     with pytest.raises(CrossCheckMismatch, match=r"product of \(1,0\) and \(0,1\) is not simple"):
-        kappa_invariants(data)
+        verdict(data)
 
 
 def test_kappa_requires_a_fermion():
-    with pytest.raises(NotSlightlyDegenerate):
-        kappa_invariants(premodular_form("semion"))
+    assert kappa(premodular_form("semion")) is None
+    assert kappa(to_premodular(from_gram([4], [Fraction(1, 4)]))) is None
 
 
 def test_verdicts():
@@ -105,7 +103,7 @@ def test_random_pointed_cross_check_properties():
         data = to_premodular(mg)
         cls = classify_degeneracy(data)
         assert cls.kind.value == "slightly_degenerate"
-        rep = kappa_invariants(data)  # raises CrossCheckMismatch if the twist identity fails
+        rep = kappa(data)  # raises CrossCheckMismatch if the twist identity fails
         assert rep.n_e_twisted == 0
         assert rep.kappa_minus >= Fraction(1, 2)
         # eta symmetry and the fermion sign

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import direct_sum, framed_s_entry, isometry_rel_point, relative_centralizer
+from oracles import (direct_sum, fermion, framed_s_entry, isometry_rel_point, radical, random_slightly_degenerate,
+                     relative_centralizer, signature_mod8)
 from premodular import metric_groups
 from premodular.catalog import catalog_get, catalog_list
 from premodular.components import form_characters, ring_characters
@@ -24,19 +25,15 @@ from premodular.data import (
 )
 from premodular.errors import CrossCheckMismatch, GroupsTooLarge, NotSlightlyDegenerate
 from premodular.fusion_ring import MAX_RANK, fpdim
-from premodular.klein import extension_verdict, form_kappa, form_verdict, kappa_invariants
+from premodular.klein import extension_verdict, form_verdict
 from premodular.metric_groups import (
     MAX_CONDUCTOR,
     MetricGroup,
     _extension_candidates,
     classify_form,
     enumerate_pointed_extensions,
-    fermion,
     from_gram,
     gauss_sum,
-    radical,
-    random_slightly_degenerate,
-    signature_mod8,
     to_premodular,
     validate_metric_group,
 )
@@ -188,22 +185,14 @@ def test_linearization_matches_oracle_with_cross_terms_and_order_one_factors():
         assert_same_linearization(g)
 
 
-def _outcome(fn, *args):
-    """fn(*args), or the type and message of the error it raises."""
-    try:
-        return fn(*args)
-    except NotSlightlyDegenerate as exc:
-        return type(exc), str(exc)
-
-
 def assert_form_route_matches_linearization(g, seed=0):
     """The reports read off the form equal those of the linearization:
-    classification, characters, verdict and kappa; returns the kind."""
+    classification, characters and verdict, kappa included; returns the
+    kind."""
     data, cls = to_premodular(g), classify_form(g)
     assert cls == classify_degeneracy(data)
     assert form_characters(g, cls, seed) == ring_characters(data, cls, seed)
     assert form_verdict(g, cls) == extension_verdict(data, cls)
-    assert _outcome(form_kappa, g) == _outcome(kappa_invariants, data)
     return cls.kind
 
 
@@ -254,9 +243,8 @@ def test_form_kappa_checks_the_twist_identity():
     tampered = MetricGroup._from_array([2, 4], Q, g.D)
     cls = classify_form(tampered)
     assert (cls.kind, cls.transparent) == (CentreKind.SLIGHTLY_DEGENERATE, ["(0,0)", "(1,0)"])
-    for report in (lambda: form_verdict(tampered, cls), lambda: form_kappa(tampered)):
-        with pytest.raises(CrossCheckMismatch, match=r"^twist identity fails: theta\(\(1,2\)\) != -theta\(\(0,2\)\)$"):
-            report()
+    with pytest.raises(CrossCheckMismatch, match=r"^twist identity fails: theta\(\(1,2\)\) != -theta\(\(0,2\)\)$"):
+        form_verdict(tampered, cls)
 
 
 def test_linearized_values_take_one_byte_a_slot():

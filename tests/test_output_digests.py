@@ -16,7 +16,11 @@ The metric-group corpus:
 - mutated-S and renamed-S: test_fuzz's _mutated and _renamed of a
   metric-group entry, random.Random(S) choosing the entry and the edit
   from the HOSTILE and HOSTILE_KEYS pools, so that exit-2 paths are
-  pinned too.
+  pinned too;
+- presented-<shape>-S: _presented(random.Random(S), shape), a diagonal
+  slightly degenerate form on each base shape of the extend benchmark
+  composed with a random automorphism of A, so that extend's classes and
+  signatures are pinned on presentations that are not diagonal.
 
 The premodular corpus:
 - linear-S: to_premodular(random_slightly_degenerate(random.Random(S), 32))
@@ -28,7 +32,9 @@ The premodular corpus:
   and over a denominator, and z2-two and z2-sqrt2, with theta = 2 and
   theta = sqrt 2;
 - ising-1-S and ising-7-S: test_fuzz's _mutated of the entries ising:1
-  and ising:7, random.Random(S) choosing the edit.
+  and ising:7, random.Random(S) choosing the edit;
+- theta-8190 and theta-8191: rank 1 with the unit's twist at the largest
+  conductors, refused with a unit-twist violation.
 
 A change that alters output on purpose regenerates the file in the same
 change and names the changed entries:
@@ -38,7 +44,9 @@ change and names the changed entries:
 """
 
 import hashlib
+import itertools
 import json
+import math
 import pathlib
 import random
 import runpy
@@ -46,20 +54,46 @@ import sys
 import tempfile
 from fractions import Fraction
 
+from oracles import random_slightly_degenerate
 from premodular.catalog import catalog_get, catalog_list
 from premodular.cyclotomic import ONE, CycNum, euler_phi, from_rational, make_root
-from premodular.metric_groups import from_gram, random_slightly_degenerate, to_premodular
+from premodular.metric_groups import from_gram, to_premodular
 from premodular.serialize import datum_to_json, metric_group_to_json
 from test_fuzz import METRIC_ENTRIES, _mutated, _renamed
 from test_metric_groups import _random_form
 
 DATA = pathlib.Path(__file__).parent / "data"
 RUN_FILE = runpy.run_path(str(pathlib.Path(__file__).parent.parent / "scripts" / "catalog_outputs.py"))["_run_file"]
-SEEDS = {"survey": 40, "form": 60, "mutated": 80, "renamed": 40, "linear": 10, "z2": 24, "ising": 80}
+SEEDS = {"survey": 40, "form": 60, "mutated": 80, "renamed": 40, "presented": 4,
+         "linear": 10, "z2": 24, "ising": 80}
+# the base shapes of the extend benchmark: the fermion line's Z2 first
+PRESENTED_SHAPES = ((2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 2, 2), (2, 9))
 
 
 def _text(mg) -> str:
     return json.dumps(metric_group_to_json(mg))
+
+
+def _presented(rng, shape) -> str:
+    """The document of q o phi: q the fermion line x^2/2 on Z2 beside a
+    nondegenerate block a x^2/(2n) on each other factor Z_n of shape,
+    factor order shuffled, and phi a random automorphism of A, drawn as
+    generator images of the right orders until they generate A."""
+    blocks = [(2, 2)] + [(n, rng.choice([a for a in range(1 + n % 2, 2 * n, 2) if math.gcd(a, n) == 1]))
+                         for n in shape[1:]]
+    rng.shuffle(blocks)
+    orders = [n for n, _ in blocks]
+    elements = list(itertools.product(*map(range, orders)))
+    while True:
+        images = [rng.choice([y for y in elements if all(n * c % m == 0 for c, m in zip(y, orders))])
+                  for n in orders]
+        phi = [tuple(sum(c * y[j] for c, y in zip(x, images)) % m for j, m in enumerate(orders)) for x in elements]
+        if len(set(phi)) == len(elements):
+            break
+    q = [sum(Fraction(a * c * c, 2 * n) for (n, a), c in zip(blocks, y)) % 1 for y in phi]
+    return json.dumps({"type": "metric_group", "orders": orders,
+                       "q": {"(" + ",".join(map(str, x)) + ")": f"{v.numerator}/{v.denominator}"
+                             for x, v in zip(elements, q)}})
 
 
 def metric_inputs() -> dict:
@@ -79,6 +113,10 @@ def metric_inputs() -> dict:
             rng = random.Random(s)
             out[f"{edit}-{s}"] = (f"test_fuzz.{fn.__name__}(rng.choice(METRIC_ENTRIES), rng.choice) with "
                                   f"rng = random.Random({s})", fn(rng.choice(METRIC_ENTRIES), rng.choice))
+    for shape in PRESENTED_SHAPES:
+        for s in range(SEEDS["presented"]):
+            out[f"presented-{'x'.join(map(str, shape))}-{s}"] = (f"_presented(random.Random({s}), {shape})",
+                                                                  _presented(random.Random(s), shape))
     return out
 
 
@@ -120,6 +158,10 @@ def premodular_inputs() -> dict:
             rng = random.Random(s)
             out[f"{name.replace(':', '-')}-{s}"] = (f"test_fuzz._mutated({name!r}, rng.choice) with "
                                                      f"rng = random.Random({s})", _mutated(name, rng.choice))
+    for n in (8190, 8191):
+        doc = {"type": "premodular", "labels": ["1"], "unit": 0, "dual": [0], "fusion": [[0, 0, 0, 1]],
+               "dims": [ONE.to_json()], "theta_exp": [[1, n]]}
+        out[f"theta-{n}"] = (f"rank 1 with theta_exp [[1, {n}]]", json.dumps(doc))
     return out
 
 

@@ -159,3 +159,8 @@ def test_cli_handlers_call_the_names_the_tracer_rebinds(write_datum, monkeypatch
     assert cli.cli_run(["analyze", write_datum("ising:1", "ising.json"), "--format", "json"])[0] == 0
     assert cli.cli_run(["extend", write_datum("svec", "svec.json"), "--format", "json"])[0] == 0
     assert all(calls.values()), calls
+    # kappa classifies and judges through the same names, and exits 2 on
+    # ising, which has no fermion line
+    calls.update(dict.fromkeys(names, 0))
+    assert cli.cli_run(["kappa", write_datum("ising:1", "ising.json"), "--format", "json"])[0] == 2
+    assert calls["classify_degeneracy"] == calls["extension_verdict"] == 1, calls
