@@ -27,8 +27,13 @@ tables that parse+validate built but not the radical, which the group keeps
 once computed and the CLI reads off the pairings in that stage.
 
 load's coefficients_s is premodular_from_json less ring_s, and its
-premodular_validation_s validate_premodular less ring_validation_s; its parse
-stages run with the cyclic collector paused, as loads_datum runs them.  ring's
+premodular_validation_s validate_premodular less ring_validation_s, each call
+on a datum with no residues kept from an earlier one.  That splits in two:
+residues_s evaluates dims, twists and s modulo the first split prime of the
+datum's conductor (the one prime a linearized group needs), and
+residue_checks_s is the rest, the unit and duality checks and the checks on
+residues.  The parse stages run with the cyclic collector paused, as
+loads_datum runs them.  ring's
 join_s is the associativity join that rings failing Light's test go to;
 fpdim_s may use several BLAS threads (OPENBLAS_NUM_THREADS=1 keeps one).
 numpy reports its buffers to tracemalloc, so validate_peak_mb counts them.
@@ -55,6 +60,7 @@ import numpy as np
 
 from premodular import cli
 from premodular.components import form_characters, ring_characters
+from premodular.cyclotomic import residues, split_primes
 from premodular.data import classify_degeneracy, validate_premodular
 from premodular.fusion_ring import MAX_RANK, _associativity_witnesses, fpdim, group_ring, validate_fusion_ring
 from premodular.klein import extension_verdict, form_verdict
@@ -132,6 +138,16 @@ def _analysis(data):
     return ring_characters(data, cls, 0), extension_verdict(data, cls)
 
 
+def _validate_afresh(data):
+    data._residues.clear()
+    return validate_premodular(data)
+
+
+def _residues(data):
+    p = split_primes(data.dims.M, 1, 1)[0]
+    return [residues(x.num, x.M, p) for x in (data.dims, data.twists, data.s)]
+
+
 def load(repeats: int, *orders: int) -> dict:
     text = json.dumps(datum_to_json(to_premodular(_group(orders))))
     obj = json.loads(text)
@@ -141,6 +157,8 @@ def load(repeats: int, *orders: int) -> dict:
         payload, _, _ = cli.run_analysis(path)
         ring = _best(repeats, collector_paused, ring_from_json, obj)
         ring_validation = _best(repeats, validate_fusion_ring, data.ring)
+        validation = _best(repeats, _validate_afresh, data) - ring_validation
+        evaluation = _best(repeats, _residues, data)
         line = {
             "rank": 2 * math.prod(orders),
             "bytes": len(text),
@@ -148,7 +166,9 @@ def load(repeats: int, *orders: int) -> dict:
             "ring_s": ring,
             "coefficients_s": _best(repeats, collector_paused, premodular_from_json, obj) - ring,
             "ring_validation_s": ring_validation,
-            "premodular_validation_s": _best(repeats, validate_premodular, data) - ring_validation,
+            "premodular_validation_s": validation,
+            "residues_s": evaluation,
+            "residue_checks_s": validation - evaluation,
             "analysis_s": _best(repeats, _analysis, data),
             "render_s": _best(repeats, cli._emit_json, payload),
             "total_s": _best(repeats, cli.cli_run, argv),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import CentreClassification, CentreKind, PremodularData
 from .data import classify_degeneracy  # noqa: F401  unused; perfbench/layers.py PATCHES rebinds it here
-from .errors import DegenerateEigenproblem
+from .errors import CrossCheckMismatch, DegenerateEigenproblem
 from .metric_groups import MetricGroup, _index
 
 __all__ = ["ComponentAnalysis", "ring_characters", "form_characters"]
@@ -70,7 +70,8 @@ def _exact_group_characters(prod, unit):
         chars = [{prod[h][p]: (v + k * ((chi[top] + j * n) // m)) % n
                   for k, p in enumerate(powers) for h, v in chi.items()}
                  for chi in chars for j in range(m)]
-    assert len(chars) == n, f"abelian group of order {n} must have exactly {n} characters"
+    if len(chars) != n:
+        raise CrossCheckMismatch(f"abelian group of order {n} must have exactly {n} characters")
     return [[chi[t] for t in range(n)] for chi in chars]
 
 
@@ -176,7 +177,8 @@ def _analysis(cls: CentreClassification, char_values: list[list[complex]], seed:
             if abs(chi[e_pos] + 1.0) <= _DISTINCT_TOL:
                 magnetic_index = k
                 break
-        assert magnetic_index is not None, "slightly degenerate data must have an e -> -1 character"
+        if magnetic_index is None:
+            raise CrossCheckMismatch("slightly degenerate data must have an e -> -1 character")
 
     characters = [dict(zip(labels, chi)) for chi in char_values]
     return ComponentAnalysis(

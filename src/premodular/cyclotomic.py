@@ -1,40 +1,30 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-A value is a vector of rationals in the power basis 1, z, ..., z^(phi(N)-1)
-of Q[x]/Phi_N(x), where Phi_N is the N-th cyclotomic polynomial, stored as
-integer numerators `num` over one positive `den` with gcd(den, *num) == 1
-(zero has den == 1).  Phi_N is monic, so arithmetic runs on integers;
-Fractions appear only in `coeffs`, for display; JSON and `embed` work
-from `num` and `den`.  The conductor N is fixed per value;
-mixed-conductor arithmetic lifts both operands to the lcm via the ring
-map z_N -> z_M^(M/N).  Normal forms are unique at a fixed conductor, so
-equality compares den and num after lifting to a common conductor.
+A value is its coefficients in the power basis 1, z, ..., z^(phi(N)-1) of
+Q[x]/Phi_N(x), stored as integer numerators `num` over one positive
+`den` with gcd(den, *num) == 1 (zero has den == 1); Phi_N is monic, so
+arithmetic runs on integers, and Fractions appear only in `coeffs`.
+The conductor N is fixed per value; mixed-conductor arithmetic lifts
+both operands to the lcm by z_N -> z_M^(M/N).  Normal forms are unique
+at a fixed conductor, so equality compares den and num at a common one.
 
-There is one value type, CycArray: an array of values at one conductor
-M in this normal form, one integer array over one denominator, and a
-single value is a shape-() CycArray (CycNum builds one from its
-coefficients).  Its arithmetic is entrywise and runs on the array
-kernels reduce_rows, map_rows and mul_rows, vectorized over the rows of
-an integer array (see reduce_rows for the exactness bound): a product is
-a mul_rows, and lift, conj, the inverse of a monomial, root_sum,
-_descend and the end of _inverse_euclid are each a map_rows.  Only the
-extended Euclid of inverse stays a scalar algorithm, run on each entry
-at its own conductor: an inverse by the norm, the product of the other
-Galois conjugates over N(x), was measured slower at conductors 16, 30,
-48 and 210.
+There is one value type, CycArray: values at one conductor M over one
+denominator, a single value being a shape-() CycArray (CycNum builds
+one).  Arithmetic is entrywise on the array kernels reduce_rows,
+map_rows and mul_rows (see reduce_rows for the exactness bound); only
+the extended Euclid of inverse is scalar, run per entry at its own
+conductor.  CycArray.from_parts builds an array from entries at any
+divisors of M with one scatter, over the lcm of their denominators,
+bounded in 64-bit words by check_budget.
 
-CycArray.from_parts builds one from entries at any divisors of M with
-one scatter of all their coefficients and one reduction per block of
-rows.  Values given with their own denominators share one, their lcm,
-which every entry carries: check_budget bounds the array's size counted
-in 64-bit words, one a coefficient slot and one more for every 64 bits
-of the denominator.
+residues maps values into F_p^phi(M) for a prime p = 1 mod M
+(split_primes), where products are entrywise: equalities of many
+values are decided there, by the Chinese remainder theorem.
 
-Phi_n is Phi_R(x^(n/R)) for the radical R of n, Phi_R a product of
-binomials x^d - 1 and their inverses (cyclotomic_poly); it, euler_phi,
-the radical and the descent to a smaller conductor all come from one
-cached factorization (_primes).  No floating point enters any exact
-path; `embed` is the only bridge to complex doubles.
+Phi_n is Phi_R(x^(n/R)) for the radical R of n (cyclotomic_poly); it,
+euler_phi and _descend all come from one cached factorization
+(_primes).  No floating point enters any exact path; `embed` is the
+only bridge to complex doubles.
 """
 
 from __future__ import annotations
@@ -47,24 +37,19 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .errors import DatumTooLarge
+from .errors import CrossCheckMismatch, DatumTooLarge
 
 __all__ = ["CycNum", "CycArray", "make_root", "root_sum", "from_rational", "euler_phi", "power_rows", "root_table",
            "reduce_rows", "map_rows", "mul_rows", "exact_dtype", "magnitude", "narrow", "check_budget",
-           "MAX_SLOTS", "ZERO", "ONE", "MINUS_ONE"]
+           "split_primes", "residues", "mod", "MAX_SLOTS", "ZERO", "ONE", "MINUS_ONE"]
 
-# array values built at once by the array kernels: a few arrays of about
-# this many entries are live at a time, and a product over a block of
-# rows holds at most BLOCK / 2 int64 values, 128 KiB, glibc's default
-# mmap threshold.  Above it each such temporary is mapped and faulted in
-# afresh on every call (at 2^16, about 220 page faults per analyze of a
-# group of order 64)
+# array values built at once by the kernels: a product over a block of
+# rows holds at most BLOCK / 2 int64 values, 128 KiB, glibc's mmap
+# threshold, above which each temporary is mapped and faulted in afresh
 BLOCK = 2**15
-# coefficient slots r^2 phi(M) of the arrays a premodular datum needs:
-# every catalog entry and every linearized group (rank <= MAX_RANK,
-# conductor <= 2 exp(A)) fits, the largest being Z_256 with q = x^2/512,
-# 256^2 * phi(512) = 2^24; over a denominator of b bits, a slot counts
-# as 1 + b // 64 of them (check_budget)
+# coefficient slots r^2 phi(M) of a premodular datum's arrays: every
+# catalog entry and linearized group fits, the largest Z_256 with q =
+# x^2/512 at 2^24; a slot counts 1 + b // 64 over a b-bit denominator
 MAX_SLOTS = 2**24
 
 @lru_cache(maxsize=None)
@@ -95,12 +80,9 @@ def euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, little-endian, length euler_phi(n)+1, monic.
-
-    Phi_n(x) = Phi_R(x^(n/R)) for R = rad(n), and Phi_R is the product of
-    (x^d - 1)^mu(R/d) over the divisors d of R: the factors with mu = 1
-    are multiplied out, then those with mu = -1 divided out exactly, each
-    product and quotient by a binomial costing one pass."""
+    """Coefficients of Phi_n, little-endian, monic: Phi_R(x^(n/R)) for R =
+    rad(n), Phi_R the product of (x^d - 1)^mu(R/d) over d | R, multiplied
+    out and then divided out exactly, one pass per binomial."""
     primes = _primes(n)
     R, poly, factors = prod(primes), [1], ([], [])  # the d with mu(R/d) = 1, and = -1
     for k in range(len(primes) + 1):
@@ -116,7 +98,8 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
         poly = q
     out = [0] * ((len(poly) - 1) * (n // R) + 1)
     out[::n // R] = poly
-    assert len(out) == euler_phi(n) + 1
+    if len(out) != euler_phi(n) + 1:
+        raise CrossCheckMismatch(f"Phi_{n} has degree {len(out) - 1}, not euler_phi({n})")
     return tuple(out)
 
 
@@ -191,12 +174,9 @@ def _low_arrays(n: int):
 
 
 def power_rows(n: int):
-    """The rows x^j mod Phi_R, R = rad(n), for j = phi(R), ..., R - 1, as
-    int64 arrays of length phi(R), lazily and read-only; the rows below
-    are the unit vectors x^j themselves.  Each row follows from the one
-    before by one shift and one subtraction of Phi_R.  The entries are
-    exact while they stay far inside int64; reduction_growth stops at
-    2^31."""
+    """The rows x^j mod Phi_R, R = rad(n), for phi(R) <= j < R, lazily and
+    read-only, each from the one before by a shift and a subtraction
+    (the rows below are unit vectors); reduction_growth stops at 2^31."""
     R = prod(_primes(n))
     phi, (deg, coef) = euler_phi(R), _low_arrays(R)
     row = np.zeros(phi, dtype=np.int64)
@@ -209,13 +189,9 @@ def power_rows(n: int):
 
 
 def root_table(n: int) -> np.ndarray:
-    """The n x phi(n) table whose row k is z_n^k in the power basis, in
-    the narrowest integer dtype.  With R = rad(n) and t = n/R, Phi_n(x) =
-    Phi_R(x^t) and x^(t i + u) = x^u (x^t)^i, so row t i + u is the row
-    x^i mod Phi_R (a unit vector for i < phi(R), else a row of
-    power_rows) placed at the columns t l + u.  Built only for n up to
-    2 MAX_RANK, the largest conductor a linearization meets, where no
-    coefficient is above 3 in magnitude."""
+    """The n x phi(n) table of the z_n^k in the power basis, narrowest
+    dtype: row t i + u, t = n/rad(n), is the row x^i mod Phi_R placed at
+    the columns t l + u.  Built for n <= 2 MAX_RANK (linearizations)."""
     R = prod(_primes(n))
     P = narrow(np.array([*np.eye(euler_phi(R), dtype=np.int64), *power_rows(n)]))
     phi, u = P.shape[1], np.arange(n // R)
@@ -226,12 +202,9 @@ def root_table(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def reduction_growth(n: int) -> float:
-    """G such that reduce_rows(v, n) is at most G max|v| in magnitude:
-    with R = rad(n), G = 2 max_i sum_(j < R) |c_ij| for x^j = sum_i c_ij
-    x^i mod Phi_R, a unit vector for j < phi(R) and then the rows of
-    power_rows, the factor 2 for the fold; inf if any leaves 2^31.  G
-    depends only on rad(n): 4 when it is prime, 8 for 6, 24 for 30, 136
-    for 210."""
+    """G with |reduce_rows(v, n)| <= G max|v|: 2 max_i sum_(j < R) |c_ij|
+    for x^j = sum_i c_ij x^i mod Phi_R, R = rad(n), the 2 for the fold;
+    inf if a row leaves 2^31.  4 for a prime R, 8 for 6, 136 for 210."""
     total = np.ones(euler_phi(prod(_primes(n))), dtype=np.int64)
     for row in power_rows(n):
         if magnitude(row) >= 2**31:
@@ -248,10 +221,8 @@ def exact_dtype(bound: int, growth: float = 1.0):
 
 
 def check_budget(slots: int, den: int) -> None:
-    """Raise DatumTooLarge if an array of this many coefficient slots
-    over the denominator den is above MAX_SLOTS words: a scaled numerator
-    is about as long as den, so a slot takes 1 + b // 64 words for a
-    denominator of b bits."""
+    """Raise DatumTooLarge if this many coefficient slots over den, 1 + b //
+    64 words a slot for a b-bit den, are above MAX_SLOTS words."""
     words = slots * (1 + den.bit_length() // 64)
     if words > MAX_SLOTS:
         raise DatumTooLarge(f"{slots} coefficient slots over a denominator of {den.bit_length()} bits "
@@ -265,10 +236,8 @@ def magnitude(a: np.ndarray) -> int:
 
 
 def narrow(a: np.ndarray) -> np.ndarray:
-    """a in the narrowest of int8, int16, int32 and int64 that holds its
-    values; an object array stays one.  Every kernel converts its
-    operands to the dtype its own bound needs before any arithmetic, so
-    a stored array need only hold its values."""
+    """a in the narrowest of int8, int16, int32 and int64 that holds it
+    (an object array stays one); every kernel widens its operands first."""
     if a.dtype != object:
         bound = magnitude(a)
         for dtype in (np.int8, np.int16, np.int32):
@@ -278,24 +247,14 @@ def narrow(a: np.ndarray) -> np.ndarray:
 
 
 def reduce_rows(v: np.ndarray, n: int) -> np.ndarray:
-    """The values sum_j v[..., j] z_n^j, for a last axis of length L with
-    n <= L <= 2n, in the power basis at conductor n: a (..., phi(n)) array
-    of v's dtype.  v is scratch space: the result is computed in it and
-    is a view of it.
-
-    Only additions, subtractions and products by integers occur, which
-    int64 computes exactly modulo 2^64; so an int64 result is exact when
-    the true one is below 2^63 in magnitude, as it is when
-    reduction_growth(n) max|v| < 2^63, whatever values the long division
-    passes through.  The same holds for the shifted adds of mul_rows.
-
-    z_n^n = 1 folds the top half into place.  Then with R = rad(n) and
-    t = n / R, Phi_n(x) = Phi_R(x^t), so for each u < t the coefficients
-    of x^(t i + u) form a polynomial in x^t; all of them, over all
-    entries, are long-divided by Phi_R at once, top coefficient first,
-    from the highest i at which any entry is nonzero (when R is not
-    prime; the statements above it would subtract zeros).
-    """
+    """sum_j v[..., j] z_n^j, n <= L <= 2n the length of the last axis, in
+    the power basis at n: a (..., phi(n)) view of v, computed in place.
+    int64 is exact modulo 2^64, so a result is exact when
+    reduction_growth(n) max|v| < 2^63, whatever the steps pass through
+    (and so are the shifted adds of mul_rows).  z_n^n = 1 folds the top
+    half in; then, Phi_n(x) = Phi_R(x^t) with t = n / R, the coefficients
+    of x^(t i + u) for each u are long-divided by Phi_R at once, from the
+    highest i at which any entry is nonzero when R is not prime."""
     lead, L = v.shape[:-1], v.shape[-1]
     w = v[..., :n]
     w[..., :L - n] += v[..., n:]
@@ -329,19 +288,10 @@ def map_rows(v: np.ndarray, cols, n: int) -> np.ndarray:
 
 def mul_rows(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """The entrywise products of the values a and b at conductor n,
-    numerator arrays (..., phi(n)) broadcast against each other.
-
-    The factor with fewer nonzeros drives shifted adds, each nonzero
-    coefficient adding a scaled row of the other factor (a root of unity
-    at a power-of-two conductor has one nonzero, so multiplying by it
-    costs phi(n) per entry, not phi(n)^2); then one reduction.  Every
-    coefficient before the reduction is a sum of at most phi(n) products,
-    so the result is exact in int64 (see reduce_rows) when phi(n) max|a|
-    max|b| reduction_growth(n) < 2^62, and computed on Python ints
-    otherwise.  A factor
-    whose values are all rational makes one shift, of 0, and nothing to
-    reduce: it scales the other, in a dtype that holds both factors.
-    """
+    (..., phi(n)) arrays broadcast against each other: the factor with
+    fewer nonzeros drives shifted adds of the other, then one reduction,
+    in int64 when phi(n) max|a| max|b| reduction_growth(n) < 2^62 and on
+    Python ints otherwise; a rational factor just scales the other."""
     for x, y in ((a, b), (b, a)):
         if not x[..., 1:].any():
             dtype = exact_dtype(max(magnitude(x), 1) * max(magnitude(y), 1))
@@ -365,17 +315,86 @@ def mul_rows(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return reduce_rows(out, n).reshape(shape)
 
 
-def _descend(num: np.ndarray, m: int, n: int) -> np.ndarray:
-    """The power-basis coefficients at conductor n, a divisor of m, of a
-    value given by its coefficients num at conductor m that lies in
-    Q(zeta_n), one prime at a time: m = p k.
+# -- residues modulo primes that split in Q(zeta_M) -------------------------------
 
-    If p divides k, Phi_m(x) = Phi_k(x^p), so the value's coefficients sit
-    at the multiples of p.  Otherwise z_m^j = z_k^(u j) z_p^(w j) with
-    p u = 1 mod k and k w = 1 mod p; in the basis z_k^a z_p^b (b < p-1)
-    the value is its z_p^0 part, once z_p^(p-1) = -(1 + ... + z_p^(p-2)).
-    j -> (u j mod k, w j mod p) is one-to-one below m, so each of the two
-    parts is one scatter."""
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5 and 7, exact for n < 3,215,031,751."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    return all(pow(a, (n - 1) >> s, n) == 1 or n - 1 in (pow(a, (n - 1) >> s << i, n) for i in range(s))
+               for a in (2, 3, 5, 7))
+
+
+@lru_cache(maxsize=None)
+def _split_prime(M: int, k: int) -> int:
+    """The k-th prime p = 1 mod M from 2^24 up, or a number past 2^25."""
+    p = _split_prime(M, k - 1) + M if k else 2**24 // M * M + 1
+    while p < 2**25 and not _is_prime(p):
+        p += M
+    return p
+
+
+def split_primes(M: int, bound: int, slots: int) -> list[int]:
+    """The fewest primes p = 1 mod M from 2^24 up whose product passes bound,
+    so that a value of Z[zeta_M] with coefficients at most bound is 0 iff
+    its residues are (CRT); DatumTooLarge past check_budget or 2^25."""
+    primes, product = [], 1
+    while product <= bound:
+        primes.append(_split_prime(M, len(primes)))
+        if primes[-1] >= 2**25:
+            raise DatumTooLarge(f"a bound of {bound.bit_length()} bits needs more primes p = 1 mod {M} below 2^25")
+        product *= primes[-1]
+        check_budget(len(primes) * slots, 1)
+    return primes
+
+
+@lru_cache(maxsize=None)
+def _unit_powers(M: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """w^e mod p for e < M, w = a^((p-1)/M) primitive (a^((p-1)/q) != 1 for
+    every prime q | M), and the units mod M, ascending."""
+    a = next(a for a in itertools.count(2) if all(pow(a, (p - 1) // q, p) != 1 for q in _primes(M)))
+    w = pow(a, (p - 1) // M, p)
+    powers = np.array(list(itertools.accumulate(itertools.repeat(w, M - 1), lambda x, y: x * y % p, initial=1)))
+    return powers, np.array([u for u in range(M) if gcd(u, M) == 1])
+
+
+def mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p: numpy divides by a scalar several times faster than % does."""
+    return x - x // p * p
+
+
+def residues(num: np.ndarray, M: int, p: int) -> np.ndarray:
+    """num (..., phi(M)) at M modulo a prime p = 1 mod M below 2^25: entry k
+    is sum_j num[..., j] w^(j u_k) mod p (_unit_powers), Z[zeta_M]/p =
+    F_p^phi(M), products entrywise and conjugation reversing the last axis.
+    Over 1/16 nonzero, num takes a table product (phi multiply-adds a slot,
+    against some 16 passes a nonzero), else each nonzero adds its table row
+    (roots at a prime-power M); phi <= 2^12 terms < 2^50 sum in int64."""
+    powers, units = _unit_powers(M, p)
+    lead, phi = num.shape[:-1], num.shape[-1]
+    num = num.reshape(-1, phi)
+    if num.dtype == object or magnitude(num) >= p:
+        num = (num % p).astype(np.int64)
+    out, step = np.zeros((len(num), phi), dtype=np.int64), max(1, BLOCK // phi)
+    if num.size <= 16 * np.count_nonzero(num):
+        for j in range(0, phi, step):
+            out += num[:, j:j + step] @ powers[np.arange(j, min(j + step, phi))[:, None] * units % M]
+    else:
+        rows, cols = np.nonzero(num)
+        for i in range(0, len(rows), step):
+            at = slice(i, i + step)
+            first = np.flatnonzero(np.diff(rows[at], prepend=-1))
+            terms = num[rows[at], cols[at], None] * powers[cols[at, None] * units % M]
+            out[rows[at][first]] += terms if len(first) == len(terms) else np.add.reduceat(terms, first)
+    for i in range(0, len(num), step):
+        out[i:i + step] = mod(out[i:i + step], p)
+    return out.reshape(lead + (phi,))
+
+
+def _descend(num: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The coefficients at n | m of a value of Q(zeta_n) given at m, one
+    prime p at a time, m = p k: at the multiples of p when p | k, else its
+    z_p^0 part in the basis z_k^a z_p^b (b < p-1), z_m^j = z_k^(u j)
+    z_p^(w j) with p u = 1 mod k and k w = 1 mod p, by two scatters."""
     while m != n:
         p = _primes(m // n)[0]
         k = m // p
@@ -394,20 +413,15 @@ def _descend(num: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 class CycArray:
-    """An array of values of Q(zeta_M) at one conductor M: num[..., k] /
-    den is the coefficient of z_M^k, with den > 0 and gcd(den, all of
-    num) == 1; num is an integer array, or an object array of Python ints
-    where a value needs it (exact_dtype).  conductor[...] gives the
-    conductor of each entry, a divisor of M.
-
-    A value is a shape-() array, held at its own conductor (M ==
-    conductor): integer indexing descends an entry to it (_descend), so
-    JSON and repr print every value at the conductor it was given or
-    computed at.  Arithmetic is entrywise with numpy broadcasting, the
-    operands lifted to the lcm of their M and an int or a Fraction taken
-    as a value at conductor 1; a result entry's conductor is the lcm of
-    its operands' entry conductors.  inverse runs on each entry at its
-    own conductor.  == is the equality of every value."""
+    """Values of Q(zeta_M) at one conductor M: num[..., k] / den is the
+    coefficient of z_M^k, den > 0 and gcd(den, all of num) == 1, num an
+    integer array (Python ints where needed, exact_dtype); conductor[...]
+    is each entry's conductor, a divisor of M.  A value is a shape-()
+    array at its own conductor: indexing descends an entry to it, so JSON
+    and repr print each value at the conductor it was given or computed
+    at.  Arithmetic is entrywise with broadcasting at the lcm of the M,
+    an int or a Fraction being a value at conductor 1, each result entry
+    at the lcm of its operands' conductors; == compares every value."""
 
     __slots__ = ("M", "num", "den", "conductor")
     __hash__ = None  # equality crosses conductors; do not hash
@@ -425,14 +439,11 @@ class CycArray:
 
     @classmethod
     def from_parts(cls, M: int, conductors, nums, dens, shape) -> "CycArray":
-        """Entries given in order: entry i has conductor conductors[i],
-        dividing M, and its phi(conductors[i]) coefficients are the next
-        items of nums over dens (integer sequences or arrays).  Raises
-        DatumTooLarge, before any value is scaled, once the lcm of dens
-        takes the array over check_budget.  Rows go in blocks of about
-        BLOCK values, as in map_rows, so the scratch space stays bounded:
-        a row has M slots against phi(M) kept, and M / phi(M) is below
-        4.82 for every M below 30030 (4.8125 at 2310)."""
+        """Entries in order, entry i at conductor conductors[i] | M with
+        its phi(conductors[i]) coefficients the next items of nums over
+        dens; DatumTooLarge once the lcm of dens takes the array over
+        check_budget.  Rows are reduced in blocks of about BLOCK values
+        (M / phi(M) < 4.82 for M < 30030)."""
         nums, dens = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (nums, dens))
         conductors = np.array(conductors, dtype=np.int64).reshape(-1)
         if (M % conductors).any():
@@ -444,19 +455,23 @@ class CycArray:
                 check_budget(len(conductors) * euler_phi(M), den)
             nums = nums.astype(object) * (den // dens.astype(object))
         values = nums.astype(exact_dtype(magnitude(nums), reduction_growth(M)), copy=False)
-        # coefficient k of entry i goes to column k M/c_i of row i, all
-        # conductors in one scatter, then one reduction per block of rows
-        phis = np.array([euler_phi(c) for c in conductors.tolist()], dtype=np.int64)
+        # coefficient k of entry i goes to column k M/c_i of row i, in one
+        # scatter, then one reduction per block of rows
+        distinct, at = np.unique(conductors, return_inverse=True)
+        phis = np.array([euler_phi(c) for c in distinct.tolist()], dtype=np.int64)[at]
         starts = np.concatenate(([0], np.cumsum(phis)))
         rows = np.repeat(np.arange(len(conductors)), phis)
         cols = (np.arange(starts[-1]) - starts[rows]) * (M // conductors)[rows]
-        num = np.empty((len(conductors), euler_phi(M)), dtype=values.dtype)
-        step = max(1, BLOCK // M)
-        for i in range(0, len(conductors), step):
-            lo, hi = starts[i], starts[min(i + step, len(conductors))]
-            w = np.zeros((len(num[i:i + step]), M), dtype=values.dtype)
-            w[rows[lo:hi] - i, cols[lo:hi]] = values[lo:hi]
-            num[i:i + step] = reduce_rows(w, M)
+        num = np.zeros((len(conductors), euler_phi(M)), dtype=values.dtype)
+        if cols.max(initial=0) < num.shape[1]:  # in the power basis already, as at a prime-power M
+            num[rows, cols] = values
+        else:
+            step = max(1, BLOCK // M)
+            for i in range(0, len(conductors), step):
+                lo, hi = starts[i], starts[min(i + step, len(conductors))]
+                w = np.zeros((len(num[i:i + step]), M), dtype=values.dtype)
+                w[rows[lo:hi] - i, cols[lo:hi]] = values[lo:hi]
+                num[i:i + step] = reduce_rows(w, M)
         return cls(M, num.reshape(tuple(shape) + (euler_phi(M),)), den, conductors.reshape(shape))
 
     @classmethod

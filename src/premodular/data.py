@@ -1,60 +1,40 @@
 """Premodular data: a fusion ring with exact dims, twists and S-matrix.
 
-The ribbon gauge is assumed throughout: inputs carry a spherical ribbon
-structure, so the two framed loop scalars of a simple object coincide
-with its dimension d.  The braiding-orientation convention is fixed by
-the balancing formula
+The ribbon gauge is assumed: the two framed loop scalars of a simple
+coincide with its dimension d.  The braiding convention is fixed by the
+balancing formula s_{a,b} = theta_a^-1 theta_b^-1 sum_c N^c_{a,b}
+theta_c d_c, which synthesizes s when the input has none and is checked,
+multiplied through by theta_a theta_b, on a supplied s.  A label is
+transparent when its framed pairing S~_{a,b} = s_{a,b} / (d_a d_b) is 1.
 
-    s_{a,b} = theta_a^-1 theta_b^-1 sum_c N^c_{a,b} theta_c d_c   (exact),
+dims, twists and s are CycArrays at one conductor M, the lcm of the
+datum's conductors, each over one denominator (1 on valid data), each
+refused (DatumTooLarge) before it is built when above check_budget.  An
+entry read by index is a value at the conductor it was given at; a
+synthesized s_{a,b} keeps the lcm of those of theta_a, theta_b and the
+theta_c d_c with N^c_{a,b} != 0.  s is synthesized on the exact arrays
+(mul_rows, and contractions over the nonzeros of N in blocks of rows).
 
-which either synthesizes s (when absent from the input) or must agree
-exactly with a supplied s; a supplied s is checked multiplied through
-by the twists, theta_a theta_b s_{a,b} = sum_c N^c_{a,b} theta_c d_c, so
-no inverse is taken.  The framed pairing is S~_{a,b} = s_{a,b} /
-(d_a d_b); a label is transparent when its S~ column is identically 1.
-
-Representation: dims, twists and s are CycArrays at one conductor M, the
-lcm of the datum's conductors (at most MAX_CONDUCTOR): integer numerator
-arrays r x phi(M), r x phi(M) and r x r x phi(M), each over one
-denominator, which is 1 on valid data (dims, twists and s are algebraic
-integers).  Values read from a file share one denominator, and so do
-the inverse twists that synthesize s, and so does s; each array is
-refused (DatumTooLarge) before it is built when its slots, counted in
-64-bit words with the denominator's length, are above the budget of
-cyclotomic.check_budget.  An entry read by index is a value, a
-shape-() CycArray, at the conductor it was given at; a synthesized
-s_{a,b} keeps the lcm of the conductors of theta_a, theta_b and every
-theta_c d_c with N^c_{a,b} != 0.  Validation and classification run on
-the arrays: every product of values is one batched product
-(cyclotomic.mul_rows) and every sum over fusion channels one
-contraction over the nonzeros of N, in blocks of rows a of about BLOCK
-values.
-
-Exactness: an expression runs in int64 when a bound from its operands'
-largest magnitudes proves its result below 2^62 (int64 sums and
-products are exact modulo 2^64, so a result in range is exact whatever
-the intermediate values), and otherwise by the same code on Python ints
-(dtype=object).  The bounds: phi(M) max|x| max|y| G(M) for a product,
-G(M) = cyclotomic.reduction_growth(M), which is 4 when rad(M) is prime,
-8 for rad(M) = 6 and 136 for 210; max_{a,b} sum_c N^c_{a,b} max|x| for a
-contraction; max|x| den_y and max|y| den_x for comparing x/den_x with
-y/den_y.  A linearized group computes in int64 throughout: its values
-are roots of unity at a conductor D <= 512, whose coefficients are at
-most G(D)/2 <= 150 in magnitude, over the denominator 1.  Stored arrays
-are narrower where their values allow (cyclotomic.narrow), as the
-linearized dims, twists and s, and a synthesized s of roots of unity,
-are: every kernel widens its operands to its own bound first.
+Every later check is an equality in Z[zeta_M] once both sides are
+cleared of denominators, decided on residues modulo the primes of
+split_primes, whose product exceeds a bound on the difference: phi(M) G
+max|x| max|y| for a product, G = reduction_growth(M) (phi(M)^2 G for
+three factors), the row sum of N times max|x| for a channel sum, times
+the denominators; one prime covers a linearized group.  The residues of
+dims, twists and s are kept on the datum for validation and the
+transparency test to share: arrays are not to be changed in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import lcm
 
 import numpy as np
 
-from .cyclotomic import BLOCK, CycArray, check_budget, exact_dtype, magnitude, map_rows, mul_rows, narrow
+from .cyclotomic import (BLOCK, CycArray, check_budget, exact_dtype, magnitude, mod, mul_rows, narrow, reduction_growth,
+                         residues, split_primes)
 from .errors import DatumTooLarge
 from .fusion_ring import FusionRing, validate_fusion_ring
 from .validation import ValidationReport
@@ -81,6 +61,7 @@ class PremodularData:
     dims: CycArray
     twists: CycArray
     s: CycArray | None = None
+    _residues: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.twists.M != self.dims.M or self.s is not None and self.s.M != self.dims.M:
@@ -105,23 +86,32 @@ def _is_integer(num: np.ndarray, den: int, k: int) -> np.ndarray:
     return (num[..., 0] == k * den) & ~num[..., 1:].any(axis=-1)
 
 
-def _unequal(x: np.ndarray, x_den: int, y: np.ndarray, y_den: int) -> np.ndarray:
-    """(..., phi) -> (...): x / x_den != y / y_den, entry by entry; the
-    operands are scaled, in a dtype from their bounds, only when a
-    denominator is not 1."""
-    if x_den != 1 or y_den != 1:
-        dtype = exact_dtype(max(max(magnitude(x), 1) * y_den, max(magnitude(y), 1) * x_den))
-        if y_den != 1:
-            x = x.astype(dtype, copy=False) * y_den
-        if x_den != 1:
-            y = y.astype(dtype, copy=False) * x_den
-    return (x != y).any(axis=-1)
+def _residues(data: PremodularData, name: str, p: int) -> np.ndarray:
+    """residues of data.dims, data.twists or data.s modulo p, once each."""
+    x = getattr(data, name)
+    if data._residues.get((name, p), (None,))[0] is not x:
+        data._residues[name, p] = (x, residues(x.num, x.M, p))
+    return data._residues[name, p][1]
 
 
-def _row_blocks(rows: int, width: int):
-    """Slices of range(rows), each of about BLOCK // width rows."""
-    step = max(1, BLOCK // width)
-    return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
+def _times(x: np.ndarray, k: int, p: int) -> np.ndarray:
+    return x if k == 1 else mod(x * (k % p), p)
+
+
+def _differ(M: int, bound: int, r: int, phi: int, sides) -> list[np.ndarray]:
+    """(r, r) booleans for each pair (x, y) of (rows, r, phi) residues that
+    sides(p, rows) gives, per block of rows of about BLOCK values: x != y
+    modulo some p of split_primes (a short axis reduced across a copy)."""
+    def unequal(d, p):
+        bad = d // p * p != d
+        return bad.any(axis=-1) if phi > 16 else np.ascontiguousarray(np.moveaxis(bad, -1, 0)).any(axis=0)
+
+    out, step = None, max(1, BLOCK // (r * phi))
+    for p in split_primes(M, bound, r * r * phi):
+        blocks = [[unequal(x - y, p) for x, y in sides(p, slice(a, min(a + step, r)))] for a in range(0, r, step)]
+        bad = [np.concatenate(pair) for pair in zip(*blocks)]
+        out = bad if out is None else [a | b for a, b in zip(out, bad)]
+    return out
 
 
 class _Channels:
@@ -134,20 +124,24 @@ class _Channels:
         self.width = max(self.r, int(np.diff(self.start).max(initial=0)))  # values per row a
         first = np.flatnonzero(np.diff(self.a * self.r + self.b, prepend=-1))
         self.row_sum = int(np.add.reduceat(self.m, first).max(initial=0))  # max_{a,b} sum_c N^c_{a,b}
+        self.single = len(first) == len(self.a) == self.r * self.r  # one channel c per (a, b), in order
 
     def blocks(self, phi: int):
-        return _row_blocks(self.r, 2 * phi * self.width)
+        step = max(1, BLOCK // (2 * phi * self.width))
+        return [slice(a, min(a + step, self.r)) for a in range(0, self.r, step)]
 
     def sums(self, x: np.ndarray, rows: slice) -> np.ndarray:
         """sum_c N^c_{a,b} x[c] for a in rows and every b: (rows, r, phi)."""
         at = slice(self.start[rows.start], self.start[rows.stop])
-        keys = (self.a[at] - rows.start) * self.r + self.b[at]
         dtype = exact_dtype(self.row_sum * magnitude(x))
-        out = np.zeros(((rows.stop - rows.start) * self.r, x.shape[-1]), dtype=dtype)
-        first = np.flatnonzero(np.diff(keys, prepend=-1))
-        terms = self.m[at, None].astype(dtype) * x[self.c[at]].astype(dtype)
-        out[keys[first]] = terms if len(first) == len(keys) else np.add.reduceat(terms, first, axis=0)
-        return out.reshape(rows.stop - rows.start, self.r, x.shape[-1])
+        terms = self.m[at, None].astype(dtype) * x[self.c[at]].astype(dtype, copy=False)
+        if not self.single:
+            keys = (self.a[at] - rows.start) * self.r + self.b[at]
+            first = np.flatnonzero(np.diff(keys, prepend=-1))
+            out = np.zeros(((rows.stop - rows.start) * self.r, x.shape[-1]), dtype=dtype)
+            out[keys[first]] = terms if len(first) == len(keys) else np.add.reduceat(terms, first, axis=0)
+            terms = out
+        return terms.reshape(rows.stop - rows.start, self.r, x.shape[-1])
 
     def conductors(self, twists: CycArray, dims: CycArray) -> np.ndarray:
         """The conductor of each synthesized s_{a,b}: the lcm of those of
@@ -158,20 +152,32 @@ class _Channels:
         return out
 
 
-def validate_premodular(data: PremodularData) -> ValidationReport:
-    """Check the premodular axioms exactly; synthesize s when absent.
+def _synthesized_s(data: PremodularData, channels: _Channels) -> CycArray:
+    """s by the balancing formula, over inverse.den^2 t_den d_den."""
+    D, T, M, r = data.dims.num, data.twists.num, data.dims.M, channels.r
+    try:
+        inverse = data.twists.inverse()
+        s_den = inverse.den**2 * data.twists.den * data.dims.den
+        check_budget(r * r * D.shape[1], s_den)
+    except DatumTooLarge as exc:
+        raise DatumTooLarge(f"s cannot be synthesized: {exc}") from None
+    twisted_dims = mul_rows(T, D, M)  # theta_c d_c, over t_den d_den
+    s = np.zeros((r, r, D.shape[1]), dtype=np.int8)
+    for rows in channels.blocks(D.shape[1]):
+        part = narrow(mul_rows(mul_rows(inverse.num[rows, None], inverse.num[None, :], M),
+                               channels.sums(twisted_dims, rows), M))
+        # wider, or Python ints, once a value needs them
+        s = s.astype(np.promote_types(s.dtype, part.dtype), copy=False)
+        s[rows] = part
+    return CycArray(M, s, s_den, channels.conductors(data.twists, data.dims))
 
-    On a supplied s, every entry must match the balancing formula
-    exactly; a mismatch is a violation, not a warning.  Balancing implies
-    that s is symmetric (N^c_{a,b} = N^c_{b,a}) and that s_{I,a} = d_a
-    (N^c_{I,a} = delta_{a,c} and theta_I = 1), so neither is checked;
-    conj(s_{a,b}) = s_{a*,b} is, as one signed permutation of the
-    power basis at M, reduced by Phi_M, against s[dual].  Witnesses come
-    in row order, (a, b) with b >= a for the dimension character and the
-    conjugation.  Mutates data.s when synthesis succeeds; raises
-    DatumTooLarge when the inverse twists, or s over their denominator,
-    are above cyclotomic.check_budget.
-    """
+
+def validate_premodular(data: PremodularData) -> ValidationReport:
+    """Check the premodular axioms exactly, synthesizing s when absent (s
+    symmetric and s_{I,a} = d_a follow from balancing).  Witnesses come in
+    row order, b >= a for the dimension character and conjugation.
+    DatumTooLarge when the inverse twists, s or the residues an equality
+    needs are above cyclotomic.check_budget."""
     rep = ValidationReport()
     ring = data.ring
     ring_report = validate_fusion_ring(ring)
@@ -203,82 +209,54 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
     if rep.violations:
         return rep
 
-    # the dimension character d_a d_b = sum_c N^c_{a,b} d_c
-    channels = _Channels(ring)
-    blocks = channels.blocks(D.shape[1])
-    upper = np.arange(r)[None, :] >= np.arange(r)[:, None]
-    for rows in blocks:
-        bad = _unequal(mul_rows(D[rows, None], D[None, :], M), d_den * d_den,
-                       channels.sums(D, rows), d_den) & upper[rows]
-        for a, b in np.argwhere(bad).tolist():
-            rep.add("DimensionCharacterViolation", (rows.start + a, b))
+    # the dimension character, d_a d_b = d_den sum_c N^c_{a,b} d_c
+    channels, upper, dual = _Channels(ring), np.triu(np.ones((r, r), dtype=bool)), np.asarray(dual)
+    phi, G, mD, mT = D.shape[1], int(reduction_growth(M)), magnitude(D), magnitude(T)
+    bad, = _differ(M, phi * G * mD * mD + d_den * channels.row_sum * mD, r, phi, lambda p, rows: [(
+        _residues(data, "dims", p)[rows, None] * _residues(data, "dims", p)[None, :],
+        channels.sums(_times(_residues(data, "dims", p), d_den, p), rows))])
+    for a, b in np.argwhere(bad & upper).tolist():
+        rep.add("DimensionCharacterViolation", (a, b))
     if rep.violations:
         return rep
 
     if data.s is not None and data.s.shape != (r, r):
         rep.add("ShapeViolation", (r,), "s-matrix must be rank x rank")
         return rep
-    twisted_dims = mul_rows(T, D, M)  # theta_c d_c, over t_den d_den
-    if data.s is None:
-        try:
-            inverse = data.twists.inverse()
-            s_den = inverse.den**2 * t_den * d_den
-            check_budget(r * r * D.shape[1], s_den)
-        except DatumTooLarge as exc:
-            raise DatumTooLarge(f"s cannot be synthesized: {exc}") from None
-        s = np.zeros((r, r, D.shape[1]), dtype=np.int8)
-        for rows in blocks:
-            part = narrow(mul_rows(mul_rows(inverse.num[rows, None], inverse.num[None, :], M),
-                                   channels.sums(twisted_dims, rows), M))
-            # wider, or Python ints, once a value needs them
-            s = s.astype(np.promote_types(s.dtype, part.dtype), copy=False)
-            s[rows] = part
-        data.s = CycArray(M, s, s_den, channels.conductors(data.twists, data.dims))
-    else:
-        s = data.s
-        for rows in blocks:
-            # theta_a theta_b s_{a,b} over t_den^2 s_den, the channel sum over t_den d_den
-            lhs = mul_rows(mul_rows(T[rows, None], T[None, :], M), s.num[rows], M)
-            bad = _unequal(lhs, t_den * s.den, channels.sums(twisted_dims, rows), d_den)
-            for a, b in np.argwhere(bad).tolist():
-                rep.add("BalancingViolation", (rows.start + a, b), "supplied s disagrees with balancing formula")
-        if rep.violations:
-            return rep
+    supplied = data.s is not None
+    if not supplied:
+        data.s = _synthesized_s(data, channels)
+    mS, s_den = magnitude(data.s.num), data.s.den
 
-    S = data.s.num
-    conj = (-np.arange(S.shape[-1])) % M
-    for rows in blocks:
-        bad = (map_rows(S[rows], conj, M) != S[np.asarray(dual)[rows]]).any(axis=2) & upper[rows]
-        for a, b in np.argwhere(bad).tolist():
-            rep.add("SConjugationViolation", (rows.start + a, b), "conj(s_{a,b}) != s_{a*,b}")
+    # conj(s_{a,b}) = s_{a*,b}, and on a supplied s the balancing formula,
+    # theta_a theta_b s_{a,b} d_den = t_den s_den sum_c N^c_{a,b} theta_c d_c
+    def s_checks(p, rows):
+        Sp = _residues(data, "s", p)
+        if not supplied:
+            return [(Sp[rows, :, ::-1], Sp[dual[rows]])]
+        Tp, Dp = _residues(data, "twists", p), _residues(data, "dims", p)
+        return [(Sp[rows, :, ::-1], Sp[dual[rows]]), (mod(_times(Tp, d_den, p)[rows, None] * Tp[None, :], p) * Sp[rows],
+                                                      channels.sums(_times(mod(Tp * Dp, p), t_den * s_den, p), rows))]
+
+    bound = max((G + 1) * mS, supplied and phi * G * mT * (phi * mT * mS * d_den + t_den * s_den * channels.row_sum * mD))
+    conj, *balancing = _differ(M, bound, r, phi, s_checks)
+    for a, b in np.argwhere(*balancing).tolist() if supplied else ():
+        rep.add("BalancingViolation", (a, b), "supplied s disagrees with balancing formula")
+    if rep.violations:
+        return rep
+    for a, b in np.argwhere(conj & upper).tolist():
+        rep.add("SConjugationViolation", (a, b), "conj(s_{a,b}) != s_{a*,b}")
     return rep
 
 
 def _transparency(data: PremodularData) -> np.ndarray:
-    """(r, r) booleans: S~_{b,x} = 1, tested multiplicatively as
-    s_{b,x} = d_b d_x.  With an irrational dimension, row b of s against
-    d_b d, in blocks of rows.  With every dimension rational, d_b d_x is
-    the product of the constant terms over dims.den^2 and no product of
-    values is formed: s_{b,x} must be that rational, so its constant term
-    is compared for all (b, x) at once, and its other coefficients, which
-    must be 0, are read only where the constants agree, in blocks of at
-    most BLOCK / 2 values."""
-    dims, s = data.dims, data.s
-    D, r, phi = dims.num, len(dims), dims.num.shape[1]
-    if D[:, 1:].any():
-        out = np.empty((r, r), dtype=bool)
-        for rows in _row_blocks(r, 2 * r * phi):
-            out[rows] = ~_unequal(s.num[rows], s.den, mul_rows(D[rows, None], D[None, :], dims.M), dims.den**2)
-        return out
-    d = D[:, 0].astype(exact_dtype(magnitude(D) ** 2), copy=False)
-    out = ~_unequal(s.num[..., :1], s.den, np.multiply.outer(d, d)[..., None], dims.den**2)
-    agree, values = np.flatnonzero(out), s.num.reshape(r * r, phi)
-    for at in _row_blocks(len(agree), 2 * phi):
-        # the other coefficients as rows: numpy reduces across rows many
-        # times faster than along a short last axis
-        rest = np.ascontiguousarray(values.take(agree[at], axis=0)[:, 1:].T)
-        out.flat[agree[at]] = ~rest.any(axis=0)
-    return out
+    """(r, r) booleans: S~_{b,x} = 1, as s_{b,x} d_den^2 = d_b d_x s_den."""
+    dims, s, M, (r, phi) = data.dims, data.s, data.dims.M, data.dims.num.shape
+    bound = magnitude(s.num) * dims.den**2 + phi * int(reduction_growth(M)) * magnitude(dims.num)**2 * s.den
+    bad, = _differ(M, bound, r, phi, lambda p, rows: [(
+        _times(_residues(data, "s", p)[rows], dims.den**2, p),
+        _times(_residues(data, "dims", p)[rows], s.den, p)[:, None] * _residues(data, "dims", p))])
+    return ~bad
 
 
 class CentreKind(str, Enum):

@@ -465,7 +465,8 @@ class ExtensionResult:
         denominator divides 2|A'|, so the values are compared as
         integers over it."""
         scaled, rest = np.divmod(self.values * (2 * len(self.values)), self.L)
-        assert not rest.any(), "a form's denominators divide 2|A|"
+        if rest.any():
+            raise CrossCheckMismatch("a form's denominators divide 2|A|")
         return tuple(self.orders), tuple(scaled.tolist()), self.fermion_image
 
 
@@ -488,7 +489,8 @@ def _pushout_structure(mg: MetricGroup, a0):
     d, P = _smith_normal_form(M)
     keep = [i for i in range(k + 1) if d[i] > 1]
     orders = [d[i] for i in keep]
-    assert math.prod(orders) == 2 * mg.order
+    if math.prod(orders) != 2 * mg.order:
+        raise CrossCheckMismatch(f"the overgroup over a0 = {a0} has order {math.prod(orders)}, not {2 * mg.order}")
     return orders, np.array([[p % d[i] for p in P[i]] for i in keep], dtype=np.int64)
 
 
@@ -557,7 +559,8 @@ def _extension_candidates(mg: MetricGroup, e: int):
         d = np.array(orders, dtype=np.int64)[:, None]
         base = M[:, :-1] @ coords % d  # coordinates of (a, 0)
         at = [_index(orders, base), _index(orders, (base + M[:, -1:]) % d)]
-        assert (np.bincount(np.concatenate(at)) == 1).all(), "pushout coordinates must be a bijection"
+        if (np.bincount(np.concatenate(at)) != 1).any():
+            raise CrossCheckMismatch("pushout coordinates must be a bijection")
         embedding = [_element(base, i) for i in shift[:, 0]]
         image = _element(base, e)
         v = (Q[ia0] + np.arange(4) * D) * (L // (4 * D))  # L v for v = (q(a0) + j)/4, per j

@@ -1,33 +1,26 @@
 """JSON schemas and the single two-schema loader.
 
-Input files are discriminated by a top-level "type": "premodular" or
-"metric_group".  Loading always runs the module validator and fails on
-any violation.  Serialization round trips bit-exactly: all rationals
-travel as strings, cyclotomic values as {"n": conductor, "c": [[num, den], ...]}.
-Conductors (each, and their lcm over a datum), the lcm of the q
-denominators, ring rank and fusion multiplicities are capped, and so is
-the size of a premodular datum's arrays, in coefficient slots and in
-words with the length of their shared denominator
-(cyclotomic.check_budget), before anything is allocated at their size;
-q values and CycNum coefficients are bounded in digits, element keys in
-coordinates.  Wherever the schema has a list, a JSON list is required: a
-string or an object there is refused, never unpacked.  Every field, a
-metric group's q keys and q values included, is read by checks that each
-run over its whole list and name the first entry they refuse; integer
-fields and key coordinates are read by _integers, the numerators and
-denominators of q values by _rationals.  q is read as arrays into
-metric_groups' checked builder ("()" is the key of no coordinates) and
-written from Q/D by q_to_json, the one formatter of q values, under the
-keys metric_groups.element_labels gives.  The caps on fusion entries and
-on coefficient parts are checked on the int64 array the values are read
-into, an array of Python ints where one is past int64.
+Files are discriminated by a top-level "type", "premodular" or
+"metric_group", and loading always runs the module validator.  All
+rationals travel as strings, cyclotomic values as {"n": conductor, "c":
+[[num, den], ...]}, so serialization round trips bit-exactly.
+Conductors (each, and their lcm), the lcm of the q denominators, ring
+rank, fusion multiplicities and the size of a premodular datum's arrays
+(cyclotomic.check_budget) are capped before anything is allocated at
+their size; q values and coefficient parts are bounded in digits.
+Wherever the schema has a list, a JSON list is required: a string or an
+object there is refused, never unpacked.  Every field is read by checks
+that each run over a whole list and name the first entry they refuse:
+integers by _integers, q values by _rationals, q keys ("()" has no
+coordinates) by _element_keys into metric_groups' checked builder, and
+the coefficient parts of dims, twists and s by _parts, a field at a
+time, as one text numpy parses; the caps on parts and fusion entries are
+checked on the int64 array they are read into (Python ints past int64).
+q is written from Q/D by q_to_json, under metric_groups.element_labels.
 
 loads_datum pauses the cyclic garbage collector from json.loads until
-the datum is read, and restores it however the read ends.  A rank-32
-file decodes into about 9,000 lists and dicts, enough to start a dozen
-collections that free nothing: the decoded JSON is a tree and the
-readers' lists hold ints and strings, so none of them is in a cycle and
-reference counting frees them all.
+the datum is read: a rank-32 file decodes into about 9,000 lists and
+dicts, enough for a dozen collections that free nothing in a tree.
 """
 
 from __future__ import annotations
@@ -36,6 +29,7 @@ import gc
 import itertools
 import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -69,11 +63,11 @@ MAX_DIGITS = 32
 _DIGIT_BOUND = 10**MAX_DIGITS
 _RATIONAL = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
 _INTEGER = re.compile(r"-?[0-9]+")
-# lines of _INTEGER strings pass this charset; -?[0-9]+(\n-?[0-9]+)* would
-# be exact, but its grouped repeat keeps a stack entry per line and raises
-# the peak memory of reading a large file
+# lines of _INTEGER strings pass this charset; an exact regex's grouped
+# repeat would keep a stack entry per line
 _DIGIT_LINES = re.compile(r"[-0-9\n]+")
-_INT64_MIN = -(2**63)
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_N, _C = operator.itemgetter("n"), operator.itemgetter("c")
 
 
 class ParseError(ValueError):
@@ -81,10 +75,7 @@ class ParseError(ValueError):
 
 
 def _is_integer(x) -> bool:
-    """Whether x reads as an int: a JSON integer, or a string of ASCII
-    digits with an optional leading minus; a float or a boolean is
-    refused rather than truncated, and so is any other string int()
-    would read (" 16", "1_6", non-ASCII digits)."""
+    """Whether x is a JSON integer or an ASCII digit string, minus allowed."""
     return type(x) is int or type(x) is str and _INTEGER.fullmatch(x) is not None
 
 
@@ -103,11 +94,8 @@ def _refuse(values, ok, what: str):
 
 
 def _integers(values: list) -> list:
-    """values as ints, each as _is_integer reads it, in one type pass, one
-    charset match over its strings joined by newlines (a newline inside a
-    string shows as one newline too many) and one int() per distinct
-    value; a string the charset passes but int() refuses ("-", "1-2", "")
-    is named by _refuse."""
+    """values as ints, as _is_integer reads them (one type pass, one charset
+    match, one int() per distinct value), else _refuse names the first."""
     types = set(map(type, values))
     if types <= {int}:
         return values
@@ -153,17 +141,36 @@ def _array(values: list) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _cycnum_parts(entries: list) -> tuple[list, list]:
+def _parts(values: list) -> np.ndarray:
+    """_array(_integers(values)), parsed by numpy from the strings joined by
+    newlines when the text is one line a string of digits, with a minus
+    first on a line before a digit; numpy skips empty lines and saturates
+    past int64, so a value too few or at a range end goes to _integers."""
+    try:
+        text = "\n".join(values)
+    except TypeError:
+        text = None
+    if (text is not None and text.count("\n") == len(values) - 1 and _DIGIT_LINES.fullmatch(text)
+            and text.count("-") == text.count("\n-") + text.startswith("-") and "-\n" not in text
+            and not text.endswith("-")):
+        parts = np.fromstring(text, dtype=np.int64, sep="\n")
+        if len(parts) == len(values) and parts.max() < _INT64_MAX and parts.min() > _INT64_MIN:
+            return parts
+    return _array(_integers(values))
+
+
+def _cycnum_parts(entries: list) -> tuple[list, np.ndarray]:
     """The conductors of the CycNum objects in entries and all their
-    coefficient parts in one list, numerator and denominator
+    coefficient parts in one array, numerator and denominator
     alternating.  Each check runs on a whole list and raises its own
     error; premodular_from_json checks the parts of all fields at once."""
-    conductors = _integers([obj["n"] for obj in entries])
+    conductors = _integers(list(map(_N, entries)))
     _capped_conductor(max(conductors, default=1))
-    coefficients = _lists([obj["c"] for obj in entries], 'a CycNum "c"')
-    if list(map(len, coefficients)) != list(map(euler_phi, conductors)):
+    coefficients = _lists(list(map(_C, entries)), 'a CycNum "c"')
+    phis = {n: euler_phi(n) for n in dict.fromkeys(conductors)}
+    if list(map(len, coefficients)) != list(map(phis.__getitem__, conductors)):
         raise ValueError("coefficient vector length must be euler_phi(conductor)")
-    return conductors, _integers(_flat(_lists(_flat(coefficients), "a coefficient pair", 2)))
+    return conductors, _parts(_flat(_lists(_flat(coefficients), "a coefficient pair", 2)))
 
 
 # -- fusion rings -------------------------------------------------------------
@@ -230,7 +237,7 @@ def _theta_exp_parts(theta_exp: list) -> tuple[list, list]:
     values = _integers(_flat(_lists(theta_exp, "a theta_exp entry", 2)))
     _capped_conductor(max(values[1::2], default=1))
     roots = list(map(make_root, values[0::2], values[1::2]))
-    return [t.M for t in roots], [x for t in roots for c in t.num.tolist() for x in (c, 1)]
+    return [t.M for t in roots], _array([x for t in roots for c in t.num.tolist() for x in (c, 1)])
 
 
 def premodular_from_json(obj: dict) -> PremodularData:
@@ -242,8 +249,8 @@ def premodular_from_json(obj: dict) -> PremodularData:
         else:
             twists = _cycnum_parts(_field(obj, "twists"))
         rows = _lists(_field(obj, "s"), 'a row of "s"') if "s" in obj else None
-        s = ([], []) if rows is None else _cycnum_parts(_flat(rows))
-        conductors, parts = dims[0] + twists[0] + s[0], _array(dims[1] + twists[1] + s[1])
+        s = ([], _array([])) if rows is None else _cycnum_parts(_flat(rows))
+        conductors, parts = dims[0] + twists[0] + s[0], np.concatenate([dims[1], twists[1], s[1]])
         bound = magnitude(parts)
         if bound >= _DIGIT_BOUND:
             raise ValueError(f"CycNum coefficient part has more than {MAX_DIGITS} digits")
@@ -252,7 +259,7 @@ def premodular_from_json(obj: dict) -> PremodularData:
         k, t = len(dims[0]), len(twists[0])
         # validation computes at the lcm of all conductors, on arrays of
         # at most r x r x phi(M) coefficient slots
-        M = _capped_conductor(math.lcm(*conductors))
+        M = _capped_conductor(math.lcm(*set(conductors)))
         r = ring.rank
         slots = max(r * r, k, t, len(conductors) - k - t) * euler_phi(M)
         if slots > MAX_SLOTS:
@@ -261,7 +268,7 @@ def premodular_from_json(obj: dict) -> PremodularData:
         parts = parts.astype(exact_dtype(bound), copy=False).reshape(-1, 2)
         values = CycArray.from_parts(M, conductors, parts[:, 0], parts[:, 1], (len(conductors),))
         s = None if rows is None else values[k + t:]
-        if s is not None and len(rows) == r and all(len(row) == r for row in rows):
+        if s is not None and len(rows) == r and set(map(len, rows)) <= {r}:
             s = s.reshape(r, r)
         return PremodularData(ring=ring, dims=values[:k], twists=values[k:k + t], s=s)
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
@@ -367,12 +374,10 @@ def collector_paused(fn, *args):
 
 
 def loads_datum(text: str):
-    """Parse and validate a datum from a JSON string.  The cyclic garbage
-    collector is paused while the JSON is decoded and read (see the module
-    docstring), and left as it was found; validation needs only the
-    datum, so the decoded JSON is freed before it runs.  The pause is
-    process-wide, not per thread: it assumes one thread loads at a time,
-    as in the CLI, which runs one command per process."""
+    """Parse and validate a datum from a JSON string, with the collector
+    paused while the JSON is decoded and read; the decoded JSON is freed
+    before validation.  The pause is process-wide: it assumes one thread
+    loads at a time, as in the CLI."""
     datum, validate = collector_paused(_parse, text)
     report = validate(datum)
     if not report.ok:
@@ -381,11 +386,8 @@ def loads_datum(text: str):
 
 
 def load_datum(path: str):
-    """Load a premodular datum or metric group from a JSON file.
-
-    Raises ParseError on malformed input and ValidationError (with the
-    witness list) when the datum fails its validator.
-    """
+    """Load a premodular datum or metric group from a JSON file: ParseError
+    on malformed input, ValidationError when the datum fails validation."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

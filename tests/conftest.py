@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from premodular.catalog import catalog_get, catalog_list
@@ -20,16 +19,6 @@ def with_entries(ring, *entries):
     (a, b, c); m = 0 removes it."""
     return FusionRing(labels=ring.labels, unit_index=ring.unit_index,
                       fusion=[*ring.fusion.tolist(), *entries], dual=ring.dual)
-
-
-def assert_same_ring(ring, expected):
-    """Equal labels, unit and dual, and equal int64 columns a, b, c, m
-    and row offsets."""
-    assert (ring.labels, ring.unit_index, list(ring.dual)) == (
-        expected.labels, expected.unit_index, list(expected.dual))
-    for name in ("a", "b", "c", "m", "start"):
-        got, want = getattr(ring, name), getattr(expected, name)
-        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), name
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,8 @@ cyclotomic arithmetic on Fraction coefficients reduced by long division
 by Phi_n, Phi_n as x^n - 1 divided by Phi_d for every proper divisor d,
 a CycArray from its parts by one lift per conductor,
 the premodular axioms and the transparent set on values one
-entry at a time, integer strings by one regex match each, a value's
+entry at a time, and again on the exact coefficient arrays, compared
+after scaling by the denominators, integer strings by one regex match each, a value's
 JSON and embedding from its Fraction coefficients, JSON text by
 json.dumps.  Expected
 values frozen into the tests come from here.  The generator-image
@@ -36,6 +37,7 @@ from math import gcd, lcm
 import numpy as np
 
 from premodular.cyclotomic import (
+    BLOCK,
     MINUS_ONE,
     ONE,
     ZERO,
@@ -46,10 +48,12 @@ from premodular.cyclotomic import (
     magnitude,
     make_root,
     map_rows,
+    mul_rows,
     reduce_rows,
     reduction_growth,
 )
-from premodular.data import CentreClassification, CentreKind, PremodularData, _transparency, classify_degeneracy
+from premodular.data import (CentreClassification, CentreKind, PremodularData, _Channels, _is_integer,
+                            _synthesized_s, _transparency, classify_degeneracy)
 from premodular.errors import GroupsTooLarge
 from premodular.fusion_ring import FusionRing, dual_permutation_matrix, validate_fusion_ring
 from premodular.metric_groups import (
@@ -94,13 +98,6 @@ def root_table(D: int) -> np.ndarray:
     """The D x phi(D) table whose row k is z_D^k in the power basis: the
     D x D identity reduced by Phi_D, by long division."""
     return reduce_rows(np.eye(D, dtype=np.int64), D)
-
-
-def checked_ring(ring: FusionRing) -> FusionRing:
-    """The same ring built again from its entries by the checking
-    FusionRing constructor."""
-    return FusionRing(labels=list(ring.labels), unit_index=ring.unit_index, fusion=ring.fusion.tolist(),
-                      dual=list(ring.dual))
 
 
 def cycarray_from_parts_by_conductor(M: int, conductors, nums, dens, shape) -> CycArray:
@@ -981,6 +978,106 @@ def validate_premodular_cycnum(ring, dims, twists, s):
             if s[a][b].conj() != s[dual[a]][b]:
                 rep.add("SConjugationViolation", (a, b), "conj(s_{a,b}) != s_{a*,b}")
     return rep, s
+
+
+# -- premodular checks on the exact coefficient arrays ------------------------------
+
+
+def _unequal(x: np.ndarray, x_den: int, y: np.ndarray, y_den: int) -> np.ndarray:
+    """(..., phi) -> (...): x / x_den != y / y_den, entry by entry; the
+    operands are scaled, in a dtype from their bounds, only when a
+    denominator is not 1."""
+    if x_den != 1 or y_den != 1:
+        dtype = exact_dtype(max(max(magnitude(x), 1) * y_den, max(magnitude(y), 1) * x_den))
+        if y_den != 1:
+            x = x.astype(dtype, copy=False) * y_den
+        if x_den != 1:
+            y = y.astype(dtype, copy=False) * x_den
+    return (x != y).any(axis=-1)
+
+
+def validate_premodular_exact(data: PremodularData) -> ValidationReport:
+    """validate_premodular with the dimension character, balancing and the
+    conjugation of s decided on the exact coefficient arrays at M, block
+    by block of rows, instead of on residues; it synthesizes s the same
+    way, so the two give the same report and the same s."""
+    rep = ValidationReport()
+    ring = data.ring
+    ring_report = validate_fusion_ring(ring)
+    if not ring_report.ok:
+        rep.violations.extend(ring_report.violations)
+        return rep
+    r = ring.rank
+    if data.dims.shape != (r,) or data.twists.shape != (r,):
+        rep.add("ShapeViolation", (r,), "dims/twists length must equal rank")
+        return rep
+
+    I, dual, M = ring.unit_index, ring.dual, data.dims.M
+    D, d_den, T, t_den = data.dims.num, data.dims.den, data.twists.num, data.twists.den
+    if not _is_integer(D[I], d_den, 1):
+        rep.add("UnitDimViolation", (I,), "d_I must be 1")
+    if not _is_integer(T[I], t_den, 1):
+        rep.add("UnitTwistViolation", (I,), "theta_I must be 1")
+    zero_d, zero_t = ~D.any(axis=1), ~T.any(axis=1)
+    dual_d, dual_t = (D != D[dual]).any(axis=1), (T != T[dual]).any(axis=1)
+    for a in np.flatnonzero(zero_d | zero_t | dual_d | dual_t).tolist():
+        if zero_d[a]:
+            rep.add("ZeroDimViolation", (a,))
+        if zero_t[a]:
+            rep.add("ZeroTwistViolation", (a,), "twists must be invertible")
+        if dual_d[a]:
+            rep.add("DualDimViolation", (a, dual[a]), "d_a != d_{a*}")
+        if dual_t[a]:
+            rep.add("DualTwistViolation", (a, dual[a]), "theta_a != theta_{a*}")
+    if rep.violations:
+        return rep
+
+    channels = _Channels(ring)
+    blocks = channels.blocks(D.shape[1])
+    upper = np.arange(r)[None, :] >= np.arange(r)[:, None]
+    for rows in blocks:
+        bad = _unequal(mul_rows(D[rows, None], D[None, :], M), d_den * d_den,
+                       channels.sums(D, rows), d_den) & upper[rows]
+        for a, b in np.argwhere(bad).tolist():
+            rep.add("DimensionCharacterViolation", (rows.start + a, b))
+    if rep.violations:
+        return rep
+
+    if data.s is not None and data.s.shape != (r, r):
+        rep.add("ShapeViolation", (r,), "s-matrix must be rank x rank")
+        return rep
+    twisted_dims = mul_rows(T, D, M)  # theta_c d_c, over t_den d_den
+    if data.s is None:
+        data.s = _synthesized_s(data, channels)
+    else:
+        s = data.s
+        for rows in blocks:
+            # theta_a theta_b s_{a,b} over t_den^2 s_den, the channel sum over t_den d_den
+            lhs = mul_rows(mul_rows(T[rows, None], T[None, :], M), s.num[rows], M)
+            bad = _unequal(lhs, t_den * s.den, channels.sums(twisted_dims, rows), d_den)
+            for a, b in np.argwhere(bad).tolist():
+                rep.add("BalancingViolation", (rows.start + a, b), "supplied s disagrees with balancing formula")
+        if rep.violations:
+            return rep
+
+    S = data.s.num
+    conj = (-np.arange(S.shape[-1])) % M
+    for rows in blocks:
+        bad = (map_rows(S[rows], conj, M) != S[np.asarray(dual)[rows]]).any(axis=2) & upper[rows]
+        for a, b in np.argwhere(bad).tolist():
+            rep.add("SConjugationViolation", (rows.start + a, b), "conj(s_{a,b}) != s_{a*,b}")
+    return rep
+
+
+def transparency_exact(data: PremodularData) -> np.ndarray:
+    """_transparency on the exact arrays: row b of s against d_b d, in
+    blocks of rows, each side scaled by the other's denominator."""
+    dims, s = data.dims, data.s
+    D, r, phi = dims.num, len(dims), dims.num.shape[1]
+    out, step = np.empty((r, r), dtype=bool), max(1, BLOCK // (2 * r * phi))
+    for rows in (slice(a, a + step) for a in range(0, r, step)):
+        out[rows] = ~_unequal(s.num[rows], s.den, mul_rows(D[rows, None], D[None, :], dims.M), dims.den**2)
+    return out
 
 
 def classify_degeneracy_cycnum(data: PremodularData) -> CentreClassification:

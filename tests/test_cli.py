@@ -232,6 +232,30 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert "cannot read" in proc.stderr
 
 
+# extend with _smith_normal_form patched to double the last invariant
+# factor, so that the overgroup's order cross-check fails
+_BROKEN_PUSHOUT = """
+import sys
+from premodular import cli, metric_groups
+snf = metric_groups._smith_normal_form
+def doubled(M):
+    d, P = snf(M)
+    return d[:-1] + [2 * d[-1]], P
+metric_groups._smith_normal_form = doubled
+cli.main()
+"""
+
+
+def test_a_failed_cross_check_exits_1_under_python_O(write_datum):
+    # the cross-checks raise CrossCheckMismatch, which python -O keeps,
+    # where it would strip an assert and go on with a wrong overgroup
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(premodular.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_PUSHOUT, "extend", write_datum("svec")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("internal invariant failure: the overgroup over a0 = ")
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_analyze_timings_go_to_stderr_only(fmt, write_datum, capsys):
     path = write_datum("svec")

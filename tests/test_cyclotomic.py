@@ -17,11 +17,10 @@ from premodular import cyclotomic
 from premodular.cyclotomic import (CycArray, CycNum, MINUS_ONE, ONE, ZERO, cyclotomic_poly, euler_phi, from_rational,
                                    magnitude, make_root, map_rows, mul_rows, narrow, power_rows, reduce_rows,
                                    reduction_growth)
-from premodular.data import _unequal
 from premodular.serialize import premodular_from_json
 
 import oracles
-from oracles import FractionCycNum
+from oracles import FractionCycNum, _unequal
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 24, 48]
 
@@ -381,8 +380,12 @@ def test_every_dtype_choice_bounds_minus_2_63():
         assert mul_rows(a, b, 4).tolist() == mul_rows(b, a, 4).tolist() == [[0, 0]]
     got = CycArray.from_parts(6, [3], np.array([0, -2**63]), np.array([1, 1]), (1,))
     assert got.num.tolist() == [[2**63, -2**63]]
-    # -2^63 / 1 against 0 / 2: scaling by 2 wraps to 0 in int64
+    # -2^63 / 1 against 0 / 2: scaling by 2 wraps to 0 in int64 (the exact oracle's comparison)
     assert _unequal(np.array([[-2**63]]), 1, np.array([[0]]), 2).tolist() == [True]
+    # residues of -2^63, at the edge of int64, equal those of the same value as a Python int
+    p = cyclotomic.split_primes(4, 1, 1)[0]
+    assert (cyclotomic.residues(np.array([[-2**63, 5]]), 4, p)
+            == cyclotomic.residues(np.array([[-2**63, 5]], dtype=object), 4, p)).all()
 
 
 def test_from_rational_takes_only_exact_rationals():
@@ -445,3 +448,21 @@ def test_from_parts_matches_the_lift_per_conductor(parts, block, as_arrays):
         cyclotomic.BLOCK = saved
     assert (got.M, got.den, got.num.dtype) == (want.M, want.den, want.num.dtype)
     assert np.array_equal(got.num, want.num) and np.array_equal(got.conductor, want.conductor)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 6, 12, 16, 30, 64, 105, 210, 2310, 8190, 8192])
+def test_residues_are_a_ring_map_that_conjugation_reverses(M):
+    # products go to entrywise products and conj to the reversed units,
+    # on dense and on sparse arrays (each takes its own evaluation) and
+    # on Python ints past int64
+    rng, phi = np.random.default_rng(M), euler_phi(M)
+    p, rows = cyclotomic.split_primes(M, 1, 1)[0], 40 if phi <= 64 else 3
+    conj = -np.arange(phi) % M
+    for density in (1.0, 0.02):
+        a = rng.integers(-5, 6, (rows, phi)) * (rng.random((rows, phi)) < density)
+        b = rng.integers(-5, 6, (rows, phi))
+        ra, rb = cyclotomic.residues(a, M, p), cyclotomic.residues(b, M, p)
+        assert (ra * rb % p == cyclotomic.residues(mul_rows(a, b, M), M, p)).all()
+        assert (cyclotomic.residues(map_rows(a, conj, M), M, p) == ra[:, ::-1]).all()
+        big = a.astype(object) * (2**70 + 1)
+        assert (cyclotomic.residues(big, M, p) == ra * ((2**70 + 1) % p) % p).all()

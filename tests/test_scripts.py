@@ -81,8 +81,8 @@ STAGE_COST = {
     "analyze 4 3": ("group parse_validate_s classify_s characters_s verdict_s render_s total_s",
                     {"group": "2x4x3"}),
     "extend 5": ("base parse_validate_s search_s payload_s render_s total_s", {"base": "2x5"}),
-    "load 4": ("rank bytes json_loads_s ring_s coefficients_s ring_validation_s premodular_validation_s analysis_s "
-               "render_s total_s gc_collections", {"rank": 8, "bytes": 3788}),
+    "load 4": ("rank bytes json_loads_s ring_s coefficients_s ring_validation_s premodular_validation_s residues_s "
+               "residue_checks_s analysis_s render_s total_s gc_collections", {"rank": 8, "bytes": 3788}),
     "ring 16": ("rank validate_s validate_peak_mb join_s fpdim_s", {"rank": 16}),
 }
 
@@ -98,9 +98,9 @@ def test_stage_cost_script(argv, capsys, monkeypatch):
     line = json.loads(capsys.readouterr().out)
     keys, fixed = STAGE_COST[argv]
     assert list(line) == keys.split() and {key: line[key] for key in fixed} == fixed
-    # every stage time is positive but load's two differences
+    # every stage time is positive but load's three differences
     assert all(line[key] > 0 for key in line if key.endswith("_s") and key not in (
-        "coefficients_s", "premodular_validation_s"))
+        "coefficients_s", "premodular_validation_s", "residue_checks_s"))
     assert line.get("validate_peak_mb", 0) >= 0
     assert [c >= 0 for c in line.get("gc_collections", [0, 0, 0])] == [True] * 3
 

@@ -497,3 +497,65 @@ def test_integers_name_the_string_refused(values, bad):
 def test_integers_past_the_digit_limit_fail_as_int_does():
     with pytest.raises(ValueError, match="4301 digits"):
         serialize._integers(["1", "1" * 4301, "2" * 5000])
+
+
+# -- the coefficient reader on hostile parts -------------------------------------------
+
+_FAILED = "input      : <path>\nvalidation : failed\nBalancingViolation at (1, 1): supplied s disagrees with balancing formula\n"
+_REFUSED = "error: bad premodular datum: "
+# a part in place of the numerator and of the denominator of the last coefficient of
+# s_{1,1} (1/1) in a linearized Z2 x Z4 file: the parsed value where the reader takes
+# the part, else the message; a pair in place of that coefficient pair
+HOSTILE_PARTS = {
+    "-0": 0, "007": 7, "1-2": "expected an integer, got '1-2'", "-": "expected an integer, got '-'",
+    "": "expected an integer, got ''", "--1": "expected an integer, got '--1'",
+    "1\n2": "expected an integer, got '1\\n2'", " 16": "expected an integer, got ' 16'",
+    "1_6": "expected an integer, got '1_6'", "١": "expected an integer, got '١'",
+    "１": "expected an integer, got '１'", "9" * 19: 10**19 - 1,
+    "9" * 33: "CycNum coefficient part has more than 32 digits", str(2**63 - 1): 2**63 - 1,
+    str(-(2**63)): -(2**63), 5: 5, True: "expected an integer, got True",
+}
+HOSTILE_PAIRS = {
+    "3 items": (["1", "1", "1"], "a coefficient pair must have 2 items, got ['1', '1', '1']"),
+    "a string": ("12", "a coefficient pair must be a list, got '12'"),
+    "an object": ({"a": "1", "b": "1"}, "a coefficient pair must be a list, got {'a': '1', 'b': '1'}"),
+}
+
+
+def _z2_z4_with(edit):
+    doc = datum_to_json(to_premodular(from_gram([2, 4], [Fraction(1, 2), Fraction(1, 8)])))
+    edit(doc["s"][1][1]["c"])
+    return doc
+
+
+def _validate_run(doc, tmp_path, capsys):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc))
+    code, out = cli_run(["validate", str(path)])
+    return code, out.replace(str(path), "<path>"), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part", list(HOSTILE_PARTS), ids=repr)
+@pytest.mark.parametrize("at", [0, 1], ids=["numerator", "denominator"])
+def test_hostile_coefficient_parts_read_as_before(part, at, tmp_path, capsys):
+    # the outcomes of the reader that ran int() on each string: a part is
+    # read as int() reads it, or refused with the message naming it,
+    # whether the join goes through numpy or falls back
+    doc = _z2_z4_with(lambda c: c[-1].__setitem__(at, part))
+    expected = HOSTILE_PARTS[part]
+    if expected == 0 and at == 1:
+        expected = "CycNum coefficient with a zero denominator"
+    got = _validate_run(doc, tmp_path, capsys)
+    if isinstance(expected, str):
+        assert got == (2, "", f"{_REFUSED}{expected}\n")
+    else:
+        assert got == (2, _FAILED, "")  # no part read here is 1, so s_{1,1} = i breaks
+        z = make_root(1, 4)
+        assert premodular_from_json(doc).s[1, 1] == (z * expected if at == 0 else z * Fraction(1, expected))
+
+
+@pytest.mark.parametrize("pair", list(HOSTILE_PAIRS))
+def test_hostile_coefficient_pairs_refused_as_before(pair, tmp_path, capsys):
+    value, message = HOSTILE_PAIRS[pair]
+    doc = _z2_z4_with(lambda c: c.__setitem__(-1, value))
+    assert _validate_run(doc, tmp_path, capsys) == (2, "", f"{_REFUSED}{message}\n")
