@@ -1153,3 +1153,63 @@ def mueger_centre(data: PremodularData) -> PremodularData:
                           np.column_stack(data.ring.restrict(idx)), [pos[data.ring.dual[b]] for b in idx])
     return PremodularData(ring=sub_ring, dims=data.dims[idx], twists=data.twists[idx],
                           s=data.s[np.ix_(idx, idx)])
+
+
+# -- non-pointed premodular data from closed formulas ---------------------------
+
+
+def su2(k: int) -> PremodularData:
+    """SU(2)_k, labels "0".."k" (Bakalov and Kirillov, Lectures on tensor
+    categories and modular functors, ch. 3): N^l_{i,j} = 1 for
+    |i - j| <= l <= min(i + j, 2k - i - j) with i + j + l even,
+    d_j = [j + 1]_q = sum_{t <= j} z_{2(k+2)}^(j - 2t) and
+    theta_j = z_{4(k+2)}^(j(j+2)); s is left to validation."""
+    fusion = [[i, j, l, 1] for i in range(k + 1) for j in range(k + 1)
+              for l in range(abs(i - j), min(i + j, 2 * k - i - j) + 1, 2)]
+    ring = FusionRing([str(j) for j in range(k + 1)], 0, fusion, list(range(k + 1)))
+    dims = [functools.reduce(CycArray.__add__, (make_root(j - 2 * t, 2 * (k + 2)) for t in range(j + 1)))
+            for j in range(k + 1)]
+    return PremodularData.from_values(ring, dims, [make_root(j * (j + 2), 4 * (k + 2)) for j in range(k + 1)])
+
+
+def _z2(name: str, twist: CycArray) -> PremodularData:
+    """The group ring of Z2 on labels 1 and name, dims 1, twists 1 and twist."""
+    ring = FusionRing(["1", name], 0, [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]], [0, 1])
+    return PremodularData.from_values(ring, [ONE, ONE], [ONE, twist])
+
+
+def svec() -> PremodularData:
+    """sVec: the fermion f with twist -1."""
+    return _z2("f", MINUS_ONE)
+
+
+def rep_z2() -> PremodularData:
+    """Rep(Z2): the transparent boson g with twist 1."""
+    return _z2("g", ONE)
+
+
+def deligne(x: PremodularData, y: PremodularData) -> PremodularData:
+    """The Deligne product: labels (a,b) with b running fastest,
+    N^{(l,l')}_{(i,i'),(j,j')} = N^l_{i,j} N^{l'}_{i',j'}, and dims and
+    twists multiplied; s is left to validation."""
+    rx, ry, X, Y = x.ring.rank, y.ring.rank, x.ring, y.ring
+    fusion = [[i * ry + i2, j * ry + j2, l * ry + l2, m * m2]
+              for i, j, l, m in X.fusion.tolist() for i2, j2, l2, m2 in Y.fusion.tolist()]
+    ring = FusionRing([f"({a},{b})" for a in X.labels for b in Y.labels], X.unit_index * ry + Y.unit_index,
+                      fusion, [X.dual[a] * ry + Y.dual[b] for a in range(rx) for b in range(ry)])
+    return PremodularData.from_values(ring, [p * q for p in x.dims for q in y.dims],
+                                      [p * q for p in x.twists for q in y.twists])
+
+
+SU2_LEVELS = (2, 3, 6, 10, 20)
+
+
+def su2_corpus(levels=SU2_LEVELS) -> dict:
+    """{name: datum}: su2-k, SU(2)_k, and su2-k-svec and su2-k-repz2, its
+    Deligne products with sVec and Rep(Z2), for each k in levels."""
+    out = {}
+    for k in levels:
+        out[f"su2-{k}"] = su2(k)
+        out[f"su2-{k}-svec"] = deligne(su2(k), svec())
+        out[f"su2-{k}-repz2"] = deligne(su2(k), rep_z2())
+    return out

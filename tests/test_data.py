@@ -18,7 +18,9 @@ from premodular.data import (
     gauss_sum,
     validate_premodular,
 )
+from premodular.components import ring_characters
 from premodular.errors import DatumTooLarge
+from premodular.klein import extension_verdict
 from premodular.serialize import ParseError, ValidationError, loads_datum, premodular_from_json
 from premodular.fusion_ring import dual_permutation_matrix
 from premodular.metric_groups import from_gram, to_premodular
@@ -141,6 +143,26 @@ def test_classification():
     cls = classify_degeneracy(z4)
     assert cls.kind is CentreKind.OTHER_DEGENERATE
     assert cls.fermion is None and cls.bosonic == 2
+
+
+@pytest.mark.parametrize("name, data", oracles.su2_corpus().items())
+def test_su2_corpus_has_the_classification_theory_predicts(name, data):
+    # SU(2)_k is modular; beside sVec the fermion (0,f) is the whole
+    # transparent centre, every label is self-dual and none is e-twisted,
+    # so kappa_minus is half the rank; beside Rep(Z2) the boson (0,g) is
+    assert validate_premodular(data).ok
+    cls, k = classify_degeneracy(data), int(name.split("-")[1])
+    comp, verdict = ring_characters(data, cls), extension_verdict(data, cls)
+    if name == f"su2-{k}":
+        assert (cls.kind, cls.transparent, comp.count, verdict.code) == (
+            CentreKind.NONDEGENERATE, ["0"], 1, "already_nondegenerate")
+    elif name.endswith("-svec"):
+        assert (cls.kind, cls.transparent, cls.fermion, comp.count, verdict.code) == (
+            CentreKind.SLIGHTLY_DEGENERATE, ["(0,1)", "(0,f)"], "(0,f)", 2, "extension_exists_S")
+        assert (verdict.kappa.n_self_dual, verdict.kappa.kappa_minus) == (2 * (k + 1), k + 1)
+    else:
+        assert (cls.kind, cls.transparent, cls.fermion, comp.count, verdict.code) == (
+            CentreKind.OTHER_DEGENERATE, ["(0,1)", "(0,g)"], None, 2, "outside_scope")
 
 
 def test_rep_z2_is_tannakian_not_slightly_degenerate():

@@ -1,8 +1,8 @@
 """Output identity on metric-group and premodular inputs, pinned by digest.
 
-tests/data/metric_group_digests.json and tests/data/premodular_digests.json
-map every file subcommand, in both formats, on each input of their
-corpus to the sha256 of json.dumps([exit code, stdout, stderr]) of its
+tests/data/metric_group_digests.json, tests/data/premodular_digests.json
+and tests/data/nonpointed_digests.json map every file subcommand, in both
+formats, on each input of their corpus to the sha256 of json.dumps([exit code, stdout, stderr]) of its
 run, keyed as scripts/catalog_outputs.py keys its runs ("analyze
 survey-3.json --format json").  The inputs are built here from seeds,
 each named for the seed that rebuilds it.
@@ -36,11 +36,16 @@ The premodular corpus:
 - theta-8190 and theta-8191: rank 1 with the unit's twist at the largest
   conductors, refused with a unit-twist violation.
 
+The non-pointed corpus, oracles.su2_corpus built from closed formulas:
+su2-k, SU(2)_k, and su2-k-svec and su2-k-repz2, its Deligne products
+with sVec and Rep(Z2), for k in oracles.SU2_LEVELS, without s.
+
 A change that alters output on purpose regenerates the file in the same
 change and names the changed entries:
 
     PYTHONPATH=src python3 tests/test_output_digests.py metric > tests/data/metric_group_digests.json
     PYTHONPATH=src python3 tests/test_output_digests.py premodular > tests/data/premodular_digests.json
+    PYTHONPATH=src python3 tests/test_output_digests.py nonpointed > tests/data/nonpointed_digests.json
 """
 
 import hashlib
@@ -54,7 +59,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from oracles import random_slightly_degenerate
+from oracles import random_slightly_degenerate, su2_corpus
 from premodular.catalog import catalog_get, catalog_list
 from premodular.cyclotomic import ONE, CycNum, euler_phi, from_rational, make_root
 from premodular.metric_groups import from_gram, to_premodular
@@ -165,8 +170,15 @@ def premodular_inputs() -> dict:
     return out
 
 
+def nonpointed_inputs() -> dict:
+    """{name: (the expression that rebuilds the input, its JSON text)}."""
+    return {name: (f"oracles.su2_corpus()[{name!r}]", json.dumps(datum_to_json(data)))
+            for name, data in su2_corpus().items()}
+
+
 CORPORA = {"metric": (DATA / "metric_group_digests.json", metric_inputs),
-           "premodular": (DATA / "premodular_digests.json", premodular_inputs)}
+           "premodular": (DATA / "premodular_digests.json", premodular_inputs),
+           "nonpointed": (DATA / "nonpointed_digests.json", nonpointed_inputs)}
 
 
 def digests(workdir: pathlib.Path, built: dict) -> dict:
@@ -197,6 +209,10 @@ def test_metric_group_outputs_match_their_digests(tmp_path):
 
 def test_premodular_outputs_match_their_digests(tmp_path):
     _check(tmp_path, "premodular")
+
+
+def test_nonpointed_outputs_match_their_digests(tmp_path):
+    _check(tmp_path, "nonpointed")
 
 
 if __name__ == "__main__":
