@@ -11,18 +11,21 @@ spends its time, in process, stage by stage.
                       during one more run
     ring RANK         validate_fusion_ring on the group ring of Z2 x Z(RANK/2)
                       and the tracemalloc peak of one such call; the
-                      associativity join and fpdim on the same ring
+                      associativity test's generating set S, its size, the
+                      join over the rows of S and over every row, and fpdim,
+                      on the same ring
+    su2 K             the same on the ring of SU(2)_K, rank K + 1, not pointed
 
 The group is the fermion line q = x^2/2 beside one nondegenerate block per
 ORDER n, q = y^2/(2n) (n even) or y^2/n (n odd): a survey benchmark item and,
 with one ORDER, an extend or premodular-load one.  Its order, twice the
 product of the ORDERs, may be at most MAX_RANK for analyze (whose cap is the
 linearization's) and load (which linearizes it) and SIZE_CAP for extend, and
-RANK at most MAX_RANK; a larger one is a usage error, before anything is
-built.  Each stage is timed on its own, the later ones on the output of one
+RANK and K + 1 at most MAX_RANK; a larger one is a usage error, before anything
+is built.  Each stage is timed on its own, the later ones on the output of one
 earlier run, and total_s is the whole `cli_run`; each time is the best of
---repeats calls (20, 3 for ring).  analyze's classify_s runs on a new copy of
-the loaded group each call, one that carries the coordinate and pairing
+--repeats calls (20, 3 for ring and su2).  analyze's classify_s runs on a new
+copy of the loaded group each call, one that carries the coordinate and pairing
 tables that parse+validate built but not the radical, which the group keeps
 once computed and the CLI reads off the pairings in that stage.
 
@@ -33,15 +36,17 @@ residues_s evaluates dims, twists and s modulo the first split prime of the
 datum's conductor (the one prime a linearized group needs), and
 residue_checks_s is the rest, the unit and duality checks and the checks on
 residues.  The parse stages run with the cyclic collector paused, as
-loads_datum runs them.  ring's
-join_s is the associativity join that rings failing Light's test go to;
-fpdim_s may use several BLAS threads (OPENBLAS_NUM_THREADS=1 keeps one).
+loads_datum runs them.  ring's and su2's restricted_join_s is the join that
+decides associativity, over the rows of S; full_join_s is the join over every
+row, which writes the witnesses of a ring that fails it.  fpdim_s may use
+several BLAS threads (OPENBLAS_NUM_THREADS=1 keeps one).
 numpy reports its buffers to tracemalloc, so validate_peak_mb counts them.
 
     PYTHONPATH=src python3 scripts/stage_cost.py analyze 4 8
     for n in 2 5 9 16; do PYTHONPATH=src python3 scripts/stage_cost.py extend $n; done
     for n in 4 8 16 32; do PYTHONPATH=src python3 scripts/stage_cost.py load $n; done
     for r in 64 128 256; do PYTHONPATH=src python3 scripts/stage_cost.py ring $r; done
+    for k in 20 40 63; do PYTHONPATH=src python3 scripts/stage_cost.py su2 $k; done
 """
 
 import argparse
@@ -62,7 +67,8 @@ from premodular import cli
 from premodular.components import form_characters, ring_characters
 from premodular.cyclotomic import residues, split_primes
 from premodular.data import classify_degeneracy, validate_premodular
-from premodular.fusion_ring import MAX_RANK, _associativity_witnesses, fpdim, group_ring, validate_fusion_ring
+from premodular.fusion_ring import (
+    MAX_RANK, FusionRing, _associativity_witnesses, _generators, fpdim, group_ring, validate_fusion_ring)
 from premodular.klein import extension_verdict, form_verdict
 from premodular.metric_groups import (
     SIZE_CAP, classify_form, enumerate_pointed_extensions, from_gram, to_premodular)
@@ -178,37 +184,54 @@ def load(repeats: int, *orders: int) -> dict:
     return {**line, "gc_collections": [g["collections"] - b for g, b in zip(gc.get_stats(), before)]}
 
 
-def ring(repeats: int, rank: int) -> dict:
-    x, y = np.unravel_index(np.arange(rank), shape := (2, rank // 2))
-    add = np.ravel_multi_index((x[:, None] + x, y[:, None] + y), shape, mode="wrap")
-    r = group_ring([str(k) for k in range(rank)], add, 0, np.ravel_multi_index((-x, -y), shape, mode="wrap").tolist())
+def _ring_costs(repeats: int, r: FusionRing) -> dict:
     validate = _best(repeats, validate_fusion_ring, r)
     tracemalloc.start()
     report = validate_fusion_ring(r)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     if not report.ok:
-        raise SystemExit(f"rank {rank}: {report}")
-    return {"rank": rank, "validate_s": validate, "validate_peak_mb": round(peak / 2**20, 2),
-            "join_s": _best(repeats, _associativity_witnesses, r, 10), "fpdim_s": _best(repeats, fpdim, r)}
+        raise SystemExit(f"rank {r.rank}: {report}")
+    S = _generators(r)
+    return {"rank": r.rank, "generators": len(S), "validate_s": validate, "validate_peak_mb": round(peak / 2**20, 2),
+            "generators_s": _best(repeats, _generators, r),
+            "restricted_join_s": _best(repeats, _associativity_witnesses, r, 1, S),
+            "full_join_s": _best(repeats, _associativity_witnesses, r, 10), "fpdim_s": _best(repeats, fpdim, r)}
 
 
-# mode: (measure, default repeats, cap on the group's order)
+def ring(repeats: int, rank: int) -> dict:
+    x, y = np.unravel_index(np.arange(rank), shape := (2, rank // 2))
+    add = np.ravel_multi_index((x[:, None] + x, y[:, None] + y), shape, mode="wrap")
+    inverse = np.ravel_multi_index((-x, -y), shape, mode="wrap").tolist()
+    return _ring_costs(repeats, group_ring([str(k) for k in range(rank)], add, 0, inverse))
+
+
+def su2(repeats: int, k: int) -> dict:
+    """N^l_{i,j} = 1 for |i - j| <= l <= min(i + j, 2k - i - j), i + j + l even."""
+    fusion = [[i, j, l, 1] for i in range(k + 1) for j in range(k + 1)
+              for l in range(abs(i - j), min(i + j, 2 * k - i - j) + 1, 2)]
+    return _ring_costs(repeats, FusionRing([str(j) for j in range(k + 1)], 0, fusion, list(range(k + 1))))
+
+
+# mode: (measure, default repeats, cap on the group's order or the ring's rank)
 MODES = {"analyze": (analyze, 20, MAX_RANK), "extend": (extend, 20, SIZE_CAP), "load": (load, 20, MAX_RANK),
-         "ring": (ring, 3, MAX_RANK)}
+         "ring": (ring, 3, MAX_RANK), "su2": (su2, 3, MAX_RANK)}
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("mode", choices=MODES)
-    parser.add_argument("n", type=int, nargs="+", metavar="N", help="ORDER..., each at least 2, or one even RANK")
-    parser.add_argument("--repeats", type=int, help="calls per stage, at least 1 (default 20, 3 for ring)")
+    parser.add_argument("n", type=int, nargs="+", metavar="N",
+                        help="ORDER..., each at least 2, one even RANK or one level K")
+    parser.add_argument("--repeats", type=int, help="calls per stage, at least 1 (default 20, 3 for ring and su2)")
     args = parser.parse_args()
     measure, repeats, cap = MODES[args.mode]
-    if min(args.n) < 2 or args.mode == "ring" and (len(args.n) != 1 or args.n[0] % 2):
-        parser.error("each ORDER must be at least 2, and ring takes one even RANK of at least 2")
-    if (order := math.prod(args.n) * (1 if args.mode == "ring" else 2)) > cap:
-        parser.error(f"the group would have order {order}, above {args.mode}'s cap {cap}")
+    one = args.mode in ("ring", "su2")
+    if min(args.n) < 2 or one and len(args.n) != 1 or args.mode == "ring" and args.n[0] % 2:
+        parser.error("each ORDER must be at least 2, ring takes one even RANK and su2 one K, at least 2")
+    if (order := {"ring": args.n[0], "su2": args.n[0] + 1}.get(args.mode, 2 * math.prod(args.n))) > cap:
+        parser.error(f"the {'ring would have rank' if one else 'group would have order'} {order}, "
+                     f"above {args.mode}'s cap {cap}")
     if args.repeats is not None and args.repeats < 1:
         parser.error("--repeats must be at least 1")
     line = measure(args.repeats or repeats, *args.n)

@@ -11,12 +11,11 @@ Representation: the nonzero structure constants alone, as entries
 of rank r has r^2 entries and no r x r x r array is ever built:
 validation runs on the entries, and the dense consumers take one row
 N[a] as an r x r array (FusionRing.row) or the entries among a label
-set (FusionRing.restrict).  Associativity of a pointed ring,
-where each product of two simples is one simple (a group ring), is
-decided by Light's test on its r x r product table; every other ring,
-and a pointed one that fails the test, goes to the associativity join,
-which reads the entries in blocks of max(_JOIN_BLOCK, r^2) pairs that
-cross row boundaries.
+set (FusionRing.restrict).  Associativity of every ring is decided by
+the associativity join over the rows of a generating set, and a ring
+that fails it is reported by the join over every row; the join reads the
+entries in blocks of max(_JOIN_BLOCK, r^2) pairs that cross row
+boundaries.
 """
 
 from __future__ import annotations
@@ -144,7 +143,7 @@ def _nonzero_sums(keys: np.ndarray, values: np.ndarray):
     shift = len(keys).bit_length()
     code = np.sort(keys << shift | np.arange(len(keys)))
     keys = code >> shift
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    first = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
     sums = np.add.reduceat(values[code & ((1 << shift) - 1)], first)
     nonzero = sums != 0
     return keys[first[nonzero]], sums[nonzero]
@@ -163,17 +162,17 @@ def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
     Every check reads the entries: the unit and duality checks through
     r x r slices of N, commutativity as the sums N^c_{a,b} - N^c_{b,a}
     keyed by (a, b, c).  Associativity is checked only when
-    commutativity holds.  A pointed ring is decided by Light's test on
-    its r x r product table (_light_associative), about r^2 log2 r
-    lookups on a group ring of rank r.  Every other ring, and a pointed
-    one that fails the test, goes to the join: a.(b.c) = (c.b).a, so
-    associativity says that T[a,b,c,d] = sum_e N^e_{a,b} N^d_{e,c}, the
-    multiplicity of d in (a.b).c, is symmetric in a and c.  T is never
-    built: the join over the entries does work equal to the number of
-    products N^e_{a,b} N^d_{e,c} with both factors nonzero, the sum of
-    nnz(N[e]) over the entries [a, b, e, m] (r^3 on a pointed ring, a
-    dense contraction costs r^5), and reports at most 10 witnesses (a,
-    b, c, d), ordered by b, a, c, d.
+    commutativity holds, by the join: a.(b.c) = (c.b).a, so it says that
+    T[a,b,c,d] = sum_e N^e_{a,b} N^d_{e,c}, the multiplicity of d in
+    (a.b).c, is symmetric in a and c.  The b with (x.b).z = x.(b.z) for
+    all x, z form a subring (Clifford and Preston, The Algebraic Theory
+    of Semigroups I, 1.2), so the join runs on the rows b of a generating
+    set (_generators), and of the unit when the unit axiom (the only
+    violation reported before) fails.  Only a ring that fails goes to
+    the join over every row, which reports at most 10 witnesses (a, b,
+    c, d), ordered by b, a, c, d.  T is never built: the join does one
+    product N^e_{a,b} N^d_{e,c} per pair of nonzero factors, r^2 per row
+    b of a pointed ring.
 
     Returns all violated axioms with index witnesses (a, b, ...); never
     raises on an axiom failure.
@@ -202,7 +201,7 @@ def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
     if len(asymmetric):
         for k in asymmetric[:10].tolist():
             rep.add("CommutativityViolation", (k // (r * r), k // r % r, k % r))
-    elif not _light_associative(ring):
+    elif _associativity_witnesses(ring, 1, _generators(ring) + ([] if rep.ok else [I])):
         for witness in _associativity_witnesses(ring, 10):
             rep.add("AssociativityViolation", witness)
 
@@ -222,39 +221,36 @@ def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
     return rep
 
 
-def _light_associative(ring: FusionRing) -> bool:
-    """Whether the ring is pointed, each a.b one simple T[a, b] with
-    multiplicity 1 (r^2 sorted entries, all m = 1, b running over every
-    label in each row), and T passes Light's associativity test; False
-    says nothing about a ring that is not pointed.
-
-    The y with (x.y).z = x.(y.z) for all x, z form a submagma (Clifford
-    and Preston, The Algebraic Theory of Semigroups I, 1.2), so a set
-    that generates T decides associativity.  It is taken greedily from
-    no label, not from the unit, whose axiom is checked on its own: the
-    smallest label not yet generated, then the closure C <- C u T[C, C].
-    """
-    r = ring.rank
-    if len(ring.m) != r * r or (ring.m != 1).any() or (ring.b.reshape(r, r) != np.arange(r)).any():
-        return False
-    T = ring.c.reshape(r, r)
-    generated = np.zeros(r, dtype=bool)
-    generators = []
+def _generators(ring: FusionRing) -> list[int]:
+    """Labels S that generate the ring with the unit I, taken greedily:
+    from G = {I}, a label c joins G when, for some x and y in G, c is
+    the only constituent of x.y outside G, with multiplicity 1, so that
+    c is x.y less labels of G; when none joins, the smallest label
+    outside G joins S and G.  On a group ring this is Light's closure
+    G <- G u G.G, and |S| <= log2 r."""
+    r, abc, c = ring.rank, np.stack((ring.a, ring.b, ring.c)), ring.c
+    pair, once = ring.a * r + ring.b, ring.m == 1
+    generated, S = np.arange(r) == ring.unit_index, []
     while not generated.all():
-        generators.append(int(np.argmin(generated)))
-        generated[generators[-1]] = True
-        while True:
-            C = np.flatnonzero(generated)
-            generated[T[np.ix_(C, C)]] = True
-            if np.count_nonzero(generated) == len(C):
-                break
-    # (x.y).z against x.(y.z), one r x r comparison per generator y
-    return all(np.array_equal(T[T[:, y]], T[:, T[y]]) for y in generators)
+        # the entries with x and y in G and c outside G, sorted by (x, y);
+        # those alone in their pair x.y and of multiplicity 1 join
+        x, y, z = generated[abc]
+        at = np.flatnonzero(x & y > z)
+        key = pair[at]
+        edge = np.concatenate(([True], key[1:] != key[:-1], [True]))
+        joined = c[at[edge[:-1] & edge[1:] & once[at]]]
+        if len(joined):
+            generated[joined] = True
+        else:
+            S.append(int(np.argmin(generated)))
+            generated[S[-1]] = True
+    return S
 
 
-def _associativity_witnesses(ring: FusionRing, limit: int) -> list[tuple[int, int, int, int]]:
+def _associativity_witnesses(ring: FusionRing, limit: int, middle=None) -> list[tuple[int, int, int, int]]:
     """The first `limit` (a, b, c, d), ordered by b, a, c, d, with
-    T[a,b,c,d] != T[c,b,a,d], for a commutative ring.
+    T[a,b,c,d] != T[c,b,a,d], for a commutative ring, b among the
+    labels `middle`, or any label when it is None.
 
     Every entry N^e_{b,a} = N^e_{a,b} meets every entry N^d_{e,c} of row
     e and adds their product to the key (b, lo, hi, d), (lo, hi) =
@@ -268,8 +264,11 @@ def _associativity_witnesses(ring: FusionRing, limit: int) -> list[tuple[int, in
     `limit`.
     """
     r, start = ring.rank, ring.start
-    x, y, z, w = ring.a, ring.b, ring.c, ring.m
-    weighted = (w != 1).any()
+    keep = np.zeros(r, dtype=bool)
+    keep[range(r) if middle is None else middle] = True
+    rows = keep[ring.a]
+    x, y, z, w = ring.a[rows], ring.b[rows], ring.c[rows], ring.m[rows]
+    weighted = (ring.m != 1).any()
     n = start[z + 1] - start[z]  # pairs each entry joins
     block = (np.cumsum(n) - n) // max(_JOIN_BLOCK, r * r)
     cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(x)]
@@ -280,16 +279,16 @@ def _associativity_witnesses(ring: FusionRing, limit: int) -> list[tuple[int, in
         nk = n[i:j]
         at = np.repeat(start[z[i:j]] - np.cumsum(nk) + nk, nk)
         at += np.arange(len(at))
-        a, c = np.repeat(y[i:j], nk), y[at]
+        a, c = np.repeat(y[i:j], nk), ring.b[at]
         value = np.sign(c - a)
         if weighted:
-            value *= np.repeat(w[i:j], nk) * w[at]
+            value *= np.repeat(w[i:j], nk) * ring.m[at]
         key = np.repeat(x[i:j] * r, nk)
         key += np.minimum(a, c)
         key *= r
         key += np.maximum(a, c)
         key *= r
-        key += z[at]
+        key += ring.c[at]
         keys, sums = _nonzero_sums(np.concatenate((keys, key)), np.concatenate((sums, value)))
         # the rows before the next block's first entry are complete
         done = len(keys) if j == len(x) else np.searchsorted(keys, x[j] * r**3)

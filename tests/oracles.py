@@ -15,7 +15,9 @@ the premodular axioms and the transparent set on values one
 entry at a time, and again on the exact coefficient arrays, compared
 after scaling by the denominators, integer strings by one regex match each, a value's
 JSON and embedding from its Fraction coefficients, JSON text by
-json.dumps.  Expected
+json.dumps, a generating set's certificate by trying one pair of
+generated labels at a time.  SU(2)_k and Deligne products are built here
+from closed formulas, a non-pointed corpus for the tests.  Expected
 values frozen into the tests come from here.  The generator-image
 isometry search, the orthogonal direct sum, a metric group's radical,
 fermion line and signature mod 8 as element tuples and the seeded
@@ -307,17 +309,37 @@ def brute_associative(mult) -> bool:
     return True
 
 
-def dense_associativity_witnesses(mult, limit=10):
+def dense_associativity_witnesses(mult, limit=10, middle=None):
     """The first `limit` (a, b, c, d), by b and then (a, c, d), where
-    T[a,b,c,d] = sum_e N^e_{a,b} N^d_{e,c} is not symmetric in a and c:
-    one dense r^3 contraction per b (r^5 multiply-adds in all)."""
+    T[a,b,c,d] = sum_e N^e_{a,b} N^d_{e,c} is not symmetric in a and c,
+    b among the increasing labels middle, or any label: one dense r^3
+    contraction per b (r^5 multiply-adds in all)."""
     N = np.asarray(mult, dtype=np.int64)
     found = []
-    for b in range(len(N)):
+    for b in range(len(N)) if middle is None else middle:
         T = np.einsum("ae,ecd->acd", N[:, b, :], N)
         for a, c, d in np.argwhere(T != T.transpose(1, 0, 2))[:limit - len(found)]:
             found.append((int(a), b, int(c), int(d)))
     return found
+
+
+def generation_certificate(mult, unit, generators):
+    """The steps (c, x, y) by which the labels join G, from {unit} and
+    the generators, one at a time: c joins when x and y are in G and c
+    is the only constituent of x.y outside G, with multiplicity 1, so
+    that c is x.y less labels of G; the pairs (x, y) are tried in order,
+    from the start after each join.  G is the last set reached."""
+    N = np.asarray(mult, dtype=np.int64)
+    G, steps = {unit, *generators}, []
+    while True:
+        for x, y in itertools.product(sorted(G), repeat=2):
+            outside = [c for c in np.flatnonzero(N[x, y]).tolist() if c not in G]
+            if len(outside) == 1 and N[x, y, outside[0]] == 1:
+                G.add(outside[0])
+                steps.append((outside[0], x, y))
+                break
+        else:
+            return steps, G
 
 
 def brute_duality_violations(mult, dual, unit):

@@ -21,7 +21,7 @@ from premodular.cli import _emit_json, cli_run
 from premodular.cyclotomic import euler_phi
 from premodular.fusion_ring import MAX_RANK
 from premodular.metric_groups import MAX_CONDUCTOR, MetricGroup, from_gram, to_premodular
-from premodular.serialize import MAX_SLOTS, loads_datum
+from premodular.serialize import MAX_SLOTS, datum_to_json, loads_datum
 
 
 def test_validate_ok(write_datum):
@@ -582,6 +582,25 @@ def test_twist_at_conductor_8190_exits_2_within_a_second(tmp_path):
     code, _, seconds = proc.stdout.split()
     assert (int(code), proc.stderr) == (2, "")
     assert float(seconds) < 1, seconds
+
+
+def test_analyze_on_su2_63_times_svec_takes_under_10_seconds(tmp_path):
+    # rank 128, non-pointed: the join over every entry does about r^5
+    # work on SU(2)_k and took 55 s; over the rows of the generators
+    # (0,f) and (1,1) it takes a fraction of a second
+    path = tmp_path / "su2-63-svec.json"
+    path.write_text(json.dumps(datum_to_json(oracles.deligne(oracles.su2(63), oracles.svec()))))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(premodular.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _TIMED_RUN + "print(out)", "analyze", str(path), "--format", "json"],
+                          capture_output=True, text=True, env=env, timeout=120, preexec_fn=_limit_resources)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    timing, out = proc.stdout.split("\n", 1)
+    code, _, seconds = timing.split()
+    payload = json.loads(out)
+    assert (int(code), proc.stderr) == (0, "")
+    assert (payload["fermion"], payload["components"]["component_count"], payload["kappa"]["kappa_minus"],
+            payload["verdict"]) == ("(0,f)", 2, "64/1", "extension_exists_S")
+    assert float(seconds) < 10, seconds
 
 
 def test_rank_256_ring_is_held_as_its_nonzeros(write_datum):

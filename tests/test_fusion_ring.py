@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import (brute_associative, brute_duality_violations, dense, dense_associativity_witnesses, fusion_matrix,
-                     ring_from_dense, validate_fusion_ring_dense)
+                     generation_certificate, ring_from_dense, su2_corpus, validate_fusion_ring_dense)
 from premodular import fusion_ring
 from premodular.errors import UnknownLabel
 from premodular.fusion_ring import (
@@ -205,6 +205,20 @@ def test_associativity_witnesses_equal_the_dense_oracle(block, monkeypatch):
     assert any(n == 10 and bs > 1 for n, bs in counts)
 
 
+def test_restricted_join_equals_the_dense_oracle_on_its_rows():
+    # the join over the entries of some rows b gives the oracle's
+    # witnesses whose b is among them, in the same order
+    rng, counts = random.Random(7), []
+    for mult, _ in _seeded_cases():
+        ring, r = ring_from_dense(mult), len(mult)
+        middle = sorted(rng.sample(range(r), rng.randint(1, r)))
+        expected = dense_associativity_witnesses(mult, 10, middle)
+        for limit in (1, 3, 10):
+            assert fusion_ring._associativity_witnesses(ring, limit, middle) == expected[:limit], mult.tolist()
+        counts.append(len(expected))
+    assert counts.count(0) >= 50 and counts.count(10) >= 20, collections.Counter(counts)
+
+
 def _edited_rings(rng, count):
     """Seeded rings with every kind of defect: random commutative tables
     and group rings, whole and tampered, with some entries made negative,
@@ -309,7 +323,7 @@ def _pointed_tables(rng):
     """Commutative loops of order 5 (groups), 6 and 8 (mostly not
     associative; order 7 is slow to fill); group tables whole and
     with one or two products moved, among them a product of two labels
-    that Light's greedy generating set leaves out (3 and 5: Z2 x Z8 is
+    that the greedy generating set leaves out (3 and 5: Z2 x Z8 is
     generated by 0, 1, 8 and (Z/2)^4 by 0, 1, 2, 4, 8); and tables that
     break the unit axiom: constant (every label a generator), min, a
     group with its identity at r - 1, x.y = -x - y, which is not
@@ -330,7 +344,7 @@ def _pointed_tables(rng):
     return tables
 
 
-def test_light_path_reports_equal_the_dense_oracle_and_the_join(monkeypatch):
+def test_pointed_reports_equal_the_dense_oracle_and_the_full_join():
     associative = []
     for T in _pointed_tables(random.Random(16)):
         ring = _table_ring(T)
@@ -338,15 +352,69 @@ def test_light_path_reports_equal_the_dense_oracle_and_the_join(monkeypatch):
         expected = validate_fusion_ring_dense(ring)
         assert report.violations == expected.violations, T.tolist()
         assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
-        # the join alone gives the same report, witnesses and their order
-        with monkeypatch.context() as patch:
-            patch.setattr(fusion_ring, "_light_associative", lambda ring: False)
-            assert validate_fusion_ring(ring).violations == report.violations
+        # the full join alone gives the same witnesses in the same order
+        witnesses = [v.witness for v in report.violations if v.kind == "AssociativityViolation"]
+        assert witnesses == fusion_ring._associativity_witnesses(ring, 10)
         # every triple: (a.b).c against a.(b.c)
         associative.append(np.array_equal(T[T], T[:, T]))
-        assert fusion_ring._light_associative(ring) == associative[-1]
+        assert associative[-1] == (not witnesses)
     loops = associative[:60]
     assert 0 < sum(loops) < 30 and sum(associative) >= 15, (sum(loops), sum(associative))
+
+
+def _su2_rings():
+    """The rings of the non-pointed corpus of rank at most 22, whole and
+    with one or two products replaced on both sides (_tamper)."""
+    rng = random.Random(2)
+    for name, data in su2_corpus().items():
+        if data.ring.rank <= 22:
+            yield name, data.ring
+            for times in (1, 2):
+                yield f"{name} tampered {times}", ring_from_dense(_tamper(dense(data.ring), rng, times),
+                                                                  data.ring.labels, 0, data.ring.dual)
+
+
+def test_su2_reports_equal_the_dense_oracle():
+    # SU(2)_k and its products are associative; a tampered copy that is
+    # not gets the full join's witnesses
+    failing = 0
+    for name, ring in _su2_rings():
+        report = validate_fusion_ring(ring)
+        assert report.violations == validate_fusion_ring_dense(ring).violations, name
+        assert report.ok or "tampered" in name, name
+        failing += any(v.kind == "AssociativityViolation" for v in report.violations)
+    assert failing >= 12, failing
+
+
+def _generator_pool():
+    """Rings without negative multiplicities: the pointed tables, the
+    edited rings, the non-pointed corpus and group rings of rank 64."""
+    yield from (_table_ring(T) for T in _pointed_tables(random.Random(16)))
+    yield from (ring for ring in _edited_rings(random.Random(13), 200) if (ring.m > 0).all())
+    yield from (ring for _, ring in _su2_rings())
+    yield from (_table_ring(_group_table(orders)) for orders in ([64], [2, 32], [2] * 6, [4, 4, 4]))
+
+
+def test_generators_are_greedy_and_certified():
+    sizes = []
+    for ring in _generator_pool():
+        N, I, r = dense(ring), ring.unit_index, ring.rank
+        S = fusion_ring._generators(ring)
+        steps, reached = generation_certificate(N, I, S)
+        assert reached == set(range(r)), ring
+        # each generator is the smallest label the earlier ones leave out
+        for i, g in enumerate(S):
+            assert g == min(set(range(r)) - generation_certificate(N, I, S[:i])[1]), ring
+        # each joined c is x.y less labels joined before it
+        G = {I, *S}
+        for c, x, y in steps:
+            rest = N[x, y].copy()
+            rest[c] -= 1
+            assert {x, y} <= G and c not in G and N[x, y, c] == 1 and set(np.flatnonzero(rest).tolist()) <= G
+            G.add(c)
+        sizes.append(len(S))
+    # one generator (Z64, SU(2)_k), several, and every label but the unit
+    assert {1, 2, 6}.issubset(sizes), collections.Counter(sizes)
 
 
 def _witness_holds(T, a, b, c, d):
@@ -354,16 +422,22 @@ def _witness_holds(T, a, b, c, d):
     return (T[T[a, b], c] == d) != (T[T[c, b], a] == d)
 
 
-def test_rank_256_group_rings_never_enter_the_join(monkeypatch):
-    # (Z/2)^8 needs eight generators besides 0 and Z16 x Z16 two
-    def join(ring, limit):
-        raise AssertionError("the join ran on a valid group ring")
+def test_the_full_join_never_runs_on_a_valid_rank_256_group_ring(monkeypatch):
+    # (Z/2)^8 needs eight generators besides 0 and Z16 x Z16 two; the
+    # restricted join runs on at most log2 r rows, the unit's not among them
+    join, middles = fusion_ring._associativity_witnesses, []
+
+    def restricted(ring, limit, middle=None):
+        assert middle is not None, "the full join ran on a valid group ring"
+        middles.append(middle)
+        return join(ring, limit, middle)
 
     tables = [_group_table([2] * 8), _group_table([16, 16])]
     with monkeypatch.context() as patch:
-        patch.setattr(fusion_ring, "_associativity_witnesses", join)
+        patch.setattr(fusion_ring, "_associativity_witnesses", restricted)
         for T in tables:
             assert validate_fusion_ring(_table_ring(T)).ok
+    assert middles == [[1, 2, 4, 8, 16, 32, 64, 128], [1, 16]]
     rng = random.Random(256)
     for T in tables:
         T = _tamper_table(T, rng, [(3, 5)])

@@ -83,7 +83,10 @@ STAGE_COST = {
     "extend 5": ("base parse_validate_s search_s payload_s render_s total_s", {"base": "2x5"}),
     "load 4": ("rank bytes json_loads_s ring_s coefficients_s ring_validation_s premodular_validation_s residues_s "
                "residue_checks_s analysis_s render_s total_s gc_collections", {"rank": 8, "bytes": 3788}),
-    "ring 16": ("rank validate_s validate_peak_mb join_s fpdim_s", {"rank": 16}),
+    "ring 16": ("rank generators validate_s validate_peak_mb generators_s restricted_join_s full_join_s fpdim_s",
+                {"rank": 16, "generators": 2}),
+    "su2 6": ("rank generators validate_s validate_peak_mb generators_s restricted_join_s full_join_s fpdim_s",
+              {"rank": 7, "generators": 1}),
 }
 
 
@@ -107,7 +110,7 @@ def test_stage_cost_script(argv, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", ["ring 7", "ring 1", "ring 0", "ring 16 32", "load 1", "analyze 4 --repeats 0",
                                   "extend", "survey 4", "analyze 16 16", "load 256", "load 8 16 32", "extend 64 64",
-                                  "ring 258"], ids=lambda argv: argv.replace(" ", "_"))
+                                  "ring 258", "su2 1", "su2 4 4", "su2 256"], ids=lambda argv: argv.replace(" ", "_"))
 def test_stage_cost_script_refuses_bad_arguments(argv, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exit_:
         _stage_cost(argv, monkeypatch)
