@@ -29,7 +29,11 @@ copy of the loaded group each call, one that carries the coordinate and pairing
 tables that parse+validate built but not the radical, which the group keeps
 once computed and the CLI reads off the pairings in that stage.
 
-load's coefficients_s is premodular_from_json less ring_s, and its
+load's layout_check_s is the match of the file against the json.dumps layout
+that the loader reads from its text, and text_route_s that whole route, the
+match included, which gives the datum that analyze goes on with; json_loads_s,
+ring_s and coefficients_s time the json.loads route that reads any other file.
+coefficients_s is premodular_from_json less ring_s, and load's
 premodular_validation_s validate_premodular less ring_validation_s, each call
 on a datum with no residues kept from an earlier one.  That splits in two:
 residues_s evaluates dims, twists and s modulo the first split prime of the
@@ -73,7 +77,8 @@ from premodular.klein import extension_verdict, form_verdict
 from premodular.metric_groups import (
     SIZE_CAP, classify_form, enumerate_pointed_extensions, from_gram, to_premodular)
 from premodular.serialize import (
-    collector_paused, datum_to_json, load_datum, metric_group_to_json, premodular_from_json, ring_from_json)
+    _DOC, _premodular_text, collector_paused, datum_to_json, load_datum, metric_group_to_json, premodular_from_json,
+    ring_from_json)
 
 
 def _best(repeats: int, fn, *args) -> float:
@@ -168,6 +173,8 @@ def load(repeats: int, *orders: int) -> dict:
         line = {
             "rank": 2 * math.prod(orders),
             "bytes": len(text),
+            "layout_check_s": _best(repeats, _DOC.fullmatch, text),
+            "text_route_s": _best(repeats, collector_paused, _premodular_text, text),
             "json_loads_s": _best(repeats, collector_paused, json.loads, text),
             "ring_s": ring,
             "coefficients_s": _best(repeats, collector_paused, premodular_from_json, obj) - ring,

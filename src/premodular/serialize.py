@@ -13,10 +13,20 @@ object there is refused, never unpacked.  Every field is read by checks
 that each run over a whole list and name the first entry they refuse:
 integers by _integers, q values by _rationals, q keys ("()" has no
 coordinates) by _element_keys into metric_groups' checked builder, and
-the coefficient parts of dims, twists and s by _parts, a field at a
-time, as one text numpy parses; the caps on parts and fusion entries are
-checked on the int64 array they are read into (Python ints past int64).
-q is written from Q/D by q_to_json, under metric_groups.element_labels.
+the coefficient parts of dims, twists and s by _integers, a field at a
+time; the caps on parts and fusion entries are checked on the int64 array
+they are read into (Python ints past int64).  q is written from Q/D by
+q_to_json, under metric_groups.element_labels.
+
+A premodular file in the layout json.dumps writes is read from its text,
+with no JSON tree built (_premodular_text): one regular expression, _DOC,
+matches the whole file, numpy parses the numbers of each field, all of
+at most 18 digits, and the entries and rows of dims, twists and s are
+read off the positions of their braces and brackets.  The same caps and
+checks run, and both routes end in _premodular.  Any other file, and one
+that a check refuses, is read by json.loads and premodular_from_json,
+which give its datum or its error message: the datum is the same either
+way.
 
 loads_datum pauses the cyclic garbage collector from json.loads until
 the datum is read: a rank-32 file decodes into about 9,000 lists and
@@ -66,7 +76,7 @@ _INTEGER = re.compile(r"-?[0-9]+")
 # lines of _INTEGER strings pass this charset; an exact regex's grouped
 # repeat would keep a stack entry per line
 _DIGIT_LINES = re.compile(r"[-0-9\n]+")
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_INT64_MIN = -(2**63)
 _N, _C = operator.itemgetter("n"), operator.itemgetter("c")
 
 
@@ -141,24 +151,6 @@ def _array(values: list) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _parts(values: list) -> np.ndarray:
-    """_array(_integers(values)), parsed by numpy from the strings joined by
-    newlines when the text is one line a string of digits, with a minus
-    first on a line before a digit; numpy skips empty lines and saturates
-    past int64, so a value too few or at a range end goes to _integers."""
-    try:
-        text = "\n".join(values)
-    except TypeError:
-        text = None
-    if (text is not None and text.count("\n") == len(values) - 1 and _DIGIT_LINES.fullmatch(text)
-            and text.count("-") == text.count("\n-") + text.startswith("-") and "-\n" not in text
-            and not text.endswith("-")):
-        parts = np.fromstring(text, dtype=np.int64, sep="\n")
-        if len(parts) == len(values) and parts.max() < _INT64_MAX and parts.min() > _INT64_MIN:
-            return parts
-    return _array(_integers(values))
-
-
 def _cycnum_parts(entries: list) -> tuple[list, np.ndarray]:
     """The conductors of the CycNum objects in entries and all their
     coefficient parts in one array, numerator and denominator
@@ -170,7 +162,7 @@ def _cycnum_parts(entries: list) -> tuple[list, np.ndarray]:
     phis = {n: euler_phi(n) for n in dict.fromkeys(conductors)}
     if list(map(len, coefficients)) != list(map(phis.__getitem__, conductors)):
         raise ValueError("coefficient vector length must be euler_phi(conductor)")
-    return conductors, _parts(_flat(_lists(_flat(coefficients), "a coefficient pair", 2)))
+    return conductors, _array(_integers(_flat(_lists(_flat(coefficients), "a coefficient pair", 2))))
 
 
 # -- fusion rings -------------------------------------------------------------
@@ -240,6 +232,33 @@ def _theta_exp_parts(theta_exp: list) -> tuple[list, list]:
     return [t.M for t in roots], _array([x for t in roots for c in t.num.tolist() for x in (c, 1)])
 
 
+def _premodular(ring: FusionRing, conductors: list, parts: np.ndarray, k: int, t: int,
+                rows: list | None) -> PremodularData:
+    """The datum from the conductors of dims (the first k), twists (the next
+    t) and s, and their coefficient parts, numerator and denominator
+    alternating; rows are the lengths of the rows of s, None without s.
+    Either reader ends here, and the caps on the values are checked here."""
+    bound = magnitude(parts)
+    if bound >= _DIGIT_BOUND:
+        raise ValueError(f"CycNum coefficient part has more than {MAX_DIGITS} digits")
+    if (parts[1::2] == 0).any():
+        raise ZeroDivisionError("CycNum coefficient with a zero denominator")
+    # validation computes at the lcm of all conductors, on arrays of
+    # at most r x r x phi(M) coefficient slots
+    M = _capped_conductor(math.lcm(*set(conductors)))
+    r = ring.rank
+    slots = max(r * r, k, t, len(conductors) - k - t) * euler_phi(M)
+    if slots > MAX_SLOTS:
+        raise ValueError(f"rank {r} at conductor {M} needs {slots} coefficient slots, "
+                         f"above the budget {MAX_SLOTS}")
+    parts = parts.astype(exact_dtype(bound), copy=False).reshape(-1, 2)
+    values = CycArray.from_parts(M, conductors, parts[:, 0], parts[:, 1], (len(conductors),))
+    s = None if rows is None else values[k + t:]
+    if s is not None and len(rows) == r and set(rows) <= {r}:
+        s = s.reshape(r, r)
+    return PremodularData(ring=ring, dims=values[:k], twists=values[k:k + t], s=s)
+
+
 def premodular_from_json(obj: dict) -> PremodularData:
     ring = ring_from_json(obj)
     try:
@@ -250,29 +269,79 @@ def premodular_from_json(obj: dict) -> PremodularData:
             twists = _cycnum_parts(_field(obj, "twists"))
         rows = _lists(_field(obj, "s"), 'a row of "s"') if "s" in obj else None
         s = ([], _array([])) if rows is None else _cycnum_parts(_flat(rows))
-        conductors, parts = dims[0] + twists[0] + s[0], np.concatenate([dims[1], twists[1], s[1]])
-        bound = magnitude(parts)
-        if bound >= _DIGIT_BOUND:
-            raise ValueError(f"CycNum coefficient part has more than {MAX_DIGITS} digits")
-        if (parts[1::2] == 0).any():
-            raise ZeroDivisionError("CycNum coefficient with a zero denominator")
-        k, t = len(dims[0]), len(twists[0])
-        # validation computes at the lcm of all conductors, on arrays of
-        # at most r x r x phi(M) coefficient slots
-        M = _capped_conductor(math.lcm(*set(conductors)))
-        r = ring.rank
-        slots = max(r * r, k, t, len(conductors) - k - t) * euler_phi(M)
-        if slots > MAX_SLOTS:
-            raise ValueError(f"rank {r} at conductor {M} needs {slots} coefficient slots, "
-                             f"above the budget {MAX_SLOTS}")
-        parts = parts.astype(exact_dtype(bound), copy=False).reshape(-1, 2)
-        values = CycArray.from_parts(M, conductors, parts[:, 0], parts[:, 1], (len(conductors),))
-        s = None if rows is None else values[k + t:]
-        if s is not None and len(rows) == r and set(map(len, rows)) <= {r}:
-            s = s.reshape(r, r)
-        return PremodularData(ring=ring, dims=values[:k], twists=values[k:k + t], s=s)
+        return _premodular(ring, dims[0] + twists[0] + s[0], np.concatenate([dims[1], twists[1], s[1]]),
+                           len(dims[0]), len(twists[0]), None if rows is None else list(map(len, rows)))
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"bad premodular datum: {exc}") from None
+
+
+def _json_list(item: str) -> str:
+    return rf"\[{item}(?:, {item})*+\]"
+
+
+# A premodular file as json.dumps writes it with its default separators: the
+# keys of premodular_to_json in its order, an integer "conductor" (ignored)
+# allowed after "fusion"; JSON integers, and coefficient parts as strings, of
+# at most 18 digits, so every number fits int64; labels of printable ASCII
+# but a quote or a backslash; no list empty, so no two commas are adjacent
+# in a field once everything but numbers and commas is dropped.  No repeat
+# needs to backtrack, so all are possessive.
+_INT = r"-?+(?:0|[1-9][0-9]{0,17}+)"
+_PART = r'"-?+[0-9]{1,18}+"'
+_CYCNUMS = _json_list(r'\{"n": ' + _INT + r', "c": ' + _json_list(rf"\[{_PART}, {_PART}\]") + r"\}")
+_DOC = re.compile(
+    r'\{"type": "premodular", "labels": (?P<labels>' + _json_list(r'"[ !#-\[\]-~]*+"')
+    + r'), "unit": (?P<unit>' + _INT + r'), "dual": (?P<dual>' + _json_list(_INT)
+    + r'), "fusion": (?P<fusion>' + _json_list(rf"\[{_INT}, {_INT}, {_INT}, {_INT}\]")
+    + r'), (?:"conductor": ' + _INT + r', )?+"dims": (?P<dims>' + _CYCNUMS
+    + r'), "twists": (?P<twists>' + _CYCNUMS + r')(?:, "s": (?P<s>' + _json_list(_CYCNUMS) + r"))?+\}")
+# bytes.translate deletions that leave a field's numbers and commas, and its
+# structure: its {, } and [ in order
+_NOT_NUMBERS = bytes(c for c in range(256) if c not in b"-0123456789,")
+_NOT_STRUCTURE = bytes(c for c in range(256) if c not in b"{}[")
+_OPEN, _CLOSE, _BRACKET = b"{}["
+
+
+def _numbers(field: str) -> np.ndarray:
+    """The integers in a field of a _DOC file, in order, as int64."""
+    return np.fromstring(field.encode().translate(None, _NOT_NUMBERS), dtype=np.int64, sep=",")
+
+
+def _premodular_text(text: str) -> PremodularData | None:
+    """The datum in a file in the _DOC layout, read from its text with the
+    checks of premodular_from_json: None for a file in any other layout,
+    or one that a check refuses, which premodular_from_json then reads and
+    refuses with its own message.  In the structure of dims, twists and s,
+    an entry is a { and a [ for its "c", one [ per coefficient pair and a
+    }; a { right after a [ starts dims, twists or a row of s."""
+    match = _DOC.fullmatch(text)
+    if match is None:
+        return None
+    try:
+        labels = match["labels"][2:-2].split('", "')
+        fusion = _numbers(match["fusion"]).reshape(-1, 4)
+        if len(labels) > MAX_RANK or fusion[:, 3].max() > MAX_MULT:
+            return None
+        ring = FusionRing(labels, int(match["unit"]), fusion, _numbers(match["dual"]).tolist())
+        values = text[match.start("dims"):match.end("s" if match["s"] is not None else "twists")]
+        nums = _numbers(values)
+        structure = np.frombuffer(values.encode().translate(None, _NOT_STRUCTURE), dtype=np.uint8)
+        opens, closes = np.flatnonzero(structure == _OPEN), np.flatnonzero(structure == _CLOSE)
+        counts = 2 * (closes - opens) - 3  # a conductor and two parts a pair
+        heads = np.cumsum(counts) - counts
+        conductors = nums[heads]
+        if conductors.max() > MAX_CONDUCTOR:  # before euler_phi factors one
+            return None
+        distinct, of = np.unique(conductors, return_inverse=True)
+        if (2 * np.array(list(map(euler_phi, distinct.tolist())))[of] + 1 != counts).any():
+            return None
+        coefficient = np.ones(len(nums), dtype=bool)
+        coefficient[heads] = False
+        starts = np.flatnonzero(structure[opens - 1] == _BRACKET).tolist() + [len(opens)]
+        rows = np.diff(starts[2:]).tolist() if match["s"] is not None else None
+        return _premodular(ring, conductors.tolist(), nums[coefficient], starts[1], starts[2] - starts[1], rows)
+    except (KeyError, IndexError, TypeError, ValueError, ArithmeticError):
+        return None
 
 
 # -- metric groups ------------------------------------------------------------
@@ -345,7 +414,11 @@ def datum_to_json(datum) -> dict:
 
 
 def _parse(text: str):
-    """The datum in a JSON string and its validator."""
+    """The datum in a JSON string and its validator: a premodular file in
+    the json.dumps layout is read from its text, any other by json.loads."""
+    datum = _premodular_text(text)
+    if datum is not None:
+        return datum, validate_premodular
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer literal past

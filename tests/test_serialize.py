@@ -1,11 +1,12 @@
 import gc
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import integers_by_regex_map
+from oracles import integers_by_regex_map, random_slightly_degenerate
 from premodular import serialize
 from premodular.catalog import catalog_get, catalog_list
 from premodular.cli import cli_run
@@ -27,6 +28,8 @@ from premodular.serialize import (
     ring_from_json,
     ring_to_json,
 )
+from test_fuzz import _paths
+from test_output_digests import CORPORA
 
 
 def _one_at(n):
@@ -559,3 +562,185 @@ def test_hostile_coefficient_pairs_refused_as_before(pair, tmp_path, capsys):
     value, message = HOSTILE_PAIRS[pair]
     doc = _z2_z4_with(lambda c: c.__setitem__(-1, value))
     assert _validate_run(doc, tmp_path, capsys) == (2, "", f"{_REFUSED}{message}\n")
+
+
+# -- the text route ----------------------------------------------------------------
+
+
+def _fields(data):
+    """Everything a parsed datum holds, with the dtypes and types of its
+    arrays and ints, for comparison."""
+    ring = data.ring
+    columns = [(x.dtype, x.tolist()) for x in (ring.a, ring.b, ring.c, ring.m, ring.start)]
+    values = [None if v is None else (v.M, v.den, v.num.dtype, v.num.shape, v.num.tolist(), v.conductor.tolist())
+              for v in (data.dims, data.twists, data.s)]
+    return ring.labels, ring.unit_index, type(ring.unit_index), ring.dual, list(map(type, ring.dual)), columns, values
+
+
+def _json_loads_route(text):
+    return premodular_from_json(json.loads(text))
+
+
+def _routes_agree(text) -> bool:
+    """Whether the text route read text; the datum it reads, and the datum
+    or the error of the loader either way, are those of json.loads and
+    premodular_from_json."""
+    datum = serialize._premodular_text(text)
+    expected = _outcome(lambda t: _fields(_json_loads_route(t)), text)
+    if datum is not None:
+        assert _fields(datum) == expected
+    assert _outcome(lambda t: _fields(serialize._parse(t)[0]), text) == expected
+    return datum is not None
+
+
+def _linearized(seed: int) -> dict:
+    """A linearized group of order 8 to 64 from seed, as JSON."""
+    rng = random.Random(seed)
+    while (mg := random_slightly_degenerate(rng, 64)).order < 8:
+        pass
+    return datum_to_json(to_premodular(mg))
+
+
+@pytest.mark.parametrize("corpus, taken", [("premodular", 50), ("nonpointed", 15)])
+def test_the_text_route_reads_the_digest_inputs_as_json_loads_does(corpus, taken):
+    # the linearized groups, with and without s, the Z2 twists and four of
+    # the mutated ising files; json.loads reads the other mutated files and
+    # the theta_exp ones
+    inputs = CORPORA[corpus][1]()
+    assert sum(_routes_agree(text) for _, text in inputs.values()) == taken
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_text_route_reads_linearized_groups_as_json_loads_does(seed):
+    doc = _linearized(seed)
+    r = len(doc["labels"])
+    assert 8 <= r <= 64
+    # as perfbench writes them, with the conductor that the loader ignores
+    # after "fusion", and without s
+    keys = list(doc)
+    written = {**{k: doc[k] for k in keys[:5]}, "conductor": seed * 10**17, **{k: doc[k] for k in keys[5:]}}
+    no_s = {k: v for k, v in doc.items() if k != "s"}
+    for obj in (doc, written, no_s):
+        assert _routes_agree(json.dumps(obj))
+    assert serialize._premodular_text(json.dumps(doc)).s.shape == (r, r)
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+# what one edit of a document writes: a coefficient part, an integer or an empty list
+_EDITS = {
+    "part": (str, ["-0", "007", "-00", "0" * 18, "9" * 18, "-" + "9" * 18, "9" * 19, "-" + "9" * 19, "1" + "0" * 18,
+                   "0"]),
+    "integer": (int, [0, 1, 3, -1, 10**17, -(10**17), 10**18, MAX_MULT + 1, MAX_CONDUCTOR + 1]),
+    "list": (list, [[]]),
+}
+
+
+@st.composite
+def _dumps_documents(draw):
+    """Premodular documents as json.dumps writes them, of rank 1 to 3, with
+    and without "conductor" and "s": each coefficient list is phi(n) long,
+    and all but a quarter have one part, integer or list of any level
+    replaced, by a part or an integer of 18 or 19 digits, leading zeros,
+    "-0" or an empty list."""
+    r = draw(st.integers(1, 3))
+    index = st.integers(0, r - 1)
+
+    def cycnums(size):
+        ns = draw(st.lists(st.sampled_from([1, 2, 3, 4, 8, 12]), min_size=size, max_size=size))
+        return [{"n": n, "c": draw(st.lists(st.tuples(st.integers(-3, 3).map(str), st.sampled_from("123")).map(list),
+                                            min_size=euler_phi(n), max_size=euler_phi(n)))} for n in ns]
+
+    doc = {"type": "premodular",
+           "labels": draw(st.lists(st.text("ab(),1 ", max_size=3), min_size=r, max_size=r, unique=True)), "unit": 0,
+           "dual": draw(st.lists(index, min_size=r, max_size=r)),
+           "fusion": draw(st.lists(st.tuples(index, index, index, st.integers(0, 3)).map(list), min_size=1, max_size=4))}
+    if draw(st.booleans()):
+        doc["conductor"] = draw(st.integers(0, 10**18 - 1))
+    doc["dims"], doc["twists"] = cycnums(r), cycnums(r)
+    if draw(st.booleans()):
+        doc["s"] = [cycnums(r) for _ in range(r)]
+    edit = draw(st.sampled_from([None, *_EDITS]))
+    if edit is not None:
+        kind, values = _EDITS[edit]
+        path = draw(st.sampled_from([p for p in _paths(doc) if type(_at(doc, p)) is kind and p != ("type",)]))
+        _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(values))
+    return json.dumps(doc)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_dumps_documents())
+def test_the_text_route_reads_dumps_documents_as_json_loads_does(text):
+    _routes_agree(text)
+
+
+def test_an_empty_row_of_s_at_rank_1_is_read_as_json_loads_reads_it():
+    # no row is dropped: s stays a flat array of no values, which
+    # validation refuses, as it does on the json.loads route
+    doc = {"type": "premodular", "labels": ["1"], "unit": 0, "dual": [0], "fusion": [[0, 0, 0, 1]],
+           "dims": [_one_at(1)], "twists": [_one_at(1)], "s": [[]]}
+    _routes_agree(json.dumps(doc))
+    assert premodular_from_json(doc).s.shape == (0,)
+
+
+def _rank_32_text() -> str:
+    return json.dumps(datum_to_json(to_premodular(from_gram([2, 2, 8], [Fraction(1, 2), Fraction(1, 4),
+                                                                        Fraction(1, 16)]))))
+
+
+def test_a_rank_32_file_in_the_dumps_layout_is_read_without_json_loads(tmp_path, monkeypatch):
+    text = _rank_32_text()
+    path = tmp_path / "rank32.json"
+    path.write_text(text)
+    expected = cli_run(["analyze", str(path), "--format", "json"]), _fields(_json_loads_route(text))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    monkeypatch.setattr(serialize.json, "loads", refuse)
+    assert (cli_run(["analyze", str(path), "--format", "json"]), _fields(load_datum(str(path)))) == expected
+
+
+def _edit(text: str, old: str, new: str) -> str:
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+_DUMPS = json.dumps(datum_to_json(to_premodular(from_gram([2, 4], [Fraction(1, 2), Fraction(1, 8)]))))
+_THETA_EXP = {k: v for k, v in json.loads(_DUMPS).items() if k != "twists"} | {
+    "theta_exp": [[0, 1]] * 8}
+# one deviation each from the json.dumps layout of a linearized Z2 x Z4 file,
+# the JSON valid unless the name says otherwise
+DEVIATIONS = {
+    "indented": json.dumps(json.loads(_DUMPS), indent=1),
+    "a space before a comma": _edit(_DUMPS, '"1", "1"', '"1" , "1"'),
+    "no space after a colon": _edit(_DUMPS, '"unit": 0', '"unit":0'),
+    "a trailing newline": _DUMPS + "\n",
+    "trailing text (not JSON)": _DUMPS + "x",
+    "reordered keys": _edit(_edit(_DUMPS, '"unit": 0, ', ""), '"labels"', '"unit": 0, "labels"'),
+    "a duplicate key": _edit(_DUMPS, '"unit": 0', '"unit": 1, "unit": 0'),
+    "a duplicate s": _DUMPS[:-1] + ', "s": []}',
+    "an integer coefficient part": _edit(_DUMPS, '["1", "1"]', '[1, "1"]'),
+    "an escaped label": _edit(_DUMPS, '"(0,0)"', '"\\u0028\\u0030,0)"'),
+    "a non-ASCII label": _edit(_DUMPS, '"(0,0)"', '"(0,0)é"'),
+    "theta_exp": json.dumps(_THETA_EXP),
+    "a 19-digit part": _edit(_DUMPS, '["1", "1"]', f'["{10**18}", "1"]'),
+    "an empty s": _edit(_DUMPS, _DUMPS[_DUMPS.index('"s": '):], '"s": []}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEVIATIONS))
+def test_each_deviation_from_the_dumps_layout_reads_as_json_loads_reads_it(name, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "deviation.json"
+    path.write_text(DEVIATIONS[name], encoding="utf-8")
+    assert serialize._premodular_text(DEVIATIONS[name]) is None
+    runs = []
+    for text_route in (serialize._premodular_text, lambda text: None):
+        monkeypatch.setattr(serialize, "_premodular_text", text_route)
+        code, out = cli_run(["analyze", str(path)])
+        runs.append((code, out, capsys.readouterr().err))
+    assert runs[0] == runs[1]
