@@ -23,10 +23,12 @@ with no JSON tree built (_premodular_text): one regular expression, _DOC,
 matches the whole file, numpy parses the numbers of each field, all of
 at most 18 digits, and the entries and rows of dims, twists and s are
 read off the positions of their braces and brackets.  The same caps and
-checks run, and both routes end in _premodular.  Any other file, and one
-that a check refuses, is read by json.loads and premodular_from_json,
-which give its datum or its error message: the datum is the same either
-way.
+checks run, in the helpers both routes call (_checked_rank,
+_checked_fusion, _capped_conductor, _check_lengths), and both end in
+_premodular.  Any other file, and one that a check refuses, is read by
+json.loads and premodular_from_json, which give its datum or its error
+message: the datum is the same either way.  _DOC's possessive repeats
+need Python 3.11.
 
 loads_datum pauses the cyclic garbage collector from json.loads until
 the datum is read: a rank-32 file decodes into about 9,000 lists and
@@ -151,6 +153,17 @@ def _array(values: list) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+def _check_lengths(conductors: np.ndarray, lengths: np.ndarray) -> None:
+    """Refuse unless the i-th CycNum has lengths[i] = euler_phi(conductors[i])
+    coefficients, naming the first conductor below 1 if there is one; the
+    conductors are capped before this factors them."""
+    if len(conductors) and conductors.min() < 1:
+        euler_phi(int(conductors[(conductors < 1).argmax()]))  # raises
+    distinct, of = np.unique(conductors, return_inverse=True)
+    if (np.array(list(map(euler_phi, distinct.tolist())), dtype=np.int64)[of] != lengths).any():
+        raise ValueError("coefficient vector length must be euler_phi(conductor)")
+
+
 def _cycnum_parts(entries: list) -> tuple[list, np.ndarray]:
     """The conductors of the CycNum objects in entries and all their
     coefficient parts in one array, numerator and denominator
@@ -159,9 +172,7 @@ def _cycnum_parts(entries: list) -> tuple[list, np.ndarray]:
     conductors = _integers(list(map(_N, entries)))
     _capped_conductor(max(conductors, default=1))
     coefficients = _lists(list(map(_C, entries)), 'a CycNum "c"')
-    phis = {n: euler_phi(n) for n in dict.fromkeys(conductors)}
-    if list(map(len, coefficients)) != list(map(phis.__getitem__, conductors)):
-        raise ValueError("coefficient vector length must be euler_phi(conductor)")
+    _check_lengths(_array(conductors), np.fromiter(map(len, coefficients), np.int64, len(coefficients)))
     return conductors, _array(_integers(_flat(_lists(_flat(coefficients), "a coefficient pair", 2))))
 
 
@@ -177,15 +188,30 @@ def ring_to_json(ring: FusionRing) -> dict:
     }
 
 
+def _checked_rank(labels: list) -> int:
+    """The rank of a ring with these labels, refused past the rank cap."""
+    if len(labels) > MAX_RANK:
+        raise ValueError(f"rank {len(labels)} exceeds the cap {MAX_RANK}")
+    return len(labels)
+
+
 def _fusion_entries(fusion: list, r: int) -> np.ndarray:
-    """The fusion entries [a, b, c, n] as an (n, 4) int64 array, each
-    check on the whole array (of Python ints where a value is past int64,
-    which a check then refuses); FusionRing sorts them and keeps the last
-    n of a repeated (a, b, c)."""
-    entries = _array(_integers(_flat(_lists(fusion, "a fusion entry", 4)))).reshape(-1, 4)
-    bad = ((entries[:, :3] < 0) | (entries[:, :3] >= r)).any(axis=1)
-    if bad.any():
-        raise ValueError(f"fusion index out of range: {tuple(entries[bad.argmax(), :3].tolist())}")
+    """The fusion entries [a, b, c, n] as an (n, 4) int64 array (of Python
+    ints where a value is past int64, which a check then refuses)."""
+    return _checked_fusion(_array(_integers(_flat(_lists(fusion, "a fusion entry", 4)))).reshape(-1, 4), r)
+
+
+def _checked_fusion(entries: np.ndarray, r: int) -> np.ndarray:
+    """entries, an (n, 4) array of fusion entries, each check on the whole
+    array; FusionRing sorts them and keeps the last n of a repeated
+    (a, b, c)."""
+    indices = entries[:, :3]
+    # the extremes of the whole contiguous array first, far cheaper than
+    # reducing the strided columns of every entry
+    if len(entries) and (entries.min() < 0 or entries.max() >= r):
+        bad = ((indices < 0) | (indices >= r)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"fusion index out of range: {tuple(indices[bad.argmax()].tolist())}")
     mults = entries[:, 3]
     if len(mults) and mults.max() > MAX_MULT:
         raise ValueError(f"multiplicity {int(mults.max())} exceeds the cap {MAX_MULT}")
@@ -197,9 +223,7 @@ def _fusion_entries(fusion: list, r: int) -> np.ndarray:
 def ring_from_json(obj: dict) -> FusionRing:
     try:
         labels = [str(x) for x in _field(obj, "labels")]
-        r = len(labels)
-        if r > MAX_RANK:
-            raise ValueError(f"rank {r} exceeds the cap {MAX_RANK}")
+        r = _checked_rank(labels)
         return FusionRing(
             labels=labels,
             fusion=_fusion_entries(_field(obj, "fusion"), r),
@@ -319,22 +343,18 @@ def _premodular_text(text: str) -> PremodularData | None:
         return None
     try:
         labels = match["labels"][2:-2].split('", "')
-        fusion = _numbers(match["fusion"]).reshape(-1, 4)
-        if len(labels) > MAX_RANK or fusion[:, 3].max() > MAX_MULT:
-            return None
+        fusion = _checked_fusion(_numbers(match["fusion"]).reshape(-1, 4), _checked_rank(labels))
         ring = FusionRing(labels, int(match["unit"]), fusion, _numbers(match["dual"]).tolist())
         values = text[match.start("dims"):match.end("s" if match["s"] is not None else "twists")]
         nums = _numbers(values)
         structure = np.frombuffer(values.encode().translate(None, _NOT_STRUCTURE), dtype=np.uint8)
         opens, closes = np.flatnonzero(structure == _OPEN), np.flatnonzero(structure == _CLOSE)
-        counts = 2 * (closes - opens) - 3  # a conductor and two parts a pair
+        pairs = closes - opens - 2
+        counts = 2 * pairs + 1  # a conductor and two parts a pair
         heads = np.cumsum(counts) - counts
         conductors = nums[heads]
-        if conductors.max() > MAX_CONDUCTOR:  # before euler_phi factors one
-            return None
-        distinct, of = np.unique(conductors, return_inverse=True)
-        if (2 * np.array(list(map(euler_phi, distinct.tolist())))[of] + 1 != counts).any():
-            return None
+        _capped_conductor(conductors.max())
+        _check_lengths(conductors, pairs)
         coefficient = np.ones(len(nums), dtype=bool)
         coefficient[heads] = False
         starts = np.flatnonzero(structure[opens - 1] == _BRACKET).tolist() + [len(opens)]

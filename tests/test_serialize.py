@@ -1,7 +1,10 @@
 import gc
 import json
 import random
+import re
+import tomllib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -731,6 +734,35 @@ DEVIATIONS = {
     "a 19-digit part": _edit(_DUMPS, '["1", "1"]', f'["{10**18}", "1"]'),
     "an empty s": _edit(_DUMPS, _DUMPS[_DUMPS.index('"s": '):], '"s": []}'),
 }
+
+
+@pytest.mark.parametrize("first, second", [(-2, 0), (0, -2), (-(10**30), -1)])
+def test_the_first_conductor_below_1_is_the_one_refused(first, second):
+    doc = json.loads(_DUMPS)
+    doc["dims"][1]["n"], doc["dims"][3]["n"] = first, second
+    with pytest.raises(ParseError, match=rf"conductor must be positive, got {first}$"):
+        serialize._parse(json.dumps(doc))
+
+
+def _opcodes(node):
+    """The names of the opcodes in a parsed regular expression."""
+    if isinstance(node, (tuple, list, re._parser.SubPattern)):
+        for x in node:
+            yield from _opcodes(x)
+    elif isinstance(node, re._constants._NamedIntConstant):
+        yield node.name
+
+
+def test_the_declared_python_compiles_the_layout_pattern():
+    # re accepts possessive repeats and atomic groups from Python 3.11 on, and
+    # _DOC is compiled when serialize is imported: an older interpreter that
+    # pyproject.toml admits could not load any file
+    assert "POSSESSIVE_REPEAT" in _opcodes(re._parser.parse("a*+"))
+    newer = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"} & set(_opcodes(re._parser.parse(serialize._DOC.pattern)))
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["requires-python"]
+    assert declared.startswith(">=")
+    assert not newer or tuple(map(int, declared[2:].split("."))) >= (3, 11)
 
 
 @pytest.mark.parametrize("name", sorted(DEVIATIONS))
