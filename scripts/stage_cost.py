@@ -39,7 +39,10 @@ on a datum with no residues kept from an earlier one.  That splits in two:
 residues_s evaluates dims, twists and s modulo the first split prime of the
 datum's conductor (the one prime a linearized group needs), and
 residue_checks_s is the rest, the unit and duality checks and the checks on
-residues.  The parse stages run with the cyclic collector paused, as
+residues.  Of those, twist_check_s is the check that every twist is a root
+of unity, on a datum with no residues kept, and synthesis_s builds s from
+the balancing formula on the same datum without s, as validation does when a
+file has none.  The parse stages run with the cyclic collector paused, as
 loads_datum runs them.  ring's and su2's restricted_join_s is the join that
 decides associativity, over the rows of S; full_join_s is the join over every
 row, which writes the witnesses of a ring that fails it.  fpdim_s may use
@@ -70,7 +73,8 @@ import numpy as np
 from premodular import cli
 from premodular.components import form_characters, ring_characters
 from premodular.cyclotomic import residues, split_primes
-from premodular.data import classify_degeneracy, validate_premodular
+from premodular.data import (
+    PremodularData, _Channels, _not_roots_of_unity, _synthesized_s, classify_degeneracy, validate_premodular)
 from premodular.fusion_ring import (
     MAX_RANK, FusionRing, _associativity_witnesses, _generators, fpdim, group_ring, validate_fusion_ring)
 from premodular.klein import extension_verdict, form_verdict
@@ -154,6 +158,10 @@ def _validate_afresh(data):
     return validate_premodular(data)
 
 
+def _twist_check(data):
+    return _not_roots_of_unity(PremodularData(data.ring, data.dims, data.twists, data.s))
+
+
 def _residues(data):
     p = split_primes(data.dims.M, 1, 1)[0]
     return [residues(x.num, x.M, p) for x in (data.dims, data.twists, data.s)]
@@ -182,6 +190,9 @@ def load(repeats: int, *orders: int) -> dict:
             "premodular_validation_s": validation,
             "residues_s": evaluation,
             "residue_checks_s": validation - evaluation,
+            "twist_check_s": _best(repeats, _twist_check, data),
+            "synthesis_s": _best(repeats, _synthesized_s, PremodularData(data.ring, data.dims, data.twists),
+                                 _Channels(data.ring)),
             "analysis_s": _best(repeats, _analysis, data),
             "render_s": _best(repeats, cli._emit_json, payload),
             "total_s": _best(repeats, cli.cli_run, argv),

@@ -419,9 +419,10 @@ class CycArray:
     is each entry's conductor, a divisor of M.  A value is a shape-()
     array at its own conductor: indexing descends an entry to it, so JSON
     and repr print each value at the conductor it was given or computed
-    at.  Arithmetic is entrywise with broadcasting at the lcm of the M,
-    an int or a Fraction being a value at conductor 1, each result entry
-    at the lcm of its operands' conductors; == compares every value."""
+    at.  Arithmetic (+, -, *, ** k >= 0; no division) is entrywise with
+    broadcasting at the lcm of the M, an int or a Fraction being a value
+    at conductor 1, each result entry at the lcm of its operands'
+    conductors; == compares every value."""
 
     __slots__ = ("M", "num", "den", "conductor")
     __hash__ = None  # equality crosses conductors; do not hash
@@ -570,22 +571,11 @@ class CycArray:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _value(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # a division by a value 1 keeps the dividend's conductors
-        return self if not other.shape and other.is_one() else self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _value(other)
-        return NotImplemented if other is NotImplemented else other / self
-
     def __pow__(self, k: int):
         if type(k) is not int:
             return NotImplemented
         if k < 0:
-            return self.inverse() ** -k
+            raise ValueError(f"power {k} is negative: multiply by inverse(), or conj() for a root of unity")
         result = CycArray(1, np.ones(self.shape + (1,), dtype=np.int64), 1, np.ones(self.shape, dtype=np.int64))
         base = self
         while k:

@@ -13,7 +13,8 @@ refused (DatumTooLarge) before it is built when above check_budget.  An
 entry read by index is a value at the conductor it was given at; a
 synthesized s_{a,b} keeps the lcm of those of theta_a, theta_b and the
 theta_c d_c with N^c_{a,b} != 0.  s is synthesized on the exact arrays
-(mul_rows, and contractions over the nonzeros of N in blocks of rows).
+(mul_rows, and contractions over the nonzeros of N in blocks of rows),
+inverting each twist, which validation certifies a root of unity, by conj.
 
 Every later check is an equality in Z[zeta_M] once both sides are
 cleared of denominators, decided on residues modulo the primes of
@@ -39,14 +40,8 @@ from .errors import DatumTooLarge
 from .fusion_ring import FusionRing, validate_fusion_ring
 from .validation import ValidationReport
 
-__all__ = [
-    "PremodularData",
-    "CentreKind",
-    "CentreClassification",
-    "validate_premodular",
-    "classify_degeneracy",
-    "gauss_sum",
-]
+__all__ = ["PremodularData", "CentreKind", "CentreClassification", "validate_premodular", "classify_degeneracy",
+           "gauss_sum"]
 
 
 @dataclass
@@ -99,9 +94,9 @@ def _times(x: np.ndarray, k: int, p: int) -> np.ndarray:
 
 
 def _differ(M: int, bound: int, r: int, phi: int, sides) -> list[np.ndarray]:
-    """(r, r) booleans for each pair (x, y) of (rows, r, phi) residues that
-    sides(p, rows) gives, per block of rows of about BLOCK values: x != y
-    modulo some p of split_primes (a short axis reduced across a copy)."""
+    """(r, r) or (r,) booleans for each pair (x, y) of (rows, r, phi) or (rows,
+    phi) residues that sides(p, rows) gives, per block of about BLOCK values:
+    x != y modulo some p of split_primes (a short axis reduced across a copy)."""
     def unequal(d, p):
         bad = d // p * p != d
         return bad.any(axis=-1) if phi > 16 else np.ascontiguousarray(np.moveaxis(bad, -1, 0)).any(axis=0)
@@ -152,32 +147,43 @@ class _Channels:
         return out
 
 
+def _not_roots_of_unity(data: PremodularData) -> np.ndarray:
+    """(r,) booleans: the twists that are not roots of unity (Vafa; Etingof
+    for ribbon fusion categories): the non-integral ones (the power basis is
+    integral) if any, else those with theta conj(theta) != 1 (Kronecker)."""
+    T, t_den, M, (r, phi) = data.twists.num, data.twists.den, data.twists.M, data.twists.num.shape
+    if t_den != 1:
+        return (T.astype(object) % t_den != 0).any(axis=1)
+    return _differ(M, phi * int(reduction_growth(M)) * magnitude(T)**2 + 1, r, phi, lambda p, rows: [(
+        _residues(data, "twists", p)[rows] * _residues(data, "twists", p)[rows, ::-1], 1)])[0]
+
+
 def _synthesized_s(data: PremodularData, channels: _Channels) -> CycArray:
-    """s by the balancing formula, over inverse.den^2 t_den d_den."""
+    """s by the balancing formula, over d_den: theta^-1 = conj(theta)."""
     D, T, M, r = data.dims.num, data.twists.num, data.dims.M, channels.r
     try:
-        inverse = data.twists.inverse()
-        s_den = inverse.den**2 * data.twists.den * data.dims.den
-        check_budget(r * r * D.shape[1], s_den)
+        check_budget(r * r * D.shape[1], data.dims.den)
     except DatumTooLarge as exc:
         raise DatumTooLarge(f"s cannot be synthesized: {exc}") from None
-    twisted_dims = mul_rows(T, D, M)  # theta_c d_c, over t_den d_den
+    inverse = data.twists.conj().num
+    twisted_dims = mul_rows(T, D, M)  # theta_c d_c, over d_den
     s = np.zeros((r, r, D.shape[1]), dtype=np.int8)
     for rows in channels.blocks(D.shape[1]):
-        part = narrow(mul_rows(mul_rows(inverse.num[rows, None], inverse.num[None, :], M),
+        part = narrow(mul_rows(mul_rows(inverse[rows, None], inverse[None, :], M),
                                channels.sums(twisted_dims, rows), M))
         # wider, or Python ints, once a value needs them
         s = s.astype(np.promote_types(s.dtype, part.dtype), copy=False)
         s[rows] = part
-    return CycArray(M, s, s_den, channels.conductors(data.twists, data.dims))
+    return CycArray(M, s, data.dims.den, channels.conductors(data.twists, data.dims))
 
 
 def validate_premodular(data: PremodularData) -> ValidationReport:
     """Check the premodular axioms exactly, synthesizing s when absent (s
-    symmetric and s_{I,a} = d_a follow from balancing).  Witnesses come in
-    row order, b >= a for the dimension character and conjugation.
-    DatumTooLarge when the inverse twists, s or the residues an equality
-    needs are above cyclotomic.check_budget."""
+    symmetric and s_{I,a} = d_a follow from balancing), each stage below
+    returning its violations before the next runs (README).  Witnesses come
+    in row order, b >= a for the dimension character and conjugation.
+    DatumTooLarge when s or the residues an equality needs are above
+    cyclotomic.check_budget."""
     rep = ValidationReport()
     ring = data.ring
     ring_report = validate_fusion_ring(ring)
@@ -220,6 +226,11 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
     if rep.violations:
         return rep
 
+    for a in np.flatnonzero(_not_roots_of_unity(data)).tolist():
+        rep.add("TwistViolation", (a,), "theta_a must be a root of unity")
+    if rep.violations:
+        return rep
+
     if data.s is not None and data.s.shape != (r, r):
         rep.add("ShapeViolation", (r,), "s-matrix must be rank x rank")
         return rep
@@ -229,16 +240,16 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
     mS, s_den = magnitude(data.s.num), data.s.den
 
     # conj(s_{a,b}) = s_{a*,b}, and on a supplied s the balancing formula,
-    # theta_a theta_b s_{a,b} d_den = t_den s_den sum_c N^c_{a,b} theta_c d_c
+    # theta_a theta_b s_{a,b} d_den = s_den sum_c N^c_{a,b} theta_c d_c
     def s_checks(p, rows):
         Sp = _residues(data, "s", p)
         if not supplied:
             return [(Sp[rows, :, ::-1], Sp[dual[rows]])]
         Tp, Dp = _residues(data, "twists", p), _residues(data, "dims", p)
         return [(Sp[rows, :, ::-1], Sp[dual[rows]]), (mod(_times(Tp, d_den, p)[rows, None] * Tp[None, :], p) * Sp[rows],
-                                                      channels.sums(_times(mod(Tp * Dp, p), t_den * s_den, p), rows))]
+                                                      channels.sums(_times(mod(Tp * Dp, p), s_den, p), rows))]
 
-    bound = max((G + 1) * mS, supplied and phi * G * mT * (phi * mT * mS * d_den + t_den * s_den * channels.row_sum * mD))
+    bound = max((G + 1) * mS, supplied and phi * G * mT * (phi * mT * mS * d_den + s_den * channels.row_sum * mD))
     conj, *balancing = _differ(M, bound, r, phi, s_checks)
     for a, b in np.argwhere(*balancing).tolist() if supplied else ():
         rep.add("BalancingViolation", (a, b), "supplied s disagrees with balancing formula")
@@ -292,19 +303,17 @@ def classify_degeneracy(data: PremodularData) -> CentreClassification:
     ring = data.ring
     idx = np.flatnonzero(_transparency(data).all(axis=1)).tolist()
     trans = [data.labels[b] for b in idx]
-    T, t_den = data.twists.num, data.twists.den
-    bos = int(_is_integer(T[idx], t_den, 1).sum())
-    fer = int(_is_integer(T[idx], t_den, -1).sum())
+    T = data.twists.num  # over 1 on valid data
+    bos = int(_is_integer(T[idx], 1, 1).sum())
+    fer = int(_is_integer(T[idx], 1, -1).sum())
     if idx == [ring.unit_index]:
         return CentreClassification(CentreKind.NONDEGENERATE, trans, None, bos, fer)
     if len(idx) == 2:
         e = idx[0] if idx[1] == ring.unit_index else idx[1]
         e_squared = ring.row(e)[e]
         e_squared_is_unit = e_squared[ring.unit_index] == 1 and int(e_squared.sum()) == 1
-        if e_squared_is_unit and _is_integer(T[e], t_den, -1):
-            return CentreClassification(
-                CentreKind.SLIGHTLY_DEGENERATE, trans, data.labels[e], bos, fer
-            )
+        if e_squared_is_unit and _is_integer(T[e], 1, -1):
+            return CentreClassification(CentreKind.SLIGHTLY_DEGENERATE, trans, data.labels[e], bos, fer)
     return CentreClassification(CentreKind.OTHER_DEGENERATE, trans, None, bos, fer)
 
 

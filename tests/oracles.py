@@ -982,6 +982,14 @@ def validate_premodular_cycnum(ring, dims, twists, s):
     if rep.violations:
         return rep, s
 
+    # roots of unity: the non-integral twists if any, else those with
+    # theta conj(theta) != 1
+    for a in [a for a in range(r) if twists[a].den != 1] or [
+            a for a in range(r) if twists[a] * twists[a].conj() != ONE]:
+        rep.add("TwistViolation", (a,), "theta_a must be a root of unity")
+    if rep.violations:
+        return rep, s
+
     if s is not None and (len(s) != r or any(not isinstance(row, list) or len(row) != r for row in s)):
         rep.add("ShapeViolation", (r,), "s-matrix must be rank x rank")
         return rep, s
@@ -1019,10 +1027,11 @@ def _unequal(x: np.ndarray, x_den: int, y: np.ndarray, y_den: int) -> np.ndarray
 
 
 def validate_premodular_exact(data: PremodularData) -> ValidationReport:
-    """validate_premodular with the dimension character, balancing and the
-    conjugation of s decided on the exact coefficient arrays at M, block
-    by block of rows, instead of on residues; it synthesizes s the same
-    way, so the two give the same report and the same s."""
+    """validate_premodular with the dimension character, the twists as
+    roots of unity, balancing and the conjugation of s decided on the exact
+    coefficient arrays at M, block by block of rows, instead of on
+    residues; it synthesizes s the same way, so the two give the same
+    report and the same s."""
     rep = ValidationReport()
     ring = data.ring
     ring_report = validate_fusion_ring(ring)
@@ -1062,6 +1071,16 @@ def validate_premodular_exact(data: PremodularData) -> ValidationReport:
                        channels.sums(D, rows), d_den) & upper[rows]
         for a, b in np.argwhere(bad).tolist():
             rep.add("DimensionCharacterViolation", (rows.start + a, b))
+    if rep.violations:
+        return rep
+
+    # on the normal forms: the denominators, then theta conj(theta) = 1
+    if t_den != 1:
+        bad = [t.den != 1 for t in data.twists]
+    else:
+        bad = ~_is_integer(mul_rows(T, data.twists.conj().num, M), 1, 1)
+    for a in np.flatnonzero(bad).tolist():
+        rep.add("TwistViolation", (a,), "theta_a must be a root of unity")
     if rep.violations:
         return rep
 
@@ -1122,6 +1141,23 @@ def classify_degeneracy_cycnum(data: PremodularData) -> CentreClassification:
     return CentreClassification(CentreKind.OTHER_DEGENERATE, trans, None, bos, fer)
 
 
+def character_identity_witnesses(data: PremodularData) -> list[tuple[int, int, int]]:
+    """The (a, b, c), ascending, with s_{a,c} s_{b,c} != d_c sum_x
+    N^x_{a,b} s_{x,c}: the columns of s / d are characters of the fusion
+    ring (Mueger 2003; EGNO, Tensor Categories, ch. 8).  On the exact
+    arrays of a datum with s, a column c at a time."""
+    s, dims, M = data.s, data.dims, data.dims.M
+    N = dense(data.ring)
+    out = []
+    for c in range(data.ring.rank):
+        col = s.num[:, c]
+        lhs = mul_rows(col[:, None], col[None, :], M)  # over s_den^2
+        sums = np.tensordot(N, col.astype(exact_dtype(magnitude(col) * int(N.sum(axis=2).max()) + 1)), axes=1)
+        bad = _unequal(lhs, s.den**2, mul_rows(sums, dims.num[c], M), s.den * dims.den)
+        out += [(a, b, c) for a, b in np.argwhere(bad).tolist()]
+    return sorted(out)
+
+
 # -- helpers only the tests reach ------------------------------------------------
 
 
@@ -1133,7 +1169,7 @@ def fusion_matrix(ring: FusionRing, a: str) -> np.ndarray:
 def framed_s_entry(data: PremodularData, a: str, b: str) -> CycArray:
     """S~_{a,b} = s_{a,b} / (d_a d_b) in the ribbon gauge."""
     i, j = data.ring.index(a), data.ring.index(b)
-    return data.s[i, j] / (data.dims[i] * data.dims[j])
+    return data.s[i, j] * (data.dims[i] * data.dims[j]).inverse()
 
 
 def eta_scalar(data: PremodularData, a: str) -> CycArray:

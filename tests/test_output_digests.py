@@ -25,12 +25,14 @@ The metric-group corpus:
 The premodular corpus:
 - linear-S: to_premodular(random_slightly_degenerate(random.Random(S), 32))
   with s, and linear-S-nos the same file without s, which validation
-  synthesizes through the twist inverses;
-- z2-S: the group ring of Z2 with dims 1, no s and a twist theta that is
-  not a root of unity (_z2_theta), some over a coefficient denominator
-  other than 1, so that s is synthesized by the extended Euclid inverse
-  and over a denominator, and z2-two and z2-sqrt2, with theta = 2 and
-  theta = sqrt 2;
+  synthesizes, inverting the twists by conjugation;
+- z2-S: the group ring of Z2 with dims 1, no s and a twist theta
+  (_z2_theta), nearly always not a root of unity and some over a
+  coefficient denominator other than 1, refused with a twist violation
+  before s is synthesized; z2-two and z2-sqrt2, with theta = 2 and
+  theta = sqrt 2, refused the same way; and z2-i and z2-zeta8, whose s
+  is synthesized from conj(theta): theta = i validates, and theta =
+  zeta8 fails the conjugation of s, since theta^4 != 1;
 - ising-1-S and ising-7-S: test_fuzz's _mutated of the entries ising:1
   and ising:7, random.Random(S) choosing the edit;
 - theta-8190 and theta-8191: rank 1 with the unit's twist at the largest
@@ -152,7 +154,8 @@ def premodular_inputs() -> dict:
     ring = {"labels": ["1", "g"], "unit": 0, "dual": [0, 1],
             "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]]}
     twists = {"z2-two": ("from_rational(2)", from_rational(2)),
-              "z2-sqrt2": ("make_root(1, 8) + make_root(-1, 8)", make_root(1, 8) + make_root(-1, 8))}
+              "z2-sqrt2": ("make_root(1, 8) + make_root(-1, 8)", make_root(1, 8) + make_root(-1, 8)),
+              "z2-i": ("make_root(1, 4)", make_root(1, 4)), "z2-zeta8": ("make_root(1, 8)", make_root(1, 8))}
     for s in range(SEEDS["z2"]):
         twists[f"z2-{s}"] = (f"_z2_theta(random.Random({s}))", _z2_theta(random.Random(s)))
     for name, (rebuild, theta) in twists.items():

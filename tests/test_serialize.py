@@ -604,7 +604,7 @@ def _linearized(seed: int) -> dict:
     return datum_to_json(to_premodular(mg))
 
 
-@pytest.mark.parametrize("corpus, taken", [("premodular", 50), ("nonpointed", 15)])
+@pytest.mark.parametrize("corpus, taken", [("premodular", 52), ("nonpointed", 15)])
 def test_the_text_route_reads_the_digest_inputs_as_json_loads_does(corpus, taken):
     # the linearized groups, with and without s, the Z2 twists and four of
     # the mutated ising files; json.loads reads the other mutated files and
