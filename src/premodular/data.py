@@ -40,8 +40,14 @@ from .errors import DatumTooLarge
 from .fusion_ring import FusionRing, validate_fusion_ring
 from .validation import ValidationReport
 
-__all__ = ["PremodularData", "CentreKind", "CentreClassification", "validate_premodular", "classify_degeneracy",
-           "gauss_sum"]
+__all__ = [
+    "PremodularData",
+    "CentreKind",
+    "CentreClassification",
+    "validate_premodular",
+    "classify_degeneracy",
+    "gauss_sum",
+]
 
 
 @dataclass
@@ -148,9 +154,8 @@ class _Channels:
 
 
 def _not_roots_of_unity(data: PremodularData) -> np.ndarray:
-    """(r,) booleans: the twists that are not roots of unity (Vafa; Etingof
-    for ribbon fusion categories): the non-integral ones (the power basis is
-    integral) if any, else those with theta conj(theta) != 1 (Kronecker)."""
+    """(r,) booleans, the twists that are not roots of unity (Vafa): those
+    not integral if any, else those with theta conj(theta) != 1 (Kronecker)."""
     T, t_den, M, (r, phi) = data.twists.num, data.twists.den, data.twists.M, data.twists.num.shape
     if t_den != 1:
         return (T.astype(object) % t_den != 0).any(axis=1)
@@ -160,12 +165,11 @@ def _not_roots_of_unity(data: PremodularData) -> np.ndarray:
 
 def _synthesized_s(data: PremodularData, channels: _Channels) -> CycArray:
     """s by the balancing formula, over d_den: theta^-1 = conj(theta)."""
-    D, T, M, r = data.dims.num, data.twists.num, data.dims.M, channels.r
+    D, T, inverse, M, r = data.dims.num, data.twists.num, data.twists.conj().num, data.dims.M, channels.r
     try:
         check_budget(r * r * D.shape[1], data.dims.den)
     except DatumTooLarge as exc:
         raise DatumTooLarge(f"s cannot be synthesized: {exc}") from None
-    inverse = data.twists.conj().num
     twisted_dims = mul_rows(T, D, M)  # theta_c d_c, over d_den
     s = np.zeros((r, r, D.shape[1]), dtype=np.int8)
     for rows in channels.blocks(D.shape[1]):
@@ -179,11 +183,10 @@ def _synthesized_s(data: PremodularData, channels: _Channels) -> CycArray:
 
 def validate_premodular(data: PremodularData) -> ValidationReport:
     """Check the premodular axioms exactly, synthesizing s when absent (s
-    symmetric and s_{I,a} = d_a follow from balancing), each stage below
-    returning its violations before the next runs (README).  Witnesses come
-    in row order, b >= a for the dimension character and conjugation.
-    DatumTooLarge when s or the residues an equality needs are above
-    cyclotomic.check_budget."""
+    symmetric and s_{I,a} = d_a follow from balancing), stage by stage in
+    the README's order.  Witnesses come in row order, b >= a for the
+    dimension character and conjugation.  DatumTooLarge when s or the
+    residues an equality needs are above cyclotomic.check_budget."""
     rep = ValidationReport()
     ring = data.ring
     ring_report = validate_fusion_ring(ring)
@@ -303,17 +306,19 @@ def classify_degeneracy(data: PremodularData) -> CentreClassification:
     ring = data.ring
     idx = np.flatnonzero(_transparency(data).all(axis=1)).tolist()
     trans = [data.labels[b] for b in idx]
-    T = data.twists.num  # over 1 on valid data
-    bos = int(_is_integer(T[idx], 1, 1).sum())
-    fer = int(_is_integer(T[idx], 1, -1).sum())
+    T, t_den = data.twists.num, data.twists.den
+    bos = int(_is_integer(T[idx], t_den, 1).sum())
+    fer = int(_is_integer(T[idx], t_den, -1).sum())
     if idx == [ring.unit_index]:
         return CentreClassification(CentreKind.NONDEGENERATE, trans, None, bos, fer)
     if len(idx) == 2:
         e = idx[0] if idx[1] == ring.unit_index else idx[1]
         e_squared = ring.row(e)[e]
         e_squared_is_unit = e_squared[ring.unit_index] == 1 and int(e_squared.sum()) == 1
-        if e_squared_is_unit and _is_integer(T[e], 1, -1):
-            return CentreClassification(CentreKind.SLIGHTLY_DEGENERATE, trans, data.labels[e], bos, fer)
+        if e_squared_is_unit and _is_integer(T[e], t_den, -1):
+            return CentreClassification(
+                CentreKind.SLIGHTLY_DEGENERATE, trans, data.labels[e], bos, fer
+            )
     return CentreClassification(CentreKind.OTHER_DEGENERATE, trans, None, bos, fer)
 
 
