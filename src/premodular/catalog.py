@@ -2,9 +2,9 @@
 
 Pointed entries are metric groups; the eight "ising:nu" entries are the
 rank-3 data with d_sigma = z8 + z8^-1 and theta_sigma = z16^nu, built
-from closed formulas (the s-matrix is synthesized from the balancing
-formula at validation time).  Every entry passes its validator when
-first built; the catalog is constructed once and cached.
+from closed formulas, s among them, which validation checks against the
+balancing formula.  Every entry passes its validator when first built;
+the catalog is constructed once and cached.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import ONE, MINUS_ONE, make_root
+import numpy as np
+
+from .cyclotomic import ONE, MINUS_ONE, CycArray, make_root
 from .data import PremodularData, validate_premodular
 from .errors import UnknownCatalogKey
 from .fusion_ring import FusionRing
@@ -32,14 +34,16 @@ class CatalogEntry:
 
 
 def _ising(nu: int) -> PremodularData:
-    """labels 1, psi, sigma with sigma^2 = 1 + psi, psi^2 = 1, and
-    theta = (1, -1, z16^nu)."""
+    """labels 1, psi, sigma with sigma^2 = 1 + psi, psi^2 = 1, theta = (1,
+    -1, z16^nu) and s = [[1, 1, d], [1, 1, -d], [d, -d, 0]], d = d_sigma,
+    each entry at the conductor balancing gives it: 16 beside sigma, else 1."""
     unit = [[0, a, a, 1] for a in range(3)] + [[a, 0, a, 1] for a in range(1, 3)]
     fusion = unit + [[1, 1, 0, 1], [1, 2, 2, 1], [2, 1, 2, 1], [2, 2, 0, 1], [2, 2, 1, 1]]
     ring = FusionRing(labels=["1", "psi", "sigma"], unit_index=0, fusion=fusion, dual=[0, 1, 2])
-    d_sigma = make_root(1, 8) + make_root(-1, 8)
-    return PremodularData.from_values(ring, dims=[ONE, ONE, d_sigma],
-                                      twists=[ONE, MINUS_ONE, make_root(nu, 16)])
+    dims = CycArray.from_values([ONE, ONE, make_root(1, 8) + make_root(-1, 8)], 16)
+    one, d = dims.num[0], dims.num[2]
+    s = CycArray(16, np.array([[one, one, d], [one, one, -d], [d, -d, 0 * d]]), 1, [[1, 1, 16], [1, 1, 16], [16] * 3])
+    return PremodularData(ring, dims, CycArray.from_values([ONE, MINUS_ONE, make_root(nu, 16)], 16), s)
 
 
 def _pointed_entries():

@@ -3,27 +3,26 @@
 The ribbon gauge is assumed: the two framed loop scalars of a simple
 coincide with its dimension d.  The braiding convention is fixed by the
 balancing formula s_{a,b} = theta_a^-1 theta_b^-1 sum_c N^c_{a,b}
-theta_c d_c, which synthesizes s when the input has none and is checked,
-multiplied through by theta_a theta_b, on a supplied s.  A label is
-transparent when its framed pairing S~_{a,b} = s_{a,b} / (d_a d_b) is 1.
+theta_c d_c, which gives s when the input has none and which a supplied
+s must equal.  A label is transparent when its framed pairing S~_{a,b} =
+s_{a,b} / (d_a d_b) is 1.
 
-dims, twists and s are CycArrays at one conductor M, the lcm of the
-datum's conductors, each over one denominator (1 on valid data), each
-refused (DatumTooLarge) before it is built when above check_budget.  An
-entry read by index is a value at the conductor it was given at; a
-synthesized s_{a,b} keeps the lcm of those of theta_a, theta_b and the
-theta_c d_c with N^c_{a,b} != 0.  s is synthesized on the exact arrays
-(mul_rows, and contractions over the nonzeros of N in blocks of rows),
-inverting each twist, which validation certifies a root of unity, by conj.
+dims, twists and a supplied s are CycArrays at one conductor M, the lcm
+of the datum's conductors, each over one denominator (1 on valid data),
+each refused (DatumTooLarge) before it is built when above check_budget.
+An entry read by index is a value at the conductor it was given at.
 
-Every later check is an equality in Z[zeta_M] once both sides are
-cleared of denominators, decided on residues modulo the primes of
-split_primes, whose product exceeds a bound on the difference: phi(M) G
-max|x| max|y| for a product, G = reduction_growth(M) (phi(M)^2 G for
-three factors), the row sum of N times max|x| for a channel sum, times
-the denominators; one prime covers a linearized group.  The residues of
-dims, twists and s are kept on the datum for validation and the
-transparency test to share: arrays are not to be changed in place.
+Every check is an equality in Z[zeta_M] once both sides are cleared of
+denominators, decided on residues modulo the primes of split_primes,
+whose product exceeds a bound on the difference: phi(M) G max|x| max|y|
+for a product, G = reduction_growth(M), G max|x| for a root of unity
+times x, the row sum of N times max|x| for a channel sum, times the
+denominators; one prime covers a linearized group.  An absent s is never
+built: its residues are the balancing formula's, inverting each twist,
+which validation certifies a root of unity, by conj, a reversal of the
+unit axis of its residues.  The residues of dims, twists and s are kept
+on the datum for validation and the transparency test to share: arrays
+are not to be changed in place.
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ from math import lcm
 
 import numpy as np
 
-from .cyclotomic import (BLOCK, CycArray, check_budget, exact_dtype, magnitude, mod, mul_rows, narrow, reduction_growth,
-                         residues, split_primes)
-from .errors import DatumTooLarge
+from .cyclotomic import BLOCK, CycArray, exact_dtype, magnitude, mod, reduction_growth, residues, split_primes
 from .fusion_ring import FusionRing, validate_fusion_ring
 from .validation import ValidationReport
 
@@ -53,10 +50,10 @@ __all__ = [
 @dataclass
 class PremodularData:
     """ring + per-label dims d_a and twists theta_a, and the unnormalized
-    Hopf-link matrix s (filled by validation if absent), as CycArrays at
-    one conductor M (see the module docstring): every constructor builds
-    them at one M, and that is checked here, so no computation on a
-    datum lifts its arrays."""
+    Hopf-link matrix s (None for the one the balancing formula gives), as
+    CycArrays at one conductor M (see the module docstring): every
+    constructor builds them at one M, and that is checked here, so no
+    computation on a datum lifts its arrays."""
 
     ring: FusionRing
     dims: CycArray
@@ -88,10 +85,12 @@ def _is_integer(num: np.ndarray, den: int, k: int) -> np.ndarray:
 
 
 def _residues(data: PremodularData, name: str, p: int) -> np.ndarray:
-    """residues of data.dims, data.twists or data.s modulo p, once each."""
+    """residues of data.dims, data.twists or data.s modulo p, once each;
+    those of an absent s by the balancing formula (_synthesized)."""
     x = getattr(data, name)
-    if data._residues.get((name, p), (None,))[0] is not x:
-        data._residues[name, p] = (x, residues(x.num, x.M, p))
+    kept = data._residues.get((name, p))
+    if kept is None or kept[0] is not x:
+        data._residues[name, p] = (x, residues(x.num, x.M, p) if x is not None else _synthesized(data, p))
     return data._residues[name, p][1]
 
 
@@ -144,14 +143,6 @@ class _Channels:
             terms = out
         return terms.reshape(rows.stop - rows.start, self.r, x.shape[-1])
 
-    def conductors(self, twists: CycArray, dims: CycArray) -> np.ndarray:
-        """The conductor of each synthesized s_{a,b}: the lcm of those of
-        theta_a, theta_b and theta_c d_c over the channels c of a.b."""
-        t = twists.conductor
-        out = np.lcm.outer(t, t)
-        np.lcm.at(out, (self.a, self.b), np.lcm(t, dims.conductor)[self.c])
-        return out
-
 
 def _not_roots_of_unity(data: PremodularData) -> np.ndarray:
     """(r,) booleans, the twists that are not roots of unity (Vafa): those
@@ -163,30 +154,41 @@ def _not_roots_of_unity(data: PremodularData) -> np.ndarray:
         _residues(data, "twists", p)[rows] * _residues(data, "twists", p)[rows, ::-1], 1)])[0]
 
 
-def _synthesized_s(data: PremodularData, channels: _Channels) -> CycArray:
-    """s by the balancing formula, over d_den: theta^-1 = conj(theta)."""
-    D, T, inverse, M, r = data.dims.num, data.twists.num, data.twists.conj().num, data.dims.M, channels.r
-    try:
-        check_budget(r * r * D.shape[1], data.dims.den)
-    except DatumTooLarge as exc:
-        raise DatumTooLarge(f"s cannot be synthesized: {exc}") from None
-    twisted_dims = mul_rows(T, D, M)  # theta_c d_c, over d_den
-    s = np.zeros((r, r, D.shape[1]), dtype=np.int8)
-    for rows in channels.blocks(D.shape[1]):
-        part = narrow(mul_rows(mul_rows(inverse[rows, None], inverse[None, :], M),
-                               channels.sums(twisted_dims, rows), M))
-        # wider, or Python ints, once a value needs them
-        s = s.astype(np.promote_types(s.dtype, part.dtype), copy=False)
-        s[rows] = part
-    return CycArray(M, s, data.dims.den, channels.conductors(data.twists, data.dims))
+def _s_size(data: PremodularData, channels: _Channels) -> tuple[int, int, int]:
+    """max|s|, s_den and G^2 row_sum max|d| (G = reduction_growth(M)), a
+    bound on the balancing formula's coefficients over d_den, since a root
+    of unity times x has them at most G max|x|; an absent s is its."""
+    G = int(reduction_growth(data.dims.M))
+    balanced = G * G * channels.row_sum * magnitude(data.dims.num)
+    if data.s is None:
+        return balanced, data.dims.den, balanced
+    return magnitude(data.s.num), data.s.den, balanced
+
+
+def _balanced(data: PremodularData, channels: _Channels, p: int, rows: slice) -> np.ndarray:
+    """s_{a,b} = theta_a^-1 theta_b^-1 sum_c N^c_{a,b} theta_c d_c for a in
+    rows, modulo p, over d_den: theta^-1 = conj(theta) for roots of unity."""
+    T, D = _residues(data, "twists", p), _residues(data, "dims", p)
+    inverse = mod(T[rows, None, ::-1] * T[None, :, ::-1], p)
+    return mod(inverse * mod(channels.sums(mod(T * D, p), rows), p), p)
+
+
+def _synthesized(data: PremodularData, p: int) -> np.ndarray:
+    """The residues of an absent s modulo p, _balanced block by block."""
+    channels = _Channels(data.ring)
+    out = np.empty((channels.r, channels.r, data.dims.num.shape[1]), dtype=np.int64)
+    for rows in channels.blocks(out.shape[2]):
+        out[rows] = _balanced(data, channels, p, rows)
+    return out
 
 
 def validate_premodular(data: PremodularData) -> ValidationReport:
-    """Check the premodular axioms exactly, synthesizing s when absent (s
-    symmetric and s_{I,a} = d_a follow from balancing), stage by stage in
-    the README's order.  Witnesses come in row order, b >= a for the
-    dimension character and conjugation.  DatumTooLarge when s or the
-    residues an equality needs are above cyclotomic.check_budget."""
+    """Check the premodular axioms exactly, on the residues of the s that
+    balancing gives when s is absent (s symmetric and s_{I,a} = d_a follow
+    from balancing), stage by stage in the README's order; data.s is left
+    as it is.  Witnesses come in row order, b >= a for the dimension
+    character and conjugation.  DatumTooLarge when the residues an
+    equality needs are above cyclotomic.check_budget."""
     rep = ValidationReport()
     ring = data.ring
     ring_report = validate_fusion_ring(ring)
@@ -220,7 +222,7 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
 
     # the dimension character, d_a d_b = d_den sum_c N^c_{a,b} d_c
     channels, upper, dual = _Channels(ring), np.triu(np.ones((r, r), dtype=bool)), np.asarray(dual)
-    phi, G, mD, mT = D.shape[1], int(reduction_growth(M)), magnitude(D), magnitude(T)
+    phi, G, mD = D.shape[1], int(reduction_growth(M)), magnitude(D)
     bad, = _differ(M, phi * G * mD * mD + d_den * channels.row_sum * mD, r, phi, lambda p, rows: [(
         _residues(data, "dims", p)[rows, None] * _residues(data, "dims", p)[None, :],
         channels.sums(_times(_residues(data, "dims", p), d_den, p), rows))])
@@ -237,24 +239,15 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
     if data.s is not None and data.s.shape != (r, r):
         rep.add("ShapeViolation", (r,), "s-matrix must be rank x rank")
         return rep
-    supplied = data.s is not None
-    if not supplied:
-        data.s = _synthesized_s(data, channels)
-    mS, s_den = magnitude(data.s.num), data.s.den
 
-    # conj(s_{a,b}) = s_{a*,b}, and on a supplied s the balancing formula,
-    # theta_a theta_b s_{a,b} d_den = s_den sum_c N^c_{a,b} theta_c d_c
-    def s_checks(p, rows):
-        Sp = _residues(data, "s", p)
-        if not supplied:
-            return [(Sp[rows, :, ::-1], Sp[dual[rows]])]
-        Tp, Dp = _residues(data, "twists", p), _residues(data, "dims", p)
-        return [(Sp[rows, :, ::-1], Sp[dual[rows]]), (mod(_times(Tp, d_den, p)[rows, None] * Tp[None, :], p) * Sp[rows],
-                                                      channels.sums(_times(mod(Tp * Dp, p), s_den, p), rows))]
-
-    bound = max((G + 1) * mS, supplied and phi * G * mT * (phi * mT * mS * d_den + s_den * channels.row_sum * mD))
-    conj, *balancing = _differ(M, bound, r, phi, s_checks)
-    for a, b in np.argwhere(*balancing).tolist() if supplied else ():
+    # s = s_den theta_a^-1 theta_b^-1 sum_c N^c_{a,b} theta_c d_c, which an
+    # absent s's residues are, and conj(s_{a,b}) = s_{a*,b}; d_den is 1 by
+    # now, each d_a an eigenvalue of the integer matrix N_a
+    mS, s_den, balanced = _s_size(data, channels)
+    balancing, conj = _differ(M, max(mS + s_den * balanced, (G + 1) * mS), r, phi, lambda p, rows: [
+        (_residues(data, "s", p)[rows], _times(_balanced(data, channels, p, rows), s_den, p)),
+        (_residues(data, "s", p)[rows, :, ::-1], _residues(data, "s", p)[dual[rows]])])
+    for a, b in np.argwhere(balancing).tolist():
         rep.add("BalancingViolation", (a, b), "supplied s disagrees with balancing formula")
     if rep.violations:
         return rep
@@ -265,11 +258,12 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
 
 def _transparency(data: PremodularData) -> np.ndarray:
     """(r, r) booleans: S~_{b,x} = 1, as s_{b,x} d_den^2 = d_b d_x s_den."""
-    dims, s, M, (r, phi) = data.dims, data.s, data.dims.M, data.dims.num.shape
-    bound = magnitude(s.num) * dims.den**2 + phi * int(reduction_growth(M)) * magnitude(dims.num)**2 * s.den
+    dims, M, (r, phi) = data.dims, data.dims.M, data.dims.num.shape
+    mS, s_den, _ = _s_size(data, _Channels(data.ring))
+    bound = mS * dims.den**2 + phi * int(reduction_growth(M)) * magnitude(dims.num)**2 * s_den
     bad, = _differ(M, bound, r, phi, lambda p, rows: [(
         _times(_residues(data, "s", p)[rows], dims.den**2, p),
-        _times(_residues(data, "dims", p)[rows], s.den, p)[:, None] * _residues(data, "dims", p))])
+        _times(_residues(data, "dims", p)[rows], s_den, p)[:, None] * _residues(data, "dims", p))])
     return ~bad
 
 

@@ -51,12 +51,13 @@ from premodular.cyclotomic import (
     make_root,
     map_rows,
     mul_rows,
+    narrow,
     reduce_rows,
     reduction_growth,
 )
-from premodular.data import (CentreClassification, CentreKind, PremodularData, _Channels, _is_integer,
-                            _synthesized_s, _transparency, classify_degeneracy)
-from premodular.errors import GroupsTooLarge
+from premodular.data import (CentreClassification, CentreKind, PremodularData, _Channels, _is_integer, _transparency,
+                            classify_degeneracy)
+from premodular.errors import DatumTooLarge, GroupsTooLarge
 from premodular.fusion_ring import FusionRing, dual_permutation_matrix, validate_fusion_ring
 from premodular.metric_groups import (
     SIZE_CAP,
@@ -1026,12 +1027,42 @@ def _unequal(x: np.ndarray, x_den: int, y: np.ndarray, y_den: int) -> np.ndarray
     return (x != y).any(axis=-1)
 
 
+def synthesized_s(data: PremodularData) -> CycArray:
+    """s by the balancing formula on the exact arrays, over d_den: theta^-1
+    = conj(theta), mul_rows and the channel sums in blocks of rows, each
+    s_{a,b} at the lcm of the conductors of theta_a, theta_b and the
+    theta_c d_c over the channels c of a.b."""
+    channels = _Channels(data.ring)
+    D, T, inverse, M, r = data.dims.num, data.twists.num, data.twists.conj().num, data.dims.M, channels.r
+    try:
+        check_budget(r * r * D.shape[1], data.dims.den)
+    except DatumTooLarge as exc:
+        raise DatumTooLarge(f"s cannot be synthesized: {exc}") from None
+    twisted_dims = mul_rows(T, D, M)  # theta_c d_c, over d_den
+    s = np.zeros((r, r, D.shape[1]), dtype=np.int8)
+    for rows in channels.blocks(D.shape[1]):
+        part = narrow(mul_rows(mul_rows(inverse[rows, None], inverse[None, :], M),
+                               channels.sums(twisted_dims, rows), M))
+        # wider, or Python ints, once a value needs them
+        s = s.astype(np.promote_types(s.dtype, part.dtype), copy=False)
+        s[rows] = part
+    t = data.twists.conductor
+    conductors = np.lcm.outer(t, t)
+    np.lcm.at(conductors, (channels.a, channels.b), np.lcm(t, data.dims.conductor)[channels.c])
+    return CycArray(M, s, data.dims.den, conductors)
+
+
+def with_s(data: PremodularData) -> PremodularData:
+    """data, or a copy with s = synthesized_s(data) when it has none."""
+    return data if data.s is not None else PremodularData(data.ring, data.dims, data.twists, synthesized_s(data))
+
+
 def validate_premodular_exact(data: PremodularData) -> ValidationReport:
     """validate_premodular with the dimension character, the twists as
     roots of unity, balancing and the conjugation of s decided on the exact
     coefficient arrays at M, block by block of rows, instead of on
-    residues; it synthesizes s the same way, so the two give the same
-    report and the same s."""
+    residues, on synthesized_s when s is absent: the two give the same
+    report, and neither sets data.s."""
     rep = ValidationReport()
     ring = data.ring
     ring_report = validate_fusion_ring(ring)
@@ -1087,11 +1118,11 @@ def validate_premodular_exact(data: PremodularData) -> ValidationReport:
     if data.s is not None and data.s.shape != (r, r):
         rep.add("ShapeViolation", (r,), "s-matrix must be rank x rank")
         return rep
-    twisted_dims = mul_rows(T, D, M)  # theta_c d_c, over t_den d_den
-    if data.s is None:
-        data.s = _synthesized_s(data, channels)
+    s = data.s
+    if s is None:
+        s = synthesized_s(data)
     else:
-        s = data.s
+        twisted_dims = mul_rows(T, D, M)  # theta_c d_c, over t_den d_den
         for rows in blocks:
             # theta_a theta_b s_{a,b} over t_den^2 s_den, the channel sum over t_den d_den
             lhs = mul_rows(mul_rows(T[rows, None], T[None, :], M), s.num[rows], M)
@@ -1101,7 +1132,7 @@ def validate_premodular_exact(data: PremodularData) -> ValidationReport:
         if rep.violations:
             return rep
 
-    S = data.s.num
+    S = s.num
     conj = (-np.arange(S.shape[-1])) % M
     for rows in blocks:
         bad = (map_rows(S[rows], conj, M) != S[np.asarray(dual)[rows]]).any(axis=2) & upper[rows]

@@ -13,6 +13,7 @@ from premodular.cyclotomic import ONE, CycNum, euler_phi, from_rational, make_ro
 from premodular.data import (
     CentreKind,
     PremodularData,
+    _residues,
     _transparency,
     classify_degeneracy,
     gauss_sum,
@@ -35,8 +36,10 @@ def test_svec_validates_with_synthesized_s():
     fresh = type(data).from_values(data.ring, dims=data.dims, twists=data.twists, s=None)
     rep = validate_premodular(fresh)
     assert rep.ok
+    assert fresh.s is None  # validation decides s on residues and sets none
     # the fermion line is invisible to everything: s = all-ones
-    assert all(fresh.s[a][b] == ONE for a in range(2) for b in range(2))
+    s = oracles.synthesized_s(fresh)
+    assert all(s[a][b] == ONE for a in range(2) for b in range(2))
 
 
 def test_dimension_character_violation():
@@ -131,7 +134,7 @@ def test_mueger_centre_ring_equals_the_checked_construction(catalog_names):
     # the centre's labels are the transparent ones
     for name in catalog_names:
         data = premodular_form(name)
-        assert validate_premodular(data).ok  # synthesizes s where it is absent
+        assert validate_premodular(data).ok
         assert mueger_centre(data).ring.labels == classify_degeneracy(data).transparent
 
 
@@ -263,11 +266,43 @@ def test_s_columns_are_ring_characters_on_the_su2_and_digest_corpora():
     assert reports["z2-i"] == set() and reports["z2-zeta8"] == {"SConjugationViolation"}
     assert len(data) > len(oracles.su2_corpus()) + 20
     for name, x in data.items():
-        assert oracles.character_identity_witnesses(x) == [], name
+        assert oracles.character_identity_witnesses(oracles.with_s(x)) == [], name
     # the identity sees a broken s: the Z2 twist zeta8 with its s synthesized
     zeta8 = oracles._z2("g", make_root(1, 8))
-    validate_premodular(zeta8)
-    assert oracles.character_identity_witnesses(zeta8) == [(1, 1, 1)]
+    assert oracles.character_identity_witnesses(oracles.with_s(zeta8)) == [(1, 1, 1)]
+
+
+def test_residue_synthesis_of_s_is_the_exact_one(catalog_names):
+    # modulo each of the first three split primes, the residues of an
+    # absent s are those of oracles.synthesized_s, on every catalog entry
+    # with its s dropped, the SU(2)_k corpus and the digest inputs without
+    # s that reach s; Ising's closed-form s is the synthesized one, in
+    # values and in the conductor of each entry
+    import test_output_digests as corpora
+    inputs = {name: premodular_form(name) for name in catalog_names} | oracles.su2_corpus()
+    for name, (_, text) in corpora.premodular_inputs().items():
+        if name.startswith("linear-") and name.endswith("-nos") or name in ("z2-i", "z2-zeta8"):
+            inputs[name] = premodular_from_json(json.loads(text))
+    assert len(inputs) == 19 + 3 * len(oracles.SU2_LEVELS) + 10 + 2
+    for name, x in inputs.items():
+        x = PremodularData(x.ring, x.dims, x.twists)
+        exact = oracles.synthesized_s(x)
+        for p in split_primes(x.dims.M, 2**60, 1):
+            assert (_residues(x, "s", p) == residues(exact.num, exact.M, p)).all(), (name, p)
+    for nu in range(1, 16, 2):
+        data = premodular_form(f"ising:{nu}")
+        exact = oracles.synthesized_s(PremodularData(data.ring, data.dims, data.twists))
+        assert data.s == exact and (data.s.conductor == exact.conductor).all(), nu
+
+
+@pytest.mark.parametrize("data", [oracles.su2(6), oracles.deligne(oracles.su2(6), oracles.svec())],
+                         ids=["su2-6", "su2-6-svec"])
+def test_classify_degeneracy_without_s_and_without_validation(data):
+    # a datum never validated, with no s: the transparent set from the
+    # residues of the s that balancing gives
+    assert data.s is None and not data._residues
+    assert classify_degeneracy(data) == oracles.classify_degeneracy_cycnum(oracles.with_s(data))
+    assert data.s is None
 
 
 def _rep_s3():
@@ -296,7 +331,7 @@ def _base(name):
     if name == "rep-s3":
         data = _rep_s3()
         assert validate_premodular(data).ok
-        return data
+        return oracles.with_s(data)
     if name.startswith("random:"):
         return to_premodular(random_slightly_degenerate(random.Random(int(name[7:])), max_order=16))
     data = premodular_form(name)
@@ -317,9 +352,10 @@ def _value(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_array_checks_match_the_cycnum_oracle(data):
-    # valid and tampered data, s supplied or synthesized: the same
-    # witnesses in the same order, the same synthesized s with the same
-    # conductors, and the same transparent set
+    # valid and tampered data, s supplied or absent: the same witnesses in
+    # the same order, oracles.synthesized_s with the conductors of the
+    # values' oracle, and the same transparent set, an absent s's on the
+    # residue route
     base = _base(data.draw(st.sampled_from(BASES)))
     dims, twists, s = oracles.premodular_lists(base)
     r, dual = base.ring.rank, base.ring.dual
@@ -349,12 +385,13 @@ def test_array_checks_match_the_cycnum_oracle(data):
     report = validate_premodular(datum)
     expected, expected_s = oracles.validate_premodular_cycnum(base.ring, dims, twists, s)
     assert report.to_json() == expected.to_json()
-    if datum.s is not None:
-        synthesized = [list(row) for row in datum.s]
+    if expected_s is not None:
+        exact = oracles.with_s(datum)
+        synthesized = [list(row) for row in exact.s]
         assert synthesized == expected_s
         assert [[x.conductor for x in row] for row in synthesized] == [
             [x.conductor for x in row] for row in expected_s]
-        assert classify_degeneracy(datum) == oracles.classify_degeneracy_cycnum(datum)
+        assert classify_degeneracy(datum) == oracles.classify_degeneracy_cycnum(exact)
 
 
 def test_coefficients_above_int64_run_on_python_ints():
@@ -374,8 +411,10 @@ def test_coefficients_above_int64_run_on_python_ints():
 def _same_as_the_exact_checks(parsed):
     """Validate two copies of a datum, one by the residue route and one by
     the exact checks on coefficient arrays: the same report (kinds,
-    witnesses, order, messages) or the same DatumTooLarge, the same s and
-    the same transparent pairs."""
+    witnesses, order, messages) or the same DatumTooLarge; once validation
+    reaches s, an absent s's residues those of oracles.synthesized_s; and
+    on a supplied s, or once validation reaches s, the same transparent
+    pairs."""
     data, exact = parsed(), parsed()
     try:
         report = validate_premodular(data).to_json()
@@ -386,9 +425,13 @@ def _same_as_the_exact_checks(parsed):
     except DatumTooLarge as exc:
         expected = str(exc)
     assert report == expected
-    if data.s is not None and data.s.shape == (data.ring.rank,) * 2:
-        assert data.s == exact.s
-        assert (_transparency(data) == oracles.transparency_exact(exact)).all()
+    reached = report == "ok" or isinstance(report, dict) and {
+        v["kind"] for v in report["violations"]} == {"SConjugationViolation"}
+    if data.s is None and reached:
+        p = _first_prime(data)
+        assert (_residues(data, "s", p) == residues(oracles.synthesized_s(exact).num, data.dims.M, p)).all()
+    if reached or data.s is not None and data.s.shape == (data.ring.rank,) * 2:
+        assert (_transparency(data) == oracles.transparency_exact(oracles.with_s(exact))).all()
     return report
 
 

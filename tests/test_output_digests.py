@@ -24,19 +24,24 @@ The metric-group corpus:
 
 The premodular corpus:
 - linear-S: to_premodular(random_slightly_degenerate(random.Random(S), 32))
-  with s, and linear-S-nos the same file without s, which validation
-  synthesizes, inverting the twists by conjugation;
+  with s, and linear-S-nos the same file without s, whose residues
+  validation reads off the balancing formula, inverting the twists by
+  conjugation;
 - z2-S: the group ring of Z2 with dims 1, no s and a twist theta
   (_z2_theta), nearly always not a root of unity and some over a
   coefficient denominator other than 1, refused with a twist violation
-  before s is synthesized; z2-two and z2-sqrt2, with theta = 2 and
-  theta = sqrt 2, refused the same way; and z2-i and z2-zeta8, whose s
-  is synthesized from conj(theta): theta = i validates, and theta =
-  zeta8 fails the conjugation of s, since theta^4 != 1;
+  before s is reached; z2-two and z2-sqrt2, with theta = 2 and theta =
+  sqrt 2, refused the same way; and z2-i and z2-zeta8, whose s comes
+  from conj(theta): theta = i validates, and theta = zeta8 fails the
+  conjugation of s, since theta^4 != 1;
 - ising-1-S and ising-7-S: test_fuzz's _mutated of the entries ising:1
   and ising:7, random.Random(S) choosing the edit;
 - theta-8190 and theta-8191: rank 1 with the unit's twist at the largest
-  conductors, refused with a unit-twist violation.
+  conductors, refused with a unit-twist violation;
+- z2k-8190-R for R = 8, 16 and 32: the group ring of Z2^k of rank R, a
+  xor b on labels a, b, with dims 1, no s and theta_a = e^(2 pi i (7a^2
+  + a)/8190), refused with an s-conjugation violation at the largest
+  conductor.
 
 The non-pointed corpus, oracles.su2_corpus built from closed formulas:
 su2-k, SU(2)_k, and su2-k-svec and su2-k-repz2, its Deligne products
@@ -170,6 +175,12 @@ def premodular_inputs() -> dict:
         doc = {"type": "premodular", "labels": ["1"], "unit": 0, "dual": [0], "fusion": [[0, 0, 0, 1]],
                "dims": [ONE.to_json()], "theta_exp": [[1, n]]}
         out[f"theta-{n}"] = (f"rank 1 with theta_exp [[1, {n}]]", json.dumps(doc))
+    for r in (8, 16, 32):
+        doc = {"type": "premodular", "labels": [str(a) for a in range(r)], "unit": 0, "dual": list(range(r)),
+               "fusion": [[a, b, a ^ b, 1] for a in range(r) for b in range(r)],
+               "dims": [ONE.to_json()] * r, "theta_exp": [[(7 * a * a + a) % 8190, 8190] for a in range(r)]}
+        out[f"z2k-8190-{r}"] = (f"the Z2^k group ring of rank {r} with theta_exp [[(7a^2 + a) mod 8190, 8190]] "
+                                "for label a", json.dumps(doc))
     return out
 
 
