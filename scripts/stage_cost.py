@@ -43,7 +43,9 @@ residues.  Of those, twist_check_s is the check that every twist is a root
 of unity, on a datum with no residues kept, and synthesis_s gives the
 residues of s modulo that prime from the balancing formula on the same
 datum without s (dims and twists evaluated too), as validation does when a
-file has none.  The parse stages run with the cyclic collector paused, as
+file has none; validation_without_s_s is validate_premodular on that
+datum (ring validation included), whose s stage is that synthesis and the
+conjugation check.  The parse stages run with the cyclic collector paused, as
 loads_datum runs them.  ring's and su2's restricted_join_s is the join that
 decides associativity, over the rows of S; full_join_s is the join over every
 row, which writes the witnesses of a ring that fails it.  fpdim_s may use
@@ -176,6 +178,10 @@ def _synthesis(data):
     return kept_residues(PremodularData(data.ring, data.dims, data.twists), "s", _first_prime(data))
 
 
+def _validate_without_s(data):
+    return validate_premodular(PremodularData(data.ring, data.dims, data.twists))
+
+
 def load(repeats: int, *orders: int) -> dict:
     text = json.dumps(datum_to_json(to_premodular(_group(orders))))
     obj = json.loads(text)
@@ -201,6 +207,7 @@ def load(repeats: int, *orders: int) -> dict:
             "residue_checks_s": validation - evaluation,
             "twist_check_s": _best(repeats, _twist_check, data),
             "synthesis_s": _best(repeats, _synthesis, data),
+            "validation_without_s_s": _best(repeats, _validate_without_s, data),
             "analysis_s": _best(repeats, _analysis, data),
             "render_s": _best(repeats, cli._emit_json, payload),
             "total_s": _best(repeats, cli.cli_run, argv),

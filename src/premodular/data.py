@@ -20,9 +20,10 @@ times x, the row sum of N times max|x| for a channel sum, times the
 denominators; one prime covers a linearized group.  An absent s is never
 built: its residues are the balancing formula's, inverting each twist,
 which validation certifies a root of unity, by conj, a reversal of the
-unit axis of its residues.  The residues of dims, twists and s are kept
-on the datum for validation and the transparency test to share: arrays
-are not to be changed in place.
+unit axis of its residues, and the formula is evaluated only to fill
+them, so such an s is checked for conjugation alone.  The residues of
+dims, twists and s are kept on the datum for validation and the
+transparency test to share: arrays are not to be changed in place.
 """
 
 from __future__ import annotations
@@ -183,10 +184,11 @@ def _synthesized(data: PremodularData, p: int) -> np.ndarray:
 
 
 def validate_premodular(data: PremodularData) -> ValidationReport:
-    """Check the premodular axioms exactly, on the residues of the s that
-    balancing gives when s is absent (s symmetric and s_{I,a} = d_a follow
-    from balancing), stage by stage in the README's order; data.s is left
-    as it is.  Witnesses come in row order, b >= a for the dimension
+    """Check the premodular axioms exactly, stage by stage in the README's
+    order: a supplied s against the balancing formula and for conjugation,
+    an absent s, which is the formula's residues, for conjugation only (s
+    symmetric and s_{I,a} = d_a follow from balancing); data.s is left as
+    it is.  Witnesses come in row order, b >= a for the dimension
     character and conjugation.  DatumTooLarge when the residues an
     equality needs are above cyclotomic.check_budget."""
     rep = ValidationReport()
@@ -240,15 +242,17 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
         rep.add("ShapeViolation", (r,), "s-matrix must be rank x rank")
         return rep
 
-    # s = s_den theta_a^-1 theta_b^-1 sum_c N^c_{a,b} theta_c d_c, which an
-    # absent s's residues are, and conj(s_{a,b}) = s_{a*,b}; d_den is 1 by
-    # now, each d_a an eigenvalue of the integer matrix N_a
+    # conj(s_{a,b}) = s_{a*,b}, and for a supplied s (an absent s's residues
+    # are the formula's) s = s_den theta_a^-1 theta_b^-1 sum_c N^c_{a,b}
+    # theta_c d_c; d_den is 1 by now, each d_a an eigenvalue of the integer
+    # matrix N_a
     mS, s_den, balanced = _s_size(data, channels)
-    balancing, conj = _differ(M, max(mS + s_den * balanced, (G + 1) * mS), r, phi, lambda p, rows: [
-        (_residues(data, "s", p)[rows], _times(_balanced(data, channels, p, rows), s_den, p)),
-        (_residues(data, "s", p)[rows, :, ::-1], _residues(data, "s", p)[dual[rows]])])
-    for a, b in np.argwhere(balancing).tolist():
-        rep.add("BalancingViolation", (a, b), "supplied s disagrees with balancing formula")
+    conj, *balancing = _differ(M, max(mS + s_den * balanced, (G + 1) * mS), r, phi, lambda p, rows: [
+        (_residues(data, "s", p)[rows, :, ::-1], _residues(data, "s", p)[dual[rows]])] + ([] if data.s is None else [
+        (_residues(data, "s", p)[rows], _times(_balanced(data, channels, p, rows), s_den, p))]))
+    for bad in balancing:
+        for a, b in np.argwhere(bad).tolist():
+            rep.add("BalancingViolation", (a, b), "supplied s disagrees with balancing formula")
     if rep.violations:
         return rep
     for a, b in np.argwhere(conj & upper).tolist():

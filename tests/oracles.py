@@ -1052,27 +1052,34 @@ def synthesized_s(data: PremodularData) -> CycArray:
     return CycArray(M, s, data.dims.den, conductors)
 
 
-def with_s(data: PremodularData) -> PremodularData:
-    """data, or a copy with s = synthesized_s(data) when it has none."""
-    return data if data.s is not None else PremodularData(data.ring, data.dims, data.twists, synthesized_s(data))
+def with_s(data: PremodularData, s: CycArray | None = None) -> PremodularData:
+    """data, or when it has no s a copy with s, synthesized_s(data) unless
+    given."""
+    if data.s is not None:
+        return data
+    return PremodularData(data.ring, data.dims, data.twists, synthesized_s(data) if s is None else s)
 
 
-def validate_premodular_exact(data: PremodularData) -> ValidationReport:
+def validate_premodular_exact(data: PremodularData) -> tuple[ValidationReport, CycArray | None]:
     """validate_premodular with the dimension character, the twists as
     roots of unity, balancing and the conjugation of s decided on the exact
     coefficient arrays at M, block by block of rows, instead of on
-    residues, on synthesized_s when s is absent: the two give the same
-    report, and neither sets data.s."""
+    residues: the two give the same report, and neither sets data.s.
+    (report, s), s the array the s stage checked: data.s, or when s is
+    absent synthesized_s(data), built there once and checked for
+    conjugation only, as an absent s is the balancing formula's; None
+    when validation stops before s.  Callers hand that s on (with_s)
+    instead of synthesizing it again."""
     rep = ValidationReport()
     ring = data.ring
     ring_report = validate_fusion_ring(ring)
     if not ring_report.ok:
         rep.violations.extend(ring_report.violations)
-        return rep
+        return rep, None
     r = ring.rank
     if data.dims.shape != (r,) or data.twists.shape != (r,):
         rep.add("ShapeViolation", (r,), "dims/twists length must equal rank")
-        return rep
+        return rep, None
 
     I, dual, M = ring.unit_index, ring.dual, data.dims.M
     D, d_den, T, t_den = data.dims.num, data.dims.den, data.twists.num, data.twists.den
@@ -1092,7 +1099,7 @@ def validate_premodular_exact(data: PremodularData) -> ValidationReport:
         if dual_t[a]:
             rep.add("DualTwistViolation", (a, dual[a]), "theta_a != theta_{a*}")
     if rep.violations:
-        return rep
+        return rep, None
 
     channels = _Channels(ring)
     blocks = channels.blocks(D.shape[1])
@@ -1103,7 +1110,7 @@ def validate_premodular_exact(data: PremodularData) -> ValidationReport:
         for a, b in np.argwhere(bad).tolist():
             rep.add("DimensionCharacterViolation", (rows.start + a, b))
     if rep.violations:
-        return rep
+        return rep, None
 
     # on the normal forms: the denominators, then theta conj(theta) = 1
     if t_den != 1:
@@ -1113,11 +1120,11 @@ def validate_premodular_exact(data: PremodularData) -> ValidationReport:
     for a in np.flatnonzero(bad).tolist():
         rep.add("TwistViolation", (a,), "theta_a must be a root of unity")
     if rep.violations:
-        return rep
+        return rep, None
 
     if data.s is not None and data.s.shape != (r, r):
         rep.add("ShapeViolation", (r,), "s-matrix must be rank x rank")
-        return rep
+        return rep, None
     s = data.s
     if s is None:
         s = synthesized_s(data)
@@ -1130,7 +1137,7 @@ def validate_premodular_exact(data: PremodularData) -> ValidationReport:
             for a, b in np.argwhere(bad).tolist():
                 rep.add("BalancingViolation", (rows.start + a, b), "supplied s disagrees with balancing formula")
         if rep.violations:
-            return rep
+            return rep, s
 
     S = s.num
     conj = (-np.arange(S.shape[-1])) % M
@@ -1138,7 +1145,7 @@ def validate_premodular_exact(data: PremodularData) -> ValidationReport:
         bad = (map_rows(S[rows], conj, M) != S[np.asarray(dual)[rows]]).any(axis=2) & upper[rows]
         for a, b in np.argwhere(bad).tolist():
             rep.add("SConjugationViolation", (rows.start + a, b), "conj(s_{a,b}) != s_{a*,b}")
-    return rep
+    return rep, s
 
 
 def transparency_exact(data: PremodularData) -> np.ndarray:

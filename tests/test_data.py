@@ -10,9 +10,11 @@ import oracles
 from oracles import NotASubcategory, framed_s_entry, mueger_centre, random_slightly_degenerate, relative_centralizer
 from conftest import premodular_form
 from premodular.cyclotomic import ONE, CycNum, euler_phi, from_rational, make_root, residues, split_primes
+import premodular.data
 from premodular.data import (
     CentreKind,
     PremodularData,
+    _Channels,
     _residues,
     _transparency,
     classify_degeneracy,
@@ -305,6 +307,23 @@ def test_classify_degeneracy_without_s_and_without_validation(data):
     assert data.s is None
 
 
+@pytest.mark.parametrize("name", ["svec-x-semion", "su2-6"])
+def test_an_absent_s_is_balanced_once_per_block_and_prime(name, monkeypatch):
+    # an absent s is its balancing residues: validation and classification
+    # evaluate the formula only to fill them (_synthesized), once per row
+    # block and split prime, and compare them with no second evaluation; a
+    # supplied s is still compared, test_a_tamper_by_the_first_prime_is_caught
+    data = oracles.su2(6) if name == "su2-6" else premodular_form(name)
+    data = PremodularData(data.ring, data.dims, data.twists)
+    calls, balanced = [], premodular.data._balanced
+    monkeypatch.setattr(premodular.data, "_balanced", lambda data, channels, p, rows: (
+        calls.append((p, rows.start)), balanced(data, channels, p, rows))[1])
+    assert validate_premodular(data).ok
+    classify_degeneracy(data)
+    blocks = _Channels(data.ring).blocks(data.dims.num.shape[1])
+    assert calls and sorted(calls) == sorted((p, rows.start) for p in {p for p, _ in calls} for rows in blocks)
+
+
 def _rep_s3():
     """The character ring of the symmetric group on three letters with
     trivial twists: a non-pointed datum with rational dims 1, 1, 2."""
@@ -414,14 +433,17 @@ def _same_as_the_exact_checks(parsed):
     witnesses, order, messages) or the same DatumTooLarge; once validation
     reaches s, an absent s's residues those of oracles.synthesized_s; and
     on a supplied s, or once validation reaches s, the same transparent
-    pairs."""
+    pairs.  The exact s is synthesized once, by the exact checks, and
+    that array serves the residue and transparency comparisons."""
     data, exact = parsed(), parsed()
     try:
         report = validate_premodular(data).to_json()
     except DatumTooLarge as exc:
         report = str(exc)
+    s = None
     try:
-        expected = oracles.validate_premodular_exact(exact).to_json()
+        expected, s = oracles.validate_premodular_exact(exact)
+        expected = expected.to_json()
     except DatumTooLarge as exc:
         expected = str(exc)
     assert report == expected
@@ -429,9 +451,9 @@ def _same_as_the_exact_checks(parsed):
         v["kind"] for v in report["violations"]} == {"SConjugationViolation"}
     if data.s is None and reached:
         p = _first_prime(data)
-        assert (_residues(data, "s", p) == residues(oracles.synthesized_s(exact).num, data.dims.M, p)).all()
+        assert (_residues(data, "s", p) == residues(s.num, data.dims.M, p)).all()
     if reached or data.s is not None and data.s.shape == (data.ring.rank,) * 2:
-        assert (_transparency(data) == oracles.transparency_exact(oracles.with_s(exact))).all()
+        assert (_transparency(data) == oracles.transparency_exact(oracles.with_s(exact, s))).all()
     return report
 
 
