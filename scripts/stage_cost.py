@@ -24,10 +24,14 @@ linearization's) and load (which linearizes it) and SIZE_CAP for extend, and
 RANK and K + 1 at most MAX_RANK; a larger one is a usage error, before anything
 is built.  Each stage is timed on its own, the later ones on the output of one
 earlier run, and total_s is the whole `cli_run`; each time is the best of
---repeats calls (20, 3 for ring and su2).  analyze's classify_s runs on a new
-copy of the loaded group each call, one that carries the coordinate and pairing
-tables that parse+validate built but not the radical, which the group keeps
-once computed and the CLI reads off the pairings in that stage.
+--repeats calls (20, 3 for ring and su2).  analyze's and extend's
+layout_check_s is the match of the group's file against the json.dumps layout
+that the loader reads from its text, and text_route_s that whole route, the
+match included, which builds the group that parse_validate_s reads and
+validates.  analyze's classify_s runs on a new copy of the loaded group each
+call, one that carries the coordinate and pairing tables that parse+validate
+built but not the radical, which the group keeps once computed and the CLI
+reads off the pairings in that stage.
 
 load's layout_check_s is the match of the file against the json.dumps layout
 that the loader reads from its text, and text_route_s that whole route, the
@@ -84,8 +88,8 @@ from premodular.klein import extension_verdict, form_verdict
 from premodular.metric_groups import (
     SIZE_CAP, classify_form, enumerate_pointed_extensions, from_gram, to_premodular)
 from premodular.serialize import (
-    _DOC, _premodular_text, collector_paused, datum_to_json, load_datum, metric_group_to_json, premodular_from_json,
-    ring_from_json)
+    _DOC, _METRIC_GROUP_DOC, _metric_group_text, _premodular_text, collector_paused, datum_to_json, load_datum,
+    metric_group_to_json, premodular_from_json, ring_from_json)
 
 
 def _best(repeats: int, fn, *args) -> float:
@@ -119,13 +123,22 @@ def _classify_copy(mg):
     return classify_form(fresh)
 
 
+def _text_route(repeats: int, text: str) -> dict:
+    """The match of a metric-group file against the json.dumps layout, and
+    the whole text route, which reads the file the CLI goes on with."""
+    return {"layout_check_s": _best(repeats, _METRIC_GROUP_DOC.fullmatch, text),
+            "text_route_s": _best(repeats, collector_paused, _metric_group_text, text)}
+
+
 def analyze(repeats: int, *orders: int) -> dict:
-    with _written(json.dumps(metric_group_to_json(_group(orders)))) as path:
+    text = json.dumps(metric_group_to_json(_group(orders)))
+    with _written(text) as path:
         mg = load_datum(path)
         cls = classify_form(mg)
         payload, _, _ = cli.run_analysis(path)
         return {
             "group": _label(orders),
+            **_text_route(repeats, text),
             "parse_validate_s": _best(repeats, load_datum, path),
             "classify_s": _best(repeats, _classify_copy, mg),
             "characters_s": _best(repeats, form_characters, mg, cls, 0),
@@ -137,12 +150,14 @@ def analyze(repeats: int, *orders: int) -> dict:
 
 def extend(repeats: int, *orders: int) -> dict:
     max_order = max(64, 4 * math.prod(orders))
-    with _written(json.dumps(metric_group_to_json(_group(orders)))) as path:
+    text = json.dumps(metric_group_to_json(_group(orders)))
+    with _written(text) as path:
         mg = load_datum(path)
         results = enumerate_pointed_extensions(mg, max_order=max_order)
         payload, _ = cli._extension_report(path, results)
         return {
             "base": _label(orders),
+            **_text_route(repeats, text),
             "parse_validate_s": _best(repeats, load_datum, path),
             "search_s": _best(repeats, enumerate_pointed_extensions, mg, max_order),
             "payload_s": _best(repeats, cli._extension_report, path, results),

@@ -27,7 +27,7 @@ import numpy as np
 from .data import CentreClassification, CentreKind, PremodularData
 from .data import classify_degeneracy  # noqa: F401  unused; perfbench/layers.py PATCHES rebinds it here
 from .errors import CrossCheckMismatch
-from .metric_groups import MetricGroup, _index, element_labels
+from .metric_groups import MetricGroup, _index, _label
 
 __all__ = ["KappaReport", "ExtensionVerdict", "extension_verdict", "form_verdict"]
 
@@ -74,7 +74,7 @@ def _kappa_report(data: PremodularData, fermion: str) -> KappaReport:
     if len(not_simple):
         raise CrossCheckMismatch(f"product of {fermion} and {ring.labels[not_simple[0]]} is not simple")
     T = data.twists.num
-    return _counted(ring.labels, np.asarray(ring.dual), e_times, (T[e_times] != -T).any(axis=1))
+    return _counted(ring.labels.__getitem__, np.asarray(ring.dual), e_times, (T[e_times] != -T).any(axis=1))
 
 
 def _form_kappa_report(mg: MetricGroup) -> KappaReport:
@@ -82,17 +82,17 @@ def _form_kappa_report(mg: MetricGroup) -> KappaReport:
     e: a* = -a, e.a = e + a, and the twist identity Q[e + a] = Q[a] + D/2 mod D."""
     orders, Q, D, coords, e = mg.cyclic_orders, mg.Q, mg.D, mg.coordinates, mg._fermion_index
     e_times = _index(orders, coords + coords[:, e:e + 1])
-    return _counted(element_labels(tuple(orders)), _index(orders, -coords), e_times,
+    return _counted(lambda i: _label(coords, i), _index(orders, -coords), e_times,
                     (Q[e_times] - Q - D // 2) % D != 0)
 
 
-def _counted(labels, dual: np.ndarray, e_times: np.ndarray, failing: np.ndarray) -> KappaReport:
+def _counted(label, dual: np.ndarray, e_times: np.ndarray, failing: np.ndarray) -> KappaReport:
     """The report from a* (dual) and e.a (e_times) for every label a,
     with the checks of _kappa_report; failing is True where theta_{e.a}
-    != -theta_a."""
+    != -theta_a, and label(i) names label i in the error."""
     if failing.any():
         a = int(np.argmax(failing))
-        raise CrossCheckMismatch(f"twist identity fails: theta({labels[e_times[a]]}) != -theta({labels[a]})")
+        raise CrossCheckMismatch(f"twist identity fails: theta({label(e_times[a])}) != -theta({label(a)})")
     n_self_dual = int((dual == np.arange(len(dual))).sum())
     n_e_twisted = int((dual == e_times).sum())
     kappa_plus = Fraction(n_self_dual + n_e_twisted, 2)

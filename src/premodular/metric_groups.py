@@ -227,6 +227,12 @@ def _element(coords: np.ndarray, i) -> tuple[int, ...]:
     return tuple(coords[:, i].tolist())
 
 
+def _label(coords: np.ndarray, i) -> str:
+    """element_labels' label of element i, from its coordinates: one
+    label built where a few are printed, not the whole table."""
+    return "(" + ",".join(map(str, coords[:, i].tolist())) + ")"
+
+
 def from_gram(orders: list[int], diag: list[Fraction], cross: list[Fraction] | None = None) -> MetricGroup:
     """Quadratic form from generator values and cross terms.
 
@@ -302,8 +308,7 @@ def classify_form(mg: MetricGroup) -> CentreClassification:
     radical is {0, e} with q(e) = 1/2 (MetricGroup._fermion_index),
     nondegenerate iff it is {0}."""
     rad = mg._radical
-    labels = element_labels(tuple(mg.cyclic_orders))
-    transparent = [labels[i] for i in rad.tolist()]
+    transparent = [_label(mg.coordinates, i) for i in rad.tolist()]
     q = mg.Q[rad]
     bos, fer = int((q == 0).sum()), int((2 * q == mg.D).sum())
     if len(rad) == 1:

@@ -27,8 +27,20 @@ checks run, in the helpers both routes call (_checked_rank,
 _checked_fusion, _capped_conductor, _check_lengths), and both end in
 _premodular.  Any other file, and one that a check refuses, is read by
 json.loads and premodular_from_json, which give its datum or its error
-message: the datum is the same either way.  _DOC's possessive repeats
-need Python 3.11.
+message: the datum is the same either way.
+
+A metric-group file in the layout json.dumps writes for it, {"type":
+"metric_group", "orders": [...], "q": {"(c1,...,ck)": "p/q", ...}}
+with JSON integer orders, keys of digits with no spaces and unsigned
+values, every number of at most 18 digits, is read from its text too
+(_metric_group_text): _METRIC_GROUP_DOC matches the whole file, the keys'
+structure must be one coordinate per order on as many keys as A has
+elements, and numpy parses every coordinate, numerator and denominator
+at once.  Both readers end in _checked_q and validate_metric_group.  A
+file in another layout, or one that a check refuses (a zero denominator,
+or any check of _checked_q), is read by json.loads and
+metric_group_from_json from scratch, which give its group or its error
+message.  The layout patterns' possessive repeats need Python 3.11.
 
 loads_datum pauses the cyclic garbage collector from json.loads until
 the datum is read: a rank-32 file decodes into about 9,000 lists and
@@ -49,7 +61,8 @@ import numpy as np
 from .cyclotomic import MAX_SLOTS, CycArray, euler_phi, exact_dtype, magnitude, make_root
 from .data import PremodularData, validate_premodular
 from .fusion_ring import MAX_MULT, MAX_RANK, FusionRing
-from .metric_groups import MAX_CONDUCTOR, MetricGroup, _checked_q, _key_array, element_labels, validate_metric_group
+from .metric_groups import (
+    MAX_CONDUCTOR, MetricGroup, _checked_order, _checked_q, _key_array, element_labels, validate_metric_group)
 from .validation import ValidationError
 
 __all__ = [
@@ -327,7 +340,8 @@ _OPEN, _CLOSE, _BRACKET = b"{}["
 
 
 def _numbers(field: str) -> np.ndarray:
-    """The integers in a field of a _DOC file, in order, as int64."""
+    """The integers in a field of a file in a layout read from its text, in
+    order, as int64."""
     return np.fromstring(field.encode().translate(None, _NOT_NUMBERS), dtype=np.int64, sep=",")
 
 
@@ -422,6 +436,51 @@ def metric_group_from_json(obj: dict) -> MetricGroup:
         raise ParseError(f"bad metric group: {exc}") from None
 
 
+# A metric-group file as json.dumps writes metric_group_to_json's dict: JSON
+# integer orders, keys "(c1,...,ck)" of digits with no spaces and unsigned
+# "p/q" values, every number of at most 18 digits, so each fits int64.  The
+# pattern is the same for every number of orders: the keys' arity is checked
+# on their structure, so a long "orders" compiles no pattern of its size.
+_Q_ENTRY = r'"\((?:[0-9]{1,18}+(?:,[0-9]{1,18}+)*+)?+\)": "[0-9]{1,18}+/[0-9]{1,18}+"'
+_METRIC_GROUP_DOC = re.compile(
+    r'\{"type": "metric_group", "orders": \[(?P<orders>(?:' + _INT + r"(?:, " + _INT + r')*+)?+)\], "q": \{(?P<q>'
+    + _Q_ENTRY + r"(?:, " + _Q_ENTRY + r")*+)\}\}")
+# bytes.translate arguments that leave the q keys' structure, their ( , and
+# ), and the q entries' numbers, the colons and slashes turned into commas
+_NOT_KEYS = bytes(c for c in range(256) if c not in b"(,)")
+_NOT_Q_NUMBERS = bytes(c for c in range(256) if c not in b"0123456789,:/")
+_TO_COMMAS = bytes.maketrans(b":/", b",,")
+
+
+def _metric_group_text(text: str) -> MetricGroup | None:
+    """The group in a file in the _METRIC_GROUP_DOC layout, read from its
+    text and built by _checked_q, as metric_group_from_json builds it:
+    None for a file in any other layout, with keys not of one coordinate
+    per order, as many as A has elements, or with a zero denominator, or
+    one that _checked_q refuses, which metric_group_from_json then reads
+    and refuses with its own message.  Each entry's numbers are its
+    coordinates, numerator and denominator; "()", the trivial group's one
+    key, has no coordinates, so there the first number follows a comma."""
+    match = _METRIC_GROUP_DOC.fullmatch(text)
+    if match is None:
+        return None
+    try:
+        orders = _numbers(match["orders"]).tolist()
+        n, k = _checked_order(orders), len(orders)
+        q = match["q"].encode()
+        keys, key = q.translate(None, _NOT_KEYS), b"(" + b"," * (k - 1) + b")"
+        if len(keys) != (len(key) + 1) * n - 1 or keys != b",".join([key] * n):
+            return None
+        numbers = q.translate(_TO_COMMAS, _NOT_Q_NUMBERS)
+        entries = np.fromstring(numbers[1:] if k == 0 else numbers, dtype=np.int64, sep=",").reshape(n, k + 2)
+        if not entries[:, k + 1].all():
+            return None
+        num, den = entries[:, k].tolist(), entries[:, k + 1].tolist()
+        return MetricGroup._from_array(orders, *_checked_q(orders, entries[:, :k], num, den))
+    except ValueError:  # ValidationError among them
+        return None
+
+
 # -- loader -------------------------------------------------------------------
 
 
@@ -434,11 +493,13 @@ def datum_to_json(datum) -> dict:
 
 
 def _parse(text: str):
-    """The datum in a JSON string and its validator: a premodular file in
-    the json.dumps layout is read from its text, any other by json.loads."""
-    datum = _premodular_text(text)
-    if datum is not None:
-        return datum, validate_premodular
+    """The datum in a JSON string and its validator: a premodular or
+    metric-group file in the json.dumps layout is read from its text, any
+    other by json.loads."""
+    for read, validate in ((_premodular_text, validate_premodular), (_metric_group_text, validate_metric_group)):
+        datum = read(text)
+        if datum is not None:
+            return datum, validate
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer literal past

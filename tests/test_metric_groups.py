@@ -1,8 +1,10 @@
 import cmath
 import functools
 import itertools
+import json
 import math
 import random
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -37,7 +39,8 @@ from premodular.metric_groups import (
     to_premodular,
     validate_metric_group,
 )
-from premodular.serialize import metric_group_from_json
+from premodular.cli import cli_run
+from premodular.serialize import metric_group_from_json, metric_group_to_json
 from premodular.validation import ValidationError
 
 
@@ -245,6 +248,35 @@ def test_form_kappa_checks_the_twist_identity():
     assert (cls.kind, cls.transparent) == (CentreKind.SLIGHTLY_DEGENERATE, ["(0,0)", "(1,0)"])
     with pytest.raises(CrossCheckMismatch, match=r"^twist identity fails: theta\(\(1,2\)\) != -theta\(\(0,2\)\)$"):
         form_verdict(tampered, cls)
+
+
+def test_radical_labels_are_the_element_labels():
+    # classify_form names the radical from its coordinates, as element_labels
+    # names every element
+    for mg in [from_gram([], []), from_gram([1, 2, 1], [0, Fraction(1, 2), 0])] + [
+            _random_form(random.Random(s)) for s in range(40)]:
+        labels = metric_groups.element_labels(tuple(mg.cyclic_orders))
+        assert classify_form(mg).transparent == [labels[i] for i in mg._radical.tolist()]
+
+
+def test_analyze_builds_no_label_table(tmp_path, monkeypatch):
+    # analyze names the one or two radical elements alone: element_labels,
+    # all |A| labels, is never called on a slightly degenerate group
+    calls = []
+
+    def counted(orders):
+        calls.append(orders)
+        return labels(orders)
+
+    paths = [tmp_path / f"group-{seed}.json" for seed in range(4)]
+    for seed, path in enumerate(paths):
+        path.write_text(json.dumps(metric_group_to_json(random_slightly_degenerate(random.Random(seed), 64))))
+    labels = metric_groups.element_labels
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "premodular"]:
+        if getattr(module, "element_labels", None) is labels:
+            monkeypatch.setattr(module, "element_labels", counted)
+    assert [cli_run(["analyze", str(path)])[0] for path in paths] == [0] * 4
+    assert calls == []
 
 
 def test_linearized_values_take_one_byte_a_slot():

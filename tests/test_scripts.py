@@ -78,9 +78,9 @@ def test_catalog_outputs_script_on_files(tmp_path, monkeypatch, capsys):
 
 # argv: (keys in order, fixed fields)
 STAGE_COST = {
-    "analyze 4 3": ("group parse_validate_s classify_s characters_s verdict_s render_s total_s",
+    "analyze 4 3": ("group layout_check_s text_route_s parse_validate_s classify_s characters_s verdict_s render_s total_s",
                     {"group": "2x4x3"}),
-    "extend 5": ("base parse_validate_s search_s payload_s render_s total_s", {"base": "2x5"}),
+    "extend 5": ("base layout_check_s text_route_s parse_validate_s search_s payload_s render_s total_s", {"base": "2x5"}),
     "load 4": ("rank bytes layout_check_s text_route_s json_loads_s ring_s coefficients_s ring_validation_s premodular_validation_s residues_s "
                "residue_checks_s twist_check_s synthesis_s validation_without_s_s analysis_s render_s total_s gc_collections", {"rank": 8, "bytes": 3788}),
     "ring 16": ("rank generators validate_s validate_peak_mb generators_s restricted_join_s full_join_s fpdim_s",

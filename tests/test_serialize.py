@@ -1,10 +1,13 @@
 import gc
+import itertools
 import json
 import random
 import re
+import time
 import tomllib
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -755,10 +758,12 @@ def _opcodes(node):
 
 def test_the_declared_python_compiles_the_layout_pattern():
     # re accepts possessive repeats and atomic groups from Python 3.11 on, and
-    # _DOC is compiled when serialize is imported: an older interpreter that
-    # pyproject.toml admits could not load any file
+    # serialize's patterns are compiled when it is imported: an older
+    # interpreter that pyproject.toml admits could not load any file
     assert "POSSESSIVE_REPEAT" in _opcodes(re._parser.parse("a*+"))
-    newer = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"} & set(_opcodes(re._parser.parse(serialize._DOC.pattern)))
+    patterns = [x for x in vars(serialize).values() if isinstance(x, re.Pattern)]
+    assert {serialize._DOC, serialize._METRIC_GROUP_DOC} <= set(patterns)
+    newer = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"} & {op for x in patterns for op in _opcodes(re._parser.parse(x.pattern))}
     with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
         declared = tomllib.load(fh)["project"]["requires-python"]
     assert declared.startswith(">=")
@@ -776,3 +781,148 @@ def test_each_deviation_from_the_dumps_layout_reads_as_json_loads_reads_it(name,
         code, out = cli_run(["analyze", str(path)])
         runs.append((code, out, capsys.readouterr().err))
     assert runs[0] == runs[1]
+
+
+# -- the metric-group text route ------------------------------------------------
+
+
+def _group_fields(mg):
+    """A metric group's orders, their types, Q and D, for comparison."""
+    return mg.cyclic_orders, list(map(type, mg.cyclic_orders)), mg.Q.dtype, mg.Q.tolist(), mg.D, type(mg.D)
+
+
+def _metric_routes_agree(text) -> bool:
+    """Whether the metric-group text route read text; the group it reads,
+    and the group or the error of the loader either way, are those of
+    json.loads and metric_group_from_json."""
+    mg = serialize._metric_group_text(text)
+    if mg is not None:
+        assert _group_fields(mg) == _group_fields(metric_group_from_json(json.loads(text)))
+    parsed = lambda t: _group_fields(serialize._parse(t)[0])
+    with mock.patch.object(serialize, "_metric_group_text", lambda t: None):
+        expected = _outcome(parsed, text)
+    assert _outcome(parsed, text) == expected
+    return mg is not None
+
+
+def test_the_metric_group_route_reads_the_digest_inputs_as_json_loads_does():
+    # every form (the trivial group among them), survey, catalog and
+    # presented group; json.loads reads the 120 mutated and renamed files
+    inputs = CORPORA["metric"][1]()
+    assert sum(_metric_routes_agree(text) for _, text in inputs.values()) == 140
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_metric_group_route_reads_dumped_groups_as_json_loads_does(seed):
+    rng = random.Random(seed)
+    groups = [random_slightly_degenerate(rng, 64), random_slightly_degenerate(rng, 4096),
+              from_gram([1, rng.randint(1, 6), 1], [Fraction(rng.randrange(12), 12)] * 3)]
+    for mg in groups:
+        assert _metric_routes_agree(json.dumps(metric_group_to_json(mg)))
+
+
+# what one edit of a metric-group document writes: an order, a key or a value
+_METRIC_EDITS = {
+    "orders": [0, 1, -1, -0.0, 10**18, 10**19, "2", True, None],
+    "key": ["()", "(0)", "(0,0)", "(00)", "( 0)", "(0, 0)", "(4096)", "(" + "9" * 19 + ")", "(-1)", "0", "(x)"],
+    "value": ["0/1", "-0/1", "0", "1", 0, 1, "1/0", "0/0", "1/2", "3/2", "01/02", "1/" + "9" * 18, "1/" + "9" * 19,
+              "9" * 19 + "/" + "9" * 20, " 1/2", 0.5, None],
+}
+
+
+@st.composite
+def _metric_group_documents(draw):
+    """Metric-group documents as json.dumps writes them, on 0 to 3 orders of
+    1 to 4 with values p/q in [0, 1), all but a quarter with one order, key
+    or value replaced, or the key dropped or duplicated."""
+    orders = draw(st.lists(st.integers(1, 4), max_size=3))
+    elements = ["(" + ",".join(map(str, x)) + ")" for x in itertools.product(*map(range, orders))]
+    q = {key: draw(st.sampled_from(["0/1", "1/2", "1/4", "3/4", "1/8", "5/6", "2/4"])) for key in elements}
+    edit = draw(st.sampled_from([None, "orders", "key", "value", "drop", "duplicate"]))
+    if edit == "orders" and orders:
+        orders[draw(st.integers(0, len(orders) - 1))] = draw(st.sampled_from(_METRIC_EDITS["orders"]))
+    elif edit in ("key", "drop", "duplicate"):
+        at = draw(st.integers(0, len(q) - 1))
+        items = list(q.items())
+        key, value = items[at]
+        new = {"key": [(draw(st.sampled_from(_METRIC_EDITS["key"])), value)], "drop": [],
+               "duplicate": [(key, value), (key, "1/2")]}[edit]
+        q = dict(items[:at] + new + items[at + 1:])
+        if edit == "duplicate":  # a dict has no duplicate key: write the second into the text
+            text = json.dumps({"type": "metric_group", "orders": orders, "q": q})
+            return text.replace(f'"{key}": "{value}"', f'"{key}": "{value}", "{key}": "1/2"', 1)
+    elif edit == "value":
+        q[draw(st.sampled_from(elements))] = draw(st.sampled_from(_METRIC_EDITS["value"]))
+    return json.dumps({"type": "metric_group", "orders": orders, "q": q})
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_metric_group_documents())
+def test_the_metric_group_route_reads_dumps_documents_as_json_loads_does(text):
+    _metric_routes_agree(text)
+
+
+_GROUP = json.dumps(metric_group_to_json(from_gram([2, 4], [Fraction(1, 2), Fraction(1, 8)])))
+_LONG_ORDERS = json.dumps({"type": "metric_group", "orders": [1] * 10**5, "q": {"()": "0/1"}})
+# one deviation each from the json.dumps layout of the Z2 x Z4 file above, and
+# files in the layout that the route reads (True) or refuses (False)
+METRIC_DEVIATIONS = {
+    "the trivial group": (json.dumps(metric_group_to_json(from_gram([], []))), True),
+    "orders with ones": (json.dumps(metric_group_to_json(from_gram([1, 2, 1], [0, Fraction(1, 4), 0]))), True),
+    "a 19-digit part": (_edit(_GROUP, '"1/8"', f'"1/{10**18}"'), False),
+    "a 19-digit coordinate": (_edit(_GROUP, '"(0,1)"', f'"(0,{10**18 + 1})"'), False),
+    "-0/1": (_edit(_GROUP, '"0/1"', '"-0/1"'), False),
+    "an integer value": (_edit(_GROUP, '"0/1"', "0"), False),
+    "a p value": (_edit(_GROUP, '"0/1"', '"0"'), False),
+    "a space in a key": (_edit(_GROUP, '"(0,1)"', '"(0, 1)"'), False),
+    "indent=2": (json.dumps(json.loads(_GROUP), indent=2), False),
+    "reordered keys": (json.dumps({"type": "metric_group", "q": json.loads(_GROUP)["q"], "orders": [2, 4]}), False),
+    "reordered q keys": (_edit(_edit(_GROUP, '"(0,0)": "0/1", ', ""), '"(0,1)"', '"(0,0)": "0/1", "(0,1)"'), True),
+    "a duplicate q key": (_edit(_GROUP, '"(0,1)": "1/8"', '"(0,1)": "1/2", "(0,1)": "1/8"'), False),
+    "a coordinate at 4096": (_edit(_GROUP, '"(1,3)"', '"(1,4099)"'), False),
+    "a zero denominator": (_edit(_GROUP, '"1/8"', '"1/0"'), False),
+    "a short key": (_edit(_GROUP, '"(1,3)"', '"(1)"'), False),
+    "a long key": (_edit(_GROUP, '"(1,3)"', '"(1,3,0)"'), False),
+    # a long key and a short one: read as rows of k + 2 numbers, these give the
+    # zero form on Z2 x Z2, but the first key has three coordinates
+    "keys of shifted arity": ('{"type": "metric_group", "orders": [2, 2], "q": {"(0,0,0)": "1/0", "(1)": "0/1", '
+                              '"(1,0)": "0/1", "(1,1)": "0/1"}}', False),
+    "a value outside [0, 1)": (_edit(_GROUP, '"1/8"', '"9/8"'), False),
+    "10^5 orders": (_LONG_ORDERS, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_DEVIATIONS))
+def test_each_metric_group_deviation_reads_as_json_loads_reads_it(name, tmp_path, capsys, monkeypatch):
+    text, taken = METRIC_DEVIATIONS[name]
+    path = tmp_path / "deviation.json"
+    path.write_text(text, encoding="utf-8")
+    assert (serialize._metric_group_text(text) is not None) == taken == _metric_routes_agree(text)
+    runs = []
+    for text_route in (serialize._metric_group_text, lambda text: None):
+        monkeypatch.setattr(serialize, "_metric_group_text", text_route)
+        code, out = cli_run(["analyze", str(path)])
+        runs.append((code, out, capsys.readouterr().err))
+    assert runs[0] == runs[1]
+
+
+def test_a_long_orders_list_is_refused_in_time():
+    # the pattern is the same for every number of orders, and 10^5 ones
+    # give a group of one element, whose key "()" has the wrong arity:
+    # the route refuses the file in about 10 ms
+    started = time.perf_counter()
+    assert serialize._metric_group_text(_LONG_ORDERS) is None
+    assert time.perf_counter() - started < 0.5
+
+
+def test_a_survey_file_in_the_dumps_layout_is_read_without_json_loads(tmp_path, monkeypatch):
+    text = json.dumps(metric_group_to_json(random_slightly_degenerate(random.Random(3), 64)))
+    path = tmp_path / "survey.json"
+    path.write_text(text)
+    expected = cli_run(["analyze", str(path), "--format", "json"]), _group_fields(load_datum(str(path)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    monkeypatch.setattr(serialize.json, "loads", refuse)
+    assert (cli_run(["analyze", str(path), "--format", "json"]), _group_fields(load_datum(str(path)))) == expected
