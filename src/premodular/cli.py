@@ -14,14 +14,14 @@ deterministic for fixed argv, input files and seed; per-stage timings
 therefore go to stderr (on --timings) and are never part of the
 serialized report.  Each subcommand returns its JSON payload and its
 table, and cli_run prints the one --format names; JSON is the text of
-json.dumps(payload, indent=2), written by _emit_json.
+json.dumps(payload, indent=2), written by _emit_json for the exact JSON
+types that payloads hold.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
@@ -72,67 +72,36 @@ def _render_rows(rows):
     return "".join(f"{k:<{width}} : {v}\n" for k, v in rows)
 
 
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
+def _list(obj, newline: str) -> str:
+    inner = newline + "  "
+    items = [_quote(x) if type(x) is str else _WRITERS[type(x)](x, inner) for x in obj]
+    return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
 
 
-def _json_key(key) -> str:
-    """A dict key as json.dumps writes it: a str, or a float, bool, None
-    or int converted to its JSON text, quoted."""
-    if isinstance(key, float):
-        key = _json_float(key)
-    elif key is None:
-        key = "null"
-    elif key is True or key is False:
-        key = "true" if key else "false"
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    elif not isinstance(key, str):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return _quote(key)
+def _dict(obj, newline: str) -> str:
+    inner = newline + "  "
+    items = [_KEYS[type(k)](k) + ": " + (_quote(v) if type(v) is str else _WRITERS[type(v)](v, inner))
+             for k, v in obj.items()]
+    return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
 
 
-def _json_text(obj, newline: str) -> str:
-    """obj as json.dumps(obj, indent=2) writes it, its first line at the
-    indent that newline ends with.  Containers are tested first and the
-    strings in them, most of a payload, quoted in place."""
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = newline + "  "
-        items = [_quote(x) if type(x) is str else _json_text(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = newline + "  "
-        items = [(_quote(k) if type(k) is str else _json_key(k)) + ": "
-                 + (_quote(v) if type(v) is str else _json_text(v, inner)) for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _json_float(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+# The writer of each JSON type by exact type, given the value and the indent
+# of its lines; the containers quote strings, most of a payload, in place.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's text where repr's differs
+_WRITERS = {dict: _dict, list: _list, tuple: _list, str: lambda x, _: _quote(x), int: lambda x, _: int.__repr__(x),
+            float: lambda x, _: _NONFINITE.get(text := float.__repr__(x), text),
+            bool: lambda x, _: "true" if x else "false", type(None): lambda x, _: "null"}
+_KEYS = {str: _quote}
 
 
 def _emit_json(obj) -> str:
-    """json.dumps(obj, indent=2) plus a newline, byte for byte: json
-    encodes with its C encoder only without indent, so the indented text
-    is built here from the C string quoting and int and float repr."""
-    return _json_text(obj, "\n") + "\n"
+    """json.dumps(obj, indent=2) plus a newline, byte for byte, for obj of the
+    exact types _WRITERS holds, str keys only, and TypeError for anything else.
+    json encodes with its C encoder only without indent."""
+    try:
+        return _WRITERS[type(obj)](obj, "\n") + "\n"
+    except KeyError as exc:  # a type, or a key type, with no writer
+        raise TypeError(f"cannot write {exc.args[0].__name__} as JSON") from None
 
 
 def _kappa_rows(kappa):

@@ -82,7 +82,7 @@ def _form_kappa_report(mg: MetricGroup) -> KappaReport:
     e: a* = -a, e.a = e + a, and the twist identity Q[e + a] = Q[a] + D/2 mod D."""
     orders, Q, D, coords, e = mg.cyclic_orders, mg.Q, mg.D, mg.coordinates, mg._fermion_index
     e_times = _index(orders, coords + coords[:, e:e + 1])
-    return _counted(lambda i: _label(coords, i), _index(orders, -coords), e_times,
+    return _counted(lambda i: _label(map(str, coords[:, i].tolist())), _index(orders, -coords), e_times,
                     (Q[e_times] - Q - D // 2) % D != 0)
 
 

@@ -29,6 +29,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -56,6 +57,7 @@ __all__ = [
 
 SIZE_CAP = 4096
 MAX_CONDUCTOR = 2 * SIZE_CAP
+_UNPRINTABLE = 10**sys.int_info.default_max_str_digits  # the least int that str() refuses to write
 
 
 def _coordinates(orders) -> np.ndarray:
@@ -82,12 +84,14 @@ def _failure(kind: str, witness, detail: str) -> ValidationError:
 
 
 def _checked_order(orders) -> int:
-    """|A|, after the orders and size-cap checks (ValidationError)."""
+    """|A|, after the orders and size-cap checks (ValidationError).  The product
+    stops at the least int str() cannot write; a refusal there names that bound."""
     if min(orders, default=1) < 1:
         raise _failure("OrdersViolation", tuple(orders), "cyclic orders must be >= 1")
-    order = math.prod(orders)
+    order = functools.reduce(lambda p, n: p * n if p < _UNPRINTABLE else p, orders, 1)
     if order > SIZE_CAP:
-        raise _failure("SizeCapViolation", (order,), f"|A| exceeds the cap {SIZE_CAP}")
+        witness = order if order < _UNPRINTABLE else f"at least 10^{sys.int_info.default_max_str_digits}"
+        raise _failure("SizeCapViolation", (witness,), f"|A| exceeds the cap {SIZE_CAP}")
     return order
 
 
@@ -227,10 +231,10 @@ def _element(coords: np.ndarray, i) -> tuple[int, ...]:
     return tuple(coords[:, i].tolist())
 
 
-def _label(coords: np.ndarray, i) -> str:
-    """element_labels' label of element i, from its coordinates: one
-    label built where a few are printed, not the whole table."""
-    return "(" + ",".join(map(str, coords[:, i].tolist())) + ")"
+def _label(digits) -> str:
+    """The label "(c1,...,ck)" of the element with coordinates c, as strings:
+    element_labels' formatter, and that of an element printed alone."""
+    return "(" + ",".join(digits) + ")"
 
 
 def from_gram(orders: list[int], diag: list[Fraction], cross: list[Fraction] | None = None) -> MetricGroup:
@@ -308,7 +312,7 @@ def classify_form(mg: MetricGroup) -> CentreClassification:
     radical is {0, e} with q(e) = 1/2 (MetricGroup._fermion_index),
     nondegenerate iff it is {0}."""
     rad = mg._radical
-    transparent = [_label(mg.coordinates, i) for i in rad.tolist()]
+    transparent = [_label(map(str, mg.coordinates[:, i].tolist())) for i in rad.tolist()]
     q = mg.Q[rad]
     bos, fer = int((q == 0).sum()), int((2 * q == mg.D).sum())
     if len(rad) == 1:
@@ -344,7 +348,7 @@ def element_labels(orders: tuple[int, ...]) -> tuple[str, ...]:
     q keys of the JSON form.  Cached per orders tuple; the cache is
     bounded, the largest entry SIZE_CAP labels."""
     digits = [[str(c) for c in range(n)] for n in orders]
-    return tuple("(" + ",".join(x) + ")" for x in itertools.product(*digits))
+    return tuple(map(_label, itertools.product(*digits)))
 
 
 def _check_linearizable(mg: MetricGroup):

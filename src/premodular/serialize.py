@@ -62,7 +62,7 @@ from .cyclotomic import MAX_SLOTS, CycArray, euler_phi, exact_dtype, magnitude, 
 from .data import PremodularData, validate_premodular
 from .fusion_ring import MAX_MULT, MAX_RANK, FusionRing
 from .metric_groups import (
-    MAX_CONDUCTOR, MetricGroup, _checked_order, _checked_q, _key_array, element_labels, validate_metric_group)
+    MAX_CONDUCTOR, MetricGroup, _checked_q, _key_array, element_labels, validate_metric_group)
 from .validation import ValidationError
 
 __all__ = [
@@ -466,17 +466,18 @@ def _metric_group_text(text: str) -> MetricGroup | None:
         return None
     try:
         orders = _numbers(match["orders"]).tolist()
-        n, k = _checked_order(orders), len(orders)
+        k = len(orders)
         q = match["q"].encode()
         keys, key = q.translate(None, _NOT_KEYS), b"(" + b"," * (k - 1) + b")"
-        if len(keys) != (len(key) + 1) * n - 1 or keys != b",".join([key] * n):
+        n = (len(keys) + 1) // (len(key) + 1)
+        if keys != b",".join([key] * n):
             return None
         numbers = q.translate(_TO_COMMAS, _NOT_Q_NUMBERS)
         entries = np.fromstring(numbers[1:] if k == 0 else numbers, dtype=np.int64, sep=",").reshape(n, k + 2)
         if not entries[:, k + 1].all():
             return None
-        num, den = entries[:, k].tolist(), entries[:, k + 1].tolist()
-        return MetricGroup._from_array(orders, *_checked_q(orders, entries[:, :k], num, den))
+        Q, D = _checked_q(orders, entries[:, :k], entries[:, k].tolist(), entries[:, k + 1].tolist())
+        return MetricGroup._from_array(orders, Q, D) if len(Q) == n else None  # no key given twice
     except ValueError:  # ValidationError among them
         return None
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+import sys
 import time
 import tomllib
 from fractions import Fraction
@@ -913,6 +914,29 @@ def test_a_long_orders_list_is_refused_in_time():
     started = time.perf_counter()
     assert serialize._metric_group_text(_LONG_ORDERS) is None
     assert time.perf_counter() - started < 0.5
+
+
+@pytest.mark.parametrize("count", [260, 20_000])
+def test_orders_whose_product_str_cannot_write_exit_2_in_time(count, tmp_path, capsys):
+    # 260 orders of 10^17 have a product of 4,421 digits, more than str()
+    # writes: the refusal names a bound, and stops the product there
+    path = tmp_path / "orders.json"
+    path.write_text(json.dumps({"type": "metric_group", "orders": [10**17] * count, "q": {"()": "0/1"}}))
+    started = time.perf_counter()
+    assert cli_run(["analyze", str(path)]) == (2, "")
+    assert time.perf_counter() - started < 0.1
+    bound = f"at least 10^{sys.int_info.default_max_str_digits}"
+    assert capsys.readouterr().err == f"error: SizeCapViolation at ('{bound}',): |A| exceeds the cap 4096\n"
+
+
+@pytest.mark.parametrize("count, printable", [(252, True), (253, False)])
+def test_the_size_cap_witness_is_the_order_while_str_writes_it(count, printable):
+    # 10^4284 has 4,285 digits and 10^4301 4,302, past the 4,300 str() writes
+    with pytest.raises(ValidationError) as caught:
+        from_gram([10**17] * count, [0] * count)
+    (violation,) = caught.value.report.violations
+    digits = sys.int_info.default_max_str_digits
+    assert violation.witness == ((10 ** (17 * count),) if printable else (f"at least 10^{digits}",))
 
 
 def test_a_survey_file_in_the_dumps_layout_is_read_without_json_loads(tmp_path, monkeypatch):
