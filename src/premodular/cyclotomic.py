@@ -39,9 +39,9 @@ import numpy as np
 
 from .errors import CrossCheckMismatch, DatumTooLarge
 
-__all__ = ["CycNum", "CycArray", "make_root", "root_sum", "from_rational", "euler_phi", "power_rows", "root_table",
-           "reduce_rows", "map_rows", "mul_rows", "exact_dtype", "magnitude", "narrow", "check_budget",
-           "split_primes", "residues", "mod", "MAX_SLOTS", "ZERO", "ONE", "MINUS_ONE"]
+__all__ = ["CycNum", "CycArray", "make_root", "root_sum", "from_rational", "euler_phi", "power_rows", "reduce_rows",
+           "map_rows", "mul_rows", "exact_dtype", "magnitude", "narrow", "check_budget", "split_primes", "residues",
+           "mod", "MAX_SLOTS", "ZERO", "ONE", "MINUS_ONE"]
 
 # array values built at once by the kernels: a product over a block of
 # rows holds at most BLOCK / 2 int64 values, 128 KiB, glibc's mmap
@@ -176,7 +176,8 @@ def _low_arrays(n: int):
 def power_rows(n: int):
     """The rows x^j mod Phi_R, R = rad(n), for phi(R) <= j < R, lazily and
     read-only, each from the one before by a shift and a subtraction
-    (the rows below are unit vectors); reduction_growth stops at 2^31."""
+    (the rows below are unit vectors), for reduction_growth alone, which
+    stops at 2^31; reduce_rows folds and divides without them."""
     R = prod(_primes(n))
     phi, (deg, coef) = euler_phi(R), _low_arrays(R)
     row = np.zeros(phi, dtype=np.int64)
@@ -188,22 +189,10 @@ def power_rows(n: int):
         yield row
 
 
-def root_table(n: int) -> np.ndarray:
-    """The n x phi(n) table of the z_n^k in the power basis, narrowest
-    dtype: row t i + u, t = n/rad(n), is the row x^i mod Phi_R placed at
-    the columns t l + u.  Built for n <= 2 MAX_RANK (linearizations)."""
-    R = prod(_primes(n))
-    P = narrow(np.array([*np.eye(euler_phi(R), dtype=np.int64), *power_rows(n)]))
-    phi, u = P.shape[1], np.arange(n // R)
-    table = np.zeros((R, len(u), phi, len(u)), dtype=P.dtype)
-    table[:, u, :, u] = P
-    return table.reshape(n, phi * len(u))
-
-
 @lru_cache(maxsize=None)
 def reduction_growth(n: int) -> float:
     """G with |reduce_rows(v, n)| <= G max|v|: 2 max_i sum_(j < R) |c_ij|
-    for x^j = sum_i c_ij x^i mod Phi_R, R = rad(n), the 2 for the fold;
+    for x^j = sum_i c_ij x^i mod Phi_R, R = rad(n), the 2 for z_n^n = 1;
     inf if a row leaves 2^31.  4 for a prime R, 8 for 6, 136 for 210."""
     total = np.ones(euler_phi(prod(_primes(n))), dtype=np.int64)
     for row in power_rows(n):
@@ -252,20 +241,28 @@ def reduce_rows(v: np.ndarray, n: int) -> np.ndarray:
     int64 is exact modulo 2^64, so a result is exact when
     reduction_growth(n) max|v| < 2^63, whatever the steps pass through
     (and so are the shifted adds of mul_rows).  z_n^n = 1 folds the top
-    half in; then, Phi_n(x) = Phi_R(x^t) with t = n / R, the coefficients
-    of x^(t i + u) for each u are long-divided by Phi_R at once, from the
-    highest i at which any entry is nonzero when R is not prime."""
+    half in.  With Phi_n(x) = Phi_R(y), y = x^t, t = n / R, the
+    coefficients of y^i x^u for each u are then folded by two sparse
+    multiples of Phi_R, y^(R/2) + 1 for an even R and sum_(i < q)
+    (s y^(m/q))^i for the odd part m of R, its least prime q and s = -1
+    for an even R, else 1, and below degree (q - 1) m / q long-divided
+    by Phi_R at once, from the highest i at which any entry is nonzero
+    (none for a prime R or twice one)."""
     lead, L = v.shape[:-1], v.shape[-1]
     w = v[..., :n]
     w[..., :L - n] += v[..., n:]
     R = prod(_primes(n))
     phi, (deg, coef) = euler_phi(R), _low_arrays(R)
     w = w.reshape(lead + (R, n // R))
-    top = R - 1
-    if R - phi > 1:  # a prime R has one statement, not worth a scan
-        rows = np.flatnonzero(w[..., phi:, :].any(axis=(*range(len(lead)), -1)))
-        top = phi + rows[-1] if len(rows) else phi - 1
-    for k in range(top, phi - 1, -1):
+    m = R // 2 if R % 2 == 0 else R
+    w[..., :R - m, :] -= w[..., m:, :]  # no rows for an odd R
+    q = min(_primes(m), default=1)
+    step, top = m // q, m - m // q
+    for i in range(q - 1):
+        low = w[..., i * step:(i + 1) * step, :]
+        (np.add if m < R and i % 2 else np.subtract)(low, w[..., top:m, :], out=low)
+    rows = np.flatnonzero(w[..., phi:top, :].any(axis=(*range(len(lead)), -1)))
+    for k in range(phi + rows[-1] if len(rows) else phi - 1, phi - 1, -1):
         w[..., k - phi + deg, :] -= coef[:, None] * w[..., k:k + 1, :]
     return w[..., :phi, :].reshape(lead + (euler_phi(n),))
 

@@ -37,7 +37,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .cyclotomic import CycArray, exact_dtype, reduce_rows, reduction_growth, root_sum, root_table
+from .cyclotomic import CycArray, exact_dtype, narrow, reduce_rows, reduction_growth, root_sum
 from .data import CentreClassification, CentreKind, PremodularData
 from .errors import CrossCheckMismatch, GroupsTooLarge, NotSlightlyDegenerate
 from .fusion_ring import MAX_RANK, group_ring
@@ -366,12 +366,12 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
     Elements are indexed in mixed radix (the order of mg.elements()), so
     the addition table is index arithmetic, and with q = Q/D over the lcm
     D of its denominators every s exponent is (Q[x+y] - Q[x] - Q[y]) mod
-    D; every value is a row of the table of the z_D^k
-    (cyclotomic.root_table), so the data are arrays at conductor D from
-    the start.  The ring is group_ring's, built by the checking
-    FusionRing constructor.  The output satisfies the
-    premodular axioms by construction (the balancing formula collapses
-    to the definition of the polarization).
+    D; every value is a row of the table of the z_D^k, the D x D
+    identity reduced by reduce_rows in its narrowest dtype, so the data
+    are arrays at conductor D from the start.  The ring is group_ring's,
+    built by the checking FusionRing constructor.  The output satisfies
+    the premodular axioms by construction (the balancing formula
+    collapses to the definition of the polarization).
     Groups of order above MAX_RANK raise GroupsTooLarge.
     """
     _check_linearizable(mg)
@@ -383,7 +383,7 @@ def to_premodular(mg: MetricGroup) -> PremodularData:
         unit_index=0,
         inverse=np.argmin(add_table, axis=1).tolist(),  # x + y is the unit, index 0
     )
-    roots = root_table(D)  # row k: z_D^k, at conductor D / gcd(k, D)
+    roots = narrow(reduce_rows(np.eye(D, dtype=np.int64), D))  # row k: z_D^k, at conductor D / gcd(k, D)
     conductor = D // np.gcd(np.arange(D), D)
     pairing = (Q[add_table] - Q[:, None] - Q[None, :]) % D
     return PremodularData(

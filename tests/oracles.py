@@ -99,7 +99,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 def root_table(D: int) -> np.ndarray:
     """The D x phi(D) table whose row k is z_D^k in the power basis: the
-    D x D identity reduced by Phi_D, by long division."""
+    D x D identity reduced by reduce_rows."""
     return reduce_rows(np.eye(D, dtype=np.int64), D)
 
 

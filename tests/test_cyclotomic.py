@@ -303,19 +303,26 @@ def test_kernel_route_matches_the_fraction_oracle_at_wide_conductors(x, y, k, va
         assert a * a.inverse() == CycArray.from_values([ONE] * len(values))
 
 
-@pytest.mark.parametrize("n", [6, 30, 210, 2730])
+@pytest.mark.parametrize("n", [1, 2, 6, 7, 14, 15, 30, 90, 105, 210, 2730])
 def test_reduction_from_the_highest_nonzero_row_matches_the_fraction_oracle(n):
-    # the long division starts at the highest row holding a nonzero: rows
-    # zero at and above phi(n), rows nonzero only below a middle column,
-    # and dense rows, in one batch (which starts at the batch's highest
-    # row) and one by one
+    # each fold, then the long division from the highest row holding a
+    # nonzero: R = rad(n) is 1, 2, a prime (7, folded to phi), twice one
+    # (14, likewise), two odd primes, 2 * 3 * 5 (at 90 with t = 3), three
+    # odd primes, and four and five primes.  Rows zero at and above
+    # phi(n), rows nonzero only below a middle column, and dense rows, of
+    # width n and of width 2n (where z^n = 1 folds too), in one batch
+    # (which starts at the batch's highest row) and one by one, and the
+    # batch times 2^64 on Python ints
     rng = random.Random(n)
-    rows = [[rng.randint(-9, 9) if j < width else 0 for j in range(n)]
-            for width in (euler_phi(n), n // 2, n) for _ in range(3)]
-    expected = [[int(c) for c in FractionCycNum._reduce(n, row)] for row in rows]
-    assert reduce_rows(np.array(rows, dtype=np.int64), n).tolist() == expected
-    for row, value in zip(rows, expected):
-        assert reduce_rows(np.array(row, dtype=np.int64), n).tolist() == value
+    for width in (n, 2 * n):
+        rows = [[rng.randint(-9, 9) if j < nonzero else 0 for j in range(width)]
+                for nonzero in (euler_phi(n), n // 2, width) for _ in range(3)]
+        expected = [[int(c) for c in FractionCycNum._reduce(n, row)] for row in rows]
+        assert reduce_rows(np.array(rows, dtype=np.int64), n).tolist() == expected
+        for row, value in zip(rows, expected):
+            assert reduce_rows(np.array(row, dtype=np.int64), n).tolist() == value
+        big = reduce_rows(np.array(rows, dtype=object) * 2**64, n)
+        assert big.tolist() == [[c * 2**64 for c in value] for value in expected]
 
 
 @pytest.mark.parametrize("n, R, growth", [(2, 2, 4), (16, 2, 4), (6, 6, 8), (90, 30, 24), (30, 30, 24),
@@ -347,8 +354,10 @@ def _one_cpu_second():
 
 def test_roots_at_conductor_8190_stay_within_a_cpu_second():
     # z^k for k below phi(8190) = 1728 is already in the power basis, so
-    # the division by Phi_2730 has no row to start from; when it ran all
-    # 2,154 of its statements, these 20 roots took about a CPU second
+    # after the folds the division by Phi_2730 has no row to start from;
+    # without the scan for one it runs 334 statements a root, and when
+    # the division ran all 2,154 from R - 1, these 20 roots took about a
+    # CPU second
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(premodular.__file__)))
     proc = subprocess.run([sys.executable, "-c", _ROOTS_AT_8190], capture_output=True, text=True, env=env,
                           timeout=120, preexec_fn=_one_cpu_second)

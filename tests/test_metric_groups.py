@@ -18,7 +18,7 @@ from oracles import (direct_sum, fermion, framed_s_entry, isometry_rel_point, ra
 from premodular import metric_groups
 from premodular.catalog import catalog_get, catalog_list
 from premodular.components import form_characters, ring_characters
-from premodular.cyclotomic import ONE, magnitude, make_root, narrow, reduce_rows, root_table
+from premodular.cyclotomic import ONE, magnitude, make_root, reduce_rows
 from premodular.data import (
     CentreKind,
     PremodularData,
@@ -26,7 +26,7 @@ from premodular.data import (
     validate_premodular,
 )
 from premodular.errors import CrossCheckMismatch, GroupsTooLarge, NotSlightlyDegenerate
-from premodular.fusion_ring import MAX_RANK, fpdim
+from premodular.fusion_ring import fpdim
 from premodular.klein import extension_verdict, form_verdict
 from premodular.metric_groups import (
     MAX_CONDUCTOR,
@@ -293,14 +293,6 @@ def test_linearized_values_take_one_byte_a_slot():
     assert validate_premodular(fresh).ok and fresh.s is None
     s = oracles.synthesized_s(fresh)
     assert s.num.dtype == np.int8 and s == data.s
-
-
-def test_root_table_equals_the_reduced_identity():
-    # every conductor a linearization meets: rank <= MAX_RANK, so D <= 2 MAX_RANK
-    for D in range(1, 2 * MAX_RANK + 1):
-        expected = oracles.root_table(D)
-        table = root_table(D)
-        assert table.dtype == narrow(expected).dtype and np.array_equal(table, expected), D
 
 
 def test_linearization_uses_no_pairwise_group_calls(monkeypatch):
