@@ -22,8 +22,9 @@ built: its residues are the balancing formula's, inverting each twist,
 which validation certifies a root of unity, by conj, a reversal of the
 unit axis of its residues, and the formula is evaluated only to fill
 them, so such an s is checked for conjugation alone.  The residues of
-dims, twists and s are kept on the datum for validation and the
-transparency test to share: arrays are not to be changed in place.
+dims, twists and s, and the ring's fusion channels, are kept on the datum
+for validation and the transparency test to share: arrays are not to be
+changed in place.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .cyclotomic import BLOCK, CycArray, exact_dtype, magnitude, mod, reduction_growth, residues, split_primes
 from .fusion_ring import FusionRing, validate_fusion_ring
-from .validation import ValidationReport
+from .validation import ValidationReport, cells
 
 __all__ = [
     "PremodularData",
@@ -60,7 +61,7 @@ class PremodularData:
     dims: CycArray
     twists: CycArray
     s: CycArray | None = None
-    _residues: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.twists.M != self.dims.M or self.s is not None and self.s.M != self.dims.M:
@@ -85,14 +86,25 @@ def _is_integer(num: np.ndarray, den: int, k: int) -> np.ndarray:
     return (num[..., 0] == k * den) & ~num[..., 1:].any(axis=-1)
 
 
+def _kept(data: PremodularData, key, source, build):
+    """build() of source, kept on the datum under key while source is the
+    same object."""
+    kept = data._derived.get(key)
+    if kept is None or kept[0] is not source:
+        data._derived[key] = kept = (source, build())
+    return kept[1]
+
+
 def _residues(data: PremodularData, name: str, p: int) -> np.ndarray:
     """residues of data.dims, data.twists or data.s modulo p, once each;
     those of an absent s by the balancing formula (_synthesized)."""
     x = getattr(data, name)
-    kept = data._residues.get((name, p))
-    if kept is None or kept[0] is not x:
-        data._residues[name, p] = (x, residues(x.num, x.M, p) if x is not None else _synthesized(data, p))
-    return data._residues[name, p][1]
+    return _kept(data, (name, p), x, lambda: residues(x.num, x.M, p) if x is not None else _synthesized(data, p))
+
+
+def _channels(data: PremodularData) -> _Channels:
+    """The _Channels of data.ring, once per ring."""
+    return _kept(data, "channels", data.ring, lambda: _Channels(data.ring))
 
 
 def _times(x: np.ndarray, k: int, p: int) -> np.ndarray:
@@ -117,15 +129,18 @@ def _differ(M: int, bound: int, r: int, phi: int, sides) -> list[np.ndarray]:
 
 class _Channels:
     """The entries N^c_{a,b} of a fusion ring, sorted by (a, b, c), for
-    sums over fusion channels by rows a."""
+    sums over fusion channels by rows a; on a product table C (every a.b
+    one simple, FusionRing.table) a sum is the gather x[C[a, b]]."""
 
     def __init__(self, ring: FusionRing):
-        self.r = ring.rank
+        self.r, self.table = ring.rank, ring.table
         self.a, self.b, self.c, self.m, self.start = ring.a, ring.b, ring.c, ring.m, ring.start
+        if self.table is not None:
+            self.width, self.row_sum = self.r, 1
+            return
         self.width = max(self.r, int(np.diff(self.start).max(initial=0)))  # values per row a
         first = np.flatnonzero(np.diff(self.a * self.r + self.b, prepend=-1))
         self.row_sum = int(np.add.reduceat(self.m, first).max(initial=0))  # max_{a,b} sum_c N^c_{a,b}
-        self.single = len(first) == len(self.a) == self.r * self.r  # one channel c per (a, b), in order
 
     def blocks(self, phi: int):
         step = max(1, BLOCK // (2 * phi * self.width))
@@ -133,16 +148,16 @@ class _Channels:
 
     def sums(self, x: np.ndarray, rows: slice) -> np.ndarray:
         """sum_c N^c_{a,b} x[c] for a in rows and every b: (rows, r, phi)."""
-        at = slice(self.start[rows.start], self.start[rows.stop])
         dtype = exact_dtype(self.row_sum * magnitude(x))
+        if self.table is not None:
+            return x[self.table[rows]].astype(dtype, copy=False)
+        at = slice(self.start[rows.start], self.start[rows.stop])
         terms = self.m[at, None].astype(dtype) * x[self.c[at]].astype(dtype, copy=False)
-        if not self.single:
-            keys = (self.a[at] - rows.start) * self.r + self.b[at]
-            first = np.flatnonzero(np.diff(keys, prepend=-1))
-            out = np.zeros(((rows.stop - rows.start) * self.r, x.shape[-1]), dtype=dtype)
-            out[keys[first]] = terms if len(first) == len(keys) else np.add.reduceat(terms, first, axis=0)
-            terms = out
-        return terms.reshape(rows.stop - rows.start, self.r, x.shape[-1])
+        keys = (self.a[at] - rows.start) * self.r + self.b[at]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        out = np.zeros(((rows.stop - rows.start) * self.r, x.shape[-1]), dtype=dtype)
+        out[keys[first]] = terms if len(first) == len(keys) else np.add.reduceat(terms, first, axis=0)
+        return out.reshape(rows.stop - rows.start, self.r, x.shape[-1])
 
 
 def _not_roots_of_unity(data: PremodularData) -> np.ndarray:
@@ -176,7 +191,7 @@ def _balanced(data: PremodularData, channels: _Channels, p: int, rows: slice) ->
 
 def _synthesized(data: PremodularData, p: int) -> np.ndarray:
     """The residues of an absent s modulo p, _balanced block by block."""
-    channels = _Channels(data.ring)
+    channels = _channels(data)
     out = np.empty((channels.r, channels.r, data.dims.num.shape[1]), dtype=np.int64)
     for rows in channels.blocks(out.shape[2]):
         out[rows] = _balanced(data, channels, p, rows)
@@ -223,12 +238,12 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
         return rep
 
     # the dimension character, d_a d_b = d_den sum_c N^c_{a,b} d_c
-    channels, upper, dual = _Channels(ring), np.triu(np.ones((r, r), dtype=bool)), np.asarray(dual)
+    channels, upper, dual = _channels(data), np.triu(np.ones((r, r), dtype=bool)), np.asarray(dual)
     phi, G, mD = D.shape[1], int(reduction_growth(M)), magnitude(D)
     bad, = _differ(M, phi * G * mD * mD + d_den * channels.row_sum * mD, r, phi, lambda p, rows: [(
         _residues(data, "dims", p)[rows, None] * _residues(data, "dims", p)[None, :],
         channels.sums(_times(_residues(data, "dims", p), d_den, p), rows))])
-    for a, b in np.argwhere(bad & upper).tolist():
+    for a, b in cells(bad & upper):
         rep.add("DimensionCharacterViolation", (a, b))
     if rep.violations:
         return rep
@@ -251,11 +266,11 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
         (_residues(data, "s", p)[rows, :, ::-1], _residues(data, "s", p)[dual[rows]])] + ([] if data.s is None else [
         (_residues(data, "s", p)[rows], _times(_balanced(data, channels, p, rows), s_den, p))]))
     for bad in balancing:
-        for a, b in np.argwhere(bad).tolist():
+        for a, b in cells(bad):
             rep.add("BalancingViolation", (a, b), "supplied s disagrees with balancing formula")
     if rep.violations:
         return rep
-    for a, b in np.argwhere(conj & upper).tolist():
+    for a, b in cells(conj & upper):
         rep.add("SConjugationViolation", (a, b), "conj(s_{a,b}) != s_{a*,b}")
     return rep
 
@@ -263,7 +278,7 @@ def validate_premodular(data: PremodularData) -> ValidationReport:
 def _transparency(data: PremodularData) -> np.ndarray:
     """(r, r) booleans: S~_{b,x} = 1, as s_{b,x} d_den^2 = d_b d_x s_den."""
     dims, M, (r, phi) = data.dims, data.dims.M, data.dims.num.shape
-    mS, s_den, _ = _s_size(data, _Channels(data.ring))
+    mS, s_den, _ = _s_size(data, _channels(data))
     bound = mS * dims.den**2 + phi * int(reduction_growth(M)) * magnitude(dims.num)**2 * s_den
     bad, = _differ(M, bound, r, phi, lambda p, rows: [(
         _times(_residues(data, "s", p)[rows], dims.den**2, p),

@@ -15,7 +15,11 @@ set (FusionRing.restrict).  Associativity of every ring is decided by
 the associativity join over the rows of a generating set, and a ring
 that fails it is reported by the join over every row; the join reads the
 entries in blocks of max(_JOIN_BLOCK, r^2) pairs that cross row
-boundaries.
+boundaries.  A ring whose every product a.b is one simple, once (a group
+ring, any pointed table) has its r x r product table C, FusionRing.table,
+a view of the c column: commutativity, the generating set and the join
+read C by gathers, the join in blocks of whole rows of at most that many
+pairs, with the same reports.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import functools
 import numpy as np
 
 from .errors import UnknownLabel
-from .validation import ValidationReport
+from .validation import ValidationReport, cells
 
 # caps on rings read from files: a keyed sum in the associativity join is
 # T[a,b,c,d] - T[c,b,a,d], each term a sum of at most r products of two
@@ -110,6 +114,18 @@ class FusionRing:
         return len(self.labels)
 
     @functools.cached_property
+    def table(self) -> np.ndarray | None:
+        """The r x r product table C, C[a, b] = c when a . b = c once: a
+        view of the c column, None unless every (a, b) has exactly one
+        channel, of multiplicity 1 (a group ring, or any pointed table).
+        The entries are sorted by (a, b, c), so r^2 of them whose b run
+        0, ..., r - 1 in each r in turn hold every (a, b) once, in order."""
+        r = self.rank
+        if len(self.c) == r * r and (self.b.reshape(r, r) == np.arange(r)).all() and (self.m == 1).all():
+            return self.c.reshape(r, r)
+        return None
+
+    @functools.cached_property
     def _index(self) -> dict:
         return {lab: i for i, lab in enumerate(self.labels)}
 
@@ -161,8 +177,9 @@ def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
 
     Every check reads the entries: the unit and duality checks through
     r x r slices of N, commutativity as the sums N^c_{a,b} - N^c_{b,a}
-    keyed by (a, b, c).  Associativity is checked only when
-    commutativity holds, by the join: a.(b.c) = (c.b).a, so it says that
+    keyed by (a, b, c), or as C against C.T on a product table C.
+    Associativity is checked only when commutativity holds, by the join:
+    a.(b.c) = (c.b).a, so it says that
     T[a,b,c,d] = sum_e N^e_{a,b} N^d_{e,c}, the multiplicity of d in
     (a.b).c, is symmetric in a and c.  The b with (x.b).z = x.(b.z) for
     all x, z form a subring (Clifford and Preston, The Algebraic Theory
@@ -171,8 +188,8 @@ def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
     violation reported before) fails.  Only a ring that fails goes to
     the join over every row, which reports at most 10 witnesses (a, b,
     c, d), ordered by b, a, c, d.  T is never built: the join does one
-    product N^e_{a,b} N^d_{e,c} per pair of nonzero factors, r^2 per row
-    b of a pointed ring.
+    product N^e_{a,b} N^d_{e,c} per pair of nonzero factors, or one
+    gather per pair (a, c) on a product table, r^2 per row b.
 
     Returns all violated axioms with index witnesses (a, b, ...); never
     raises on an axiom failure.
@@ -189,15 +206,21 @@ def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
 
     # N[I] and N[:, I, :], (b, c) and (a, c), against the identity
     eye = np.eye(r, dtype=np.int64)
-    for x, y in np.argwhere(ring.row(I) != eye)[:10].tolist():
+    for x, y in cells(ring.row(I) != eye, 10):
         rep.add("UnitViolation", (I, x, y), "N^c_{I,b} != delta")
     right = b == I
-    for x, y in np.argwhere(_matrix(a[right], c[right], m[right], r) != eye)[:10].tolist():
+    for x, y in cells(_matrix(a[right], c[right], m[right], r) != eye, 10):
         rep.add("UnitViolation", (x, I, y), "N^c_{a,I} != delta")
 
-    # N^c_{a,b} - N^c_{b,a}, keyed by (a, b, c)
-    asymmetric, _ = _nonzero_sums(np.concatenate(((a * r + b) * r + c, (b * r + a) * r + c)),
-                                  np.concatenate((m, -m)))
+    # N^c_{a,b} - N^c_{b,a}, keyed by (a, b, c); on a product table C two
+    # keys (a, b, c) per a.b != b.a, c = C[a, b] and C[b, a]
+    C = ring.table
+    if C is None:
+        asymmetric, _ = _nonzero_sums(np.concatenate(((a * r + b) * r + c, (b * r + a) * r + c)),
+                                      np.concatenate((m, -m)))
+    else:
+        xy = np.flatnonzero(C != C.T)
+        asymmetric = np.sort(np.stack((xy * r + C.flat[xy], xy * r + C.T.flat[xy])), axis=0).T.ravel()
     if len(asymmetric):
         for k in asymmetric[:10].tolist():
             rep.add("CommutativityViolation", (k // (r * r), k // r % r, k % r))
@@ -216,7 +239,7 @@ def validate_fusion_ring(ring: FusionRing) -> ValidationReport:
         rep.add("DualityViolation", (I,), "unit must be self-dual")
     to_unit = c == I
     N_I, expected = _matrix(a[to_unit], b[to_unit], m[to_unit], r), dual_permutation_matrix(ring)
-    for x, y in np.argwhere(N_I != expected).tolist():
+    for x, y in cells(N_I != expected):
         rep.add("DualityViolation", (x, y), f"N^I_{{a,b}} = {N_I[x, y]}, expected {expected[x, y]}")
     return rep
 
@@ -227,18 +250,25 @@ def _generators(ring: FusionRing) -> list[int]:
     the only constituent of x.y outside G, with multiplicity 1, so that
     c is x.y less labels of G; when none joins, the smallest label
     outside G joins S and G.  On a group ring this is Light's closure
-    G <- G u G.G, and |S| <= log2 r."""
-    r, abc, c = ring.rank, np.stack((ring.a, ring.b, ring.c)), ring.c
-    pair, once = ring.a * r + ring.b, ring.m == 1
+    G <- G u G.G, and |S| <= log2 r; on a product table C, G.G is the
+    gather C[G x G]."""
+    r, C = ring.rank, ring.table
+    if C is None:
+        abc, pair, once = np.stack((ring.a, ring.b, ring.c)), ring.a * r + ring.b, ring.m == 1
     generated, S = np.arange(r) == ring.unit_index, []
     while not generated.all():
-        # the entries with x and y in G and c outside G, sorted by (x, y);
-        # those alone in their pair x.y and of multiplicity 1 join
-        x, y, z = generated[abc]
-        at = np.flatnonzero(x & y > z)
-        key = pair[at]
-        edge = np.concatenate(([True], key[1:] != key[:-1], [True]))
-        joined = c[at[edge[:-1] & edge[1:] & once[at]]]
+        if C is not None:
+            G = np.flatnonzero(generated)
+            joined = C[G[:, None], G]
+            joined = joined[~generated[joined]]
+        else:
+            # the entries with x and y in G and c outside G, sorted by
+            # (x, y); those alone in their pair x.y and of multiplicity 1 join
+            x, y, z = generated[abc]
+            at = np.flatnonzero(x & y > z)
+            key = pair[at]
+            edge = np.concatenate(([True], key[1:] != key[:-1], [True]))
+            joined = ring.c[at[edge[:-1] & edge[1:] & once[at]]]
         if len(joined):
             generated[joined] = True
         else:
@@ -261,11 +291,13 @@ def _associativity_witnesses(ring: FusionRing, limit: int, middle=None) -> list[
     nonzero sums of the rows still open, at most one per key: memory
     stays bounded on dense rings too.  A row is complete once a block
     ends past it; its witnesses are taken then, and the join stops at
-    `limit`.
+    `limit`.  On a product table C the sums are gathers (_table_witnesses).
     """
     r, start = ring.rank, ring.start
     keep = np.zeros(r, dtype=bool)
     keep[range(r) if middle is None else middle] = True
+    if ring.table is not None:
+        return _table_witnesses(ring.table, limit, np.flatnonzero(keep))
     rows = keep[ring.a]
     x, y, z, w = ring.a[rows], ring.b[rows], ring.c[rows], ring.m[rows]
     weighted = (ring.m != 1).any()
@@ -299,6 +331,28 @@ def _associativity_witnesses(ring: FusionRing, limit: int, middle=None) -> list[
             if len(out) == limit:
                 break
             keys, sums = keys[done:], sums[done:]
+    return out
+
+
+def _table_witnesses(C: np.ndarray, limit: int, middle: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """_associativity_witnesses on a product table C, b among the
+    increasing labels middle: T[a,b,c,d] is 1 where d = X_b[a, c], X_b =
+    C[C[b]], else 0, so each (a, c) with X_b[a, c] != X_b[c, a] gives the
+    two witnesses d = X_b[a, c] and X_b[c, a], the smaller first.  The
+    X_b are gathered max(_JOIN_BLOCK, r^2) // r^2 rows b at a time, and
+    the gathers stop at `limit`."""
+    r, out = len(C), []
+    step = max(_JOIN_BLOCK, r * r) // (r * r)
+    for i in range(0, len(middle), step):
+        b = middle[i:i + step]
+        X = C[C[b]]
+        at = np.flatnonzero(X != X.transpose(0, 2, 1))[:(limit - len(out) + 1) // 2]
+        k, a, c = at // (r * r), at // r % r, at % r
+        lo, hi = np.sort(np.stack((X[k, a, c], X[k, c, a])), axis=0)
+        for w in zip(a.tolist(), b[k].tolist(), c.tolist(), lo.tolist(), hi.tolist()):
+            out += [w[:4], (*w[:3], w[4])]
+        if len(out) >= limit:
+            return out[:limit]
     return out
 
 

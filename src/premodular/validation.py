@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -44,6 +46,13 @@ class ValidationReport:
         if self.ok:
             return "ok"
         return "\n".join(str(v) for v in self.violations)
+
+
+def cells(mask: np.ndarray, limit: int | None = None) -> list[tuple[int, int]]:
+    """The first `limit` (row, column) pairs where a 2-D boolean mask is
+    set, in row-major order: np.argwhere's, by np.flatnonzero, whose
+    fixed cost is several times lower on the masks of a validation."""
+    return [divmod(k, mask.shape[1]) for k in np.flatnonzero(mask)[:limit].tolist()]
 
 
 class ValidationError(ValueError):

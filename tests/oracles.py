@@ -28,6 +28,7 @@ them.
 from __future__ import annotations
 
 import cmath
+import copy
 import functools
 import itertools
 import json
@@ -1027,12 +1028,20 @@ def _unequal(x: np.ndarray, x_den: int, y: np.ndarray, y_den: int) -> np.ndarray
     return (x != y).any(axis=-1)
 
 
+def entry_channels(ring: FusionRing) -> _Channels:
+    """data._Channels over the entries, also on a ring with a product
+    table, whose channel sums are gathers: the reference for them."""
+    plain = copy.copy(ring)
+    plain.table = None
+    return _Channels(plain)
+
+
 def synthesized_s(data: PremodularData) -> CycArray:
     """s by the balancing formula on the exact arrays, over d_den: theta^-1
     = conj(theta), mul_rows and the channel sums in blocks of rows, each
     s_{a,b} at the lcm of the conductors of theta_a, theta_b and the
     theta_c d_c over the channels c of a.b."""
-    channels = _Channels(data.ring)
+    channels = entry_channels(data.ring)
     D, T, inverse, M, r = data.dims.num, data.twists.num, data.twists.conj().num, data.dims.M, channels.r
     try:
         check_budget(r * r * D.shape[1], data.dims.den)
@@ -1101,7 +1110,7 @@ def validate_premodular_exact(data: PremodularData) -> tuple[ValidationReport, C
     if rep.violations:
         return rep, None
 
-    channels = _Channels(ring)
+    channels = entry_channels(ring)
     blocks = channels.blocks(D.shape[1])
     upper = np.arange(r)[None, :] >= np.arange(r)[:, None]
     for rows in blocks:

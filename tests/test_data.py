@@ -302,7 +302,7 @@ def test_residue_synthesis_of_s_is_the_exact_one(catalog_names):
 def test_classify_degeneracy_without_s_and_without_validation(data):
     # a datum never validated, with no s: the transparent set from the
     # residues of the s that balancing gives
-    assert data.s is None and not data._residues
+    assert data.s is None and not data._derived
     assert classify_degeneracy(data) == oracles.classify_degeneracy_cycnum(oracles.with_s(data))
     assert data.s is None
 
@@ -322,6 +322,26 @@ def test_an_absent_s_is_balanced_once_per_block_and_prime(name, monkeypatch):
     classify_degeneracy(data)
     blocks = _Channels(data.ring).blocks(data.dims.num.shape[1])
     assert calls and sorted(calls) == sorted((p, rows.start) for p in {p for p, _ in calls} for rows in blocks)
+
+
+def test_channel_sums_on_a_product_table_equal_the_entry_route():
+    # a sum over the channels of a.b is the gather x[C[a, b]] on a ring
+    # with a product table, and the same values and dtype as the sum over
+    # the entries (oracles.entry_channels) on int8, int64 and object x
+    import test_output_digests as corpora
+    rng = np.random.default_rng(50)
+    rings = [premodular_from_json(json.loads(text)).ring for name, (_, text) in corpora.premodular_inputs().items()
+             if name.startswith("linear-")]
+    rings += [premodular_form(name).ring for name in ("svec", "toric", "z4-q:1", "svec-x-semion")]
+    for ring in rings:
+        table, entries = _Channels(ring), oracles.entry_channels(ring)
+        assert table.table is not None and entries.table is None
+        assert (table.width, table.row_sum) == (entries.width, entries.row_sum)
+        wide = rng.integers(-2**40, 2**40, (ring.rank, 4))
+        for x in (wide.astype(np.int8), wide, wide.astype(object) * 2**30):
+            for rows in table.blocks(x.shape[1]):
+                got, expected = table.sums(x, rows), entries.sums(x, rows)
+                assert got.dtype == expected.dtype and got.shape == expected.shape and (got == expected).all()
 
 
 def _rep_s3():

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import (brute_associative, brute_duality_violations, dense, dense_a
                      generation_certificate, ring_from_dense, su2_corpus, validate_fusion_ring_dense)
 from premodular import fusion_ring
 from premodular.errors import UnknownLabel
+from premodular.serialize import premodular_from_json
 from premodular.fusion_ring import (
     FusionRing,
     dual_permutation_matrix,
@@ -217,6 +219,18 @@ def test_restricted_join_equals_the_dense_oracle_on_its_rows():
             assert fusion_ring._associativity_witnesses(ring, limit, middle) == expected[:limit], mult.tolist()
         counts.append(len(expected))
     assert counts.count(0) >= 50 and counts.count(10) >= 20, collections.Counter(counts)
+    # the table route, on middle lists unsorted, with repeats and the unit
+    counts = []
+    for T in _pointed_tables(random.Random(16)):
+        ring, r = _table_ring(T), len(T)
+        assert ring.table is not None
+        middle = [ring.unit_index] + rng.choices(range(r), k=rng.randint(1, r))
+        rng.shuffle(middle)
+        expected = dense_associativity_witnesses(dense(ring), 10, sorted(set(middle)))
+        for limit in (1, 3, 10):
+            assert fusion_ring._associativity_witnesses(ring, limit, middle) == expected[:limit], (middle, T.tolist())
+        counts.append(len(expected))
+    assert counts.count(0) >= 20 and counts.count(10) >= 20, collections.Counter(counts)
 
 
 def _edited_rings(rng, count):
@@ -344,7 +358,32 @@ def _pointed_tables(rng):
     return tables
 
 
+def _noncommutative_tables(rng):
+    """Pointed tables with one, two or three products a.b moved to another
+    label while b.a stays: group tables, commutative loops and S3's table,
+    which is not commutative to begin with."""
+    tables = [_group_table(orders) for orders in ([2, 8], [4, 4], [3, 5], [7], [2, 2, 2])]
+    tables += [_commutative_loop(rng, rng.choice((5, 6, 8))) for _ in range(5)]
+    out = [s3_ring().table]
+    for T in tables:
+        for times in (1, 2, 3):
+            out.append(T.copy())
+            for a, b in (rng.sample(range(1, len(T)), 2) for _ in range(times)):
+                out[-1][a, b] = rng.choice([x for x in range(len(T)) if x != T[a, b]])
+    return out
+
+
 def test_pointed_reports_equal_the_dense_oracle_and_the_full_join():
+    # commutativity on a product table compares C with its transpose
+    violations = collections.Counter()
+    for T in _noncommutative_tables(random.Random(17)):
+        ring = _table_ring(T)
+        report = validate_fusion_ring(ring)
+        assert ring.table is not None and not np.array_equal(T, T.T)
+        assert report.violations == validate_fusion_ring_dense(ring).violations, T.tolist()
+        violations[len([v for v in report.violations if v.kind == "CommutativityViolation"])] += 1
+    # 4 keys (a, b, c) for one moved product, 8 for two, and the cap
+    assert {4, 8, 10} <= violations.keys(), violations
     associative = []
     for T in _pointed_tables(random.Random(16)):
         ring = _table_ring(T)
@@ -442,9 +481,48 @@ def test_the_full_join_never_runs_on_a_valid_rank_256_group_ring(monkeypatch):
     for T in tables:
         T = _tamper_table(T, rng, [(3, 5)])
         ring = _table_ring(T)
-        witnesses = [v.witness for v in validate_fusion_ring(ring).violations if v.kind == "AssociativityViolation"]
+        tracemalloc.start()
+        report = validate_fusion_ring(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # the join over every row gathers a block of rows b at a time; the
+        # entry join peaked at 8.9 MB here, and all r^3 values C[C[b]] at
+        # once would take 128 MiB
+        assert peak < 10 * 2**20, peak
+        witnesses = [v.witness for v in report.violations if v.kind == "AssociativityViolation"]
         assert len(witnesses) == 10 and witnesses == fusion_ring._associativity_witnesses(ring, 10)
         assert all(_witness_holds(T, *w) for w in witnesses)
+
+
+def test_the_product_table_exists_exactly_on_single_channel_rings():
+    # C[a, b] = the one c with N^c_{a,b} = 1, a view of the entries' c
+    import test_output_digests as corpora
+    for orders in ([1], [2], [2, 8], [4, 4], [3, 5], [2] * 6):
+        T = _group_table(orders)
+        ring = _table_ring(T)
+        assert np.array_equal(ring.table, T) and np.shares_memory(ring.table, ring.c)
+    inputs = corpora.premodular_inputs()
+    linear = [name for name in inputs if name.startswith("linear-")]
+    assert len(linear) >= 10
+    for name in linear:
+        assert premodular_from_json(json.loads(inputs[name][1])).ring.table is not None, name
+    for name, data in su2_corpus().items():
+        assert data.ring.table is None, name
+    # every (a, b) has one nonzero N^c_{a,b}, and it is 1
+    routes = collections.Counter()
+    for ring in [*_edited_rings(random.Random(13), 200), *(ring for _, ring in _su2_rings())]:
+        N = dense(ring)
+        routes[ring.table is not None] += 1
+        assert (ring.table is not None) == (((N != 0).sum(axis=2) == 1).all() and (N.sum(axis=2) == 1).all())
+    assert min(routes.values()) >= 20, routes
+    # one product of multiplicity 2, one second channel, one product removed
+    T = _group_table([2, 4])
+    ring = _table_ring(T)
+    for a, b in ((3, 5), (0, 0), (7, 7)):
+        c = int(T[a, b])
+        for entry in ([a, b, c, 2], [a, b, (c + 1) % 8, 1], [a, b, c, 0]):
+            assert with_entries(ring, entry).table is None, entry
+        assert np.array_equal(with_entries(ring, [a, b, c, 1]).table, T)
 
 
 def test_duality_witnesses_and_details_equal_the_loop():
